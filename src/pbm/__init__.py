@@ -51,6 +51,7 @@ from .circulation import (
     Arc,
     Circulation,
     CutWitness,
+    NegativeCycle,
     Network,
     build_network,
     circulation_from_matrix,

@@ -32,6 +32,7 @@ from typing import Mapping, Sequence
 
 from .circulation import (
     CutWitness,
+    NegativeCycle,
     build_network,
     cut_to_certificate,
     matrix_from_circulation,
@@ -51,7 +52,6 @@ from .core import (
 from .errors import BadEntries, BadParams, DimensionMismatch, InternalError
 from .feasibility import Certificate, solve
 from .segments import HORIZONTAL, VERTICAL, Segment, maximal_segments
-from .strongpair import condition_values
 
 __all__ = [
     "SPartition",
@@ -567,13 +567,14 @@ def max_plus_ones_subordinate(x: IntMatrix) -> SubordinateOptResult:
     }
     res = min_cost_circulation(net, cost)
     if isinstance(res, CutWitness):
-        x1, x2, case, violated = cut_to_certificate(net, res)
-        record = condition_values(inst, x1, x2).by_name(violated)
+        x1, x2, case, record = cut_to_certificate(net, res)
         cert = Certificate(
-            x1=x1, x2=x2, case=case, violated=violated, lhs=record.lhs, rhs=record.rhs
+            x1=x1, x2=x2, case=case, violated=record.name, lhs=record.lhs, rhs=record.rhs
         )
         family = _family_from_certificate(part, cert)
         return SubordinateOptResult(matrix=None, count=None, certificate=cert, family=family)
+    if isinstance(res, NegativeCycle):
+        raise InternalError("subordinate optimum reported unbounded under capped windows")
     mat = matrix_from_circulation(net, res)
     for i, j, v in mat.cells():
         if v != 0 and v != x.at(i, j):

@@ -22,13 +22,18 @@ chosen so large that no optimal or violating structure can depend on it
 Feasibility is decided by one max-flow; an infeasible network yields a node
 set whose entering capacity is below its leaving demand, and that node set
 translates into a violated inequality on a pair of cell subsets.  Optimum
-circulations use successive shortest paths with node potentials, all in
-exact integer arithmetic.
+circulations start from that feasible circulation and run primal-dual
+phases: one Dijkstra on reduced costs, then one max-flow over the arcs of
+zero reduced cost.  An optimum is unbounded exactly when the instance is
+feasible and some negative-cost cycle runs only along infinite bounds; the
+optimal potentials guide the search for one.  All arithmetic is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -41,6 +46,7 @@ __all__ = [
     "Network",
     "Circulation",
     "CutWitness",
+    "NegativeCycle",
     "instance_arc_bounds",
     "network_from_bounds",
     "build_network",
@@ -132,6 +138,20 @@ class CutWitness:
     deficit: int
 
 
+@dataclass(frozen=True, slots=True)
+class NegativeCycle:
+    """A cycle of (arc id, direction) steps that proves an optimum unbounded.
+
+    Direction +1 follows the arc, -1 runs against it.  Every step goes
+    where the arc's true bound is infinite (upper for +1, lower for -1),
+    and the steps' costs add up to ``cost`` < 0, so the flow around the
+    cycle can grow without limit while the cost falls.
+    """
+
+    steps: tuple[tuple[int, int], ...]
+    cost: int
+
+
 def instance_arc_bounds(inst: PbmInstance) -> tuple[list[ExtInt], list[ExtInt]]:
     """True extended-integer arc bounds in arc-id order."""
     m, n, mn = inst.m, inst.n, inst.m * inst.n
@@ -159,13 +179,13 @@ def network_from_bounds(
     *,
     instance: "PbmInstance | None" = None,
     extra_finite: int = 0,
-    k_override: "int | None" = None,
 ) -> Network:
     """Build the network from explicit per-arc bounds in arc-id order.
 
-    K is 1 + 2 * (sum of |finite bounds| + extra_finite) + mn unless
-    overridden; callers that need room for known circulations pass their
-    magnitude through ``extra_finite``.
+    K is 1 + 2 * (sum of |finite bounds| + extra_finite) + mn; callers that
+    need room for known circulations pass their magnitude through
+    ``extra_finite``.  Every finite bound is smaller than K in magnitude,
+    so a clamped bound equals +-K exactly when the true bound is infinite.
     """
     mn = m * n
     if len(lower) != 3 * mn + 1 or len(upper) != 3 * mn + 1:
@@ -174,7 +194,7 @@ def network_from_bounds(
     for v in list(lower) + list(upper):
         if v.is_finite:
             finite_mass += abs(v.value)
-    big_k = k_override if k_override is not None else 1 + 2 * finite_mass + mn
+    big_k = 1 + 2 * finite_mass + mn
     arcs: list[Arc] = []
 
     def put(arc_id: int, tail: int, head: int, tag: tuple) -> None:
@@ -210,12 +230,10 @@ def network_from_bounds(
     return Network(m=m, n=n, arcs=tuple(arcs), big_k=big_k, instance=instance)
 
 
-def build_network(inst: PbmInstance, *, k_override: "int | None" = None) -> Network:
+def build_network(inst: PbmInstance) -> Network:
     """The circulation network of a validated instance."""
     lower, upper = instance_arc_bounds(inst)
-    return network_from_bounds(
-        inst.m, inst.n, lower, upper, instance=inst, k_override=k_override
-    )
+    return network_from_bounds(inst.m, inst.n, lower, upper, instance=inst)
 
 
 def check_circulation(net: Network, circ: Circulation) -> None:
@@ -249,9 +267,6 @@ def make_cut_witness(net: Network, nodes: frozenset[int]) -> CutWitness:
     if deficit >= 0:
         raise InternalError(f"cut witness has nonnegative deficit {deficit}")
     return CutWitness(nodes=nodes, deficit=deficit)
-
-
-_BIG = 1 << 300
 
 
 class _FlowGraph:
@@ -289,37 +304,55 @@ class _FlowGraph:
                     queue.append(w)
         return level if level[t] >= 0 else None
 
-    def _push(self, v: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
-        if v == t:
-            return limit
-        while it[v] < len(self.adj[v]):
-            idx = self.adj[v][it[v]]
-            w = self.to[idx]
-            if self.cap[idx] > 0 and level[w] == level[v] + 1:
-                pushed = self._push(w, t, min(limit, self.cap[idx]), level, it)
-                if pushed > 0:
-                    self.cap[idx] -= pushed
-                    self.cap[idx ^ 1] += pushed
-                    return pushed
-            it[v] += 1
-        level[v] = -1
-        return 0
-
     def max_flow(self, s: int, t: int) -> tuple[int, int]:
-        """Returns (flow value, number of augmenting paths)."""
+        """Returns (flow value, number of augmenting paths).
+
+        Dinic's algorithm.  The depth-first search of each phase keeps the
+        current path on an explicit stack, so path length is not limited by
+        the interpreter's recursion depth; each path carries the least
+        residual capacity along it.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
         flow = 0
         paths = 0
         while True:
             level = self._levels(s, t)
             if level is None:
                 return flow, paths
-            it = [0] * len(self.adj)
+            it = [0] * len(adj)
+            path: list[int] = []
+            v = s
             while True:
-                pushed = self._push(s, t, _BIG, level, it)
-                if pushed == 0:
+                if v == t:
+                    pushed = min(cap[idx] for idx in path)
+                    for idx in path:
+                        cap[idx] -= pushed
+                        cap[idx ^ 1] += pushed
+                    flow += pushed
+                    paths += 1
+                    # resume from the tail of the first saturated edge
+                    k = next(k for k, idx in enumerate(path) if cap[idx] == 0)
+                    v = to[path[k] ^ 1]
+                    del path[k:]
+                    continue
+                edges = adj[v]
+                i = it[v]
+                next_level = level[v] + 1
+                while i < len(edges):
+                    idx = edges[i]
+                    if cap[idx] > 0 and level[to[idx]] == next_level:
+                        break
+                    i += 1
+                it[v] = i
+                if i < len(edges):
+                    path.append(edges[i])
+                    v = to[edges[i]]
+                elif v == s:
                     break
-                flow += pushed
-                paths += 1
+                else:
+                    level[v] = -1
+                    v = to[path.pop() ^ 1]
+                    it[v] += 1
 
     def residual_reachable(self, s: int) -> set[int]:
         seen = {s}
@@ -386,12 +419,22 @@ def min_cost_circulation(
     net: Network,
     cost: "Mapping[int, int] | None" = None,
     info: "dict | None" = None,
-) -> "Circulation | CutWitness":
-    """A minimum-cost integer circulation, or an infeasibility witness.
+) -> "Circulation | CutWitness | NegativeCycle":
+    """A minimum-cost integer circulation, or a proof that none exists.
 
-    Successive shortest paths on reduced costs; arcs with negative cost are
-    saturated first and the resulting node imbalances are drained along
-    cheapest residual paths.  All arithmetic is exact.
+    Returns a ``CutWitness`` when the network is infeasible, and a
+    ``NegativeCycle`` when the objective is unbounded below over the true
+    bounds of the instance the network was built from.  Otherwise the
+    circulation is optimal for the true bounds, not only for the clamped
+    ones: a bounded problem has an optimum whose flows stay below K.
+
+    The solve is primal-dual (Ahuja, Magnanti & Orlin 1993, section 9.8).
+    It starts from a feasible circulation with every negatively priced arc
+    moved to its upper bound and every positively priced arc to its lower
+    bound, so all reduced costs are nonnegative under zero potentials.
+    Each phase runs one Dijkstra from the nodes with surplus, raises the
+    potentials, and drains surplus by a max-flow over the arcs of zero
+    reduced cost.  All arithmetic is exact.
     """
     feasible = find_feasible_circulation(net, info)
     if isinstance(feasible, CutWitness):
@@ -399,68 +442,28 @@ def min_cost_circulation(
     costs = _resolve_costs(net, cost)
     nodes = net.node_count
     graph = _FlowGraph(nodes)
-    surplus = _node_excess(net)
-    for arc in net.arcs:
-        c = arc.upper - arc.lower
-        idx = graph.add_edge(arc.tail, arc.head, c, costs[arc.id])
-        if costs[arc.id] < 0:
-            graph.cap[idx] = 0
-            graph.cap[idx + 1] = c
-            surplus[arc.head] += c
-            surplus[arc.tail] -= c
+    excess = [0] * nodes
+    for arc, z in zip(net.arcs, feasible.flows):
+        c = costs[arc.id]
+        start = arc.upper if c < 0 else arc.lower if c > 0 else z
+        excess[arc.head] += start - z
+        excess[arc.tail] -= start - z
+        idx = graph.add_edge(arc.tail, arc.head, arc.upper - start, c)
+        graph.cap[idx + 1] = start - arc.lower
     pi = [0] * nodes
     augmentations = 0
-    while True:
-        sources = [v for v in range(nodes) if surplus[v] > 0]
-        if not sources:
-            break
-        dist = [_BIG] * nodes
-        parent_edge = [-1] * nodes
-        heap: list[tuple[int, int]] = []
-        for v in sources:
-            dist[v] = 0
-            heapq.heappush(heap, (0, v))
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > dist[v]:
-                continue
-            for idx in graph.adj[v]:
-                if graph.cap[idx] <= 0:
-                    continue
-                w = graph.to[idx]
-                nd = d + graph.cost[idx] + pi[v] - pi[w]
-                if nd < dist[w]:
-                    dist[w] = nd
-                    parent_edge[w] = idx
-                    heapq.heappush(heap, (nd, w))
-        target = -1
-        for v in range(nodes):
-            if surplus[v] < 0 and dist[v] < _BIG:
-                if target < 0 or dist[v] < dist[target]:
-                    target = v
-        if target < 0:
+    while any(e > 0 for e in excess):
+        dist = _reduced_distances(graph, pi, [v for v in range(nodes) if excess[v] > 0])
+        reached = [dist[v] for v in range(nodes) if excess[v] < 0 and dist[v] is not None]
+        if not reached:
             raise InternalError("imbalance cannot be drained in a feasible network")
-        path: list[int] = []
-        v = target
-        while parent_edge[v] >= 0:
-            idx = parent_edge[v]
-            path.append(idx)
-            v = graph.to[idx ^ 1]
-        origin = v
-        delta = min(surplus[origin], -surplus[target])
-        for idx in path:
-            delta = min(delta, graph.cap[idx])
-        if delta <= 0:
-            raise InternalError("degenerate augmentation")
-        for idx in path:
-            graph.cap[idx] -= delta
-            graph.cap[idx ^ 1] += delta
-        surplus[origin] -= delta
-        surplus[target] += delta
-        dt = dist[target]
+        horizon = min(reached)
+        # capping the raise at the nearest deficit keeps every residual
+        # reduced cost nonnegative and makes the paths to that deficit tight
         for v in range(nodes):
-            pi[v] += min(dist[v], dt)
-        augmentations += 1
+            d = dist[v]
+            pi[v] += horizon if d is None or d > horizon else d
+        augmentations += _drain_admissible(graph, pi, excess)
     for idx in range(len(graph.to)):
         if graph.cap[idx] > 0:
             u = graph.to[idx ^ 1]
@@ -469,10 +472,172 @@ def min_cost_circulation(
                 raise InternalError("negative reduced cost left after optimization")
     if info is not None:
         info["augmentations"] = info.get("augmentations", 0) + augmentations
+    cycle = _negative_infinite_cycle(net, costs, pi)
+    if cycle is not None:
+        return _checked_negative_cycle(net, costs, cycle)
     flows = tuple(arc.lower + graph.cap[2 * arc.id + 1] for arc in net.arcs)
     circ = Circulation(flows)
     check_circulation(net, circ)
     return circ
+
+
+def _reduced_distances(
+    graph: _FlowGraph, pi: list[int], sources: list[int]
+) -> "list[int | None]":
+    """Dijkstra on reduced costs over residual edges; None where unreached."""
+    dist: "list[int | None]" = [None] * len(graph.adj)
+    heap = [(0, v) for v in sources]
+    for v in sources:
+        dist[v] = 0
+    adj, to, cap, cost = graph.adj, graph.to, graph.cap, graph.cost
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        base = d + pi[v]
+        for idx in adj[v]:
+            if cap[idx] > 0:
+                w = to[idx]
+                nd = base + cost[idx] - pi[w]
+                if dist[w] is None or nd < dist[w]:
+                    dist[w] = nd
+                    heapq.heappush(heap, (nd, w))
+    return dist
+
+
+def _drain_admissible(graph: _FlowGraph, pi: list[int], excess: list[int]) -> int:
+    """Max-flow from surplus to deficit over the edges of zero reduced cost.
+
+    Every arc whose forward edge has zero reduced cost is copied with both
+    residual capacities; the flow found is written back into ``graph`` and
+    ``excess``.  Returns the number of augmenting paths.
+    """
+    nodes = len(excess)
+    sub = _FlowGraph(nodes + 2)
+    copied: list[tuple[int, int]] = []
+    to, cap, cost = graph.to, graph.cap, graph.cost
+    for idx in range(0, len(to), 2):
+        u, w = to[idx + 1], to[idx]
+        if cost[idx] + pi[u] - pi[w] == 0 and (cap[idx] > 0 or cap[idx + 1] > 0):
+            j = sub.add_edge(u, w, cap[idx])
+            sub.cap[j + 1] = cap[idx + 1]
+            copied.append((idx, j))
+    s, t = nodes, nodes + 1
+    ends: list[tuple[int, int]] = []
+    for v, e in enumerate(excess):
+        if e > 0:
+            ends.append((v, sub.add_edge(s, v, e)))
+        elif e < 0:
+            ends.append((v, sub.add_edge(v, t, -e)))
+    _, paths = sub.max_flow(s, t)
+    for idx, j in copied:
+        cap[idx] = sub.cap[j]
+        cap[idx + 1] = sub.cap[j + 1]
+    for v, j in ends:
+        moved = sub.cap[j + 1]
+        excess[v] += -moved if excess[v] > 0 else moved
+    return paths
+
+
+def _negative_infinite_cycle(
+    net: Network, costs: list[int], pi: list[int]
+) -> "list[tuple[int, int]] | None":
+    """A negative-cost cycle of steps along infinite bounds, or None.
+
+    A step is (arc id, +1) when the arc's upper bound is infinite and
+    (arc id, -1) when its lower bound is; only clamped bounds equal +-K.
+    The search is Bellman-Ford from the labels ``pi``: a step with
+    nonnegative reduced cost already satisfies them, so when every step
+    does, no negative cycle exists and the search ends after one scan.
+    Every len(pi) label changes, the parent graph is checked for a cycle;
+    one appears eventually exactly when a negative cycle exists.
+    """
+    big_k = net.big_k
+    nodes = len(pi)
+    out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nodes)]
+    for arc in net.arcs:
+        c = costs[arc.id]
+        if arc.upper == big_k:
+            out[arc.tail].append((arc.head, c, arc.id, 1))
+        if arc.lower == -big_k:
+            out[arc.head].append((arc.tail, -c, arc.id, -1))
+    label = list(pi)
+    queued = [any(label[u] + c < label[w] for w, c, _, _ in out[u]) for u in range(nodes)]
+    queue = deque(u for u in range(nodes) if queued[u])
+    parent: "list[tuple[int, int, int] | None]" = [None] * nodes
+    changes = 0
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        for w, c, arc_id, sign in out[u]:
+            if label[u] + c < label[w]:
+                label[w] = label[u] + c
+                parent[w] = (u, arc_id, sign)
+                if not queued[w]:
+                    queued[w] = True
+                    queue.append(w)
+                changes += 1
+                if changes >= nodes:
+                    changes = 0
+                    cycle = _parent_cycle(parent)
+                    if cycle is not None:
+                        return cycle
+    return None
+
+
+def _parent_cycle(
+    parent: "list[tuple[int, int, int] | None]",
+) -> "list[tuple[int, int]] | None":
+    """The steps of one cycle of the parent graph, in walking order, or None."""
+    state = [0] * len(parent)  # 0 unseen, 1 on the current walk, 2 done
+    for start in range(len(parent)):
+        walk = []
+        v = start
+        while v is not None and state[v] == 0:
+            state[v] = 1
+            walk.append(v)
+            p = parent[v]
+            v = p[0] if p is not None else None
+        if v is not None and state[v] == 1:
+            steps = []
+            w = v
+            while True:
+                u, arc_id, sign = parent[w]
+                steps.append((arc_id, sign))
+                w = u
+                if w == v:
+                    break
+            steps.reverse()
+            return steps
+        for w in walk:
+            state[w] = 2
+    return None
+
+
+def _checked_negative_cycle(
+    net: Network, costs: list[int], steps: list[tuple[int, int]]
+) -> NegativeCycle:
+    """Re-check a cycle against the instance's true bounds before returning it."""
+    if net.instance is None:
+        raise InternalError("network carries no instance; cannot confirm unboundedness")
+    lower, upper = instance_arc_bounds(net.instance)
+    first = net.arcs[steps[0][0]]
+    start = node = first.tail if steps[0][1] > 0 else first.head
+    total = 0
+    for arc_id, sign in steps:
+        arc = net.arcs[arc_id]
+        tail, head = (arc.tail, arc.head) if sign > 0 else (arc.head, arc.tail)
+        if tail != node:
+            raise InternalError("negative cycle steps do not join up")
+        node = head
+        if (upper[arc_id] if sign > 0 else lower[arc_id]).is_finite:
+            raise InternalError(f"negative cycle uses a finite bound of arc {arc.tag}")
+        total += sign * costs[arc_id]
+    if node != start:
+        raise InternalError("negative cycle does not close")
+    if total >= 0:
+        raise InternalError(f"cycle of infinite bounds has cost {total}, not negative")
+    return NegativeCycle(steps=tuple(steps), cost=total)
 
 
 def matrix_from_circulation(net: Network, circ: Circulation) -> IntMatrix:
@@ -535,13 +700,14 @@ def circulation_from_matrix(inst: PbmInstance, mat: IntMatrix) -> Circulation:
 
 def cut_to_certificate(
     net: Network, witness: CutWitness
-) -> tuple[SubsetMask, SubsetMask, int, str]:
+) -> tuple[SubsetMask, SubsetMask, int, strongpair.InequalityRecord]:
     """Translate a violated node set into a violated inequality.
 
     The hubs' sides of the cut select one of four cases; each case reads a
     pair of cell subsets (X1, X2) off the cut and names the inequality it
-    breaks.  The named inequality is re-evaluated from the instance's true
+    breaks.  The named inequality is evaluated from the instance's true
     bounds and must be strictly violated; anything else is an internal bug.
+    Returns (X1, X2, case, the evaluated record of the violated inequality).
     """
     inst = net.instance
     if inst is None:
@@ -582,7 +748,7 @@ def cut_to_certificate(
         raise InternalError(
             f"cut does not violate {violated}: lhs {record.lhs} <= rhs {record.rhs}"
         )
-    return x1, x2, case, violated
+    return x1, x2, case, record
 
 
 def _node_name(net: Network, v: int) -> str:

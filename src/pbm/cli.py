@@ -443,25 +443,23 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pbm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p, oracle_flag=True):
-        if oracle_flag:
-            p.add_argument(
-                "--oracle", action="store_true", help="cross-check against the brute-force oracle"
-            )
-        p.add_argument("--seed", type=int, default=0, help="seed for any sampling (default 0)")
+    def add_oracle(p):
+        p.add_argument(
+            "--oracle", action="store_true", help="cross-check against the brute-force oracle"
+        )
 
     p = sub.add_parser("check", help="decide feasibility of an instance")
     p.add_argument("instance", help="instance JSON file, or - for stdin")
     p.add_argument("--prescribe", help="JSON [[i,j,value],...] of pinned entries (or @file)")
     p.add_argument("--dump-dot", metavar="PATH", help="write the network in DOT form")
-    add_common(p)
+    add_oracle(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("solve", help="find a matrix meeting all bounds")
     p.add_argument("instance", help="instance JSON file, or - for stdin")
     p.add_argument("--prescribe", help="JSON [[i,j,value],...] of pinned entries (or @file)")
     p.add_argument("--dump-dot", metavar="PATH", help="write the network in DOT form")
-    add_common(p)
+    add_oracle(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sum", help="extremal total sum over the instance")
@@ -469,7 +467,7 @@ def _build_parser() -> _Parser:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--max", action="store_true")
     grp.add_argument("--min", action="store_true")
-    add_common(p)
+    add_oracle(p)
     p.set_defaults(func=_cmd_sum)
 
     p = sub.add_parser("cost", help="optimize a linear cost over the instance")
@@ -478,39 +476,38 @@ def _build_parser() -> _Parser:
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--max", action="store_true")
     grp.add_argument("--min", action="store_true", default=True)
-    add_common(p)
+    add_oracle(p)
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("decompose", help="split a matrix into k bounded parts")
     p.add_argument("instance")
     p.add_argument("--matrix", required=True, help="matrix JSON file")
     p.add_argument("-k", type=int, required=True, help="number of parts")
-    add_common(p, oracle_flag=False)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("asm", help="alternating sign matrices, plain or constrained")
     p.add_argument("n", type=int, nargs="?", help="order of the matrix")
     p.add_argument("--compatible", metavar="PARTITION",
                    help="label grid JSON (or @file) of 0,+1,-1,+,-,F")
-    add_common(p)
+    add_oracle(p)
     p.set_defaults(func=_cmd_asm)
 
     p = sub.add_parser("subordinate", help="ASM under a sign pattern")
     p.add_argument("matrix", help="(0,+-1) matrix JSON file")
     p.add_argument("--maximize", action="store_true", help="keep as many +1 entries as possible")
-    add_common(p)
+    add_oracle(p)
     p.set_defaults(func=_cmd_subordinate)
 
     p = sub.add_parser("wasm", help="matrix with per-line wing patterns")
     p.add_argument("patterns", help='JSON file {"rows": ["++",...], "cols": [...]}')
-    add_common(p)
+    add_oracle(p)
     p.set_defaults(func=_cmd_wasm)
 
     p = sub.add_parser("eval", help="strong-pair values of a cell subset")
     p.add_argument("instance")
     p.add_argument("--subset", required=True, help="JSON [[i,j],...] (or @file)")
     p.add_argument("--subset2", help="second subset: also evaluate the four inequalities")
-    add_common(p)
+    add_oracle(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("oracle", help="enumerate all matrices of a small instance")
@@ -518,7 +515,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-cells", type=int, default=9)
     p.add_argument("--max-width", type=int, default=5)
     p.add_argument("--max-nodes", type=int, default=100_000_000)
-    add_common(p, oracle_flag=False)
     p.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -6,10 +6,11 @@ inequalities (gen1a, gen1b, gen1alfa, gen1beta) strictly fails.  Exactly one
 of the two branches is present, and both are re-verified before they are
 returned.
 
-Optimization over an unbounded polyhedron cannot be detected from a single
-solve, because infinite bounds are modelled by a large finite K.  Both
-optimizers therefore solve twice, with K and with 2K + 1: a finite optimum
-yields the same value in both runs, an unbounded one cannot.
+Both optimizers make one min-cost solve.  Infinite bounds are modelled by
+a large finite K, which no bounded optimum reaches, so the solve's optimum
+is the true one unless the objective is unbounded.  The solve decides that
+directly: the objective is unbounded exactly when the instance is feasible
+and some cycle of negative cost runs only along infinite bounds.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Iterable, Mapping
 from .circulation import (
     Circulation,
     CutWitness,
+    NegativeCycle,
     build_network,
     circulation_from_matrix,
     cut_to_certificate,
@@ -92,12 +94,9 @@ class ExtremalResult:
 
 
 def _certificate_from_cut(net, witness: CutWitness) -> Certificate:
-    x1, x2, case, violated = cut_to_certificate(net, witness)
-    record = condition_values(net.instance, x1, x2).by_name(violated)
-    if record.holds:
-        raise InternalError("certificate re-evaluation did not confirm violation")
+    x1, x2, case, record = cut_to_certificate(net, witness)
     return Certificate(
-        x1=x1, x2=x2, case=case, violated=violated, lhs=record.lhs, rhs=record.rhs
+        x1=x1, x2=x2, case=case, violated=record.name, lhs=record.lhs, rhs=record.rhs
     )
 
 
@@ -146,27 +145,20 @@ def extremal_total_sum(
     relaxed = _relax_total(inst)
     net = build_network(relaxed)
     sign = -1 if direction == "max" else 1
-    cost = {net.a0_id: sign}
-    first = min_cost_circulation(net, cost, info)
-    if isinstance(first, CutWitness):
+    res = min_cost_circulation(net, {net.a0_id: sign}, info)
+    if isinstance(res, CutWitness):
         return ExtremalResult(
             status="infeasible",
             direction=direction,
-            certificate=_certificate_from_cut(net, first),
+            certificate=_certificate_from_cut(net, res),
         )
-    v1 = first.value(net.a0_id)
-    net2 = build_network(relaxed, k_override=2 * net.big_k + 1)
-    second = min_cost_circulation(net2, cost)
-    if isinstance(second, CutWitness):
-        raise InternalError("feasibility changed when K grew")
-    v2 = second.value(net2.a0_id)
-    if v1 == v2:
-        mat = matrix_from_circulation(net, first)
-        circulation_from_matrix(relaxed, mat)
-        return ExtremalResult(status="optimal", direction=direction, value=v1, matrix=mat)
-    if (direction == "max" and v2 < v1) or (direction == "min" and v2 > v1):
-        raise InternalError("optimum tightened when K grew")
-    return ExtremalResult(status="unbounded", direction=direction)
+    if isinstance(res, NegativeCycle):
+        return ExtremalResult(status="unbounded", direction=direction)
+    mat = matrix_from_circulation(net, res)
+    circulation_from_matrix(relaxed, mat)
+    return ExtremalResult(
+        status="optimal", direction=direction, value=res.value(net.a0_id), matrix=mat
+    )
 
 
 def optimize_cost(
@@ -189,30 +181,19 @@ def optimize_cost(
         for i in range(1, inst.m + 1)
         for j in range(1, inst.n + 1)
     }
-    first = min_cost_circulation(net, cost_map, info)
-    if isinstance(first, CutWitness):
+    res = min_cost_circulation(net, cost_map, info)
+    if isinstance(res, CutWitness):
         return ExtremalResult(
             status="infeasible",
             direction=direction,
-            certificate=_certificate_from_cut(net, first),
+            certificate=_certificate_from_cut(net, res),
         )
-
-    def objective(mat: IntMatrix) -> int:
-        return sum(costs.at(i, j) * v for i, j, v in mat.cells())
-
-    mat1 = matrix_from_circulation(net, first)
-    v1 = objective(mat1)
-    net2 = build_network(inst, k_override=2 * net.big_k + 1)
-    second = min_cost_circulation(net2, cost_map)
-    if isinstance(second, CutWitness):
-        raise InternalError("feasibility changed when K grew")
-    v2 = objective(matrix_from_circulation(net2, second))
-    if v1 == v2:
-        circulation_from_matrix(inst, mat1)
-        return ExtremalResult(status="optimal", direction=direction, value=v1, matrix=mat1)
-    if (direction == "max" and v2 < v1) or (direction == "min" and v2 > v1):
-        raise InternalError("optimum tightened when K grew")
-    return ExtremalResult(status="unbounded", direction=direction)
+    if isinstance(res, NegativeCycle):
+        return ExtremalResult(status="unbounded", direction=direction)
+    mat = matrix_from_circulation(net, res)
+    circulation_from_matrix(inst, mat)
+    value = sum(costs.at(i, j) * v for i, j, v in mat.cells())
+    return ExtremalResult(status="optimal", direction=direction, value=value, matrix=mat)
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,7 +37,16 @@ def random_instance(rng: random.Random, m: int, n: int, inf_rate: float = 0.25) 
     return PbmInstance.create(m, n, phi1, gamma1, phi2, gamma2, f, g, alpha, beta)
 
 
-def feasible_random(rng: random.Random, m: int, n: int, inf_rate: float = 0.3) -> PbmInstance:
+def feasible_random(
+    rng: random.Random, m: int, n: int, inf_rate: float = 0.3, entry_inf_rate: float = 0.0
+) -> PbmInstance:
+    """``entry_inf_rate`` > 0 also opens entry windows, so optima can be unbounded."""
+
+    def entry_bound(value: int, open_side):
+        if entry_inf_rate and rng.random() < entry_inf_rate:
+            return open_side
+        return fin(value)
+
     hidden = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
     phi1, gamma1, phi2, gamma2, f, g = ([[None] * n for _ in range(m)] for _ in range(6))
     for i in range(m):
@@ -48,8 +57,8 @@ def feasible_random(rng: random.Random, m: int, n: int, inf_rate: float = 0.3) -
             gamma1[i][j] = POS_INF if rng.random() < inf_rate else fin(h + rng.randint(0, 2))
             phi2[i][j] = NEG_INF if rng.random() < inf_rate else fin(v - rng.randint(0, 2))
             gamma2[i][j] = POS_INF if rng.random() < inf_rate else fin(v + rng.randint(0, 2))
-            f[i][j] = fin(hidden[i][j] - rng.randint(0, 1))
-            g[i][j] = fin(hidden[i][j] + rng.randint(0, 1))
+            f[i][j] = entry_bound(hidden[i][j] - rng.randint(0, 1), NEG_INF)
+            g[i][j] = entry_bound(hidden[i][j] + rng.randint(0, 1), POS_INF)
     return PbmInstance.create(m, n, phi1, gamma1, phi2, gamma2, f, g)
 
 

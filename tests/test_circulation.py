@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from pbm.core import IntMatrix, PbmInstance, fin
+from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
 from pbm.asmkit import asm_instance
 from pbm.circulation import (
+    NegativeCycle,
     build_network,
     check_circulation,
     circulation_from_matrix,
@@ -20,6 +21,7 @@ from pbm.circulation import (
     CutWitness,
 )
 from pbm.errors import BoundViolation, InternalError
+from pbm.feasibility import extremal_total_sum, solve
 
 from helpers import feasible_random, random_instance
 
@@ -103,8 +105,9 @@ class TestCertificate:
     def test_contradictory_1x1_case1(self):
         net = build_network(contradictory_1x1())
         witness = find_feasible_circulation(net)
-        x1, x2, case, violated = cut_to_certificate(net, witness)
-        assert case == 1 and violated == "gen1a"
+        x1, x2, case, record = cut_to_certificate(net, witness)
+        assert case == 1 and record.name == "gen1a"
+        assert not record.holds
         assert x1.sorted_cells() == [(1, 1)]
         assert x2.sorted_cells() == [(1, 1)]
 
@@ -123,9 +126,10 @@ class TestCertificate:
             got = find_feasible_circulation(net)
             if not isinstance(got, CutWitness):
                 continue
-            x1, x2, case, violated = cut_to_certificate(net, got)
+            x1, x2, case, record = cut_to_certificate(net, got)
             seen_cases.add(case)
-            assert violated in ("gen1a", "gen1b", "gen1alfa", "gen1beta")
+            assert record.name in ("gen1a", "gen1b", "gen1alfa", "gen1beta")
+            assert not record.holds
         assert seen_cases  # at least one infeasible instance appeared
 
 
@@ -150,6 +154,58 @@ class TestMinCost:
         net = build_network(contradictory_1x1())
         got = min_cost_circulation(net)
         assert isinstance(got, CutWitness)
+
+    def test_unbounded_returns_negative_cycle(self):
+        # the entry and both prefix windows are open above, so rewarding the
+        # entry has no limit; the proof is the cycle through the entry arc
+        inst = PbmInstance.create(
+            1, 1, [[fin(0)]], [[POS_INF]], [[fin(0)]], [[POS_INF]], [[fin(0)]], [[POS_INF]]
+        )
+        net = build_network(inst)
+        got = min_cost_circulation(net, cost={net.n_arc_id(1, 1): -1})
+        assert isinstance(got, NegativeCycle)
+        assert got.cost < 0
+        assert (net.n_arc_id(1, 1), 1) in got.steps
+
+
+def one_row_path(n: int) -> PbmInstance:
+    """1 x n row whose single unit must travel the whole prefix chain."""
+    return PbmInstance.create(
+        1,
+        n,
+        [[fin(0)] * (n - 1) + [fin(1)]],
+        [[fin(1)] * n],
+        [[NEG_INF] * n],
+        [[POS_INF] * n],
+        [[fin(0)] * n],
+        [[fin(1)] + [fin(0)] * (n - 1)],
+    )
+
+
+class TestFlowCoreScale:
+    @pytest.mark.parametrize("n", [1200, 5000])
+    def test_long_augmenting_paths(self, n):
+        # a recursive depth-first search overflows the interpreter's stack here
+        res = solve(one_row_path(n))
+        assert res.is_feasible
+        assert res.matrix.to_lists() == [[1] + [0] * (n - 1)]
+
+    def test_huge_bounds_take_few_paths(self):
+        big = 10**95
+        hidden = [[big, -big], [-big, big]]
+        h = [[fin(big), fin(0)], [fin(-big), fin(0)]]
+        v = [[fin(big), fin(-big)], [fin(0), fin(0)]]
+        entries = [[fin(x) for x in row] for row in hidden]
+        inst = PbmInstance.create(2, 2, h, h, v, v, entries, entries)
+        info: dict = {}
+        res = solve(inst, info)
+        assert res.matrix.to_lists() == hidden
+        # the count must not grow with the size of the bounds
+        assert info["augmentations"] <= 4
+        info = {}
+        best = extremal_total_sum(inst, "max", info)
+        assert (best.status, best.value) == ("optimal", 0)
+        assert info["augmentations"] <= 4
 
 
 class TestMatrixRoundTrip:

@@ -1,0 +1,149 @@
+"""Optima above the enumeration oracle's reach, checked against networkx.
+
+The reference builds its own circulation network from the instance's
+definitions and solves it with networkx's capacity scaling, which reports
+unbounded objectives on its own.  (networkx 3.6's network simplex can loop
+forever on unbounded instances with many open windows.)  Grids run from
+10 x 10 to 20 x 20.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance
+from pbm.feasibility import extremal_total_sum, optimize_cost
+
+from helpers import feasible_random
+
+nx = pytest.importorskip("networkx")
+
+
+def reference_arcs(inst: PbmInstance):
+    """(tail, head, lower, upper, key) of every prefix-sum, entry and total arc.
+
+    The row prefix up to j enters ("row", i, j) and leaves it as entry
+    (i, j) plus the row prefix up to j - 1; column prefixes run down from
+    ("col", i, j) likewise.  Entries carry their cell as key.
+    """
+    m, n = inst.m, inst.n
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            row_from = ("row", i, j + 1) if j < n else "row hub"
+            col_to = ("col", i + 1, j) if i < m else "col hub"
+            yield row_from, ("row", i, j), inst.phi1.at(i, j), inst.gamma1.at(i, j), None
+            yield ("col", i, j), col_to, inst.phi2.at(i, j), inst.gamma2.at(i, j), None
+            yield ("row", i, j), ("col", i, j), inst.f.at(i, j), inst.g.at(i, j), (i, j)
+    yield "col hub", "row hub", inst.alpha, inst.beta, "total"
+
+
+def reference_minimum(inst: PbmInstance, weight: dict) -> "int | None":
+    """min sum(weight[key] * flow) over the instance, or None when unbounded below."""
+    graph = nx.DiGraph()
+    demand: dict = {}
+    offset = 0
+    for tail, head, lo, hi, key in reference_arcs(inst):
+        c = weight.get(key, 0)
+        if lo.is_finite:
+            # flow = lo + y with y >= 0 on the arc itself
+            cap = hi.value - lo.value if hi.is_finite else None
+            base, edges = lo.value, [(tail, head, cap, c)]
+        elif hi.is_finite:
+            # flow = hi - y with y >= 0 on the reversed arc
+            base, edges = hi.value, [(head, tail, None, -c)]
+        else:
+            base, edges = 0, [(tail, head, None, c), (head, tail, None, -c)]
+        demand[tail] = demand.get(tail, 0) + base
+        demand[head] = demand.get(head, 0) - base
+        offset += c * base
+        for a, b, cap, w in edges:
+            attrs = {"weight": w}
+            if cap is not None:
+                attrs["capacity"] = cap
+            graph.add_edge(a, b, **attrs)
+    for node, d in demand.items():
+        graph.nodes[node]["demand"] = d
+    try:
+        flow_cost, _ = nx.capacity_scaling(graph)
+    except nx.NetworkXUnbounded:
+        return None
+    return offset + flow_cost
+
+
+def open_last_entry(rng: random.Random, inst: PbmInstance, direction: str) -> PbmInstance:
+    """Open entry (i, n), its row prefix and the column below it in ``direction``.
+
+    The total sum then grows (or falls) without limit along that path.
+    """
+    m, n = inst.m, inst.n
+    i = rng.randint(1, m)
+    if direction == "max":
+        row_key, col_key, entry_key, bound = "gamma1", "gamma2", "g", POS_INF
+    else:
+        row_key, col_key, entry_key, bound = "phi1", "phi2", "f", NEG_INF
+    rows = {key: [list(r) for r in getattr(inst, key).rows] for key in (row_key, col_key, entry_key)}
+    rows[row_key][i - 1][n - 1] = bound
+    rows[entry_key][i - 1][n - 1] = bound
+    for r in range(i, m + 1):
+        rows[col_key][r - 1][n - 1] = bound
+    return dataclasses.replace(
+        inst, **{key: getattr(inst, key).from_rows(v) for key, v in rows.items()}
+    )
+
+
+def sizes(rng: random.Random):
+    return rng.randint(10, 20), rng.randint(10, 20)
+
+
+def check_sum(inst: PbmInstance, direction: str) -> str:
+    got = extremal_total_sum(inst, direction)
+    sign = -1 if direction == "max" else 1
+    relaxed = dataclasses.replace(inst, alpha=NEG_INF, beta=POS_INF)
+    want = reference_minimum(relaxed, {"total": sign})
+    if want is None:
+        assert got.status == "unbounded"
+    else:
+        assert (got.status, got.value) == ("optimal", sign * want)
+        assert got.matrix.total() == got.value
+    return got.status
+
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_total_sum_hidden_window(direction):
+    rng = random.Random(f"sum:{direction}")
+    statuses = set()
+    for _ in range(4):
+        inst = feasible_random(rng, *sizes(rng), entry_inf_rate=0.05)
+        statuses.add(check_sum(inst, direction))
+    assert "optimal" in statuses
+
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_total_sum_unbounded_by_construction(direction):
+    rng = random.Random(f"open:{direction}")
+    for _ in range(3):
+        inst = open_last_entry(rng, feasible_random(rng, *sizes(rng)), direction)
+        assert check_sum(inst, direction) == "unbounded"
+
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_linear_cost(direction):
+    rng = random.Random(f"cost:{direction}")
+    statuses = []
+    for _ in range(6):
+        m, n = sizes(rng)
+        open_rate = 0.4 if len(statuses) % 2 else 0.0
+        inst = feasible_random(rng, m, n, inf_rate=0.3 + open_rate, entry_inf_rate=open_rate)
+        costs = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
+        got = optimize_cost(inst, costs, direction)
+        sign = -1 if direction == "max" else 1
+        weight = {(i, j): sign * costs.at(i, j) for i in range(1, m + 1) for j in range(1, n + 1)}
+        want = reference_minimum(inst, weight)
+        if want is None:
+            assert got.status == "unbounded"
+        else:
+            assert (got.status, got.value) == ("optimal", sign * want)
+            assert got.value == sum(costs.at(i, j) * v for i, j, v in got.matrix.cells())
+        statuses.append(got.status)
+    assert "optimal" in statuses and "unbounded" in statuses
