@@ -19,15 +19,20 @@ admits an integer circulation.  Infinite bounds are replaced by +-K for a K
 chosen so large that no optimal or violating structure can depend on it
 (K exceeds twice the sum of all finite bound magnitudes).
 
-Feasibility is decided by one max-flow; an infeasible network yields a node
-set whose entering capacity is below its leaving demand, and that node set
-translates into a violated inequality on a pair of cell subsets.  Optimum
-circulations start from that feasible circulation and run primal-dual
-phases: one Dijkstra on reduced costs, then one max-flow over the arcs of
-zero reduced cost.  An optimum is unbounded exactly when the instance is
-feasible and some negative-cost cycle runs only along infinite bounds; the
-optimal potentials guide the search for one.  All arithmetic is exact
-integer arithmetic.
+Feasibility is decided by one max-flow.  It starts from a greedy guess that
+lies inside every arc bound, so it only repairs the imbalances the guess
+leaves, and each Dinic phase stops its breadth-first search at the sink's
+level.  An infeasible network yields a node set whose entering capacity is
+below its leaving demand (this holds whatever start inside the bounds the
+flow grew from), and that node set translates into a violated inequality
+on a pair of cell subsets.
+
+Optimum circulations start from that feasible circulation and run
+primal-dual phases: one Dijkstra on reduced costs, then one max-flow over
+the arcs of zero reduced cost.  An optimum is unbounded exactly when the
+instance is feasible and some negative-cost cycle runs only along infinite
+bounds; the optimal potentials guide the search for one.  All arithmetic
+is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -293,19 +298,29 @@ class _FlowGraph:
         return idx
 
     def _levels(self, s: int, t: int) -> "list[int] | None":
-        level = [-1] * len(self.adj)
+        """BFS levels from s, or None when t is unreachable.
+
+        The search stops as soon as t gets its level: every node of a
+        lower level is labelled by then, and no node at t's level or beyond
+        lies on a shortest path to t.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        level = [-1] * len(adj)
         level[s] = 0
         queue = [s]
         for v in queue:
-            for idx in self.adj[v]:
-                w = self.to[idx]
-                if self.cap[idx] > 0 and level[w] < 0:
-                    level[w] = level[v] + 1
+            next_level = level[v] + 1
+            for idx in adj[v]:
+                w = to[idx]
+                if cap[idx] > 0 and level[w] < 0:
+                    level[w] = next_level
+                    if w == t:
+                        return level
                     queue.append(w)
-        return level if level[t] >= 0 else None
+        return None
 
-    def max_flow(self, s: int, t: int) -> tuple[int, int]:
-        """Returns (flow value, number of augmenting paths).
+    def max_flow(self, s: int, t: int) -> tuple[int, int, int]:
+        """Returns (flow value, number of augmenting paths, BFS phases).
 
         Dinic's algorithm.  The depth-first search of each phase keeps the
         current path on an explicit stack, so path length is not limited by
@@ -315,10 +330,12 @@ class _FlowGraph:
         adj, to, cap = self.adj, self.to, self.cap
         flow = 0
         paths = 0
+        phases = 0
         while True:
             level = self._levels(s, t)
             if level is None:
-                return flow, paths
+                return flow, paths, phases
+            phases += 1
             it = [0] * len(adj)
             path: list[int] = []
             v = s
@@ -366,25 +383,75 @@ class _FlowGraph:
         return seen
 
 
-def _node_excess(net: Network) -> list[int]:
-    """Per node: inflow minus outflow of all lower bounds."""
-    e = [0] * net.node_count
-    for arc in net.arcs:
-        e[arc.head] += arc.lower
-        e[arc.tail] -= arc.lower
-    return e
+def _nearest_zero(lo: int, hi: int) -> int:
+    """The value of [lo, hi] closest to 0 (lo <= hi)."""
+    return lo if lo > 0 else hi if hi < 0 else 0
+
+
+def _greedy_start(net: Network) -> list[int]:
+    """Arc flows inside every (clamped) arc bound, conserving where it can.
+
+    One row-major pass picks each entry nearest 0 among the values that
+    keep its row and column prefix arcs inside their windows, given the
+    values already on the arcs before them; when no value does, it picks
+    the entry nearest 0 in the entry window.  Each prefix arc then carries
+    the previous prefix arc's value plus the entry, clamped into the arc's
+    bounds, and the return arc the sum of the rows' last prefix arcs,
+    clamped likewise.  Conservation breaks only at the nodes where a clamp
+    bit, and max-flow repairs just those imbalances.
+    """
+    m, n, mn = net.m, net.n, net.m * net.n
+    arcs = net.arcs
+    z = [0] * (3 * mn + 1)
+    col = [0] * n
+    total = 0
+    for i in range(m):
+        h = 0
+        for j in range(n):
+            k = i * n + j
+            a1, a2, entry = arcs[k], arcs[mn + k], arcs[2 * mn + k]
+            v = col[j]
+            lo = max(entry.lower, a1.lower - h, a2.lower - v)
+            hi = min(entry.upper, a1.upper - h, a2.upper - v)
+            x = _nearest_zero(lo, hi) if lo <= hi else _nearest_zero(entry.lower, entry.upper)
+            z[2 * mn + k] = x
+            h = z[k] = min(max(h + x, a1.lower), a1.upper)
+            col[j] = z[mn + k] = min(max(v + x, a2.lower), a2.upper)
+        total += h
+    a0 = arcs[3 * mn]
+    z[3 * mn] = min(max(total, a0.lower), a0.upper)
+    return z
 
 
 def find_feasible_circulation(
     net: Network, info: "dict | None" = None
 ) -> "Circulation | CutWitness":
-    """One integer circulation, or a node set proving there is none."""
-    excess = _node_excess(net)
+    """One integer circulation, or a node set proving there is none.
+
+    The flow starts from ``_greedy_start``, which lies inside every arc
+    bound but may break conservation.  Each node's imbalance becomes an
+    edge from a super source (surplus) or to a super sink (deficit), and
+    Dinic's max-flow repairs what it can; ``info`` collects the number of
+    BFS phases and augmenting paths.  If the sink edges saturate, the
+    repaired flow is a circulation.  Otherwise the nodes the super source
+    cannot reach form a set W that no residual edge enters: every arc
+    entering W is at its upper bound and every arc leaving W at its lower
+    bound, so the net inflow of W is rho_u(W) - delta_l(W), and it equals
+    minus the unsaturated sink capacity inside W, which is negative.  This
+    holds for any start inside the bounds, and ``make_cut_witness``
+    recomputes the deficit from the bounds alone.
+    """
+    z0 = _greedy_start(net)
+    excess = [0] * net.node_count
     s = net.node_count
     t = net.node_count + 1
     graph = _FlowGraph(net.node_count + 2)
     for arc in net.arcs:
-        graph.add_edge(arc.tail, arc.head, arc.upper - arc.lower)
+        z = z0[arc.id]
+        excess[arc.head] += z
+        excess[arc.tail] -= z
+        idx = graph.add_edge(arc.tail, arc.head, arc.upper - z)
+        graph.cap[idx + 1] = z - arc.lower
     demand = 0
     for v, e in enumerate(excess):
         if e > 0:
@@ -392,11 +459,12 @@ def find_feasible_circulation(
             demand += e
         elif e < 0:
             graph.add_edge(v, t, -e)
-    flow, paths = graph.max_flow(s, t)
+    flow, paths, phases = graph.max_flow(s, t)
     if info is not None:
         info["nodes"] = net.node_count
         info["arcs"] = len(net.arcs)
         info["augmentations"] = info.get("augmentations", 0) + paths
+        info["phases"] = info.get("phases", 0) + phases
     if flow == demand:
         flows = tuple(arc.lower + graph.cap[2 * arc.id + 1] for arc in net.arcs)
         circ = Circulation(flows)
@@ -529,7 +597,7 @@ def _drain_admissible(graph: _FlowGraph, pi: list[int], excess: list[int]) -> in
             ends.append((v, sub.add_edge(s, v, e)))
         elif e < 0:
             ends.append((v, sub.add_edge(v, t, -e)))
-    _, paths = sub.max_flow(s, t)
+    _, paths, _ = sub.max_flow(s, t)
     for idx, j in copied:
         cap[idx] = sub.cap[j]
         cap[idx + 1] = sub.cap[j + 1]
@@ -660,40 +728,39 @@ def circulation_from_matrix(inst: PbmInstance, mat: IntMatrix) -> Circulation:
         raise DimensionMismatch(
             f"matrix is {mat.m}x{mat.n}, instance is {inst.m}x{inst.n}"
         )
+    m, n, mn = inst.m, inst.n, inst.m * inst.n
+    flows = [0] * (3 * mn + 1)
     for i, j, v in mat.cells():
         if not (inst.f.at(i, j) <= fin(v) <= inst.g.at(i, j)):
             raise BoundViolation(
                 f"entry ({i},{j}) = {v} outside [{inst.f.at(i, j)}, {inst.g.at(i, j)}]"
             )
-    for i in range(1, inst.m + 1):
-        for j in range(1, inst.n + 1):
-            s = mat.h_prefix(i, j)
+        flows[2 * mn + (i - 1) * n + (j - 1)] = v
+    for i in range(1, m + 1):
+        s = 0
+        for j in range(1, n + 1):
+            s += mat.at(i, j)
             if not (inst.phi1.at(i, j) <= fin(s) <= inst.gamma1.at(i, j)):
                 raise BoundViolation(
                     f"horizontal prefix ({i},{j}) = {s} outside "
                     f"[{inst.phi1.at(i, j)}, {inst.gamma1.at(i, j)}]"
                 )
-    for j in range(1, inst.n + 1):
-        for i in range(1, inst.m + 1):
-            s = mat.v_prefix(i, j)
+            flows[(i - 1) * n + (j - 1)] = s
+    for j in range(1, n + 1):
+        s = 0
+        for i in range(1, m + 1):
+            s += mat.at(i, j)
             if not (inst.phi2.at(i, j) <= fin(s) <= inst.gamma2.at(i, j)):
                 raise BoundViolation(
                     f"vertical prefix ({i},{j}) = {s} outside "
                     f"[{inst.phi2.at(i, j)}, {inst.gamma2.at(i, j)}]"
                 )
+            flows[mn + (i - 1) * n + (j - 1)] = s
     total = mat.total()
     if not (inst.alpha <= fin(total) <= inst.beta):
         raise BoundViolation(
             f"total sum {total} outside [{inst.alpha}, {inst.beta}]"
         )
-    mn = inst.m * inst.n
-    flows = [0] * (3 * mn + 1)
-    for i in range(1, inst.m + 1):
-        for j in range(1, inst.n + 1):
-            k = (i - 1) * inst.n + (j - 1)
-            flows[k] = mat.h_prefix(i, j)
-            flows[mn + k] = mat.v_prefix(i, j)
-            flows[2 * mn + k] = mat.at(i, j)
     flows[3 * mn] = total
     return Circulation(tuple(flows))
 

@@ -106,6 +106,7 @@ def _diagnostics(info: dict, wall_s: float) -> dict:
         "arcs": info.get("arcs"),
         "nodes": info.get("nodes"),
         "augmentations": info.get("augmentations", 0),
+        "phases": info.get("phases", 0),
         "wall_ms": round(wall_s * 1000.0, 3),
     }
 

@@ -185,20 +185,24 @@ def _validate_k_regular(a: IntMatrix, k: int) -> None:
         if v not in (-1, 0, 1):
             raise NotKRegular(f"entry ({i},{j}) = {v} not in {{-1, 0, 1}}")
     n = a.n
+    row_sums, col_sums = [], []
     for i in range(1, n + 1):
+        h = v = 0
         for j in range(1, n + 1):
-            h = a.h_prefix(i, j)
+            h += a.at(i, j)
             if not 0 <= h <= k:
                 raise NotKRegular(f"row {i} prefix sum through column {j} is {h}, outside [0, {k}]")
-            v = a.v_prefix(j, i)
+            v += a.at(j, i)
             if not 0 <= v <= k:
                 raise NotKRegular(f"column {i} prefix sum through row {j} is {v}, outside [0, {k}]")
-    for i in range(1, n + 1):
-        if a.h_prefix(i, n) != k:
-            raise NotKRegular(f"row {i} sums to {a.h_prefix(i, n)}, expected {k}")
-    for j in range(1, n + 1):
-        if a.v_prefix(n, j) != k:
-            raise NotKRegular(f"column {j} sums to {a.v_prefix(n, j)}, expected {k}")
+        row_sums.append(h)
+        col_sums.append(v)
+    for i, h in enumerate(row_sums, start=1):
+        if h != k:
+            raise NotKRegular(f"row {i} sums to {h}, expected {k}")
+    for j, v in enumerate(col_sums, start=1):
+        if v != k:
+            raise NotKRegular(f"column {j} sums to {v}, expected {k}")
 
 
 def decompose_k_regular_asm(a: IntMatrix, k: int) -> list[IntMatrix]:

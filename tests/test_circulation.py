@@ -8,6 +8,7 @@ from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
 from pbm.asmkit import asm_instance
 from pbm.circulation import (
     NegativeCycle,
+    _greedy_start,
     build_network,
     check_circulation,
     circulation_from_matrix,
@@ -182,6 +183,16 @@ def one_row_path(n: int) -> PbmInstance:
     )
 
 
+def huge_bounds_2x2() -> tuple[PbmInstance, list[list[int]]]:
+    """A 2 x 2 instance pinned to one matrix with entries +-1e95, and that matrix."""
+    big = 10**95
+    hidden = [[big, -big], [-big, big]]
+    h = [[fin(big), fin(0)], [fin(-big), fin(0)]]
+    v = [[fin(big), fin(-big)], [fin(0), fin(0)]]
+    entries = [[fin(x) for x in row] for row in hidden]
+    return PbmInstance.create(2, 2, h, h, v, v, entries, entries), hidden
+
+
 class TestFlowCoreScale:
     @pytest.mark.parametrize("n", [1200, 5000])
     def test_long_augmenting_paths(self, n):
@@ -191,12 +202,7 @@ class TestFlowCoreScale:
         assert res.matrix.to_lists() == [[1] + [0] * (n - 1)]
 
     def test_huge_bounds_take_few_paths(self):
-        big = 10**95
-        hidden = [[big, -big], [-big, big]]
-        h = [[fin(big), fin(0)], [fin(-big), fin(0)]]
-        v = [[fin(big), fin(-big)], [fin(0), fin(0)]]
-        entries = [[fin(x) for x in row] for row in hidden]
-        inst = PbmInstance.create(2, 2, h, h, v, v, entries, entries)
+        inst, hidden = huge_bounds_2x2()
         info: dict = {}
         res = solve(inst, info)
         assert res.matrix.to_lists() == hidden
@@ -206,6 +212,38 @@ class TestFlowCoreScale:
         best = extremal_total_sum(inst, "max", info)
         assert (best.status, best.value) == ("optimal", 0)
         assert info["augmentations"] <= 4
+
+
+def assert_start_in_bounds(inst: PbmInstance) -> None:
+    net = build_network(inst)
+    start = _greedy_start(net)
+    assert len(start) == len(net.arcs)
+    for arc in net.arcs:
+        assert arc.lower <= start[arc.id] <= arc.upper, arc.tag
+
+
+class TestGreedyStart:
+    def test_random_instances_with_infinite_sides(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            assert_start_in_bounds(random_instance(rng, m, n, inf_rate=0.5))
+            assert_start_in_bounds(feasible_random(rng, m, n, inf_rate=0.5, entry_inf_rate=0.3))
+
+    def test_huge_bounds(self):
+        assert_start_in_bounds(huge_bounds_2x2()[0])
+
+    @pytest.mark.parametrize("n", [1200, 5000])
+    def test_long_rows(self, n):
+        assert_start_in_bounds(one_row_path(n))
+
+    def test_max_flow_repairs_little_on_45x45(self):
+        inst = feasible_random(random.Random(45), 45, 45)
+        info: dict = {}
+        assert solve(inst, info).is_feasible
+        # starting every arc at its lower bound took 2692 augmenting paths here
+        assert info["augmentations"] <= 2692 // 4
+        assert 0 < info["phases"] <= info["augmentations"]
 
 
 class TestMatrixRoundTrip:

@@ -50,6 +50,12 @@ class TestCheckSolve:
         assert doc["diagnostics"]["arcs"] == 13
         assert "feasible" in err
 
+    def test_diagnostics_count_phases(self, capsys, tmp_path):
+        path = write_json(tmp_path / "asm4.json", instance_to_json(asm_instance(4)))
+        _, doc, _ = run(capsys, "check", path)
+        diag = doc["diagnostics"]
+        assert 0 < diag["phases"] <= diag["augmentations"]
+
     def test_solve_returns_matrix(self, capsys, asm2_file):
         code, doc, _ = run(capsys, "solve", asm2_file)
         assert code == EXIT_OK

@@ -1,9 +1,12 @@
-"""Optima above the enumeration oracle's reach, checked against networkx.
+"""Verdicts and optima above the enumeration oracle's reach, checked against networkx.
 
 The reference builds its own circulation network from the instance's
-definitions and solves it with networkx's capacity scaling, which reports
-unbounded objectives on its own.  (networkx 3.6's network simplex can loop
-forever on unbounded instances with many open windows.)  Grids run from
+definitions.  Feasibility verdicts come from networkx's maximum flow after
+the standard removal of lower bounds, on grids from 10 x 10 to 60 x 60;
+every matrix and certificate ``solve`` returns is also re-checked from the
+definitions.  Optima come from networkx's capacity scaling, which reports
+unbounded objectives on its own (networkx 3.6's network simplex can loop
+forever on unbounded instances with many open windows), on grids from
 10 x 10 to 20 x 20.
 """
 
@@ -12,10 +15,12 @@ import random
 
 import pytest
 
-from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance
-from pbm.feasibility import extremal_total_sum, optimize_cost
+from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
+from pbm.feasibility import extremal_total_sum, optimize_cost, solve
+from pbm.oracle import matrix_satisfies
+from pbm.strongpair import condition_values
 
-from helpers import feasible_random
+from helpers import feasible_random, random_instance
 
 nx = pytest.importorskip("networkx")
 
@@ -38,8 +43,14 @@ def reference_arcs(inst: PbmInstance):
     yield "col hub", "row hub", inst.alpha, inst.beta, "total"
 
 
-def reference_minimum(inst: PbmInstance, weight: dict) -> "int | None":
-    """min sum(weight[key] * flow) over the instance, or None when unbounded below."""
+def shifted_graph(inst: PbmInstance, weight: dict):
+    """The reference network with every lower bound removed.
+
+    Returns (graph, demand, offset): each arc's flow is a base value plus a
+    nonnegative flow on an uncapacitated or capacitated edge, ``demand``
+    holds each node's net base outflow (networkx's sign convention) and
+    ``offset`` the base flows' cost.
+    """
     graph = nx.DiGraph()
     demand: dict = {}
     offset = 0
@@ -62,6 +73,12 @@ def reference_minimum(inst: PbmInstance, weight: dict) -> "int | None":
             if cap is not None:
                 attrs["capacity"] = cap
             graph.add_edge(a, b, **attrs)
+    return graph, demand, offset
+
+
+def reference_minimum(inst: PbmInstance, weight: dict) -> "int | None":
+    """min sum(weight[key] * flow) over the instance, or None when unbounded below."""
+    graph, demand, offset = shifted_graph(inst, weight)
     for node, d in demand.items():
         graph.nodes[node]["demand"] = d
     try:
@@ -69,6 +86,19 @@ def reference_minimum(inst: PbmInstance, weight: dict) -> "int | None":
     except nx.NetworkXUnbounded:
         return None
     return offset + flow_cost
+
+
+def reference_feasible(inst: PbmInstance) -> bool:
+    """Whether a maximum flow from the base surpluses meets every base deficit."""
+    graph, demand, _ = shifted_graph(inst, {})
+    need = 0
+    for node, d in demand.items():
+        if d < 0:
+            graph.add_edge("source", node, capacity=-d)
+        elif d > 0:
+            graph.add_edge(node, "sink", capacity=d)
+            need += d
+    return nx.maximum_flow_value(graph, "source", "sink") == need
 
 
 def open_last_entry(rng: random.Random, inst: PbmInstance, direction: str) -> PbmInstance:
@@ -147,3 +177,45 @@ def test_linear_cost(direction):
             assert got.value == sum(costs.at(i, j) * v for i, j, v in got.matrix.cells())
         statuses.append(got.status)
     assert "optimal" in statuses and "unbounded" in statuses
+
+
+def pin_entry(rng: random.Random, inst: PbmInstance) -> PbmInstance:
+    """Fix one entry to a value near its finite window; the result may be infeasible."""
+    i, j = rng.randint(1, inst.m), rng.randint(1, inst.n)
+    value = fin(rng.randint(inst.f.at(i, j).value - 2, inst.g.at(i, j).value + 2))
+    rows = {key: [list(r) for r in getattr(inst, key).rows] for key in ("f", "g")}
+    rows["f"][i - 1][j - 1] = rows["g"][i - 1][j - 1] = value
+    return dataclasses.replace(
+        inst, **{key: getattr(inst, key).from_rows(v) for key, v in rows.items()}
+    )
+
+
+# family -> (instance maker, the verdicts its seeded draws must cover)
+FAMILIES = {
+    "random": (random_instance, {False}),
+    "hidden": (feasible_random, {True}),
+    "pinned": (
+        lambda rng, m, n: pin_entry(rng, feasible_random(rng, m, n, inf_rate=0.2)),
+        {False, True},
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_feasibility_verdicts(family):
+    make, expected = FAMILIES[family]
+    rng = random.Random(f"verdict:{family}")
+    verdicts = set()
+    for m, n in [(10, 10), (rng.randint(10, 30), rng.randint(10, 30)), (24, 45), (60, 60)]:
+        inst = make(rng, m, n)
+        res = solve(inst)
+        assert res.is_feasible == reference_feasible(inst)
+        if res.is_feasible:
+            assert matrix_satisfies(inst, res.matrix)
+        else:
+            cert = res.certificate
+            record = condition_values(inst, cert.x1, cert.x2).by_name(cert.violated)
+            assert not record.holds
+            assert (record.lhs, record.rhs) == (cert.lhs, cert.rhs)
+        verdicts.add(res.is_feasible)
+    assert verdicts == expected
