@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Stress the solver against the enumeration oracle on random instances.
 
-Draws random instances (independent windows by default, or windows widened
+Draws random instances with the test suite's generators in
+tests/helpers.py (independent windows by default, or windows widened
 around a hidden matrix with --feasible-bias), solves each, enumerates the
 full feasible set, and checks that the verdicts and any produced matrix
 agree.  Prints a running tally and per-verdict timing.
@@ -13,43 +14,13 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
-from pbm.core import NEG_INF, POS_INF, PbmInstance, fin
 from pbm.feasibility import solve
 from pbm import oracle
 
-
-def random_instance(rng: random.Random, m: int, n: int, inf_rate: float) -> PbmInstance:
-    def window():
-        lo = NEG_INF if rng.random() < inf_rate else fin(rng.randint(-3, 3))
-        base = lo.value if lo.is_finite else -3
-        hi = POS_INF if rng.random() < inf_rate else fin(rng.randint(max(base, -3), 3))
-        return lo, hi
-
-    phi1, gamma1, phi2, gamma2, f, g = ([[None] * n for _ in range(m)] for _ in range(6))
-    for i in range(m):
-        for j in range(n):
-            phi1[i][j], gamma1[i][j] = window()
-            phi2[i][j], gamma2[i][j] = window()
-            a = rng.randint(-2, 2)
-            f[i][j], g[i][j] = fin(a), fin(rng.randint(a, 2))
-    return PbmInstance.create(m, n, phi1, gamma1, phi2, gamma2, f, g)
-
-
-def biased_instance(rng: random.Random, m: int, n: int, inf_rate: float) -> PbmInstance:
-    hidden = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
-    phi1, gamma1, phi2, gamma2, f, g = ([[None] * n for _ in range(m)] for _ in range(6))
-    for i in range(m):
-        for j in range(n):
-            h = sum(hidden[i][: j + 1])
-            v = sum(hidden[r][j] for r in range(i + 1))
-            phi1[i][j] = NEG_INF if rng.random() < inf_rate else fin(h - rng.randint(0, 2))
-            gamma1[i][j] = POS_INF if rng.random() < inf_rate else fin(h + rng.randint(0, 2))
-            phi2[i][j] = NEG_INF if rng.random() < inf_rate else fin(v - rng.randint(0, 2))
-            gamma2[i][j] = POS_INF if rng.random() < inf_rate else fin(v + rng.randint(0, 2))
-            f[i][j] = fin(hidden[i][j] - rng.randint(0, 1))
-            g[i][j] = fin(hidden[i][j] + rng.randint(0, 1))
-    return PbmInstance.create(m, n, phi1, gamma1, phi2, gamma2, f, g)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import feasible_random, random_instance  # noqa: E402
 
 
 def main() -> int:
@@ -70,7 +41,7 @@ def main() -> int:
     t_solve = t_oracle = 0.0
     for trial in range(args.count):
         m, n = rng.randint(1, args.max_dim), rng.randint(1, args.max_dim)
-        make = biased_instance if args.feasible_bias else random_instance
+        make = feasible_random if args.feasible_bias else random_instance
         inst = make(rng, m, n, args.inf_rate)
 
         t0 = time.perf_counter()

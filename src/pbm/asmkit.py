@@ -30,14 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .circulation import (
-    CutWitness,
-    NegativeCycle,
-    build_network,
-    cut_to_certificate,
-    matrix_from_circulation,
-    min_cost_circulation,
-)
+from .circulation import build_network
 from .core import (
     NEG_INF,
     POS_INF,
@@ -50,7 +43,7 @@ from .core import (
     validate_instance,
 )
 from .errors import BadEntries, BadParams, DimensionMismatch, InternalError
-from .feasibility import Certificate, solve
+from .feasibility import Certificate, _optimize, solve
 from .segments import HORIZONTAL, VERTICAL, Segment, maximal_segments
 
 __all__ = [
@@ -297,7 +290,15 @@ def make_instance(kind: str, **params) -> PbmInstance:
     return inst
 
 
-_LABELS = ("0", "+1", "-1", "+", "-", "F")
+# The entry values each partition label allows.
+_ALLOWED: Mapping[str, tuple[int, ...]] = {
+    "0": (0,),
+    "+1": (1,),
+    "-1": (-1,),
+    "+": (0, 1),
+    "-": (-1, 0),
+    "F": (-1, 0, 1),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,12 +345,12 @@ class SPartition:
         n = len(labels)
         if n < 1 or any(len(row) != n for row in labels):
             raise BadParams("label grid must be square and nonempty")
-        cells: dict[str, list[tuple[int, int]]] = {lab: [] for lab in _LABELS}
+        cells: dict[str, list[tuple[int, int]]] = {lab: [] for lab in _ALLOWED}
         for i, row in enumerate(labels, start=1):
             for j, lab in enumerate(row, start=1):
                 if lab not in cells:
                     raise BadParams(
-                        f"label ({i},{j}) is {lab!r}; expected one of {list(_LABELS)}"
+                        f"label ({i},{j}) is {lab!r}; expected one of {list(_ALLOWED)}"
                     )
                 cells[lab].append((i, j))
         return SPartition(
@@ -368,6 +369,11 @@ class SPartition:
             for i, j in mask.cells:
                 grid[i - 1][j - 1] = lab
         return grid
+
+    def allows(self, mat: IntMatrix) -> bool:
+        """Whether every entry of ``mat`` takes a value its cell's label allows."""
+        labels = self.to_labels()
+        return all(v in _ALLOWED[labels[i - 1][j - 1]] for i, j, v in mat.cells())
 
     def label_at(self, i: int, j: int) -> str:
         for lab, mask in self.masks().items():
@@ -488,19 +494,8 @@ def _family_from_certificate(part: SPartition, cert: Certificate) -> SegmentFami
 
 
 def _check_partition_matrix(part: SPartition, mat: IntMatrix) -> None:
-    allowed = {
-        "0": (0,),
-        "+1": (1,),
-        "-1": (-1,),
-        "+": (0, 1),
-        "-": (-1, 0),
-        "F": (-1, 0, 1),
-    }
-    for i, j, v in mat.cells():
-        if v not in allowed[part.label_at(i, j)]:
-            raise InternalError(
-                f"entry ({i},{j}) = {v} breaks its label {part.label_at(i, j)!r}"
-            )
+    if not part.allows(mat):
+        raise InternalError("compatible ASM breaks its partition labels")
 
 
 def compatible_asm(part: SPartition) -> CompatibleAsmResult:
@@ -528,13 +523,16 @@ def _sign_partition(x: IntMatrix) -> SPartition:
 
 def subordinate_asm(x: IntMatrix) -> CompatibleAsmResult:
     """An ASM obtained from x by zeroing some nonzeros, or a family witness."""
-    part = _sign_partition(x)
-    result = compatible_asm(part)
+    result = compatible_asm(_sign_partition(x))
     if result.is_feasible:
-        for i, j, v in result.matrix.cells():
-            if v != 0 and v != x.at(i, j):
-                raise InternalError(f"entry ({i},{j}) = {v} is not subordinate to {x.at(i, j)}")
+        _check_subordinate(x, result.matrix)
     return result
+
+
+def _check_subordinate(x: IntMatrix, mat: IntMatrix) -> None:
+    for i, j, v in mat.cells():
+        if v != 0 and v != x.at(i, j):
+            raise InternalError(f"entry ({i},{j}) = {v} is not subordinate to {x.at(i, j)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -561,23 +559,14 @@ def max_plus_ones_subordinate(x: IntMatrix) -> SubordinateOptResult:
     part = _sign_partition(x)
     inst = _partition_instance(part)
     net = build_network(inst)
-    cost = {
-        net.n_arc_id(i, j): -1
-        for (i, j) in part.nonneg.cells
-    }
-    res = min_cost_circulation(net, cost)
-    if isinstance(res, CutWitness):
-        x1, x2, case, record = cut_to_certificate(net, res)
-        cert = Certificate(
-            x1=x1, x2=x2, case=case, violated=record.name, lhs=record.lhs, rhs=record.rhs
+    cost = {net.n_arc_id(i, j): 1 for (i, j) in part.nonneg.cells}
+    res = _optimize(inst, net, cost, "max", None)
+    if res.status == "infeasible":
+        family = _family_from_certificate(part, res.certificate)
+        return SubordinateOptResult(
+            matrix=None, count=None, certificate=res.certificate, family=family
         )
-        family = _family_from_certificate(part, cert)
-        return SubordinateOptResult(matrix=None, count=None, certificate=cert, family=family)
-    if isinstance(res, NegativeCycle):
+    if res.status == "unbounded":
         raise InternalError("subordinate optimum reported unbounded under capped windows")
-    mat = matrix_from_circulation(net, res)
-    for i, j, v in mat.cells():
-        if v != 0 and v != x.at(i, j):
-            raise InternalError(f"entry ({i},{j}) = {v} is not subordinate to {x.at(i, j)}")
-    count = sum(1 for _, _, v in mat.cells() if v == 1)
-    return SubordinateOptResult(matrix=mat, count=count, certificate=None, family=None)
+    _check_subordinate(x, res.matrix)
+    return SubordinateOptResult(matrix=res.matrix, count=res.value, certificate=None, family=None)

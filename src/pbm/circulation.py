@@ -75,7 +75,6 @@ class Arc:
     head: int
     lower: int
     upper: int
-    cost: int
     tag: tuple
 
 
@@ -206,7 +205,7 @@ def network_from_bounds(
         lo, hi = lower[arc_id], upper[arc_id]
         if lo > hi:
             raise InternalError(f"empty arc bound interval on arc {tag}: [{lo}, {hi}]")
-        arcs.append(Arc(arc_id, tail, head, lo.clamp(big_k), hi.clamp(big_k), 0, tag))
+        arcs.append(Arc(arc_id, tail, head, lo.clamp(big_k), hi.clamp(big_k), tag))
 
     v1_hub = 2 * mn
     v2_hub = 2 * mn + 1
@@ -475,14 +474,6 @@ def find_feasible_circulation(
     return make_cut_witness(net, cut_nodes)
 
 
-def _resolve_costs(net: Network, cost: "Mapping[int, int] | None") -> list[int]:
-    out = [arc.cost for arc in net.arcs]
-    if cost is not None:
-        for arc_id, c in cost.items():
-            out[arc_id] = c
-    return out
-
-
 def min_cost_circulation(
     net: Network,
     cost: "Mapping[int, int] | None" = None,
@@ -507,7 +498,9 @@ def min_cost_circulation(
     feasible = find_feasible_circulation(net, info)
     if isinstance(feasible, CutWitness):
         return feasible
-    costs = _resolve_costs(net, cost)
+    costs = [0] * len(net.arcs)
+    for arc_id, c in (cost or {}).items():
+        costs[arc_id] = c
     nodes = net.node_count
     graph = _FlowGraph(nodes)
     excess = [0] * nodes

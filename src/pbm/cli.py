@@ -14,21 +14,16 @@ import argparse
 import json
 import sys
 import time
+from itertools import product
 from typing import Sequence
 
 from . import asmkit, oracle
-from .core import (
-    IntMatrix,
-    PbmInstance,
-    instance_from_json,
-    mask_from_json,
-    mask_to_json,
-    matrix_from_json,
-)
+from .core import IntMatrix, instance_from_json, mask_from_json, mask_to_json, matrix_from_json
 from .decompose import decompose
-from .errors import BudgetExceeded, PbmError
+from .errors import InstanceFormatError, PbmError
 from .feasibility import (
     Certificate,
+    Prescription,
     check_strict,
     extremal_total_sum,
     optimize_cost,
@@ -36,12 +31,21 @@ from .feasibility import (
     solve_with_prescription,
 )
 from .circulation import network_to_dot
-from .strongpair import eval_strong_pair
+from .strongpair import condition_values, eval_strong_pair
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_UNBOUNDED = 3
+
+# Exit code by the document's status; documents without one exit 0.
+_EXIT = {
+    None: EXIT_OK,
+    "feasible": EXIT_OK,
+    "optimal": EXIT_OK,
+    "infeasible": EXIT_INFEASIBLE,
+    "unbounded": EXIT_UNBOUNDED,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,10 +70,20 @@ def _load_arg(raw: str):
     return json.loads(raw)
 
 
-def _emit(doc: dict, summary: str) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    print(summary, file=sys.stderr)
+def _prescription_from_json(inst, raw) -> Prescription:
+    """Pinned entries from ``[[i, j, value], ...]``, all JSON integers."""
+    if not isinstance(raw, list):
+        raise InstanceFormatError("prescription must be a list of [i, j, value] triples")
+    for item in raw:
+        if (
+            not isinstance(item, list)
+            or len(item) != 3
+            or any(isinstance(x, bool) or not isinstance(x, int) for x in item)
+        ):
+            raise InstanceFormatError(
+                f"bad prescribed entry {item!r}; expected [i, j, value] of integers"
+            )
+    return Prescription.create(inst.m, inst.n, [tuple(item) for item in raw])
 
 
 def _certificate_json(cert: Certificate) -> dict:
@@ -111,60 +125,83 @@ def _diagnostics(info: dict, wall_s: float) -> dict:
     }
 
 
-def _maybe_dump_dot(args, info: dict) -> None:
-    if getattr(args, "dump_dot", None) and "network" in info:
-        with open(args.dump_dot, "w") as fh:
-            fh.write(network_to_dot(info["network"], info.get("circulation")))
+def _outcome(result, **head) -> dict:
+    """The document of any solver result: its status, ``head``, then its answer."""
+    status = getattr(result, "status", None)
+    doc: dict = {"status": status or ("feasible" if result.is_feasible else "infeasible")}
+    doc.update(head)
+    if getattr(result, "value", None) is not None:
+        doc["value"] = result.value
+    if result.matrix is not None:
+        doc["matrix"] = result.matrix.to_lists()
+    if result.certificate is not None:
+        doc["certificate"] = _certificate_json(result.certificate)
+    if getattr(result, "family", None) is not None:
+        doc["family"] = _family_json(result.family)
+    return doc
 
 
-def _cmd_check(args) -> int:
-    return _run_feasibility(args, want_matrix=False)
+def _summary(result) -> str:
+    """Feasible, infeasible, or the size of the segment family that proves it."""
+    family = getattr(result, "family", None)
+    if family is not None:
+        return f"infeasible: {family.size} segments found, {family.required} required"
+    return "feasible" if result.is_feasible else "infeasible"
+
+
+def _optimum_summary(result, what: str) -> str:
+    if result.status == "optimal":
+        return f"optimal: {result.direction} {what} = {result.value}"
+    if result.status == "unbounded":
+        return f"unbounded in direction {result.direction}"
+    return "infeasible"
+
+
+def _agrees(found: list, result) -> bool:
+    """Whether the oracle found matrices exactly when the result has one, and lists it."""
+    return bool(found) == result.is_feasible and (
+        result.matrix is None or result.matrix in found
+    )
+
+
+def _finish(doc: dict, summary: str, record: "dict | None" = None) -> int:
+    """Attach the oracle's record, print the document, return the exit code."""
+    agrees = True
+    if record is not None:
+        doc["oracle"] = record
+        agrees = record["agrees"]
+    json.dump(doc, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    print(summary if agrees else "oracle disagrees with solver", file=sys.stderr)
+    return _EXIT[doc.get("status")] if agrees else EXIT_ERROR
 
 
 def _cmd_solve(args) -> int:
-    return _run_feasibility(args, want_matrix=True)
-
-
-def _run_feasibility(args, want_matrix: bool) -> int:
+    """``check`` and ``solve``; ``check`` leaves the matrix out."""
     inst = instance_from_json(_load_json(args.instance))
+    pins = _prescription_from_json(inst, _load_arg(args.prescribe)) if args.prescribe else None
+    if args.oracle and pins is not None:
+        print("error: --oracle does not support --prescribe", file=sys.stderr)
+        return EXIT_ERROR
     info: dict = {}
     t0 = time.perf_counter()
-    if args.prescribe:
-        raw = _load_arg(args.prescribe)
-        assignments = [(c[0], c[1], c[2]) for c in raw]
-        from .feasibility import Prescription
-
-        result = solve_with_prescription(
-            inst, Prescription.create(inst.m, inst.n, assignments), info
-        )
-    else:
-        result = solve(inst, info)
+    result = solve(inst, info) if pins is None else solve_with_prescription(inst, pins, info)
     wall = time.perf_counter() - t0
-    _maybe_dump_dot(args, info)
-    doc: dict = {"status": "feasible" if result.is_feasible else "infeasible"}
-    if result.is_feasible:
-        if want_matrix:
-            doc["matrix"] = result.matrix.to_lists()
-        summary = "feasible"
-    else:
-        doc["certificate"] = _certificate_json(result.certificate)
-        cert = result.certificate
-        summary = f"infeasible: {cert.violated} violated ({cert.lhs} > {cert.rhs})"
+    if args.dump_dot:
+        with open(args.dump_dot, "w") as fh:
+            fh.write(network_to_dot(info["network"], info.get("circulation")))
+    doc = _outcome(result)
+    if args.command == "check":
+        doc.pop("matrix", None)
     doc["diagnostics"] = _diagnostics(info, wall)
+    record = None
     if args.oracle:
-        if args.prescribe:
-            print("error: --oracle does not support --prescribe", file=sys.stderr)
-            return EXIT_ERROR
         matrices = oracle.enumerate_pbms(inst)
-        agrees = (len(matrices) > 0) == result.is_feasible
-        if result.is_feasible and result.matrix not in matrices:
-            agrees = False
-        doc["oracle"] = {"count": len(matrices), "agrees": agrees}
-        if not agrees:
-            _emit(doc, "oracle disagrees with solver")
-            return EXIT_ERROR
-    _emit(doc, summary)
-    return EXIT_OK if result.is_feasible else EXIT_INFEASIBLE
+        record = {"count": len(matrices), "agrees": _agrees(matrices, result)}
+    cert = result.certificate
+    if cert is None:
+        return _finish(doc, "feasible", record)
+    return _finish(doc, f"infeasible: {cert.violated} violated ({cert.lhs} > {cert.rhs})", record)
 
 
 def _cmd_sum(args) -> int:
@@ -174,37 +211,19 @@ def _cmd_sum(args) -> int:
     t0 = time.perf_counter()
     result = extremal_total_sum(inst, direction, info)
     wall = time.perf_counter() - t0
-    doc: dict = {"status": result.status, "direction": direction}
-    if result.status == "optimal":
-        doc["value"] = result.value
-        doc["matrix"] = result.matrix.to_lists()
-        summary = f"optimal: {direction} total = {result.value}"
-    elif result.status == "infeasible":
-        doc["certificate"] = _certificate_json(result.certificate)
-        summary = "infeasible"
-    else:
-        summary = f"unbounded in direction {direction}"
+    doc = _outcome(result, direction=direction)
     doc["diagnostics"] = _diagnostics(info, wall)
+    record = None
     if args.oracle:
         lo, hi = oracle.oracle_extremal_sums(inst)
         want = hi if direction == "max" else lo
-        got = {
-            "optimal": lambda: want.is_finite and want.value == result.value,
-            "unbounded": lambda: not want.is_finite,
-            "infeasible": lambda: (hi < lo),
-        }[result.status]()
-        doc["oracle"] = {
-            "min": lo.to_json(),
-            "max": hi.to_json(),
-            "agrees": got,
-        }
-        if not got:
-            _emit(doc, "oracle disagrees with solver")
-            return EXIT_ERROR
-    _emit(doc, summary)
-    return {"optimal": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "unbounded": EXIT_UNBOUNDED}[
-        result.status
-    ]
+        agrees = {
+            "optimal": want.is_finite and want.value == result.value,
+            "unbounded": not want.is_finite,
+            "infeasible": hi < lo,
+        }[result.status]
+        record = {"min": lo.to_json(), "max": hi.to_json(), "agrees": agrees}
+    return _finish(doc, _optimum_summary(result, "total"), record)
 
 
 def _cmd_cost(args) -> int:
@@ -215,37 +234,19 @@ def _cmd_cost(args) -> int:
     t0 = time.perf_counter()
     result = optimize_cost(inst, costs, direction, info)
     wall = time.perf_counter() - t0
-    doc: dict = {"status": result.status, "direction": direction}
-    if result.status == "optimal":
-        doc["value"] = result.value
-        doc["matrix"] = result.matrix.to_lists()
-        summary = f"optimal: {direction} cost = {result.value}"
-    elif result.status == "infeasible":
-        doc["certificate"] = _certificate_json(result.certificate)
-        summary = "infeasible"
-    else:
-        summary = f"unbounded in direction {direction}"
+    doc = _outcome(result, direction=direction)
     doc["diagnostics"] = _diagnostics(info, wall)
+    record = None
     if args.oracle:
         matrices = oracle.enumerate_pbms(inst)
         if not matrices:
-            agrees = result.status == "infeasible"
-            doc["oracle"] = {"count": 0, "agrees": agrees}
+            record = {"count": 0, "agrees": result.status == "infeasible"}
         else:
-            values = [
-                sum(costs.at(i, j) * mat.at(i, j) for i, j, _ in mat.cells())
-                for mat in matrices
-            ]
+            values = [sum(costs.at(i, j) * v for i, j, v in mat.cells()) for mat in matrices]
             want = max(values) if direction == "max" else min(values)
             agrees = result.status == "optimal" and result.value == want
-            doc["oracle"] = {"count": len(matrices), "value": want, "agrees": agrees}
-        if not agrees:
-            _emit(doc, "oracle disagrees with solver")
-            return EXIT_ERROR
-    _emit(doc, summary)
-    return {"optimal": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "unbounded": EXIT_UNBOUNDED}[
-        result.status
-    ]
+            record = {"count": len(matrices), "value": want, "agrees": agrees}
+    return _finish(doc, _optimum_summary(result, "cost"), record)
 
 
 def _cmd_decompose(args) -> int:
@@ -258,60 +259,24 @@ def _cmd_decompose(args) -> int:
             {"matrix": part.to_lists(), "multiplicity": mult} for part, mult in dec.parts
         ],
     }
-    _emit(doc, f"decomposed into {len(dec.parts)} distinct parts")
-    return EXIT_OK
-
-
-def _asm_allows(labels, mat: IntMatrix) -> bool:
-    allowed = {"0": (0,), "+1": (1,), "-1": (-1,), "+": (0, 1), "-": (-1, 0), "F": (-1, 0, 1)}
-    return all(
-        v in allowed[labels[i - 1][j - 1]] for i, j, v in mat.cells()
-    )
+    return _finish(doc, f"decomposed into {len(dec.parts)} distinct parts")
 
 
 def _cmd_asm(args) -> int:
+    part = None
     if args.compatible:
-        labels = _load_arg(args.compatible)
-        part = asmkit.SPartition.from_labels(labels)
-        result = asmkit.compatible_asm(part)
-        doc: dict = {"status": "feasible" if result.is_feasible else "infeasible", "n": part.n}
-        if result.is_feasible:
-            doc["matrix"] = result.matrix.to_lists()
-            summary = "feasible"
-        else:
-            doc["certificate"] = _certificate_json(result.certificate)
-            doc["family"] = _family_json(result.family)
-            summary = (
-                f"infeasible: {result.family.size} segments found, "
-                f"{result.family.required} required"
-            )
-        if args.oracle:
-            census = oracle.enumerate_asms(part.n)
-            compatible = [mtx for mtx in census if _asm_allows(labels, mtx)]
-            agrees = bool(compatible) == result.is_feasible
-            if result.is_feasible and result.matrix not in compatible:
-                agrees = False
-            doc["oracle"] = {"count": len(compatible), "agrees": agrees}
-            if not agrees:
-                _emit(doc, "oracle disagrees with solver")
-                return EXIT_ERROR
-        _emit(doc, summary)
-        return EXIT_OK if result.is_feasible else EXIT_INFEASIBLE
-    if args.n is None:
+        part = asmkit.SPartition.from_labels(_load_arg(args.compatible))
+        n, result = part.n, asmkit.compatible_asm(part)
+    elif args.n is not None:
+        n, result = args.n, solve(asmkit.asm_instance(args.n))
+    else:
         print("error: give an order n or --compatible", file=sys.stderr)
         return EXIT_ERROR
-    inst = asmkit.asm_instance(args.n)
-    result = solve(inst)
-    doc = {"status": "feasible", "n": args.n, "matrix": result.matrix.to_lists()}
+    record = None
     if args.oracle:
-        census = oracle.enumerate_asms(args.n)
-        agrees = result.matrix in census
-        doc["oracle"] = {"count": len(census), "agrees": agrees}
-        if not agrees:
-            _emit(doc, "oracle disagrees with solver")
-            return EXIT_ERROR
-    _emit(doc, "feasible")
-    return EXIT_OK
+        census = [mtx for mtx in oracle.enumerate_asms(n) if part is None or part.allows(mtx)]
+        record = {"count": len(census), "agrees": _agrees(census, result)}
+    return _finish(_outcome(result, n=n), _summary(result), record)
 
 
 def _cmd_subordinate(args) -> int:
@@ -320,71 +285,42 @@ def _cmd_subordinate(args) -> int:
         result = asmkit.max_plus_ones_subordinate(x)
     else:
         result = asmkit.subordinate_asm(x)
-    doc: dict = {"status": "feasible" if result.is_feasible else "infeasible"}
-    if result.is_feasible:
-        doc["matrix"] = result.matrix.to_lists()
-        if args.maximize:
-            doc["plus_ones_kept"] = result.count
-            summary = f"feasible: kept {result.count} of the +1 entries"
-        else:
-            summary = "feasible"
-    else:
-        doc["certificate"] = _certificate_json(result.certificate)
-        doc["family"] = _family_json(result.family)
-        summary = (
-            f"infeasible: {result.family.size} segments found, "
-            f"{result.family.required} required"
-        )
+    doc = _outcome(result)
+    summary = _summary(result)
+    counted = args.maximize and result.is_feasible
+    if counted:
+        doc["plus_ones_kept"] = result.count
+        summary = f"feasible: kept {result.count} of the +1 entries"
+    record = None
     if args.oracle:
         subs = oracle.enumerate_subordinates(x)
-        agrees = bool(subs) == result.is_feasible
-        if result.is_feasible and args.maximize:
+        agrees = _agrees(subs, result)
+        if counted:
             best = max(sum(1 for _, _, v in s.cells() if v == 1) for s in subs) if subs else None
-            agrees = agrees and best == result.count
-            doc["oracle"] = {"count": len(subs), "best": best, "agrees": agrees}
+            record = {"count": len(subs), "best": best, "agrees": agrees and best == result.count}
         else:
-            doc["oracle"] = {"count": len(subs), "agrees": agrees}
-        if not agrees:
-            _emit(doc, "oracle disagrees with solver")
-            return EXIT_ERROR
-    _emit(doc, summary)
-    return EXIT_OK if result.is_feasible else EXIT_INFEASIBLE
+            record = {"count": len(subs), "agrees": agrees}
+    return _finish(doc, summary, record)
 
 
 def _cmd_wasm(args) -> int:
     patterns = _load_json(args.patterns)
     rows, cols = patterns["rows"], patterns["cols"]
     inst = asmkit.wasm_instance(rows, cols)
+    m, n = len(rows), len(cols)
+    if args.oracle and m * n > 12:
+        print("error: --oracle supports at most 12 cells here", file=sys.stderr)
+        return EXIT_ERROR
     result = solve(inst)
-    doc: dict = {"status": "feasible" if result.is_feasible else "infeasible"}
-    if result.is_feasible:
-        doc["matrix"] = result.matrix.to_lists()
-        summary = "feasible"
-    else:
-        doc["certificate"] = _certificate_json(result.certificate)
-        summary = "infeasible"
+    record = None
     if args.oracle:
-        m, n = len(rows), len(cols)
-        if m * n > 12:
-            print("error: --oracle supports at most 12 cells here", file=sys.stderr)
-            return EXIT_ERROR
-        from itertools import product as iproduct
-
-        found = None
-        for combo in iproduct((-1, 0, 1), repeat=m * n):
-            cand = IntMatrix(
-                m, n, tuple(tuple(combo[r * n + c] for c in range(n)) for r in range(m))
-            )
-            if oracle.is_wasm(cand, rows, cols):
-                found = cand
-                break
-        agrees = (found is not None) == result.is_feasible
-        doc["oracle"] = {"agrees": agrees}
-        if not agrees:
-            _emit(doc, "oracle disagrees with solver")
-            return EXIT_ERROR
-    _emit(doc, summary)
-    return EXIT_OK if result.is_feasible else EXIT_INFEASIBLE
+        grids = (
+            IntMatrix(m, n, tuple(combo[r * n : (r + 1) * n] for r in range(m)))
+            for combo in product((-1, 0, 1), repeat=m * n)
+        )
+        exists = any(oracle.is_wasm(grid, rows, cols) for grid in grids)
+        record = {"agrees": exists == result.is_feasible}
+    return _finish(_outcome(result), _summary(result), record)
 
 
 def _cmd_eval(args) -> int:
@@ -399,34 +335,26 @@ def _cmd_eval(args) -> int:
     }
     if args.subset2:
         mask2 = mask_from_json(inst.m, inst.n, _load_arg(args.subset2))
-        from .strongpair import condition_values
-
         cond = condition_values(inst, mask, mask2)
         doc["condition"] = {
             rec.name: {"lhs": rec.lhs.to_json(), "rhs": rec.rhs.to_json(), "holds": rec.holds}
             for rec in cond.records()
         }
         doc["all_hold"] = cond.all_hold
+    record = None
     if args.oracle:
         h = oracle.line_polytope_minmax(inst, mask, "horizontal")
         v = oracle.line_polytope_minmax(inst, mask, "vertical")
         agrees = (
             ev.p1 == h[0] and ev.b1 == h[1] and ev.p2 == v[0] and ev.b2 == v[1]
         )
-        doc["oracle"] = {
-            "horizontal": list(h),
-            "vertical": list(v),
-            "agrees": agrees,
-        }
-        if not agrees:
-            _emit(doc, "oracle disagrees with evaluation")
-            return EXIT_ERROR
+        record = {"horizontal": list(h), "vertical": list(v), "agrees": agrees}
+        doc["oracle"] = record  # placed here so that the strict fields follow it
     strict = check_strict(inst)
     doc["strict"] = strict.is_strict
     if strict.is_strict:
         doc["common_sum"] = strict.common_sum
-    _emit(doc, f"p1={ev.p1} b1={ev.b1} p2={ev.p2} b2={ev.b2}")
-    return EXIT_OK
+    return _finish(doc, f"p1={ev.p1} b1={ev.b1} p2={ev.p2} b2={ev.b2}", record)
 
 
 def _cmd_oracle(args) -> int:
@@ -436,8 +364,7 @@ def _cmd_oracle(args) -> int:
     )
     matrices = oracle.enumerate_pbms(inst, budget)
     doc = {"count": len(matrices), "matrices": [mtx.to_lists() for mtx in matrices]}
-    _emit(doc, f"{len(matrices)} matrices")
-    return EXIT_OK
+    return _finish(doc, f"{len(matrices)} matrices")
 
 
 def _build_parser() -> _Parser:
@@ -454,7 +381,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--prescribe", help="JSON [[i,j,value],...] of pinned entries (or @file)")
     p.add_argument("--dump-dot", metavar="PATH", help="write the network in DOT form")
     add_oracle(p)
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("solve", help="find a matrix meeting all bounds")
     p.add_argument("instance", help="instance JSON file, or - for stdin")
@@ -526,13 +453,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except PbmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (json.JSONDecodeError, OSError) as exc:
+    except (PbmError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except KeyError as exc:

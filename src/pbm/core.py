@@ -544,6 +544,8 @@ def mask_from_json(m: int, n: int, raw: object) -> SubsetMask:
     for item in raw:
         if not isinstance(item, list) or len(item) != 2:
             raise InstanceFormatError(f"bad cell {item!r}; expected [i, j]")
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in item):
+            raise InstanceFormatError(f"bad cell {item!r}; coordinates must be integers")
         cells.append((item[0], item[1]))
     return SubsetMask.from_cells(m, n, cells)
 

@@ -4,7 +4,9 @@
 a certificate: a pair of cell subsets on which one of the four feasibility
 inequalities (gen1a, gen1b, gen1alfa, gen1beta) strictly fails.  Exactly one
 of the two branches is present, and both are re-verified before they are
-returned.
+returned.  Every matrix any solver returns, here and in ``asmkit``, is read
+off its circulation by ``_checked_matrix``, which re-checks it against the
+instance's true bounds once.
 
 Both optimizers make one min-cost solve.  Infinite bounds are modelled by
 a large finite K, which no bounded optimum reaches, so the solve's optimum
@@ -100,23 +102,28 @@ def _certificate_from_cut(net, witness: CutWitness) -> Certificate:
     )
 
 
+def _checked_matrix(net, inst: PbmInstance, circ: Circulation) -> IntMatrix:
+    """The circulation's matrix, re-verified against every bound of ``inst``."""
+    mat = matrix_from_circulation(net, circ)
+    try:
+        circulation_from_matrix(inst, mat)
+    except BoundViolation as exc:
+        raise InternalError(f"solver produced an invalid matrix: {exc}") from exc
+    return mat
+
+
 def solve(inst: PbmInstance, info: "dict | None" = None) -> FeasibilityResult:
     """Find a matrix meeting every bound, or a certificate that none exists."""
     net = build_network(inst)
     res = find_feasible_circulation(net, info)
-    if isinstance(res, Circulation):
-        mat = matrix_from_circulation(net, res)
-        try:
-            circulation_from_matrix(inst, mat)
-        except BoundViolation as exc:
-            raise InternalError(f"solver produced an invalid matrix: {exc}") from exc
-        if info is not None:
-            info["network"] = net
-            info["circulation"] = res
-        return FeasibilityResult(matrix=mat, certificate=None)
     if info is not None:
         info["network"] = net
-    return FeasibilityResult(matrix=None, certificate=_certificate_from_cut(net, res))
+    if isinstance(res, CutWitness):
+        return FeasibilityResult(matrix=None, certificate=_certificate_from_cut(net, res))
+    mat = _checked_matrix(net, inst, res)
+    if info is not None:
+        info["circulation"] = res
+    return FeasibilityResult(matrix=mat, certificate=None)
 
 
 def check_condition(inst: PbmInstance, x1: SubsetMask, x2: SubsetMask) -> ConditionEval:
@@ -128,8 +135,29 @@ def check_condition(inst: PbmInstance, x1: SubsetMask, x2: SubsetMask) -> Condit
     return condition_values(inst, x1, x2)
 
 
-def _relax_total(inst: PbmInstance) -> PbmInstance:
-    return dataclasses.replace(inst, alpha=NEG_INF, beta=POS_INF)
+def _optimize(
+    inst: PbmInstance,
+    net,
+    cost: Mapping[int, int],
+    direction: str,
+    info: "dict | None",
+) -> ExtremalResult:
+    """Optimize sum(cost[a] * flow[a]) over the arcs ``cost`` names, in one solve."""
+    if direction not in ("max", "min"):
+        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
+    sign = -1 if direction == "max" else 1
+    res = min_cost_circulation(net, {a: sign * c for a, c in cost.items()}, info)
+    if isinstance(res, CutWitness):
+        return ExtremalResult(
+            status="infeasible",
+            direction=direction,
+            certificate=_certificate_from_cut(net, res),
+        )
+    if isinstance(res, NegativeCycle):
+        return ExtremalResult(status="unbounded", direction=direction)
+    mat = _checked_matrix(net, inst, res)
+    value = sum(c * res.flows[a] for a, c in cost.items())
+    return ExtremalResult(status="optimal", direction=direction, value=value, matrix=mat)
 
 
 def extremal_total_sum(
@@ -140,25 +168,9 @@ def extremal_total_sum(
     The total-sum window [alpha, beta] is ignored: the extremum is taken
     over the prefix and entry bounds alone.
     """
-    if direction not in ("max", "min"):
-        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    relaxed = _relax_total(inst)
+    relaxed = dataclasses.replace(inst, alpha=NEG_INF, beta=POS_INF)
     net = build_network(relaxed)
-    sign = -1 if direction == "max" else 1
-    res = min_cost_circulation(net, {net.a0_id: sign}, info)
-    if isinstance(res, CutWitness):
-        return ExtremalResult(
-            status="infeasible",
-            direction=direction,
-            certificate=_certificate_from_cut(net, res),
-        )
-    if isinstance(res, NegativeCycle):
-        return ExtremalResult(status="unbounded", direction=direction)
-    mat = matrix_from_circulation(net, res)
-    circulation_from_matrix(relaxed, mat)
-    return ExtremalResult(
-        status="optimal", direction=direction, value=res.value(net.a0_id), matrix=mat
-    )
+    return _optimize(relaxed, net, {net.a0_id: 1}, direction, info)
 
 
 def optimize_cost(
@@ -168,32 +180,13 @@ def optimize_cost(
     info: "dict | None" = None,
 ) -> ExtremalResult:
     """Optimize a linear objective sum(costs[i,j] * A[i,j]) over the instance."""
-    if direction not in ("max", "min"):
-        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     if (costs.m, costs.n) != (inst.m, inst.n):
         raise DimensionMismatch(
             f"cost matrix is {costs.m}x{costs.n}, instance is {inst.m}x{inst.n}"
         )
-    sign = -1 if direction == "max" else 1
     net = build_network(inst)
-    cost_map = {
-        net.n_arc_id(i, j): sign * costs.at(i, j)
-        for i in range(1, inst.m + 1)
-        for j in range(1, inst.n + 1)
-    }
-    res = min_cost_circulation(net, cost_map, info)
-    if isinstance(res, CutWitness):
-        return ExtremalResult(
-            status="infeasible",
-            direction=direction,
-            certificate=_certificate_from_cut(net, res),
-        )
-    if isinstance(res, NegativeCycle):
-        return ExtremalResult(status="unbounded", direction=direction)
-    mat = matrix_from_circulation(net, res)
-    circulation_from_matrix(inst, mat)
-    value = sum(costs.at(i, j) * v for i, j, v in mat.cells())
-    return ExtremalResult(status="optimal", direction=direction, value=value, matrix=mat)
+    cost = {net.n_arc_id(i, j): c for i, j, c in costs.cells()}
+    return _optimize(inst, net, cost, direction, info)
 
 
 @dataclass(frozen=True, slots=True)

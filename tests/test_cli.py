@@ -6,7 +6,7 @@ import json
 import pytest
 
 from pbm.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, EXIT_UNBOUNDED, main
-from pbm.core import instance_to_json
+from pbm.core import IntMatrix, instance_to_json
 from pbm.asmkit import asm_instance, pasm_instance
 from pbm import oracle
 
@@ -91,6 +91,17 @@ class TestCheckSolve:
         code, doc, _ = run(capsys, "solve", asm2_file, "--oracle")
         assert code == EXIT_OK
         assert doc["oracle"] == {"count": 2, "agrees": True}
+
+    @pytest.mark.parametrize(
+        "found", [[], [IntMatrix.zeros(2, 2)]], ids=["no-matrix", "other-matrix"]
+    )
+    def test_oracle_disagreement_exits_1(self, capsys, asm2_file, monkeypatch, found):
+        monkeypatch.setattr(oracle, "enumerate_pbms", lambda inst: found)
+        code, doc, err = run(capsys, "solve", asm2_file, "--oracle")
+        assert code == EXIT_ERROR
+        assert doc["status"] == "feasible"
+        assert doc["oracle"] == {"count": len(found), "agrees": False}
+        assert err == "oracle disagrees with solver\n"
 
     def test_dump_dot(self, capsys, tmp_path, asm2_file):
         dot = tmp_path / "net.dot"
@@ -216,6 +227,14 @@ class TestAsm:
         assert code == EXIT_OK
         assert doc["oracle"] == {"count": 2, "agrees": True}
 
+    def test_compatible_infeasible_oracle(self, capsys):
+        labels = json.dumps([["+1", "+1"], ["F", "F"]])
+        code, doc, err = run(capsys, "asm", "--compatible", labels, "--oracle")
+        assert code == EXIT_INFEASIBLE
+        assert list(doc) == ["status", "n", "certificate", "family", "oracle"]
+        assert doc["oracle"] == {"count": 0, "agrees": True}
+        assert err == "infeasible: 3 segments found, 4 required\n"
+
     def test_no_arguments_is_an_error(self, capsys):
         code = main(["asm"])
         _, err = capsys.readouterr()
@@ -244,6 +263,14 @@ class TestSubordinate:
         assert doc["family"]["size"] == 1 and doc["family"]["required"] == 2
 
 
+    def test_maximize_infeasible(self, capsys, tmp_path):
+        mfile = write_json(tmp_path / "x.json", [[0, 0], [0, 1]])
+        code, doc, _ = run(capsys, "subordinate", mfile, "--maximize", "--oracle")
+        assert code == EXIT_INFEASIBLE
+        assert list(doc) == ["status", "certificate", "family", "oracle"]
+        assert doc["oracle"] == {"count": 0, "agrees": True}
+
+
 class TestWasm:
     def test_feasible_pattern(self, capsys, tmp_path):
         pfile = write_json(tmp_path / "pats.json", {"rows": ["++"], "cols": ["++"]})
@@ -263,6 +290,22 @@ class TestWasm:
             assert oracle.is_wasm(IntMatrix.from_rows(doc["matrix"]), ["++", "--"], ["+-", "-+"])
         else:
             assert code == EXIT_INFEASIBLE
+
+
+    def test_infeasible_pattern(self, capsys, tmp_path):
+        pfile = write_json(tmp_path / "pats.json", {"rows": ["++"], "cols": ["--"]})
+        code, doc, _ = run(capsys, "wasm", pfile, "--oracle")
+        assert code == EXIT_INFEASIBLE
+        assert list(doc) == ["status", "certificate", "oracle"]
+        assert doc["oracle"] == {"agrees": True}
+
+    def test_oracle_size_limit_rejected_before_solve(self, capsys, tmp_path, monkeypatch):
+        pfile = write_json(tmp_path / "pats.json", {"rows": ["++"] * 4, "cols": ["++"] * 4})
+        monkeypatch.setattr("pbm.cli.solve", lambda inst: pytest.fail("solved anyway"))
+        code = main(["wasm", pfile, "--oracle"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR and out == ""
+        assert err == "error: --oracle supports at most 12 cells here\n"
 
 
 class TestEval:
@@ -321,6 +364,37 @@ class TestErrorPaths:
         code = main(["check", str(f)])
         _, err = capsys.readouterr()
         assert code == EXIT_ERROR and "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--prescribe", "[[1,1]]"],
+            ["solve", "--prescribe", '{"a":1}'],
+            ["solve", "--prescribe", "[[1,1,1.5]]"],
+            ["solve", "--prescribe", "[[1.0,1,1]]"],
+            ["solve", "--prescribe", "[[1,1,true]]"],
+            ["eval", "--subset", "[[1.7,1]]"],
+            ["eval", "--subset", '[["a",1]]'],
+        ],
+        ids=["pin-pair", "pin-object", "pin-float-value", "pin-float-row", "pin-bool",
+             "cell-float", "cell-string"],
+    )
+    def test_non_integer_json_rejected(self, capsys, asm2_file, argv):
+        code = main([argv[0], asm2_file, *argv[1:]])
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_oracle_with_prescription_rejected_before_solve(
+        self, capsys, asm2_file, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "pbm.cli.solve_with_prescription", lambda *a: pytest.fail("solved anyway")
+        )
+        code = main(["solve", asm2_file, "--prescribe", "[[1,1,1]]", "--oracle"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR and out == ""
+        assert err == "error: --oracle does not support --prescribe\n"
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
-from pbm.asmkit import asm_instance, pasm_instance
+from pbm.asmkit import asm_instance, max_plus_ones_subordinate, pasm_instance
 from pbm import feasibility, oracle
 from pbm.feasibility import (
     Prescription,
@@ -17,9 +17,42 @@ from pbm.feasibility import (
     solve,
     solve_with_prescription,
 )
-from pbm.errors import PrescriptionOutOfEntryBounds
+from pbm.errors import InternalError, PrescriptionOutOfEntryBounds
 
 from helpers import feasible_random, random_instance
+
+
+class TestCheckedMatrix:
+    """Every solver reads its matrix through one check against the instance."""
+
+    ALL_ONES = IntMatrix.from_rows([[1, 1, 1]] * 3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: solve(asm_instance(3)),
+            lambda: extremal_total_sum(asm_instance(3), "max"),
+            lambda: optimize_cost(asm_instance(3), IntMatrix.from_rows([[1, 0, 0]] * 3)),
+            lambda: max_plus_ones_subordinate(TestCheckedMatrix.ALL_ONES),
+        ],
+        ids=["solve", "extremal_total_sum", "optimize_cost", "max_plus_ones_subordinate"],
+    )
+    def test_corrupted_matrix_is_an_internal_error(self, monkeypatch, call):
+        read = feasibility.matrix_from_circulation
+
+        def drop_one_plus(net, circ):
+            rows = [list(row) for row in read(net, circ).rows]
+            i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v == 1)
+            rows[i][j] = 0
+            return IntMatrix.from_rows(rows)
+
+        monkeypatch.setattr(feasibility, "matrix_from_circulation", drop_one_plus)
+        with pytest.raises(InternalError):
+            call()
+
+    def test_subordinate_optimum_is_a_checked_asm(self):
+        res = max_plus_ones_subordinate(self.ALL_ONES)
+        assert oracle.is_asm(res.matrix) and res.count == 3
 
 
 class TestSolve:
