@@ -4,24 +4,39 @@
 Counts feasible matrices of the asm/k-regular/pasm/higher-spin instances
 for small orders, with wall times, and checks each matrix against the
 class's direct definition.  The ASM column should read 1, 2, 7, 42, ...
+Exits 1 when a matrix fails its definition or an ASM count is wrong.
 """
 
 from __future__ import annotations
 
 import argparse
 import time
+from math import factorial
 
 from pbm.asmkit import asm_instance, higher_spin_instance, k_regular_instance, pasm_instance
 from pbm import oracle
 
 
-def census(label: str, inst, predicate, budget) -> None:
+def asm_count(n: int) -> int:
+    """The number of n x n ASMs, prod over k < n of (3k+1)! / (n+k)! (Zeilberger)."""
+    num = den = 1
+    for k in range(n):
+        num *= factorial(3 * k + 1)
+        den *= factorial(n + k)
+    return num // den
+
+
+def census(label: str, inst, predicate, budget, want: "int | None" = None) -> bool:
+    """Print one census line; True when every matrix passes and the count is as wanted."""
     t0 = time.perf_counter()
     mats = oracle.enumerate_pbms(inst, budget)
     dt = time.perf_counter() - t0
     bad = sum(1 for mt in mats if not predicate(mt))
     flag = "" if bad == 0 else f"  <-- {bad} FAILED the direct definition"
+    if want is not None and len(mats) != want:
+        flag += f"  <-- expected {want} matrices"
     print(f"{label:24s} {len(mats):6d} matrices  {dt * 1000:8.1f} ms{flag}")
+    return not flag
 
 
 def main() -> int:
@@ -30,11 +45,12 @@ def main() -> int:
     args = parser.parse_args()
 
     budget = oracle.EnumerationBudget(max_cells=args.max_n * args.max_n, max_nodes=10**9)
+    ok = True
     for n in range(1, args.max_n + 1):
-        census(f"asm({n})", asm_instance(n), oracle.is_asm, budget)
+        ok &= census(f"asm({n})", asm_instance(n), oracle.is_asm, budget, asm_count(n))
     for n, k in [(2, 2), (3, 2), (3, 3)]:
         if n <= args.max_n:
-            census(
+            ok &= census(
                 f"k_regular({n},{k})",
                 k_regular_instance(n, k),
                 lambda mt, k=k: oracle.is_k_regular_asm(mt, k),
@@ -42,16 +58,16 @@ def main() -> int:
             )
     for m, n in [(2, 2), (2, 3)]:
         if max(m, n) <= args.max_n:
-            census(f"pasm({m},{n})", pasm_instance(m, n), oracle.is_pasm, budget)
+            ok &= census(f"pasm({m},{n})", pasm_instance(m, n), oracle.is_pasm, budget)
     for n, r in [(2, 2), (3, 2)]:
         if n <= args.max_n:
-            census(
+            ok &= census(
                 f"higher_spin({n},{r})",
                 higher_spin_instance(n, r),
                 lambda mt, r=r: oracle.is_higher_spin(mt, r),
                 budget,
             )
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

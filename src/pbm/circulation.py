@@ -296,12 +296,13 @@ class _FlowGraph:
         self.adj[v].append(idx + 1)
         return idx
 
-    def _levels(self, s: int, t: int) -> "list[int] | None":
-        """BFS levels from s, or None when t is unreachable.
+    def _levels(self, s: int, t: int) -> list[int]:
+        """BFS levels from s; -1 marks the nodes it did not label.
 
         The search stops as soon as t gets its level: every node of a
         lower level is labelled by then, and no node at t's level or beyond
-        lies on a shortest path to t.
+        lies on a shortest path to t.  When t stays unreachable the search
+        runs to completion and labels exactly the nodes s reaches.
         """
         adj, to, cap = self.adj, self.to, self.cap
         level = [-1] * len(adj)
@@ -316,10 +317,13 @@ class _FlowGraph:
                     if w == t:
                         return level
                     queue.append(w)
-        return None
+        return level
 
-    def max_flow(self, s: int, t: int) -> tuple[int, int, int]:
-        """Returns (flow value, number of augmenting paths, BFS phases).
+    def max_flow(self, s: int, t: int) -> tuple[int, int, int, list[int]]:
+        """Returns (flow value, augmenting paths, BFS phases, final levels).
+
+        The final levels come from the BFS that found t unreachable, so
+        they are -1 exactly on the nodes the residual graph cuts off from s.
 
         Dinic's algorithm.  The depth-first search of each phase keeps the
         current path on an explicit stack, so path length is not limited by
@@ -332,8 +336,8 @@ class _FlowGraph:
         phases = 0
         while True:
             level = self._levels(s, t)
-            if level is None:
-                return flow, paths, phases
+            if level[t] < 0:
+                return flow, paths, phases, level
             phases += 1
             it = [0] * len(adj)
             path: list[int] = []
@@ -369,17 +373,6 @@ class _FlowGraph:
                     level[v] = -1
                     v = to[path.pop() ^ 1]
                     it[v] += 1
-
-    def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = [s]
-        for v in queue:
-            for idx in self.adj[v]:
-                w = self.to[idx]
-                if self.cap[idx] > 0 and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
 
 
 def _nearest_zero(lo: int, hi: int) -> int:
@@ -458,7 +451,7 @@ def find_feasible_circulation(
             demand += e
         elif e < 0:
             graph.add_edge(v, t, -e)
-    flow, paths, phases = graph.max_flow(s, t)
+    flow, paths, phases, level = graph.max_flow(s, t)
     if info is not None:
         info["nodes"] = net.node_count
         info["arcs"] = len(net.arcs)
@@ -469,8 +462,7 @@ def find_feasible_circulation(
         circ = Circulation(flows)
         check_circulation(net, circ)
         return circ
-    reach = graph.residual_reachable(s)
-    cut_nodes = frozenset(v for v in range(net.node_count) if v not in reach)
+    cut_nodes = frozenset(v for v in range(net.node_count) if level[v] < 0)
     return make_cut_witness(net, cut_nodes)
 
 
@@ -590,7 +582,7 @@ def _drain_admissible(graph: _FlowGraph, pi: list[int], excess: list[int]) -> in
             ends.append((v, sub.add_edge(s, v, e)))
         elif e < 0:
             ends.append((v, sub.add_edge(v, t, -e)))
-    _, paths, _ = sub.max_flow(s, t)
+    _, paths, _, _ = sub.max_flow(s, t)
     for idx, j in copied:
         cap[idx] = sub.cap[j]
         cap[idx + 1] = sub.cap[j + 1]
@@ -710,6 +702,13 @@ def matrix_from_circulation(net: Network, circ: Circulation) -> IntMatrix:
     return IntMatrix(net.m, net.n, rows)
 
 
+def _within(lo: ExtInt, v: int, hi: ExtInt) -> bool:
+    """lo <= v <= hi for an int v, read off the tags without building an ExtInt."""
+    return (lo.tag < 0 or (lo.tag == 0 and lo.value <= v)) and (
+        hi.tag > 0 or (hi.tag == 0 and v <= hi.value)
+    )
+
+
 def circulation_from_matrix(inst: PbmInstance, mat: IntMatrix) -> Circulation:
     """The circulation spelled out by a matrix; checks every instance bound.
 
@@ -724,33 +723,28 @@ def circulation_from_matrix(inst: PbmInstance, mat: IntMatrix) -> Circulation:
     m, n, mn = inst.m, inst.n, inst.m * inst.n
     flows = [0] * (3 * mn + 1)
     for i, j, v in mat.cells():
-        if not (inst.f.at(i, j) <= fin(v) <= inst.g.at(i, j)):
-            raise BoundViolation(
-                f"entry ({i},{j}) = {v} outside [{inst.f.at(i, j)}, {inst.g.at(i, j)}]"
-            )
+        lo, hi = inst.f.at(i, j), inst.g.at(i, j)
+        if not _within(lo, v, hi):
+            raise BoundViolation(f"entry ({i},{j}) = {v} outside [{lo}, {hi}]")
         flows[2 * mn + (i - 1) * n + (j - 1)] = v
     for i in range(1, m + 1):
         s = 0
         for j in range(1, n + 1):
             s += mat.at(i, j)
-            if not (inst.phi1.at(i, j) <= fin(s) <= inst.gamma1.at(i, j)):
-                raise BoundViolation(
-                    f"horizontal prefix ({i},{j}) = {s} outside "
-                    f"[{inst.phi1.at(i, j)}, {inst.gamma1.at(i, j)}]"
-                )
+            lo, hi = inst.phi1.at(i, j), inst.gamma1.at(i, j)
+            if not _within(lo, s, hi):
+                raise BoundViolation(f"horizontal prefix ({i},{j}) = {s} outside [{lo}, {hi}]")
             flows[(i - 1) * n + (j - 1)] = s
     for j in range(1, n + 1):
         s = 0
         for i in range(1, m + 1):
             s += mat.at(i, j)
-            if not (inst.phi2.at(i, j) <= fin(s) <= inst.gamma2.at(i, j)):
-                raise BoundViolation(
-                    f"vertical prefix ({i},{j}) = {s} outside "
-                    f"[{inst.phi2.at(i, j)}, {inst.gamma2.at(i, j)}]"
-                )
+            lo, hi = inst.phi2.at(i, j), inst.gamma2.at(i, j)
+            if not _within(lo, s, hi):
+                raise BoundViolation(f"vertical prefix ({i},{j}) = {s} outside [{lo}, {hi}]")
             flows[mn + (i - 1) * n + (j - 1)] = s
     total = mat.total()
-    if not (inst.alpha <= fin(total) <= inst.beta):
+    if not _within(inst.alpha, total, inst.beta):
         raise BoundViolation(
             f"total sum {total} outside [{inst.alpha}, {inst.beta}]"
         )

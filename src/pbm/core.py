@@ -320,8 +320,10 @@ class SubsetMask:
 
     @staticmethod
     def from_cells(m: int, n: int, cells: Iterable[tuple[int, int]]) -> "SubsetMask":
-        cs = frozenset((int(i), int(j)) for i, j in cells)
+        cs = frozenset((i, j) for i, j in cells)
         for i, j in cs:
+            if any(isinstance(c, bool) or not isinstance(c, int) for c in (i, j)):
+                raise InstanceFormatError(f"cell ({i!r}, {j!r}) needs integer coordinates")
             if not (1 <= i <= m and 1 <= j <= n):
                 raise DimensionMismatch(f"cell ({i},{j}) outside {m}x{n} grid")
         return SubsetMask(m, n, cs)

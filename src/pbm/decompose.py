@@ -6,15 +6,13 @@ bounds divided by k and floored, upper bounds divided by k and ceiled) and
 is sign-consistent with A: parts never have an entry of opposite sign to
 the corresponding entry of A.
 
-The parts are peeled one at a time.  With i parts still owed and residual
-z, one part is any integer circulation within
+A is checked once, and one network is built from the shrunk arc bounds
+[l', u'], tightened on the entry arcs to the signs of A's entries.  Every
+part is peeled from that network in plain integers: with r parts still
+owed after a step and residual z, the step's part is any integer
+circulation within
 
-    max(l', z - (i-1) u')  <=  z_1  <=  min(u', z - (i-1) l')
-
-where [l', u'] are the shrunk arc bounds, tightened on the entry arcs so
-that each part's entry has the sign of A's entry.  The box always contains
-z / i, so by integrality of circulation polyhedra an integer part exists;
-failure to find one is a bug, not an input condition.
+    max(l', z - r u')  <=  z_1  <=  min(u', z - r l')
 
 ``decompose_k_regular_asm`` specializes this to nonnegative-prefix matrices
 with all line sums k, whose parts are then alternating sign matrices with
@@ -28,14 +26,16 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .circulation import (
+    Arc,
     Circulation,
     CutWitness,
     circulation_from_matrix,
     find_feasible_circulation,
     instance_arc_bounds,
+    matrix_from_circulation,
     network_from_bounds,
 )
-from .core import ExtInt, IntMatrix, PbmInstance, fin, validate_instance
+from .core import IntMatrix, PbmInstance, fin, validate_instance
 from .errors import BadParams, BoundViolation, InfeasibleInput, InternalError, NotKRegular
 
 __all__ = [
@@ -97,15 +97,6 @@ def shrink_instance(inst: PbmInstance, k: int) -> PbmInstance:
     )
 
 
-def _matrix_from_flows(m: int, n: int, flows: tuple[int, ...]) -> IntMatrix:
-    mn = m * n
-    rows = tuple(
-        tuple(flows[2 * mn + (i - 1) * n + (j - 1)] for j in range(1, n + 1))
-        for i in range(1, m + 1)
-    )
-    return IntMatrix(m, n, rows)
-
-
 def _check_sign_consistent(a: IntMatrix, part: IntMatrix) -> None:
     for i, j, v in part.cells():
         if v * a.at(i, j) < 0 or (a.at(i, j) == 0 and v != 0):
@@ -119,48 +110,49 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
 
     Raises InfeasibleInput when the matrix does not meet the instance's
     bounds; any failure after that point is an InternalError.
+
+    Why a part always exists: the network's clamped bounds [L, U] meet
+    k L <= z* <= k U on every arc, z* being A's circulation.  Finite
+    bounds do because A meets the instance; infinite ones clamp to +-K,
+    and K exceeds every |z*| (``extra_finite`` adds the sum of |z*|).
+    So with r + 1 parts owed for the residual z, each clamped box still
+    contains z / (r + 1), and (r + 1) L <= z <= (r + 1) U carries over to
+    z - z_1.  By integrality of circulation polyhedra an integer part
+    exists; an empty box surfaces as a cut or a failed flow check, both
+    InternalErrors.
     """
     if k < 1:
         raise BadParams(f"k must be a positive integer, got {k}")
     try:
-        z_star = circulation_from_matrix(inst, a)
+        z_star = circulation_from_matrix(inst, a).flows
     except BoundViolation as exc:
         raise InfeasibleInput(str(exc)) from exc
     shrunk = shrink_instance(inst, k)
     lo, up = instance_arc_bounds(shrunk)
     mn = inst.m * inst.n
     for arc_id in range(2 * mn, 3 * mn):
-        v = z_star.flows[arc_id]
-        if v >= 0:
+        if z_star[arc_id] >= 0:
             lo[arc_id] = max(lo[arc_id], fin(0))
-        if v <= 0:
+        if z_star[arc_id] <= 0:
             up[arc_id] = min(up[arc_id], fin(0))
-    z_res = list(z_star.flows)
-    part_flows: list[tuple[int, ...]] = []
-    for remaining in range(k, 1, -1):
-        lower_i = [
-            max(lo[a_id], fin(z_res[a_id]) - up[a_id].times(remaining - 1))
-            for a_id in range(3 * mn + 1)
-        ]
-        upper_i = [
-            min(up[a_id], fin(z_res[a_id]) - lo[a_id].times(remaining - 1))
-            for a_id in range(3 * mn + 1)
-        ]
-        net = network_from_bounds(
-            inst.m,
-            inst.n,
-            lower_i,
-            upper_i,
-            extra_finite=sum(abs(z) for z in z_res),
+    net = network_from_bounds(
+        inst.m, inst.n, lo, up, extra_finite=sum(abs(z) for z in z_star)
+    )
+    z_res = list(z_star)
+    parts: list[IntMatrix] = []
+    for owed in range(k - 1, 0, -1):
+        arcs = tuple(
+            Arc(arc.id, arc.tail, arc.head, max(arc.lower, z - owed * arc.upper),
+                min(arc.upper, z - owed * arc.lower), arc.tag)
+            for arc, z in zip(net.arcs, z_res)
         )
-        res = find_feasible_circulation(net)
+        res = find_feasible_circulation(dataclasses.replace(net, arcs=arcs))
         if isinstance(res, CutWitness):
             raise InternalError("peeling step found no part; the box should never be empty")
-        part_flows.append(res.flows)
+        parts.append(matrix_from_circulation(net, res))
         z_res = [r - z1 for r, z1 in zip(z_res, res.flows)]
-    part_flows.append(tuple(z_res))
+    parts.append(matrix_from_circulation(net, Circulation(tuple(z_res))))
 
-    parts = [_matrix_from_flows(inst.m, inst.n, fl) for fl in part_flows]
     total = IntMatrix.zeros(inst.m, inst.n)
     for part in parts:
         total = total.add(part)
@@ -178,46 +170,23 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
     return Decomposition(parts=grouped, k=k)
 
 
-def _validate_k_regular(a: IntMatrix, k: int) -> None:
-    if a.m != a.n:
-        raise NotKRegular(f"matrix must be square, got {a.m}x{a.n}")
-    for i, j, v in a.cells():
-        if v not in (-1, 0, 1):
-            raise NotKRegular(f"entry ({i},{j}) = {v} not in {{-1, 0, 1}}")
-    n = a.n
-    row_sums, col_sums = [], []
-    for i in range(1, n + 1):
-        h = v = 0
-        for j in range(1, n + 1):
-            h += a.at(i, j)
-            if not 0 <= h <= k:
-                raise NotKRegular(f"row {i} prefix sum through column {j} is {h}, outside [0, {k}]")
-            v += a.at(j, i)
-            if not 0 <= v <= k:
-                raise NotKRegular(f"column {i} prefix sum through row {j} is {v}, outside [0, {k}]")
-        row_sums.append(h)
-        col_sums.append(v)
-    for i, h in enumerate(row_sums, start=1):
-        if h != k:
-            raise NotKRegular(f"row {i} sums to {h}, expected {k}")
-    for j, v in enumerate(col_sums, start=1):
-        if v != k:
-            raise NotKRegular(f"column {j} sums to {v}, expected {k}")
-
-
 def decompose_k_regular_asm(a: IntMatrix, k: int) -> list[IntMatrix]:
     """Split a k-regular matrix into k alternating sign matrices.
 
-    The input must be a (0, +-1) square matrix whose prefix sums stay in
-    [0, k] and whose line sums all equal k.  The parts have pairwise
-    disjoint supports and add up to the input.
+    The input must be a square matrix that ``k_regular_instance`` admits:
+    entries in {0, +-1}, prefix sums in [0, k] and all line sums k.  The
+    parts have pairwise disjoint supports and add up to the input.
     """
     from .asmkit import k_regular_instance
 
     if k < 1:
         raise BadParams(f"k must be a positive integer, got {k}")
-    _validate_k_regular(a, k)
-    dec = decompose(k_regular_instance(a.n, k), a, k)
+    if a.m != a.n:
+        raise NotKRegular(f"matrix must be square, got {a.m}x{a.n}")
+    try:
+        dec = decompose(k_regular_instance(a.n, k), a, k)
+    except InfeasibleInput as exc:
+        raise NotKRegular(str(exc)) from exc
     parts = dec.matrices()
     used: set[tuple[int, int]] = set()
     for part in parts:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .circulation import (
+    _within,
     Circulation,
     CutWitness,
     NegativeCycle,
@@ -231,7 +232,7 @@ def solve_with_prescription(
     if (prescription.mask.m, prescription.mask.n) != (inst.m, inst.n):
         raise DimensionMismatch("prescription grid does not match instance")
     for i, j, v in prescription.entries:
-        if not (inst.f.at(i, j) <= fin(v) <= inst.g.at(i, j)):
+        if not _within(inst.f.at(i, j), v, inst.g.at(i, j)):
             raise PrescriptionOutOfEntryBounds(
                 f"prescribed ({i},{j}) = {v} outside "
                 f"[{inst.f.at(i, j)}, {inst.g.at(i, j)}]"

@@ -437,8 +437,8 @@ def oracle_extremal_sums(inst: PbmInstance) -> tuple[ExtInt, ExtInt]:
     total-sum window [alpha, beta] plays no part.
     """
     cell_count = inst.m * inst.n
-    if cell_count > 8:
-        raise BudgetExceeded(f"{cell_count} cells is beyond the full-scan limit of 8")
+    if cell_count > 9:
+        raise BudgetExceeded(f"{cell_count} cells is beyond the full-scan limit of 9")
     tables = _PairTables(inst)
     size = 1 << cell_count
     full = size - 1

@@ -68,13 +68,14 @@ def elementary_pair(
 
 
 def _line_pair(
-    lo: ExtMatrix, hi: ExtMatrix, segs, get_window
+    windows: Sequence[tuple[Sequence[ExtInt], Sequence[ExtInt]]], segs
 ) -> tuple[ExtInt, ExtInt]:
+    """Summed elementary pairs; ``windows[l - 1]`` is line l's (phi, gamma)."""
     p = fin(0)
     b = fin(0)
     for seg in segs:
-        phi_row, gamma_row = get_window(seg.line)
-        sp, sb = elementary_pair(phi_row, gamma_row, seg.start, seg.end)
+        phi_line, gamma_line = windows[seg.line - 1]
+        sp, sb = elementary_pair(phi_line, gamma_line, seg.start, seg.end)
         p = p + sp
         b = b + sb
     return p, b
@@ -87,17 +88,10 @@ def eval_strong_pair(inst: PbmInstance, mask: SubsetMask) -> StrongPairEval:
     """
     if (mask.m, mask.n) != (inst.m, inst.n):
         raise DimensionMismatch("mask grid does not match instance")
-
-    def h_window(i: int):
-        return inst.phi1.rows[i - 1], inst.gamma1.rows[i - 1]
-
-    def v_window(j: int):
-        phi_col = tuple(inst.phi2.rows[i][j - 1] for i in range(inst.m))
-        gamma_col = tuple(inst.gamma2.rows[i][j - 1] for i in range(inst.m))
-        return phi_col, gamma_col
-
-    p1, b1 = _line_pair(inst.phi1, inst.gamma1, maximal_segments(mask, HORIZONTAL), h_window)
-    p2, b2 = _line_pair(inst.phi2, inst.gamma2, maximal_segments(mask, VERTICAL), v_window)
+    rows = list(zip(inst.phi1.rows, inst.gamma1.rows))
+    cols = list(zip(zip(*inst.phi2.rows), zip(*inst.gamma2.rows)))
+    p1, b1 = _line_pair(rows, maximal_segments(mask, HORIZONTAL))
+    p2, b2 = _line_pair(cols, maximal_segments(mask, VERTICAL))
     return StrongPairEval(p1=p1, b1=b1, p2=p2, b2=b2)
 
 

@@ -156,6 +156,13 @@ class TestSum:
         assert doc["value"] == 0
         assert doc["oracle"]["agrees"] and doc["oracle"]["min"] == 0
 
+    def test_oracle_reaches_nine_cells(self, capsys, tmp_path):
+        f = write_json(tmp_path / "asm3.json", instance_to_json(asm_instance(3)))
+        code, doc, _ = run(capsys, "sum", f, "--max", "--oracle")
+        assert code == EXIT_OK
+        assert doc["value"] == 3
+        assert doc["oracle"]["agrees"] is True
+
 
 class TestCost:
     def test_min_with_costs(self, capsys, tmp_path, asm2_file):

@@ -167,6 +167,11 @@ class TestSubsetMask:
         with pytest.raises(DimensionMismatch):
             SubsetMask.from_cells(2, 2, [(3, 1)])
 
+    @pytest.mark.parametrize("cell", [(1.7, 1), (True, 1), ("1", 1)])
+    def test_non_integer_cell_rejected(self, cell):
+        with pytest.raises(InstanceFormatError):
+            SubsetMask.from_cells(2, 2, [cell])
+
 
 class TestInstanceValidation:
     def test_create_defaults_are_infinite(self):

@@ -1,5 +1,6 @@
 """Sign-consistent integer decomposition and the k-regular ASM splitter."""
 
+import importlib
 import random
 
 import pytest
@@ -82,6 +83,33 @@ class TestDecompose:
     def test_k_below_one_rejected(self):
         with pytest.raises(BadParams):
             decompose(asm_instance(2), solve(asm_instance(2)).matrix, 0)
+
+    def test_one_network_per_call(self, monkeypatch):
+        mod = importlib.import_module("pbm.decompose")  # the package re-exports the function
+        builds = []
+        real = mod.network_from_bounds
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "network_from_bounds", counting)
+        a = IntMatrix.from_rows([[1] * 4] * 4)
+        dec = decompose(k_regular_instance(4, 4), a, 4)
+        assert dec.total() == a
+        assert len(builds) == 1
+
+    def test_huge_entry_under_infinite_bounds(self):
+        # every bound clamps to +-K, so the parts need K > |A| to fit
+        open_window = [["-inf", "-inf"]], [["+inf", "+inf"]]
+        inst = PbmInstance.create(1, 2, *open_window, *open_window)
+        a = IntMatrix.from_rows([[-10**40, 7]])
+        dec = decompose(inst, a, 4)
+        small = shrink_instance(inst, 4)
+        assert dec.total() == a
+        for part in dec.matrices():
+            assert signs_agree(part, a)
+            assert oracle.matrix_satisfies(small, part)
 
     def test_multiplicities_sum_to_k(self):
         with pytest.raises(Exception):
