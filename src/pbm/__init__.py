@@ -48,7 +48,6 @@ from .strongpair import (
     mask_sum,
 )
 from .circulation import (
-    Arc,
     Circulation,
     CutWitness,
     NegativeCycle,
@@ -56,7 +55,6 @@ from .circulation import (
     build_network,
     circulation_from_matrix,
     cut_to_certificate,
-    find_feasible_circulation,
     matrix_from_circulation,
     min_cost_circulation,
     network_to_dot,

@@ -221,8 +221,10 @@ def wasm_instance(rows: Sequence[str], cols: Sequence[str]) -> PbmInstance:
     if not rows or not cols:
         raise BadParams("need at least one row and one column pattern")
     for name, seq in (("row", rows), ("column", cols)):
+        if not isinstance(seq, (list, tuple)):
+            raise BadParams(f"{name} patterns must be a list of strings, got {seq!r}")
         for idx, p in enumerate(seq, start=1):
-            if p not in WING_PATTERNS:
+            if not isinstance(p, str) or p not in WING_PATTERNS:
                 raise BadParams(
                     f"{name} pattern {idx} is {p!r}; expected one of {sorted(WING_PATTERNS)}"
                 )
@@ -342,13 +344,17 @@ class SPartition:
     @staticmethod
     def from_labels(labels: Sequence[Sequence[str]]) -> "SPartition":
         """Build from an n x n grid of the codes 0, +1, -1, +, -, F."""
+        if not isinstance(labels, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in labels
+        ):
+            raise BadParams("label grid must be a list of rows, each a list of labels")
         n = len(labels)
         if n < 1 or any(len(row) != n for row in labels):
             raise BadParams("label grid must be square and nonempty")
         cells: dict[str, list[tuple[int, int]]] = {lab: [] for lab in _ALLOWED}
         for i, row in enumerate(labels, start=1):
             for j, lab in enumerate(row, start=1):
-                if lab not in cells:
+                if not isinstance(lab, str) or lab not in cells:
                     raise BadParams(
                         f"label ({i},{j}) is {lab!r}; expected one of {list(_ALLOWED)}"
                     )

@@ -2,7 +2,7 @@
 
 The network for an m x n instance has 2mn + 2 nodes: one node per cell in a
 horizontal layer and in a vertical layer, plus one hub per layer.  It has
-3mn + 1 arcs:
+3mn + 1 arcs, kept as flat tuples indexed by arc id:
 
 * A1 arcs carry the horizontal prefix sums of each row, bounded by
   [phi1, gamma1]; the arc for (i, n) runs from the horizontal hub;
@@ -19,20 +19,20 @@ admits an integer circulation.  Infinite bounds are replaced by +-K for a K
 chosen so large that no optimal or violating structure can depend on it
 (K exceeds twice the sum of all finite bound magnitudes).
 
-Feasibility is decided by one max-flow.  It starts from a greedy guess that
-lies inside every arc bound, so it only repairs the imbalances the guess
-leaves, and each Dinic phase stops its breadth-first search at the sink's
-level.  An infeasible network yields a node set whose entering capacity is
-below its leaving demand (this holds whatever start inside the bounds the
-flow grew from), and that node set translates into a violated inequality
-on a pair of cell subsets.
+Every solve builds one residual graph.  The flow starts from a greedy guess
+that lies inside every arc bound, and one max-flow from a super source to a
+super sink repairs the imbalances the guess leaves.  An infeasible network
+yields a node set whose entering capacity is below its leaving demand (this
+holds whatever start inside the bounds the flow grew from), and that node
+set translates into a violated inequality on a pair of cell subsets.
 
-Optimum circulations start from that feasible circulation and run
-primal-dual phases: one Dijkstra on reduced costs, then one max-flow over
-the arcs of zero reduced cost.  An optimum is unbounded exactly when the
-instance is feasible and some negative-cost cycle runs only along infinite
-bounds; the optimal potentials guide the search for one.  All arithmetic
-is exact integer arithmetic.
+An optimization continues on the same graph: the terminal edges close,
+priced arcs move to the bound their cost favours, and primal-dual phases
+(one Dijkstra on reduced costs, then one max-flow over the arcs of zero
+reduced cost) drain the imbalance that move leaves.  An optimum is
+unbounded exactly when the instance is feasible and some negative-cost
+cycle runs only along infinite bounds; the optimal potentials guide the
+search for one.  All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .errors import BoundViolation, DimensionMismatch, InternalError
 from . import strongpair
 
 __all__ = [
-    "Arc",
     "Network",
     "Circulation",
     "CutWitness",
@@ -57,7 +56,6 @@ __all__ = [
     "build_network",
     "check_circulation",
     "make_cut_witness",
-    "find_feasible_circulation",
     "min_cost_circulation",
     "matrix_from_circulation",
     "circulation_from_matrix",
@@ -67,24 +65,19 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class Arc:
-    """One network arc with integer bounds (infinities already clamped)."""
-
-    id: int
-    tail: int
-    head: int
-    lower: int
-    upper: int
-    tag: tuple
-
-
-@dataclass(frozen=True, slots=True)
 class Network:
-    """The circulation network of an m x n instance (or of raw bounds)."""
+    """The circulation network of an m x n instance (or of raw bounds).
+
+    ``tail``, ``head``, ``lower`` and ``upper`` are indexed by arc id; the
+    bounds are integers, infinities already clamped to +-``big_k``.
+    """
 
     m: int
     n: int
-    arcs: tuple[Arc, ...]
+    tail: tuple[int, ...]
+    head: tuple[int, ...]
+    lower: tuple[int, ...]
+    upper: tuple[int, ...]
     big_k: int
     instance: "PbmInstance | None" = None
 
@@ -119,15 +112,19 @@ class Network:
     def a0_id(self) -> int:
         return 3 * self.m * self.n
 
+    def arc_tag(self, arc_id: int) -> tuple:
+        """("A1", i, j), ("A2", i, j), ("N", i, j) or ("a0",) for an arc id."""
+        if arc_id == self.a0_id:
+            return ("a0",)
+        layer, k = divmod(arc_id, self.m * self.n)
+        return (("A1", "A2", "N")[layer], k // self.n + 1, k % self.n + 1)
+
 
 @dataclass(frozen=True, slots=True)
 class Circulation:
     """Arc flows indexed by arc id."""
 
     flows: tuple[int, ...]
-
-    def value(self, arc_id: int) -> int:
-        return self.flows[arc_id]
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,44 +191,30 @@ def network_from_bounds(
     mn = m * n
     if len(lower) != 3 * mn + 1 or len(upper) != 3 * mn + 1:
         raise InternalError("arc bound vectors have wrong length")
-    finite_mass = extra_finite
-    for v in list(lower) + list(upper):
-        if v.is_finite:
-            finite_mass += abs(v.value)
+    # an infinite ExtInt carries value 0: it adds no mass, and value + tag * K clamps it
+    finite_mass = extra_finite + sum(abs(v.value) for v in (*lower, *upper))
     big_k = 1 + 2 * finite_mass + mn
-    arcs: list[Arc] = []
-
-    def put(arc_id: int, tail: int, head: int, tag: tuple) -> None:
-        lo, hi = lower[arc_id], upper[arc_id]
+    hub1, hub2 = 2 * mn, 2 * mn + 1
+    cells = range(mn)
+    a1_tails = [k + 1 if (k + 1) % n else hub1 for k in cells]
+    a2_heads = [mn + k + n if k + n < mn else hub2 for k in cells]
+    net = Network(
+        m=m,
+        n=n,
+        tail=(*a1_tails, *range(mn, 2 * mn), *cells, hub2),
+        head=(*cells, *a2_heads, *range(mn, 2 * mn), hub1),
+        lower=tuple(v.value + v.tag * big_k for v in lower),
+        upper=tuple(v.value + v.tag * big_k for v in upper),
+        big_k=big_k,
+        instance=instance,
+    )
+    # every finite bound is below K in magnitude, so clamping keeps the order
+    for a, (lo, hi) in enumerate(zip(net.lower, net.upper)):
         if lo > hi:
-            raise InternalError(f"empty arc bound interval on arc {tag}: [{lo}, {hi}]")
-        arcs.append(Arc(arc_id, tail, head, lo.clamp(big_k), hi.clamp(big_k), tag))
-
-    v1_hub = 2 * mn
-    v2_hub = 2 * mn + 1
-
-    def v1(i: int, j: int) -> int:
-        return (i - 1) * n + (j - 1)
-
-    def v2(i: int, j: int) -> int:
-        return mn + (i - 1) * n + (j - 1)
-
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            k = (i - 1) * n + (j - 1)
-            tail = v1(i, j + 1) if j < n else v1_hub
-            put(k, tail, v1(i, j), ("A1", i, j))
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            k = (i - 1) * n + (j - 1)
-            head = v2(i + 1, j) if i < m else v2_hub
-            put(mn + k, v2(i, j), head, ("A2", i, j))
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            k = (i - 1) * n + (j - 1)
-            put(2 * mn + k, v1(i, j), v2(i, j), ("N", i, j))
-    put(3 * mn, v2_hub, v1_hub, ("a0",))
-    return Network(m=m, n=n, arcs=tuple(arcs), big_k=big_k, instance=instance)
+            raise InternalError(
+                f"empty arc bound interval on arc {net.arc_tag(a)}: [{lower[a]}, {upper[a]}]"
+            )
+    return net
 
 
 def build_network(inst: PbmInstance) -> Network:
@@ -242,15 +225,15 @@ def build_network(inst: PbmInstance) -> Network:
 
 def check_circulation(net: Network, circ: Circulation) -> None:
     """Raise InternalError unless the flows conserve and respect all bounds."""
-    if len(circ.flows) != len(net.arcs):
+    if len(circ.flows) != len(net.lower):
         raise InternalError("flow vector length mismatch")
     balance = [0] * net.node_count
-    for arc in net.arcs:
-        z = circ.flows[arc.id]
-        if not (arc.lower <= z <= arc.upper):
-            raise InternalError(f"flow {z} outside [{arc.lower}, {arc.upper}] on arc {arc.tag}")
-        balance[arc.tail] -= z
-        balance[arc.head] += z
+    for a, z in enumerate(circ.flows):
+        lo, hi = net.lower[a], net.upper[a]
+        if not (lo <= z <= hi):
+            raise InternalError(f"flow {z} outside [{lo}, {hi}] on arc {net.arc_tag(a)}")
+        balance[net.tail[a]] -= z
+        balance[net.head[a]] += z
     for v, bal in enumerate(balance):
         if bal != 0:
             raise InternalError(f"conservation fails at node {v}: imbalance {bal}")
@@ -260,13 +243,13 @@ def make_cut_witness(net: Network, nodes: frozenset[int]) -> CutWitness:
     """Build a witness, recomputing the deficit; raises unless it is negative."""
     rho_u = 0
     delta_l = 0
-    for arc in net.arcs:
-        tail_in = arc.tail in nodes
-        head_in = arc.head in nodes
+    for u, w, lo, hi in zip(net.tail, net.head, net.lower, net.upper):
+        tail_in = u in nodes
+        head_in = w in nodes
         if head_in and not tail_in:
-            rho_u += arc.upper
+            rho_u += hi
         elif tail_in and not head_in:
-            delta_l += arc.lower
+            delta_l += lo
     deficit = rho_u - delta_l
     if deficit >= 0:
         raise InternalError(f"cut witness has nonnegative deficit {deficit}")
@@ -284,14 +267,15 @@ class _FlowGraph:
         self.cap: list[int] = []
         self.cost: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int, cost: int = 0) -> int:
+    def add_edge(self, u: int, v: int, cap: int, back: int = 0, cost: int = 0) -> int:
+        """Edge u -> v with residual capacity ``cap``; its reverse gets ``back``."""
         idx = len(self.to)
         self.to.append(v)
         self.cap.append(cap)
         self.cost.append(cost)
         self.adj[u].append(idx)
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(back)
         self.cost.append(-cost)
         self.adj[v].append(idx + 1)
         return idx
@@ -393,7 +377,7 @@ def _greedy_start(net: Network) -> list[int]:
     bit, and max-flow repairs just those imbalances.
     """
     m, n, mn = net.m, net.n, net.m * net.n
-    arcs = net.arcs
+    lower, upper = net.lower, net.upper
     z = [0] * (3 * mn + 1)
     col = [0] * n
     total = 0
@@ -401,69 +385,18 @@ def _greedy_start(net: Network) -> list[int]:
         h = 0
         for j in range(n):
             k = i * n + j
-            a1, a2, entry = arcs[k], arcs[mn + k], arcs[2 * mn + k]
+            a2, entry = mn + k, 2 * mn + k
             v = col[j]
-            lo = max(entry.lower, a1.lower - h, a2.lower - v)
-            hi = min(entry.upper, a1.upper - h, a2.upper - v)
-            x = _nearest_zero(lo, hi) if lo <= hi else _nearest_zero(entry.lower, entry.upper)
-            z[2 * mn + k] = x
-            h = z[k] = min(max(h + x, a1.lower), a1.upper)
-            col[j] = z[mn + k] = min(max(v + x, a2.lower), a2.upper)
+            lo = max(lower[entry], lower[k] - h, lower[a2] - v)
+            hi = min(upper[entry], upper[k] - h, upper[a2] - v)
+            x = _nearest_zero(lo, hi) if lo <= hi else _nearest_zero(lower[entry], upper[entry])
+            z[entry] = x
+            h = z[k] = min(max(h + x, lower[k]), upper[k])
+            col[j] = z[a2] = min(max(v + x, lower[a2]), upper[a2])
         total += h
-    a0 = arcs[3 * mn]
-    z[3 * mn] = min(max(total, a0.lower), a0.upper)
+    a0 = 3 * mn
+    z[a0] = min(max(total, lower[a0]), upper[a0])
     return z
-
-
-def find_feasible_circulation(
-    net: Network, info: "dict | None" = None
-) -> "Circulation | CutWitness":
-    """One integer circulation, or a node set proving there is none.
-
-    The flow starts from ``_greedy_start``, which lies inside every arc
-    bound but may break conservation.  Each node's imbalance becomes an
-    edge from a super source (surplus) or to a super sink (deficit), and
-    Dinic's max-flow repairs what it can; ``info`` collects the number of
-    BFS phases and augmenting paths.  If the sink edges saturate, the
-    repaired flow is a circulation.  Otherwise the nodes the super source
-    cannot reach form a set W that no residual edge enters: every arc
-    entering W is at its upper bound and every arc leaving W at its lower
-    bound, so the net inflow of W is rho_u(W) - delta_l(W), and it equals
-    minus the unsaturated sink capacity inside W, which is negative.  This
-    holds for any start inside the bounds, and ``make_cut_witness``
-    recomputes the deficit from the bounds alone.
-    """
-    z0 = _greedy_start(net)
-    excess = [0] * net.node_count
-    s = net.node_count
-    t = net.node_count + 1
-    graph = _FlowGraph(net.node_count + 2)
-    for arc in net.arcs:
-        z = z0[arc.id]
-        excess[arc.head] += z
-        excess[arc.tail] -= z
-        idx = graph.add_edge(arc.tail, arc.head, arc.upper - z)
-        graph.cap[idx + 1] = z - arc.lower
-    demand = 0
-    for v, e in enumerate(excess):
-        if e > 0:
-            graph.add_edge(s, v, e)
-            demand += e
-        elif e < 0:
-            graph.add_edge(v, t, -e)
-    flow, paths, phases, level = graph.max_flow(s, t)
-    if info is not None:
-        info["nodes"] = net.node_count
-        info["arcs"] = len(net.arcs)
-        info["augmentations"] = info.get("augmentations", 0) + paths
-        info["phases"] = info.get("phases", 0) + phases
-    if flow == demand:
-        flows = tuple(arc.lower + graph.cap[2 * arc.id + 1] for arc in net.arcs)
-        circ = Circulation(flows)
-        check_circulation(net, circ)
-        return circ
-    cut_nodes = frozenset(v for v in range(net.node_count) if level[v] < 0)
-    return make_cut_witness(net, cut_nodes)
 
 
 def min_cost_circulation(
@@ -478,58 +411,100 @@ def min_cost_circulation(
     bounds of the instance the network was built from.  Otherwise the
     circulation is optimal for the true bounds, not only for the clamped
     ones: a bounded problem has an optimum whose flows stay below K.
+    Without a nonzero cost every circulation is optimal, and the first one
+    found is returned.
 
-    The solve is primal-dual (Ahuja, Magnanti & Orlin 1993, section 9.8).
-    It starts from a feasible circulation with every negatively priced arc
-    moved to its upper bound and every positively priced arc to its lower
-    bound, so all reduced costs are nonnegative under zero potentials.
-    Each phase runs one Dijkstra from the nodes with surplus, raises the
-    potentials, and drains surplus by a max-flow over the arcs of zero
-    reduced cost.  All arithmetic is exact.
+    The solve builds one residual graph, in which arc a is edge 2a and
+    carries flow lower[a] plus the capacity of edge 2a + 1.  The flow
+    starts from ``_greedy_start``, which lies inside every arc bound but
+    may break conservation.  Each node's imbalance becomes an edge from a
+    super source (surplus) or to a super sink (deficit), and Dinic's
+    max-flow repairs what it can; ``info`` collects the number of BFS
+    phases and augmenting paths.  If the sink edges saturate, the repaired
+    flow is a circulation.  Otherwise the nodes the super source cannot
+    reach form a set W that no residual edge enters: every arc entering W
+    is at its upper bound and every arc leaving W at its lower bound, so
+    the net inflow of W is rho_u(W) - delta_l(W), and it equals minus the
+    unsaturated sink capacity inside W, which is negative.  This holds for
+    any start inside the bounds, and ``make_cut_witness`` recomputes the
+    deficit from the bounds alone.
+
+    With a cost, the same graph turns primal-dual (Ahuja, Magnanti & Orlin
+    1993, section 9.8).  The terminal edges close, every negatively priced
+    arc moves to its upper bound and every positively priced arc to its
+    lower bound, so all reduced costs are nonnegative under zero
+    potentials.  Each phase runs one Dijkstra from the nodes with surplus,
+    raises the potentials, and drains surplus by a max-flow over the arcs
+    of zero reduced cost.  All arithmetic is exact.
     """
-    feasible = find_feasible_circulation(net, info)
-    if isinstance(feasible, CutWitness):
-        return feasible
-    costs = [0] * len(net.arcs)
+    nodes, arc_count = net.node_count, len(net.lower)
+    tails, heads, lower, upper = net.tail, net.head, net.lower, net.upper
+    costs = [0] * arc_count
     for arc_id, c in (cost or {}).items():
         costs[arc_id] = c
-    nodes = net.node_count
-    graph = _FlowGraph(nodes)
     excess = [0] * nodes
-    for arc, z in zip(net.arcs, feasible.flows):
-        c = costs[arc.id]
-        start = arc.upper if c < 0 else arc.lower if c > 0 else z
-        excess[arc.head] += start - z
-        excess[arc.tail] -= start - z
-        idx = graph.add_edge(arc.tail, arc.head, arc.upper - start, c)
-        graph.cap[idx + 1] = start - arc.lower
-    pi = [0] * nodes
-    augmentations = 0
-    while any(e > 0 for e in excess):
-        dist = _reduced_distances(graph, pi, [v for v in range(nodes) if excess[v] > 0])
-        reached = [dist[v] for v in range(nodes) if excess[v] < 0 and dist[v] is not None]
-        if not reached:
-            raise InternalError("imbalance cannot be drained in a feasible network")
-        horizon = min(reached)
-        # capping the raise at the nearest deficit keeps every residual
-        # reduced cost nonnegative and makes the paths to that deficit tight
-        for v in range(nodes):
-            d = dist[v]
-            pi[v] += horizon if d is None or d > horizon else d
-        augmentations += _drain_admissible(graph, pi, excess)
-    for idx in range(len(graph.to)):
-        if graph.cap[idx] > 0:
-            u = graph.to[idx ^ 1]
-            w = graph.to[idx]
-            if graph.cost[idx] + pi[u] - pi[w] < 0:
-                raise InternalError("negative reduced cost left after optimization")
+    s, t = nodes, nodes + 1
+    graph = _FlowGraph(nodes + 2)
+    for u, w, lo, hi, z, c in zip(tails, heads, lower, upper, _greedy_start(net), costs):
+        excess[w] += z
+        excess[u] -= z
+        graph.add_edge(u, w, hi - z, z - lo, c)
+    demand = 0
+    for v, e in enumerate(excess):
+        if e > 0:
+            graph.add_edge(s, v, e)
+            demand += e
+        elif e < 0:
+            graph.add_edge(v, t, -e)
+    flow, paths, phases, level = graph.max_flow(s, t)
+    cap = graph.cap
     if info is not None:
-        info["augmentations"] = info.get("augmentations", 0) + augmentations
-    cycle = _negative_infinite_cycle(net, costs, pi)
-    if cycle is not None:
-        return _checked_negative_cycle(net, costs, cycle)
-    flows = tuple(arc.lower + graph.cap[2 * arc.id + 1] for arc in net.arcs)
-    circ = Circulation(flows)
+        info["nodes"] = nodes
+        info["arcs"] = arc_count
+        info["augmentations"] = info.get("augmentations", 0) + paths
+        info["phases"] = info.get("phases", 0) + phases
+    if flow < demand:
+        return make_cut_witness(net, frozenset(v for v in range(nodes) if level[v] < 0))
+    if any(costs):
+        # the repaired flow conserves, so the terminal edges have done their job
+        for idx in range(2 * arc_count, len(cap)):
+            cap[idx] = 0
+        excess = [0] * nodes
+        for a, c in enumerate(costs):
+            if c:
+                lo, hi = lower[a], upper[a]
+                moved = (hi if c < 0 else lo) - (lo + cap[2 * a + 1])
+                excess[heads[a]] += moved
+                excess[tails[a]] -= moved
+                cap[2 * a] -= moved
+                cap[2 * a + 1] += moved
+        pi = [0] * len(graph.adj)  # the closed terminals keep potential 0
+        augmentations = 0
+        while any(e > 0 for e in excess):
+            dist = _reduced_distances(graph, pi, [v for v in range(nodes) if excess[v] > 0])
+            reached = [dist[v] for v in range(nodes) if excess[v] < 0 and dist[v] is not None]
+            if not reached:
+                raise InternalError("imbalance cannot be drained in a feasible network")
+            horizon = min(reached)
+            # capping the raise at the nearest deficit keeps every residual
+            # reduced cost nonnegative and makes the paths to that deficit tight
+            for v in range(nodes):
+                d = dist[v]
+                pi[v] += horizon if d is None or d > horizon else d
+            augmentations += _drain_admissible(graph, pi, excess)
+        for idx in range(len(graph.to)):
+            if cap[idx] > 0:
+                u = graph.to[idx ^ 1]
+                w = graph.to[idx]
+                if graph.cost[idx] + pi[u] - pi[w] < 0:
+                    raise InternalError("negative reduced cost left after optimization")
+        if info is not None:
+            info["augmentations"] += augmentations
+        # the search checks for a cycle every len(pi) label changes: network nodes only
+        cycle = _negative_infinite_cycle(net, costs, pi[:nodes])
+        if cycle is not None:
+            return _checked_negative_cycle(net, costs, cycle)
+    circ = Circulation(tuple(lo + c for lo, c in zip(lower, cap[1 : 2 * arc_count : 2])))
     check_circulation(net, circ)
     return circ
 
@@ -572,9 +547,7 @@ def _drain_admissible(graph: _FlowGraph, pi: list[int], excess: list[int]) -> in
     for idx in range(0, len(to), 2):
         u, w = to[idx + 1], to[idx]
         if cost[idx] + pi[u] - pi[w] == 0 and (cap[idx] > 0 or cap[idx + 1] > 0):
-            j = sub.add_edge(u, w, cap[idx])
-            sub.cap[j + 1] = cap[idx + 1]
-            copied.append((idx, j))
+            copied.append((idx, sub.add_edge(u, w, cap[idx], cap[idx + 1])))
     s, t = nodes, nodes + 1
     ends: list[tuple[int, int]] = []
     for v, e in enumerate(excess):
@@ -608,12 +581,13 @@ def _negative_infinite_cycle(
     big_k = net.big_k
     nodes = len(pi)
     out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nodes)]
-    for arc in net.arcs:
-        c = costs[arc.id]
-        if arc.upper == big_k:
-            out[arc.tail].append((arc.head, c, arc.id, 1))
-        if arc.lower == -big_k:
-            out[arc.head].append((arc.tail, -c, arc.id, -1))
+    for arc_id, (u, w, lo, hi, c) in enumerate(
+        zip(net.tail, net.head, net.lower, net.upper, costs)
+    ):
+        if hi == big_k:
+            out[u].append((w, c, arc_id, 1))
+        if lo == -big_k:
+            out[w].append((u, -c, arc_id, -1))
     label = list(pi)
     queued = [any(label[u] + c < label[w] for w, c, _, _ in out[u]) for u in range(nodes)]
     queue = deque(u for u in range(nodes) if queued[u])
@@ -674,17 +648,18 @@ def _checked_negative_cycle(
     if net.instance is None:
         raise InternalError("network carries no instance; cannot confirm unboundedness")
     lower, upper = instance_arc_bounds(net.instance)
-    first = net.arcs[steps[0][0]]
-    start = node = first.tail if steps[0][1] > 0 else first.head
+    arc_id, sign = steps[0]
+    start = node = net.tail[arc_id] if sign > 0 else net.head[arc_id]
     total = 0
     for arc_id, sign in steps:
-        arc = net.arcs[arc_id]
-        tail, head = (arc.tail, arc.head) if sign > 0 else (arc.head, arc.tail)
+        tail, head = net.tail[arc_id], net.head[arc_id]
+        if sign < 0:
+            tail, head = head, tail
         if tail != node:
             raise InternalError("negative cycle steps do not join up")
         node = head
         if (upper[arc_id] if sign > 0 else lower[arc_id]).is_finite:
-            raise InternalError(f"negative cycle uses a finite bound of arc {arc.tag}")
+            raise InternalError(f"negative cycle uses a finite bound of arc {net.arc_tag(arc_id)}")
         total += sign * costs[arc_id]
     if node != start:
         raise InternalError("negative cycle does not close")
@@ -829,13 +804,12 @@ def network_to_dot(net: Network, circ: "Circulation | None" = None) -> str:
     lines = ["digraph pbm_network {", "  rankdir=LR;"]
     for v in range(net.node_count):
         lines.append(f'  {_node_name(net, v)} [shape=ellipse];')
-    for arc in net.arcs:
-        tag = arc.tag[0] if len(arc.tag) == 1 else f"{arc.tag[0]}({arc.tag[1]},{arc.tag[2]})"
-        label = f"{tag} [{bound(arc.lower)},{bound(arc.upper)}]"
+    for arc_id, (u, w, lo, hi) in enumerate(zip(net.tail, net.head, net.lower, net.upper)):
+        tag = net.arc_tag(arc_id)
+        name = tag[0] if len(tag) == 1 else f"{tag[0]}({tag[1]},{tag[2]})"
+        label = f"{name} [{bound(lo)},{bound(hi)}]"
         if circ is not None:
-            label += f" z={circ.flows[arc.id]}"
-        lines.append(
-            f'  {_node_name(net, arc.tail)} -> {_node_name(net, arc.head)} [label="{label}"];'
-        )
+            label += f" z={circ.flows[arc_id]}"
+        lines.append(f'  {_node_name(net, u)} -> {_node_name(net, w)} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -305,6 +305,8 @@ def _cmd_subordinate(args) -> int:
 
 def _cmd_wasm(args) -> int:
     patterns = _load_json(args.patterns)
+    if not isinstance(patterns, dict):
+        raise InstanceFormatError('wing patterns must be a JSON object with "rows" and "cols"')
     rows, cols = patterns["rows"], patterns["cols"]
     inst = asmkit.wasm_instance(rows, cols)
     m, n = len(rows), len(cols)

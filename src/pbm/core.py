@@ -202,6 +202,8 @@ def ext_sum(values: Iterable[ExtInt]) -> ExtInt:
 
 
 def _check_rect(rows: Sequence[Sequence[object]], what: str) -> tuple[int, int]:
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise InstanceFormatError(f"{what} must be a list of rows, each a list")
     if not rows or not rows[0]:
         raise DimensionMismatch(f"{what} must have at least one row and one column")
     n = len(rows[0])
@@ -467,8 +469,8 @@ def _json_bound_matrix(doc: Mapping[str, object], key: str, m: int, n: int,
     raw = doc.get(key)
     if raw is None:
         return ExtMatrix.constant(m, n, default)
-    if not isinstance(raw, list):
-        raise InstanceFormatError(f"{key} must be a list of rows")
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise InstanceFormatError(f"{key} must be a list of rows, each a list")
     mat = ExtMatrix.from_rows(raw)
     if (mat.m, mat.n) != (m, n):
         raise DimensionMismatch(f"{key} is {mat.m}x{mat.n}, instance is {m}x{n}")

@@ -26,13 +26,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .circulation import (
-    Arc,
     Circulation,
     CutWitness,
     circulation_from_matrix,
-    find_feasible_circulation,
     instance_arc_bounds,
     matrix_from_circulation,
+    min_cost_circulation,
     network_from_bounds,
 )
 from .core import IntMatrix, PbmInstance, fin, validate_instance
@@ -141,12 +140,12 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
     z_res = list(z_star)
     parts: list[IntMatrix] = []
     for owed in range(k - 1, 0, -1):
-        arcs = tuple(
-            Arc(arc.id, arc.tail, arc.head, max(arc.lower, z - owed * arc.upper),
-                min(arc.upper, z - owed * arc.lower), arc.tag)
-            for arc, z in zip(net.arcs, z_res)
+        step = dataclasses.replace(
+            net,
+            lower=tuple(max(lo, z - owed * hi) for lo, hi, z in zip(net.lower, net.upper, z_res)),
+            upper=tuple(min(hi, z - owed * lo) for lo, hi, z in zip(net.lower, net.upper, z_res)),
         )
-        res = find_feasible_circulation(dataclasses.replace(net, arcs=arcs))
+        res = min_cost_circulation(step)
         if isinstance(res, CutWitness):
             raise InternalError("peeling step found no part; the box should never be empty")
         parts.append(matrix_from_circulation(net, res))

@@ -29,7 +29,6 @@ from .circulation import (
     build_network,
     circulation_from_matrix,
     cut_to_certificate,
-    find_feasible_circulation,
     matrix_from_circulation,
     min_cost_circulation,
 )
@@ -116,7 +115,7 @@ def _checked_matrix(net, inst: PbmInstance, circ: Circulation) -> IntMatrix:
 def solve(inst: PbmInstance, info: "dict | None" = None) -> FeasibilityResult:
     """Find a matrix meeting every bound, or a certificate that none exists."""
     net = build_network(inst)
-    res = find_feasible_circulation(net, info)
+    res = min_cost_circulation(net, info=info)
     if info is not None:
         info["network"] = net
     if isinstance(res, CutWitness):

@@ -7,13 +7,13 @@ import pytest
 from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
 from pbm.asmkit import asm_instance
 from pbm.circulation import (
+    Circulation,
     NegativeCycle,
     _greedy_start,
     build_network,
     check_circulation,
     circulation_from_matrix,
     cut_to_certificate,
-    find_feasible_circulation,
     make_cut_witness,
     matrix_from_circulation,
     min_cost_circulation,
@@ -36,29 +36,29 @@ class TestNetworkShape:
     def test_1x1_asm(self):
         net = build_network(asm_instance(1))
         assert net.node_count == 4
-        assert len(net.arcs) == 4
-        a1 = net.arcs[net.a1_id(1, 1)]
-        assert (a1.lower, a1.upper) == (1, 1)
-        n_arc = net.arcs[net.n_arc_id(1, 1)]
-        assert (n_arc.lower, n_arc.upper) == (-1, 1)
-        a0 = net.arcs[net.a0_id]
-        assert (a0.lower, a0.upper) == (-net.big_k, net.big_k)
+        assert len(net.lower) == 4
+        a1 = net.a1_id(1, 1)
+        assert (net.lower[a1], net.upper[a1]) == (1, 1)
+        n_arc = net.n_arc_id(1, 1)
+        assert (net.lower[n_arc], net.upper[n_arc]) == (-1, 1)
+        a0 = net.a0_id
+        assert (net.lower[a0], net.upper[a0]) == (-net.big_k, net.big_k)
 
     def test_2x2_counts(self):
         net = build_network(asm_instance(2))
         assert net.node_count == 10
-        assert len(net.arcs) == 13
+        assert len(net.lower) == 13
 
     def test_arc_endpoints_concatenate_prefixes(self):
         net = build_network(asm_instance(2))
         # horizontal arc at (i, j) carries the j-th prefix sum of row i
-        arc = net.arcs[net.a1_id(1, 1)]
-        assert arc.tail == net.v1_node(1, 2) and arc.head == net.v1_node(1, 1)
-        last = net.arcs[net.a1_id(1, 2)]
-        assert last.tail == net.v1_hub
+        arc = net.a1_id(1, 1)
+        assert net.tail[arc] == net.v1_node(1, 2) and net.head[arc] == net.v1_node(1, 1)
+        last = net.a1_id(1, 2)
+        assert net.tail[last] == net.v1_hub
         # vertical arcs run downward into the hub
-        vlast = net.arcs[net.a2_id(2, 1)]
-        assert vlast.head == net.v2_hub
+        vlast = net.a2_id(2, 1)
+        assert net.head[vlast] == net.v2_hub
 
     def test_big_k_dominates_finite_bounds(self):
         from pbm.circulation import instance_arc_bounds
@@ -74,6 +74,47 @@ class TestNetworkShape:
         assert net.big_k == 1 + 2 * finite_total + inst.m * inst.n
         assert net.big_k > 2 * finite_total
 
+    def test_flat_arcs_join_the_named_nodes(self):
+        m, n = 3, 4
+        net = build_network(feasible_random(random.Random(34), m, n))
+        for i in range(1, m + 1):
+            for j in range(1, n + 1):
+                a1, a2, e = net.a1_id(i, j), net.a2_id(i, j), net.n_arc_id(i, j)
+                a1_tail = net.v1_node(i, j + 1) if j < n else net.v1_hub
+                a2_head = net.v2_node(i + 1, j) if i < m else net.v2_hub
+                assert (net.tail[a1], net.head[a1]) == (a1_tail, net.v1_node(i, j))
+                assert (net.tail[a2], net.head[a2]) == (net.v2_node(i, j), a2_head)
+                assert (net.tail[e], net.head[e]) == (net.v1_node(i, j), net.v2_node(i, j))
+                assert [net.arc_tag(a) for a in (a1, a2, e)] == [
+                    ("A1", i, j), ("A2", i, j), ("N", i, j)
+                ]
+        assert (net.tail[net.a0_id], net.head[net.a0_id]) == (net.v2_hub, net.v1_hub)
+        assert net.arc_tag(net.a0_id) == ("a0",)
+
+    def test_cell_nodes_have_one_entry_arc_and_their_prefix_arcs(self):
+        # a row's prefix chain runs hub -> (i, n) -> ... -> (i, 1) in layer 1 and a
+        # column's runs (1, j) -> ... -> (m, j) -> hub in layer 2, so only the first
+        # cell of each line lacks the prefix arc on the far side from its hub
+        m, n = 3, 4
+        net = build_network(feasible_random(random.Random(34), m, n))
+        mn = m * n
+        prefix, entries = range(2 * mn), range(2 * mn, 3 * mn)
+
+        def degree(v, arcs, ends):
+            return sum(ends[a] == v for a in arcs)
+
+        for i in range(1, m + 1):
+            for j in range(1, n + 1):
+                v1, v2 = net.v1_node(i, j), net.v2_node(i, j)
+                assert degree(v1, prefix, net.head) == 1
+                assert degree(v1, prefix, net.tail) == int(j > 1)
+                assert degree(v2, prefix, net.head) == int(i > 1)
+                assert degree(v2, prefix, net.tail) == 1
+                assert degree(v1, entries, net.tail) + degree(v1, entries, net.head) == 1
+                assert degree(v2, entries, net.tail) + degree(v2, entries, net.head) == 1
+        assert degree(net.v1_hub, prefix, net.tail) == m
+        assert degree(net.v2_hub, prefix, net.head) == n
+
     def test_lower_above_upper_rejected(self):
         with pytest.raises(InternalError):
             network_from_bounds(1, 1, [fin(1)] * 4, [fin(0)] * 4)
@@ -82,7 +123,7 @@ class TestNetworkShape:
 class TestFeasibility:
     def test_asm2_circulation(self):
         net = build_network(asm_instance(2))
-        circ = find_feasible_circulation(net)
+        circ = min_cost_circulation(net)
         assert not isinstance(circ, CutWitness)
         check_circulation(net, circ)
         mat = matrix_from_circulation(net, circ)
@@ -90,7 +131,7 @@ class TestFeasibility:
 
     def test_contradictory_instance_yields_cut(self):
         net = build_network(contradictory_1x1())
-        witness = find_feasible_circulation(net)
+        witness = min_cost_circulation(net)
         assert isinstance(witness, CutWitness)
         assert witness.deficit < 0
         again = make_cut_witness(net, witness.nodes)
@@ -105,7 +146,7 @@ class TestFeasibility:
 class TestCertificate:
     def test_contradictory_1x1_case1(self):
         net = build_network(contradictory_1x1())
-        witness = find_feasible_circulation(net)
+        witness = min_cost_circulation(net)
         x1, x2, case, record = cut_to_certificate(net, witness)
         assert case == 1 and record.name == "gen1a"
         assert not record.holds
@@ -124,7 +165,7 @@ class TestCertificate:
         for _ in range(120):
             inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3))
             net = build_network(inst)
-            got = find_feasible_circulation(net)
+            got = min_cost_circulation(net)
             if not isinstance(got, CutWitness):
                 continue
             x1, x2, case, record = cut_to_certificate(net, got)
@@ -155,6 +196,22 @@ class TestMinCost:
         net = build_network(contradictory_1x1())
         got = min_cost_circulation(net)
         assert isinstance(got, CutWitness)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [asm_instance(4), feasible_random(random.Random(20), 20, 20)],
+        ids=["asm4", "20x20"],
+    )
+    def test_no_cost_skips_the_optimality_machinery(self, monkeypatch, inst):
+        def refuse(*args):
+            raise AssertionError("a cost-free solve ran the min-cost machinery")
+
+        monkeypatch.setattr("pbm.circulation._reduced_distances", refuse)
+        monkeypatch.setattr("pbm.circulation._negative_infinite_cycle", refuse)
+        net = build_network(inst)
+        circ = min_cost_circulation(net)
+        assert isinstance(circ, Circulation)
+        check_circulation(net, circ)
 
     def test_unbounded_returns_negative_cycle(self):
         # the entry and both prefix windows are open above, so rewarding the
@@ -217,9 +274,9 @@ class TestFlowCoreScale:
 def assert_start_in_bounds(inst: PbmInstance) -> None:
     net = build_network(inst)
     start = _greedy_start(net)
-    assert len(start) == len(net.arcs)
-    for arc in net.arcs:
-        assert arc.lower <= start[arc.id] <= arc.upper, arc.tag
+    assert len(start) == len(net.lower)
+    for a, (lo, hi) in enumerate(zip(net.lower, net.upper)):
+        assert lo <= start[a] <= hi, net.arc_tag(a)
 
 
 class TestGreedyStart:
@@ -252,7 +309,7 @@ class TestMatrixRoundTrip:
         for _ in range(40):
             inst = feasible_random(rng, rng.randint(1, 3), rng.randint(1, 3))
             net = build_network(inst)
-            circ = find_feasible_circulation(net)
+            circ = min_cost_circulation(net)
             assert not isinstance(circ, CutWitness)
             mat = matrix_from_circulation(net, circ)
             back = circulation_from_matrix(inst, mat)
@@ -271,9 +328,20 @@ def test_dot_output_mentions_nodes_and_caps():
     dot = network_to_dot(net)
     assert dot.startswith("digraph")
     assert "+K" in dot and "-K" in dot
-    circ = find_feasible_circulation(net)
+    circ = min_cost_circulation(net)
     dot2 = network_to_dot(net, circ)
     assert "digraph" in dot2
+    edges = [line.strip() for line in dot2.splitlines() if "->" in line]
+    assert edges == [
+        'v1_hub -> v1_1_1 [label="A1(1,1) [1,1] z=1"];',
+        'v2_1_1 -> v2_hub [label="A2(1,1) [1,1] z=1"];',
+        'v1_1_1 -> v2_1_1 [label="N(1,1) [-1,1] z=1"];',
+        'v2_hub -> v1_hub [label="a0 [-K,+K] z=1"];',
+    ]
+    # off the diagonal, a label names its row before its column
+    assert '  v1_hub -> v1_1_2 [label="A1(1,2) [1,1]"];' in network_to_dot(
+        build_network(asm_instance(2))
+    )
 
 
 def test_extra_finite_widens_big_k():

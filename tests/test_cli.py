@@ -392,6 +392,37 @@ class TestErrorPaths:
         assert code == EXIT_ERROR and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", {"m": 1, "n": 2, "phi1": [1, 2], "gamma1": [[1, 1]],
+                       "phi2": [[0, 0]], "gamma2": [[1, 1]]}],
+            ["cost", "ASM2", "--costs", [1, 2]],
+            ["decompose", "ASM2", "--matrix", [1, 2], "-k", "2"],
+            ["subordinate", [1, 2]],
+            ["wasm", [1, 2]],
+            ["wasm", {"rows": 5, "cols": ["++"]}],
+            ["wasm", {"rows": [["+"]], "cols": ["++"]}],
+            ["asm", "--compatible", "5"],
+            ["asm", "--compatible", "[[[1]]]"],
+        ],
+        ids=["bound-row-not-list", "costs-row-not-list", "matrix-row-not-list",
+             "subordinate-row-not-list", "patterns-not-object", "patterns-rows-not-list",
+             "pattern-not-string", "labels-not-grid", "label-not-string"],
+    )
+    def test_malformed_document_rejected(self, capsys, tmp_path, asm2_file, argv):
+        args = []
+        for k, arg in enumerate(argv):
+            if arg == "ASM2":
+                arg = asm2_file
+            elif not isinstance(arg, str):
+                arg = write_json(tmp_path / f"doc{k}.json", arg)
+            args.append(arg)
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_oracle_with_prescription_rejected_before_solve(
         self, capsys, asm2_file, monkeypatch
     ):
