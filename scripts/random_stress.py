@@ -5,7 +5,10 @@ Draws random instances with the test suite's generators in
 tests/helpers.py (independent windows by default, or windows widened
 around a hidden matrix with --feasible-bias), solves each, enumerates the
 full feasible set, and checks that the verdicts and any produced matrix
-agree.  Prints a running tally and per-verdict timing.
+agree.  It also minimizes a random cost matrix over each instance and
+checks the optimum against the cheapest enumerated matrix; the costs come
+from a generator of their own, so the instances are the same as without
+this check.  Prints a running tally and per-verdict timing.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import sys
 import time
 from pathlib import Path
 
-from pbm.feasibility import solve
+from pbm.core import IntMatrix
+from pbm.feasibility import optimize_cost, solve
 from pbm import oracle
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -37,8 +41,9 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
+    cost_rng = random.Random(f"costs:{args.seed}")
     feasible = infeasible = 0
-    t_solve = t_oracle = 0.0
+    t_solve = t_cost = t_oracle = 0.0
     for trial in range(args.count):
         m, n = rng.randint(1, args.max_dim), rng.randint(1, args.max_dim)
         make = feasible_random if args.feasible_bias else random_instance
@@ -48,9 +53,24 @@ def main() -> int:
         res = solve(inst)
         t_solve += time.perf_counter() - t0
 
+        costs = IntMatrix.from_rows(
+            [[cost_rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        )
+        t0 = time.perf_counter()
+        best = optimize_cost(inst, costs)
+        t_cost += time.perf_counter() - t0
+
         t0 = time.perf_counter()
         mats = oracle.enumerate_pbms(inst)
         t_oracle += time.perf_counter() - t0
+
+        # the entry windows are finite, so a feasible instance has a cheapest matrix
+        values = [sum(c * mat.at(i, j) for i, j, c in costs.cells()) for mat in mats]
+        want = min(values, default=None)
+        got = best.value if best.status == "optimal" else best.status
+        if got != ("infeasible" if want is None else want):
+            print(f"DISAGREEMENT at trial {trial}: cost optimum {got}, oracle {want}")
+            return 1
 
         if res.is_feasible != bool(mats):
             print(f"DISAGREEMENT at trial {trial}: solver={res.is_feasible} oracle={len(mats)}")
@@ -71,7 +91,7 @@ def main() -> int:
 
     print(
         f"{args.count} instances agree: {feasible} feasible, {infeasible} infeasible\n"
-        f"solver {t_solve:.2f}s total, oracle {t_oracle:.2f}s total"
+        f"solver {t_solve:.2f}s total, cost optimum {t_cost:.2f}s total, oracle {t_oracle:.2f}s total"
     )
     return 0
 

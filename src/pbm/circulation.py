@@ -19,20 +19,22 @@ admits an integer circulation.  Infinite bounds are replaced by +-K for a K
 chosen so large that no optimal or violating structure can depend on it
 (K exceeds twice the sum of all finite bound magnitudes).
 
-Every solve builds one residual graph.  The flow starts from a greedy guess
-that lies inside every arc bound, and one max-flow from a super source to a
-super sink repairs the imbalances the guess leaves.  An infeasible network
-yields a node set whose entering capacity is below its leaving demand (this
-holds whatever start inside the bounds the flow grew from), and that node
-set translates into a violated inequality on a pair of cell subsets.
+Every solve builds one residual graph and runs one primal-dual loop on it.
+The flow starts from a greedy guess that lies inside every arc bound, with
+each priced arc at the bound its cost favours, and a super source and sink
+carry the imbalances the guess leaves.  Each round is a max-flow over the
+edges of zero reduced cost; a round that falls short raises the potentials
+by one Dijkstra, unless the sink is cut off.  A feasibility question has no
+prices, so it is the case in which one max-flow does all the work.  An
+infeasible network yields a node set whose entering capacity is below its
+leaving demand (this holds whatever start and potentials the flow grew
+from), and that node set translates into a violated inequality on a pair
+of cell subsets.
 
-An optimization continues on the same graph: the terminal edges close,
-priced arcs move to the bound their cost favours, and primal-dual phases
-(one Dijkstra on reduced costs, then one max-flow over the arcs of zero
-reduced cost) drain the imbalance that move leaves.  An optimum is
-unbounded exactly when the instance is feasible and some negative-cost
-cycle runs only along infinite bounds; the optimal potentials guide the
-search for one.  All arithmetic is exact integer arithmetic.
+An optimum is unbounded exactly when the instance is feasible and some
+negative-cost cycle runs only along infinite bounds; the optimal
+potentials guide the search for one.  All arithmetic is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -280,15 +282,15 @@ class _FlowGraph:
         self.adj[v].append(idx + 1)
         return idx
 
-    def _levels(self, s: int, t: int) -> list[int]:
-        """BFS levels from s; -1 marks the nodes it did not label.
+    def _levels(self, s: int, t: int, adj: list[list[int]]) -> list[int]:
+        """BFS levels from s over ``adj``; -1 marks the nodes it did not label.
 
         The search stops as soon as t gets its level: every node of a
         lower level is labelled by then, and no node at t's level or beyond
         lies on a shortest path to t.  When t stays unreachable the search
         runs to completion and labels exactly the nodes s reaches.
         """
-        adj, to, cap = self.adj, self.to, self.cap
+        to, cap = self.to, self.cap
         level = [-1] * len(adj)
         level[s] = 0
         queue = [s]
@@ -303,25 +305,23 @@ class _FlowGraph:
                     queue.append(w)
         return level
 
-    def max_flow(self, s: int, t: int) -> tuple[int, int, int, list[int]]:
-        """Returns (flow value, augmenting paths, BFS phases, final levels).
+    def max_flow(self, s: int, t: int, adj: list[list[int]]) -> tuple[int, int, int]:
+        """Returns (flow value, augmenting paths, BFS phases).
 
-        The final levels come from the BFS that found t unreachable, so
-        they are -1 exactly on the nodes the residual graph cuts off from s.
-
-        Dinic's algorithm.  The depth-first search of each phase keeps the
-        current path on an explicit stack, so path length is not limited by
-        the interpreter's recursion depth; each path carries the least
-        residual capacity along it.
+        Dinic's algorithm over the edges in ``adj``, which must hold each
+        listed edge's reverse too.  The depth-first search of each phase
+        keeps the current path on an explicit stack, so path length is not
+        limited by the interpreter's recursion depth; each path carries the
+        least residual capacity along it.
         """
-        adj, to, cap = self.adj, self.to, self.cap
+        to, cap = self.to, self.cap
         flow = 0
         paths = 0
         phases = 0
         while True:
-            level = self._levels(s, t)
+            level = self._levels(s, t, adj)
             if level[t] < 0:
-                return flow, paths, phases, level
+                return flow, paths, phases
             phases += 1
             it = [0] * len(adj)
             path: list[int] = []
@@ -415,37 +415,41 @@ def min_cost_circulation(
     found is returned.
 
     The solve builds one residual graph, in which arc a is edge 2a and
-    carries flow lower[a] plus the capacity of edge 2a + 1.  The flow
-    starts from ``_greedy_start``, which lies inside every arc bound but
-    may break conservation.  Each node's imbalance becomes an edge from a
-    super source (surplus) or to a super sink (deficit), and Dinic's
-    max-flow repairs what it can; ``info`` collects the number of BFS
-    phases and augmenting paths.  If the sink edges saturate, the repaired
-    flow is a circulation.  Otherwise the nodes the super source cannot
-    reach form a set W that no residual edge enters: every arc entering W
-    is at its upper bound and every arc leaving W at its lower bound, so
-    the net inflow of W is rho_u(W) - delta_l(W), and it equals minus the
-    unsaturated sink capacity inside W, which is negative.  This holds for
-    any start inside the bounds, and ``make_cut_witness`` recomputes the
-    deficit from the bounds alone.
-
-    With a cost, the same graph turns primal-dual (Ahuja, Magnanti & Orlin
-    1993, section 9.8).  The terminal edges close, every negatively priced
-    arc moves to its upper bound and every positively priced arc to its
-    lower bound, so all reduced costs are nonnegative under zero
-    potentials.  Each phase runs one Dijkstra from the nodes with surplus,
-    raises the potentials, and drains surplus by a max-flow over the arcs
-    of zero reduced cost.  All arithmetic is exact.
+    carries flow lower[a] plus the capacity of edge 2a + 1, and runs one
+    primal-dual loop on it (Ahuja, Magnanti & Orlin 1993, section 9.8).
+    The flow starts from ``_greedy_start`` with every negatively priced
+    arc moved to its upper bound and every positively priced arc to its
+    lower bound: it lies inside every arc bound, may break conservation,
+    and leaves every reduced cost nonnegative under zero potentials.  Each
+    node's imbalance becomes an edge from a super source (surplus) or to a
+    super sink (deficit).  Each round runs Dinic's max-flow over the edges
+    of zero reduced cost; ``info`` collects the BFS phases and augmenting
+    paths of all rounds.  Once the sink edges saturate, the flow is a
+    circulation, and the potentials prove it optimal.  Otherwise, if the
+    super sink is still reachable in the whole residual graph, one
+    Dijkstra raises the potentials and the next round starts.  If it is
+    not, the nodes the super source cannot reach form a set W that no
+    residual edge enters: every arc entering W is at its upper bound and
+    every arc leaving W at its lower bound, so the net inflow of W is
+    rho_u(W) - delta_l(W), and it equals minus the unsaturated sink
+    capacity inside W, which is negative.  This holds for any start inside
+    the bounds and any potentials, and ``make_cut_witness`` recomputes the
+    deficit from the bounds alone.  Without a cost every edge has zero
+    reduced cost, so the first round either saturates the sink edges or
+    ends at a cut.  All arithmetic is exact.
     """
     nodes, arc_count = net.node_count, len(net.lower)
-    tails, heads, lower, upper = net.tail, net.head, net.lower, net.upper
     costs = [0] * arc_count
     for arc_id, c in (cost or {}).items():
         costs[arc_id] = c
     excess = [0] * nodes
     s, t = nodes, nodes + 1
     graph = _FlowGraph(nodes + 2)
-    for u, w, lo, hi, z, c in zip(tails, heads, lower, upper, _greedy_start(net), costs):
+    for u, w, lo, hi, z, c in zip(
+        net.tail, net.head, net.lower, net.upper, _greedy_start(net), costs
+    ):
+        if c:
+            z = hi if c < 0 else lo
         excess[w] += z
         excess[u] -= z
         graph.add_edge(u, w, hi - z, z - lo, c)
@@ -456,8 +460,33 @@ def min_cost_circulation(
             demand += e
         elif e < 0:
             graph.add_edge(v, t, -e)
-    flow, paths, phases, level = graph.max_flow(s, t)
-    cap = graph.cap
+    adj, to, cap, edge_cost = graph.adj, graph.to, graph.cap, graph.cost
+    priced = any(costs)
+    pi = [0] * (nodes + 2)
+    admissible = adj
+    flow = paths = phases = 0
+    while True:
+        if priced:
+            admissible = [
+                [idx for idx in edges if edge_cost[idx] + pi[v] == pi[to[idx]]]
+                for v, edges in enumerate(adj)
+            ]
+        pushed, more_paths, more_phases = graph.max_flow(s, t, admissible)
+        flow += pushed
+        paths += more_paths
+        phases += more_phases
+        if flow == demand:
+            break
+        level = graph._levels(s, t, adj)
+        if level[t] < 0:
+            break
+        # capping the raise at the sink's distance keeps every residual
+        # reduced cost nonnegative, makes the shortest paths to the sink
+        # tight, and keeps the unsaturated terminal edges tight
+        dist = _reduced_distances(graph, pi, [s])
+        horizon = dist[t]
+        for v, d in enumerate(dist):
+            pi[v] += horizon if d is None or d > horizon else d
     if info is not None:
         info["nodes"] = nodes
         info["arcs"] = arc_count
@@ -465,46 +494,15 @@ def min_cost_circulation(
         info["phases"] = info.get("phases", 0) + phases
     if flow < demand:
         return make_cut_witness(net, frozenset(v for v in range(nodes) if level[v] < 0))
-    if any(costs):
-        # the repaired flow conserves, so the terminal edges have done their job
-        for idx in range(2 * arc_count, len(cap)):
-            cap[idx] = 0
-        excess = [0] * nodes
-        for a, c in enumerate(costs):
-            if c:
-                lo, hi = lower[a], upper[a]
-                moved = (hi if c < 0 else lo) - (lo + cap[2 * a + 1])
-                excess[heads[a]] += moved
-                excess[tails[a]] -= moved
-                cap[2 * a] -= moved
-                cap[2 * a + 1] += moved
-        pi = [0] * len(graph.adj)  # the closed terminals keep potential 0
-        augmentations = 0
-        while any(e > 0 for e in excess):
-            dist = _reduced_distances(graph, pi, [v for v in range(nodes) if excess[v] > 0])
-            reached = [dist[v] for v in range(nodes) if excess[v] < 0 and dist[v] is not None]
-            if not reached:
-                raise InternalError("imbalance cannot be drained in a feasible network")
-            horizon = min(reached)
-            # capping the raise at the nearest deficit keeps every residual
-            # reduced cost nonnegative and makes the paths to that deficit tight
-            for v in range(nodes):
-                d = dist[v]
-                pi[v] += horizon if d is None or d > horizon else d
-            augmentations += _drain_admissible(graph, pi, excess)
-        for idx in range(len(graph.to)):
-            if cap[idx] > 0:
-                u = graph.to[idx ^ 1]
-                w = graph.to[idx]
-                if graph.cost[idx] + pi[u] - pi[w] < 0:
-                    raise InternalError("negative reduced cost left after optimization")
-        if info is not None:
-            info["augmentations"] += augmentations
+    if priced:
+        for idx in range(len(to)):
+            if cap[idx] > 0 and edge_cost[idx] + pi[to[idx ^ 1]] - pi[to[idx]] < 0:
+                raise InternalError("negative reduced cost left after optimization")
         # the search checks for a cycle every len(pi) label changes: network nodes only
         cycle = _negative_infinite_cycle(net, costs, pi[:nodes])
         if cycle is not None:
             return _checked_negative_cycle(net, costs, cycle)
-    circ = Circulation(tuple(lo + c for lo, c in zip(lower, cap[1 : 2 * arc_count : 2])))
+    circ = Circulation(tuple(lo + c for lo, c in zip(net.lower, cap[1 : 2 * arc_count : 2])))
     check_circulation(net, circ)
     return circ
 
@@ -531,38 +529,6 @@ def _reduced_distances(
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
     return dist
-
-
-def _drain_admissible(graph: _FlowGraph, pi: list[int], excess: list[int]) -> int:
-    """Max-flow from surplus to deficit over the edges of zero reduced cost.
-
-    Every arc whose forward edge has zero reduced cost is copied with both
-    residual capacities; the flow found is written back into ``graph`` and
-    ``excess``.  Returns the number of augmenting paths.
-    """
-    nodes = len(excess)
-    sub = _FlowGraph(nodes + 2)
-    copied: list[tuple[int, int]] = []
-    to, cap, cost = graph.to, graph.cap, graph.cost
-    for idx in range(0, len(to), 2):
-        u, w = to[idx + 1], to[idx]
-        if cost[idx] + pi[u] - pi[w] == 0 and (cap[idx] > 0 or cap[idx + 1] > 0):
-            copied.append((idx, sub.add_edge(u, w, cap[idx], cap[idx + 1])))
-    s, t = nodes, nodes + 1
-    ends: list[tuple[int, int]] = []
-    for v, e in enumerate(excess):
-        if e > 0:
-            ends.append((v, sub.add_edge(s, v, e)))
-        elif e < 0:
-            ends.append((v, sub.add_edge(v, t, -e)))
-    _, paths, _, _ = sub.max_flow(s, t)
-    for idx, j in copied:
-        cap[idx] = sub.cap[j]
-        cap[idx + 1] = sub.cap[j + 1]
-    for v, j in ends:
-        moved = sub.cap[j + 1]
-        excess[v] += -moved if excess[v] > 0 else moved
-    return paths
 
 
 def _negative_infinite_cycle(

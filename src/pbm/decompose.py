@@ -34,7 +34,7 @@ from .circulation import (
     min_cost_circulation,
     network_from_bounds,
 )
-from .core import IntMatrix, PbmInstance, fin, validate_instance
+from .core import IntMatrix, PbmInstance, fin
 from .errors import BadParams, BoundViolation, InfeasibleInput, InternalError, NotKRegular
 
 __all__ = [
@@ -71,7 +71,11 @@ class Decomposition:
 
 
 def shrink_instance(inst: PbmInstance, k: int) -> PbmInstance:
-    """Divide all bounds by k: lower bounds floored, upper bounds ceiled."""
+    """Divide a valid instance's bounds by k: lower bounds floored, upper ceiled.
+
+    The result needs no re-validation: lo <= hi gives floor(lo / k) <=
+    ceil(hi / k), and infinities pass through on the side they came from.
+    """
     if k < 1:
         raise BadParams(f"k must be a positive integer, got {k}")
 
@@ -81,18 +85,16 @@ def shrink_instance(inst: PbmInstance, k: int) -> PbmInstance:
     def ceil_mat(mat):
         return mat.from_rows([[e.ceil_div(k) for e in row] for row in mat.rows])
 
-    return validate_instance(
-        dataclasses.replace(
-            inst,
-            phi1=floor_mat(inst.phi1),
-            gamma1=ceil_mat(inst.gamma1),
-            phi2=floor_mat(inst.phi2),
-            gamma2=ceil_mat(inst.gamma2),
-            f=floor_mat(inst.f),
-            g=ceil_mat(inst.g),
-            alpha=inst.alpha.floor_div(k),
-            beta=inst.beta.ceil_div(k),
-        )
+    return dataclasses.replace(
+        inst,
+        phi1=floor_mat(inst.phi1),
+        gamma1=ceil_mat(inst.gamma1),
+        phi2=floor_mat(inst.phi2),
+        gamma2=ceil_mat(inst.gamma2),
+        f=floor_mat(inst.f),
+        g=ceil_mat(inst.g),
+        alpha=inst.alpha.floor_div(k),
+        beta=inst.beta.ceil_div(k),
     )
 
 

@@ -6,7 +6,8 @@ inequalities (gen1a, gen1b, gen1alfa, gen1beta) strictly fails.  Exactly one
 of the two branches is present, and both are re-verified before they are
 returned.  Every matrix any solver returns, here and in ``asmkit``, is read
 off its circulation by ``_checked_matrix``, which re-checks it against the
-instance's true bounds once.
+instance's true bounds once, and every optimum value is read off the
+circulation that check rebuilds from the matrix.
 
 Both optimizers make one min-cost solve.  Infinite bounds are modelled by
 a large finite K, which no bounded optimum reaches, so the solve's optimum
@@ -102,14 +103,19 @@ def _certificate_from_cut(net, witness: CutWitness) -> Certificate:
     )
 
 
-def _checked_matrix(net, inst: PbmInstance, circ: Circulation) -> IntMatrix:
-    """The circulation's matrix, re-verified against every bound of ``inst``."""
+def _checked_matrix(
+    net, inst: PbmInstance, circ: Circulation
+) -> tuple[IntMatrix, Circulation]:
+    """The circulation's matrix, re-verified against every bound of ``inst``.
+
+    Also returns the circulation the check rebuilds from the matrix alone.
+    """
     mat = matrix_from_circulation(net, circ)
     try:
-        circulation_from_matrix(inst, mat)
+        rebuilt = circulation_from_matrix(inst, mat)
     except BoundViolation as exc:
         raise InternalError(f"solver produced an invalid matrix: {exc}") from exc
-    return mat
+    return mat, rebuilt
 
 
 def solve(inst: PbmInstance, info: "dict | None" = None) -> FeasibilityResult:
@@ -120,7 +126,7 @@ def solve(inst: PbmInstance, info: "dict | None" = None) -> FeasibilityResult:
         info["network"] = net
     if isinstance(res, CutWitness):
         return FeasibilityResult(matrix=None, certificate=_certificate_from_cut(net, res))
-    mat = _checked_matrix(net, inst, res)
+    mat, _ = _checked_matrix(net, inst, res)
     if info is not None:
         info["circulation"] = res
     return FeasibilityResult(matrix=mat, certificate=None)
@@ -155,8 +161,8 @@ def _optimize(
         )
     if isinstance(res, NegativeCycle):
         return ExtremalResult(status="unbounded", direction=direction)
-    mat = _checked_matrix(net, inst, res)
-    value = sum(c * res.flows[a] for a, c in cost.items())
+    mat, checked = _checked_matrix(net, inst, res)
+    value = sum(c * checked.flows[a] for a, c in cost.items())
     return ExtremalResult(status="optimal", direction=direction, value=value, matrix=mat)
 
 

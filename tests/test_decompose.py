@@ -5,14 +5,14 @@ import random
 
 import pytest
 
-from pbm.core import ExtMatrix, IntMatrix, PbmInstance, fin
+from pbm.core import ExtMatrix, IntMatrix, PbmInstance, fin, validate_instance
 from pbm.asmkit import asm_instance, k_regular_instance
 from pbm.decompose import Decomposition, decompose, decompose_k_regular_asm, shrink_instance
 from pbm.errors import BadParams, InfeasibleInput, NotKRegular
 from pbm import oracle
 from pbm.feasibility import solve
 
-from helpers import feasible_random
+from helpers import feasible_random, random_instance
 
 
 def scaled_instance(inst: PbmInstance, k: int) -> PbmInstance:
@@ -135,6 +135,18 @@ class TestShrink:
         assert small.phi1.at(1, 1) == fin(0)
         assert small.gamma1.at(1, 2) == fin(1)  # ceil(1/2)
         assert not small.alpha.is_finite and not small.beta.is_finite
+
+    def test_shrunk_bounds_stay_ordered_and_legal(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            for inst in (
+                random_instance(rng, m, n, inf_rate=0.4),
+                feasible_random(rng, m, n, inf_rate=0.4, entry_inf_rate=0.3),
+            ):
+                for k in range(1, 9):
+                    # shrink_instance does not validate; this raises on a broken order
+                    validate_instance(shrink_instance(inst, k))
 
 
 class TestKRegular:

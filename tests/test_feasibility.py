@@ -7,7 +7,7 @@ import pytest
 
 from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
 from pbm.asmkit import asm_instance, max_plus_ones_subordinate, pasm_instance
-from pbm import feasibility, oracle
+from pbm import circulation, feasibility, oracle
 from pbm.feasibility import (
     Prescription,
     check_condition,
@@ -288,6 +288,64 @@ class TestOptimizeCost:
             )
             got = optimize_cost(inst, costs, "min")
             assert got.status == "optimal" and got.value == want
+
+
+class TestOneLoop:
+    """Feasibility and optimization share one primal-dual loop on one graph."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda inst, costs: solve(inst),
+            lambda inst, costs: extremal_total_sum(inst, "max"),
+            lambda inst, costs: optimize_cost(inst, costs, "min"),
+        ],
+        ids=["solve", "extremal_total_sum", "optimize_cost"],
+    )
+    def test_one_residual_graph_per_solve(self, monkeypatch, call):
+        rng = random.Random(20)
+        inst = feasible_random(rng, 20, 20)
+        costs = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(20)] for _ in range(20)])
+        counts = {"solves": 0, "graphs": 0}
+        solver, graph = feasibility.min_cost_circulation, circulation._FlowGraph
+
+        def counted_solve(*args, **kwargs):
+            counts["solves"] += 1
+            return solver(*args, **kwargs)
+
+        class CountedGraph(graph):
+            __slots__ = ()
+
+            def __init__(self, node_count):
+                counts["graphs"] += 1
+                super().__init__(node_count)
+
+        monkeypatch.setattr(feasibility, "min_cost_circulation", counted_solve)
+        monkeypatch.setattr(circulation, "_FlowGraph", CountedGraph)
+        assert call(inst, costs).matrix is not None
+        assert counts == {"solves": 1, "graphs": 1}
+
+    def test_priced_solves_are_infeasible_exactly_when_solve_is(self):
+        # most of these priced cuts appear only after Dijkstra has raised the potentials
+        rng = random.Random(71)
+        seen = {True: 0, False: 0}
+        for _ in range(100):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            # open windows make a few instances feasible
+            inst = random_instance(rng, m, n, inf_rate=0.6)
+            costs = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
+            feasible = solve(inst).is_feasible
+            seen[feasible] += 1
+            for direction in ("min", "max"):
+                res = optimize_cost(inst, costs, direction)
+                assert (res.status == "infeasible") == (not feasible)
+                assert (res.certificate is not None) == (not feasible)
+            relaxed = dataclasses.replace(inst, alpha=NEG_INF, beta=POS_INF)
+            relaxed_feasible = solve(relaxed).is_feasible
+            for direction in ("min", "max"):
+                res = extremal_total_sum(inst, direction)
+                assert (res.status == "infeasible") == (not relaxed_feasible)
+        assert seen[True] >= 3 and seen[False] >= 80
 
 
 def test_result_shape_is_exclusive():
