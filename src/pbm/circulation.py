@@ -21,15 +21,16 @@ chosen so large that no optimal or violating structure can depend on it
 
 Every solve builds one residual graph and runs one primal-dual loop on it.
 The flow starts from a greedy guess that lies inside every arc bound, with
-each priced arc at the bound its cost favours, and a super source and sink
-carry the imbalances the guess leaves.  Each round is a max-flow over the
-edges of zero reduced cost; a round that falls short raises the potentials
-by one Dijkstra, unless the sink is cut off.  A feasibility question has no
-prices, so it is the case in which one max-flow does all the work.  An
-infeasible network yields a node set whose entering capacity is below its
-leaving demand (this holds whatever start and potentials the flow grew
-from), and that node set translates into a violated inequality on a pair
-of cell subsets.
+each priced arc at the bound its cost favours.  The guess leaves excess at
+some nodes, which the loop carries as a pseudoflow, and a super sink takes
+the deficits.  Each round moves excess to the sink by push-relabel over
+the edges of zero reduced cost; a round that falls short raises the
+potentials by one Dijkstra, unless the sink is cut off.  A feasibility
+question has no prices, so it is the case in which one round does all the
+work.  An infeasible network yields a node set whose entering capacity is
+below its leaving demand (this holds whatever start and potentials the
+flow grew from), and that node set translates into a violated inequality
+on a pair of cell subsets.
 
 An optimum is unbounded exactly when the instance is feasible and some
 negative-cost cycle runs only along infinite bounds; the optimal
@@ -259,7 +260,7 @@ def make_cut_witness(net: Network, nodes: frozenset[int]) -> CutWitness:
 
 
 class _FlowGraph:
-    """Residual graph with paired edges; max-flow and shortest paths."""
+    """Residual graph with paired edges; push-relabel and breadth-first search."""
 
     __slots__ = ("adj", "to", "cap", "cost")
 
@@ -269,7 +270,7 @@ class _FlowGraph:
         self.cap: list[int] = []
         self.cost: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int, back: int = 0, cost: int = 0) -> int:
+    def add_edge(self, u: int, v: int, cap: int, back: int = 0, cost: int = 0) -> None:
         """Edge u -> v with residual capacity ``cap``; its reverse gets ``back``."""
         idx = len(self.to)
         self.to.append(v)
@@ -280,83 +281,81 @@ class _FlowGraph:
         self.cap.append(back)
         self.cost.append(-cost)
         self.adj[v].append(idx + 1)
-        return idx
 
-    def _levels(self, s: int, t: int, adj: list[list[int]]) -> list[int]:
-        """BFS levels from s over ``adj``; -1 marks the nodes it did not label.
+    def distances(self, sources: list[int], adj: list[list[int]], flip: int) -> list[int]:
+        """Breadth-first edge counts over ``adj``; len(adj) marks the unreached.
 
-        The search stops as soon as t gets its level: every node of a
-        lower level is labelled by then, and no node at t's level or beyond
-        lies on a shortest path to t.  When t stays unreachable the search
-        runs to completion and labels exactly the nodes s reaches.
+        With ``flip`` 0 the search follows residual edges out of the
+        sources; with ``flip`` 1 it runs them backwards and counts the edges
+        from each node to the nearest source.
         """
         to, cap = self.to, self.cap
-        level = [-1] * len(adj)
-        level[s] = 0
-        queue = [s]
+        size = len(adj)
+        dist = [size] * size
+        for v in sources:
+            dist[v] = 0
+        queue = list(sources)
         for v in queue:
-            next_level = level[v] + 1
+            d = dist[v] + 1
             for idx in adj[v]:
                 w = to[idx]
-                if cap[idx] > 0 and level[w] < 0:
-                    level[w] = next_level
-                    if w == t:
-                        return level
+                if dist[w] == size and cap[idx ^ flip] > 0:
+                    dist[w] = d
                     queue.append(w)
-        return level
+        return dist
 
-    def max_flow(self, s: int, t: int, adj: list[list[int]]) -> tuple[int, int, int]:
-        """Returns (flow value, augmenting paths, BFS phases).
+    def push_relabel(self, t: int, adj: list[list[int]], excess: list[int]) -> tuple[int, int]:
+        """Move as much node excess into t as ``adj`` allows; (pushes, relabels).
 
-        Dinic's algorithm over the edges in ``adj``, which must hold each
-        listed edge's reverse too.  The depth-first search of each phase
-        keeps the current path on an explicit stack, so path length is not
-        limited by the interpreter's recursion depth; each path carries the
-        least residual capacity along it.
+        FIFO push-relabel (Goldberg & Tarjan 1988) over the edges in
+        ``adj``, which must hold each listed edge's reverse too; ``excess``
+        is updated in place, t's entry included.  A node at height len(adj)
+        cannot reach t and keeps its excess: nothing goes back where it
+        came from.  Once per V + E units of relabelling work, a backward
+        search from t resets the heights to exact distances (Cherkassky &
+        Goldberg 1997).  A relabel costs its degree plus 90 units; of 12 to
+        300, 60 to 150 solved 30x30 to 120x120 grids fastest.
         """
         to, cap = self.to, self.cap
-        flow = 0
-        paths = 0
-        phases = 0
+        size = len(adj)
+        budget = work = size + sum(map(len, adj))
+        pushes = relabels = 0
         while True:
-            level = self._levels(s, t, adj)
-            if level[t] < 0:
-                return flow, paths, phases
-            phases += 1
-            it = [0] * len(adj)
-            path: list[int] = []
-            v = s
+            if work >= budget:
+                work = 0
+                height = self.distances([t], adj, 1)
+                current = [0] * size
+                queue = deque(
+                    v for v in range(size) if excess[v] > 0 and height[v] < size and v != t
+                )
+            if not queue:
+                return pushes, relabels
+            v = queue.popleft()
+            e, h, edges, i = excess[v], height[v], adj[v], current[v]
             while True:
-                if v == t:
-                    pushed = min(cap[idx] for idx in path)
-                    for idx in path:
-                        cap[idx] -= pushed
-                        cap[idx ^ 1] += pushed
-                    flow += pushed
-                    paths += 1
-                    # resume from the tail of the first saturated edge
-                    k = next(k for k, idx in enumerate(path) if cap[idx] == 0)
-                    v = to[path[k] ^ 1]
-                    del path[k:]
-                    continue
-                edges = adj[v]
-                i = it[v]
-                next_level = level[v] + 1
-                while i < len(edges):
-                    idx = edges[i]
-                    if cap[idx] > 0 and level[to[idx]] == next_level:
+                if i == len(edges):
+                    relabels += 1
+                    work += i + 90
+                    h = 1 + min((height[to[idx]] for idx in edges if cap[idx] > 0), default=size)
+                    i = 0
+                    if h >= size:
                         break
-                    i += 1
-                it[v] = i
-                if i < len(edges):
-                    path.append(edges[i])
-                    v = to[edges[i]]
-                elif v == s:
-                    break
-                else:
-                    level[v] = -1
-                    v = to[path.pop() ^ 1]
-                    it[v] += 1
+                idx = edges[i]
+                c = cap[idx]
+                if c > 0 and height[to[idx]] == h - 1:
+                    w = to[idx]
+                    d = e if e < c else c
+                    cap[idx] = c - d
+                    cap[idx ^ 1] += d
+                    if excess[w] == 0 and w != t:
+                        queue.append(w)
+                    excess[w] += d
+                    pushes += 1
+                    e -= d
+                    if e == 0:
+                        break
+                i += 1
+            excess[v], height[v], current[v] = e, h, i
 
 
 def _nearest_zero(lo: int, hi: int) -> int:
@@ -420,31 +419,34 @@ def min_cost_circulation(
     The flow starts from ``_greedy_start`` with every negatively priced
     arc moved to its upper bound and every positively priced arc to its
     lower bound: it lies inside every arc bound, may break conservation,
-    and leaves every reduced cost nonnegative under zero potentials.  Each
-    node's imbalance becomes an edge from a super source (surplus) or to a
-    super sink (deficit).  Each round runs Dinic's max-flow over the edges
-    of zero reduced cost; ``info`` collects the BFS phases and augmenting
-    paths of all rounds.  Once the sink edges saturate, the flow is a
-    circulation, and the potentials prove it optimal.  Otherwise, if the
-    super sink is still reachable in the whole residual graph, one
-    Dijkstra raises the potentials and the next round starts.  If it is
-    not, the nodes the super source cannot reach form a set W that no
-    residual edge enters: every arc entering W is at its upper bound and
-    every arc leaving W at its lower bound, so the net inflow of W is
-    rho_u(W) - delta_l(W), and it equals minus the unsaturated sink
+    and leaves every reduced cost nonnegative under zero potentials.  A
+    node that receives more than it sends keeps the difference as excess,
+    and a node that sends more gets an edge to a super sink for its
+    deficit; the excess list is the pseudoflow that all rounds share.
+    Each round runs ``_FlowGraph.push_relabel`` over the edges of zero
+    reduced cost; ``info`` collects the pushes and relabels of all rounds.
+    Once no excess is left, the sink edges are saturated, the flow is a
+    circulation, and the potentials prove it optimal.  Otherwise one
+    breadth-first search runs over the whole residual graph from the nodes
+    that still hold excess.  If it reaches the super sink, one Dijkstra
+    from the same nodes raises the potentials and the next round starts.
+    If it does not, the nodes it missed form a set W that no residual edge
+    enters and that holds no excess: every arc entering W is at its upper
+    bound and every arc leaving W at its lower bound, so the net inflow of
+    W is rho_u(W) - delta_l(W), and it equals minus the unsaturated sink
     capacity inside W, which is negative.  This holds for any start inside
     the bounds and any potentials, and ``make_cut_witness`` recomputes the
     deficit from the bounds alone.  Without a cost every edge has zero
-    reduced cost, so the first round either saturates the sink edges or
-    ends at a cut.  All arithmetic is exact.
+    reduced cost, so the first round either delivers every excess or ends
+    at a cut.  All arithmetic is exact.
     """
     nodes, arc_count = net.node_count, len(net.lower)
     costs = [0] * arc_count
     for arc_id, c in (cost or {}).items():
         costs[arc_id] = c
-    excess = [0] * nodes
-    s, t = nodes, nodes + 1
-    graph = _FlowGraph(nodes + 2)
+    t = nodes
+    excess = [0] * (nodes + 1)
+    graph = _FlowGraph(nodes + 1)
     for u, w, lo, hi, z, c in zip(
         net.tail, net.head, net.lower, net.upper, _greedy_start(net), costs
     ):
@@ -454,46 +456,45 @@ def min_cost_circulation(
         excess[u] -= z
         graph.add_edge(u, w, hi - z, z - lo, c)
     demand = 0
-    for v, e in enumerate(excess):
-        if e > 0:
-            graph.add_edge(s, v, e)
-            demand += e
-        elif e < 0:
-            graph.add_edge(v, t, -e)
+    for v in range(nodes):
+        if excess[v] < 0:
+            graph.add_edge(v, t, -excess[v])
+            demand -= excess[v]
+            excess[v] = 0
     adj, to, cap, edge_cost = graph.adj, graph.to, graph.cap, graph.cost
     priced = any(costs)
-    pi = [0] * (nodes + 2)
+    pi = [0] * (nodes + 1)
     admissible = adj
-    flow = paths = phases = 0
+    pushes = relabels = 0
     while True:
         if priced:
             admissible = [
                 [idx for idx in edges if edge_cost[idx] + pi[v] == pi[to[idx]]]
                 for v, edges in enumerate(adj)
             ]
-        pushed, more_paths, more_phases = graph.max_flow(s, t, admissible)
-        flow += pushed
-        paths += more_paths
-        phases += more_phases
-        if flow == demand:
+        more_pushes, more_relabels = graph.push_relabel(t, admissible, excess)
+        pushes += more_pushes
+        relabels += more_relabels
+        if excess[t] == demand:
             break
-        level = graph._levels(s, t, adj)
-        if level[t] < 0:
+        sources = [v for v in range(nodes) if excess[v] > 0]
+        hops = graph.distances(sources, adj, 0)
+        if hops[t] > nodes:  # unreached
             break
         # capping the raise at the sink's distance keeps every residual
         # reduced cost nonnegative, makes the shortest paths to the sink
-        # tight, and keeps the unsaturated terminal edges tight
-        dist = _reduced_distances(graph, pi, [s])
+        # tight, and keeps the unsaturated sink edges tight
+        dist = _reduced_distances(graph, pi, sources)
         horizon = dist[t]
         for v, d in enumerate(dist):
             pi[v] += horizon if d is None or d > horizon else d
     if info is not None:
         info["nodes"] = nodes
         info["arcs"] = arc_count
-        info["augmentations"] = info.get("augmentations", 0) + paths
-        info["phases"] = info.get("phases", 0) + phases
-    if flow < demand:
-        return make_cut_witness(net, frozenset(v for v in range(nodes) if level[v] < 0))
+        info["pushes"] = info.get("pushes", 0) + pushes
+        info["relabels"] = info.get("relabels", 0) + relabels
+    if excess[t] < demand:
+        return make_cut_witness(net, frozenset(v for v in range(nodes) if hops[v] > nodes))
     if priced:
         for idx in range(len(to)):
             if cap[idx] > 0 and edge_cost[idx] + pi[to[idx ^ 1]] - pi[to[idx]] < 0:

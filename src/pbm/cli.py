@@ -119,8 +119,8 @@ def _diagnostics(info: dict, wall_s: float) -> dict:
     return {
         "arcs": info.get("arcs"),
         "nodes": info.get("nodes"),
-        "augmentations": info.get("augmentations", 0),
-        "phases": info.get("phases", 0),
+        "pushes": info.get("pushes", 0),
+        "relabels": info.get("relabels", 0),
         "wall_ms": round(wall_s * 1000.0, 3),
     }
 

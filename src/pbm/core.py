@@ -18,7 +18,6 @@ All arithmetic is exact; there are no floats anywhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -48,7 +47,6 @@ __all__ = [
 ]
 
 
-@total_ordering
 @dataclass(frozen=True, slots=True)
 class ExtInt:
     """An integer extended with two infinities.
@@ -136,11 +134,22 @@ class ExtInt:
             return self.value
         return big * self.tag
 
+    # one call per comparison; functools.total_ordering would make two or three
     def __lt__(self, other: "ExtInt | int") -> bool:
         other = as_ext(other)
-        if self.tag != other.tag:
-            return self.tag < other.tag
-        return self.value < other.value
+        return self.tag < other.tag if self.tag != other.tag else self.value < other.value
+
+    def __le__(self, other: "ExtInt | int") -> bool:
+        other = as_ext(other)
+        return self.tag < other.tag if self.tag != other.tag else self.value <= other.value
+
+    def __gt__(self, other: "ExtInt | int") -> bool:
+        other = as_ext(other)
+        return self.tag > other.tag if self.tag != other.tag else self.value > other.value
+
+    def __ge__(self, other: "ExtInt | int") -> bool:
+        other = as_ext(other)
+        return self.tag > other.tag if self.tag != other.tag else self.value >= other.value
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):

@@ -69,33 +69,22 @@ class Segment:
         return "interior"
 
 
-def _runs(positions: list[int]) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive integers in a sorted list."""
-    runs = []
-    idx = 0
-    while idx < len(positions):
-        start = positions[idx]
-        while idx + 1 < len(positions) and positions[idx + 1] == positions[idx] + 1:
-            idx += 1
-        runs.append((start, positions[idx]))
-        idx += 1
-    return runs
-
-
 def maximal_segments(mask: SubsetMask, orientation: str) -> list[Segment]:
-    """All maximal segments of the subset, ordered by (line, start)."""
+    """All maximal segments of the subset, ordered by (line, start).
+
+    One sort groups the cells by line, in order along each line, so a call
+    costs O(|X| log |X|) however many lines the grid has.
+    """
     if orientation not in (HORIZONTAL, VERTICAL):
         raise ValueError(f"bad orientation {orientation!r}")
-    out: list[Segment] = []
-    if orientation == HORIZONTAL:
-        for i in range(1, mask.m + 1):
-            for a, b in _runs(mask.row_cols(i)):
-                out.append(Segment(HORIZONTAL, i, a, b))
-    else:
-        for j in range(1, mask.n + 1):
-            for a, b in _runs(mask.col_rows(j)):
-                out.append(Segment(VERTICAL, j, a, b))
-    return out
+    cells = mask.cells if orientation == HORIZONTAL else ((j, i) for i, j in mask.cells)
+    runs: list[list[int]] = []
+    for line, pos in sorted(cells):
+        if runs and runs[-1][0] == line and runs[-1][2] + 1 == pos:
+            runs[-1][2] = pos
+        else:
+            runs.append([line, pos, pos])
+    return [Segment(orientation, line, start, end) for line, start, end in runs]
 
 
 @dataclass(frozen=True, slots=True)

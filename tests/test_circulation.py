@@ -5,6 +5,7 @@ import random
 import pytest
 
 from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
+from pbm import circulation
 from pbm.asmkit import asm_instance
 from pbm.circulation import (
     Circulation,
@@ -240,6 +241,20 @@ def one_row_path(n: int) -> PbmInstance:
     )
 
 
+def staircase(n: int) -> PbmInstance:
+    """1 x n, entries in [0, 1], row prefix (1, j) at most ceil(j/2), all else open."""
+    return PbmInstance.create(
+        1,
+        n,
+        [[NEG_INF] * n],
+        [[fin((j + 1) // 2) for j in range(1, n + 1)]],
+        [[NEG_INF] * n],
+        [[POS_INF] * n],
+        [[fin(0)] * n],
+        [[fin(1)] * n],
+    )
+
+
 def huge_bounds_2x2() -> tuple[PbmInstance, list[list[int]]]:
     """A 2 x 2 instance pinned to one matrix with entries +-1e95, and that matrix."""
     big = 10**95
@@ -264,11 +279,21 @@ class TestFlowCoreScale:
         res = solve(inst, info)
         assert res.matrix.to_lists() == hidden
         # the count must not grow with the size of the bounds
-        assert info["augmentations"] <= 4
+        assert info["pushes"] <= 4
         info = {}
         best = extremal_total_sum(inst, "max", info)
         assert (best.status, best.value) == ("optimal", 0)
-        assert info["augmentations"] <= 4
+        assert info["pushes"] <= 4
+
+    def test_long_lines_take_linear_work(self):
+        # each cell's unit travels a path of its own length: one path per phase is quadratic
+        work = {}
+        for n in (2000, 4000):
+            info: dict = {}
+            best = extremal_total_sum(staircase(n), "max", info)
+            assert (best.status, best.value) == ("optimal", n // 2)
+            work[n] = info["pushes"] + info["relabels"]
+        assert work[4000] <= 2.1 * work[2000]
 
 
 def assert_start_in_bounds(inst: PbmInstance) -> None:
@@ -294,13 +319,17 @@ class TestGreedyStart:
     def test_long_rows(self, n):
         assert_start_in_bounds(one_row_path(n))
 
-    def test_max_flow_repairs_little_on_45x45(self):
+    def test_max_flow_repairs_little_on_45x45(self, monkeypatch):
         inst = feasible_random(random.Random(45), 45, 45)
-        info: dict = {}
-        assert solve(inst, info).is_feasible
-        # starting every arc at its lower bound took 2692 augmenting paths here
-        assert info["augmentations"] <= 2692 // 4
-        assert 0 < info["phases"] <= info["augmentations"]
+        pushes = []
+        for start in (_greedy_start, lambda net: list(net.lower)):
+            monkeypatch.setattr(circulation, "_greedy_start", start)
+            info: dict = {}
+            assert solve(inst, info).is_feasible
+            assert info["relabels"] > 0
+            pushes.append(info["pushes"])
+        greedy, all_lower = pushes
+        assert 0 < greedy <= all_lower // 3
 
 
 class TestMatrixRoundTrip:
