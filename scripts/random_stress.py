@@ -20,11 +20,29 @@ import time
 from pathlib import Path
 
 from pbm.core import IntMatrix
+from pbm.decompose import decompose, shrink_instance
 from pbm.feasibility import optimize_cost, solve
 from pbm import oracle
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from helpers import feasible_random, random_instance  # noqa: E402
+from helpers import feasible_random, line_values, random_instance  # noqa: E402
+
+
+def decomposition_fault(inst, a: IntMatrix, k: int) -> "str | None":
+    """What is wrong with ``decompose(inst, a, k)``, or None."""
+    parts = decompose(inst, a, k).matrices()
+    small = shrink_instance(inst, k)
+    whole = line_values(a)
+    total = IntMatrix.zeros(a.m, a.n)
+    for part in parts:
+        if not oracle.matrix_satisfies(small, part):
+            return f"part {part.to_lists()} misses the instance shrunk by {k}"
+        if any(not w // k <= p <= -(-w // k) for w, p in zip(whole, line_values(part))):
+            return f"part {part.to_lists()} is not within A/{k} rounded down and up"
+        total = total.add(part)
+    if total != a:
+        return "the parts do not add up to the matrix"
+    return None
 
 
 def main() -> int:
@@ -42,8 +60,9 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     cost_rng = random.Random(f"costs:{args.seed}")
+    k_rng = random.Random(f"k:{args.seed}")
     feasible = infeasible = 0
-    t_solve = t_cost = t_oracle = 0.0
+    t_solve = t_cost = t_oracle = t_decompose = 0.0
     for trial in range(args.count):
         m, n = rng.randint(1, args.max_dim), rng.randint(1, args.max_dim)
         make = feasible_random if args.feasible_bias else random_instance
@@ -79,6 +98,13 @@ def main() -> int:
             if res.matrix not in mats:
                 print(f"DISAGREEMENT at trial {trial}: solver matrix not in oracle list")
                 return 1
+            k = k_rng.randint(1, 6)
+            t0 = time.perf_counter()
+            fault = decomposition_fault(inst, res.matrix, k)
+            t_decompose += time.perf_counter() - t0
+            if fault:
+                print(f"BAD DECOMPOSITION at trial {trial}: {fault}")
+                return 1
             feasible += 1
         else:
             cert = res.certificate
@@ -91,7 +117,8 @@ def main() -> int:
 
     print(
         f"{args.count} instances agree: {feasible} feasible, {infeasible} infeasible\n"
-        f"solver {t_solve:.2f}s total, cost optimum {t_cost:.2f}s total, oracle {t_oracle:.2f}s total"
+        f"solver {t_solve:.2f}s total, cost optimum {t_cost:.2f}s total, "
+        f"decompose {t_decompose:.2f}s total, oracle {t_oracle:.2f}s total"
     )
     return 0
 

@@ -3,7 +3,7 @@
 The library decides whether an integer matrix exists whose horizontal and
 vertical prefix sums, entries, and total sum all sit inside prescribed
 intervals, and produces either such a matrix or a short certificate of
-impossibility.  On top of that sit linear optimization, sign-consistent
+impossibility.  On top of that sit linear optimization, equitable
 decomposition into k bounded parts, and toolkit constructors for the
 classical alternating-sign-matrix families.
 """

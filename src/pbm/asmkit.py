@@ -91,19 +91,7 @@ def k_regular_instance(n: int, k: int) -> PbmInstance:
     """Entries {0, +-1}, prefix sums in [0, k], all line sums equal to k."""
     _check_dim(n, "n")
     _check_dim(k, "k")
-    zero, kk = fin(0), fin(k)
-    return PbmInstance.create(
-        m=n,
-        n=n,
-        phi1=_pinned_last(n, n, zero, kk),
-        gamma1=[[kk] * n for _ in range(n)],
-        phi2=[
-            [zero if i < n else kk for _ in range(n)] for i in range(1, n + 1)
-        ],
-        gamma2=[[kk] * n for _ in range(n)],
-        f=[[fin(-1)] * n for _ in range(n)],
-        g=[[fin(1)] * n for _ in range(n)],
-    )
+    return brualdi_dahl_instance([k] * n, [k] * n)
 
 
 def higher_spin_instance(n: int, r: int) -> PbmInstance:

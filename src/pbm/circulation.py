@@ -182,20 +182,18 @@ def network_from_bounds(
     upper: Sequence[ExtInt],
     *,
     instance: "PbmInstance | None" = None,
-    extra_finite: int = 0,
 ) -> Network:
     """Build the network from explicit per-arc bounds in arc-id order.
 
-    K is 1 + 2 * (sum of |finite bounds| + extra_finite) + mn; callers that
-    need room for known circulations pass their magnitude through
-    ``extra_finite``.  Every finite bound is smaller than K in magnitude,
-    so a clamped bound equals +-K exactly when the true bound is infinite.
+    K is 1 + 2 * sum of |finite bounds| + mn.  Every finite bound is
+    smaller than K in magnitude, so a clamped bound equals +-K exactly when
+    the true bound is infinite.
     """
     mn = m * n
     if len(lower) != 3 * mn + 1 or len(upper) != 3 * mn + 1:
         raise InternalError("arc bound vectors have wrong length")
     # an infinite ExtInt carries value 0: it adds no mass, and value + tag * K clamps it
-    finite_mass = extra_finite + sum(abs(v.value) for v in (*lower, *upper))
+    finite_mass = sum(abs(v.value) for v in (*lower, *upper))
     big_k = 1 + 2 * finite_mass + mn
     hub1, hub2 = 2 * mn, 2 * mn + 1
     cells = range(mn)

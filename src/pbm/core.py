@@ -128,12 +128,6 @@ class ExtInt:
             return self
         return ExtInt(0, -((-self.value) // k))
 
-    def clamp(self, big: int) -> int:
-        """Replace -inf/+inf with -big/+big; finite values pass through."""
-        if self.tag == 0:
-            return self.value
-        return big * self.tag
-
     # one call per comparison; functools.total_ordering would make two or three
     def __lt__(self, other: "ExtInt | int") -> bool:
         other = as_ext(other)

@@ -1,18 +1,19 @@
-"""Sign-consistent integer decomposition of a matrix into k bounded parts.
+"""Equitable integer decomposition of a matrix into k bounded parts.
 
 Given a matrix A meeting an instance's bounds, ``decompose`` writes
-A = A_1 + ... + A_k where every part meets the instance shrunk by k (lower
-bounds divided by k and floored, upper bounds divided by k and ceiled) and
-is sign-consistent with A: parts never have an entry of opposite sign to
-the corresponding entry of A.
+A = A_1 + ... + A_k where every part lies within [floor(z* / k),
+ceil(z* / k)] on every arc, z* being A's circulation: each entry, row
+prefix sum, column prefix sum and the total of a part is A's value divided
+by k, rounded one way or the other.  That one bound implies the rest: a
+part never has an entry of opposite sign to A's, and it meets the instance
+shrunk by k (lower bounds divided by k and floored, upper bounds divided by
+k and ceiled).
 
-A is checked once, and one network is built from the shrunk arc bounds
-[l', u'], tightened on the entry arcs to the signs of A's entries.  Every
-part is peeled from that network in plain integers: with r parts still
-owed after a step and residual z, the step's part is any integer
-circulation within
+A is checked once, and one network is built with z* as its only
+circulation.  Every step replaces its bounds: with r parts still owed and
+residual z, the step's part is any integer circulation within
 
-    max(l', z - r u')  <=  z_1  <=  min(u', z - r l')
+    floor(z / r)  <=  z_1  <=  ceil(z / r)
 
 ``decompose_k_regular_asm`` specializes this to nonnegative-prefix matrices
 with all line sums k, whose parts are then alternating sign matrices with
@@ -29,7 +30,6 @@ from .circulation import (
     Circulation,
     CutWitness,
     circulation_from_matrix,
-    instance_arc_bounds,
     matrix_from_circulation,
     min_cost_circulation,
     network_from_bounds,
@@ -98,29 +98,23 @@ def shrink_instance(inst: PbmInstance, k: int) -> PbmInstance:
     )
 
 
-def _check_sign_consistent(a: IntMatrix, part: IntMatrix) -> None:
-    for i, j, v in part.cells():
-        if v * a.at(i, j) < 0 or (a.at(i, j) == 0 and v != 0):
-            raise InternalError(
-                f"part entry ({i},{j}) = {v} not sign-consistent with {a.at(i, j)}"
-            )
-
-
 def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
-    """Split a matrix meeting the instance into k sign-consistent parts.
+    """Split a matrix meeting the instance into k equitable parts.
+
+    Every part lies within [floor(z* / k), ceil(z* / k)] on every arc, z*
+    being A's circulation: each entry, each row and column prefix sum and
+    the total of a part is A's value divided by k, rounded down or up.  So
+    parts agree in sign with A and meet the instance shrunk by k.
 
     Raises InfeasibleInput when the matrix does not meet the instance's
     bounds; any failure after that point is an InternalError.
 
-    Why a part always exists: the network's clamped bounds [L, U] meet
-    k L <= z* <= k U on every arc, z* being A's circulation.  Finite
-    bounds do because A meets the instance; infinite ones clamp to +-K,
-    and K exceeds every |z*| (``extra_finite`` adds the sum of |z*|).
-    So with r + 1 parts owed for the residual z, each clamped box still
-    contains z / (r + 1), and (r + 1) L <= z <= (r + 1) U carries over to
-    z - z_1.  By integrality of circulation polyhedra an integer part
-    exists; an empty box surfaces as a cut or a failed flow check, both
-    InternalErrors.
+    Why a part always exists: with r parts owed for the residual z, the
+    box [floor(z / r), ceil(z / r)] contains the circulation z / r, and a
+    network matrix makes the box hold an integer circulation too.  By
+    induction r floor(z* / k) <= z <= r ceil(z* / k), so z / r and with
+    it the whole box lie within [floor(z* / k), ceil(z* / k)].  An empty
+    box would surface as a cut, an InternalError.
     """
     if k < 1:
         raise BadParams(f"k must be a positive integer, got {k}")
@@ -128,24 +122,15 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
         z_star = circulation_from_matrix(inst, a).flows
     except BoundViolation as exc:
         raise InfeasibleInput(str(exc)) from exc
-    shrunk = shrink_instance(inst, k)
-    lo, up = instance_arc_bounds(shrunk)
-    mn = inst.m * inst.n
-    for arc_id in range(2 * mn, 3 * mn):
-        if z_star[arc_id] >= 0:
-            lo[arc_id] = max(lo[arc_id], fin(0))
-        if z_star[arc_id] <= 0:
-            up[arc_id] = min(up[arc_id], fin(0))
-    net = network_from_bounds(
-        inst.m, inst.n, lo, up, extra_finite=sum(abs(z) for z in z_star)
-    )
+    exact = [fin(z) for z in z_star]
+    net = network_from_bounds(inst.m, inst.n, exact, exact)
     z_res = list(z_star)
     parts: list[IntMatrix] = []
-    for owed in range(k - 1, 0, -1):
+    for owed in range(k, 1, -1):
         step = dataclasses.replace(
             net,
-            lower=tuple(max(lo, z - owed * hi) for lo, hi, z in zip(net.lower, net.upper, z_res)),
-            upper=tuple(min(hi, z - owed * lo) for lo, hi, z in zip(net.lower, net.upper, z_res)),
+            lower=tuple(z // owed for z in z_res),
+            upper=tuple(-(-z // owed) for z in z_res),
         )
         res = min_cost_circulation(step)
         if isinstance(res, CutWitness):
@@ -154,14 +139,20 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
         z_res = [r - z1 for r, z1 in zip(z_res, res.flows)]
     parts.append(matrix_from_circulation(net, Circulation(tuple(z_res))))
 
+    shrunk = shrink_instance(inst, k)
     total = IntMatrix.zeros(inst.m, inst.n)
     for part in parts:
         total = total.add(part)
-        _check_sign_consistent(a, part)
         try:
-            circulation_from_matrix(shrunk, part)
+            flows = circulation_from_matrix(shrunk, part).flows
         except BoundViolation as exc:
             raise InternalError(f"part violates shrunk bounds: {exc}") from exc
+        for arc_id, (z, z1) in enumerate(zip(z_star, flows)):
+            if not z // k <= z1 <= -(-z // k):
+                raise InternalError(
+                    f"part has {z1} on arc {net.arc_tag(arc_id)}, outside the equitable "
+                    f"[{z // k}, {-(-z // k)}]"
+                )
     if total.rows != a.rows:
         raise InternalError("parts do not add back up to the input matrix")
     counted = Counter(parts)
@@ -176,7 +167,10 @@ def decompose_k_regular_asm(a: IntMatrix, k: int) -> list[IntMatrix]:
 
     The input must be a square matrix that ``k_regular_instance`` admits:
     entries in {0, +-1}, prefix sums in [0, k] and all line sums k.  The
-    parts have pairwise disjoint supports and add up to the input.
+    parts add up to the input and have pairwise disjoint supports: a part's
+    entry lies within floor(a / k)..ceil(a / k), a being A's entry there.
+    For k >= 2 that range is 0..1 when a = 1, -1..0 when a = -1 and 0 when
+    a = 0, so each nonzero entry of A goes whole to exactly one part.
     """
     from .asmkit import k_regular_instance
 
@@ -188,12 +182,4 @@ def decompose_k_regular_asm(a: IntMatrix, k: int) -> list[IntMatrix]:
         dec = decompose(k_regular_instance(a.n, k), a, k)
     except InfeasibleInput as exc:
         raise NotKRegular(str(exc)) from exc
-    parts = dec.matrices()
-    used: set[tuple[int, int]] = set()
-    for part in parts:
-        for i, j, v in part.cells():
-            if v != 0:
-                if (i, j) in used:
-                    raise InternalError(f"supports overlap at ({i},{j})")
-                used.add((i, j))
-    return parts
+    return dec.matrices()

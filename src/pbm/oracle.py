@@ -656,9 +656,7 @@ def is_wasm(mat: IntMatrix, rows: Sequence[str], cols: Sequence[str]) -> bool:
     )
 
 
-def enumerate_subordinates(
-    x: IntMatrix, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> list[IntMatrix]:
+def enumerate_subordinates(x: IntMatrix) -> list[IntMatrix]:
     """All ASMs obtained from x by zeroing some of its nonzero entries."""
     if x.m != x.n:
         raise DimensionMismatch(f"matrix must be square, got {x.m}x{x.n}")

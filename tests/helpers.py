@@ -1,4 +1,4 @@
-"""Shared random-instance generators for the test suite.
+"""Shared random-instance generators and matrix readings for the test suite.
 
 Three flavors:
 
@@ -8,13 +8,16 @@ Three flavors:
   matrix, feasible by construction;
 * finite_random: like random_instance but every bound finite, so the
   per-orientation enumeration oracles apply.
+
+``line_values`` reads a matrix's arc values off the definitions, without
+the library's circulation code.
 """
 
 from __future__ import annotations
 
 import random
 
-from pbm.core import NEG_INF, POS_INF, PbmInstance, fin
+from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
 
 
 def random_instance(rng: random.Random, m: int, n: int, inf_rate: float = 0.25) -> PbmInstance:
@@ -73,3 +76,14 @@ def finite_random(rng: random.Random, m: int, n: int) -> PbmInstance:
             a = rng.randint(-2, 1)
             f[i][j], g[i][j] = fin(a), fin(rng.randint(a, 2))
     return PbmInstance.create(m, n, phi1, gamma1, phi2, gamma2, f, g)
+
+
+def line_values(mat: IntMatrix) -> list[int]:
+    """Entries, row prefix sums, column prefix sums and total of a matrix."""
+    rows = mat.to_lists()
+    entries = [v for row in rows for v in row]
+    row_prefixes = [sum(row[:j]) for row in rows for j in range(1, mat.n + 1)]
+    col_prefixes = [
+        sum(rows[r][j] for r in range(i)) for i in range(1, mat.m + 1) for j in range(mat.n)
+    ]
+    return entries + row_prefixes + col_prefixes + [sum(entries)]

@@ -372,12 +372,3 @@ def test_dot_output_mentions_nodes_and_caps():
         build_network(asm_instance(2))
     )
 
-
-def test_extra_finite_widens_big_k():
-    inst = asm_instance(2)
-    from pbm.circulation import instance_arc_bounds
-
-    lower, upper = instance_arc_bounds(inst)
-    base = network_from_bounds(2, 2, lower, upper, instance=inst)
-    wide = network_from_bounds(2, 2, lower, upper, instance=inst, extra_finite=10)
-    assert wide.big_k == base.big_k + 20

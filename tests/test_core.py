@@ -70,11 +70,6 @@ class TestExtInt:
         assert POS_INF.floor_div(3) == POS_INF
         assert NEG_INF.ceil_div(3) == NEG_INF
 
-    def test_clamp(self):
-        assert POS_INF.clamp(100) == fin(100)
-        assert NEG_INF.clamp(100) == fin(-100)
-        assert fin(7).clamp(100) == fin(7)
-
     def test_finite_accessor(self):
         assert fin(9).finite() == 9
         with pytest.raises(InfinityClash):

@@ -1,4 +1,4 @@
-"""Sign-consistent integer decomposition and the k-regular ASM splitter."""
+"""Equitable integer decomposition and the k-regular ASM splitter."""
 
 import importlib
 import random
@@ -12,7 +12,7 @@ from pbm.errors import BadParams, InfeasibleInput, NotKRegular
 from pbm import oracle
 from pbm.feasibility import solve
 
-from helpers import feasible_random, random_instance
+from helpers import feasible_random, line_values, random_instance
 
 
 def scaled_instance(inst: PbmInstance, k: int) -> PbmInstance:
@@ -75,6 +75,19 @@ class TestDecompose:
                     total = total.add(part)
             assert total == a
 
+    def test_parts_are_equitable(self):
+        # each value of a part is A's value divided by k, rounded down or up
+        rng = random.Random(5)
+        for _ in range(150):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            inst = feasible_random(rng, m, n, inf_rate=0.5, entry_inf_rate=0.3)
+            k = rng.randint(1, 8)
+            a = solve(inst).matrix
+            whole = line_values(a)
+            for part in decompose(inst, a, k).matrices():
+                for w, p in zip(whole, line_values(part)):
+                    assert w // k <= p <= -(-w // k), (a.to_lists(), k, part.to_lists())
+
     def test_matrix_outside_instance_rejected(self):
         inst = asm_instance(2)
         with pytest.raises(InfeasibleInput):
@@ -100,7 +113,7 @@ class TestDecompose:
         assert len(builds) == 1
 
     def test_huge_entry_under_infinite_bounds(self):
-        # every bound clamps to +-K, so the parts need K > |A| to fit
+        # no window is finite: the peeling boxes come from A alone, whatever its size
         open_window = [["-inf", "-inf"]], [["+inf", "+inf"]]
         inst = PbmInstance.create(1, 2, *open_window, *open_window)
         a = IntMatrix.from_rows([[-10**40, 7]])
