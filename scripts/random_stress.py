@@ -8,7 +8,9 @@ full feasible set, and checks that the verdicts and any produced matrix
 agree.  It also minimizes a random cost matrix over each instance and
 checks the optimum against the cheapest enumerated matrix; the costs come
 from a generator of their own, so the instances are the same as without
-this check.  Prints a running tally and per-verdict timing.
+this check.  Every certificate's named inequality is evaluated again from
+the oracle's per-bitmask tables, which must give the emitted lhs and rhs
+with lhs > rhs.  Prints a running tally and per-verdict timing.
 """
 
 from __future__ import annotations
@@ -42,6 +44,22 @@ def decomposition_fault(inst, a: IntMatrix, k: int) -> "str | None":
         total = total.add(part)
     if total != a:
         return "the parts do not add up to the matrix"
+    return None
+
+
+def certificate_fault(inst, cert) -> "str | None":
+    """What is wrong with a certificate, judged by ``oracle._PairTables``, or None."""
+    tables = oracle._PairTables(inst)
+    x1, x2 = (sum(1 << ((i - 1) * inst.n + j - 1) for i, j in x.cells) for x in (cert.x1, cert.x2))
+    values = {name: (lhs, rhs) for name, lhs, rhs in tables.pair_values(x1, x2)}
+    lhs, rhs = values[cert.violated]
+    if (lhs, rhs) != (cert.lhs, cert.rhs):
+        return (
+            f"{cert.violated} has lhs {lhs}, rhs {rhs} in the oracle's tables, "
+            f"but the certificate says lhs {cert.lhs}, rhs {cert.rhs}"
+        )
+    if not lhs > rhs:
+        return f"{cert.violated} holds: {lhs} <= {rhs}"
     return None
 
 
@@ -107,9 +125,9 @@ def main() -> int:
                 return 1
             feasible += 1
         else:
-            cert = res.certificate
-            if not cert.lhs > cert.rhs:
-                print(f"BAD CERTIFICATE at trial {trial}: {cert.lhs} <= {cert.rhs}")
+            fault = certificate_fault(inst, res.certificate)
+            if fault:
+                print(f"BAD CERTIFICATE at trial {trial}: {fault}")
                 return 1
             infeasible += 1
         if (trial + 1) % 100 == 0:

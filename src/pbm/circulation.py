@@ -712,12 +712,10 @@ def cut_to_certificate(
     m, n = net.m, net.n
 
     def layer_cells(which: int, inside: bool) -> SubsetMask:
-        node = net.v1_node if which == 1 else net.v2_node
+        # a layer numbers its nodes row-major from the node of cell (1, 1)
+        first = net.v1_node(1, 1) if which == 1 else net.v2_node(1, 1)
         cells = [
-            (i, j)
-            for i in range(1, m + 1)
-            for j in range(1, n + 1)
-            if (node(i, j) in w) == inside
+            (k // n + 1, k % n + 1) for k in range(m * n) if (first + k in w) == inside
         ]
         return SubsetMask.from_cells(m, n, cells)
 

@@ -88,7 +88,7 @@ class ExtInt:
     def __add__(self, other: "ExtInt | int") -> "ExtInt":
         other = as_ext(other)
         if self.tag == 0 and other.tag == 0:
-            return ExtInt(0, self.value + other.value)
+            return _finite(self.value + other.value)
         if self.tag == -other.tag and self.tag != 0:
             raise InfinityClash("cannot add -inf and +inf")
         return ExtInt(self.tag if self.tag != 0 else other.tag)
@@ -96,7 +96,7 @@ class ExtInt:
     __radd__ = __add__
 
     def __neg__(self) -> "ExtInt":
-        return ExtInt(-self.tag, -self.value)
+        return _finite(-self.value) if self.tag == 0 else ExtInt(-self.tag)
 
     def __sub__(self, other: "ExtInt | int") -> "ExtInt":
         return self + (-as_ext(other))
@@ -107,7 +107,7 @@ class ExtInt:
     def times(self, k: int) -> "ExtInt":
         """Scalar multiple; 0 * inf is defined as 0."""
         if self.tag == 0:
-            return ExtInt(0, self.value * k)
+            return fin(self.value * k)
         if k == 0:
             return ExtInt(0, 0)
         return ExtInt(self.tag if k > 0 else -self.tag)
@@ -118,7 +118,7 @@ class ExtInt:
             raise ValueError("divisor must be positive")
         if self.tag != 0:
             return self
-        return ExtInt(0, self.value // k)
+        return fin(self.value // k)
 
     def ceil_div(self, k: int) -> "ExtInt":
         """Ceiling division by a positive integer; infinities pass through."""
@@ -126,7 +126,7 @@ class ExtInt:
             raise ValueError("divisor must be positive")
         if self.tag != 0:
             return self
-        return ExtInt(0, -((-self.value) // k))
+        return fin(-((-self.value) // k))
 
     # one call per comparison; functools.total_ordering would make two or three
     def __lt__(self, other: "ExtInt | int") -> bool:
@@ -147,13 +147,14 @@ class ExtInt:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = ExtInt(0, other)
+            other = fin(other)
         if not isinstance(other, ExtInt):
             return NotImplemented
         return self.tag == other.tag and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash((self.tag, self.value))
+        # a finite value equals its int, so it must hash like it
+        return hash(self.value) if self.tag == 0 else hash((self.tag, 0))
 
     def __str__(self) -> str:
         if self.tag == -1:
@@ -172,6 +173,8 @@ class ExtInt:
 
     @staticmethod
     def from_json(raw: object) -> "ExtInt":
+        if type(raw) is int:
+            return _finite(raw)
         if isinstance(raw, bool) or not isinstance(raw, (int, str)):
             raise InstanceFormatError(f"expected integer or infinity string, got {raw!r}")
         if isinstance(raw, int):
@@ -186,22 +189,50 @@ class ExtInt:
 NEG_INF = ExtInt(-1)
 POS_INF = ExtInt(1)
 
+_new_ext = object.__new__
+_set_tag = ExtInt.tag.__set__
+_set_value = ExtInt.value.__set__
+
+
+def _finite(v: int) -> ExtInt:
+    """``ExtInt(0, v)`` for a ``v`` known to be an exact int, skipping its checks."""
+    e = _new_ext(ExtInt)
+    _set_tag(e, 0)
+    _set_value(e, v)
+    return e
+
 
 def fin(v: int) -> ExtInt:
     """Finite extended integer."""
-    return ExtInt(0, v)
+    return _finite(v) if type(v) is int else ExtInt(0, v)
 
 
 def as_ext(v: "ExtInt | int") -> ExtInt:
-    return v if isinstance(v, ExtInt) else ExtInt(0, v)
+    return v if isinstance(v, ExtInt) else fin(v)
 
 
-def ext_sum(values: Iterable[ExtInt]) -> ExtInt:
-    """Sum of extended integers; raises InfinityClash on -inf + +inf."""
-    total = ExtInt(0, 0)
+def ext_sum(values: Iterable["ExtInt | int"]) -> ExtInt:
+    """Sum of extended integers; raises InfinityClash on -inf + +inf.
+
+    One pass: finite values add as ints and the result is the infinity
+    seen, if any, exactly as the left fold by ``+`` from 0 would give.
+    """
+    total = 0
+    inf = 0
     for v in values:
-        total = total + v
-    return total
+        if type(v) is not ExtInt:
+            v = as_ext(v)
+        if v.tag == 0:
+            total += v.value
+        elif v.tag == -inf:
+            raise InfinityClash("cannot add -inf and +inf")
+        else:
+            inf = v.tag
+    return ExtInt(inf) if inf else _finite(total)
+
+
+def _ext_cell(e: "ExtInt | int | str") -> ExtInt:
+    return e if isinstance(e, ExtInt) else ExtInt.from_json(e)
 
 
 def _check_rect(rows: Sequence[Sequence[object]], what: str) -> tuple[int, int]:
@@ -292,11 +323,7 @@ class ExtMatrix:
     @staticmethod
     def from_rows(rows: Sequence[Sequence["ExtInt | int | str"]]) -> "ExtMatrix":
         m, n = _check_rect(rows, "bound matrix")
-        conv = tuple(
-            tuple(e if isinstance(e, ExtInt) else ExtInt.from_json(e) for e in row)
-            for row in rows
-        )
-        return ExtMatrix(m, n, conv)
+        return ExtMatrix(m, n, tuple(tuple(map(_ext_cell, row)) for row in rows))
 
     @staticmethod
     def constant(m: int, n: int, v: "ExtInt | int") -> "ExtMatrix":
@@ -327,7 +354,9 @@ class SubsetMask:
     def from_cells(m: int, n: int, cells: Iterable[tuple[int, int]]) -> "SubsetMask":
         cs = frozenset((i, j) for i, j in cells)
         for i, j in cs:
-            if any(isinstance(c, bool) or not isinstance(c, int) for c in (i, j)):
+            if isinstance(i, bool) or isinstance(j, bool) or not (
+                isinstance(i, int) and isinstance(j, int)
+            ):
                 raise InstanceFormatError(f"cell ({i!r}, {j!r}) needs integer coordinates")
             if not (1 <= i <= m and 1 <= j <= n):
                 raise DimensionMismatch(f"cell ({i},{j}) outside {m}x{n} grid")
@@ -446,15 +475,15 @@ def validate_instance(inst: PbmInstance) -> PbmInstance:
                 f"{name} is {mat.m}x{mat.n}, instance is {inst.m}x{inst.n}"
             )
     for lo_name, hi_name in (("phi1", "gamma1"), ("phi2", "gamma2"), ("f", "g")):
-        lo, hi = tables[lo_name], tables[hi_name]
-        for i in range(1, inst.m + 1):
-            for j in range(1, inst.n + 1):
-                a, b = lo.at(i, j), hi.at(i, j)
-                if a.is_pos_inf:
+        lo_rows, hi_rows = tables[lo_name].rows, tables[hi_name].rows
+        for i, (lo_row, hi_row) in enumerate(zip(lo_rows, hi_rows), start=1):
+            for j, (a, b) in enumerate(zip(lo_row, hi_row), start=1):
+                if a.tag == 1:
                     raise IllegalInfinity(f"{lo_name}({i},{j}) is +inf; lower bounds may not be +inf")
-                if b.is_neg_inf:
+                if b.tag == -1:
                     raise IllegalInfinity(f"{hi_name}({i},{j}) is -inf; upper bounds may not be -inf")
-                if a > b:
+                # with a below +inf and b above -inf, a > b only when both are finite
+                if a.tag == 0 == b.tag and a.value > b.value:
                     raise BoundOrderViolation(
                         f"{lo_name}({i},{j}) = {a} exceeds {hi_name}({i},{j}) = {b}"
                     )

@@ -70,15 +70,21 @@ def elementary_pair(
 def _line_pair(
     windows: Sequence[tuple[Sequence[ExtInt], Sequence[ExtInt]]], segs
 ) -> tuple[ExtInt, ExtInt]:
-    """Summed elementary pairs; ``windows[l - 1]`` is line l's (phi, gamma)."""
-    p = fin(0)
-    b = fin(0)
+    """Summed elementary pairs; ``windows[l - 1]`` is line l's (phi, gamma).
+
+    A segment [h, k] adds phi(k) to p and gamma(k) to b, and past position 1
+    takes gamma(h - 1) from p and phi(h - 1) from b.  Each of the four term
+    lists is summed once, so only the totals are built as ExtInts.
+    """
+    p_ends, b_ends, p_starts, b_starts = [], [], [], []
     for seg in segs:
         phi_line, gamma_line = windows[seg.line - 1]
-        sp, sb = elementary_pair(phi_line, gamma_line, seg.start, seg.end)
-        p = p + sp
-        b = b + sb
-    return p, b
+        p_ends.append(phi_line[seg.end - 1])
+        b_ends.append(gamma_line[seg.end - 1])
+        if seg.start > 1:
+            p_starts.append(gamma_line[seg.start - 2])
+            b_starts.append(phi_line[seg.start - 2])
+    return ext_sum(p_ends) - ext_sum(p_starts), ext_sum(b_ends) - ext_sum(b_starts)
 
 
 def eval_strong_pair(inst: PbmInstance, mask: SubsetMask) -> StrongPairEval:
@@ -99,7 +105,8 @@ def mask_sum(mat: ExtMatrix, mask: SubsetMask) -> ExtInt:
     """Sum of the matrix entries over the subset's cells (0 when empty)."""
     if (mask.m, mask.n) != (mat.m, mat.n):
         raise DimensionMismatch("mask grid does not match matrix")
-    return ext_sum(mat.at(i, j) for (i, j) in mask.cells)
+    rows = mat.rows
+    return ext_sum(rows[i - 1][j - 1] for i, j in mask.cells)
 
 
 @dataclass(frozen=True, slots=True)

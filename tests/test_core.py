@@ -1,5 +1,9 @@
 """Extended integers, matrices, masks, instance validation, JSON round trips."""
 
+import functools
+import operator
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,6 +107,32 @@ class TestExtInt:
         assert ext_sum([fin(1), fin(2), POS_INF]) == POS_INF
         assert ext_sum([]) == fin(0)
 
+    @given(st.lists(st.one_of(finite_ints, ext_ints)))
+    def test_ext_sum_is_the_left_fold(self, values):
+        try:
+            want = functools.reduce(operator.add, values, fin(0))
+        except InfinityClash:
+            with pytest.raises(InfinityClash):
+                ext_sum(values)
+        else:
+            assert ext_sum(values) == want
+
+    @given(finite_ints)
+    def test_finite_hashes_as_its_int(self, v):
+        assert hash(fin(v)) == hash(v)
+        assert v in {fin(v)} and fin(v) in {v}
+        assert {fin(v): "x"}[v] == "x" and {v: "y"}[fin(v)] == "y"
+
+    def test_checked_constructor_keeps_its_checks(self):
+        with pytest.raises(TypeError):
+            ExtInt(0, 1.0)
+        with pytest.raises(TypeError):
+            fin(1.0)
+        with pytest.raises(ValueError):
+            ExtInt(2)
+        with pytest.raises(ValueError):
+            ExtInt(1, 5)
+
 
 class TestIntMatrix:
     def test_prefixes_and_total(self):
@@ -200,6 +230,92 @@ class TestInstanceValidation:
     def test_validate_passthrough(self):
         inst = PbmInstance.create(1, 1, [[fin(0)]], [[fin(0)]], [[fin(0)]], [[fin(0)]])
         validate_instance(inst)
+
+
+def _doc(**changes):
+    """A valid 2x2 instance document with some keys replaced."""
+    doc = {
+        "m": 2,
+        "n": 2,
+        "phi1": [[0, 0], [0, 0]],
+        "gamma1": [[1, 1], [1, 1]],
+        "phi2": [[0, 0], [0, 0]],
+        "gamma2": [[1, 1], [1, 1]],
+        "f": [[-1, -1], [-1, -1]],
+        "g": [[1, 1], [1, 1]],
+        "alpha": 0,
+        "beta": 4,
+    }
+    doc.update(changes)
+    return doc
+
+
+def _with_cells(cells):
+    """A 2x2 table, 0 except at the given {(i, j): value} cells."""
+    return [[cells.get((i, j), 0) for j in (1, 2)] for i in (1, 2)]
+
+
+TABLES = ("phi1", "gamma1", "phi2", "gamma2", "f", "g")
+BOUND_PAIRS = (("phi1", "gamma1"), ("phi2", "gamma2"), ("f", "g"))
+
+
+class TestParseAndValidate:
+    @pytest.mark.parametrize("key", TABLES + ("alpha", "beta"))
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (True, "expected integer or infinity string, got True"),
+            (0.0, "expected integer or infinity string, got 0.0"),
+            (None, "expected integer or infinity string, got None"),
+            ([0], "expected integer or infinity string, got [0]"),
+            ("+Inf", "bad extended integer '+Inf'"),
+            ("seven", "bad extended integer 'seven'"),
+        ],
+    )
+    def test_bad_cell_rejected(self, key, bad, message):
+        if key in TABLES:
+            doc = _doc()
+            doc[key][1][0] = bad
+        else:
+            doc = _doc(**{key: bad})
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+            instance_from_json(doc)
+
+    @pytest.mark.parametrize("lo, hi", BOUND_PAIRS)
+    def test_bound_order_names_first_fault(self, lo, hi):
+        doc = _doc(**{lo: _with_cells({(1, 2): 5, (2, 1): 7}), hi: _with_cells({(1, 2): 3})})
+        message = f"{lo}(1,2) = 5 exceeds {hi}(1,2) = 3"
+        with pytest.raises(BoundOrderViolation, match=re.escape(message)):
+            instance_from_json(doc)
+
+    @pytest.mark.parametrize("lo, hi", BOUND_PAIRS)
+    def test_illegal_infinity_names_first_fault(self, lo, hi):
+        plus = _with_cells({(1, 2): "+inf", (2, 1): "+inf"})
+        message = f"{lo}(1,2) is +inf; lower bounds may not be +inf"
+        with pytest.raises(IllegalInfinity, match=re.escape(message)):
+            instance_from_json(_doc(**{lo: plus, hi: plus}))
+        message = f"{hi}(2,1) is -inf; upper bounds may not be -inf"
+        with pytest.raises(IllegalInfinity, match=re.escape(message)):
+            instance_from_json(_doc(**{hi: _with_cells({(2, 1): "-inf", (2, 2): "-inf"})}))
+
+    @pytest.mark.parametrize("lo, hi", BOUND_PAIRS)
+    def test_earlier_fault_wins_across_kinds(self, lo, hi):
+        doc = _doc(**{lo: _with_cells({(1, 2): 2, (2, 1): "+inf"})})
+        message = f"{lo}(1,2) = 2 exceeds {hi}(1,2) = "
+        with pytest.raises(BoundOrderViolation, match=re.escape(message)):
+            instance_from_json(doc)
+        lo_cells = _with_cells({(1, 1): "+inf", (2, 2): 9})
+        doc = _doc(**{lo: lo_cells, hi: _with_cells({(1, 1): "+inf"})})
+        with pytest.raises(IllegalInfinity, match=re.escape(f"{lo}(1,1) is +inf")):
+            instance_from_json(doc)
+
+    def test_total_window_messages(self):
+        with pytest.raises(IllegalInfinity, match="^alpha may not be \\+inf$"):
+            instance_from_json(_doc(alpha="+inf"))
+        with pytest.raises(IllegalInfinity, match="^beta may not be -inf$"):
+            instance_from_json(_doc(beta="-inf"))
+        with pytest.raises(BoundOrderViolation, match="^alpha = 5 exceeds beta = 4$"):
+            instance_from_json(_doc(alpha=5))
 
 
 class TestJson:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pbm.core import NEG_INF, POS_INF, PbmInstance, SubsetMask, fin
 from pbm.asmkit import asm_instance, pasm_instance
+from pbm.oracle import _PairTables
 from pbm.strongpair import (
     INEQUALITY_NAMES,
     condition_values,
@@ -16,7 +17,7 @@ from pbm.strongpair import (
     mask_sum,
 )
 
-from helpers import finite_random
+from helpers import finite_random, random_instance
 
 
 class TestElementaryPair:
@@ -163,3 +164,19 @@ def test_dimension_mismatch_rejected():
     inst = asm_instance(2)
     with pytest.raises(DimensionMismatch):
         eval_strong_pair(inst, SubsetMask.full(3, 3))
+
+
+@pytest.mark.parametrize("inf_rate", [0.25, 0.6])
+def test_condition_values_match_oracle_pair_tables(inf_rate):
+    """Segment-wise evaluation against the oracle's per-bitmask tables."""
+    rng = random.Random(f"pair-tables:{inf_rate}")
+    shapes = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
+    for _ in range(30):
+        m, n = rng.choice(shapes)
+        inst = random_instance(rng, m, n, inf_rate)
+        tables = _PairTables(inst)
+        for _ in range(25):
+            b1, b2 = rng.randrange(1 << (m * n)), rng.randrange(1 << (m * n))
+            got = condition_values(inst, tables.mask_to_subset(b1), tables.mask_to_subset(b2))
+            want = tables.pair_values(b1, b2)
+            assert [(r.name, r.lhs, r.rhs) for r in got.records()] == want
