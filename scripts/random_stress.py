@@ -116,7 +116,7 @@ def main() -> int:
             if res.matrix not in mats:
                 print(f"DISAGREEMENT at trial {trial}: solver matrix not in oracle list")
                 return 1
-            k = k_rng.randint(1, 6)
+            k = k_rng.randint(1, 8)
             t0 = time.perf_counter()
             fault = decomposition_fault(inst, res.matrix, k)
             t_decompose += time.perf_counter() - t0

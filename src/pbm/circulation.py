@@ -43,7 +43,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import accumulate, chain
+from operator import le
+from typing import Iterable, Mapping, Sequence
 
 from .core import ExtInt, IntMatrix, PbmInstance, SubsetMask, fin
 from .errors import BoundViolation, DimensionMismatch, InternalError
@@ -158,20 +160,8 @@ class NegativeCycle:
 
 def instance_arc_bounds(inst: PbmInstance) -> tuple[list[ExtInt], list[ExtInt]]:
     """True extended-integer arc bounds in arc-id order."""
-    m, n, mn = inst.m, inst.n, inst.m * inst.n
-    lower: list[ExtInt] = [fin(0)] * (3 * mn + 1)
-    upper: list[ExtInt] = [fin(0)] * (3 * mn + 1)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            k = (i - 1) * n + (j - 1)
-            lower[k] = inst.phi1.at(i, j)
-            upper[k] = inst.gamma1.at(i, j)
-            lower[mn + k] = inst.phi2.at(i, j)
-            upper[mn + k] = inst.gamma2.at(i, j)
-            lower[2 * mn + k] = inst.f.at(i, j)
-            upper[2 * mn + k] = inst.g.at(i, j)
-    lower[3 * mn] = inst.alpha
-    upper[3 * mn] = inst.beta
+    lower = [*chain(*inst.phi1.rows, *inst.phi2.rows, *inst.f.rows), inst.alpha]
+    upper = [*chain(*inst.gamma1.rows, *inst.gamma2.rows, *inst.g.rows), inst.beta]
     return lower, upper
 
 
@@ -226,18 +216,20 @@ def build_network(inst: PbmInstance) -> Network:
 
 def check_circulation(net: Network, circ: Circulation) -> None:
     """Raise InternalError unless the flows conserve and respect all bounds."""
-    if len(circ.flows) != len(net.lower):
+    flows = circ.flows
+    if len(flows) != len(net.lower):
         raise InternalError("flow vector length mismatch")
+    if not (all(map(le, net.lower, flows)) and all(map(le, flows, net.upper))):
+        for a, (lo, z, hi) in enumerate(zip(net.lower, flows, net.upper)):
+            if not (lo <= z <= hi):
+                raise InternalError(f"flow {z} outside [{lo}, {hi}] on arc {net.arc_tag(a)}")
     balance = [0] * net.node_count
-    for a, z in enumerate(circ.flows):
-        lo, hi = net.lower[a], net.upper[a]
-        if not (lo <= z <= hi):
-            raise InternalError(f"flow {z} outside [{lo}, {hi}] on arc {net.arc_tag(a)}")
-        balance[net.tail[a]] -= z
-        balance[net.head[a]] += z
-    for v, bal in enumerate(balance):
-        if bal != 0:
-            raise InternalError(f"conservation fails at node {v}: imbalance {bal}")
+    for u, w, z in zip(net.tail, net.head, flows):
+        balance[u] -= z
+        balance[w] += z
+    if any(balance):
+        v = next(v for v, bal in enumerate(balance) if bal)
+        raise InternalError(f"conservation fails at node {v}: imbalance {balance[v]}")
 
 
 def make_cut_witness(net: Network, nodes: frozenset[int]) -> CutWitness:
@@ -635,11 +627,9 @@ def _checked_negative_cycle(
 
 def matrix_from_circulation(net: Network, circ: Circulation) -> IntMatrix:
     """Read the matrix entries off the N arcs."""
-    rows = tuple(
-        tuple(circ.flows[net.n_arc_id(i, j)] for j in range(1, net.n + 1))
-        for i in range(1, net.m + 1)
-    )
-    return IntMatrix(net.m, net.n, rows)
+    m, n = net.m, net.n
+    flows = circ.flows[2 * m * n : 3 * m * n]
+    return IntMatrix(m, n, tuple(flows[k : k + n] for k in range(0, m * n, n)))
 
 
 def _within(lo: ExtInt, v: int, hi: ExtInt) -> bool:
@@ -649,47 +639,52 @@ def _within(lo: ExtInt, v: int, hi: ExtInt) -> bool:
     )
 
 
+def _check_table(
+    what: str,
+    values: Sequence[Sequence[int]],
+    lows: Iterable[Sequence[ExtInt]],
+    highs: Iterable[Sequence[ExtInt]],
+    by_column: bool = False,
+) -> None:
+    """Raise BoundViolation at the first value outside its bounds, line by line.
+
+    The tables are read as lines of values (rows, or columns when
+    ``by_column``); the message names the cell as (row, column).
+    """
+    for a, (line, lo_line, hi_line) in enumerate(zip(values, lows, highs), start=1):
+        if all(map(_within, lo_line, line, hi_line)):
+            continue
+        for b, (lo, v, hi) in enumerate(zip(lo_line, line, hi_line), start=1):
+            if not _within(lo, v, hi):
+                i, j = (b, a) if by_column else (a, b)
+                raise BoundViolation(f"{what} ({i},{j}) = {v} outside [{lo}, {hi}]")
+
+
 def circulation_from_matrix(inst: PbmInstance, mat: IntMatrix) -> Circulation:
     """The circulation spelled out by a matrix; checks every instance bound.
 
     Raises BoundViolation naming the first broken constraint, scanning
-    entries, then horizontal prefixes, then vertical prefixes, then the
-    total sum.
+    entries, then horizontal prefixes, then vertical prefixes column by
+    column, then the total sum.
     """
     if (mat.m, mat.n) != (inst.m, inst.n):
         raise DimensionMismatch(
             f"matrix is {mat.m}x{mat.n}, instance is {inst.m}x{inst.n}"
         )
-    m, n, mn = inst.m, inst.n, inst.m * inst.n
-    flows = [0] * (3 * mn + 1)
-    for i, j, v in mat.cells():
-        lo, hi = inst.f.at(i, j), inst.g.at(i, j)
-        if not _within(lo, v, hi):
-            raise BoundViolation(f"entry ({i},{j}) = {v} outside [{lo}, {hi}]")
-        flows[2 * mn + (i - 1) * n + (j - 1)] = v
-    for i in range(1, m + 1):
-        s = 0
-        for j in range(1, n + 1):
-            s += mat.at(i, j)
-            lo, hi = inst.phi1.at(i, j), inst.gamma1.at(i, j)
-            if not _within(lo, s, hi):
-                raise BoundViolation(f"horizontal prefix ({i},{j}) = {s} outside [{lo}, {hi}]")
-            flows[(i - 1) * n + (j - 1)] = s
-    for j in range(1, n + 1):
-        s = 0
-        for i in range(1, m + 1):
-            s += mat.at(i, j)
-            lo, hi = inst.phi2.at(i, j), inst.gamma2.at(i, j)
-            if not _within(lo, s, hi):
-                raise BoundViolation(f"vertical prefix ({i},{j}) = {s} outside [{lo}, {hi}]")
-            flows[mn + (i - 1) * n + (j - 1)] = s
-    total = mat.total()
+    rows = mat.rows
+    _check_table("entry", rows, inst.f.rows, inst.g.rows)
+    h_rows = [list(accumulate(row)) for row in rows]
+    _check_table("horizontal prefix", h_rows, inst.phi1.rows, inst.gamma1.rows)
+    v_cols = [list(accumulate(col)) for col in zip(*rows)]
+    _check_table(
+        "vertical prefix", v_cols, zip(*inst.phi2.rows), zip(*inst.gamma2.rows), by_column=True
+    )
+    total = sum(line[-1] for line in h_rows)
     if not _within(inst.alpha, total, inst.beta):
         raise BoundViolation(
             f"total sum {total} outside [{inst.alpha}, {inst.beta}]"
         )
-    flows[3 * mn] = total
-    return Circulation(tuple(flows))
+    return Circulation((*chain(*h_rows, *zip(*v_cols), *rows), total))
 
 
 def cut_to_certificate(

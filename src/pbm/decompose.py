@@ -10,10 +10,18 @@ shrunk by k (lower bounds divided by k and floored, upper bounds divided by
 k and ceiled).
 
 A is checked once, and one network is built with z* as its only
-circulation.  Every step replaces its bounds: with r parts still owed and
-residual z, the step's part is any integer circulation within
+circulation.  With k = 2^L q and q odd, the work runs in two stages:
 
-    floor(z / r)  <=  z_1  <=  ceil(z / r)
+* peeling: q parts come off z* one at a time.  With r parts still owed and
+  residual z, the step's part is any integer circulation within
+
+      floor(z / r)  <=  z_1  <=  ceil(z / r)
+
+  found by one min-cost solve on the network with these bounds, so peeling
+  takes q - 1 solves;
+* halving: every part is split in two, L times over, by an Euler
+  partition of its odd arcs (Gabow 1976), which takes one linear pass and
+  no solve.
 
 ``decompose_k_regular_asm`` specializes this to nonnegative-prefix matrices
 with all line sums k, whose parts are then alternating sign matrices with
@@ -29,12 +37,14 @@ from dataclasses import dataclass
 from .circulation import (
     Circulation,
     CutWitness,
+    Network,
+    check_circulation,
     circulation_from_matrix,
     matrix_from_circulation,
     min_cost_circulation,
     network_from_bounds,
 )
-from .core import IntMatrix, PbmInstance, fin
+from .core import ExtInt, ExtMatrix, IntMatrix, PbmInstance, fin
 from .errors import BadParams, BoundViolation, InfeasibleInput, InternalError, NotKRegular
 
 __all__ = [
@@ -79,23 +89,67 @@ def shrink_instance(inst: PbmInstance, k: int) -> PbmInstance:
     if k < 1:
         raise BadParams(f"k must be a positive integer, got {k}")
 
-    def floor_mat(mat):
-        return mat.from_rows([[e.floor_div(k) for e in row] for row in mat.rows])
+    def shrink_table(mat: ExtMatrix, down: bool) -> ExtMatrix:
+        # bound tables repeat few values: one ExtInt per distinct result
+        made: dict[int, ExtInt] = {}
 
-    def ceil_mat(mat):
-        return mat.from_rows([[e.ceil_div(k) for e in row] for row in mat.rows])
+        def cell(e: ExtInt) -> ExtInt:
+            if e.tag:
+                return e
+            v = e.value // k if down else -(-e.value // k)
+            if v not in made:
+                made[v] = fin(v)
+            return made[v]
+
+        return dataclasses.replace(mat, rows=tuple(tuple(map(cell, row)) for row in mat.rows))
 
     return dataclasses.replace(
         inst,
-        phi1=floor_mat(inst.phi1),
-        gamma1=ceil_mat(inst.gamma1),
-        phi2=floor_mat(inst.phi2),
-        gamma2=ceil_mat(inst.gamma2),
-        f=floor_mat(inst.f),
-        g=ceil_mat(inst.g),
+        phi1=shrink_table(inst.phi1, True),
+        gamma1=shrink_table(inst.gamma1, False),
+        phi2=shrink_table(inst.phi2, True),
+        gamma2=shrink_table(inst.gamma2, False),
+        f=shrink_table(inst.f, True),
+        g=shrink_table(inst.g, False),
         alpha=inst.alpha.floor_div(k),
         beta=inst.beta.ceil_div(k),
     )
+
+
+def _halve(net: Network, z: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split an integer circulation into two within floor(z / 2)..ceil(z / 2).
+
+    The first half takes floor(z / 2) on every arc and 1 more on each odd
+    arc that a closed trail over the odd arcs runs forwards.  Every node
+    meets an even number of odd arcs, so a walk that leaves a node by an
+    unwalked odd arc can leave every other node it enters and stops only
+    where it started.  Where a trail passes a node, the arcs by which it
+    enters and leaves add as much to the half's inflow as to its outflow,
+    so the half conserves, and with it the second half, z minus the first.
+    Iterative and linear in the arcs.
+    """
+    tail, head = net.tail, net.head
+    first = [v >> 1 for v in z]
+    odd_arcs: list[list[int]] = [[] for _ in range(net.node_count)]
+    for a, v in enumerate(z):
+        if v & 1:
+            odd_arcs[tail[a]].append(a)
+            odd_arcs[head[a]].append(a)
+    walked = bytearray(len(z))
+    for start in range(net.node_count):
+        v, untried = start, odd_arcs[start]
+        while untried:
+            a = untried.pop()
+            if walked[a]:
+                continue
+            walked[a] = 1
+            if tail[a] == v:
+                first[a] += 1
+                v = head[a]
+            else:
+                v = tail[a]
+            untried = odd_arcs[v]
+    return tuple(first), tuple(v - h for v, h in zip(z, first))
 
 
 def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
@@ -109,12 +163,20 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
     Raises InfeasibleInput when the matrix does not meet the instance's
     bounds; any failure after that point is an InternalError.
 
-    Why a part always exists: with r parts owed for the residual z, the
-    box [floor(z / r), ceil(z / r)] contains the circulation z / r, and a
+    Why a part always exists: write k = 2^L q with q odd.  Peeling comes
+    first: with r of the q parts owed for the residual z, the box
+    [floor(z / r), ceil(z / r)] contains the circulation z / r, and a
     network matrix makes the box hold an integer circulation too.  By
-    induction r floor(z* / k) <= z <= r ceil(z* / k), so z / r and with
-    it the whole box lie within [floor(z* / k), ceil(z* / k)].  An empty
-    box would surface as a cut, an InternalError.
+    induction r floor(z* / q) <= z <= r ceil(z* / q), so z / r and with it
+    the whole box lie within [floor(z* / q), ceil(z* / q)].  An empty box
+    would surface as a cut, an InternalError.  Halving needs no box: the
+    flows in and out of a node add up to the same number, so every node
+    meets an even number of odd arcs, the odd arcs fall into closed trails,
+    and running along them gives the two halves of a part p their
+    ceil(p / 2) on opposite arcs and floor(p / 2) elsewhere.  Nested
+    roundings compose, floor(floor(z / q) / 2^L) = floor(z / k) and the
+    same for ceilings, so every part of every halving stays within
+    [floor(z* / k), ceil(z* / k)].
     """
     if k < 1:
         raise BadParams(f"k must be a positive integer, got {k}")
@@ -122,11 +184,14 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
         z_star = circulation_from_matrix(inst, a).flows
     except BoundViolation as exc:
         raise InfeasibleInput(str(exc)) from exc
+    q, halvings = k, 0
+    while q % 2 == 0:
+        q, halvings = q // 2, halvings + 1
     exact = [fin(z) for z in z_star]
     net = network_from_bounds(inst.m, inst.n, exact, exact)
     z_res = list(z_star)
-    parts: list[IntMatrix] = []
-    for owed in range(k, 1, -1):
+    flows: list[tuple[int, ...]] = []
+    for owed in range(q, 1, -1):
         step = dataclasses.replace(
             net,
             lower=tuple(z // owed for z in z_res),
@@ -135,23 +200,33 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
         res = min_cost_circulation(step)
         if isinstance(res, CutWitness):
             raise InternalError("peeling step found no part; the box should never be empty")
-        parts.append(matrix_from_circulation(net, res))
+        flows.append(res.flows)
         z_res = [r - z1 for r, z1 in zip(z_res, res.flows)]
-    parts.append(matrix_from_circulation(net, Circulation(tuple(z_res))))
+    flows.append(tuple(z_res))
+    for _ in range(halvings):
+        flows = [half for z in flows for half in _halve(net, z)]
+
+    floors = tuple(z // k for z in z_star)
+    ceils = tuple(-(-z // k) for z in z_star)
+    # no solver has checked a halving's output: every part must be a circulation in the box
+    box = dataclasses.replace(net, lower=floors, upper=ceils)
+    for z in flows:
+        check_circulation(box, Circulation(z))
+    parts = [matrix_from_circulation(net, Circulation(z)) for z in flows]
 
     shrunk = shrink_instance(inst, k)
     total = IntMatrix.zeros(inst.m, inst.n)
     for part in parts:
         total = total.add(part)
         try:
-            flows = circulation_from_matrix(shrunk, part).flows
+            part_flows = circulation_from_matrix(shrunk, part).flows
         except BoundViolation as exc:
             raise InternalError(f"part violates shrunk bounds: {exc}") from exc
-        for arc_id, (z, z1) in enumerate(zip(z_star, flows)):
-            if not z // k <= z1 <= -(-z // k):
+        for arc_id, (lo, z1, hi) in enumerate(zip(floors, part_flows, ceils)):
+            if not lo <= z1 <= hi:
                 raise InternalError(
                     f"part has {z1} on arc {net.arc_tag(arc_id)}, outside the equitable "
-                    f"[{z // k}, {-(-z // k)}]"
+                    f"[{lo}, {hi}]"
                 )
     if total.rows != a.rows:
         raise InternalError("parts do not add back up to the input matrix")

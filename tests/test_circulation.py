@@ -352,6 +352,69 @@ class TestMatrixRoundTrip:
         assert "1, 1" in str(exc.value) or "(1,1)" in str(exc.value)
 
 
+class TestFirstBoundViolation:
+    """The fault named for bad cells: entries, then horizontal prefixes row by
+    row, then vertical prefixes column by column, then the total."""
+
+    # prefix sums: rows 1, -1, 2 and 4, 9, 3; columns 1, 5 and -2, 3 and 3, -3; total 5
+    MAT = IntMatrix.from_rows([[1, -2, 3], [4, 5, -6]])
+
+    @staticmethod
+    def instance(cells: dict, alpha=NEG_INF, beta=POS_INF) -> PbmInstance:
+        tables = {
+            name: [[NEG_INF if name in ("phi1", "phi2", "f") else POS_INF] * 3 for _ in range(2)]
+            for name in ("phi1", "gamma1", "phi2", "gamma2", "f", "g")
+        }
+        for (name, i, j), v in cells.items():
+            tables[name][i - 1][j - 1] = fin(v)
+        return PbmInstance.create(
+            2, 3, *(tables[name] for name in ("phi1", "gamma1", "phi2", "gamma2", "f", "g")),
+            alpha, beta,
+        )
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ({("f", 2, 1): 5}, "entry (2,1) = 4 outside [5, +inf]"),
+            ({("g", 1, 3): 2}, "entry (1,3) = 3 outside [-inf, 2]"),
+            ({("phi1", 2, 2): 10}, "horizontal prefix (2,2) = 9 outside [10, +inf]"),
+            ({("gamma1", 1, 2): -2}, "horizontal prefix (1,2) = -1 outside [-inf, -2]"),
+            ({("phi2", 1, 3): 4}, "vertical prefix (1,3) = 3 outside [4, +inf]"),
+            ({("gamma2", 2, 2): 2}, "vertical prefix (2,2) = 3 outside [-inf, 2]"),
+            # two bad cells: row order names (1,2) first, column order (2,1)
+            (
+                {("phi1", 1, 2): 0, ("phi1", 2, 1): 5},
+                "horizontal prefix (1,2) = -1 outside [0, +inf]",
+            ),
+            (
+                {("phi2", 1, 2): -1, ("phi2", 2, 1): 6},
+                "vertical prefix (2,1) = 5 outside [6, +inf]",
+            ),
+            # an entry fault comes before any prefix fault
+            (
+                {("gamma1", 1, 1): 0, ("gamma2", 1, 1): 0, ("f", 2, 3): -5},
+                "entry (2,3) = -6 outside [-5, +inf]",
+            ),
+        ],
+    )
+    def test_first_fault_named(self, cells, message):
+        with pytest.raises(BoundViolation) as exc:
+            circulation_from_matrix(self.instance(cells), self.MAT)
+        assert str(exc.value) == message
+
+    def test_total_named_last(self):
+        for alpha, beta, message in [
+            (fin(6), POS_INF, "total sum 5 outside [6, +inf]"),
+            (NEG_INF, fin(4), "total sum 5 outside [-inf, 4]"),
+        ]:
+            with pytest.raises(BoundViolation) as exc:
+                circulation_from_matrix(self.instance({}, alpha, beta), self.MAT)
+            assert str(exc.value) == message
+        with pytest.raises(BoundViolation) as exc:
+            circulation_from_matrix(self.instance({("gamma2", 2, 3): -4}, fin(6)), self.MAT)
+        assert str(exc.value) == "vertical prefix (2,3) = -3 outside [-inf, -4]"
+
+
 def test_dot_output_mentions_nodes_and_caps():
     net = build_network(asm_instance(1))
     dot = network_to_dot(net)

@@ -1,14 +1,16 @@
 """Equitable integer decomposition and the k-regular ASM splitter."""
 
+import dataclasses
 import importlib
 import random
 
 import pytest
 
-from pbm.core import ExtMatrix, IntMatrix, PbmInstance, fin, validate_instance
+from pbm.core import NEG_INF, POS_INF, ExtMatrix, IntMatrix, PbmInstance, fin, validate_instance
 from pbm.asmkit import asm_instance, k_regular_instance
-from pbm.decompose import Decomposition, decompose, decompose_k_regular_asm, shrink_instance
-from pbm.errors import BadParams, InfeasibleInput, NotKRegular
+from pbm.circulation import Circulation, build_network, check_circulation, circulation_from_matrix
+from pbm.decompose import Decomposition, _halve, decompose, decompose_k_regular_asm, shrink_instance
+from pbm.errors import BadParams, InfeasibleInput, InternalError, NotKRegular
 from pbm import oracle
 from pbm.feasibility import solve
 
@@ -127,6 +129,71 @@ class TestDecompose:
     def test_multiplicities_sum_to_k(self):
         with pytest.raises(Exception):
             Decomposition(parts=((IntMatrix.zeros(1, 1), 2),), k=3)
+
+
+def open_instance(m: int, n: int) -> PbmInstance:
+    """Every bound infinite: any integer matrix meets it."""
+    lows, highs = [[NEG_INF] * n for _ in range(m)], [[POS_INF] * n for _ in range(m)]
+    return PbmInstance.create(m, n, lows, highs, lows, highs, lows, highs)
+
+
+def random_matrix(rng: random.Random, m: int, n: int) -> IntMatrix:
+    span = rng.choice([1, 3, 10**30])
+    return IntMatrix.from_rows([[rng.randint(-span, span) for _ in range(n)] for _ in range(m)])
+
+
+class TestHalve:
+    def test_halves_conserve_round_and_add_up(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            inst = open_instance(m, n)
+            net = build_network(inst)
+            z = circulation_from_matrix(inst, random_matrix(rng, m, n)).flows
+            box = dataclasses.replace(
+                net, lower=tuple(v // 2 for v in z), upper=tuple(-(-v // 2) for v in z)
+            )
+            first, second = _halve(net, z)
+            for half in (first, second):
+                check_circulation(box, Circulation(half))  # conserves, within the box
+            assert [x + y for x, y in zip(first, second)] == list(z)
+
+    def test_solves_only_for_the_odd_factor(self, monkeypatch):
+        mod = importlib.import_module("pbm.decompose")
+        solves = []
+        real = mod.min_cost_circulation
+
+        def counting(net):
+            solves.append(net)
+            return real(net)
+
+        monkeypatch.setattr(mod, "min_cost_circulation", counting)
+        rng = random.Random(8)
+        inst = open_instance(4, 5)
+        a = random_matrix(rng, 4, 5)
+        for k, expected in [(1, 0), (2, 0), (3, 2), (4, 0), (5, 4), (6, 2), (8, 0), (12, 2)]:
+            solves.clear()
+            dec = decompose(inst, a, k)
+            assert dec.total() == a and dec.k == k
+            assert len(solves) == expected, k
+
+    def test_split_that_breaks_conservation_is_caught(self, monkeypatch):
+        mod = importlib.import_module("pbm.decompose")
+        real = mod._halve
+
+        def unbalanced(net, z):
+            # swap the rounding on one odd arc: both halves stay within the box
+            # and still add up to z, but neither conserves any more
+            first, second = map(list, real(net, z))
+            a = next(a for a, v in enumerate(z) if v % 2 and first[a] == v // 2)
+            first[a] += 1
+            second[a] -= 1
+            return first, second
+
+        monkeypatch.setattr(mod, "_halve", unbalanced)
+        inst = open_instance(2, 2)
+        with pytest.raises(InternalError, match="conservation"):
+            decompose(inst, IntMatrix.from_rows([[1, 2], [3, 5]]), 2)
 
 
 class TestShrink:
