@@ -44,7 +44,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import le
+from operator import add, le, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .core import ExtInt, IntMatrix, PbmInstance, SubsetMask, fin
@@ -168,22 +168,23 @@ def instance_arc_bounds(inst: PbmInstance) -> tuple[list[ExtInt], list[ExtInt]]:
 def network_from_bounds(
     m: int,
     n: int,
-    lower: Sequence[ExtInt],
-    upper: Sequence[ExtInt],
+    lower: "Sequence[ExtInt | int]",
+    upper: "Sequence[ExtInt | int]",
     *,
     instance: "PbmInstance | None" = None,
 ) -> Network:
     """Build the network from explicit per-arc bounds in arc-id order.
 
-    K is 1 + 2 * sum of |finite bounds| + mn.  Every finite bound is
-    smaller than K in magnitude, so a clamped bound equals +-K exactly when
-    the true bound is infinite.
+    A bound is an ``ExtInt``, or an int for a finite one.  K is 1 + 2 *
+    sum of |finite bounds| + mn.  Every finite bound is smaller than K in
+    magnitude, so a clamped bound equals +-K exactly when the true bound is
+    infinite.
     """
     mn = m * n
     if len(lower) != 3 * mn + 1 or len(upper) != 3 * mn + 1:
         raise InternalError("arc bound vectors have wrong length")
     # an infinite ExtInt carries value 0: it adds no mass, and value + tag * K clamps it
-    finite_mass = sum(abs(v.value) for v in (*lower, *upper))
+    finite_mass = sum(abs(v if type(v) is int else v.value) for v in chain(lower, upper))
     big_k = 1 + 2 * finite_mass + mn
     hub1, hub2 = 2 * mn, 2 * mn + 1
     cells = range(mn)
@@ -194,17 +195,17 @@ def network_from_bounds(
         n=n,
         tail=(*a1_tails, *range(mn, 2 * mn), *cells, hub2),
         head=(*cells, *a2_heads, *range(mn, 2 * mn), hub1),
-        lower=tuple(v.value + v.tag * big_k for v in lower),
-        upper=tuple(v.value + v.tag * big_k for v in upper),
+        lower=tuple(v if type(v) is int else v.value + v.tag * big_k for v in lower),
+        upper=tuple(v if type(v) is int else v.value + v.tag * big_k for v in upper),
         big_k=big_k,
         instance=instance,
     )
     # every finite bound is below K in magnitude, so clamping keeps the order
-    for a, (lo, hi) in enumerate(zip(net.lower, net.upper)):
-        if lo > hi:
-            raise InternalError(
-                f"empty arc bound interval on arc {net.arc_tag(a)}: [{lower[a]}, {upper[a]}]"
-            )
+    if not all(map(le, net.lower, net.upper)):
+        a = next(a for a, (lo, hi) in enumerate(zip(net.lower, net.upper)) if lo > hi)
+        raise InternalError(
+            f"empty arc bound interval on arc {net.arc_tag(a)}: [{lower[a]}, {upper[a]}]"
+        )
     return net
 
 
@@ -271,6 +272,29 @@ class _FlowGraph:
         self.cap.append(back)
         self.cost.append(-cost)
         self.adj[v].append(idx + 1)
+
+    def add_arcs(
+        self,
+        tails: Sequence[int],
+        heads: Sequence[int],
+        caps: Sequence[int],
+        backs: Sequence[int],
+        costs: Sequence[int],
+    ) -> None:
+        """``add_edge`` for every arc in turn, in bulk: the same edge ids and ``adj`` order."""
+        first, count = len(self.to), len(tails)
+        pairs = [0] * (2 * count)
+        pairs[0::2], pairs[1::2] = heads, tails
+        self.to += pairs
+        pairs[0::2], pairs[1::2] = caps, backs
+        self.cap += pairs
+        # all-zero costs are their own negation
+        pairs[0::2], pairs[1::2] = costs, map(neg, costs) if any(costs) else costs
+        self.cost += pairs
+        adj = self.adj
+        for idx, u, w in zip(range(first, first + 2 * count, 2), tails, heads):
+            adj[u].append(idx)
+            adj[w].append(idx + 1)
 
     def distances(self, sources: list[int], adj: list[list[int]], flip: int) -> list[int]:
         """Breadth-first edge counts over ``adj``; len(adj) marks the unreached.
@@ -431,20 +455,20 @@ def min_cost_circulation(
     at a cut.  All arithmetic is exact.
     """
     nodes, arc_count = net.node_count, len(net.lower)
+    tail, head, lower, upper = net.tail, net.head, net.lower, net.upper
     costs = [0] * arc_count
+    flow = _greedy_start(net)
     for arc_id, c in (cost or {}).items():
-        costs[arc_id] = c
+        if c:
+            costs[arc_id] = c
+            flow[arc_id] = upper[arc_id] if c < 0 else lower[arc_id]
     t = nodes
     excess = [0] * (nodes + 1)
-    graph = _FlowGraph(nodes + 1)
-    for u, w, lo, hi, z, c in zip(
-        net.tail, net.head, net.lower, net.upper, _greedy_start(net), costs
-    ):
-        if c:
-            z = hi if c < 0 else lo
+    for u, w, z in zip(tail, head, flow):
         excess[w] += z
         excess[u] -= z
-        graph.add_edge(u, w, hi - z, z - lo, c)
+    graph = _FlowGraph(nodes + 1)
+    graph.add_arcs(tail, head, list(map(sub, upper, flow)), list(map(sub, flow, lower)), costs)
     demand = 0
     for v in range(nodes):
         if excess[v] < 0:
@@ -493,7 +517,7 @@ def min_cost_circulation(
         cycle = _negative_infinite_cycle(net, costs, pi[:nodes])
         if cycle is not None:
             return _checked_negative_cycle(net, costs, cycle)
-    circ = Circulation(tuple(lo + c for lo, c in zip(net.lower, cap[1 : 2 * arc_count : 2])))
+    circ = Circulation(tuple(map(add, lower, cap[1 : 2 * arc_count : 2])))
     check_circulation(net, circ)
     return circ
 

@@ -11,10 +11,11 @@ eval, oracle.  See docs/schema.md for the JSON formats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from itertools import product
+from itertools import chain, product, starmap
 from typing import Sequence
 
 from . import asmkit, oracle
@@ -164,14 +165,53 @@ def _agrees(found: list, result) -> bool:
     )
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)``, for a value nested ``depth`` levels deep.
+
+    With ``indent`` set, the standard encoder runs in pure Python.  Here
+    int lists and tables of equal-length int rows, which hold nearly all of
+    a document's bytes, are joined in C; string-keyed objects and other
+    lists recurse; every other value is left to ``json.dumps``, whose lines
+    are then shifted right by ``depth`` levels.
+    """
+    kind = type(obj)
+    if kind is int:
+        return str(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if obj and kind is list:
+        inner = "\n" + "  " * (depth + 1)
+        close = "\n" + "  " * depth + "]"
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            return "[" + inner + ("," + inner).join(map(str, obj)) + close
+        if kinds == {list}:
+            widths = set(map(len, obj))
+            if len(widths) == 1 and 0 not in widths and set(
+                map(type, chain.from_iterable(obj))
+            ) == {int}:
+                deeper = inner + "  "
+                row = "[" + deeper + ("," + deeper).join(["{}"] * widths.pop()) + inner + "]"
+                return "[" + inner + ("," + inner).join(starmap(row.format, obj)) + close
+        return "[" + inner + ("," + inner).join([_json_text(v, depth + 1) for v in obj]) + close
+    if obj and kind is dict and set(map(type, obj)) == {str}:
+        inner = "\n" + "  " * (depth + 1)
+        items = [_encode_str(k) + ": " + _json_text(v, depth + 1) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
+    # the encoder escapes every newline inside a string, so each one here starts a line
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 def _finish(doc: dict, summary: str, record: "dict | None" = None) -> int:
     """Attach the oracle's record, print the document, return the exit code."""
     agrees = True
     if record is not None:
         doc["oracle"] = record
         agrees = record["agrees"]
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(doc) + "\n")
     print(summary if agrees else "oracle disagrees with solver", file=sys.stderr)
     return _EXIT[doc.get("status")] if agrees else EXIT_ERROR
 
@@ -369,7 +409,9 @@ def _cmd_oracle(args) -> int:
     return _finish(doc, f"{len(matrices)} matrices")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once: parsing leaves no state in it."""
     parser = _Parser(prog="pbm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

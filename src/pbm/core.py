@@ -18,6 +18,7 @@ All arithmetic is exact; there are no floats anywhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -258,13 +259,12 @@ class IntMatrix:
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
         m, n = _check_rect(rows, "matrix")
-        out = []
-        for i, row in enumerate(rows, start=1):
-            for j, v in enumerate(row, start=1):
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise InstanceFormatError(f"entry ({i},{j}) is not an integer: {v!r}")
-            out.append(tuple(row))
-        return IntMatrix(m, n, tuple(out))
+        if set(map(type, chain.from_iterable(rows))) != {int}:
+            for i, row in enumerate(rows, start=1):
+                for j, v in enumerate(row, start=1):
+                    if isinstance(v, bool) or not isinstance(v, int):
+                        raise InstanceFormatError(f"entry ({i},{j}) is not an integer: {v!r}")
+        return IntMatrix(m, n, tuple(map(tuple, rows)))
 
     @staticmethod
     def zeros(m: int, n: int) -> "IntMatrix":
@@ -323,6 +323,20 @@ class ExtMatrix:
     @staticmethod
     def from_rows(rows: Sequence[Sequence["ExtInt | int | str"]]) -> "ExtMatrix":
         m, n = _check_rect(rows, "bound matrix")
+        # Bound tables repeat few values: when every cell is a JSON int or
+        # string, parse each distinct value once.  Any other cell, or a bad
+        # string, takes the per-cell loop, which names the first fault in
+        # row-major order.
+        if set(map(type, chain.from_iterable(rows))) <= {int, str}:
+            try:
+                made = {
+                    v: _finite(v) if type(v) is int else ExtInt.from_json(v)
+                    for v in set(chain.from_iterable(rows))
+                }
+            except InstanceFormatError:
+                pass
+            else:
+                return ExtMatrix(m, n, tuple(tuple(map(made.__getitem__, row)) for row in rows))
         return ExtMatrix(m, n, tuple(tuple(map(_ext_cell, row)) for row in rows))
 
     @staticmethod

@@ -187,8 +187,7 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
     q, halvings = k, 0
     while q % 2 == 0:
         q, halvings = q // 2, halvings + 1
-    exact = [fin(z) for z in z_star]
-    net = network_from_bounds(inst.m, inst.n, exact, exact)
+    net = network_from_bounds(inst.m, inst.n, z_star, z_star)
     z_res = list(z_star)
     flows: list[tuple[int, ...]] = []
     for owed in range(q, 1, -1):

@@ -9,6 +9,7 @@ from pbm import circulation
 from pbm.asmkit import asm_instance
 from pbm.circulation import (
     Circulation,
+    _FlowGraph,
     NegativeCycle,
     _greedy_start,
     build_network,
@@ -119,6 +120,60 @@ class TestNetworkShape:
     def test_lower_above_upper_rejected(self):
         with pytest.raises(InternalError):
             network_from_bounds(1, 1, [fin(1)] * 4, [fin(0)] * 4)
+        with pytest.raises(InternalError, match=r"on arc \('N', 1, 1\): \[1, 0\]"):
+            network_from_bounds(1, 1, [0, 0, 1, 0], [0, 0, 0, 0])
+
+    def test_int_bounds_are_finite_bounds(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            count = 3 * m * n + 1
+            lower = [rng.randint(-10**20, 10**20) for _ in range(count)]
+            upper = [lo + rng.randint(0, 9) for lo in lower]
+            as_ext = network_from_bounds(m, n, list(map(fin, lower)), list(map(fin, upper)))
+            assert network_from_bounds(m, n, lower, upper) == as_ext
+            # ints and ExtInts mix freely; infinities still clamp to -K and +K
+            mixed = network_from_bounds(m, n, [NEG_INF, *lower[1:]], [*upper[:-1], POS_INF])
+            assert mixed.lower[1:] == as_ext.lower[1:] and mixed.upper[:-1] == as_ext.upper[:-1]
+            assert (mixed.lower[0], mixed.upper[-1]) == (-mixed.big_k, mixed.big_k)
+
+
+class TestResidualGraph:
+    @pytest.mark.parametrize("priced", [False, True], ids=["unpriced", "priced"])
+    def test_bulk_arcs_match_edge_by_edge(self, priced):
+        rng = random.Random(31 + priced)
+        for _ in range(30):
+            nodes = rng.randint(1, 8)
+            count = rng.randint(0, 20)
+            tails = [rng.randrange(nodes) for _ in range(count)]
+            heads = [rng.randrange(nodes) for _ in range(count)]
+            caps = [rng.randint(0, 10**30) for _ in range(count)]
+            backs = [rng.randint(0, 9) for _ in range(count)]
+            costs = [rng.randint(-5, 5) if priced else 0 for _ in range(count)]
+            one, bulk = _FlowGraph(nodes + 1), _FlowGraph(nodes + 1)
+            for u, w, cap, back, cost in zip(tails, heads, caps, backs, costs):
+                one.add_edge(u, w, cap, back, cost)
+            bulk.add_arcs(tails, heads, caps, backs, costs)
+            short = rng.randrange(nodes)
+            for graph in (one, bulk):  # sink edges follow the arcs, as in a solve
+                graph.add_edge(short, nodes, 3)
+                graph.add_edge(0, nodes, 1)
+            assert (bulk.to, bulk.cap, bulk.cost, bulk.adj) == (one.to, one.cap, one.cost, one.adj)
+            assert bulk.cost[1::2] == [-c for c in bulk.cost[0::2]]
+
+    def test_bulk_arcs_on_instance_networks(self):
+        rng = random.Random(33)
+        for _ in range(10):
+            net = build_network(feasible_random(rng, rng.randint(1, 6), rng.randint(1, 6)))
+            flow = _greedy_start(net)
+            caps = [hi - z for z, hi in zip(flow, net.upper)]
+            backs = [z - lo for lo, z in zip(net.lower, flow)]
+            costs = [rng.randint(-3, 3) for _ in flow]
+            one, bulk = _FlowGraph(net.node_count + 1), _FlowGraph(net.node_count + 1)
+            for args in zip(net.tail, net.head, caps, backs, costs):
+                one.add_edge(*args)
+            bulk.add_arcs(net.tail, net.head, caps, backs, costs)
+            assert (bulk.to, bulk.cap, bulk.cost, bulk.adj) == (one.to, one.cap, one.cost, one.adj)
 
 
 class TestFeasibility:

@@ -4,7 +4,10 @@ import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from pbm import cli
 from pbm.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, EXIT_UNBOUNDED, main
 from pbm.core import IntMatrix, instance_to_json
 from pbm.asmkit import asm_instance, pasm_instance
@@ -439,3 +442,82 @@ class TestErrorPaths:
             main(["frobnicate"])
         assert exc.value.code == EXIT_ERROR
         capsys.readouterr()
+
+
+big_ints = st.integers(-(10**40), 10**40)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    big_ints,
+    st.floats(),
+    st.text(),  # non-ASCII and control characters included
+    st.lists(st.one_of(big_ints, st.booleans())),  # int lists, with and without bools
+    st.lists(st.lists(st.integers(-3, 3), max_size=3)),  # ragged or empty rows
+    st.integers(0, 3).flatmap(  # equal-length int tables
+        lambda w: st.lists(st.lists(big_ints, min_size=w, max_size=w), max_size=4)
+    ),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(st.one_of(st.integers(-3, 3), st.booleans()), inner, max_size=2),
+    ),
+    max_leaves=12,
+)
+
+
+class TestJsonText:
+    @given(json_values)
+    def test_equals_indented_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[], {}, [[]], [[], []], [[1, 2], [3]], [[1, True]], [(1, 2), [3, 4]], {"a": [1.5]}],
+    )
+    def test_edge_shapes(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_printed_document_is_indented_json(self, capsys, tmp_path, bad1x1_file):
+        code = main(["solve", bad1x1_file])
+        out = capsys.readouterr().out
+        assert code == EXIT_INFEASIBLE
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class TestRepeatedCalls:
+    def outcome(self, capsys, argv):
+        """Exit code, document without its wall time, and stderr of one call."""
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out) if captured.out else None
+        if doc is not None:
+            doc.get("diagnostics", {}).pop("wall_ms", None)
+        return code, doc, captured.err
+
+    def test_one_parser_serves_every_call(self, capsys, tmp_path, asm2_file):
+        costs = write_json(tmp_path / "costs.json", [[1, -1], [-1, 1]])
+        calls = [
+            ("sum", asm2_file),  # usage error: no direction
+            ("sum", asm2_file, "--max"),
+            ("sum", asm2_file, "--min"),
+            ("cost", asm2_file, "--costs", costs, "--max"),
+            ("cost", asm2_file, "--costs", costs),  # --min by default
+            ("frobnicate",),
+            ("check", asm2_file),
+        ]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        repeated = [self.outcome(capsys, argv) for argv in calls]
+        assert repeated == fresh
+        assert cli._build_parser() is cli._build_parser()
+        assert [code for code, _, _ in fresh] == [EXIT_ERROR, 0, 0, 0, 0, EXIT_ERROR, 0]
+        assert fresh[3][1]["direction"] == "max" and fresh[4][1]["direction"] == "min"

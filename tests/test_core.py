@@ -158,6 +158,19 @@ class TestIntMatrix:
     def test_zeros(self):
         assert IntMatrix.zeros(2, 3).total() == 0
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, True]], "entry (1,2) is not an integer: True"),
+            ([[1, 1], [True, 1]], "entry (2,1) is not an integer: True"),
+            ([[1, 2], [3, 4.0]], "entry (2,2) is not an integer: 4.0"),
+            ([["1", [2]]], "entry (1,1) is not an integer: '1'"),
+        ],
+    )
+    def test_first_non_integer_named(self, rows, message):
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+            IntMatrix.from_rows(rows)
+
 
 class TestExtMatrix:
     def test_mixed_input(self):
@@ -169,6 +182,52 @@ class TestExtMatrix:
     def test_constant(self):
         mat = ExtMatrix.constant(2, 2, fin(7))
         assert all(v == fin(7) for _, _, v in mat.cells())
+
+
+def _per_cell(rows):
+    """Each cell parsed on its own, row-major: the reference for the distinct-value parse."""
+    return tuple(tuple(ExtInt.from_json(v) for v in row) for row in rows)
+
+
+json_cells = st.one_of(
+    st.integers(-(10**40), 10**40),
+    st.integers(-2, 2),
+    st.sampled_from(["-inf", "+inf", "inf", "-infinity", "+infinity", "infinity"]),
+)
+json_tables = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(json_cells, min_size=n, max_size=n), min_size=1, max_size=5)
+)
+
+
+class TestDistinctValueParse:
+    @given(json_tables)
+    def test_matches_per_cell_parse(self, rows):
+        mat = ExtMatrix.from_rows(rows)
+        assert mat.rows == _per_cell(rows)
+        assert all(type(e.value) is int for row in mat.rows for e in row)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, True]], "expected integer or infinity string, got True"),
+            # True == 1, so one table entry would serve both
+            ([[1, 1], [True, 1]], "expected integer or infinity string, got True"),
+            ([[1, "-inf"], [1.0, 1]], "expected integer or infinity string, got 1.0"),
+            ([[2, [2]]], "expected integer or infinity string, got [2]"),
+            # the first bad string in row-major order is named, whichever is met first
+            ([["-inf", "zzz"], ["aaa", 1]], "bad extended integer 'zzz'"),
+            ([["aaa", "zzz"], ["-inf", 1]], "bad extended integer 'aaa'"),
+        ],
+    )
+    def test_errors_match_per_cell_parse(self, rows, message):
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+            _per_cell(rows)
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+            ExtMatrix.from_rows(rows)
+
+    def test_extint_cells_still_accepted(self):
+        mat = ExtMatrix.from_rows([[fin(1), 1, "+inf"], [NEG_INF, 1, 2]])
+        assert mat.rows == ((fin(1), fin(1), POS_INF), (NEG_INF, fin(1), fin(2)))
 
 
 class TestSubsetMask:

@@ -91,3 +91,16 @@ def test_segments_are_maximal(cells):
     for seg in maximal_segments(mask, VERTICAL):
         assert (seg.start - 1, seg.line) not in mask
         assert (seg.end + 1, seg.line) not in mask
+
+
+@given(cells_strategy)
+def test_segments_match_checked_construction(cells):
+    # maximal_segments skips Segment's checks; its segments must equal, hash and
+    # sort like checked ones
+    mask = SubsetMask.from_cells(4, 4, cells)
+    for orientation in (HORIZONTAL, VERTICAL):
+        segs = maximal_segments(mask, orientation)
+        checked = [Segment(s.orientation, s.line, s.start, s.end) for s in segs]
+        assert segs == checked
+        assert list(map(hash, segs)) == list(map(hash, checked))
+        assert sorted(segs) == sorted(checked) == segs
