@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Census of the special matrix classes by exhaustive enumeration.
 
-Counts feasible matrices of the asm/k-regular/pasm/higher-spin instances
-for small orders, with wall times, and checks each matrix against the
-class's direct definition.  The ASM column should read 1, 2, 7, 42, ...
-Exits 1 when a matrix fails its definition or an ASM count is wrong.
+Counts feasible matrices of every family's instances (asm, k-regular,
+pasm, higher-spin, aval-sign, Brualdi-Dahl, sum-majorized, wasm) for small
+orders, with wall times, and checks each matrix against the class's direct
+definition.  The ASM column should read 1, 2, 7, 42, ...  Exits 1 when a
+matrix fails its definition or an ASM count is wrong.
 """
 
 from __future__ import annotations
@@ -13,8 +14,18 @@ import argparse
 import time
 from math import factorial
 
-from pbm.asmkit import asm_instance, higher_spin_instance, k_regular_instance, pasm_instance
+from pbm.asmkit import (
+    asm_instance,
+    aval_sign_instance,
+    brualdi_dahl_instance,
+    higher_spin_instance,
+    k_regular_instance,
+    pasm_instance,
+    sum_majorized_instance,
+    wasm_instance,
+)
 from pbm import oracle
+from pbm.core import IntMatrix
 
 
 def asm_count(n: int) -> int:
@@ -44,7 +55,9 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=4, help="largest order to enumerate")
     args = parser.parse_args()
 
-    budget = oracle.EnumerationBudget(max_cells=args.max_n * args.max_n, max_nodes=10**9)
+    budget = oracle.EnumerationBudget(
+        max_cells=args.max_n * args.max_n, max_range_width=9, max_nodes=10**9
+    )
     ok = True
     for n in range(1, args.max_n + 1):
         ok &= census(f"asm({n})", asm_instance(n), oracle.is_asm, budget, asm_count(n))
@@ -65,6 +78,36 @@ def main() -> int:
                 f"higher_spin({n},{r})",
                 higher_spin_instance(n, r),
                 lambda mt, r=r: oracle.is_higher_spin(mt, r),
+                budget,
+            )
+    for m, n in [(2, 2), (2, 3), (3, 3)]:
+        if max(m, n) <= args.max_n:
+            ok &= census(
+                f"aval_sign({m},{n})", aval_sign_instance(m, n), oracle.is_aval_sign, budget
+            )
+    for r, s in [([1, 2], [2, 1]), ([1, 2, 0], [1, 1, 1]), ([2, 1, 2], [1, 2, 2])]:
+        if max(len(r), len(s)) <= args.max_n:
+            ok &= census(
+                f"brualdi_dahl({r},{s})",
+                brualdi_dahl_instance(r, s),
+                lambda mt, r=r, s=s: oracle.is_brualdi_dahl(mt, r, s),
+                budget,
+            )
+    for rows in [[[1, 2], [2, 3]], [[1, 1, 2], [1, 1, 3]], [[1, 2, 2], [2, 3, 3], [2, 3, 4]]]:
+        b = IntMatrix.from_rows(rows)
+        if max(b.m, b.n) <= args.max_n:
+            ok &= census(
+                f"sum_majorized({rows})",
+                sum_majorized_instance(b),
+                lambda mt, b=b: oracle.is_sum_majorized(mt, b),
+                budget,
+            )
+    for rows, cols in [(["++", "+-"], ["+-", "++"]), (["+-", "-+", "++"], ["++", "-+", "+-"])]:
+        if max(len(rows), len(cols)) <= args.max_n:
+            ok &= census(
+                f"wasm({''.join(rows)},{''.join(cols)})",
+                wasm_instance(rows, cols),
+                lambda mt, rows=rows, cols=cols: oracle.is_wasm(mt, rows, cols),
                 budget,
             )
     return 0 if ok else 1

@@ -77,14 +77,12 @@ from .asmkit import (
     CompatibleAsmResult,
     SPartition,
     SegmentFamilyCertificate,
-    SubordinateOptResult,
     asm_instance,
     aval_sign_instance,
     brualdi_dahl_instance,
     compatible_asm,
     higher_spin_instance,
     k_regular_instance,
-    make_instance,
     max_plus_ones_subordinate,
     pasm_instance,
     subordinate_asm,

@@ -1,7 +1,10 @@
 """Structured matrix families expressed as prefix-bound instances.
 
-Each constructor returns an instance whose feasible matrices are exactly
-the members of a classical family:
+Every family is a table of line windows plus entry bounds: each row and
+each column has one window for its prefix sums and one for its line sum,
+and one builder, ``_line_instance``, turns such a table into the
+instance.  Each constructor returns an instance whose feasible matrices
+are exactly the members of a classical family:
 
 * asm(n): alternating sign matrices (prefix sums in [0, 1] both ways,
   line sums 1, entries in {0, +-1});
@@ -12,8 +15,11 @@ the members of a classical family:
   nonnegative, entries {0, +-1};
 * brualdi_dahl(r, s): entries {0, +-1}, row i sums to r_i with prefix sums
   in [0, r_i], columns likewise with s;
+* wasm(rows, cols): entries {0, +-1}, each line's windows set by its wing
+  pattern;
 * sum_majorized(B): both prefix-sum arrays bounded below by 0 and above
   entrywise by B, with row and column sums pinned to B's last column/row.
+  Its upper windows change along a line, so its tables come from B itself.
 
 ``compatible_asm`` decides whether an ASM can honor a six-way cell
 partition (forced 0 / +1 / -1, at most 0 / at least 0, free).  When no ASM
@@ -27,6 +33,7 @@ so the family is a standalone proof of infeasibility.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -50,7 +57,6 @@ __all__ = [
     "SPartition",
     "SegmentFamilyCertificate",
     "CompatibleAsmResult",
-    "SubordinateOptResult",
     "asm_instance",
     "k_regular_instance",
     "higher_spin_instance",
@@ -59,7 +65,6 @@ __all__ = [
     "brualdi_dahl_instance",
     "sum_majorized_instance",
     "wasm_instance",
-    "make_instance",
     "compatible_asm",
     "subordinate_asm",
     "max_plus_ones_subordinate",
@@ -67,13 +72,23 @@ __all__ = [
 ]
 
 
-def _pinned_last(n_lines: int, length: int, interior: ExtInt, final) -> list[list[ExtInt]]:
-    """Rows of a bound table: ``interior`` everywhere, per-line final value."""
-    out = []
-    for line in range(n_lines):
-        fv = final[line] if isinstance(final, (list, tuple)) else final
-        out.append([interior] * (length - 1) + [fv])
-    return out
+def _line_instance(
+    rows: Sequence[tuple], cols: Sequence[tuple], entry: tuple = (NEG_INF, POS_INF)
+) -> PbmInstance:
+    """The instance that bounds each line's prefix sums and every entry.
+
+    Each row and column is ``(lo, hi, last_lo, last_hi)``: every prefix sum
+    of the line but the last lies in [lo, hi], and the last one, the line
+    sum, in [last_lo, last_hi].  Every entry lies in ``entry``.  Bounds are
+    ints or infinite ``ExtInt``s.
+    """
+    m, n = len(rows), len(cols)
+    phi1, gamma1 = ([[r[k]] * (n - 1) + [r[k + 2]] for r in rows] for k in (0, 1))
+    phi2, gamma2 = (
+        [[c[k] for c in cols]] * (m - 1) + [[c[k + 2] for c in cols]] for k in (0, 1)
+    )
+    lo, hi = entry
+    return PbmInstance.create(m, n, phi1, gamma1, phi2, gamma2, [[lo] * n] * m, [[hi] * n] * m)
 
 
 def _check_dim(value: int, name: str) -> int:
@@ -99,49 +114,21 @@ def higher_spin_instance(n: int, r: int) -> PbmInstance:
     _check_dim(n, "n")
     if not isinstance(r, int) or isinstance(r, bool) or r < 0:
         raise BadParams(f"r must be a nonnegative integer, got {r!r}")
-    zero, rr = fin(0), fin(r)
-    return PbmInstance.create(
-        m=n,
-        n=n,
-        phi1=_pinned_last(n, n, zero, rr),
-        gamma1=[[rr] * n for _ in range(n)],
-        phi2=[
-            [zero if i < n else rr for _ in range(n)] for i in range(1, n + 1)
-        ],
-        gamma2=[[rr] * n for _ in range(n)],
-    )
+    return _line_instance([(0, r, r, r)] * n, [(0, r, r, r)] * n)
 
 
 def pasm_instance(m: int, n: int) -> PbmInstance:
     """Entries {0, +-1} with every prefix sum, both ways, in {0, 1}."""
     _check_dim(m, "m")
     _check_dim(n, "n")
-    return PbmInstance.create(
-        m=m,
-        n=n,
-        phi1=[[fin(0)] * n for _ in range(m)],
-        gamma1=[[fin(1)] * n for _ in range(m)],
-        phi2=[[fin(0)] * n for _ in range(m)],
-        gamma2=[[fin(1)] * n for _ in range(m)],
-        f=[[fin(-1)] * n for _ in range(m)],
-        g=[[fin(1)] * n for _ in range(m)],
-    )
+    return _line_instance([(0, 1, 0, 1)] * m, [(0, 1, 0, 1)] * n, (-1, 1))
 
 
 def aval_sign_instance(m: int, n: int) -> PbmInstance:
     """Entries {0, +-1}; vertical prefix sums in {0, 1}, horizontal ones >= 0."""
     _check_dim(m, "m")
     _check_dim(n, "n")
-    return PbmInstance.create(
-        m=m,
-        n=n,
-        phi1=[[fin(0)] * n for _ in range(m)],
-        gamma1=[[POS_INF] * n for _ in range(m)],
-        phi2=[[fin(0)] * n for _ in range(m)],
-        gamma2=[[fin(1)] * n for _ in range(m)],
-        f=[[fin(-1)] * n for _ in range(m)],
-        g=[[fin(1)] * n for _ in range(m)],
-    )
+    return _line_instance([(0, POS_INF, 0, POS_INF)] * m, [(0, 1, 0, 1)] * n, (-1, 1))
 
 
 def brualdi_dahl_instance(row_sums: Sequence[int], col_sums: Sequence[int]) -> PbmInstance:
@@ -152,19 +139,8 @@ def brualdi_dahl_instance(row_sums: Sequence[int], col_sums: Sequence[int]) -> P
         for v in seq:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise BadParams(f"{name} entries must be nonnegative integers, got {v!r}")
-    m, n = len(row_sums), len(col_sums)
-    return PbmInstance.create(
-        m=m,
-        n=n,
-        phi1=_pinned_last(m, n, fin(0), [fin(r) for r in row_sums]),
-        gamma1=[[fin(r)] * n for r in row_sums],
-        phi2=[
-            [fin(0) if i < m else fin(col_sums[j]) for j in range(n)]
-            for i in range(1, m + 1)
-        ],
-        gamma2=[[fin(s) for s in col_sums] for _ in range(m)],
-        f=[[fin(-1)] * n for _ in range(m)],
-        g=[[fin(1)] * n for _ in range(m)],
+    return _line_instance(
+        [(0, r, r, r) for r in row_sums], [(0, s, s, s) for s in col_sums], (-1, 1)
     )
 
 
@@ -180,13 +156,10 @@ def sum_majorized_instance(b: IntMatrix) -> PbmInstance:
     return PbmInstance.create(
         m=m,
         n=n,
-        phi1=_pinned_last(m, n, fin(0), [fin(b.at(i, n)) for i in range(1, m + 1)]),
-        gamma1=[[fin(b.at(i, j)) for j in range(1, n + 1)] for i in range(1, m + 1)],
-        phi2=[
-            [fin(0) if i < m else fin(b.at(m, j)) for j in range(1, n + 1)]
-            for i in range(1, m + 1)
-        ],
-        gamma2=[[fin(b.at(i, j)) for j in range(1, n + 1)] for i in range(1, m + 1)],
+        phi1=[[0] * (n - 1) + [row[-1]] for row in b.rows],
+        gamma1=b.rows,
+        phi2=[[0] * n] * (m - 1) + [b.rows[-1]],
+        gamma2=b.rows,
     )
 
 
@@ -216,68 +189,12 @@ def wasm_instance(rows: Sequence[str], cols: Sequence[str]) -> PbmInstance:
                 raise BadParams(
                     f"{name} pattern {idx} is {p!r}; expected one of {sorted(WING_PATTERNS)}"
                 )
-    m, n = len(rows), len(cols)
-    phi1 = [
-        [fin(WING_PATTERNS[rows[i]][0])] * (n - 1) + [fin(WING_PATTERNS[rows[i]][2])]
-        for i in range(m)
-    ]
-    gamma1 = [
-        [fin(WING_PATTERNS[rows[i]][1])] * (n - 1) + [fin(WING_PATTERNS[rows[i]][2])]
-        for i in range(m)
-    ]
-    phi2 = [
-        [
-            fin(WING_PATTERNS[cols[j]][0]) if i < m else fin(WING_PATTERNS[cols[j]][2])
-            for j in range(n)
-        ]
-        for i in range(1, m + 1)
-    ]
-    gamma2 = [
-        [
-            fin(WING_PATTERNS[cols[j]][1]) if i < m else fin(WING_PATTERNS[cols[j]][2])
-            for j in range(n)
-        ]
-        for i in range(1, m + 1)
-    ]
-    return PbmInstance.create(
-        m=m,
-        n=n,
-        phi1=phi1,
-        gamma1=gamma1,
-        phi2=phi2,
-        gamma2=gamma2,
-        f=[[fin(-1)] * n for _ in range(m)],
-        g=[[fin(1)] * n for _ in range(m)],
-    )
 
+    def windows(p: str) -> tuple[int, int, int, int]:
+        lo, hi, last = WING_PATTERNS[p]
+        return lo, hi, last, last
 
-def make_instance(kind: str, **params) -> PbmInstance:
-    """Dispatch to one of the family constructors by name."""
-    builders = {
-        "asm": lambda: asm_instance(params.pop("n")),
-        "k_regular": lambda: k_regular_instance(params.pop("n"), params.pop("k")),
-        "higher_spin": lambda: higher_spin_instance(params.pop("n"), params.pop("r")),
-        "pasm": lambda: pasm_instance(params.pop("m"), params.pop("n")),
-        "aval_sign": lambda: aval_sign_instance(params.pop("m"), params.pop("n")),
-        "brualdi_dahl": lambda: brualdi_dahl_instance(
-            params.pop("row_sums"), params.pop("col_sums")
-        ),
-        "sum_majorized": lambda: sum_majorized_instance(
-            params.pop("b")
-            if isinstance(params.get("b"), IntMatrix)
-            else IntMatrix.from_rows(params.pop("b"))
-        ),
-        "wasm": lambda: wasm_instance(params.pop("rows"), params.pop("cols")),
-    }
-    if kind not in builders:
-        raise BadParams(f"unknown kind {kind!r}; expected one of {sorted(builders)}")
-    try:
-        inst = builders[kind]()
-    except KeyError as exc:
-        raise BadParams(f"kind {kind!r} is missing parameter {exc.args[0]!r}") from None
-    if params:
-        raise BadParams(f"kind {kind!r} got unexpected parameters {sorted(params)}")
-    return inst
+    return _line_instance(list(map(windows, rows)), list(map(windows, cols)), (-1, 1))
 
 
 # The entry values each partition label allows.
@@ -295,39 +212,26 @@ _ALLOWED: Mapping[str, tuple[int, ...]] = {
 class SPartition:
     """Six-way partition of an n x n grid prescribing ASM entry behavior.
 
-    zero / plus_one / minus_one force the entry; nonneg allows {0, +1},
-    nonpos allows {0, -1}, free allows anything.
+    ``labels[i - 1][j - 1]`` is cell (i, j)'s code: 0, +1 and -1 force the
+    entry, + allows {0, +1}, - allows {0, -1}, F allows anything.
     """
 
-    n: int
-    zero: SubsetMask
-    plus_one: SubsetMask
-    minus_one: SubsetMask
-    nonneg: SubsetMask
-    nonpos: SubsetMask
-    free: SubsetMask
+    labels: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
-        masks = self.masks()
-        union: set[tuple[int, int]] = set()
-        count = 0
-        for mask in masks.values():
-            if (mask.m, mask.n) != (self.n, self.n):
-                raise BadParams("partition masks must live on the n x n grid")
-            union |= set(mask.cells)
-            count += len(mask)
-        if count != self.n * self.n or len(union) != self.n * self.n:
-            raise BadParams("label classes must partition the grid")
+        n = len(self.labels)
+        if n < 1 or any(type(row) is not tuple or len(row) != n for row in self.labels):
+            raise BadParams("label grid must be square and nonempty")
+        for i, row in enumerate(self.labels, start=1):
+            for j, lab in enumerate(row, start=1):
+                if not isinstance(lab, str) or lab not in _ALLOWED:
+                    raise BadParams(
+                        f"label ({i},{j}) is {lab!r}; expected one of {list(_ALLOWED)}"
+                    )
 
-    def masks(self) -> dict[str, SubsetMask]:
-        return {
-            "0": self.zero,
-            "+1": self.plus_one,
-            "-1": self.minus_one,
-            "+": self.nonneg,
-            "-": self.nonpos,
-            "F": self.free,
-        }
+    @property
+    def n(self) -> int:
+        return len(self.labels)
 
     @staticmethod
     def from_labels(labels: Sequence[Sequence[str]]) -> "SPartition":
@@ -336,85 +240,53 @@ class SPartition:
             isinstance(row, (list, tuple)) for row in labels
         ):
             raise BadParams("label grid must be a list of rows, each a list of labels")
-        n = len(labels)
-        if n < 1 or any(len(row) != n for row in labels):
-            raise BadParams("label grid must be square and nonempty")
-        cells: dict[str, list[tuple[int, int]]] = {lab: [] for lab in _ALLOWED}
-        for i, row in enumerate(labels, start=1):
-            for j, lab in enumerate(row, start=1):
-                if not isinstance(lab, str) or lab not in cells:
-                    raise BadParams(
-                        f"label ({i},{j}) is {lab!r}; expected one of {list(_ALLOWED)}"
-                    )
-                cells[lab].append((i, j))
-        return SPartition(
-            n=n,
-            zero=SubsetMask.from_cells(n, n, cells["0"]),
-            plus_one=SubsetMask.from_cells(n, n, cells["+1"]),
-            minus_one=SubsetMask.from_cells(n, n, cells["-1"]),
-            nonneg=SubsetMask.from_cells(n, n, cells["+"]),
-            nonpos=SubsetMask.from_cells(n, n, cells["-"]),
-            free=SubsetMask.from_cells(n, n, cells["F"]),
+        return SPartition(tuple(map(tuple, labels)))
+
+    def cells(self, *labels: str) -> SubsetMask:
+        """The cells whose label is one of ``labels``."""
+        return SubsetMask(
+            self.n,
+            self.n,
+            frozenset(
+                (i, j)
+                for i, row in enumerate(self.labels, start=1)
+                for j, lab in enumerate(row, start=1)
+                if lab in labels
+            ),
         )
 
     def to_labels(self) -> list[list[str]]:
-        grid = [["F"] * self.n for _ in range(self.n)]
-        for lab, mask in self.masks().items():
-            for i, j in mask.cells:
-                grid[i - 1][j - 1] = lab
-        return grid
+        return [list(row) for row in self.labels]
 
     def allows(self, mat: IntMatrix) -> bool:
         """Whether every entry of ``mat`` takes a value its cell's label allows."""
-        labels = self.to_labels()
-        return all(v in _ALLOWED[labels[i - 1][j - 1]] for i, j, v in mat.cells())
+        return all(v in _ALLOWED[self.labels[i - 1][j - 1]] for i, j, v in mat.cells())
 
     def label_at(self, i: int, j: int) -> str:
-        for lab, mask in self.masks().items():
-            if (i, j) in mask:
-                return lab
-        raise InternalError(f"cell ({i},{j}) carries no label")
+        return self.labels[i - 1][j - 1]
+
+
+# The entry bounds each partition label puts on its cell.  Lower bounds are
+# -inf (not -1) wherever a negative entry is allowed and upper bounds +inf
+# wherever a positive one is; the prefix windows already cap entries at
+# +-1, and the slack infinities are what make an infeasibility certificate
+# collapse into a segment-family witness.
+_ENTRY_BOUNDS: Mapping[str, tuple[ExtInt, ExtInt]] = {
+    "0": (fin(0), fin(0)),
+    "+1": (fin(1), POS_INF),
+    "-1": (NEG_INF, fin(-1)),
+    "+": (fin(0), POS_INF),
+    "-": (NEG_INF, fin(0)),
+    "F": (NEG_INF, POS_INF),
+}
 
 
 def _partition_instance(part: SPartition) -> PbmInstance:
-    """ASM prefix windows plus entry bounds encoding the partition.
-
-    Lower bounds are -inf (not -1) wherever a negative entry is allowed and
-    upper bounds +inf wherever a positive one is; the prefix windows already
-    cap entries at +-1, and the slack infinities are what make an
-    infeasibility certificate collapse into a segment-family witness.
-    """
+    """ASM prefix windows plus entry bounds encoding the partition."""
     n = part.n
-    f_rows = [[NEG_INF] * n for _ in range(n)]
-    g_rows = [[POS_INF] * n for _ in range(n)]
-    bounds = {
-        "0": (fin(0), fin(0)),
-        "+1": (fin(1), POS_INF),
-        "-1": (NEG_INF, fin(-1)),
-        "+": (fin(0), POS_INF),
-        "-": (NEG_INF, fin(0)),
-        "F": (NEG_INF, POS_INF),
-    }
-    for lab, mask in part.masks().items():
-        lo, hi = bounds[lab]
-        for i, j in mask.cells:
-            f_rows[i - 1][j - 1] = lo
-            g_rows[i - 1][j - 1] = hi
-    base = asm_instance(n)
-    return validate_instance(
-        PbmInstance(
-            m=n,
-            n=n,
-            phi1=base.phi1,
-            gamma1=base.gamma1,
-            phi2=base.phi2,
-            gamma2=base.gamma2,
-            f=ExtMatrix.from_rows(f_rows),
-            g=ExtMatrix.from_rows(g_rows),
-            alpha=NEG_INF,
-            beta=POS_INF,
-        )
-    )
+    bounds = [[_ENTRY_BOUNDS[lab] for lab in row] for row in part.labels]
+    f, g = (ExtMatrix(n, n, tuple(tuple(b[k] for b in row) for row in bounds)) for k in (0, 1))
+    return validate_instance(dataclasses.replace(asm_instance(n), f=f, g=g))
 
 
 @dataclass(frozen=True, slots=True)
@@ -436,11 +308,16 @@ class SegmentFamilyCertificate:
 
 @dataclass(frozen=True, slots=True)
 class CompatibleAsmResult:
-    """A compatible ASM, or a certificate plus its segment-family reading."""
+    """A compatible ASM, or a certificate plus its segment-family reading.
+
+    ``count`` is the number of +1 entries an optimal subordinate ASM keeps;
+    only ``max_plus_ones_subordinate`` sets it.
+    """
 
     matrix: "IntMatrix | None"
     certificate: "Certificate | None"
     family: "SegmentFamilyCertificate | None"
+    count: "int | None" = None
 
     @property
     def is_feasible(self) -> bool:
@@ -466,15 +343,15 @@ def _family_from_certificate(part: SPartition, cert: Certificate) -> SegmentFami
     v_segs = maximal_segments(xpp, VERTICAL)
     uncovered = (xp | xpp).complement()
     twice = xp & xpp
-    allowed_uncovered = part.zero | part.minus_one | part.nonpos
-    allowed_twice = part.zero | part.plus_one | part.nonneg
+    allowed_uncovered = part.cells("0", "-1", "-")
+    allowed_twice = part.cells("0", "+1", "+")
     if len(uncovered - allowed_uncovered) != 0:
         raise InternalError("family leaves a cell uncovered that needs a positive entry")
     if len(twice - allowed_twice) != 0:
         raise InternalError("family doubly covers a cell that needs a negative entry")
     size = len(h_segs) + len(v_segs)
-    miss = len(part.minus_one & uncovered)
-    extra = len(part.plus_one & twice)
+    miss = len(part.cells("-1") & uncovered)
+    extra = len(part.cells("+1") & twice)
     required = n + miss + extra
     if size >= required:
         raise InternalError(f"family of {size} segments does not beat bound {required}")
@@ -487,17 +364,14 @@ def _family_from_certificate(part: SPartition, cert: Certificate) -> SegmentFami
     )
 
 
-def _check_partition_matrix(part: SPartition, mat: IntMatrix) -> None:
-    if not part.allows(mat):
-        raise InternalError("compatible ASM breaks its partition labels")
-
-
 def compatible_asm(part: SPartition) -> CompatibleAsmResult:
-    """An ASM honoring the partition, or a segment-family impossibility proof."""
-    inst = _partition_instance(part)
-    result = solve(inst)
+    """An ASM honoring the partition, or a segment-family impossibility proof.
+
+    ``solve`` re-checks its matrix against the entry bounds that encode the
+    labels, so a returned matrix honors every label.
+    """
+    result = solve(_partition_instance(part))
     if result.is_feasible:
-        _check_partition_matrix(part, result.matrix)
         return CompatibleAsmResult(matrix=result.matrix, certificate=None, family=None)
     family = _family_from_certificate(part, result.certificate)
     return CompatibleAsmResult(matrix=None, certificate=result.certificate, family=family)
@@ -529,21 +403,7 @@ def _check_subordinate(x: IntMatrix, mat: IntMatrix) -> None:
             raise InternalError(f"entry ({i},{j}) = {v} is not subordinate to {x.at(i, j)}")
 
 
-@dataclass(frozen=True, slots=True)
-class SubordinateOptResult:
-    """A subordinate ASM keeping the most +1 entries, or a family witness."""
-
-    matrix: "IntMatrix | None"
-    count: "int | None"
-    certificate: "Certificate | None"
-    family: "SegmentFamilyCertificate | None"
-
-    @property
-    def is_feasible(self) -> bool:
-        return self.matrix is not None
-
-
-def max_plus_ones_subordinate(x: IntMatrix) -> SubordinateOptResult:
+def max_plus_ones_subordinate(x: IntMatrix) -> CompatibleAsmResult:
     """Among ASMs subordinate to x, keep as many of x's +1 entries as possible.
 
     A single exact optimization suffices: the prefix windows cap every
@@ -553,14 +413,12 @@ def max_plus_ones_subordinate(x: IntMatrix) -> SubordinateOptResult:
     part = _sign_partition(x)
     inst = _partition_instance(part)
     net = build_network(inst)
-    cost = {net.n_arc_id(i, j): 1 for (i, j) in part.nonneg.cells}
+    cost = {net.n_arc_id(i, j): 1 for (i, j) in part.cells("+").cells}
     res = _optimize(inst, net, cost, "max", None)
     if res.status == "infeasible":
         family = _family_from_certificate(part, res.certificate)
-        return SubordinateOptResult(
-            matrix=None, count=None, certificate=res.certificate, family=family
-        )
+        return CompatibleAsmResult(matrix=None, certificate=res.certificate, family=family)
     if res.status == "unbounded":
         raise InternalError("subordinate optimum reported unbounded under capped windows")
     _check_subordinate(x, res.matrix)
-    return SubordinateOptResult(matrix=res.matrix, count=res.value, certificate=None, family=None)
+    return CompatibleAsmResult(matrix=res.matrix, certificate=None, family=None, count=res.value)

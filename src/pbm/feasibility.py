@@ -40,7 +40,7 @@ from .errors import (
     InternalError,
     PrescriptionOutOfEntryBounds,
 )
-from .strongpair import ConditionEval, condition_values
+from .strongpair import condition_values
 
 __all__ = [
     "Certificate",
@@ -132,13 +132,7 @@ def solve(inst: PbmInstance, info: "dict | None" = None) -> FeasibilityResult:
     return FeasibilityResult(matrix=mat, certificate=None)
 
 
-def check_condition(inst: PbmInstance, x1: SubsetMask, x2: SubsetMask) -> ConditionEval:
-    """Evaluate the four feasibility inequalities on one subset pair.
-
-    An inequality with -inf on the left or +inf on the right holds
-    vacuously; that is the natural reading of the extended order.
-    """
-    return condition_values(inst, x1, x2)
+check_condition = condition_values
 
 
 def _optimize(

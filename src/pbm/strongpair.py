@@ -145,7 +145,11 @@ class ConditionEval:
 
 
 def condition_values(inst: PbmInstance, x1: SubsetMask, x2: SubsetMask) -> ConditionEval:
-    """Evaluate gen1a, gen1b, gen1alfa, gen1beta on the pair (x1, x2)."""
+    """Evaluate gen1a, gen1b, gen1alfa, gen1beta on the pair (x1, x2).
+
+    An inequality with -inf on the left or +inf on the right holds
+    vacuously; that is the natural reading of the extended order.
+    """
     e1 = eval_strong_pair(inst, x1)
     e2 = eval_strong_pair(inst, x2)
     f_21 = mask_sum(inst.f, x2 - x1)

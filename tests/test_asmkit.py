@@ -1,11 +1,12 @@
 """Instance encoders for the special matrix classes and their solvers."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
-from pbm.core import NEG_INF, POS_INF, IntMatrix, fin
+from pbm.core import NEG_INF, POS_INF, IntMatrix, SubsetMask, fin
 from pbm.asmkit import (
     SPartition,
     WING_PATTERNS,
@@ -15,7 +16,6 @@ from pbm.asmkit import (
     compatible_asm,
     higher_spin_instance,
     k_regular_instance,
-    make_instance,
     max_plus_ones_subordinate,
     pasm_instance,
     subordinate_asm,
@@ -25,6 +25,84 @@ from pbm.asmkit import (
 from pbm.errors import BadEntries, BadParams, DimensionMismatch
 from pbm import oracle
 from pbm.feasibility import solve
+
+
+LABELS = ["0", "+1", "-1", "+", "-", "F"]
+SIGNS = (-1, 0, 1)
+SHAPES = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def all_matrices(m: int, n: int, values: tuple[int, ...]) -> list[IntMatrix]:
+    """Every m x n matrix over ``values``, in the oracle's row-major lexicographic order."""
+    rows = list(itertools.product(values, repeat=n))
+    return [IntMatrix(m, n, grid) for grid in itertools.product(rows, repeat=m)]
+
+
+def line_sums_of_random_01(rng: random.Random, m: int, n: int) -> tuple[list[int], list[int]]:
+    """Row and column sums of a random 0/1 matrix: a Brualdi-Dahl pair with members."""
+    grid = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+    return [sum(row) for row in grid], [sum(col) for col in zip(*grid)]
+
+
+def family_cases():
+    """(id, instance, predicate, entry values that include every member) per family case."""
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        yield f"asm({n})", asm_instance(n), oracle.is_asm, SIGNS
+    for n, k in [(1, 2), (2, 2), (3, 2), (3, 3)]:
+        pred = lambda mt, k=k: oracle.is_k_regular_asm(mt, k)
+        yield f"k_regular({n},{k})", k_regular_instance(n, k), pred, SIGNS
+    pats = list(WING_PATTERNS)
+    for m, n in SHAPES:
+        yield f"pasm({m},{n})", pasm_instance(m, n), oracle.is_pasm, SIGNS
+        yield f"aval_sign({m},{n})", aval_sign_instance(m, n), oracle.is_aval_sign, SIGNS
+        matched = line_sums_of_random_01(rng, m, n)
+        loose = [rng.randint(0, n) for _ in range(m)], [rng.randint(0, m) for _ in range(n)]
+        for r, c in (matched, loose):
+            pred = lambda mt, r=r, c=c: oracle.is_brualdi_dahl(mt, r, c)
+            yield f"brualdi_dahl({r},{c})", brualdi_dahl_instance(r, c), pred, SIGNS
+        for _ in range(2):
+            rows = [rng.choice(pats) for _ in range(m)]
+            cols = [rng.choice(pats) for _ in range(n)]
+            pred = lambda mt, r=rows, c=cols: oracle.is_wasm(mt, r, c)
+            yield f"wasm({rows},{cols})", wasm_instance(rows, cols), pred, SIGNS
+    for n in (1, 2):
+        for r in (0, 1, 2):
+            # prefix sums in [0, r] keep every entry in [-r, r]
+            pred = lambda mt, r=r: oracle.is_higher_spin(mt, r)
+            values = tuple(range(-r - 1, r + 2))
+            yield f"higher_spin({n},{r})", higher_spin_instance(n, r), pred, values
+    bs = [[[1, 2], [2, 3]], [[2, 2], [2, 3]], [[3]], [[0, 2]], [[1], [3]]]
+    bs += [[[rng.randint(0, 3) for _ in range(n)] for _ in range(m)] for m, n in [(2, 2)] * 3]
+    for rows in bs:
+        b = IntMatrix.from_rows(rows)
+        pred = lambda mt, b=b: oracle.is_sum_majorized(mt, b)
+        # prefix sums in [0, 3] keep every entry in [-3, 3]
+        yield f"sum_majorized({rows})", sum_majorized_instance(b), pred, tuple(range(-4, 5))
+
+
+class TestFamiliesSoundAndComplete:
+    @pytest.mark.parametrize(
+        "inst, predicate, values",
+        [pytest.param(*case[1:], id=case[0]) for case in family_cases()],
+    )
+    def test_feasible_set_is_the_family(self, inst, predicate, values):
+        budget = oracle.EnumerationBudget(max_range_width=len(values))
+        got = oracle.enumerate_pbms(inst, budget)
+        assert got == [mt for mt in all_matrices(inst.m, inst.n, values) if predicate(mt)]
+
+    def test_every_family_has_members(self):
+        # equal empty sets prove little: each family needs cases with members, some on 4+ cells
+        budget = oracle.EnumerationBudget(max_range_width=9)
+        members: dict[str, list[int]] = {}
+        for name, inst, _, _ in family_cases():
+            cells = members.setdefault(name.split("(")[0], [])
+            if oracle.enumerate_pbms(inst, budget):
+                cells.append(inst.m * inst.n)
+        assert len(members) == 8
+        for family, cells in members.items():
+            assert len(cells) >= 3 and max(cells) >= 4, family
 
 
 class TestInstanceEncoders:
@@ -105,23 +183,6 @@ class TestInstanceEncoders:
             sum_majorized_instance(IntMatrix.from_rows([[-1]]))
 
 
-class TestMakeInstance:
-    def test_dispatch(self):
-        assert make_instance("asm", n=2) == asm_instance(2)
-        assert make_instance("k_regular", n=2, k=2) == k_regular_instance(2, 2)
-        assert make_instance("pasm", m=2, n=3) == pasm_instance(2, 3)
-
-    def test_unknown_kind(self):
-        with pytest.raises(BadParams):
-            make_instance("latin_square", n=2)
-
-    def test_missing_and_extra_params(self):
-        with pytest.raises(BadParams):
-            make_instance("asm")
-        with pytest.raises(BadParams):
-            make_instance("asm", n=2, k=3)
-
-
 class TestWasm:
     def test_1x1_tables(self):
         res = solve(wasm_instance(["++"], ["++"]))
@@ -172,14 +233,29 @@ class TestSPartition:
     def test_non_square(self):
         with pytest.raises(BadParams):
             SPartition.from_labels([["F", "F"]])
-
-    def test_overlapping_masks_rejected(self):
-        from pbm.core import SubsetMask
-
-        full = SubsetMask.full(2, 2)
-        empty = SubsetMask.empty(2, 2)
         with pytest.raises(BadParams):
-            SPartition(2, full, full, empty, empty, empty, empty)
+            SPartition((("F",), ("F",)))
+        with pytest.raises(BadParams):
+            SPartition(("FF", "FF"))  # rows of characters are not rows of labels
+
+    def test_cells_partition_the_grid(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            grid = [[rng.choice(LABELS) for _ in range(n)] for _ in range(n)]
+            part = SPartition.from_labels(grid)
+            masks = {lab: part.cells(lab) for lab in LABELS}
+            union = SubsetMask.empty(n, n)
+            for mask in masks.values():
+                union = union | mask
+            assert union == SubsetMask.full(n, n)
+            assert sum(map(len, masks.values())) == n * n  # so the classes are disjoint
+            for lab, mask in masks.items():
+                assert all(part.label_at(i, j) == lab for i, j in mask.cells)
+            assert part.cells("0", "-1", "-") == masks["0"] | masks["-1"] | masks["-"]
+            assert part.to_labels() == grid
+            assert SPartition.from_labels(part.to_labels()) == part
+
 
 
 class TestCompatibleAsm:

@@ -195,6 +195,25 @@ class TestHalve:
         with pytest.raises(InternalError, match="conservation"):
             decompose(inst, IntMatrix.from_rows([[1, 2], [3, 5]]), 2)
 
+    def test_peel_that_takes_everything_is_caught(self, monkeypatch):
+        mod = importlib.import_module("pbm.decompose")
+        real = mod.min_cost_circulation
+        inst = open_instance(2, 2)
+        a = IntMatrix.from_rows([[1, 2], [3, 5]])
+        z_star = circulation_from_matrix(inst, a).flows
+        solves = []
+
+        def greedy(net):
+            # the first part is the whole residual: it conserves and the parts
+            # still add up to A, but it leaves the equitable box
+            solves.append(net)
+            return Circulation(z_star) if len(solves) == 1 else real(net)
+
+        monkeypatch.setattr(mod, "min_cost_circulation", greedy)
+        with pytest.raises(InternalError, match="outside"):
+            decompose(inst, a, 3)
+        assert len(solves) == 2
+
 
 class TestShrink:
     def test_floor_and_ceil(self):
