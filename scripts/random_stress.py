@@ -8,9 +8,13 @@ full feasible set, and checks that the verdicts and any produced matrix
 agree.  It also minimizes a random cost matrix over each instance and
 checks the optimum against the cheapest enumerated matrix; the costs come
 from a generator of their own, so the instances are the same as without
-this check.  Every certificate's named inequality is evaluated again from
-the oracle's per-bitmask tables, which must give the emitted lhs and rhs
-with lhs > rhs.  Prints a running tally and per-verdict timing.
+this check.  It also pins 0-2 cells of each instance to values within
+their entry bounds, from a generator of its own as well, solves the
+pinned instance, and checks it against the enumerated matrices that keep
+every pin.  Every certificate's named inequality, for the instance or
+its pinned form, is evaluated again from the oracle's per-bitmask
+tables, which must give the emitted lhs and rhs with lhs > rhs.  Prints a
+running tally and per-verdict timing.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from pathlib import Path
 
 from pbm.core import IntMatrix
 from pbm.decompose import decompose, shrink_instance
-from pbm.feasibility import optimize_cost, solve
+from pbm.feasibility import optimize_cost, pin_entries, solve
 from pbm import oracle
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -79,7 +83,8 @@ def main() -> int:
     rng = random.Random(args.seed)
     cost_rng = random.Random(f"costs:{args.seed}")
     k_rng = random.Random(f"k:{args.seed}")
-    feasible = infeasible = 0
+    pin_rng = random.Random(f"pins:{args.seed}")
+    feasible = infeasible = completed = 0
     t_solve = t_cost = t_oracle = t_decompose = 0.0
     for trial in range(args.count):
         m, n = rng.randint(1, args.max_dim), rng.randint(1, args.max_dim)
@@ -109,6 +114,29 @@ def main() -> int:
             print(f"DISAGREEMENT at trial {trial}: cost optimum {got}, oracle {want}")
             return 1
 
+        cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        pins = [
+            (i, j, pin_rng.randint(inst.f.at(i, j).value, inst.g.at(i, j).value))
+            for i, j in pin_rng.sample(cells, min(pin_rng.randint(0, 2), len(cells)))
+        ]
+        pinned = pin_entries(inst, pins)
+        t0 = time.perf_counter()
+        pinned_res = solve(pinned)
+        t_solve += time.perf_counter() - t0
+        kept = [mat for mat in mats if all(mat.at(i, j) == v for i, j, v in pins)]
+        if pinned_res.is_feasible != bool(kept) or (
+            pinned_res.is_feasible and pinned_res.matrix not in kept
+        ):
+            print(f"DISAGREEMENT at trial {trial}: pins {pins}, {len(kept)} completions")
+            return 1
+        if pinned_res.is_feasible:
+            completed += 1
+        else:
+            fault = certificate_fault(pinned, pinned_res.certificate)
+            if fault:
+                print(f"BAD CERTIFICATE at trial {trial} with pins {pins}: {fault}")
+                return 1
+
         if res.is_feasible != bool(mats):
             print(f"DISAGREEMENT at trial {trial}: solver={res.is_feasible} oracle={len(mats)}")
             return 1
@@ -134,7 +162,8 @@ def main() -> int:
             print(f"  {trial + 1}/{args.count} checked...", file=sys.stderr)
 
     print(
-        f"{args.count} instances agree: {feasible} feasible, {infeasible} infeasible\n"
+        f"{args.count} instances agree: {feasible} feasible, {infeasible} infeasible; "
+        f"{completed} with their pins completed\n"
         f"solver {t_solve:.2f}s total, cost optimum {t_cost:.2f}s total, "
         f"decompose {t_decompose:.2f}s total, oracle {t_oracle:.2f}s total"
     )

@@ -61,20 +61,17 @@ from .circulation import (
 )
 from .feasibility import (
     Certificate,
-    ExtremalResult,
-    FeasibilityResult,
-    Prescription,
+    Result,
     StrictCheck,
     check_condition,
     check_strict,
     extremal_total_sum,
     optimize_cost,
+    pin_entries,
     solve,
-    solve_with_prescription,
 )
 from .decompose import Decomposition, decompose, decompose_k_regular_asm, shrink_instance
 from .asmkit import (
-    CompatibleAsmResult,
     SPartition,
     SegmentFamilyCertificate,
     asm_instance,

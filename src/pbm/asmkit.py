@@ -50,13 +50,12 @@ from .core import (
     validate_instance,
 )
 from .errors import BadEntries, BadParams, DimensionMismatch, InternalError
-from .feasibility import Certificate, _optimize, solve
+from .feasibility import Certificate, Result, _optimize, solve
 from .segments import HORIZONTAL, VERTICAL, Segment, maximal_segments
 
 __all__ = [
     "SPartition",
     "SegmentFamilyCertificate",
-    "CompatibleAsmResult",
     "asm_instance",
     "k_regular_instance",
     "higher_spin_instance",
@@ -306,24 +305,6 @@ class SegmentFamilyCertificate:
     required: int
 
 
-@dataclass(frozen=True, slots=True)
-class CompatibleAsmResult:
-    """A compatible ASM, or a certificate plus its segment-family reading.
-
-    ``count`` is the number of +1 entries an optimal subordinate ASM keeps;
-    only ``max_plus_ones_subordinate`` sets it.
-    """
-
-    matrix: "IntMatrix | None"
-    certificate: "Certificate | None"
-    family: "SegmentFamilyCertificate | None"
-    count: "int | None" = None
-
-    @property
-    def is_feasible(self) -> bool:
-        return self.matrix is not None
-
-
 def _family_from_certificate(part: SPartition, cert: Certificate) -> SegmentFamilyCertificate:
     """Convert a violated inequality into a segment-family witness.
 
@@ -364,17 +345,20 @@ def _family_from_certificate(part: SPartition, cert: Certificate) -> SegmentFami
     )
 
 
-def compatible_asm(part: SPartition) -> CompatibleAsmResult:
+def _with_family(part: SPartition, result: Result) -> Result:
+    """``result``, plus the segment-family reading of its certificate if it has one."""
+    if result.certificate is None:
+        return result
+    return dataclasses.replace(result, family=_family_from_certificate(part, result.certificate))
+
+
+def compatible_asm(part: SPartition) -> Result:
     """An ASM honoring the partition, or a segment-family impossibility proof.
 
     ``solve`` re-checks its matrix against the entry bounds that encode the
     labels, so a returned matrix honors every label.
     """
-    result = solve(_partition_instance(part))
-    if result.is_feasible:
-        return CompatibleAsmResult(matrix=result.matrix, certificate=None, family=None)
-    family = _family_from_certificate(part, result.certificate)
-    return CompatibleAsmResult(matrix=None, certificate=result.certificate, family=family)
+    return _with_family(part, solve(_partition_instance(part)))
 
 
 def _sign_partition(x: IntMatrix) -> SPartition:
@@ -389,36 +373,27 @@ def _sign_partition(x: IntMatrix) -> SPartition:
     return SPartition.from_labels(labels)
 
 
-def subordinate_asm(x: IntMatrix) -> CompatibleAsmResult:
-    """An ASM obtained from x by zeroing some nonzeros, or a family witness."""
-    result = compatible_asm(_sign_partition(x))
-    if result.is_feasible:
-        _check_subordinate(x, result.matrix)
-    return result
+def subordinate_asm(x: IntMatrix) -> Result:
+    """An ASM obtained from x by zeroing some nonzeros, or a family witness.
+
+    The sign labels allow each entry only 0 or x's value, and the solver
+    re-checks its matrix against them.
+    """
+    return compatible_asm(_sign_partition(x))
 
 
-def _check_subordinate(x: IntMatrix, mat: IntMatrix) -> None:
-    for i, j, v in mat.cells():
-        if v != 0 and v != x.at(i, j):
-            raise InternalError(f"entry ({i},{j}) = {v} is not subordinate to {x.at(i, j)}")
-
-
-def max_plus_ones_subordinate(x: IntMatrix) -> CompatibleAsmResult:
+def max_plus_ones_subordinate(x: IntMatrix) -> Result:
     """Among ASMs subordinate to x, keep as many of x's +1 entries as possible.
 
-    A single exact optimization suffices: the prefix windows cap every
-    entry, so no optimum can lean on the large-K stand-ins for the
-    unbounded entry sides.
+    The optimum ``value`` is the number of +1 entries kept.  A single exact
+    optimization suffices: the prefix windows cap every entry, so no
+    optimum can lean on the large-K stand-ins for the unbounded entry sides.
     """
     part = _sign_partition(x)
     inst = _partition_instance(part)
     net = build_network(inst)
     cost = {net.n_arc_id(i, j): 1 for (i, j) in part.cells("+").cells}
     res = _optimize(inst, net, cost, "max", None)
-    if res.status == "infeasible":
-        family = _family_from_certificate(part, res.certificate)
-        return CompatibleAsmResult(matrix=None, certificate=res.certificate, family=family)
     if res.status == "unbounded":
         raise InternalError("subordinate optimum reported unbounded under capped windows")
-    _check_subordinate(x, res.matrix)
-    return CompatibleAsmResult(matrix=res.matrix, certificate=None, family=None, count=res.value)
+    return _with_family(part, res)

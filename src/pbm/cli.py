@@ -24,14 +24,13 @@ from .decompose import decompose
 from .errors import InstanceFormatError, PbmError
 from .feasibility import (
     Certificate,
-    Prescription,
     check_strict,
     extremal_total_sum,
     optimize_cost,
+    pin_entries,
     solve,
-    solve_with_prescription,
 )
-from .circulation import network_to_dot
+from .circulation import build_network, circulation_from_matrix, network_to_dot
 from .strongpair import condition_values, eval_strong_pair
 
 EXIT_OK = 0
@@ -71,7 +70,7 @@ def _load_arg(raw: str):
     return json.loads(raw)
 
 
-def _prescription_from_json(inst, raw) -> Prescription:
+def _pins_from_json(raw) -> list[tuple[int, int, int]]:
     """Pinned entries from ``[[i, j, value], ...]``, all JSON integers."""
     if not isinstance(raw, list):
         raise InstanceFormatError("prescription must be a list of [i, j, value] triples")
@@ -84,7 +83,7 @@ def _prescription_from_json(inst, raw) -> Prescription:
             raise InstanceFormatError(
                 f"bad prescribed entry {item!r}; expected [i, j, value] of integers"
             )
-    return Prescription.create(inst.m, inst.n, [tuple(item) for item in raw])
+    return [tuple(item) for item in raw]
 
 
 def _certificate_json(cert: Certificate) -> dict:
@@ -128,23 +127,21 @@ def _diagnostics(info: dict, wall_s: float) -> dict:
 
 def _outcome(result, **head) -> dict:
     """The document of any solver result: its status, ``head``, then its answer."""
-    status = getattr(result, "status", None)
-    doc: dict = {"status": status or ("feasible" if result.is_feasible else "infeasible")}
-    doc.update(head)
-    if getattr(result, "value", None) is not None:
+    doc: dict = {"status": result.status, **head}
+    if result.value is not None:
         doc["value"] = result.value
     if result.matrix is not None:
         doc["matrix"] = result.matrix.to_lists()
     if result.certificate is not None:
         doc["certificate"] = _certificate_json(result.certificate)
-    if getattr(result, "family", None) is not None:
+    if result.family is not None:
         doc["family"] = _family_json(result.family)
     return doc
 
 
 def _summary(result) -> str:
     """Feasible, infeasible, or the size of the segment family that proves it."""
-    family = getattr(result, "family", None)
+    family = result.family
     if family is not None:
         return f"infeasible: {family.size} segments found, {family.required} required"
     return "feasible" if result.is_feasible else "infeasible"
@@ -219,17 +216,16 @@ def _finish(doc: dict, summary: str, record: "dict | None" = None) -> int:
 def _cmd_solve(args) -> int:
     """``check`` and ``solve``; ``check`` leaves the matrix out."""
     inst = instance_from_json(_load_json(args.instance))
-    pins = _prescription_from_json(inst, _load_arg(args.prescribe)) if args.prescribe else None
-    if args.oracle and pins is not None:
-        print("error: --oracle does not support --prescribe", file=sys.stderr)
-        return EXIT_ERROR
+    if args.prescribe:
+        inst = pin_entries(inst, _pins_from_json(_load_arg(args.prescribe)))
     info: dict = {}
     t0 = time.perf_counter()
-    result = solve(inst, info) if pins is None else solve_with_prescription(inst, pins, info)
+    result = solve(inst, info)
     wall = time.perf_counter() - t0
     if args.dump_dot:
+        circ = None if result.matrix is None else circulation_from_matrix(inst, result.matrix)
         with open(args.dump_dot, "w") as fh:
-            fh.write(network_to_dot(info["network"], info.get("circulation")))
+            fh.write(network_to_dot(build_network(inst), circ))
     doc = _outcome(result)
     if args.command == "check":
         doc.pop("matrix", None)
@@ -306,12 +302,16 @@ def _cmd_asm(args) -> int:
     part = None
     if args.compatible:
         part = asmkit.SPartition.from_labels(_load_arg(args.compatible))
-        n, result = part.n, asmkit.compatible_asm(part)
+        n = part.n
     elif args.n is not None:
-        n, result = args.n, solve(asmkit.asm_instance(args.n))
+        n = args.n
     else:
         print("error: give an order n or --compatible", file=sys.stderr)
         return EXIT_ERROR
+    if args.oracle and n > 6:
+        print("error: --oracle supports n at most 6 here", file=sys.stderr)
+        return EXIT_ERROR
+    result = solve(asmkit.asm_instance(n)) if part is None else asmkit.compatible_asm(part)
     record = None
     if args.oracle:
         census = [mtx for mtx in oracle.enumerate_asms(n) if part is None or part.allows(mtx)]
@@ -329,15 +329,17 @@ def _cmd_subordinate(args) -> int:
     summary = _summary(result)
     counted = args.maximize and result.is_feasible
     if counted:
-        doc["plus_ones_kept"] = result.count
-        summary = f"feasible: kept {result.count} of the +1 entries"
+        # the optimum reads as a feasible subordinate ASM that keeps this many +1 entries
+        doc["status"] = "feasible"
+        doc["plus_ones_kept"] = doc.pop("value")
+        summary = f"feasible: kept {result.value} of the +1 entries"
     record = None
     if args.oracle:
         subs = oracle.enumerate_subordinates(x)
         agrees = _agrees(subs, result)
         if counted:
             best = max(sum(1 for _, _, v in s.cells() if v == 1) for s in subs) if subs else None
-            record = {"count": len(subs), "best": best, "agrees": agrees and best == result.count}
+            record = {"count": len(subs), "best": best, "agrees": agrees and best == result.value}
         else:
             record = {"count": len(subs), "agrees": agrees}
     return _finish(doc, summary, record)

@@ -1,13 +1,14 @@
 """Feasibility, certificates, prescriptions, and total-sum/cost optimization.
 
-``solve`` returns either a matrix that meets every bound of the instance or
-a certificate: a pair of cell subsets on which one of the four feasibility
-inequalities (gen1a, gen1b, gen1alfa, gen1beta) strictly fails.  Exactly one
-of the two branches is present, and both are re-verified before they are
-returned.  Every matrix any solver returns, here and in ``asmkit``, is read
-off its circulation by ``_checked_matrix``, which re-checks it against the
-instance's true bounds once, and every optimum value is read off the
-circulation that check rebuilds from the matrix.
+Every question here is one ``min_cost_circulation`` on one network, and
+``_answer`` is the one reading of its outcome as a ``Result``: a cut
+becomes a certificate, a pair of cell subsets on which one of the four
+feasibility inequalities (gen1a, gen1b, gen1alfa, gen1beta) strictly
+fails; a negative cycle becomes ``"unbounded"``; a circulation becomes a
+matrix, which ``_answer`` re-checks once against the instance's true
+bounds, and every optimum value is read off the circulation that check
+rebuilds from the matrix.  Every solver, here and in ``asmkit``, returns
+through it.
 
 Both optimizers make one min-cost solve.  Infinite bounds are modelled by
 a large finite K, which no bounded optimum reaches, so the solve's optimum
@@ -20,11 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .circulation import (
     _within,
-    Circulation,
     CutWitness,
     NegativeCycle,
     build_network,
@@ -42,17 +42,18 @@ from .errors import (
 )
 from .strongpair import condition_values
 
+if TYPE_CHECKING:
+    from .asmkit import SegmentFamilyCertificate
+
 __all__ = [
     "Certificate",
-    "FeasibilityResult",
-    "ExtremalResult",
-    "Prescription",
+    "Result",
     "StrictCheck",
     "solve",
     "check_condition",
     "extremal_total_sum",
     "optimize_cost",
-    "solve_with_prescription",
+    "pin_entries",
     "check_strict",
 ]
 
@@ -70,66 +71,72 @@ class Certificate:
 
 
 @dataclass(frozen=True, slots=True)
-class FeasibilityResult:
-    """Either a feasible matrix or a certificate, never both."""
+class Result:
+    """The answer of any solver: a matrix, a certificate, or neither if unbounded.
 
-    matrix: "IntMatrix | None"
-    certificate: "Certificate | None"
+    ``direction`` and ``value`` are set by the optimizers, ``family`` by
+    ``asmkit`` when a certificate reads as a segment family.
+    """
+
+    status: str
+    matrix: "IntMatrix | None" = None
+    certificate: "Certificate | None" = None
+    direction: "str | None" = None
+    value: "int | None" = None
+    family: "SegmentFamilyCertificate | None" = None
 
     def __post_init__(self) -> None:
-        if (self.matrix is None) == (self.certificate is None):
-            raise InternalError("result must carry exactly one of matrix/certificate")
+        carried = (self.matrix is not None, self.certificate is not None)
+        if carried != (self.status in ("feasible", "optimal"), self.status == "infeasible"):
+            raise InternalError(
+                f"a {self.status!r} result cannot carry (matrix, certificate) = {carried}"
+            )
 
     @property
     def is_feasible(self) -> bool:
-        return self.matrix is not None
+        return self.status != "infeasible"
+
+    @property
+    def count(self) -> "int | None":
+        """``value`` under the name the acceptance tests read."""
+        return self.value
 
 
-@dataclass(frozen=True, slots=True)
-class ExtremalResult:
-    """Outcome of an optimization: optimal, infeasible, or unbounded."""
+def _answer(
+    inst: PbmInstance,
+    net,
+    cost: "Mapping[int, int] | None" = None,
+    direction: "str | None" = None,
+    info: "dict | None" = None,
+) -> Result:
+    """Solve ``net``, built from ``inst``, and read the outcome as a ``Result``.
 
-    status: str
-    direction: str
-    value: "int | None" = None
-    matrix: "IntMatrix | None" = None
-    certificate: "Certificate | None" = None
-
-
-def _certificate_from_cut(net, witness: CutWitness) -> Certificate:
-    x1, x2, case, record = cut_to_certificate(net, witness)
-    return Certificate(
-        x1=x1, x2=x2, case=case, violated=record.name, lhs=record.lhs, rhs=record.rhs
-    )
-
-
-def _checked_matrix(
-    net, inst: PbmInstance, circ: Circulation
-) -> tuple[IntMatrix, Circulation]:
-    """The circulation's matrix, re-verified against every bound of ``inst``.
-
-    Also returns the circulation the check rebuilds from the matrix alone.
+    Without ``cost`` this decides feasibility; with it, it optimizes
+    sum(cost[a] * flow[a]) in ``direction``.
     """
-    mat = matrix_from_circulation(net, circ)
+    sign = -1 if direction == "max" else 1
+    signed = None if cost is None else {a: sign * c for a, c in cost.items()}
+    res = min_cost_circulation(net, signed, info)
+    if isinstance(res, CutWitness):
+        x1, x2, case, record = cut_to_certificate(net, res)
+        cert = Certificate(x1, x2, case, record.name, record.lhs, record.rhs)
+        return Result("infeasible", certificate=cert, direction=direction)
+    if isinstance(res, NegativeCycle):
+        return Result("unbounded", direction=direction)
+    mat = matrix_from_circulation(net, res)
     try:
-        rebuilt = circulation_from_matrix(inst, mat)
+        checked = circulation_from_matrix(inst, mat)
     except BoundViolation as exc:
         raise InternalError(f"solver produced an invalid matrix: {exc}") from exc
-    return mat, rebuilt
+    if cost is None:
+        return Result("feasible", mat)
+    value = sum(c * checked.flows[a] for a, c in cost.items())
+    return Result("optimal", mat, direction=direction, value=value)
 
 
-def solve(inst: PbmInstance, info: "dict | None" = None) -> FeasibilityResult:
+def solve(inst: PbmInstance, info: "dict | None" = None) -> Result:
     """Find a matrix meeting every bound, or a certificate that none exists."""
-    net = build_network(inst)
-    res = min_cost_circulation(net, info=info)
-    if info is not None:
-        info["network"] = net
-    if isinstance(res, CutWitness):
-        return FeasibilityResult(matrix=None, certificate=_certificate_from_cut(net, res))
-    mat, _ = _checked_matrix(net, inst, res)
-    if info is not None:
-        info["circulation"] = res
-    return FeasibilityResult(matrix=mat, certificate=None)
+    return _answer(inst, build_network(inst), info=info)
 
 
 check_condition = condition_values
@@ -141,28 +148,16 @@ def _optimize(
     cost: Mapping[int, int],
     direction: str,
     info: "dict | None",
-) -> ExtremalResult:
+) -> Result:
     """Optimize sum(cost[a] * flow[a]) over the arcs ``cost`` names, in one solve."""
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    sign = -1 if direction == "max" else 1
-    res = min_cost_circulation(net, {a: sign * c for a, c in cost.items()}, info)
-    if isinstance(res, CutWitness):
-        return ExtremalResult(
-            status="infeasible",
-            direction=direction,
-            certificate=_certificate_from_cut(net, res),
-        )
-    if isinstance(res, NegativeCycle):
-        return ExtremalResult(status="unbounded", direction=direction)
-    mat, checked = _checked_matrix(net, inst, res)
-    value = sum(c * checked.flows[a] for a, c in cost.items())
-    return ExtremalResult(status="optimal", direction=direction, value=value, matrix=mat)
+    return _answer(inst, net, cost, direction, info)
 
 
 def extremal_total_sum(
     inst: PbmInstance, direction: str, info: "dict | None" = None
-) -> ExtremalResult:
+) -> Result:
     """Largest or smallest total sum over all matrices meeting the bounds.
 
     The total-sum window [alpha, beta] is ignored: the extremum is taken
@@ -178,7 +173,7 @@ def optimize_cost(
     costs: IntMatrix,
     direction: str = "min",
     info: "dict | None" = None,
-) -> ExtremalResult:
+) -> Result:
     """Optimize a linear objective sum(costs[i,j] * A[i,j]) over the instance."""
     if (costs.m, costs.n) != (inst.m, inst.n):
         raise DimensionMismatch(
@@ -189,79 +184,25 @@ def optimize_cost(
     return _optimize(inst, net, cost, direction, info)
 
 
-@dataclass(frozen=True, slots=True)
-class Prescription:
-    """Fixed integer values on a subset of cells."""
+def pin_entries(inst: PbmInstance, pins: Iterable[tuple[int, int, int]]) -> PbmInstance:
+    """The instance with f = g = v at every cell (i, j) of the triples (i, j, v).
 
-    mask: SubsetMask
-    entries: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        positions = {(i, j) for (i, j, _) in self.entries}
-        if positions != set(self.mask.cells) or len(positions) != len(self.entries):
-            raise DimensionMismatch("prescribed values must cover the mask exactly once")
-
-    @staticmethod
-    def create(
-        m: int,
-        n: int,
-        assignments: "Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]]",
-    ) -> "Prescription":
-        if isinstance(assignments, Mapping):
-            triples = [(i, j, v) for (i, j), v in assignments.items()]
-        else:
-            triples = [(i, j, v) for (i, j, v) in assignments]
-        mask = SubsetMask.from_cells(m, n, [(i, j) for (i, j, _) in triples])
-        return Prescription(mask=mask, entries=tuple(sorted(triples)))
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(i, j): v for (i, j, v) in self.entries}
-
-
-def solve_with_prescription(
-    inst: PbmInstance, prescription: Prescription, info: "dict | None" = None
-) -> FeasibilityResult:
-    """Feasibility with some entries pinned to prescribed values.
-
-    Each prescribed value must lie within the entry bounds at its cell.  A
-    certificate, if returned, refers to the instance with the prescribed
-    cells' entry bounds pinched to their values, which proves that no
-    completion of the prescription exists.
+    Each value must lie within the entry bounds at its cell.  A certificate
+    for the pinned instance proves that no completion of the pins exists.
     """
-    if (prescription.mask.m, prescription.mask.n) != (inst.m, inst.n):
-        raise DimensionMismatch("prescription grid does not match instance")
-    for i, j, v in prescription.entries:
-        if not _within(inst.f.at(i, j), v, inst.g.at(i, j)):
+    pins = list(pins)
+    mask = SubsetMask.from_cells(inst.m, inst.n, [(i, j) for i, j, _ in pins])
+    if len(mask.cells) != len(pins):
+        raise DimensionMismatch("prescribed values must cover the mask exactly once")
+    f, g = ([list(row) for row in bound.rows] for bound in (inst.f, inst.g))
+    for i, j, v in sorted(pins):
+        lo, hi = f[i - 1][j - 1], g[i - 1][j - 1]
+        if not _within(lo, v, hi):
             raise PrescriptionOutOfEntryBounds(
-                f"prescribed ({i},{j}) = {v} outside "
-                f"[{inst.f.at(i, j)}, {inst.g.at(i, j)}]"
+                f"prescribed ({i},{j}) = {v} outside [{lo}, {hi}]"
             )
-    fixed = prescription.as_dict()
-    new_f = [
-        [
-            fin(fixed[(i, j)]) if (i, j) in fixed else inst.f.at(i, j)
-            for j in range(1, inst.n + 1)
-        ]
-        for i in range(1, inst.m + 1)
-    ]
-    new_g = [
-        [
-            fin(fixed[(i, j)]) if (i, j) in fixed else inst.g.at(i, j)
-            for j in range(1, inst.n + 1)
-        ]
-        for i in range(1, inst.m + 1)
-    ]
-    pinched = dataclasses.replace(
-        inst,
-        f=inst.f.from_rows(new_f),
-        g=inst.g.from_rows(new_g),
-    )
-    result = solve(pinched, info)
-    if result.is_feasible:
-        for i, j, v in prescription.entries:
-            if result.matrix.at(i, j) != v:
-                raise InternalError("solution ignores a prescribed value")
-    return result
+        f[i - 1][j - 1] = g[i - 1][j - 1] = fin(v)
+    return dataclasses.replace(inst, f=inst.f.from_rows(f), g=inst.g.from_rows(g))
 
 
 @dataclass(frozen=True, slots=True)

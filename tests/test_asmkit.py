@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pbm.core import NEG_INF, POS_INF, IntMatrix, SubsetMask, fin
+from pbm.core import IntMatrix, SubsetMask, fin
 from pbm.asmkit import (
     SPartition,
     WING_PATTERNS,
@@ -59,7 +59,10 @@ def family_cases():
         yield f"aval_sign({m},{n})", aval_sign_instance(m, n), oracle.is_aval_sign, SIGNS
         matched = line_sums_of_random_01(rng, m, n)
         loose = [rng.randint(0, n) for _ in range(m)], [rng.randint(0, m) for _ in range(n)]
-        for r, c in (matched, loose):
+        cases = [matched, loose]
+        if (m, n) == (2, 2):
+            cases.append(([2, 1], [1, 2]))
+        for r, c in cases:
             pred = lambda mt, r=r, c=c: oracle.is_brualdi_dahl(mt, r, c)
             yield f"brualdi_dahl({r},{c})", brualdi_dahl_instance(r, c), pred, SIGNS
         for _ in range(2):
@@ -112,12 +115,6 @@ class TestInstanceEncoders:
         assert inst.gamma1.at(1, 1) == fin(1)
         assert inst.f.at(2, 2) == fin(-1) and inst.g.at(2, 2) == fin(1)
 
-    def test_asm_feasible_set_is_asm_set(self):
-        for n in (1, 2, 3):
-            mats = oracle.enumerate_pbms(asm_instance(n))
-            assert all(oracle.is_asm(mt) for mt in mats)
-            assert mats == oracle.enumerate_asms(n)
-
     def test_k_regular_windows(self):
         inst = k_regular_instance(2, 2)
         assert inst.phi1.at(1, 2) == fin(2)
@@ -125,44 +122,15 @@ class TestInstanceEncoders:
         mats = oracle.enumerate_pbms(inst)
         assert [mt.to_lists() for mt in mats] == [[[1, 1], [1, 1]]]
 
-    def test_higher_spin(self):
-        inst = higher_spin_instance(2, 2)
-        assert inst.f.at(1, 1) == NEG_INF and inst.g.at(1, 1) == POS_INF
-        mats = oracle.enumerate_pbms(inst)
-        assert mats and all(oracle.is_higher_spin(mt, 2) for mt in mats)
-
-    def test_higher_spin_r0_only_zero(self):
-        mats = oracle.enumerate_pbms(higher_spin_instance(2, 0))
-        assert [mt.to_lists() for mt in mats] == [[[0, 0], [0, 0]]]
-
     def test_higher_spin_negative_r(self):
         with pytest.raises(BadParams):
             higher_spin_instance(2, -1)
-
-    def test_pasm_feasible_set(self):
-        mats = oracle.enumerate_pbms(pasm_instance(2, 2))
-        assert len(mats) == 8
-        assert all(oracle.is_pasm(mt) for mt in mats)
-        direct = [
-            IntMatrix.from_rows(rows)
-            for rows in itertools.product(
-                *[list(itertools.product((-1, 0, 1), repeat=2))] * 2
-            )
-        ]
-        want = sorted(mt.to_lists() for mt in direct if oracle.is_pasm(mt))
-        assert sorted(mt.to_lists() for mt in mats) == want
-
-    def test_aval_sign(self):
-        mats = oracle.enumerate_pbms(aval_sign_instance(2, 2))
-        assert mats and all(oracle.is_aval_sign(mt) for mt in mats)
 
     def test_brualdi_dahl(self):
         inst = brualdi_dahl_instance([2, 1], [1, 2])
         res = solve(inst)
         assert res.is_feasible
         assert oracle.is_brualdi_dahl(res.matrix, [2, 1], [1, 2])
-        for mt in oracle.enumerate_pbms(inst):
-            assert oracle.is_brualdi_dahl(mt, [2, 1], [1, 2])
 
     def test_brualdi_dahl_mismatched_totals_infeasible(self):
         assert not solve(brualdi_dahl_instance([2, 2], [1, 1])).is_feasible
@@ -170,13 +138,6 @@ class TestInstanceEncoders:
     def test_brualdi_dahl_negative_sum_rejected(self):
         with pytest.raises(BadParams):
             brualdi_dahl_instance([-1], [1])
-
-    def test_sum_majorized(self):
-        b = IntMatrix.from_rows([[1, 2], [2, 3]])
-        mats = oracle.enumerate_pbms(sum_majorized_instance(b))
-        assert mats
-        for mt in mats:
-            assert oracle.is_sum_majorized(mt, b)
 
     def test_sum_majorized_negative_bound_rejected(self):
         with pytest.raises(BadParams):
@@ -337,9 +298,9 @@ class TestSubordinate:
 
     def test_max_plus_ones_counts(self):
         res = max_plus_ones_subordinate(IntMatrix.from_rows([[1, 1, 1]] * 3))
-        assert res.count == 3
+        assert res.value == 3
         res = max_plus_ones_subordinate(IntMatrix.from_rows([[1, 0], [0, 1]]))
-        assert res.count == 2
+        assert res.value == 2
 
     def test_max_plus_ones_matches_enumeration(self):
         rng = random.Random(19)
@@ -351,7 +312,7 @@ class TestSubordinate:
             res = max_plus_ones_subordinate(x)
             if subs:
                 want = max(sum(1 for _, _, v in mt.cells() if v == 1) for mt in subs)
-                assert res.count == want
+                assert res.value == want
                 assert res.matrix in subs
             else:
                 assert res.matrix is None

@@ -106,6 +106,21 @@ class TestCheckSolve:
         assert doc["oracle"] == {"count": len(found), "agrees": False}
         assert err == "oracle disagrees with solver\n"
 
+    @pytest.mark.parametrize(
+        "pins, want_code, count",
+        [
+            ("[[2,2,0]]", EXIT_OK, 4),
+            ("[[2,2,-1]]", EXIT_OK, 1),
+            ("[[1,1,1],[1,2,1]]", EXIT_INFEASIBLE, 0),
+        ],
+        ids=["four-completions", "one-completion", "no-completion"],
+    )
+    def test_oracle_counts_completions_of_pins(self, capsys, tmp_path, pins, want_code, count):
+        path = write_json(tmp_path / "asm3.json", instance_to_json(asm_instance(3)))
+        code, doc, _ = run(capsys, "solve", path, "--prescribe", pins, "--oracle")
+        assert code == want_code
+        assert doc["oracle"] == {"count": count, "agrees": True}
+
     def test_dump_dot(self, capsys, tmp_path, asm2_file):
         dot = tmp_path / "net.dot"
         code, _, _ = run(capsys, "check", asm2_file, "--dump-dot", str(dot))
@@ -244,6 +259,28 @@ class TestAsm:
         assert list(doc) == ["status", "n", "certificate", "family", "oracle"]
         assert doc["oracle"] == {"count": 0, "agrees": True}
         assert err == "infeasible: 3 segments found, 4 required\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["7"], ["--compatible", json.dumps([["F"] * 7] * 7)]], ids=["order", "compatible"]
+    )
+    def test_oracle_size_limit_rejected_before_solve(self, capsys, monkeypatch, argv):
+        def fail(*args):
+            pytest.fail("solved or enumerated anyway")
+
+        monkeypatch.setattr(oracle, "enumerate_asms", fail)
+        monkeypatch.setattr("pbm.cli.solve", fail)
+        monkeypatch.setattr("pbm.asmkit.compatible_asm", fail)
+        code = main(["asm", *argv, "--oracle"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR and out == ""
+        assert err == "error: --oracle supports n at most 6 here\n"
+
+    def test_oracle_reaches_order_six(self, capsys, monkeypatch):
+        orders = []
+        monkeypatch.setattr(oracle, "enumerate_asms", lambda n: orders.append(n) or [])
+        code, doc, _ = run(capsys, "asm", "6", "--oracle")
+        assert orders == [6] and doc["status"] == "feasible"
+        assert code == EXIT_ERROR and doc["oracle"] == {"count": 0, "agrees": False}
 
     def test_no_arguments_is_an_error(self, capsys):
         code = main(["asm"])
@@ -425,17 +462,6 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert code == EXIT_ERROR and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-
-    def test_oracle_with_prescription_rejected_before_solve(
-        self, capsys, asm2_file, monkeypatch
-    ):
-        monkeypatch.setattr(
-            "pbm.cli.solve_with_prescription", lambda *a: pytest.fail("solved anyway")
-        )
-        code = main(["solve", asm2_file, "--prescribe", "[[1,1,1]]", "--oracle"])
-        out, err = capsys.readouterr()
-        assert code == EXIT_ERROR and out == ""
-        assert err == "error: --oracle does not support --prescribe\n"
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -302,11 +302,3 @@ class TestKRegular:
         with pytest.raises(NotKRegular) as exc:
             decompose_k_regular_asm(bad, 1)
         assert "prefix" in str(exc.value)
-
-    def test_k_regular_instance_feasible_set_matches(self):
-        # every matrix the instance admits is k-regular, and vice versa
-        for n, k in [(2, 2), (3, 2), (3, 3)]:
-            mats = oracle.enumerate_pbms(k_regular_instance(n, k))
-            assert mats, (n, k)
-            for mt in mats:
-                assert oracle.is_k_regular_asm(mt, k)

@@ -9,15 +9,15 @@ from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
 from pbm.asmkit import asm_instance, max_plus_ones_subordinate, pasm_instance
 from pbm import circulation, feasibility, oracle
 from pbm.feasibility import (
-    Prescription,
+    Result,
     check_condition,
     check_strict,
     extremal_total_sum,
     optimize_cost,
+    pin_entries,
     solve,
-    solve_with_prescription,
 )
-from pbm.errors import InternalError, PrescriptionOutOfEntryBounds
+from pbm.errors import DimensionMismatch, InternalError, PrescriptionOutOfEntryBounds
 
 from helpers import feasible_random, random_instance
 
@@ -52,7 +52,7 @@ class TestCheckedMatrix:
 
     def test_subordinate_optimum_is_a_checked_asm(self):
         res = max_plus_ones_subordinate(self.ALL_ONES)
-        assert oracle.is_asm(res.matrix) and res.count == 3
+        assert oracle.is_asm(res.matrix) and res.value == 3
 
 
 class TestSolve:
@@ -109,42 +109,60 @@ class TestSolve:
             assert rec.lhs > rec.rhs
             found += 1
 
-    def test_info_channel_exposes_network(self):
-        info = {}
-        res = solve(asm_instance(2), info=info)
-        assert res.is_feasible
-        assert "network" in info and "circulation" in info
-
 
 class TestPrescription:
     def test_pin_corner_forces_identity(self):
-        res = solve_with_prescription(
-            asm_instance(2), Prescription.create(2, 2, {(1, 1): 1})
-        )
+        res = solve(pin_entries(asm_instance(2), [(1, 1, 1)]))
         assert res.matrix.to_lists() == [[1, 0], [0, 1]]
 
     def test_contradictory_pins_yield_certificate(self):
-        res = solve_with_prescription(
-            asm_instance(2), Prescription.create(2, 2, {(1, 1): 1, (2, 2): 0})
-        )
+        res = solve(pin_entries(asm_instance(2), [(1, 1, 1), (2, 2, 0)]))
         assert not res.is_feasible
         assert res.certificate.lhs > res.certificate.rhs
 
     def test_center_minus_one_is_unique(self):
-        res = solve_with_prescription(
-            asm_instance(3), Prescription.create(3, 3, {(2, 2): -1})
-        )
+        res = solve(pin_entries(asm_instance(3), [(2, 2, -1)]))
         assert res.matrix.to_lists() == [[0, 1, 0], [1, -1, 1], [0, 1, 0]]
 
     def test_value_outside_entry_bounds_rejected(self):
-        with pytest.raises(PrescriptionOutOfEntryBounds):
-            solve_with_prescription(
-                asm_instance(2), Prescription.create(2, 2, {(1, 1): 2})
-            )
+        # the first bad pin in (i, j) order is named
+        with pytest.raises(PrescriptionOutOfEntryBounds) as exc:
+            pin_entries(asm_instance(2), [(2, 2, -2), (1, 1, 0), (1, 2, 2)])
+        assert str(exc.value) == "prescribed (1,2) = 2 outside [-1, 1]"
 
-    def test_iterable_form_and_as_dict(self):
-        presc = Prescription.create(2, 2, [(1, 1, 1), (2, 2, 0)])
-        assert presc.as_dict() == {(1, 1): 1, (2, 2): 0}
+    @pytest.mark.parametrize(
+        "pins, message",
+        [
+            ([(3, 1, 0)], "cell (3,1) outside 2x2 grid"),
+            ([(1, 1, 1), (1, 1, 0)], "prescribed values must cover the mask exactly once"),
+        ],
+        ids=["outside-grid", "duplicate-cell"],
+    )
+    def test_bad_cells_rejected(self, pins, message):
+        with pytest.raises(DimensionMismatch) as exc:
+            pin_entries(asm_instance(2), pins)
+        assert str(exc.value) == message
+
+    def test_feasible_set_is_the_pinned_subset(self):
+        # the pinned instance admits exactly the matrices that keep every pin
+        rng = random.Random(31)
+        completed = 0
+        for trial in range(240):
+            make = feasible_random if trial % 2 else random_instance
+            inst = make(rng, rng.randint(1, 3), rng.randint(1, 3))
+            cells = [(i, j) for i in range(1, inst.m + 1) for j in range(1, inst.n + 1)]
+            picked = rng.sample(cells, rng.randint(1, min(3, len(cells))))
+            pins = [
+                (i, j, rng.randint(inst.f.at(i, j).value, inst.g.at(i, j).value))
+                for i, j in picked
+            ]
+            want = [
+                mt for mt in oracle.enumerate_pbms(inst)
+                if all(mt.at(i, j) == v for i, j, v in pins)
+            ]
+            assert oracle.enumerate_pbms(pin_entries(inst, pins)) == want
+            completed += bool(want)
+        assert completed >= 60
 
 
 class TestStrict:
@@ -346,6 +364,27 @@ class TestOneLoop:
                 res = extremal_total_sum(inst, direction)
                 assert (res.status == "infeasible") == (not relaxed_feasible)
         assert seen[True] >= 3 and seen[False] >= 80
+
+
+@pytest.mark.parametrize(
+    "status, carries",
+    [
+        ("infeasible", "matrix"),
+        ("infeasible", "both"),
+        ("optimal", "certificate"),
+        ("feasible", "certificate"),
+        ("feasible", "neither"),
+        ("optimal", "neither"),
+        ("unbounded", "matrix"),
+    ],
+)
+def test_inconsistent_result_is_an_internal_error(status, carries):
+    good = solve(asm_instance(2))
+    cert = solve(PbmInstance.create(1, 1, [[fin(1)]], [[fin(1)]], [[fin(0)]], [[fin(0)]]))
+    matrix = good.matrix if carries in ("matrix", "both") else None
+    certificate = cert.certificate if carries in ("certificate", "both") else None
+    with pytest.raises(InternalError):
+        Result(status, matrix, certificate)
 
 
 def test_result_shape_is_exclusive():
