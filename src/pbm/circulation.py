@@ -27,10 +27,12 @@ the deficits.  Each round moves excess to the sink by push-relabel over
 the edges of zero reduced cost; a round that falls short raises the
 potentials by one Dijkstra, unless the sink is cut off.  A feasibility
 question has no prices, so it is the case in which one round does all the
-work.  An infeasible network yields a node set whose entering capacity is
-below its leaving demand (this holds whatever start and potentials the
-flow grew from), and that node set translates into a violated inequality
-on a pair of cell subsets.
+work, over the whole residual graph; it stops at the first node that holds
+excess and can no longer reach the sink.  An infeasible network yields a
+node set whose entering capacity is below its leaving demand: the nodes
+that the excess cut off from the sink cannot reach (this holds whatever
+start and potentials the flow grew from), and that node set translates
+into a violated inequality on a pair of cell subsets.
 
 An optimum is unbounded exactly when the instance is feasible and some
 negative-cost cycle runs only along infinite bounds; the optimal
@@ -318,20 +320,32 @@ class _FlowGraph:
                     queue.append(w)
         return dist
 
-    def push_relabel(self, t: int, adj: list[list[int]], excess: list[int]) -> tuple[int, int]:
-        """Move as much node excess into t as ``adj`` allows; (pushes, relabels).
+    def push_relabel(
+        self, t: int, adj: list[list[int]], excess: list[int]
+    ) -> tuple[int, int, list[int]]:
+        """Move node excess into t as ``adj`` allows; (pushes, relabels, stranded).
 
         FIFO push-relabel (Goldberg & Tarjan 1988) over the edges in
         ``adj``, which must hold each listed edge's reverse too; ``excess``
-        is updated in place, t's entry included.  A node at height len(adj)
-        cannot reach t and keeps its excess: nothing goes back where it
-        came from.  Once per V + E units of relabelling work, a backward
-        search from t resets the heights to exact distances (Cherkassky &
-        Goldberg 1997).  A relabel costs its degree plus 90 units; of 12 to
-        300, 60 to 150 solved 30x30 to 120x120 grids fastest.
+        is updated in place, t's entry included.  Heights stay a valid
+        labelling: no edge of ``adj`` with residual capacity drops more
+        than one level.  So a node at height len(adj) or more cannot reach
+        t; it keeps its excess, and nothing goes back where it came from.
+        Once per V + E units of relabelling work, a backward search from t
+        resets the heights to exact distances (Cherkassky & Goldberg 1997).
+        A relabel costs its degree plus 90 units; of 12 to 300, 60 to 150
+        solved 30x30 to 120x120 grids fastest.
+
+        Over the full residual graph (``adj is self.adj``) the run stops at
+        the first stranded node, one that holds excess at height len(adj)
+        or more, and returns the stranded nodes it found then: no residual
+        path leads from them to t, which is all a cut needs.  Over a subset
+        of the edges it runs on until the excess either reaches t or is
+        stranded, and returns no stranded nodes.
         """
         to, cap = self.to, self.cap
         size = len(adj)
+        stop = adj is self.adj
         budget = work = size + sum(map(len, adj))
         pushes = relabels = 0
         while True:
@@ -339,11 +353,14 @@ class _FlowGraph:
                 work = 0
                 height = self.distances([t], adj, 1)
                 current = [0] * size
-                queue = deque(
-                    v for v in range(size) if excess[v] > 0 and height[v] < size and v != t
-                )
+                live = [v for v in range(size) if excess[v] > 0 and v != t]
+                if stop:
+                    stranded = [v for v in live if height[v] == size]
+                    if stranded:
+                        return pushes, relabels, stranded
+                queue = deque(v for v in live if height[v] < size)
             if not queue:
-                return pushes, relabels
+                return pushes, relabels, []
             v = queue.popleft()
             e, h, edges, i = excess[v], height[v], adj[v], current[v]
             while True:
@@ -370,11 +387,8 @@ class _FlowGraph:
                         break
                 i += 1
             excess[v], height[v], current[v] = e, h, i
-
-
-def _nearest_zero(lo: int, hi: int) -> int:
-    """The value of [lo, hi] closest to 0 (lo <= hi)."""
-    return lo if lo > 0 else hi if hi < 0 else 0
+            if stop and e > 0:
+                return pushes, relabels, [v]
 
 
 def _greedy_start(net: Network) -> list[int]:
@@ -391,25 +405,45 @@ def _greedy_start(net: Network) -> list[int]:
     """
     m, n, mn = net.m, net.n, net.m * net.n
     lower, upper = net.lower, net.upper
-    z = [0] * (3 * mn + 1)
+    bounds = zip(
+        lower[:mn], upper[:mn], lower[mn : 2 * mn], upper[mn : 2 * mn],
+        lower[2 * mn : 3 * mn], upper[2 * mn : 3 * mn],
+    )
+    rows: list[int] = []
+    cols: list[int] = []
+    entries: list[int] = []
     col = [0] * n
     total = 0
-    for i in range(m):
+    for _ in range(m):
         h = 0
         for j in range(n):
-            k = i * n + j
-            a2, entry = mn + k, 2 * mn + k
+            row_lo, row_hi, col_lo, col_hi, f, g = next(bounds)
             v = col[j]
-            lo = max(lower[entry], lower[k] - h, lower[a2] - v)
-            hi = min(upper[entry], upper[k] - h, upper[a2] - v)
-            x = _nearest_zero(lo, hi) if lo <= hi else _nearest_zero(lower[entry], upper[entry])
-            z[entry] = x
-            h = z[k] = min(max(h + x, lower[k]), upper[k])
-            col[j] = z[a2] = min(max(v + x, lower[a2]), upper[a2])
+            # the entry window cut down by both prefix windows, else the entry window
+            lo, hi = row_lo - h, row_hi - h
+            x, y = col_lo - v, col_hi - v
+            if x > lo:
+                lo = x
+            if y < hi:
+                hi = y
+            if f > lo:
+                lo = f
+            if g < hi:
+                hi = g
+            if lo > hi:
+                lo, hi = f, g
+            x = lo if lo > 0 else hi if hi < 0 else 0
+            entries.append(x)
+            h += x
+            h = row_lo if h < row_lo else row_hi if h > row_hi else h
+            rows.append(h)
+            v += x
+            v = col_lo if v < col_lo else col_hi if v > col_hi else v
+            col[j] = v
+            cols.append(v)
         total += h
-    a0 = 3 * mn
-    z[a0] = min(max(total, lower[a0]), upper[a0])
-    return z
+    a0_lo, a0_hi = lower[3 * mn], upper[3 * mn]
+    return [*rows, *cols, *entries, a0_lo if total < a0_lo else a0_hi if total > a0_hi else total]
 
 
 def min_cost_circulation(
@@ -440,19 +474,30 @@ def min_cost_circulation(
     Each round runs ``_FlowGraph.push_relabel`` over the edges of zero
     reduced cost; ``info`` collects the pushes and relabels of all rounds.
     Once no excess is left, the sink edges are saturated, the flow is a
-    circulation, and the potentials prove it optimal.  Otherwise one
-    breadth-first search runs over the whole residual graph from the nodes
-    that still hold excess.  If it reaches the super sink, one Dijkstra
-    from the same nodes raises the potentials and the next round starts.
-    If it does not, the nodes it missed form a set W that no residual edge
-    enters and that holds no excess: every arc entering W is at its upper
-    bound and every arc leaving W at its lower bound, so the net inflow of
-    W is rho_u(W) - delta_l(W), and it equals minus the unsaturated sink
-    capacity inside W, which is negative.  This holds for any start inside
-    the bounds and any potentials, and ``make_cut_witness`` recomputes the
-    deficit from the bounds alone.  Without a cost every edge has zero
-    reduced cost, so the first round either delivers every excess or ends
-    at a cut.  All arithmetic is exact.
+    circulation, and the potentials prove it optimal.
+
+    Infeasibility shows as excess cut off from the sink.  Let R be the set
+    of nodes that residual paths reach from some of the nodes holding
+    excess, and suppose R misses the super sink.  No residual edge leaves
+    R, so every arc entering R is at its lower bound, every arc leaving R
+    at its upper bound, and every sink edge in R is saturated.  Summing
+    conservation over R, l(delta_in R) - u(delta_out R) equals the excess
+    held in R plus the sink flow out of R, which is positive.  The nodes
+    R misses form a set W with rho_u(W) - delta_l(W) < 0.  This holds for
+    any start inside the bounds and any potentials, and
+    ``make_cut_witness`` recomputes the deficit from the bounds alone.
+
+    Without a cost every edge has zero reduced cost, so one round runs
+    over the whole residual graph.  It either delivers every excess or
+    stops at the first stranded nodes, whose height shows that no
+    residual path joins them to the sink; R is what they reach.  The
+    solve leaves the loop after that round.  With a cost, a round runs
+    over a subset of the edges, and excess it cannot move proves nothing.
+    One breadth-first search over the whole residual graph then starts
+    from every node that still holds excess.  If it reaches the super
+    sink, one Dijkstra from the same nodes raises the potentials and the
+    next round starts; if not, R is what it reached.  All arithmetic is
+    exact.
     """
     nodes, arc_count = net.node_count, len(net.lower)
     tail, head, lower, upper = net.tail, net.head, net.lower, net.upper
@@ -486,10 +531,14 @@ def min_cost_circulation(
                 [idx for idx in edges if edge_cost[idx] + pi[v] == pi[to[idx]]]
                 for v, edges in enumerate(adj)
             ]
-        more_pushes, more_relabels = graph.push_relabel(t, admissible, excess)
+        more_pushes, more_relabels, stranded = graph.push_relabel(t, admissible, excess)
         pushes += more_pushes
         relabels += more_relabels
         if excess[t] == demand:
+            break
+        if not priced:
+            # the one round ran over the whole residual graph
+            hops = graph.distances(stranded, adj, 0)
             break
         sources = [v for v in range(nodes) if excess[v] > 0]
         hops = graph.distances(sources, adj, 0)

@@ -193,6 +193,29 @@ class TestFeasibility:
         again = make_cut_witness(net, witness.nodes)
         assert again.deficit == witness.deficit
 
+    def test_infeasible_solve_stops_at_first_stranded_excess(self, monkeypatch):
+        # the greedy start strands excess here, so the first global relabel shows the cut;
+        # running the whole max-flow first took 4 global relabels and 2,167 pushes
+        searches = []
+        distances = _FlowGraph.distances
+
+        def spy(self, sources, adj, flip):
+            searches.append(flip)
+            return distances(self, sources, adj, flip)
+
+        def refuse(*args):
+            raise AssertionError("a cost-free solve raised potentials")
+
+        monkeypatch.setattr(_FlowGraph, "distances", spy)
+        monkeypatch.setattr(circulation, "_reduced_distances", refuse)
+        net = build_network(random_instance(random.Random(1), 55, 55))
+        info: dict = {}
+        witness = min_cost_circulation(net, info=info)
+        assert isinstance(witness, CutWitness)
+        assert searches.count(1) == 1
+        assert info["pushes"] == 0
+        assert not cut_to_certificate(net, witness)[3].holds
+
     def test_make_cut_witness_rejects_nonviolating_set(self):
         net = build_network(asm_instance(1))
         with pytest.raises(InternalError):
@@ -268,6 +291,24 @@ class TestMinCost:
         circ = min_cost_circulation(net)
         assert isinstance(circ, Circulation)
         check_circulation(net, circ)
+
+    def test_excess_stranded_by_a_priced_round_is_no_cut(self, monkeypatch):
+        # maximising the sum moves a0 to +K; the first round runs over the edges of
+        # zero reduced cost only and strands excess that the whole graph can still move
+        raises = []
+        reduced_distances = circulation._reduced_distances
+
+        def spy(*args):
+            raises.append(args)
+            return reduced_distances(*args)
+
+        monkeypatch.setattr(circulation, "_reduced_distances", spy)
+        inst = PbmInstance.create(
+            1, 1, [[fin(0)]], [[fin(1)]], [[fin(0)]], [[fin(2)]], [[fin(0)]], [[fin(2)]]
+        )
+        best = extremal_total_sum(inst, "max")
+        assert (best.status, best.value) == ("optimal", 1)
+        assert raises
 
     def test_unbounded_returns_negative_cycle(self):
         # the entry and both prefix windows are open above, so rewarding the

@@ -201,21 +201,38 @@ FAMILIES = {
 }
 
 
+def check_verdict(inst: PbmInstance) -> bool:
+    """Solve, compare the verdict with the reference and re-check the answer."""
+    res = solve(inst)
+    assert res.is_feasible == reference_feasible(inst)
+    if res.is_feasible:
+        assert matrix_satisfies(inst, res.matrix)
+    else:
+        cert = res.certificate
+        record = condition_values(inst, cert.x1, cert.x2).by_name(cert.violated)
+        assert not record.holds
+        assert (record.lhs, record.rhs) == (cert.lhs, cert.rhs)
+    return res.is_feasible
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_feasibility_verdicts(family):
     make, expected = FAMILIES[family]
     rng = random.Random(f"verdict:{family}")
-    verdicts = set()
-    for m, n in [(10, 10), (rng.randint(10, 30), rng.randint(10, 30)), (24, 45), (60, 60)]:
-        inst = make(rng, m, n)
-        res = solve(inst)
-        assert res.is_feasible == reference_feasible(inst)
-        if res.is_feasible:
-            assert matrix_satisfies(inst, res.matrix)
-        else:
-            cert = res.certificate
-            record = condition_values(inst, cert.x1, cert.x2).by_name(cert.violated)
-            assert not record.holds
-            assert (record.lhs, record.rhs) == (cert.lhs, cert.rhs)
-        verdicts.add(res.is_feasible)
+    verdicts = {
+        check_verdict(make(rng, m, n))
+        for m, n in [(10, 10), (rng.randint(10, 30), rng.randint(10, 30)), (24, 45), (60, 60)]
+    }
     assert verdicts == expected
+
+
+def test_verdict_sweep():
+    # thirty seeded draws between the fixed sizes above, so that cuts read off
+    # excess stranded in many different places are each re-checked
+    rng = random.Random("verdict sweep")
+    verdicts = []
+    for k in range(30):
+        family = "pinned" if k % 2 else "random"
+        inst = FAMILIES[family][0](rng, rng.randint(10, 40), rng.randint(10, 40))
+        verdicts.append(check_verdict(inst))
+    assert set(verdicts) == {False, True}
