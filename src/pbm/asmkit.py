@@ -284,7 +284,7 @@ def _partition_instance(part: SPartition) -> PbmInstance:
     """ASM prefix windows plus entry bounds encoding the partition."""
     n = part.n
     bounds = [[_ENTRY_BOUNDS[lab] for lab in row] for row in part.labels]
-    f, g = (ExtMatrix(n, n, tuple(tuple(b[k] for b in row) for row in bounds)) for k in (0, 1))
+    f, g = (ExtMatrix.from_rows([[b[k] for b in row] for row in bounds]) for k in (0, 1))
     return validate_instance(dataclasses.replace(asm_instance(n), f=f, g=g))
 
 

@@ -19,6 +19,11 @@ admits an integer circulation.  Infinite bounds are replaced by +-K for a K
 chosen so large that no optimal or violating structure can depend on it
 (K exceeds twice the sum of all finite bound magnitudes).
 
+``build_network`` is the one network builder.  It reads the instance's
+flat bound tables, ints and tags, and clamps each bound to value + tag * K.
+A network with other bounds on the same arcs, as ``decompose`` solves, is
+that network with its ``lower`` and ``upper`` replaced.
+
 Every solve builds one residual graph and runs one primal-dual loop on it.
 The flow starts from a greedy guess that lies inside every arc bound, with
 each priced arc at the bound its cost favours.  The guess leaves excess at
@@ -45,11 +50,11 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from operator import add, le, neg, sub
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, chain, compress
+from operator import add, le, neg, not_, sub
+from typing import Mapping, Sequence
 
-from .core import ExtInt, IntMatrix, PbmInstance, SubsetMask, fin
+from .core import ExtInt, ExtMatrix, IntMatrix, PbmInstance, SubsetMask
 from .errors import BoundViolation, DimensionMismatch, InternalError
 from . import strongpair
 
@@ -58,8 +63,6 @@ __all__ = [
     "Circulation",
     "CutWitness",
     "NegativeCycle",
-    "instance_arc_bounds",
-    "network_from_bounds",
     "build_network",
     "check_circulation",
     "make_cut_witness",
@@ -73,7 +76,7 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Network:
-    """The circulation network of an m x n instance (or of raw bounds).
+    """The circulation network of an m x n instance.
 
     ``tail``, ``head``, ``lower`` and ``upper`` are indexed by arc id; the
     bounds are integers, infinities already clamped to +-``big_k``.
@@ -86,7 +89,7 @@ class Network:
     lower: tuple[int, ...]
     upper: tuple[int, ...]
     big_k: int
-    instance: "PbmInstance | None" = None
+    instance: PbmInstance
 
     @property
     def node_count(self) -> int:
@@ -160,34 +163,21 @@ class NegativeCycle:
     cost: int
 
 
-def instance_arc_bounds(inst: PbmInstance) -> tuple[list[ExtInt], list[ExtInt]]:
-    """True extended-integer arc bounds in arc-id order."""
-    lower = [*chain(*inst.phi1.rows, *inst.phi2.rows, *inst.f.rows), inst.alpha]
-    upper = [*chain(*inst.gamma1.rows, *inst.gamma2.rows, *inst.g.rows), inst.beta]
-    return lower, upper
+def build_network(inst: PbmInstance) -> Network:
+    """The circulation network of an instance: the one network builder.
 
-
-def network_from_bounds(
-    m: int,
-    n: int,
-    lower: "Sequence[ExtInt | int]",
-    upper: "Sequence[ExtInt | int]",
-    *,
-    instance: "PbmInstance | None" = None,
-) -> Network:
-    """Build the network from explicit per-arc bounds in arc-id order.
-
-    A bound is an ``ExtInt``, or an int for a finite one.  K is 1 + 2 *
-    sum of |finite bounds| + mn.  Every finite bound is smaller than K in
-    magnitude, so a clamped bound equals +-K exactly when the true bound is
-    infinite.
+    K is 1 + 2 * sum of |finite bounds| + mn.  Every finite bound is
+    smaller than K in magnitude, so a clamped bound, value + tag * K,
+    equals +-K exactly when the true bound is infinite.  An infinite cell
+    has value 0, so it adds nothing to the finite mass.
     """
-    mn = m * n
-    if len(lower) != 3 * mn + 1 or len(upper) != 3 * mn + 1:
-        raise InternalError("arc bound vectors have wrong length")
-    # an infinite ExtInt carries value 0: it adds no mass, and value + tag * K clamps it
-    finite_mass = sum(abs(v if type(v) is int else v.value) for v in chain(lower, upper))
-    big_k = 1 + 2 * finite_mass + mn
+    m, n, mn = inst.m, inst.n, inst.m * inst.n
+    lows, highs = (inst.phi1, inst.phi2, inst.f), (inst.gamma1, inst.gamma2, inst.g)
+    low_values = [*chain(*(t.values for t in lows)), inst.alpha.value]
+    high_values = [*chain(*(t.values for t in highs)), inst.beta.value]
+    low_tags = [*chain(*(t.tags for t in lows)), inst.alpha.tag]
+    high_tags = [*chain(*(t.tags for t in highs)), inst.beta.tag]
+    big_k = 1 + 2 * sum(map(abs, chain(low_values, high_values))) + mn
     hub1, hub2 = 2 * mn, 2 * mn + 1
     cells = range(mn)
     a1_tails = [k + 1 if (k + 1) % n else hub1 for k in cells]
@@ -197,24 +187,17 @@ def network_from_bounds(
         n=n,
         tail=(*a1_tails, *range(mn, 2 * mn), *cells, hub2),
         head=(*cells, *a2_heads, *range(mn, 2 * mn), hub1),
-        lower=tuple(v if type(v) is int else v.value + v.tag * big_k for v in lower),
-        upper=tuple(v if type(v) is int else v.value + v.tag * big_k for v in upper),
+        lower=tuple([v + t * big_k if t else v for v, t in zip(low_values, low_tags)]),
+        upper=tuple([v + t * big_k if t else v for v, t in zip(high_values, high_tags)]),
         big_k=big_k,
-        instance=instance,
+        instance=inst,
     )
-    # every finite bound is below K in magnitude, so clamping keeps the order
+    # clamping keeps the order of the bounds, so only an unvalidated instance fails here
     if not all(map(le, net.lower, net.upper)):
         a = next(a for a, (lo, hi) in enumerate(zip(net.lower, net.upper)) if lo > hi)
-        raise InternalError(
-            f"empty arc bound interval on arc {net.arc_tag(a)}: [{lower[a]}, {upper[a]}]"
-        )
+        lo, hi = ExtInt(low_tags[a], low_values[a]), ExtInt(high_tags[a], high_values[a])
+        raise InternalError(f"empty arc bound interval on arc {net.arc_tag(a)}: [{lo}, {hi}]")
     return net
-
-
-def build_network(inst: PbmInstance) -> Network:
-    """The circulation network of a validated instance."""
-    lower, upper = instance_arc_bounds(inst)
-    return network_from_bounds(inst.m, inst.n, lower, upper, instance=inst)
 
 
 def check_circulation(net: Network, circ: Circulation) -> None:
@@ -263,18 +246,6 @@ class _FlowGraph:
         self.cap: list[int] = []
         self.cost: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int, back: int = 0, cost: int = 0) -> None:
-        """Edge u -> v with residual capacity ``cap``; its reverse gets ``back``."""
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[u].append(idx)
-        self.to.append(u)
-        self.cap.append(back)
-        self.cost.append(-cost)
-        self.adj[v].append(idx + 1)
-
     def add_arcs(
         self,
         tails: Sequence[int],
@@ -283,7 +254,7 @@ class _FlowGraph:
         backs: Sequence[int],
         costs: Sequence[int],
     ) -> None:
-        """``add_edge`` for every arc in turn, in bulk: the same edge ids and ``adj`` order."""
+        """Per arc u -> w in turn, edge u -> w with capacity cap and its reverse with back."""
         first, count = len(self.to), len(tails)
         pairs = [0] * (2 * count)
         pairs[0::2], pairs[1::2] = heads, tails
@@ -498,6 +469,13 @@ def min_cost_circulation(
     sink, one Dijkstra from the same nodes raises the potentials and the
     next round starts; if not, R is what it reached.  All arithmetic is
     exact.
+
+    A priced solve runs ``check_circulation`` on the flows it returns,
+    which ties the reduced-cost proof to them.  An unpriced one does not:
+    each of its callers checks the answer on its own, ``feasibility``'s
+    ``_answer`` through ``circulation_from_matrix`` against the true
+    bounds, and ``decompose`` by checking every part against its box and
+    the parts' sum against the input matrix.
     """
     nodes, arc_count = net.node_count, len(net.lower)
     tail, head, lower, upper = net.tail, net.head, net.lower, net.upper
@@ -514,12 +492,12 @@ def min_cost_circulation(
         excess[u] -= z
     graph = _FlowGraph(nodes + 1)
     graph.add_arcs(tail, head, list(map(sub, upper, flow)), list(map(sub, flow, lower)), costs)
-    demand = 0
-    for v in range(nodes):
-        if excess[v] < 0:
-            graph.add_edge(v, t, -excess[v])
-            demand -= excess[v]
-            excess[v] = 0
+    short = [v for v in range(nodes) if excess[v] < 0]
+    deficits = [-excess[v] for v in short]
+    graph.add_arcs(short, [t] * len(short), deficits, [0] * len(short), [0] * len(short))
+    demand = sum(deficits)
+    for v in short:
+        excess[v] = 0
     adj, to, cap, edge_cost = graph.adj, graph.to, graph.cap, graph.cost
     priced = any(costs)
     pi = [0] * (nodes + 1)
@@ -567,7 +545,8 @@ def min_cost_circulation(
         if cycle is not None:
             return _checked_negative_cycle(net, costs, cycle)
     circ = Circulation(tuple(map(add, lower, cap[1 : 2 * arc_count : 2])))
-    check_circulation(net, circ)
+    if priced:
+        check_circulation(net, circ)
     return circ
 
 
@@ -675,9 +654,9 @@ def _checked_negative_cycle(
     net: Network, costs: list[int], steps: list[tuple[int, int]]
 ) -> NegativeCycle:
     """Re-check a cycle against the instance's true bounds before returning it."""
-    if net.instance is None:
-        raise InternalError("network carries no instance; cannot confirm unboundedness")
-    lower, upper = instance_arc_bounds(net.instance)
+    inst = net.instance
+    lower_tags = [*inst.phi1.tags, *inst.phi2.tags, *inst.f.tags, inst.alpha.tag]
+    upper_tags = [*inst.gamma1.tags, *inst.gamma2.tags, *inst.g.tags, inst.beta.tag]
     arc_id, sign = steps[0]
     start = node = net.tail[arc_id] if sign > 0 else net.head[arc_id]
     total = 0
@@ -688,7 +667,7 @@ def _checked_negative_cycle(
         if tail != node:
             raise InternalError("negative cycle steps do not join up")
         node = head
-        if (upper[arc_id] if sign > 0 else lower[arc_id]).is_finite:
+        if (upper_tags[arc_id] if sign > 0 else lower_tags[arc_id]) == 0:
             raise InternalError(f"negative cycle uses a finite bound of arc {net.arc_tag(arc_id)}")
         total += sign * costs[arc_id]
     if node != start:
@@ -705,32 +684,28 @@ def matrix_from_circulation(net: Network, circ: Circulation) -> IntMatrix:
     return IntMatrix(m, n, tuple(flows[k : k + n] for k in range(0, m * n, n)))
 
 
-def _within(lo: ExtInt, v: int, hi: ExtInt) -> bool:
-    """lo <= v <= hi for an int v, read off the tags without building an ExtInt."""
-    return (lo.tag < 0 or (lo.tag == 0 and lo.value <= v)) and (
-        hi.tag > 0 or (hi.tag == 0 and v <= hi.value)
-    )
-
-
 def _check_table(
-    what: str,
-    values: Sequence[Sequence[int]],
-    lows: Iterable[Sequence[ExtInt]],
-    highs: Iterable[Sequence[ExtInt]],
-    by_column: bool = False,
+    what: str, values: Sequence[int], low: ExtMatrix, high: ExtMatrix, by_column: bool = False
 ) -> None:
-    """Raise BoundViolation at the first value outside its bounds, line by line.
+    """Raise BoundViolation at the first value outside its bounds.
 
-    The tables are read as lines of values (rows, or columns when
-    ``by_column``); the message names the cell as (row, column).
+    ``values`` is row-major like the bound tables.  Cells are scanned row
+    by row, or column by column when ``by_column``; the message names the
+    cell as (row, column).
     """
-    for a, (line, lo_line, hi_line) in enumerate(zip(values, lows, highs), start=1):
-        if all(map(_within, lo_line, line, hi_line)):
-            continue
-        for b, (lo, v, hi) in enumerate(zip(lo_line, line, hi_line), start=1):
-            if not _within(lo, v, hi):
-                i, j = (b, a) if by_column else (a, b)
-                raise BoundViolation(f"{what} ({i},{j}) = {v} outside [{lo}, {hi}]")
+    low_finite, high_finite = list(map(not_, low.tags)), list(map(not_, high.tags))
+    if all(map(le, compress(low.values, low_finite), compress(values, low_finite))) and all(
+        map(le, compress(values, high_finite), compress(high.values, high_finite))
+    ):
+        return
+    n, size = low.n, len(values)
+    order = (k for j in range(n) for k in range(j, size, n)) if by_column else range(size)
+    for k in order:
+        v = values[k]
+        if (low_finite[k] and v < low.values[k]) or (high_finite[k] and v > high.values[k]):
+            i, j = k // n + 1, k % n + 1
+            lo, hi = low.at(i, j), high.at(i, j)
+            raise BoundViolation(f"{what} ({i},{j}) = {v} outside [{lo}, {hi}]")
 
 
 def circulation_from_matrix(inst: PbmInstance, mat: IntMatrix) -> Circulation:
@@ -745,19 +720,18 @@ def circulation_from_matrix(inst: PbmInstance, mat: IntMatrix) -> Circulation:
             f"matrix is {mat.m}x{mat.n}, instance is {inst.m}x{inst.n}"
         )
     rows = mat.rows
-    _check_table("entry", rows, inst.f.rows, inst.g.rows)
-    h_rows = [list(accumulate(row)) for row in rows]
-    _check_table("horizontal prefix", h_rows, inst.phi1.rows, inst.gamma1.rows)
-    v_cols = [list(accumulate(col)) for col in zip(*rows)]
-    _check_table(
-        "vertical prefix", v_cols, zip(*inst.phi2.rows), zip(*inst.gamma2.rows), by_column=True
-    )
-    total = sum(line[-1] for line in h_rows)
-    if not _within(inst.alpha, total, inst.beta):
+    entries = [*chain(*rows)]
+    _check_table("entry", entries, inst.f, inst.g)
+    h_sums = [*chain(*map(accumulate, rows))]
+    _check_table("horizontal prefix", h_sums, inst.phi1, inst.gamma1)
+    v_sums = [*chain(*accumulate(rows, lambda above, row: [*map(add, above, row)]))]
+    _check_table("vertical prefix", v_sums, inst.phi2, inst.gamma2, by_column=True)
+    total = sum(h_sums[inst.n - 1 :: inst.n])
+    if not inst.alpha <= total <= inst.beta:
         raise BoundViolation(
             f"total sum {total} outside [{inst.alpha}, {inst.beta}]"
         )
-    return Circulation((*chain(*h_rows, *zip(*v_cols), *rows), total))
+    return Circulation((*h_sums, *v_sums, *entries, total))
 
 
 def cut_to_certificate(
@@ -772,8 +746,6 @@ def cut_to_certificate(
     Returns (X1, X2, case, the evaluated record of the violated inequality).
     """
     inst = net.instance
-    if inst is None:
-        raise InternalError("network carries no instance; cannot build a certificate")
     w = witness.nodes
     hub1_in = net.v1_hub in w
     hub2_in = net.v2_hub in w

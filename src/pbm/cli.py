@@ -495,9 +495,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # exact bounds of any size are read and printed; callers in this process get the limit back
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (PbmError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -505,6 +507,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except KeyError as exc:
         print(f"error: missing key {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,11 @@
 Conventions used across the package:
 
 * all indices are 1-based: rows run 1..m, columns 1..n;
-* matrices are stored row-major as tuples of tuples;
+* integer matrices are stored row-major as tuples of tuples;
+* bound tables (``ExtMatrix``) are stored row-major as two flat tuples,
+  int ``values`` and ``tags`` of -1, 0 or +1 for -inf, finite and +inf;
+  an infinite cell has value 0, as an infinite ``ExtInt`` does, so the
+  solver reads ints and tags and builds no ``ExtInt`` per cell;
 * an instance asks for an integer m x n matrix A whose horizontal prefix
   sums lie in [phi1(i,j), gamma1(i,j)], whose vertical prefix sums lie in
   [phi2(i,j), gamma2(i,j)], whose entries lie in [f(i,j), g(i,j)], and whose
@@ -18,7 +22,8 @@ All arithmetic is exact; there are no floats anywhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
+from operator import le, not_, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -89,7 +94,7 @@ class ExtInt:
     def __add__(self, other: "ExtInt | int") -> "ExtInt":
         other = as_ext(other)
         if self.tag == 0 and other.tag == 0:
-            return _finite(self.value + other.value)
+            return ExtInt(0, self.value + other.value)
         if self.tag == -other.tag and self.tag != 0:
             raise InfinityClash("cannot add -inf and +inf")
         return ExtInt(self.tag if self.tag != 0 else other.tag)
@@ -97,7 +102,7 @@ class ExtInt:
     __radd__ = __add__
 
     def __neg__(self) -> "ExtInt":
-        return _finite(-self.value) if self.tag == 0 else ExtInt(-self.tag)
+        return ExtInt(0, -self.value) if self.tag == 0 else ExtInt(-self.tag)
 
     def __sub__(self, other: "ExtInt | int") -> "ExtInt":
         return self + (-as_ext(other))
@@ -174,8 +179,6 @@ class ExtInt:
 
     @staticmethod
     def from_json(raw: object) -> "ExtInt":
-        if type(raw) is int:
-            return _finite(raw)
         if isinstance(raw, bool) or not isinstance(raw, (int, str)):
             raise InstanceFormatError(f"expected integer or infinity string, got {raw!r}")
         if isinstance(raw, int):
@@ -190,50 +193,13 @@ class ExtInt:
 NEG_INF = ExtInt(-1)
 POS_INF = ExtInt(1)
 
-_new_ext = object.__new__
-_set_tag = ExtInt.tag.__set__
-_set_value = ExtInt.value.__set__
-
-
-def _finite(v: int) -> ExtInt:
-    """``ExtInt(0, v)`` for a ``v`` known to be an exact int, skipping its checks."""
-    e = _new_ext(ExtInt)
-    _set_tag(e, 0)
-    _set_value(e, v)
-    return e
-
-
 def fin(v: int) -> ExtInt:
     """Finite extended integer."""
-    return _finite(v) if type(v) is int else ExtInt(0, v)
+    return ExtInt(0, v)
 
 
 def as_ext(v: "ExtInt | int") -> ExtInt:
     return v if isinstance(v, ExtInt) else fin(v)
-
-
-def ext_sum(values: Iterable["ExtInt | int"]) -> ExtInt:
-    """Sum of extended integers; raises InfinityClash on -inf + +inf.
-
-    One pass: finite values add as ints and the result is the infinity
-    seen, if any, exactly as the left fold by ``+`` from 0 would give.
-    """
-    total = 0
-    inf = 0
-    for v in values:
-        if type(v) is not ExtInt:
-            v = as_ext(v)
-        if v.tag == 0:
-            total += v.value
-        elif v.tag == -inf:
-            raise InfinityClash("cannot add -inf and +inf")
-        else:
-            inf = v.tag
-    return ExtInt(inf) if inf else _finite(total)
-
-
-def _ext_cell(e: "ExtInt | int | str") -> ExtInt:
-    return e if isinstance(e, ExtInt) else ExtInt.from_json(e)
 
 
 def _check_rect(rows: Sequence[Sequence[object]], what: str) -> tuple[int, int]:
@@ -279,14 +245,6 @@ class IntMatrix:
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j - 1] for r in self.rows)
 
-    def h_prefix(self, i: int, j: int) -> int:
-        """Sum of row i, columns 1..j (0 when j == 0)."""
-        return sum(self.rows[i - 1][: j])
-
-    def v_prefix(self, i: int, j: int) -> int:
-        """Sum of column j, rows 1..i (0 when i == 0)."""
-        return sum(r[j - 1] for r in self.rows[: i])
-
     def total(self) -> int:
         return sum(sum(r) for r in self.rows)
 
@@ -314,43 +272,50 @@ class IntMatrix:
 
 @dataclass(frozen=True, slots=True)
 class ExtMatrix:
-    """Immutable matrix of extended integers; used for all bound tables."""
+    """Immutable matrix of extended integers; used for all bound tables.
+
+    The cells are kept row-major in two flat tuples: ``values`` holds ints
+    and ``tags`` holds -1, 0 or +1 per cell, as in ``ExtInt``.  An infinite
+    cell has value 0, so the values of a table add up to its finite mass
+    and ``value + tag * K`` clamps any cell to +-K.  ``rows``, ``at``,
+    ``cells`` and ``to_lists`` build ``ExtInt``s only when called.
+    """
 
     m: int
     n: int
-    rows: tuple[tuple[ExtInt, ...], ...]
+    values: tuple[int, ...]
+    tags: tuple[int, ...]
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence["ExtInt | int | str"]]) -> "ExtMatrix":
+        """JSON cells or ``ExtInt``s; the first bad cell, row-major, raises as in ``from_json``."""
         m, n = _check_rect(rows, "bound matrix")
-        # Bound tables repeat few values: when every cell is a JSON int or
-        # string, parse each distinct value once.  Any other cell, or a bad
-        # string, takes the per-cell loop, which names the first fault in
-        # row-major order.
-        if set(map(type, chain.from_iterable(rows))) <= {int, str}:
-            try:
-                made = {
-                    v: _finite(v) if type(v) is int else ExtInt.from_json(v)
-                    for v in set(chain.from_iterable(rows))
-                }
-            except InstanceFormatError:
-                pass
-            else:
-                return ExtMatrix(m, n, tuple(tuple(map(made.__getitem__, row)) for row in rows))
-        return ExtMatrix(m, n, tuple(tuple(map(_ext_cell, row)) for row in rows))
+        cells = [
+            e if type(e) is int or isinstance(e, ExtInt) else ExtInt.from_json(e)
+            for e in chain.from_iterable(rows)
+        ]
+        values = tuple([e if type(e) is int else e.value for e in cells])
+        return ExtMatrix(m, n, values, tuple([0 if type(e) is int else e.tag for e in cells]))
 
     @staticmethod
     def constant(m: int, n: int, v: "ExtInt | int") -> "ExtMatrix":
         e = as_ext(v)
-        return ExtMatrix(m, n, tuple((e,) * n for _ in range(m)))
+        return ExtMatrix(m, n, (e.value,) * (m * n), (e.tag,) * (m * n))
+
+    def _cell(self, k: int) -> ExtInt:
+        tag = self.tags[k]
+        return ExtInt(0, self.values[k]) if tag == 0 else NEG_INF if tag < 0 else POS_INF
+
+    @property
+    def rows(self) -> tuple[tuple[ExtInt, ...], ...]:
+        cells = list(map(self._cell, range(self.m * self.n)))
+        return tuple(tuple(cells[k : k + self.n]) for k in range(0, self.m * self.n, self.n))
 
     def at(self, i: int, j: int) -> ExtInt:
-        return self.rows[i - 1][j - 1]
+        return self._cell((i - 1) * self.n + (j - 1))
 
     def cells(self) -> Iterator[tuple[int, int, ExtInt]]:
-        for i, row in enumerate(self.rows, start=1):
-            for j, v in enumerate(row, start=1):
-                yield i, j, v
+        return ((k // self.n + 1, k % self.n + 1, self._cell(k)) for k in range(self.m * self.n))
 
     def to_lists(self) -> list[list["int | str"]]:
         return [[e.to_json() for e in row] for row in self.rows]
@@ -489,18 +454,23 @@ def validate_instance(inst: PbmInstance) -> PbmInstance:
                 f"{name} is {mat.m}x{mat.n}, instance is {inst.m}x{inst.n}"
             )
     for lo_name, hi_name in (("phi1", "gamma1"), ("phi2", "gamma2"), ("f", "g")):
-        lo_rows, hi_rows = tables[lo_name].rows, tables[hi_name].rows
-        for i, (lo_row, hi_row) in enumerate(zip(lo_rows, hi_rows), start=1):
-            for j, (a, b) in enumerate(zip(lo_row, hi_row), start=1):
-                if a.tag == 1:
-                    raise IllegalInfinity(f"{lo_name}({i},{j}) is +inf; lower bounds may not be +inf")
-                if b.tag == -1:
-                    raise IllegalInfinity(f"{hi_name}({i},{j}) is -inf; upper bounds may not be -inf")
-                # with a below +inf and b above -inf, a > b only when both are finite
-                if a.tag == 0 == b.tag and a.value > b.value:
-                    raise BoundOrderViolation(
-                        f"{lo_name}({i},{j}) = {a} exceeds {hi_name}({i},{j}) = {b}"
-                    )
+        lo, hi = tables[lo_name], tables[hi_name]
+        # with lo below +inf and hi above -inf, lo > hi only where both are finite
+        both_finite = list(map(not_, map(or_, lo.tags, hi.tags)))
+        if 1 not in lo.tags and -1 not in hi.tags and all(
+            map(le, compress(lo.values, both_finite), compress(hi.values, both_finite))
+        ):
+            continue
+        for k, (a, b) in enumerate(zip(lo.values, hi.values)):
+            i, j = k // inst.n + 1, k % inst.n + 1
+            if lo.tags[k] == 1:
+                raise IllegalInfinity(f"{lo_name}({i},{j}) is +inf; lower bounds may not be +inf")
+            if hi.tags[k] == -1:
+                raise IllegalInfinity(f"{hi_name}({i},{j}) is -inf; upper bounds may not be -inf")
+            if both_finite[k] and a > b:
+                raise BoundOrderViolation(
+                    f"{lo_name}({i},{j}) = {a} exceeds {hi_name}({i},{j}) = {b}"
+                )
     if inst.alpha.is_pos_inf:
         raise IllegalInfinity("alpha may not be +inf")
     if inst.beta.is_neg_inf:

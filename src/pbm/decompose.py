@@ -9,8 +9,9 @@ part never has an entry of opposite sign to A's, and it meets the instance
 shrunk by k (lower bounds divided by k and floored, upper bounds divided by
 k and ceiled).
 
-A is checked once, and one network is built with z* as its only
-circulation.  With k = 2^L q and q odd, the work runs in two stages:
+A is checked once, and one network is built from the instance; each solve
+and each check replaces its bounds by a box around the flows at hand.
+With k = 2^L q and q odd, the work runs in two stages:
 
 * peeling: q parts come off z* one at a time.  With r parts still owed and
   residual z, the step's part is any integer circulation within
@@ -33,18 +34,19 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .circulation import (
     Circulation,
     CutWitness,
     Network,
+    build_network,
     check_circulation,
     circulation_from_matrix,
     matrix_from_circulation,
     min_cost_circulation,
-    network_from_bounds,
 )
-from .core import ExtInt, ExtMatrix, IntMatrix, PbmInstance, fin
+from .core import ExtMatrix, IntMatrix, PbmInstance
 from .errors import BadParams, BoundViolation, InfeasibleInput, InternalError, NotKRegular
 
 __all__ = [
@@ -74,10 +76,12 @@ class Decomposition:
         return out
 
     def total(self) -> IntMatrix:
-        acc = IntMatrix.zeros(self.parts[0][0].m, self.parts[0][0].n)
-        for mat in self.matrices():
-            acc = acc.add(mat)
-        return acc
+        """The sum of all k parts: each distinct part times its multiplicity."""
+        m, n = self.parts[0][0].m, self.parts[0][0].n
+        acc = [0] * (m * n)
+        for mat, mult in self.parts:
+            acc = [a + mult * v for a, v in zip(acc, chain(*mat.rows))]
+        return IntMatrix(m, n, tuple(tuple(acc[k : k + n]) for k in range(0, m * n, n)))
 
 
 def shrink_instance(inst: PbmInstance, k: int) -> PbmInstance:
@@ -90,18 +94,9 @@ def shrink_instance(inst: PbmInstance, k: int) -> PbmInstance:
         raise BadParams(f"k must be a positive integer, got {k}")
 
     def shrink_table(mat: ExtMatrix, down: bool) -> ExtMatrix:
-        # bound tables repeat few values: one ExtInt per distinct result
-        made: dict[int, ExtInt] = {}
-
-        def cell(e: ExtInt) -> ExtInt:
-            if e.tag:
-                return e
-            v = e.value // k if down else -(-e.value // k)
-            if v not in made:
-                made[v] = fin(v)
-            return made[v]
-
-        return dataclasses.replace(mat, rows=tuple(tuple(map(cell, row)) for row in mat.rows))
+        # an infinite cell has value 0, which both roundings keep
+        values = [v // k for v in mat.values] if down else [-(-v // k) for v in mat.values]
+        return ExtMatrix(mat.m, mat.n, tuple(values), mat.tags)
 
     return dataclasses.replace(
         inst,
@@ -187,7 +182,7 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
     q, halvings = k, 0
     while q % 2 == 0:
         q, halvings = q // 2, halvings + 1
-    net = network_from_bounds(inst.m, inst.n, z_star, z_star)
+    net = build_network(inst)
     z_res = list(z_star)
     flows: list[tuple[int, ...]] = []
     for owed in range(q, 1, -1):
@@ -205,26 +200,24 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
     for _ in range(halvings):
         flows = [half for z in flows for half in _halve(net, z)]
 
-    # No solver has checked a halving's output, and none checks the last
-    # peeled part.  One check of each part as a circulation in the box
-    # floor(z* / k)..ceil(z* / k) proves it all: a conserving flow vector is
-    # its matrix's circulation, and the box lies within the shrunk bounds.
+    # No solver checks a part: an unpriced solve returns its flows unchecked,
+    # and halving and the last peeled part come from no solve.  One check of
+    # each part as a circulation in the box floor(z* / k)..ceil(z* / k)
+    # proves it all: a conserving flow vector is its matrix's circulation,
+    # and the box lies within the shrunk bounds.
     box = dataclasses.replace(
         net, lower=tuple(z // k for z in z_star), upper=tuple(-(-z // k) for z in z_star)
     )
     for z in flows:
         check_circulation(box, Circulation(z))
-    parts = [matrix_from_circulation(net, Circulation(z)) for z in flows]
-    total = IntMatrix.zeros(inst.m, inst.n)
-    for part in parts:
-        total = total.add(part)
-    if total.rows != a.rows:
-        raise InternalError("parts do not add back up to the input matrix")
-    counted = Counter(parts)
-    grouped = tuple(
-        (mat, counted[mat]) for mat in sorted(counted, key=lambda mtx: mtx.rows)
+    counted = Counter(matrix_from_circulation(net, Circulation(z)) for z in flows)
+    dec = Decomposition(
+        parts=tuple((mat, counted[mat]) for mat in sorted(counted, key=lambda mtx: mtx.rows)),
+        k=k,
     )
-    return Decomposition(parts=grouped, k=k)
+    if dec.total().rows != a.rows:
+        raise InternalError("parts do not add back up to the input matrix")
+    return dec
 
 
 def decompose_k_regular_asm(a: IntMatrix, k: int) -> list[IntMatrix]:

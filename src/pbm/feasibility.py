@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .circulation import (
-    _within,
     CutWitness,
     NegativeCycle,
     build_network,
@@ -33,7 +32,7 @@ from .circulation import (
     matrix_from_circulation,
     min_cost_circulation,
 )
-from .core import NEG_INF, POS_INF, ExtInt, IntMatrix, PbmInstance, SubsetMask, fin
+from .core import NEG_INF, POS_INF, ExtInt, ExtMatrix, IntMatrix, PbmInstance, SubsetMask
 from .errors import (
     BoundViolation,
     DimensionMismatch,
@@ -194,15 +193,17 @@ def pin_entries(inst: PbmInstance, pins: Iterable[tuple[int, int, int]]) -> PbmI
     mask = SubsetMask.from_cells(inst.m, inst.n, [(i, j) for i, j, _ in pins])
     if len(mask.cells) != len(pins):
         raise DimensionMismatch("prescribed values must cover the mask exactly once")
-    f, g = ([list(row) for row in bound.rows] for bound in (inst.f, inst.g))
+    f_values, f_tags = list(inst.f.values), list(inst.f.tags)
+    g_values, g_tags = list(inst.g.values), list(inst.g.tags)
     for i, j, v in sorted(pins):
-        lo, hi = f[i - 1][j - 1], g[i - 1][j - 1]
-        if not _within(lo, v, hi):
-            raise PrescriptionOutOfEntryBounds(
-                f"prescribed ({i},{j}) = {v} outside [{lo}, {hi}]"
-            )
-        f[i - 1][j - 1] = g[i - 1][j - 1] = fin(v)
-    return dataclasses.replace(inst, f=inst.f.from_rows(f), g=inst.g.from_rows(g))
+        lo, hi = inst.f.at(i, j), inst.g.at(i, j)
+        if not lo <= v <= hi:
+            raise PrescriptionOutOfEntryBounds(f"prescribed ({i},{j}) = {v} outside [{lo}, {hi}]")
+        k = (i - 1) * inst.n + j - 1
+        f_values[k], f_tags[k], g_values[k], g_tags[k] = v, 0, v, 0
+    f = ExtMatrix(inst.m, inst.n, tuple(f_values), tuple(f_tags))
+    g = ExtMatrix(inst.m, inst.n, tuple(g_values), tuple(g_tags))
+    return dataclasses.replace(inst, f=f, g=g)
 
 
 @dataclass(frozen=True, slots=True)

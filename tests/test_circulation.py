@@ -1,10 +1,11 @@
 """Network construction, Hoffman feasibility, min-cost solving, certificates."""
 
+import dataclasses
 import random
 
 import pytest
 
-from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
+from pbm.core import NEG_INF, POS_INF, ExtMatrix, IntMatrix, PbmInstance, fin
 from pbm import circulation
 from pbm.asmkit import asm_instance
 from pbm.circulation import (
@@ -19,7 +20,6 @@ from pbm.circulation import (
     make_cut_witness,
     matrix_from_circulation,
     min_cost_circulation,
-    network_from_bounds,
     network_to_dot,
     CutWitness,
 )
@@ -27,6 +27,33 @@ from pbm.errors import BoundViolation, InternalError
 from pbm.feasibility import extremal_total_sum, solve
 
 from helpers import feasible_random, random_instance
+
+
+def _reference_bounds(inst: PbmInstance) -> list:
+    """(arc tag, true lower bound, true upper bound) per arc id, read with ``.at()``."""
+    cells = [(i, j) for i in range(1, inst.m + 1) for j in range(1, inst.n + 1)]
+    return [
+        *((("A1", i, j), inst.phi1.at(i, j), inst.gamma1.at(i, j)) for i, j in cells),
+        *((("A2", i, j), inst.phi2.at(i, j), inst.gamma2.at(i, j)) for i, j in cells),
+        *((("N", i, j), inst.f.at(i, j), inst.g.at(i, j)) for i, j in cells),
+        (("a0",), inst.alpha, inst.beta),
+    ]
+
+
+def _huge_bounds_instance() -> PbmInstance:
+    """A 2x3 instance whose finite bounds reach 2^400, with infinities between them."""
+    rng = random.Random(9)
+    big = 2**400
+    tables = [
+        [[rng.choice([lo_inf, rng.randint(-big, big)]) for _ in range(3)] for _ in range(2)]
+        for lo_inf in (NEG_INF, POS_INF, NEG_INF, POS_INF, NEG_INF, POS_INF)
+    ]
+    for low, high in zip(tables[0::2], tables[1::2]):
+        for lo_row, hi_row in zip(low, high):
+            for j, (lo, hi) in enumerate(zip(lo_row, hi_row)):
+                if type(lo) is int and type(hi) is int and lo > hi:
+                    lo_row[j], hi_row[j] = hi, lo
+    return PbmInstance.create(2, 3, *tables, alpha=-big, beta=big + 1)
 
 
 def contradictory_1x1() -> PbmInstance:
@@ -63,13 +90,9 @@ class TestNetworkShape:
         assert net.head[vlast] == net.v2_hub
 
     def test_big_k_dominates_finite_bounds(self):
-        from pbm.circulation import instance_arc_bounds
-
         inst = asm_instance(3)
-        lower, upper = instance_arc_bounds(inst)
-        finite_total = sum(
-            abs(b.value) for b in list(lower) + list(upper) if b.is_finite
-        )
+        bounds = [b for _, low, high in _reference_bounds(inst) for b in (low, high)]
+        finite_total = sum(abs(b.value) for b in bounds if b.is_finite)
         net = build_network(inst)
         # K must exceed twice the total finite mass for cut deficits to stay
         # negative after the substitution
@@ -118,24 +141,47 @@ class TestNetworkShape:
         assert degree(net.v2_hub, prefix, net.head) == n
 
     def test_lower_above_upper_rejected(self):
-        with pytest.raises(InternalError):
-            network_from_bounds(1, 1, [fin(1)] * 4, [fin(0)] * 4)
-        with pytest.raises(InternalError, match=r"on arc \('N', 1, 1\): \[1, 0\]"):
-            network_from_bounds(1, 1, [0, 0, 1, 0], [0, 0, 0, 0])
+        # only an instance that skipped validation can have an empty interval
+        inst = asm_instance(1)
+        bad = dataclasses.replace(inst, f=ExtMatrix.from_rows([[1]]), g=ExtMatrix.from_rows([[0]]))
+        with pytest.raises(InternalError, match=r"on arc \('N', 1, 1\): \[1, 0\]$"):
+            build_network(bad)
+        bad = dataclasses.replace(inst, alpha=fin(2), beta=fin(1))
+        with pytest.raises(InternalError, match=r"on arc \('a0',\): \[2, 1\]$"):
+            build_network(bad)
 
-    def test_int_bounds_are_finite_bounds(self):
-        rng = random.Random(12)
-        for _ in range(20):
-            m, n = rng.randint(1, 5), rng.randint(1, 5)
-            count = 3 * m * n + 1
-            lower = [rng.randint(-10**20, 10**20) for _ in range(count)]
-            upper = [lo + rng.randint(0, 9) for lo in lower]
-            as_ext = network_from_bounds(m, n, list(map(fin, lower)), list(map(fin, upper)))
-            assert network_from_bounds(m, n, lower, upper) == as_ext
-            # ints and ExtInts mix freely; infinities still clamp to -K and +K
-            mixed = network_from_bounds(m, n, [NEG_INF, *lower[1:]], [*upper[:-1], POS_INF])
-            assert mixed.lower[1:] == as_ext.lower[1:] and mixed.upper[:-1] == as_ext.upper[:-1]
-            assert (mixed.lower[0], mixed.upper[-1]) == (-mixed.big_k, mixed.big_k)
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            *(random_instance(random.Random(s), 1 + s % 4, 1 + s // 4) for s in range(16)),
+            *(feasible_random(random.Random(s), 1, 3 + 7 * s, inf_rate=0.3) for s in range(4)),
+            feasible_random(random.Random(5), 6, 7, inf_rate=0.0),
+            _huge_bounds_instance(),
+        ],
+    )
+    def test_bounds_match_a_reference_read_cell_by_cell(self, inst):
+        net = build_network(inst)
+        bounds = _reference_bounds(inst)
+        finite = [b.value for _, low, high in bounds for b in (low, high) if b.is_finite]
+        big_k = 1 + 2 * sum(map(abs, finite)) + inst.m * inst.n
+        assert net.big_k == big_k
+
+        def clamp(b):
+            return b.value if b.is_finite else b.tag * big_k
+
+        assert list(zip(net.lower, net.upper)) == [(clamp(lo), clamp(hi)) for _, lo, hi in bounds]
+        assert [net.arc_tag(a) for a in range(len(net.lower))] == [tag for tag, _, _ in bounds]
+
+
+def _edge_by_edge(graph, tails, heads, caps, backs, costs):
+    """The reference for ``_FlowGraph.add_arcs``: one edge pair per arc, in turn."""
+    for u, w, cap, back, cost in zip(tails, heads, caps, backs, costs):
+        idx = len(graph.to)
+        graph.to += [w, u]
+        graph.cap += [cap, back]
+        graph.cost += [cost, -cost]
+        graph.adj[u].append(idx)
+        graph.adj[w].append(idx + 1)
 
 
 class TestResidualGraph:
@@ -151,13 +197,13 @@ class TestResidualGraph:
             backs = [rng.randint(0, 9) for _ in range(count)]
             costs = [rng.randint(-5, 5) if priced else 0 for _ in range(count)]
             one, bulk = _FlowGraph(nodes + 1), _FlowGraph(nodes + 1)
-            for u, w, cap, back, cost in zip(tails, heads, caps, backs, costs):
-                one.add_edge(u, w, cap, back, cost)
+            _edge_by_edge(one, tails, heads, caps, backs, costs)
             bulk.add_arcs(tails, heads, caps, backs, costs)
-            short = rng.randrange(nodes)
-            for graph in (one, bulk):  # sink edges follow the arcs, as in a solve
-                graph.add_edge(short, nodes, 3)
-                graph.add_edge(0, nodes, 1)
+            # sink edges follow the arcs, as in a solve
+            short = [rng.randrange(nodes), 0]
+            sink_edges = (short, [nodes] * 2, [3, 1], [0, 0], [0, 0])
+            _edge_by_edge(one, *sink_edges)
+            bulk.add_arcs(*sink_edges)
             assert (bulk.to, bulk.cap, bulk.cost, bulk.adj) == (one.to, one.cap, one.cost, one.adj)
             assert bulk.cost[1::2] == [-c for c in bulk.cost[0::2]]
 
@@ -170,8 +216,7 @@ class TestResidualGraph:
             backs = [z - lo for lo, z in zip(net.lower, flow)]
             costs = [rng.randint(-3, 3) for _ in flow]
             one, bulk = _FlowGraph(net.node_count + 1), _FlowGraph(net.node_count + 1)
-            for args in zip(net.tail, net.head, caps, backs, costs):
-                one.add_edge(*args)
+            _edge_by_edge(one, net.tail, net.head, caps, backs, costs)
             bulk.add_arcs(net.tail, net.head, caps, backs, costs)
             assert (bulk.to, bulk.cap, bulk.cost, bulk.adj) == (one.to, one.cap, one.cost, one.adj)
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -180,6 +181,30 @@ class TestSum:
         assert code == EXIT_OK
         assert doc["value"] == 3
         assert doc["oracle"]["agrees"] is True
+
+
+class TestHugeBounds:
+    """Bounds past CPython's 4,300-digit limit on int/str conversion."""
+
+    HUGE = "1" + "0" * 5000  # 10**5000, spelled out: str() of it would hit the limit here
+
+    def test_solve_and_sum_print_exact_values(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        cell = "[[" + self.HUGE + "]]"
+        path.write_text(
+            '{"m": 1, "n": 1, '
+            + ", ".join(f'"{key}": {cell}' for key in ("phi1", "gamma1", "phi2", "gamma2"))
+            + "}"
+        )
+        limit = sys.get_int_max_str_digits()
+        assert main(["solve", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        head = '{\n  "status": "feasible",\n  "matrix": [\n    [\n      '
+        assert out.startswith(head + self.HUGE + "\n    ]\n  ],")
+        assert main(["sum", str(path), "--max"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert '\n  "value": ' + self.HUGE + ",\n" in out
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestCost:

@@ -1,7 +1,5 @@
 """Extended integers, matrices, masks, instance validation, JSON round trips."""
 
-import functools
-import operator
 import re
 
 import pytest
@@ -17,7 +15,6 @@ from pbm.core import (
     PbmInstance,
     SubsetMask,
     as_ext,
-    ext_sum,
     fin,
     instance_from_json,
     instance_to_json,
@@ -101,21 +98,9 @@ class TestExtInt:
     def test_ordering_total(self, x, y):
         assert (x < y) + (x == y) + (y < x) == 1
 
-    def test_as_ext_and_sum(self):
+    def test_as_ext(self):
         assert as_ext(3) == fin(3)
         assert as_ext(POS_INF) == POS_INF
-        assert ext_sum([fin(1), fin(2), POS_INF]) == POS_INF
-        assert ext_sum([]) == fin(0)
-
-    @given(st.lists(st.one_of(finite_ints, ext_ints)))
-    def test_ext_sum_is_the_left_fold(self, values):
-        try:
-            want = functools.reduce(operator.add, values, fin(0))
-        except InfinityClash:
-            with pytest.raises(InfinityClash):
-                ext_sum(values)
-        else:
-            assert ext_sum(values) == want
 
     @given(finite_ints)
     def test_finite_hashes_as_its_int(self, v):
@@ -135,12 +120,9 @@ class TestExtInt:
 
 
 class TestIntMatrix:
-    def test_prefixes_and_total(self):
+    def test_accessors_and_total(self):
         mat = IntMatrix.from_rows([[1, -2, 3], [0, 4, -1]])
         assert mat.at(1, 2) == -2
-        assert mat.h_prefix(1, 2) == -1
-        assert mat.h_prefix(2, 3) == 3
-        assert mat.v_prefix(2, 2) == 2
         assert mat.total() == 5
         assert mat.row(2) == (0, 4, -1)
         assert mat.col(3) == (3, -1)
@@ -185,26 +167,78 @@ class TestExtMatrix:
 
 
 def _per_cell(rows):
-    """Each cell parsed on its own, row-major: the reference for the distinct-value parse."""
-    return tuple(tuple(ExtInt.from_json(v) for v in row) for row in rows)
+    """Each cell parsed on its own, row-major: the reference for ``ExtMatrix.from_rows``."""
+    return tuple(
+        tuple(v if isinstance(v, ExtInt) else ExtInt.from_json(v) for v in row) for row in rows
+    )
 
 
+INFINITY_SPELLINGS = ["-inf", "+inf", "inf", "-infinity", "+infinity", "infinity"]
 json_cells = st.one_of(
     st.integers(-(10**40), 10**40),
     st.integers(-2, 2),
-    st.sampled_from(["-inf", "+inf", "inf", "-infinity", "+infinity", "infinity"]),
+    st.sampled_from(INFINITY_SPELLINGS),
 )
 json_tables = st.integers(1, 5).flatmap(
     lambda n: st.lists(st.lists(json_cells, min_size=n, max_size=n), min_size=1, max_size=5)
 )
+# what a table may hold: JSON ints of any size and sign, every spelling of
+# infinity, ExtInts, and now and then a cell that no parse accepts
+good_cells = st.one_of(
+    st.integers(-(2**310), 2**310),
+    st.integers(-3, 3),
+    st.sampled_from(INFINITY_SPELLINGS),
+    st.sampled_from([NEG_INF, POS_INF]),
+    st.integers(-(2**310), 2**310).map(fin),
+)
+bad_cells = st.one_of(
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.sampled_from(["", "zzz", "Infinity", "+-inf", "1", " inf", "nan"]),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.none(),
+)
+mixed_tables = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda mn: st.lists(
+        st.lists(
+            st.one_of(good_cells, good_cells, good_cells, bad_cells), min_size=mn[1], max_size=mn[1]
+        ),
+        min_size=mn[0],
+        max_size=mn[0],
+    )
+)
 
 
-class TestDistinctValueParse:
+class TestFlatParse:
     @given(json_tables)
     def test_matches_per_cell_parse(self, rows):
         mat = ExtMatrix.from_rows(rows)
         assert mat.rows == _per_cell(rows)
         assert all(type(e.value) is int for row in mat.rows for e in row)
+
+    @given(mixed_tables)
+    def test_mixed_tables_match_per_cell_parse(self, rows):
+        try:
+            want = _per_cell(rows)
+        except InstanceFormatError as exc:
+            with pytest.raises(InstanceFormatError) as got:
+                ExtMatrix.from_rows(rows)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            return
+        mat = ExtMatrix.from_rows(rows)
+        m, n = len(rows), len(rows[0])
+        assert (mat.m, mat.n) == (m, n)
+        assert mat.rows == want
+        assert all(
+            mat.at(i, j) == want[i - 1][j - 1] for i in range(1, m + 1) for j in range(1, n + 1)
+        )
+        assert list(mat.cells()) == [
+            (i, j, want[i - 1][j - 1]) for i in range(1, m + 1) for j in range(1, n + 1)
+        ]
+        assert mat.to_lists() == [[e.to_json() for e in row] for row in want]
+        # an infinite cell keeps value 0, as an infinite ExtInt does
+        assert all(v == 0 for v, t in zip(mat.values, mat.tags) if t)
+        assert all(type(v) is int for v in mat.values)
 
     @pytest.mark.parametrize(
         "rows, message",

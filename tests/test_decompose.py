@@ -102,13 +102,13 @@ class TestDecompose:
     def test_one_network_per_call(self, monkeypatch):
         mod = importlib.import_module("pbm.decompose")  # the package re-exports the function
         builds = []
-        real = mod.network_from_bounds
+        real = mod.build_network
 
         def counting(*args, **kwargs):
             builds.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(mod, "network_from_bounds", counting)
+        monkeypatch.setattr(mod, "build_network", counting)
         a = IntMatrix.from_rows([[1] * 4] * 4)
         dec = decompose(k_regular_instance(4, 4), a, 4)
         assert dec.total() == a

@@ -1,12 +1,15 @@
 """Strong-pair values p*, b* and the four feasibility inequalities."""
 
+import functools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbm.core import NEG_INF, POS_INF, PbmInstance, SubsetMask, fin
+from pbm.core import NEG_INF, POS_INF, ExtMatrix, PbmInstance, SubsetMask, fin
+from pbm.errors import InfinityClash
 from pbm.asmkit import asm_instance, pasm_instance
 from pbm.oracle import _PairTables
 from pbm.strongpair import (
@@ -145,6 +148,20 @@ def test_p_never_exceeds_b(windows, data):
     k = data.draw(st.integers(h, n))
     p, b = elementary_pair(phi, gamma, h, k)
     assert p <= b
+
+
+@given(st.lists(st.one_of(st.integers(-(10**6), 10**6), st.sampled_from(["-inf", "+inf"]))))
+def test_mask_sum_is_the_left_fold(cells):
+    # unvalidated tables may mix both infinities, which must clash as in ExtInt's +
+    table = ExtMatrix.from_rows([cells or [0]])
+    mask = SubsetMask.full(1, table.n) if cells else SubsetMask.empty(1, 1)
+    try:
+        want = functools.reduce(operator.add, table.rows[0] if cells else [], fin(0))
+    except InfinityClash:
+        with pytest.raises(InfinityClash):
+            mask_sum(table, mask)
+    else:
+        assert mask_sum(table, mask) == want
 
 
 def test_mask_pair_with_infinite_terms_still_evaluates():
