@@ -80,6 +80,10 @@ class Network:
 
     ``tail``, ``head``, ``lower`` and ``upper`` are indexed by arc id; the
     bounds are integers, infinities already clamped to +-``big_k``.
+    ``instance`` is the instance ``build_network`` read, and it describes
+    the bounds only of the network as built: ``cut_to_certificate`` and the
+    unbounded-cycle check read its tables, so a network whose bounds were
+    replaced, as ``decompose`` does, must not reach them.
     """
 
     m: int

@@ -495,9 +495,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
-    # exact bounds of any size are read and printed; callers in this process get the limit back
-    digits = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    # exact bounds of any size are read and printed; callers in this process get the
+    # limit back (CPython before 3.10.7 has no limit to lift)
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
@@ -508,7 +510,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         print(f"error: missing key {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:
-        sys.set_int_max_str_digits(digits)
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -22,8 +22,7 @@ All arithmetic is exact; there are no floats anywhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import le, not_, or_
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -278,7 +277,9 @@ class ExtMatrix:
     and ``tags`` holds -1, 0 or +1 per cell, as in ``ExtInt``.  An infinite
     cell has value 0, so the values of a table add up to its finite mass
     and ``value + tag * K`` clamps any cell to +-K.  ``rows``, ``at``,
-    ``cells`` and ``to_lists`` build ``ExtInt``s only when called.
+    ``cells`` and ``to_lists`` build ``ExtInt``s only when called;
+    ``sum_over``, ``floor_div``, ``ceil_div`` and ``pinned`` work on the
+    flat ints, so callers address cells as (i, j) and never as offsets.
     """
 
     m: int
@@ -311,8 +312,34 @@ class ExtMatrix:
         cells = list(map(self._cell, range(self.m * self.n)))
         return tuple(tuple(cells[k : k + self.n]) for k in range(0, self.m * self.n, self.n))
 
+    def _index(self, i: int, j: int) -> int:
+        return (i - 1) * self.n + (j - 1)
+
     def at(self, i: int, j: int) -> ExtInt:
-        return self._cell((i - 1) * self.n + (j - 1))
+        return self._cell(self._index(i, j))
+
+    def sum_over(self, cells: Iterable[tuple[int, int]]) -> ExtInt:
+        """The sum of the (i, j) cells (0 when none); opposite infinities raise InfinityClash."""
+        ks = [self._index(i, j) for i, j in cells]
+        infinities = set(map(self.tags.__getitem__, ks)) - {0}
+        if len(infinities) == 2:
+            raise InfinityClash("cannot add -inf and +inf")
+        return ExtInt(infinities.pop()) if infinities else fin(sum(map(self.values.__getitem__, ks)))
+
+    def floor_div(self, k: int) -> "ExtMatrix":
+        """Every cell floor-divided by k >= 1; an infinite cell keeps its value 0."""
+        return ExtMatrix(self.m, self.n, tuple([v // k for v in self.values]), self.tags)
+
+    def ceil_div(self, k: int) -> "ExtMatrix":
+        """Every cell ceiling-divided by k >= 1; an infinite cell keeps its value 0."""
+        return ExtMatrix(self.m, self.n, tuple([-(-v // k) for v in self.values]), self.tags)
+
+    def pinned(self, pins: Iterable[tuple[int, int, int]]) -> "ExtMatrix":
+        """A copy holding the finite value v at each cell (i, j) of the triples (i, j, v)."""
+        values, tags = list(self.values), list(self.tags)
+        for i, j, v in pins:
+            values[self._index(i, j)], tags[self._index(i, j)] = v, 0
+        return ExtMatrix(self.m, self.n, tuple(values), tuple(tags))
 
     def cells(self) -> Iterator[tuple[int, int, ExtInt]]:
         return ((k // self.n + 1, k % self.n + 1, self._cell(k)) for k in range(self.m * self.n))
@@ -455,22 +482,15 @@ def validate_instance(inst: PbmInstance) -> PbmInstance:
             )
     for lo_name, hi_name in (("phi1", "gamma1"), ("phi2", "gamma2"), ("f", "g")):
         lo, hi = tables[lo_name], tables[hi_name]
-        # with lo below +inf and hi above -inf, lo > hi only where both are finite
-        both_finite = list(map(not_, map(or_, lo.tags, hi.tags)))
-        if 1 not in lo.tags and -1 not in hi.tags and all(
-            map(le, compress(lo.values, both_finite), compress(hi.values, both_finite))
-        ):
-            continue
-        for k, (a, b) in enumerate(zip(lo.values, hi.values)):
-            i, j = k // inst.n + 1, k % inst.n + 1
-            if lo.tags[k] == 1:
-                raise IllegalInfinity(f"{lo_name}({i},{j}) is +inf; lower bounds may not be +inf")
-            if hi.tags[k] == -1:
-                raise IllegalInfinity(f"{hi_name}({i},{j}) is -inf; upper bounds may not be -inf")
-            if both_finite[k] and a > b:
-                raise BoundOrderViolation(
-                    f"{lo_name}({i},{j}) = {a} exceeds {hi_name}({i},{j}) = {b}"
-                )
+        for k, (a, s, b, t) in enumerate(zip(lo.values, lo.tags, hi.values, hi.tags)):
+            # with a below +inf and b above -inf, a > b only when both are finite
+            if s == 1 or t == -1 or (s == 0 == t and a > b):
+                at = f"({k // inst.n + 1},{k % inst.n + 1})"
+                if s == 1:
+                    raise IllegalInfinity(f"{lo_name}{at} is +inf; lower bounds may not be +inf")
+                if t == -1:
+                    raise IllegalInfinity(f"{hi_name}{at} is -inf; upper bounds may not be -inf")
+                raise BoundOrderViolation(f"{lo_name}{at} = {a} exceeds {hi_name}{at} = {b}")
     if inst.alpha.is_pos_inf:
         raise IllegalInfinity("alpha may not be +inf")
     if inst.beta.is_neg_inf:

@@ -46,7 +46,7 @@ from .circulation import (
     matrix_from_circulation,
     min_cost_circulation,
 )
-from .core import ExtMatrix, IntMatrix, PbmInstance
+from .core import IntMatrix, PbmInstance
 from .errors import BadParams, BoundViolation, InfeasibleInput, InternalError, NotKRegular
 
 __all__ = [
@@ -92,20 +92,14 @@ def shrink_instance(inst: PbmInstance, k: int) -> PbmInstance:
     """
     if k < 1:
         raise BadParams(f"k must be a positive integer, got {k}")
-
-    def shrink_table(mat: ExtMatrix, down: bool) -> ExtMatrix:
-        # an infinite cell has value 0, which both roundings keep
-        values = [v // k for v in mat.values] if down else [-(-v // k) for v in mat.values]
-        return ExtMatrix(mat.m, mat.n, tuple(values), mat.tags)
-
     return dataclasses.replace(
         inst,
-        phi1=shrink_table(inst.phi1, True),
-        gamma1=shrink_table(inst.gamma1, False),
-        phi2=shrink_table(inst.phi2, True),
-        gamma2=shrink_table(inst.gamma2, False),
-        f=shrink_table(inst.f, True),
-        g=shrink_table(inst.g, False),
+        phi1=inst.phi1.floor_div(k),
+        gamma1=inst.gamma1.ceil_div(k),
+        phi2=inst.phi2.floor_div(k),
+        gamma2=inst.gamma2.ceil_div(k),
+        f=inst.f.floor_div(k),
+        g=inst.g.ceil_div(k),
         alpha=inst.alpha.floor_div(k),
         beta=inst.beta.ceil_div(k),
     )

@@ -32,7 +32,7 @@ from .circulation import (
     matrix_from_circulation,
     min_cost_circulation,
 )
-from .core import NEG_INF, POS_INF, ExtInt, ExtMatrix, IntMatrix, PbmInstance, SubsetMask
+from .core import NEG_INF, POS_INF, ExtInt, IntMatrix, PbmInstance, SubsetMask
 from .errors import (
     BoundViolation,
     DimensionMismatch,
@@ -193,17 +193,11 @@ def pin_entries(inst: PbmInstance, pins: Iterable[tuple[int, int, int]]) -> PbmI
     mask = SubsetMask.from_cells(inst.m, inst.n, [(i, j) for i, j, _ in pins])
     if len(mask.cells) != len(pins):
         raise DimensionMismatch("prescribed values must cover the mask exactly once")
-    f_values, f_tags = list(inst.f.values), list(inst.f.tags)
-    g_values, g_tags = list(inst.g.values), list(inst.g.tags)
     for i, j, v in sorted(pins):
         lo, hi = inst.f.at(i, j), inst.g.at(i, j)
         if not lo <= v <= hi:
             raise PrescriptionOutOfEntryBounds(f"prescribed ({i},{j}) = {v} outside [{lo}, {hi}]")
-        k = (i - 1) * inst.n + j - 1
-        f_values[k], f_tags[k], g_values[k], g_tags[k] = v, 0, v, 0
-    f = ExtMatrix(inst.m, inst.n, tuple(f_values), tuple(f_tags))
-    g = ExtMatrix(inst.m, inst.n, tuple(g_values), tuple(g_tags))
-    return dataclasses.replace(inst, f=f, g=g)
+    return dataclasses.replace(inst, f=inst.f.pinned(pins), g=inst.g.pinned(pins))
 
 
 @dataclass(frozen=True, slots=True)

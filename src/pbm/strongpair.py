@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ExtInt, ExtMatrix, IntMatrix, PbmInstance, SubsetMask, fin
-from .errors import DimensionMismatch, InfinityClash
+from .core import ExtInt, ExtMatrix, PbmInstance, SubsetMask, fin
+from .errors import DimensionMismatch
 from .segments import HORIZONTAL, VERTICAL, Segment, maximal_segments
 
 __all__ = [
@@ -67,40 +67,21 @@ def elementary_pair(
     return phi[k - 1] - gamma_prev, gamma[k - 1] - phi_prev
 
 
-def _ext_total(*terms: tuple[ExtMatrix, list[int], int]) -> ExtInt:
-    """The sum of sign * cell over each (table, flat cell indices, sign) term.
+def _cell(seg: Segment, position: int) -> tuple[int, int]:
+    return (seg.line, position) if seg.orientation == HORIZONTAL else (position, seg.line)
 
-    Finite values add as ints; the result is the infinity met, if any, and
-    opposite infinities raise InfinityClash, as folding by ``+`` would.
+
+def _line_pair(phi: ExtMatrix, gamma: ExtMatrix, segs: list[Segment]) -> tuple[ExtInt, ExtInt]:
+    """Summed elementary pairs of the segments.
+
+    A segment [h, k] adds phi(k) to p and gamma(k) to b, and past position 1
+    takes gamma(h - 1) from p and phi(h - 1) from b.
     """
-    total, infinities = 0, set()
-    for table, cells, sign in terms:
-        total += sign * sum(map(table.values.__getitem__, cells))
-        infinities.update(sign * t for t in map(table.tags.__getitem__, cells) if t)
-    if len(infinities) == 2:
-        raise InfinityClash("cannot add -inf and +inf")
-    return ExtInt(infinities.pop()) if infinities else fin(total)
-
-
-def _line_pair(
-    phi: ExtMatrix, gamma: ExtMatrix, segs: list[Segment], across: int, step: int
-) -> tuple[ExtInt, ExtInt]:
-    """Summed elementary pairs of the segments, over flat window tables.
-
-    Line l starts ``across`` cells past line l - 1 and position l of a line
-    is ``step`` cells past position l - 1: (n, 1) for rows, (1, n) for
-    columns.  A segment [h, k] adds phi(k) to p and gamma(k) to b, and
-    past position 1 takes gamma(h - 1) from p and phi(h - 1) from b.
-    """
-    ends, befores = [], []
-    for seg in segs:
-        first = (seg.line - 1) * across + (seg.start - 1) * step
-        ends.append(first + (seg.end - seg.start) * step)
-        if seg.start > 1:
-            befores.append(first - step)
+    ends = [_cell(seg, seg.end) for seg in segs]
+    befores = [_cell(seg, seg.start - 1) for seg in segs if seg.start > 1]
     return (
-        _ext_total((phi, ends, 1), (gamma, befores, -1)),
-        _ext_total((gamma, ends, 1), (phi, befores, -1)),
+        phi.sum_over(ends) - gamma.sum_over(befores),
+        gamma.sum_over(ends) - phi.sum_over(befores),
     )
 
 
@@ -111,20 +92,16 @@ def eval_strong_pair(inst: PbmInstance, mask: SubsetMask) -> StrongPairEval:
     """
     if (mask.m, mask.n) != (inst.m, inst.n):
         raise DimensionMismatch("mask grid does not match instance")
-    n = inst.n
-    p1, b1 = _line_pair(inst.phi1, inst.gamma1, maximal_segments(mask, HORIZONTAL), n, 1)
-    p2, b2 = _line_pair(inst.phi2, inst.gamma2, maximal_segments(mask, VERTICAL), 1, n)
+    p1, b1 = _line_pair(inst.phi1, inst.gamma1, maximal_segments(mask, HORIZONTAL))
+    p2, b2 = _line_pair(inst.phi2, inst.gamma2, maximal_segments(mask, VERTICAL))
     return StrongPairEval(p1=p1, b1=b1, p2=p2, b2=b2)
 
 
-def mask_sum(mat: "ExtMatrix | IntMatrix", mask: SubsetMask) -> ExtInt:
-    """Sum of the matrix entries over the subset's cells (0 when empty)."""
+def mask_sum(mat: ExtMatrix, mask: SubsetMask) -> ExtInt:
+    """Sum of the bound table's cells over the subset (0 when empty)."""
     if (mask.m, mask.n) != (mat.m, mat.n):
         raise DimensionMismatch("mask grid does not match matrix")
-    if isinstance(mat, IntMatrix):
-        return fin(sum(mat.rows[i - 1][j - 1] for i, j in mask.cells))
-    n = mat.n
-    return _ext_total((mat, [(i - 1) * n + j - 1 for i, j in mask.cells], 1))
+    return mat.sum_over(mask.cells)
 
 
 @dataclass(frozen=True, slots=True)

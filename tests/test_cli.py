@@ -188,6 +188,9 @@ class TestHugeBounds:
 
     HUGE = "1" + "0" * 5000  # 10**5000, spelled out: str() of it would hit the limit here
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before CPython 3.10.7"
+    )
     def test_solve_and_sum_print_exact_values(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
         cell = "[[" + self.HUGE + "]]"
@@ -205,6 +208,13 @@ class TestHugeBounds:
         out = capsys.readouterr().out
         assert '\n  "value": ' + self.HUGE + ",\n" in out
         assert sys.get_int_max_str_digits() == limit
+
+    def test_interpreter_without_a_digit_limit(self, capsys, monkeypatch, asm2_file):
+        # as on CPython before 3.10.7, where sys has neither function
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        code, doc, _ = run(capsys, "solve", asm2_file)
+        assert code == EXIT_OK and doc["status"] == "feasible"
 
 
 class TestCost:

@@ -85,12 +85,11 @@ class TestEvalStrongPair:
 
 
 def test_mask_sum():
-    from pbm.core import IntMatrix
-
-    mat = IntMatrix.from_rows([[1, -2], [3, 4]])
+    mat = ExtMatrix.from_rows([[1, "-inf"], [3, 4]])
     mask = SubsetMask.from_cells(2, 2, [(1, 1), (2, 2)])
     assert mask_sum(mat, mask) == 5
     assert mask_sum(mat, SubsetMask.empty(2, 2)) == 0
+    assert mask_sum(mat, SubsetMask.full(2, 2)) == NEG_INF
 
 
 class TestConditionValues:
