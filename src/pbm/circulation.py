@@ -26,18 +26,22 @@ that network with its ``lower`` and ``upper`` replaced.
 
 Every solve builds one residual graph and runs one primal-dual loop on it.
 The flow starts from a greedy guess that lies inside every arc bound, with
-each priced arc at the bound its cost favours.  The guess leaves excess at
-some nodes, which the loop carries as a pseudoflow, and a super sink takes
-the deficits.  Each round moves excess to the sink by push-relabel over
-the edges of zero reduced cost; a round that falls short raises the
-potentials by one Dijkstra, unless the sink is cut off.  A feasibility
-question has no prices, so it is the case in which one round does all the
-work, over the whole residual graph; it stops at the first node that holds
-excess and can no longer reach the sink.  An infeasible network yields a
-node set whose entering capacity is below its leaving demand: the nodes
-that the excess cut off from the sink cannot reach (this holds whatever
-start and potentials the flow grew from), and that node set translates
-into a violated inequality on a pair of cell subsets.
+each priced arc at the bound its cost favours.  The guess aims each prefix
+at its line's reach, the interval of values from which the rest of the
+row or column can still be completed, so a feasible single line starts as
+a circulation, unless its total window clamps the sum, and no round runs.
+Otherwise the guess leaves excess at some nodes, which the loop carries as
+a pseudoflow, and a super sink takes the deficits.  Each round moves
+excess to the sink by push-relabel over the edges of zero reduced cost; a
+round that falls short raises the potentials by one Dijkstra, unless the
+sink is cut off.  A feasibility question has no prices, so it is the case
+in which one round does all the work, over the whole residual graph; it
+stops at the first node that holds excess and can no longer reach the
+sink.  An infeasible network yields a node set whose entering capacity is
+below its leaving demand: the nodes that the excess cut off from the sink
+cannot reach (this holds whatever start and potentials the flow grew
+from), and that node set translates into a violated inequality on a pair
+of cell subsets.
 
 An optimum is unbounded exactly when the instance is feasible and some
 negative-cost cycle runs only along infinite bounds; the optimal
@@ -50,8 +54,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress
-from operator import add, le, neg, not_, sub
+from itertools import accumulate, chain, compress, repeat
+from operator import add, gt, le, neg, not_, sub
 from typing import Mapping, Sequence
 
 from .core import ExtInt, ExtMatrix, IntMatrix, PbmInstance, SubsetMask
@@ -213,10 +217,7 @@ def check_circulation(net: Network, circ: Circulation) -> None:
         for a, (lo, z, hi) in enumerate(zip(net.lower, flows, net.upper)):
             if not (lo <= z <= hi):
                 raise InternalError(f"flow {z} outside [{lo}, {hi}] on arc {net.arc_tag(a)}")
-    balance = [0] * net.node_count
-    for u, w, z in zip(net.tail, net.head, flows):
-        balance[u] -= z
-        balance[w] += z
+    balance = _balances(net, flows)
     if any(balance):
         v = next(v for v, bal in enumerate(balance) if bal)
         raise InternalError(f"conservation fails at node {v}: imbalance {balance[v]}")
@@ -224,15 +225,11 @@ def check_circulation(net: Network, circ: Circulation) -> None:
 
 def make_cut_witness(net: Network, nodes: frozenset[int]) -> CutWitness:
     """Build a witness, recomputing the deficit; raises unless it is negative."""
-    rho_u = 0
-    delta_l = 0
-    for u, w, lo, hi in zip(net.tail, net.head, net.lower, net.upper):
-        tail_in = u in nodes
-        head_in = w in nodes
-        if head_in and not tail_in:
-            rho_u += hi
-        elif tail_in and not head_in:
-            delta_l += lo
+    inside = list(map(nodes.__contains__, range(net.node_count)))
+    tail_in = list(map(inside.__getitem__, net.tail))
+    head_in = list(map(inside.__getitem__, net.head))
+    rho_u = sum(compress(net.upper, map(gt, head_in, tail_in)))
+    delta_l = sum(compress(net.lower, map(gt, tail_in, head_in)))
     deficit = rho_u - delta_l
     if deficit >= 0:
         raise InternalError(f"cut witness has nonnegative deficit {deficit}")
@@ -366,24 +363,132 @@ class _FlowGraph:
                 return pushes, relabels, [v]
 
 
+def _left(values: Sequence[int], n: int) -> list[int]:
+    """The value of the cell before each cell in its row, 0 for a row's first cell."""
+    out = [0, *values[:-1]]
+    out[::n] = [0] * (len(values) // n)
+    return out
+
+
+def _above(values: Sequence[int], n: int) -> list[int]:
+    """The value of the cell above each cell in its column, 0 for the first row."""
+    return [*repeat(0, n), *values[: len(values) - n]]
+
+
+def _balances(net: Network, flows: Sequence[int]) -> list[int]:
+    """Inflow minus outflow at every node, read off the fixed arc layout.
+
+    v1(i, j) receives row prefix (i, j) and sends entry (i, j) and row
+    prefix (i, j - 1); v2(i, j) receives entry (i, j) and column prefix
+    (i - 1, j) and sends column prefix (i, j).  The horizontal hub receives
+    the total and sends every row's last prefix; the vertical hub receives
+    every column's last prefix and sends the total.
+    """
+    n, mn = net.n, net.m * net.n
+    rows, cols, entries, total = flows[:mn], flows[mn : 2 * mn], flows[2 * mn : 3 * mn], flows[3 * mn]
+    return [
+        *map(sub, map(sub, rows, entries), _left(rows, n)),
+        *map(sub, map(add, entries, _above(cols, n)), cols),
+        total - sum(rows[n - 1 :: n]),
+        sum(cols[mn - n :]) - total,
+    ]
+
+
+def _reach_along(
+    lines: "Sequence[range]",
+    window: tuple[list[int], list[int], list[int], list[int]],
+    crossing: tuple[list[int], list[int], list[int], list[int]],
+    f: Sequence[int],
+    g: Sequence[int],
+) -> "tuple[list[int], list[int]] | None":
+    """Per cell, the prefix values from which its line can still be completed.
+
+    Each line is a range of cell indices from its last cell to its first.
+    ``window`` holds the lines' prefix windows, low and high, and the same
+    two tables shifted to each cell's predecessor in the line, [0, 0] at a
+    line's first cell.  ``crossing`` holds four such tables for the other
+    direction: an entry lies in [f, g] and is the difference of two
+    consecutive values there.  Working backward, the reach at the last
+    cell is its window; one step back, it is the predecessor's window cut
+    down to the values from which some allowed entry leads into the reach.
+    The step past a line's first cell must admit the prefix 0.  Every
+    reach is a necessary condition, so an empty one proves the network
+    infeasible, and the pass returns None at the first.
+    """
+    win_lo, win_hi, prev_lo, prev_hi = window
+    cross_lo, cross_hi, cross_prev_lo, cross_prev_hi = crossing
+    reach_lo, reach_hi = [0] * len(win_lo), [0] * len(win_hi)
+    for line in lines:
+        lo, hi = win_lo[line[0]], win_hi[line[0]]
+        for k in line:
+            reach_lo[k], reach_hi[k] = lo, hi
+            e_lo, e_hi = cross_lo[k] - cross_prev_hi[k], cross_hi[k] - cross_prev_lo[k]
+            if f[k] > e_lo:
+                e_lo = f[k]
+            if g[k] < e_hi:
+                e_hi = g[k]
+            lo -= e_hi
+            hi -= e_lo
+            if prev_lo[k] > lo:
+                lo = prev_lo[k]
+            if prev_hi[k] < hi:
+                hi = prev_hi[k]
+            if lo > hi or e_lo > e_hi:
+                return None
+    return reach_lo, reach_hi
+
+
+def _reach(net: Network) -> "tuple[list[int], list[int], list[int], list[int]] | None":
+    """Row reach low and high, then column reach low and high, per cell; None when one is empty.
+
+    The column reach comes first, bottom-up, with each entry cut down to
+    the differences of consecutive row windows; then the row reach, right
+    to left, with each entry cut down to the differences of consecutive
+    column reaches.
+    """
+    n, mn = net.n, net.m * net.n
+    lower, upper = net.lower, net.upper
+    row_lo, row_hi = lower[:mn], upper[:mn]
+    col_lo, col_hi = lower[mn : 2 * mn], upper[mn : 2 * mn]
+    f, g = lower[2 * mn : 3 * mn], upper[2 * mn : 3 * mn]
+    row_window = (row_lo, row_hi, _left(row_lo, n), _left(row_hi, n))
+    col_window = (col_lo, col_hi, _above(col_lo, n), _above(col_hi, n))
+    col_reach = _reach_along([range(mn - n + j, -1, -n) for j in range(n)], col_window, row_window, f, g)
+    if col_reach is None:
+        return None
+    c_lo, c_hi = col_reach
+    col_reached = (c_lo, c_hi, _above(c_lo, n), _above(c_hi, n))
+    row_reach = _reach_along(
+        [range(s + n - 1, s - 1, -1) for s in range(0, mn, n)], row_window, col_reached, f, g
+    )
+    return None if row_reach is None else (*row_reach, *col_reach)
+
+
 def _greedy_start(net: Network) -> list[int]:
     """Arc flows inside every (clamped) arc bound, conserving where it can.
 
+    Each row and each column is a chain of prefix windows, so the values
+    of one prefix from which the rest of its line can still be completed
+    form an interval, its reach, which ``_reach`` computes for every cell.
+    A feasible line of either orientation therefore starts as a
+    circulation, unless the total window clamps its sum.  An empty reach proves the network infeasible; the
+    lookahead then stops, and the plain windows take the place of the
+    reaches.
+
     One row-major pass picks each entry nearest 0 among the values that
-    keep its row and column prefix arcs inside their windows, given the
-    values already on the arcs before them; when no value does, it picks
-    the entry nearest 0 in the entry window.  Each prefix arc then carries
-    the previous prefix arc's value plus the entry, clamped into the arc's
-    bounds, and the return arc the sum of the rows' last prefix arcs,
-    clamped likewise.  Conservation breaks only at the nodes where a clamp
-    bit, and max-flow repairs just those imbalances.
+    keep both its row prefix and its column prefix inside their reaches,
+    given the values already on the arcs before them; failing that,
+    inside the row reach alone, then the column reach alone, then anywhere
+    in the entry window.  Each prefix arc carries the previous prefix
+    arc's value plus the entry, clamped into the arc's bounds, and the
+    return arc the sum of the rows' last prefix arcs, clamped likewise.
+    Conservation breaks only at the nodes where a clamp bit, and max-flow
+    repairs just those imbalances.
     """
     m, n, mn = net.m, net.n, net.m * net.n
     lower, upper = net.lower, net.upper
-    bounds = zip(
-        lower[:mn], upper[:mn], lower[mn : 2 * mn], upper[mn : 2 * mn],
-        lower[2 * mn : 3 * mn], upper[2 * mn : 3 * mn],
-    )
+    windows = (lower[:mn], upper[:mn], lower[mn : 2 * mn], upper[mn : 2 * mn])
+    cells = zip(*windows, lower[2 * mn : 3 * mn], upper[2 * mn : 3 * mn], *(_reach(net) or windows))
     rows: list[int] = []
     cols: list[int] = []
     entries: list[int] = []
@@ -392,28 +497,40 @@ def _greedy_start(net: Network) -> list[int]:
     for _ in range(m):
         h = 0
         for j in range(n):
-            row_lo, row_hi, col_lo, col_hi, f, g = next(bounds)
+            h_lo, h_hi, v_lo, v_hi, e_lo, e_hi, r_lo, r_hi, c_lo, c_hi = next(cells)
             v = col[j]
-            # the entry window cut down by both prefix windows, else the entry window
-            lo, hi = row_lo - h, row_hi - h
-            x, y = col_lo - v, col_hi - v
-            if x > lo:
-                lo = x
-            if y < hi:
-                hi = y
-            if f > lo:
-                lo = f
-            if g < hi:
-                hi = g
+            # the entry window cut down by the row reach and the column reach,
+            # else by the row reach alone, else the column reach, else uncut
+            r_lo -= h
+            r_hi -= h
+            if e_lo > r_lo:
+                r_lo = e_lo
+            if e_hi < r_hi:
+                r_hi = e_hi
+            c_lo -= v
+            c_hi -= v
+            lo, hi = r_lo, r_hi
+            if c_lo > lo:
+                lo = c_lo
+            if c_hi < hi:
+                hi = c_hi
             if lo > hi:
-                lo, hi = f, g
+                lo, hi = r_lo, r_hi
+                if lo > hi:
+                    lo, hi = e_lo, e_hi
+                    if c_lo > lo:
+                        lo = c_lo
+                    if c_hi < hi:
+                        hi = c_hi
+                    if lo > hi:
+                        lo, hi = e_lo, e_hi
             x = lo if lo > 0 else hi if hi < 0 else 0
             entries.append(x)
             h += x
-            h = row_lo if h < row_lo else row_hi if h > row_hi else h
+            h = h_lo if h < h_lo else h_hi if h > h_hi else h
             rows.append(h)
             v += x
-            v = col_lo if v < col_lo else col_hi if v > col_hi else v
+            v = v_lo if v < v_lo else v_hi if v > v_hi else v
             col[j] = v
             cols.append(v)
         total += h
@@ -449,7 +566,9 @@ def min_cost_circulation(
     Each round runs ``_FlowGraph.push_relabel`` over the edges of zero
     reduced cost; ``info`` collects the pushes and relabels of all rounds.
     Once no excess is left, the sink edges are saturated, the flow is a
-    circulation, and the potentials prove it optimal.
+    circulation, and the potentials prove it optimal.  A start that
+    already conserves leaves no excess, so no round runs, and no global
+    relabel either.
 
     Infeasibility shows as excess cut off from the sink.  Let R be the set
     of nodes that residual paths reach from some of the nodes holding
@@ -490,10 +609,7 @@ def min_cost_circulation(
             costs[arc_id] = c
             flow[arc_id] = upper[arc_id] if c < 0 else lower[arc_id]
     t = nodes
-    excess = [0] * (nodes + 1)
-    for u, w, z in zip(tail, head, flow):
-        excess[w] += z
-        excess[u] -= z
+    excess = [*_balances(net, flow), 0]
     graph = _FlowGraph(nodes + 1)
     graph.add_arcs(tail, head, list(map(sub, upper, flow)), list(map(sub, flow, lower)), costs)
     short = [v for v in range(nodes) if excess[v] < 0]
@@ -507,7 +623,7 @@ def min_cost_circulation(
     pi = [0] * (nodes + 1)
     admissible = adj
     pushes = relabels = 0
-    while True:
+    while excess[t] < demand:
         if priced:
             admissible = [
                 [idx for idx in edges if edge_cost[idx] + pi[v] == pi[to[idx]]]
@@ -539,7 +655,7 @@ def min_cost_circulation(
         info["pushes"] = info.get("pushes", 0) + pushes
         info["relabels"] = info.get("relabels", 0) + relabels
     if excess[t] < demand:
-        return make_cut_witness(net, frozenset(v for v in range(nodes) if hops[v] > nodes))
+        return make_cut_witness(net, frozenset(compress(range(nodes), map(nodes.__lt__, hops))))
     if priced:
         for idx in range(len(to)):
             if cap[idx] > 0 and edge_cost[idx] + pi[to[idx ^ 1]] - pi[to[idx]] < 0:
@@ -753,15 +869,15 @@ def cut_to_certificate(
     w = witness.nodes
     hub1_in = net.v1_hub in w
     hub2_in = net.v2_hub in w
-    m, n = net.m, net.n
+    m, n, mn = net.m, net.n, net.m * net.n
+    member = list(map(w.__contains__, range(2 * mn)))
 
     def layer_cells(which: int, inside: bool) -> SubsetMask:
         # a layer numbers its nodes row-major from the node of cell (1, 1)
         first = net.v1_node(1, 1) if which == 1 else net.v2_node(1, 1)
-        cells = [
-            (k // n + 1, k % n + 1) for k in range(m * n) if (first + k in w) == inside
-        ]
-        return SubsetMask.from_cells(m, n, cells)
+        layer = member[first : first + mn]
+        picked = compress(range(mn), layer if inside else map(not_, layer))
+        return SubsetMask(m, n, frozenset((k // n + 1, k % n + 1) for k in picked))
 
     if hub1_in and hub2_in:
         case, violated = 1, "gen1a"
@@ -779,7 +895,7 @@ def cut_to_certificate(
         case, violated = 4, "gen1beta"
         x1 = layer_cells(1, inside=False)
         x2 = layer_cells(2, inside=True)
-    record = strongpair.condition_values(inst, x1, x2).by_name(violated)
+    record = strongpair.inequality_record(inst, x1, x2, violated)
     if record.holds:
         raise InternalError(
             f"cut does not violate {violated}: lhs {record.lhs} <= rhs {record.rhs}"

@@ -12,8 +12,9 @@ with phi(0) = gamma(0) = 0.  Summing over the maximal horizontal segments of
 a cell subset X gives p1(X)/b1(X); vertical segments give p2(X)/b2(X).
 
 ``condition_values`` evaluates the four inequalities whose joint validity
-over all pairs of subsets characterizes feasibility of an instance.  Their
-names gen1a, gen1b, gen1alfa, gen1beta are part of the certificate format.
+over all pairs of subsets characterizes feasibility of an instance, and
+``inequality_record`` evaluates one of them alone.  Their names gen1a,
+gen1b, gen1alfa, gen1beta are part of the certificate format.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "elementary_pair",
     "eval_strong_pair",
     "mask_sum",
+    "inequality_record",
     "condition_values",
 ]
 
@@ -71,18 +73,15 @@ def _cell(seg: Segment, position: int) -> tuple[int, int]:
     return (seg.line, position) if seg.orientation == HORIZONTAL else (position, seg.line)
 
 
-def _line_pair(phi: ExtMatrix, gamma: ExtMatrix, segs: list[Segment]) -> tuple[ExtInt, ExtInt]:
-    """Summed elementary pairs of the segments.
+def _segment_bound(at_end: ExtMatrix, before: ExtMatrix, segs: list[Segment]) -> ExtInt:
+    """Sum over the segments [h, k] of at_end(k) minus before(h - 1), position 0 reading 0.
 
-    A segment [h, k] adds phi(k) to p and gamma(k) to b, and past position 1
-    takes gamma(h - 1) from p and phi(h - 1) from b.
+    (phi, gamma) gives p, the least sum of the segments' entries; (gamma,
+    phi) gives b, the greatest.
     """
     ends = [_cell(seg, seg.end) for seg in segs]
     befores = [_cell(seg, seg.start - 1) for seg in segs if seg.start > 1]
-    return (
-        phi.sum_over(ends) - gamma.sum_over(befores),
-        gamma.sum_over(ends) - phi.sum_over(befores),
-    )
+    return at_end.sum_over(ends) - before.sum_over(befores)
 
 
 def eval_strong_pair(inst: PbmInstance, mask: SubsetMask) -> StrongPairEval:
@@ -92,9 +91,14 @@ def eval_strong_pair(inst: PbmInstance, mask: SubsetMask) -> StrongPairEval:
     """
     if (mask.m, mask.n) != (inst.m, inst.n):
         raise DimensionMismatch("mask grid does not match instance")
-    p1, b1 = _line_pair(inst.phi1, inst.gamma1, maximal_segments(mask, HORIZONTAL))
-    p2, b2 = _line_pair(inst.phi2, inst.gamma2, maximal_segments(mask, VERTICAL))
-    return StrongPairEval(p1=p1, b1=b1, p2=p2, b2=b2)
+    rows = maximal_segments(mask, HORIZONTAL)
+    cols = maximal_segments(mask, VERTICAL)
+    return StrongPairEval(
+        p1=_segment_bound(inst.phi1, inst.gamma1, rows),
+        b1=_segment_bound(inst.gamma1, inst.phi1, rows),
+        p2=_segment_bound(inst.phi2, inst.gamma2, cols),
+        b2=_segment_bound(inst.gamma2, inst.phi2, cols),
+    )
 
 
 def mask_sum(mat: ExtMatrix, mask: SubsetMask) -> ExtInt:
@@ -139,27 +143,79 @@ class ConditionEval:
         return all(rec.holds for rec in self.records())
 
 
+def inequality_record(
+    inst: PbmInstance, x1: SubsetMask, x2: SubsetMask, name: str
+) -> InequalityRecord:
+    """Evaluate one of gen1a, gen1b, gen1alfa, gen1beta on the pair (x1, x2).
+
+    Only the terms of the named inequality are computed; ``condition_values``
+    lists the four.
+    """
+    if name not in INEQUALITY_NAMES:
+        raise KeyError(name)
+    return _record(inst, x1, x2, *_pair_segments(inst, x1, x2), name)
+
+
+def _pair_segments(
+    inst: PbmInstance, x1: SubsetMask, x2: SubsetMask
+) -> tuple[list[Segment], list[Segment]]:
+    """X1's horizontal and X2's vertical segments, the only ones the inequalities read."""
+    for mask in (x1, x2):
+        if (mask.m, mask.n) != (inst.m, inst.n):
+            raise DimensionMismatch("mask grid does not match instance")
+    return maximal_segments(x1, HORIZONTAL), maximal_segments(x2, VERTICAL)
+
+
+def _record(
+    inst: PbmInstance,
+    x1: SubsetMask,
+    x2: SubsetMask,
+    rows: list[Segment],
+    cols: list[Segment],
+    name: str,
+) -> InequalityRecord:
+    """The named inequality, given X1's horizontal and X2's vertical segments."""
+    if name == "gen1a":
+        lhs = _segment_bound(inst.phi1, inst.gamma1, rows) + mask_sum(inst.f, x2 - x1)
+        rhs = _segment_bound(inst.gamma2, inst.phi2, cols) + mask_sum(inst.g, x1 - x2)
+    elif name == "gen1b":
+        lhs = _segment_bound(inst.phi2, inst.gamma2, cols) + mask_sum(inst.f, x1 - x2)
+        rhs = _segment_bound(inst.gamma1, inst.phi1, rows) + mask_sum(inst.g, x2 - x1)
+    else:
+        both = x1 & x2
+        neither = (x1 | x2).complement()
+        if name == "gen1alfa":
+            lhs = inst.alpha
+            rhs = (
+                _segment_bound(inst.gamma1, inst.phi1, rows)
+                + _segment_bound(inst.gamma2, inst.phi2, cols)
+                + mask_sum(inst.g, neither)
+                - mask_sum(inst.f, both)
+            )
+        else:
+            lhs = (
+                _segment_bound(inst.phi1, inst.gamma1, rows)
+                + _segment_bound(inst.phi2, inst.gamma2, cols)
+                + mask_sum(inst.f, neither)
+                - mask_sum(inst.g, both)
+            )
+            rhs = inst.beta
+    return InequalityRecord(name, lhs, rhs)
+
+
 def condition_values(inst: PbmInstance, x1: SubsetMask, x2: SubsetMask) -> ConditionEval:
     """Evaluate gen1a, gen1b, gen1alfa, gen1beta on the pair (x1, x2).
+
+    With p1, b1 from X1's horizontal segments and p2, b2 from X2's
+    vertical ones:
+
+    * gen1a: p1 + f(X2 - X1) <= b2 + g(X1 - X2);
+    * gen1b: p2 + f(X1 - X2) <= b1 + g(X2 - X1);
+    * gen1alfa: alpha <= b1 + b2 + g(neither) - f(both);
+    * gen1beta: p1 + p2 + f(neither) - g(both) <= beta.
 
     An inequality with -inf on the left or +inf on the right holds
     vacuously; that is the natural reading of the extended order.
     """
-    e1 = eval_strong_pair(inst, x1)
-    e2 = eval_strong_pair(inst, x2)
-    f_21 = mask_sum(inst.f, x2 - x1)
-    f_12 = mask_sum(inst.f, x1 - x2)
-    g_12 = mask_sum(inst.g, x1 - x2)
-    g_21 = mask_sum(inst.g, x2 - x1)
-    both = x1 & x2
-    neither = (x1 | x2).complement()
-    f_both = mask_sum(inst.f, both)
-    g_both = mask_sum(inst.g, both)
-    f_neither = mask_sum(inst.f, neither)
-    g_neither = mask_sum(inst.g, neither)
-
-    gen1a = InequalityRecord("gen1a", e1.p1 + f_21, e2.b2 + g_12)
-    gen1b = InequalityRecord("gen1b", e2.p2 + f_12, e1.b1 + g_21)
-    gen1alfa = InequalityRecord("gen1alfa", inst.alpha, e1.b1 + e2.b2 + g_neither - f_both)
-    gen1beta = InequalityRecord("gen1beta", e1.p1 + e2.p2 + f_neither - g_both, inst.beta)
-    return ConditionEval(gen1a=gen1a, gen1b=gen1b, gen1alfa=gen1alfa, gen1beta=gen1beta)
+    rows, cols = _pair_segments(inst, x1, x2)
+    return ConditionEval(*(_record(inst, x1, x2, rows, cols, name) for name in INEQUALITY_NAMES))

@@ -16,6 +16,8 @@ the library's circulation code.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
+from operator import add
 
 from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
 
@@ -51,11 +53,13 @@ def feasible_random(
         return fin(value)
 
     hidden = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+    row_prefixes = [list(accumulate(row)) for row in hidden]
+    col_prefixes = list(accumulate(hidden, lambda above, row: [*map(add, above, row)]))
     phi1, gamma1, phi2, gamma2, f, g = ([[None] * n for _ in range(m)] for _ in range(6))
     for i in range(m):
         for j in range(n):
-            h = sum(hidden[i][: j + 1])
-            v = sum(hidden[r][j] for r in range(i + 1))
+            h = row_prefixes[i][j]
+            v = col_prefixes[i][j]
             phi1[i][j] = NEG_INF if rng.random() < inf_rate else fin(h - rng.randint(0, 2))
             gamma1[i][j] = POS_INF if rng.random() < inf_rate else fin(h + rng.randint(0, 2))
             phi2[i][j] = NEG_INF if rng.random() < inf_rate else fin(v - rng.randint(0, 2))

@@ -6,13 +6,15 @@ import random
 import pytest
 
 from pbm.core import NEG_INF, POS_INF, ExtMatrix, IntMatrix, PbmInstance, fin
-from pbm import circulation
+from pbm import circulation, oracle
 from pbm.asmkit import asm_instance
 from pbm.circulation import (
     Circulation,
     _FlowGraph,
     NegativeCycle,
+    _balances,
     _greedy_start,
+    _reach,
     build_network,
     check_circulation,
     circulation_from_matrix,
@@ -266,6 +268,24 @@ class TestFeasibility:
         with pytest.raises(InternalError):
             make_cut_witness(net, frozenset({0}))
 
+    def test_witness_deficit_matches_per_arc_reference(self):
+        rng = random.Random(17)
+        signs = set()
+        for _ in range(200):
+            net = build_network(random_instance(rng, rng.randint(1, 4), rng.randint(1, 4)))
+            nodes = frozenset(v for v in range(net.node_count) if rng.random() < 0.5)
+            arcs = list(zip(net.tail, net.head, net.lower, net.upper))
+            entering = sum(hi for u, w, lo, hi in arcs if w in nodes and u not in nodes)
+            leaving = sum(lo for u, w, lo, hi in arcs if u in nodes and w not in nodes)
+            deficit = entering - leaving
+            signs.add(deficit < 0)
+            if deficit < 0:
+                assert make_cut_witness(net, nodes) == CutWitness(nodes, deficit)
+            else:
+                with pytest.raises(InternalError, match=f"nonnegative deficit {deficit}$"):
+                    make_cut_witness(net, nodes)
+        assert signs == {False, True}
+
 
 class TestCertificate:
     def test_contradictory_1x1_case1(self):
@@ -437,6 +457,30 @@ class TestFlowCoreScale:
         assert work[4000] <= 2.1 * work[2000]
 
 
+def per_arc_balances(net: circulation.Network, flows) -> list[int]:
+    """Inflow minus outflow at every node, one arc at a time."""
+    balance = [0] * net.node_count
+    for u, w, z in zip(net.tail, net.head, flows):
+        balance[u] -= z
+        balance[w] += z
+    return balance
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_layout_balances_match_per_arc_reference(m):
+    rng = random.Random(m)
+    for n in range(1, 6):
+        net = build_network(random_instance(rng, m, n))
+        flows = tuple(rng.randint(lo, hi) for lo, hi in zip(net.lower, net.upper))
+        want = per_arc_balances(net, flows)
+        assert _balances(net, flows) == _balances(net, list(flows)) == want
+        if any(want):
+            v = next(v for v, b in enumerate(want) if b)
+            message = f"^conservation fails at node {v}: imbalance {want[v]}$"
+            with pytest.raises(InternalError, match=message):
+                check_circulation(net, Circulation(flows))
+
+
 def assert_start_in_bounds(inst: PbmInstance) -> None:
     net = build_network(inst)
     start = _greedy_start(net)
@@ -471,6 +515,39 @@ class TestGreedyStart:
             pushes.append(info["pushes"])
         greedy, all_lower = pushes
         assert 0 < greedy <= all_lower // 3
+
+    @pytest.mark.parametrize("shape", [(1, 3000), (3000, 1)], ids=["1x3000", "3000x1"])
+    def test_feasible_lines_start_as_circulations(self, monkeypatch, shape):
+        # a line's reach is exact, so the start conserves and the solve repairs nothing
+        inst = feasible_random(random.Random(3), *shape)
+        net = build_network(inst)
+        assert not any(per_arc_balances(net, _greedy_start(net)))
+        searches = []
+        distances = _FlowGraph.distances
+
+        def spy(self, sources, adj, flip):
+            searches.append(flip)
+            return distances(self, sources, adj, flip)
+
+        monkeypatch.setattr(_FlowGraph, "distances", spy)
+        info: dict = {}
+        assert solve(inst, info).is_feasible
+        assert (info["pushes"], info["relabels"], searches) == (0, 0, [])
+
+    def test_start_leaves_little_excess_on_45x45(self):
+        # a start that looks no further than the arcs before each entry leaves 145
+        net = build_network(feasible_random(random.Random(45), 45, 45))
+        assert sum(b > 0 for b in per_arc_balances(net, _greedy_start(net))) <= 72
+
+    def test_empty_reach_means_no_matrix(self):
+        rng = random.Random(41)
+        empty = 0
+        for k in range(500):
+            inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3), (0.25, 0.6)[k % 2])
+            if _reach(build_network(inst)) is None:
+                empty += 1
+                assert oracle.enumerate_pbms(inst) == []
+        assert 0 < empty < 500
 
 
 class TestMatrixRoundTrip:

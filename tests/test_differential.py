@@ -2,9 +2,9 @@
 
 The reference builds its own circulation network from the instance's
 definitions.  Feasibility verdicts come from networkx's maximum flow after
-the standard removal of lower bounds, on grids from 10 x 10 to 60 x 60;
-every matrix and certificate ``solve`` returns is also re-checked from the
-definitions.  Optima come from networkx's capacity scaling, which reports
+the standard removal of lower bounds, on grids from 10 x 10 to 60 x 60 and
+on single rows and columns of 200 to 1500 cells; every matrix and
+certificate ``solve`` returns is also re-checked from the definitions.  Optima come from networkx's capacity scaling, which reports
 unbounded objectives on its own (networkx 3.6's network simplex can loop
 forever on unbounded instances with many open windows), on grids from
 10 x 10 to 20 x 20.
@@ -235,4 +235,17 @@ def test_verdict_sweep():
         family = "pinned" if k % 2 else "random"
         inst = FAMILIES[family][0](rng, rng.randint(10, 40), rng.randint(10, 40))
         verdicts.append(check_verdict(inst))
+    assert set(verdicts) == {False, True}
+
+
+def test_line_verdicts():
+    # single rows and columns far beyond the oracle's 9 cells, where the start
+    # aims at each line's reach
+    rng = random.Random("line verdicts")
+    verdicts = []
+    for family in sorted(FAMILIES):
+        for shape in ("row", "column"):
+            n = rng.randint(200, 1500)
+            m_n = (1, n) if shape == "row" else (n, 1)
+            verdicts.append(check_verdict(FAMILIES[family][0](rng, *m_n)))
     assert set(verdicts) == {False, True}
