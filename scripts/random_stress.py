@@ -13,8 +13,12 @@ their entry bounds, from a generator of its own as well, solves the
 pinned instance, and checks it against the enumerated matrices that keep
 every pin.  Every certificate's named inequality, for the instance or
 its pinned form, is evaluated again from the oracle's per-bitmask
-tables, which must give the emitted lhs and rhs with lhs > rhs.  Prints a
-running tally and per-verdict timing.
+tables, which must give the emitted lhs and rhs with lhs > rhs.  Each
+feasible instance's matrix is decomposed for one k in 1..8 and one k
+above 10^6, each k from a generator of its own; every distinct part must
+meet the shrunk instance and lie within A/k rounded down and up, and the
+parts, weighted by multiplicity, must add up to A.  Prints a running
+tally and per-verdict timing.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import argparse
 import random
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 from pbm.core import IntMatrix
@@ -35,18 +40,24 @@ from helpers import feasible_random, line_values, random_instance  # noqa: E402
 
 
 def decomposition_fault(inst, a: IntMatrix, k: int) -> "str | None":
-    """What is wrong with ``decompose(inst, a, k)``, or None."""
-    parts = decompose(inst, a, k).matrices()
+    """What is wrong with ``decompose(inst, a, k)``, or None.
+
+    Each distinct part is checked once and counted by its multiplicity, so
+    the check takes the same time for any k.
+    """
+    dec = decompose(inst, a, k)
+    if sum(mult for _, mult in dec.parts) != k:
+        return f"the multiplicities do not add up to {k}"
     small = shrink_instance(inst, k)
     whole = line_values(a)
-    total = IntMatrix.zeros(a.m, a.n)
-    for part in parts:
+    total = [0] * (a.m * a.n)
+    for part, mult in dec.parts:
         if not oracle.matrix_satisfies(small, part):
             return f"part {part.to_lists()} misses the instance shrunk by {k}"
         if any(not w // k <= p <= -(-w // k) for w, p in zip(whole, line_values(part))):
             return f"part {part.to_lists()} is not within A/{k} rounded down and up"
-        total = total.add(part)
-    if total != a:
+        total = [t + mult * v for t, v in zip(total, chain(*part.rows))]
+    if total != [*chain(*a.rows)]:
         return "the parts do not add up to the matrix"
     return None
 
@@ -83,6 +94,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     cost_rng = random.Random(f"costs:{args.seed}")
     k_rng = random.Random(f"k:{args.seed}")
+    big_k_rng = random.Random(f"big k:{args.seed}")
     pin_rng = random.Random(f"pins:{args.seed}")
     feasible = infeasible = completed = 0
     t_solve = t_cost = t_oracle = t_decompose = 0.0
@@ -144,12 +156,14 @@ def main() -> int:
             if res.matrix not in mats:
                 print(f"DISAGREEMENT at trial {trial}: solver matrix not in oracle list")
                 return 1
-            k = k_rng.randint(1, 8)
             t0 = time.perf_counter()
-            fault = decomposition_fault(inst, res.matrix, k)
+            for k in (k_rng.randint(1, 8), big_k_rng.randint(10**6 + 1, 2**40)):
+                fault = decomposition_fault(inst, res.matrix, k)
+                if fault:
+                    break
             t_decompose += time.perf_counter() - t0
             if fault:
-                print(f"BAD DECOMPOSITION at trial {trial}: {fault}")
+                print(f"BAD DECOMPOSITION at trial {trial}, k = {k}: {fault}")
                 return 1
             feasible += 1
         else:

@@ -50,7 +50,7 @@ from .core import (
     validate_instance,
 )
 from .errors import BadEntries, BadParams, DimensionMismatch, InternalError
-from .feasibility import Certificate, Result, _optimize, solve
+from .feasibility import Certificate, Result, _answer, solve
 from .segments import HORIZONTAL, VERTICAL, Segment, maximal_segments
 
 __all__ = [
@@ -393,7 +393,7 @@ def max_plus_ones_subordinate(x: IntMatrix) -> Result:
     inst = _partition_instance(part)
     net = build_network(inst)
     cost = {net.n_arc_id(i, j): 1 for (i, j) in part.cells("+").cells}
-    res = _optimize(inst, net, cost, "max", None)
+    res = _answer(inst, net, cost, "max")
     if res.status == "unbounded":
         raise InternalError("subordinate optimum reported unbounded under capped windows")
     return _with_family(part, res)

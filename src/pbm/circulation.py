@@ -587,11 +587,10 @@ def min_cost_circulation(
     residual path joins them to the sink; R is what they reach.  The
     solve leaves the loop after that round.  With a cost, a round runs
     over a subset of the edges, and excess it cannot move proves nothing.
-    One breadth-first search over the whole residual graph then starts
-    from every node that still holds excess.  If it reaches the super
-    sink, one Dijkstra from the same nodes raises the potentials and the
-    next round starts; if not, R is what it reached.  All arithmetic is
-    exact.
+    One Dijkstra over the whole residual graph then starts from every node
+    that still holds excess.  If it reaches the super sink, its distances
+    raise the potentials and the next round starts; if not, R is what it
+    reached.  All arithmetic is exact.
 
     A priced solve runs ``check_circulation`` on the flows it returns,
     which ties the reduced-cost proof to them.  An unpriced one does not:
@@ -636,17 +635,16 @@ def min_cost_circulation(
             break
         if not priced:
             # the one round ran over the whole residual graph
-            hops = graph.distances(stranded, adj, 0)
+            unreached = [h > nodes for h in graph.distances(stranded, adj, 0)]
             break
-        sources = [v for v in range(nodes) if excess[v] > 0]
-        hops = graph.distances(sources, adj, 0)
-        if hops[t] > nodes:  # unreached
+        dist = _reduced_distances(graph, pi, [v for v in range(nodes) if excess[v] > 0])
+        horizon = dist[t]
+        if horizon is None:
+            unreached = [d is None for d in dist]
             break
         # capping the raise at the sink's distance keeps every residual
         # reduced cost nonnegative, makes the shortest paths to the sink
         # tight, and keeps the unsaturated sink edges tight
-        dist = _reduced_distances(graph, pi, sources)
-        horizon = dist[t]
         for v, d in enumerate(dist):
             pi[v] += horizon if d is None or d > horizon else d
     if info is not None:
@@ -655,7 +653,7 @@ def min_cost_circulation(
         info["pushes"] = info.get("pushes", 0) + pushes
         info["relabels"] = info.get("relabels", 0) + relabels
     if excess[t] < demand:
-        return make_cut_witness(net, frozenset(compress(range(nodes), map(nodes.__lt__, hops))))
+        return make_cut_witness(net, frozenset(compress(range(nodes), unreached)))
     if priced:
         for idx in range(len(to)):
             if cap[idx] > 0 and edge_cost[idx] + pi[to[idx ^ 1]] - pi[to[idx]] < 0:

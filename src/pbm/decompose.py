@@ -11,18 +11,23 @@ k and ceiled).
 
 A is checked once, and one network is built from the instance; each solve
 and each check replaces its bounds by a box around the flows at hand.
-With k = 2^L q and q odd, the work runs in two stages:
+The work splits pieces: a piece is a circulation that still owes some
+number of parts, and equal pieces owing as many are kept once, with a
+multiplicity.  z* starts as one piece owing k.  Each pass splits every
+piece owing the most, r, into one owing s and one owing r - s:
 
-* peeling: q parts come off z* one at a time.  With r parts still owed and
-  residual z, the step's part is any integer circulation within
+* when r is a power of two, s = r / 2, and an Euler partition of the
+  piece's odd arcs (Gabow 1976) halves it in one linear pass, with no
+  solve;
+* otherwise s is r's lowest 1-bit, and one min-cost solve on the box
 
-      floor(z / r)  <=  z_1  <=  ceil(z / r)
+      floor(z / q)  <=  z_1  <=  ceil(z / q),    q = r / s odd,
 
-  found by one min-cost solve on the network with these bounds, so peeling
-  takes q - 1 solves;
-* halving: every part is split in two, L times over, by an Euler
-  partition of its odd arcs (Gabow 1976), which takes one linear pass and
-  no solve.
+  peels off the piece z_1 owing s, leaving z - z_1 owing r - s.
+
+Only z* and the rest of a peel owe a number that is no power of two, and
+each peel drops one 1-bit, so a decomposition takes popcount(k) - 1
+solves, and the work grows with log k and the distinct parts, not with k.
 
 ``decompose_k_regular_asm`` specializes this to nonnegative-prefix matrices
 with all line sums k, whose parts are then alternating sign matrices with
@@ -32,9 +37,10 @@ pairwise disjoint supports.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
+from operator import sub
 
 from .circulation import (
     Circulation,
@@ -141,6 +147,13 @@ def _halve(net: Network, z: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int
     return tuple(first), tuple(v - h for v, h in zip(z, first))
 
 
+def _box(net: Network, z: tuple[int, ...], q: int) -> Network:
+    """The network with bounds floor(z / q)..ceil(z / q) on every arc."""
+    return dataclasses.replace(
+        net, lower=tuple(v // q for v in z), upper=tuple(-(-v // q) for v in z)
+    )
+
+
 def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
     """Split a matrix meeting the instance into k equitable parts.
 
@@ -152,20 +165,21 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
     Raises InfeasibleInput when the matrix does not meet the instance's
     bounds; any failure after that point is an InternalError.
 
-    Why a part always exists: write k = 2^L q with q odd.  Peeling comes
-    first: with r of the q parts owed for the residual z, the box
-    [floor(z / r), ceil(z / r)] contains the circulation z / r, and a
-    network matrix makes the box hold an integer circulation too.  By
-    induction r floor(z* / q) <= z <= r ceil(z* / q), so z / r and with it
-    the whole box lie within [floor(z* / q), ceil(z* / q)].  An empty box
-    would surface as a cut, an InternalError.  Halving needs no box: the
-    flows in and out of a node add up to the same number, so every node
-    meets an even number of odd arcs, the odd arcs fall into closed trails,
-    and running along them gives the two halves of a part p their
-    ceil(p / 2) on opposite arcs and floor(p / 2) elsewhere.  Nested
-    roundings compose, floor(floor(z / q) / 2^L) = floor(z / k) and the
-    same for ceilings, so every part of every halving stays within
-    [floor(z* / k), ceil(z* / k)].
+    Why a part always exists: every piece owing r lies within
+    [r floor(z* / k), r ceil(z* / k)], as z*, owing k, does.  Split such a
+    piece z into shares s and r - s, with q = r / s.  The circulation z / q
+    lies within [s floor(z* / k), s ceil(z* / k)], whose ends are integers,
+    so the box [floor(z / q), ceil(z / q)] lies there too, and a network
+    matrix makes the box hold an integer circulation.  A peel's solve finds
+    one; an empty box would surface as a cut, an InternalError.  Halving
+    needs no solve: the flows in and out of a node add up to the same
+    number, so every node meets an even number of odd arcs, the odd arcs
+    fall into closed trails, and running along them gives one half
+    ceil(z / 2) on some arcs and floor(z / 2) elsewhere, conserving.  The
+    rest, z minus the share, lies within [z - ceil(z / q), z - floor(z / q)];
+    both ends grow with z, and at z's ends they are (r - s) floor(z* / k)
+    and (r - s) ceil(z* / k), so the rest keeps the bound.  A piece owing 1
+    is a part.
     """
     if k < 1:
         raise BadParams(f"k must be a positive integer, got {k}")
@@ -173,42 +187,34 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
         z_star = circulation_from_matrix(inst, a).flows
     except BoundViolation as exc:
         raise InfeasibleInput(str(exc)) from exc
-    q, halvings = k, 0
-    while q % 2 == 0:
-        q, halvings = q // 2, halvings + 1
     net = build_network(inst)
-    z_res = list(z_star)
-    flows: list[tuple[int, ...]] = []
-    for owed in range(q, 1, -1):
-        step = dataclasses.replace(
-            net,
-            lower=tuple(z // owed for z in z_res),
-            upper=tuple(-(-z // owed) for z in z_res),
-        )
-        res = min_cost_circulation(step)
-        if isinstance(res, CutWitness):
-            raise InternalError("peeling step found no part; the box should never be empty")
-        flows.append(res.flows)
-        z_res = [r - z1 for r, z1 in zip(z_res, res.flows)]
-    flows.append(tuple(z_res))
-    for _ in range(halvings):
-        flows = [half for z in flows for half in _halve(net, z)]
+    pieces: defaultdict[int, Counter] = defaultdict(Counter, {k: Counter({z_star: 1})})
+    while (owed := max(pieces)) > 1:
+        # half of a power of two, else the lowest 1-bit: q is 2, or odd and at least 3
+        share = owed // 2 if owed & (owed - 1) == 0 else owed & -owed
+        q = owed // share
+        for z, mult in pieces.pop(owed).items():
+            if q == 2:
+                first, rest = _halve(net, z)
+            else:
+                res = min_cost_circulation(_box(net, z, q))
+                if isinstance(res, CutWitness):
+                    raise InternalError("peeling step found no part; the box should never be empty")
+                first, rest = res.flows, tuple(map(sub, z, res.flows))
+            pieces[share][first] += mult
+            pieces[owed - share][rest] += mult
 
     # No solver checks a part: an unpriced solve returns its flows unchecked,
-    # and halving and the last peeled part come from no solve.  One check of
-    # each part as a circulation in the box floor(z* / k)..ceil(z* / k)
-    # proves it all: a conserving flow vector is its matrix's circulation,
-    # and the box lies within the shrunk bounds.
-    box = dataclasses.replace(
-        net, lower=tuple(z // k for z in z_star), upper=tuple(-(-z // k) for z in z_star)
-    )
-    for z in flows:
+    # and halves and rests come from no solve.  One check of each distinct
+    # part as a circulation in the box floor(z* / k)..ceil(z* / k) proves it
+    # all: a conserving flow vector is its matrix's circulation, so distinct
+    # parts are distinct matrices, and the box lies within the shrunk bounds.
+    box = _box(net, z_star, k)
+    parts = {}
+    for z, mult in pieces[1].items():
         check_circulation(box, Circulation(z))
-    counted = Counter(matrix_from_circulation(net, Circulation(z)) for z in flows)
-    dec = Decomposition(
-        parts=tuple((mat, counted[mat]) for mat in sorted(counted, key=lambda mtx: mtx.rows)),
-        k=k,
-    )
+        parts[matrix_from_circulation(net, Circulation(z))] = mult
+    dec = Decomposition(tuple(sorted(parts.items(), key=lambda part: part[0].rows)), k)
     if dec.total().rows != a.rows:
         raise InternalError("parts do not add back up to the input matrix")
     return dec

@@ -111,8 +111,11 @@ def _answer(
     """Solve ``net``, built from ``inst``, and read the outcome as a ``Result``.
 
     Without ``cost`` this decides feasibility; with it, it optimizes
-    sum(cost[a] * flow[a]) in ``direction``.
+    sum(cost[a] * flow[a]) over the arcs ``cost`` names, in ``direction``,
+    which must be "max" or "min".
     """
+    if cost is not None and direction not in ("max", "min"):
+        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     sign = -1 if direction == "max" else 1
     signed = None if cost is None else {a: sign * c for a, c in cost.items()}
     res = min_cost_circulation(net, signed, info)
@@ -141,19 +144,6 @@ def solve(inst: PbmInstance, info: "dict | None" = None) -> Result:
 check_condition = condition_values
 
 
-def _optimize(
-    inst: PbmInstance,
-    net,
-    cost: Mapping[int, int],
-    direction: str,
-    info: "dict | None",
-) -> Result:
-    """Optimize sum(cost[a] * flow[a]) over the arcs ``cost`` names, in one solve."""
-    if direction not in ("max", "min"):
-        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    return _answer(inst, net, cost, direction, info)
-
-
 def extremal_total_sum(
     inst: PbmInstance, direction: str, info: "dict | None" = None
 ) -> Result:
@@ -164,7 +154,7 @@ def extremal_total_sum(
     """
     relaxed = dataclasses.replace(inst, alpha=NEG_INF, beta=POS_INF)
     net = build_network(relaxed)
-    return _optimize(relaxed, net, {net.a0_id: 1}, direction, info)
+    return _answer(relaxed, net, {net.a0_id: 1}, direction, info)
 
 
 def optimize_cost(
@@ -180,7 +170,7 @@ def optimize_cost(
         )
     net = build_network(inst)
     cost = {net.n_arc_id(i, j): c for i, j, c in costs.cells()}
-    return _optimize(inst, net, cost, direction, info)
+    return _answer(inst, net, cost, direction, info)
 
 
 def pin_entries(inst: PbmInstance, pins: Iterable[tuple[int, int, int]]) -> PbmInstance:

@@ -142,6 +142,20 @@ def random_matrix(rng: random.Random, m: int, n: int) -> IntMatrix:
     return IntMatrix.from_rows([[rng.randint(-span, span) for _ in range(n)] for _ in range(m)])
 
 
+def count_solves(monkeypatch) -> list:
+    """Record every network that ``decompose`` hands to the flow solver."""
+    mod = importlib.import_module("pbm.decompose")
+    solves = []
+    real = mod.min_cost_circulation
+
+    def counting(net):
+        solves.append(net)
+        return real(net)
+
+    monkeypatch.setattr(mod, "min_cost_circulation", counting)
+    return solves
+
+
 class TestHalve:
     def test_halves_conserve_round_and_add_up(self):
         rng = random.Random(23)
@@ -158,24 +172,31 @@ class TestHalve:
                 check_circulation(box, Circulation(half))  # conserves, within the box
             assert [x + y for x, y in zip(first, second)] == list(z)
 
-    def test_solves_only_for_the_odd_factor(self, monkeypatch):
-        mod = importlib.import_module("pbm.decompose")
-        solves = []
-        real = mod.min_cost_circulation
-
-        def counting(net):
-            solves.append(net)
-            return real(net)
-
-        monkeypatch.setattr(mod, "min_cost_circulation", counting)
+    def test_one_solve_per_1_bit_beyond_the_first(self, monkeypatch):
+        solves = count_solves(monkeypatch)
         rng = random.Random(8)
         inst = open_instance(4, 5)
         a = random_matrix(rng, 4, 5)
-        for k, expected in [(1, 0), (2, 0), (3, 2), (4, 0), (5, 4), (6, 2), (8, 0), (12, 2)]:
+        for k in [*range(1, 9), 12, 24, 2**20, 2**60 + 1]:
             solves.clear()
             dec = decompose(inst, a, k)
             assert dec.total() == a and dec.k == k
-            assert len(solves) == expected, k
+            assert len(solves) == bin(k).count("1") - 1, k
+
+    def test_huge_k_on_open_4x4(self, monkeypatch):
+        # A is k times an ASM plus small noise: few distinct parts, whatever k is
+        solves = count_solves(monkeypatch)
+        rng = random.Random(4)
+        k = 2**60 + 1
+        asm = [[0, 1, 0, 0], [1, -1, 1, 0], [0, 1, -1, 1], [0, 0, 1, 0]]
+        a = IntMatrix.from_rows([[k * v + rng.randint(-3, 3) for v in row] for row in asm])
+        dec = decompose(open_instance(4, 4), a, k)
+        assert len(solves) == 1
+        assert sum(mult for _, mult in dec.parts) == k
+        whole = line_values(a)
+        for part, _ in dec.parts:
+            assert all(w // k <= p <= -(-w // k) for w, p in zip(whole, line_values(part)))
+        assert dec.total() == a
 
     def test_split_that_breaks_conservation_is_caught(self, monkeypatch):
         mod = importlib.import_module("pbm.decompose")
@@ -188,7 +209,7 @@ class TestHalve:
             a = next(a for a, v in enumerate(z) if v % 2 and first[a] == v // 2)
             first[a] += 1
             second[a] -= 1
-            return first, second
+            return tuple(first), tuple(second)
 
         monkeypatch.setattr(mod, "_halve", unbalanced)
         inst = open_instance(2, 2)
@@ -211,7 +232,7 @@ class TestHalve:
 
         monkeypatch.setattr(mod, "min_cost_circulation", greedy)
         with pytest.raises(InternalError, match="outside"):
-            decompose(inst, a, 3)
+            decompose(inst, a, 7)
         assert len(solves) == 2
 
 
