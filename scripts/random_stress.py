@@ -13,7 +13,9 @@ their entry bounds, from a generator of its own as well, solves the
 pinned instance, and checks it against the enumerated matrices that keep
 every pin.  Every certificate's named inequality, for the instance or
 its pinned form, is evaluated again from the oracle's per-bitmask
-tables, which must give the emitted lhs and rhs with lhs > rhs.  Each
+tables, which must give the emitted lhs and rhs with lhs > rhs.  The
+strong pair p1, b1, p2, b2 of one random cell subset per instance, drawn
+from a generator of its own, must equal the oracle's tables too.  Each
 feasible instance's matrix is decomposed for one k in 1..8 and one k
 above 10^6, each k from a generator of its own; every distinct part must
 meet the shrunk instance and lie within A/k rounded down and up, and the
@@ -33,6 +35,7 @@ from pathlib import Path
 from pbm.core import IntMatrix
 from pbm.decompose import decompose, shrink_instance
 from pbm.feasibility import optimize_cost, pin_entries, solve
+from pbm.strongpair import eval_strong_pair
 from pbm import oracle
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -62,9 +65,9 @@ def decomposition_fault(inst, a: IntMatrix, k: int) -> "str | None":
     return None
 
 
-def certificate_fault(inst, cert) -> "str | None":
-    """What is wrong with a certificate, judged by ``oracle._PairTables``, or None."""
-    tables = oracle._PairTables(inst)
+def certificate_fault(tables: oracle._PairTables, cert) -> "str | None":
+    """What is wrong with a certificate, judged by the instance's ``oracle._PairTables``, or None."""
+    inst = tables.inst
     x1, x2 = (sum(1 << ((i - 1) * inst.n + j - 1) for i, j in x.cells) for x in (cert.x1, cert.x2))
     values = {name: (lhs, rhs) for name, lhs, rhs in tables.pair_values(x1, x2)}
     lhs, rhs = values[cert.violated]
@@ -75,6 +78,16 @@ def certificate_fault(inst, cert) -> "str | None":
         )
     if not lhs > rhs:
         return f"{cert.violated} holds: {lhs} <= {rhs}"
+    return None
+
+
+def strong_pair_fault(tables: oracle._PairTables, bits: int) -> "str | None":
+    """How ``eval_strong_pair`` on the subset with these row-major bits differs from the tables, or None."""
+    ev = eval_strong_pair(tables.inst, tables.mask_to_subset(bits))
+    got = (ev.p1, ev.b1, ev.p2, ev.b2)
+    want = (tables.p1[bits], tables.b1[bits], tables.p2[bits], tables.b2[bits])
+    if got != want:
+        return f"subset bits {bits:b}: p1, b1, p2, b2 are {got}, the oracle's tables say {want}"
     return None
 
 
@@ -96,6 +109,7 @@ def main() -> int:
     k_rng = random.Random(f"k:{args.seed}")
     big_k_rng = random.Random(f"big k:{args.seed}")
     pin_rng = random.Random(f"pins:{args.seed}")
+    subset_rng = random.Random(f"subset:{args.seed}")
     feasible = infeasible = completed = 0
     t_solve = t_cost = t_oracle = t_decompose = 0.0
     for trial in range(args.count):
@@ -117,6 +131,12 @@ def main() -> int:
         t0 = time.perf_counter()
         mats = oracle.enumerate_pbms(inst)
         t_oracle += time.perf_counter() - t0
+
+        tables = oracle._PairTables(inst)
+        fault = strong_pair_fault(tables, subset_rng.randrange(1 << (m * n)))
+        if fault:
+            print(f"BAD STRONG PAIR at trial {trial}: {fault}")
+            return 1
 
         # the entry windows are finite, so a feasible instance has a cheapest matrix
         values = [sum(c * mat.at(i, j) for i, j, c in costs.cells()) for mat in mats]
@@ -144,7 +164,7 @@ def main() -> int:
         if pinned_res.is_feasible:
             completed += 1
         else:
-            fault = certificate_fault(pinned, pinned_res.certificate)
+            fault = certificate_fault(oracle._PairTables(pinned), pinned_res.certificate)
             if fault:
                 print(f"BAD CERTIFICATE at trial {trial} with pins {pins}: {fault}")
                 return 1
@@ -167,7 +187,7 @@ def main() -> int:
                 return 1
             feasible += 1
         else:
-            fault = certificate_fault(inst, res.certificate)
+            fault = certificate_fault(tables, res.certificate)
             if fault:
                 print(f"BAD CERTIFICATE at trial {trial}: {fault}")
                 return 1

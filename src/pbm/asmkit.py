@@ -265,18 +265,18 @@ class SPartition:
         return self.labels[i - 1][j - 1]
 
 
-# The entry bounds each partition label puts on its cell.  Lower bounds are
-# -inf (not -1) wherever a negative entry is allowed and upper bounds +inf
-# wherever a positive one is; the prefix windows already cap entries at
-# +-1, and the slack infinities are what make an infeasibility certificate
-# collapse into a segment-family witness.
+# The entry bounds each partition label puts on its cell: its least and
+# greatest allowed values, except that the lower bound is -inf (not -1)
+# wherever a negative entry is allowed and the upper bound +inf wherever a
+# positive one is; the prefix windows already cap entries at +-1, and the
+# slack infinities are what make an infeasibility certificate collapse into
+# a segment-family witness.
 _ENTRY_BOUNDS: Mapping[str, tuple[ExtInt, ExtInt]] = {
-    "0": (fin(0), fin(0)),
-    "+1": (fin(1), POS_INF),
-    "-1": (NEG_INF, fin(-1)),
-    "+": (fin(0), POS_INF),
-    "-": (NEG_INF, fin(0)),
-    "F": (NEG_INF, POS_INF),
+    label: (
+        NEG_INF if min(values) < 0 else fin(min(values)),
+        POS_INF if max(values) > 0 else fin(max(values)),
+    )
+    for label, values in _ALLOWED.items()
 }
 
 

@@ -852,48 +852,43 @@ def circulation_from_matrix(inst: PbmInstance, mat: IntMatrix) -> Circulation:
     return Circulation((*h_sums, *v_sums, *entries, total))
 
 
+# hub sides of the cut (v1_hub in W, v2_hub in W) -> (case, the inequality it breaks)
+_CUT_CASES = {
+    (True, True): (1, "gen1a"),
+    (False, False): (2, "gen1b"),
+    (False, True): (3, "gen1alfa"),
+    (True, False): (4, "gen1beta"),
+}
+
+
 def cut_to_certificate(
     net: Network, witness: CutWitness
 ) -> tuple[SubsetMask, SubsetMask, int, strongpair.InequalityRecord]:
     """Translate a violated node set into a violated inequality.
 
-    The hubs' sides of the cut select one of four cases; each case reads a
-    pair of cell subsets (X1, X2) off the cut and names the inequality it
-    breaks.  The named inequality is evaluated from the instance's true
-    bounds and must be strictly violated; anything else is an internal bug.
-    Returns (X1, X2, case, the evaluated record of the violated inequality).
+    The hubs' sides of the cut select one of four cases, each naming the
+    inequality it breaks.  X1 (X2) holds the cells whose layer-1 (layer-2)
+    node lies on the other side of the cut from v1_hub (v2_hub).  The
+    named inequality is evaluated from the instance's true bounds and must
+    be strictly violated; anything else is an internal bug.  Returns (X1,
+    X2, case, the evaluated record of the violated inequality).
     """
-    inst = net.instance
     w = witness.nodes
-    hub1_in = net.v1_hub in w
-    hub2_in = net.v2_hub in w
     m, n, mn = net.m, net.n, net.m * net.n
+    hub1_in, hub2_in = net.v1_hub in w, net.v2_hub in w
+    case, violated = _CUT_CASES[hub1_in, hub2_in]
+
     member = list(map(w.__contains__, range(2 * mn)))
 
-    def layer_cells(which: int, inside: bool) -> SubsetMask:
+    def layer_cells(first: int, hub_in: bool) -> SubsetMask:
         # a layer numbers its nodes row-major from the node of cell (1, 1)
-        first = net.v1_node(1, 1) if which == 1 else net.v2_node(1, 1)
         layer = member[first : first + mn]
-        picked = compress(range(mn), layer if inside else map(not_, layer))
+        picked = compress(range(mn), map(not_, layer) if hub_in else layer)
         return SubsetMask(m, n, frozenset((k // n + 1, k % n + 1) for k in picked))
 
-    if hub1_in and hub2_in:
-        case, violated = 1, "gen1a"
-        x1 = layer_cells(1, inside=False)
-        x2 = layer_cells(2, inside=False)
-    elif not hub1_in and not hub2_in:
-        case, violated = 2, "gen1b"
-        x1 = layer_cells(1, inside=True)
-        x2 = layer_cells(2, inside=True)
-    elif not hub1_in and hub2_in:
-        case, violated = 3, "gen1alfa"
-        x1 = layer_cells(1, inside=True)
-        x2 = layer_cells(2, inside=False)
-    else:
-        case, violated = 4, "gen1beta"
-        x1 = layer_cells(1, inside=False)
-        x2 = layer_cells(2, inside=True)
-    record = strongpair.inequality_record(inst, x1, x2, violated)
+    x1 = layer_cells(net.v1_node(1, 1), hub1_in)
+    x2 = layer_cells(net.v2_node(1, 1), hub2_in)
+    record = strongpair.inequality_record(net.instance, x1, x2, violated)
     if record.holds:
         raise InternalError(
             f"cut does not violate {violated}: lhs {record.lhs} <= rhs {record.rhs}"

@@ -278,8 +278,7 @@ class ExtMatrix:
     cell has value 0, so the values of a table add up to its finite mass
     and ``value + tag * K`` clamps any cell to +-K.  ``rows``, ``at``,
     ``cells`` and ``to_lists`` build ``ExtInt``s only when called;
-    ``sum_over``, ``floor_div``, ``ceil_div`` and ``pinned`` work on the
-    flat ints, so callers address cells as (i, j) and never as offsets.
+    ``floor_div``, ``ceil_div`` and ``pinned`` work on the flat ints.
     """
 
     m: int
@@ -317,14 +316,6 @@ class ExtMatrix:
 
     def at(self, i: int, j: int) -> ExtInt:
         return self._cell(self._index(i, j))
-
-    def sum_over(self, cells: Iterable[tuple[int, int]]) -> ExtInt:
-        """The sum of the (i, j) cells (0 when none); opposite infinities raise InfinityClash."""
-        ks = [self._index(i, j) for i, j in cells]
-        infinities = set(map(self.tags.__getitem__, ks)) - {0}
-        if len(infinities) == 2:
-            raise InfinityClash("cannot add -inf and +inf")
-        return ExtInt(infinities.pop()) if infinities else fin(sum(map(self.values.__getitem__, ks)))
 
     def floor_div(self, k: int) -> "ExtMatrix":
         """Every cell floor-divided by k >= 1; an infinite cell keeps its value 0."""

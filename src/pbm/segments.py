@@ -11,6 +11,10 @@ classified by where they sit in their line:
 
 A one-cell subset of a length-1 line covers the whole line and counts as
 full.  The counts sigma = se + pr + su + fu always partition the segments.
+
+``maximal_segments`` serves ``segment_stats`` and the segment-family
+witness that ``asmkit.compatible_asm`` returns; ``strongpair`` reads the
+same runs off cell flags without building them.
 """
 
 from __future__ import annotations
@@ -69,23 +73,6 @@ class Segment:
         return "interior"
 
 
-_new_segment = object.__new__
-_set_orientation = Segment.orientation.__set__
-_set_line = Segment.line.__set__
-_set_start = Segment.start.__set__
-_set_end = Segment.end.__set__
-
-
-def _segment(orientation: str, line: int, start: int, end: int) -> Segment:
-    """``Segment(orientation, line, start, end)`` for a run valid by construction, unchecked."""
-    seg = _new_segment(Segment)
-    _set_orientation(seg, orientation)
-    _set_line(seg, line)
-    _set_start(seg, start)
-    _set_end(seg, end)
-    return seg
-
-
 def maximal_segments(mask: SubsetMask, orientation: str) -> list[Segment]:
     """All maximal segments of the subset, ordered by (line, start).
 
@@ -101,7 +88,7 @@ def maximal_segments(mask: SubsetMask, orientation: str) -> list[Segment]:
             runs[-1][2] = pos
         else:
             runs.append([line, pos, pos])
-    return [_segment(orientation, line, start, end) for line, start, end in runs]
+    return [Segment(orientation, line, start, end) for line, start, end in runs]
 
 
 @dataclass(frozen=True, slots=True)

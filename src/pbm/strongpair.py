@@ -1,15 +1,28 @@
 """Exact evaluation of the strong lower/upper set-function pair.
 
-For one line with prefix-sum windows [phi(l), gamma(l)], the tightest bounds
-on the sum of a subset's entries over all vectors obeying every window are
-additive over the subset's maximal segments.  For a segment spanning
-positions [h, k] the elementary pair is
+A maximal segment of a cell subset X is a maximal run of consecutive cells
+of X inside one row (horizontal) or one column (vertical).  For one line
+with prefix-sum windows [phi(l), gamma(l)], the tightest bounds on the sum
+of X's entries over all vectors obeying every window are additive over X's
+maximal segments.  For a segment spanning positions [h, k] the elementary
+pair is
 
     p = phi(k) - gamma(h - 1)      (least possible segment sum)
     b = gamma(k) - phi(h - 1)      (greatest possible segment sum)
 
-with phi(0) = gamma(0) = 0.  Summing over the maximal horizontal segments of
-a cell subset X gives p1(X)/b1(X); vertical segments give p2(X)/b2(X).
+with phi(0) = gamma(0) = 0.  Over a whole grid, each segment's k is a run
+end, a cell of X whose next cell in its line is not in X, and its h - 1 is
+a run predecessor, a cell not in X whose next cell is in X (a segment that
+starts its line has none).  So
+
+    p(X) = phi(ends) - gamma(befores)
+    b(X) = gamma(ends) - phi(befores)
+
+where each term sums a bound table over flagged cells.  "Next" is the next
+cell in the row for the horizontal windows, which give p1(X)/b1(X), and
+the cell below for the vertical ones, which give p2(X)/b2(X).  Every
+function here reads a subset as one row-major list of cell flags, so an
+evaluation is a few O(mn) passes and builds no segment.
 
 ``condition_values`` evaluates the four inequalities whose joint validity
 over all pairs of subsets characterizes feasibility of an instance, and
@@ -20,11 +33,12 @@ gen1b, gen1alfa, gen1beta are part of the certificate format.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_, gt, lt, not_, or_
 from typing import Sequence
 
 from .core import ExtInt, ExtMatrix, PbmInstance, SubsetMask, fin
-from .errors import DimensionMismatch
-from .segments import HORIZONTAL, VERTICAL, Segment, maximal_segments
+from .errors import DimensionMismatch, InfinityClash
 
 __all__ = [
     "INEQUALITY_NAMES",
@@ -69,19 +83,47 @@ def elementary_pair(
     return phi[k - 1] - gamma_prev, gamma[k - 1] - phi_prev
 
 
-def _cell(seg: Segment, position: int) -> tuple[int, int]:
-    return (seg.line, position) if seg.orientation == HORIZONTAL else (position, seg.line)
+def _flags(mask: SubsetMask, m: int, n: int, grid_of: str) -> list[bool]:
+    """The subset as row-major cell flags; raises unless it lives on the m x n grid."""
+    if (mask.m, mask.n) != (m, n):
+        raise DimensionMismatch(f"mask grid does not match {grid_of}")
+    flags = [False] * (m * n)
+    for i, j in mask.cells:
+        flags[(i - 1) * n + j - 1] = True
+    return flags
 
 
-def _segment_bound(at_end: ExtMatrix, before: ExtMatrix, segs: list[Segment]) -> ExtInt:
-    """Sum over the segments [h, k] of at_end(k) minus before(h - 1), position 0 reading 0.
+def _flag_sum(mat: ExtMatrix, flags: Sequence[bool]) -> ExtInt:
+    """The sum of the flagged cells (0 when none); opposite infinities raise InfinityClash."""
+    infinities = set(compress(mat.tags, flags)) - {0}
+    if len(infinities) == 2:
+        raise InfinityClash("cannot add -inf and +inf")
+    return ExtInt(infinities.pop()) if infinities else fin(sum(compress(mat.values, flags)))
 
-    (phi, gamma) gives p, the least sum of the segments' entries; (gamma,
-    phi) gives b, the greatest.
+
+_Runs = tuple[list[bool], list[bool]]
+
+
+def _runs(flags: list[bool], n: int, horizontal: bool) -> _Runs:
+    """Flags of the run ends and of the run predecessors, along rows or along columns."""
+    if horizontal:
+        after = flags[1:] + [False]
+        # a row's last cell has no next cell, also on an m x 1 grid, where
+        # the next row starts one step on just as the next column cell does
+        after[n - 1 :: n] = [False] * (len(flags) // n)
+    else:
+        after = flags[n:] + [False] * n
+    return [*map(gt, flags, after)], [*map(lt, flags, after)]
+
+
+def _bound(at_end: ExtMatrix, before: ExtMatrix, runs: _Runs) -> ExtInt:
+    """at_end summed over the run ends minus before summed over the run predecessors.
+
+    (phi, gamma) gives p, the least sum of the runs' entries; (gamma, phi)
+    gives b, the greatest.
     """
-    ends = [_cell(seg, seg.end) for seg in segs]
-    befores = [_cell(seg, seg.start - 1) for seg in segs if seg.start > 1]
-    return at_end.sum_over(ends) - before.sum_over(befores)
+    ends, befores = runs
+    return _flag_sum(at_end, ends) - _flag_sum(before, befores)
 
 
 def eval_strong_pair(inst: PbmInstance, mask: SubsetMask) -> StrongPairEval:
@@ -89,23 +131,19 @@ def eval_strong_pair(inst: PbmInstance, mask: SubsetMask) -> StrongPairEval:
 
     The empty subset evaluates to zero in all four components.
     """
-    if (mask.m, mask.n) != (inst.m, inst.n):
-        raise DimensionMismatch("mask grid does not match instance")
-    rows = maximal_segments(mask, HORIZONTAL)
-    cols = maximal_segments(mask, VERTICAL)
+    x = _flags(mask, inst.m, inst.n, "instance")
+    rows, cols = _runs(x, inst.n, True), _runs(x, inst.n, False)
     return StrongPairEval(
-        p1=_segment_bound(inst.phi1, inst.gamma1, rows),
-        b1=_segment_bound(inst.gamma1, inst.phi1, rows),
-        p2=_segment_bound(inst.phi2, inst.gamma2, cols),
-        b2=_segment_bound(inst.gamma2, inst.phi2, cols),
+        p1=_bound(inst.phi1, inst.gamma1, rows),
+        b1=_bound(inst.gamma1, inst.phi1, rows),
+        p2=_bound(inst.phi2, inst.gamma2, cols),
+        b2=_bound(inst.gamma2, inst.phi2, cols),
     )
 
 
 def mask_sum(mat: ExtMatrix, mask: SubsetMask) -> ExtInt:
     """Sum of the bound table's cells over the subset (0 when empty)."""
-    if (mask.m, mask.n) != (mat.m, mat.n):
-        raise DimensionMismatch("mask grid does not match matrix")
-    return mat.sum_over(mask.cells)
+    return _flag_sum(mat, _flags(mask, mat.m, mat.n, "matrix"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,51 +191,45 @@ def inequality_record(
     """
     if name not in INEQUALITY_NAMES:
         raise KeyError(name)
-    return _record(inst, x1, x2, *_pair_segments(inst, x1, x2), name)
+    return _record(inst, *_pair_runs(inst, x1, x2), name)
 
 
-def _pair_segments(
-    inst: PbmInstance, x1: SubsetMask, x2: SubsetMask
-) -> tuple[list[Segment], list[Segment]]:
-    """X1's horizontal and X2's vertical segments, the only ones the inequalities read."""
-    for mask in (x1, x2):
-        if (mask.m, mask.n) != (inst.m, inst.n):
-            raise DimensionMismatch("mask grid does not match instance")
-    return maximal_segments(x1, HORIZONTAL), maximal_segments(x2, VERTICAL)
+def _pair_runs(
+    inst: PbmInstance, mask1: SubsetMask, mask2: SubsetMask
+) -> tuple[list[bool], list[bool], _Runs, _Runs]:
+    """The flags of X1 and X2, X1's row runs and X2's column runs: all the inequalities read."""
+    x1 = _flags(mask1, inst.m, inst.n, "instance")
+    x2 = _flags(mask2, inst.m, inst.n, "instance")
+    return x1, x2, _runs(x1, inst.n, True), _runs(x2, inst.n, False)
 
 
 def _record(
-    inst: PbmInstance,
-    x1: SubsetMask,
-    x2: SubsetMask,
-    rows: list[Segment],
-    cols: list[Segment],
-    name: str,
+    inst: PbmInstance, x1: list[bool], x2: list[bool], rows: _Runs, cols: _Runs, name: str
 ) -> InequalityRecord:
-    """The named inequality, given X1's horizontal and X2's vertical segments."""
+    """The named inequality, given X1's row runs and X2's column runs."""
     if name == "gen1a":
-        lhs = _segment_bound(inst.phi1, inst.gamma1, rows) + mask_sum(inst.f, x2 - x1)
-        rhs = _segment_bound(inst.gamma2, inst.phi2, cols) + mask_sum(inst.g, x1 - x2)
+        lhs = _bound(inst.phi1, inst.gamma1, rows) + _flag_sum(inst.f, [*map(gt, x2, x1)])
+        rhs = _bound(inst.gamma2, inst.phi2, cols) + _flag_sum(inst.g, [*map(gt, x1, x2)])
     elif name == "gen1b":
-        lhs = _segment_bound(inst.phi2, inst.gamma2, cols) + mask_sum(inst.f, x1 - x2)
-        rhs = _segment_bound(inst.gamma1, inst.phi1, rows) + mask_sum(inst.g, x2 - x1)
+        lhs = _bound(inst.phi2, inst.gamma2, cols) + _flag_sum(inst.f, [*map(gt, x1, x2)])
+        rhs = _bound(inst.gamma1, inst.phi1, rows) + _flag_sum(inst.g, [*map(gt, x2, x1)])
     else:
-        both = x1 & x2
-        neither = (x1 | x2).complement()
+        both = [*map(and_, x1, x2)]
+        neither = [*map(not_, map(or_, x1, x2))]
         if name == "gen1alfa":
             lhs = inst.alpha
             rhs = (
-                _segment_bound(inst.gamma1, inst.phi1, rows)
-                + _segment_bound(inst.gamma2, inst.phi2, cols)
-                + mask_sum(inst.g, neither)
-                - mask_sum(inst.f, both)
+                _bound(inst.gamma1, inst.phi1, rows)
+                + _bound(inst.gamma2, inst.phi2, cols)
+                + _flag_sum(inst.g, neither)
+                - _flag_sum(inst.f, both)
             )
         else:
             lhs = (
-                _segment_bound(inst.phi1, inst.gamma1, rows)
-                + _segment_bound(inst.phi2, inst.gamma2, cols)
-                + mask_sum(inst.f, neither)
-                - mask_sum(inst.g, both)
+                _bound(inst.phi1, inst.gamma1, rows)
+                + _bound(inst.phi2, inst.gamma2, cols)
+                + _flag_sum(inst.f, neither)
+                - _flag_sum(inst.g, both)
             )
             rhs = inst.beta
     return InequalityRecord(name, lhs, rhs)
@@ -206,8 +238,8 @@ def _record(
 def condition_values(inst: PbmInstance, x1: SubsetMask, x2: SubsetMask) -> ConditionEval:
     """Evaluate gen1a, gen1b, gen1alfa, gen1beta on the pair (x1, x2).
 
-    With p1, b1 from X1's horizontal segments and p2, b2 from X2's
-    vertical ones:
+    With p1, b1 from X1's horizontal runs and p2, b2 from X2's vertical
+    ones:
 
     * gen1a: p1 + f(X2 - X1) <= b2 + g(X1 - X2);
     * gen1b: p2 + f(X1 - X2) <= b1 + g(X2 - X1);
@@ -217,5 +249,5 @@ def condition_values(inst: PbmInstance, x1: SubsetMask, x2: SubsetMask) -> Condi
     An inequality with -inf on the left or +inf on the right holds
     vacuously; that is the natural reading of the extended order.
     """
-    rows, cols = _pair_segments(inst, x1, x2)
-    return ConditionEval(*(_record(inst, x1, x2, rows, cols, name) for name in INEQUALITY_NAMES))
+    terms = _pair_runs(inst, x1, x2)
+    return ConditionEval(*(_record(inst, *terms, name) for name in INEQUALITY_NAMES))

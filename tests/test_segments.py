@@ -95,8 +95,8 @@ def test_segments_are_maximal(cells):
 
 @given(cells_strategy)
 def test_segments_match_checked_construction(cells):
-    # maximal_segments skips Segment's checks; its segments must equal, hash and
-    # sort like checked ones
+    # maximal_segments' segments must equal, hash and sort like ones built
+    # from their fields
     mask = SubsetMask.from_cells(4, 4, cells)
     for orientation in (HORIZONTAL, VERTICAL):
         segs = maximal_segments(mask, orientation)

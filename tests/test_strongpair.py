@@ -184,7 +184,11 @@ def test_dimension_mismatch_rejected():
 
 @pytest.mark.parametrize("inf_rate", [0.25, 0.6])
 def test_condition_values_match_oracle_pair_tables(inf_rate):
-    """Segment-wise evaluation against the oracle's per-bitmask tables."""
+    """Run-end evaluation against the oracle's per-bitmask tables.
+
+    The shapes include every m x 1 and 1 x n grid up to 12 cells, where a
+    row's next cell and a column's next cell are both one step away.
+    """
     rng = random.Random(f"pair-tables:{inf_rate}")
     shapes = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
     for _ in range(30):
@@ -193,6 +197,15 @@ def test_condition_values_match_oracle_pair_tables(inf_rate):
         tables = _PairTables(inst)
         for _ in range(25):
             b1, b2 = rng.randrange(1 << (m * n)), rng.randrange(1 << (m * n))
-            got = condition_values(inst, tables.mask_to_subset(b1), tables.mask_to_subset(b2))
+            x1, x2 = tables.mask_to_subset(b1), tables.mask_to_subset(b2)
+            got = condition_values(inst, x1, x2)
             want = tables.pair_values(b1, b2)
             assert [(r.name, r.lhs, r.rhs) for r in got.records()] == want
+            ev = eval_strong_pair(inst, x1)
+            assert (ev.p1, ev.b1, ev.p2, ev.b2) == (
+                tables.p1[b1],
+                tables.b1[b1],
+                tables.p2[b1],
+                tables.b2[b1],
+            )
+            assert mask_sum(inst.f, x1) == tables.fsum[b1]
