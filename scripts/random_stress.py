@@ -11,9 +11,13 @@ from a generator of their own, so the instances are the same as without
 this check.  It also pins 0-2 cells of each instance to values within
 their entry bounds, from a generator of its own as well, solves the
 pinned instance, and checks it against the enumerated matrices that keep
-every pin.  Every certificate's named inequality, for the instance or
-its pinned form, is evaluated again from the oracle's per-bitmask
-tables, which must give the emitted lhs and rhs with lhs > rhs.  The
+every pin.  With --feasible-bias, each instance also gets a variant
+whose total window ends one below the least enumerated total: every line
+of it can be completed, so the solve finds its cut by flow, and it must
+be infeasible.  Every certificate's named inequality, for the instance,
+its pinned form or its capped variant, is evaluated again from the
+oracle's per-bitmask tables, which must give the emitted lhs and rhs
+with lhs > rhs.  The
 strong pair p1, b1, p2, b2 of one random cell subset per instance, drawn
 from a generator of its own, must equal the oracle's tables too.  Each
 feasible instance's matrix is decomposed for one k in 1..8 and one k
@@ -26,13 +30,14 @@ tally and per-verdict timing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
 import time
 from itertools import chain
 from pathlib import Path
 
-from pbm.core import IntMatrix
+from pbm.core import IntMatrix, fin
 from pbm.decompose import decompose, shrink_instance
 from pbm.feasibility import optimize_cost, pin_entries, solve
 from pbm.strongpair import eval_strong_pair
@@ -110,7 +115,7 @@ def main() -> int:
     big_k_rng = random.Random(f"big k:{args.seed}")
     pin_rng = random.Random(f"pins:{args.seed}")
     subset_rng = random.Random(f"subset:{args.seed}")
-    feasible = infeasible = completed = 0
+    feasible = infeasible = completed = capped = 0
     t_solve = t_cost = t_oracle = t_decompose = 0.0
     for trial in range(args.count):
         m, n = rng.randint(1, args.max_dim), rng.randint(1, args.max_dim)
@@ -172,6 +177,20 @@ def main() -> int:
         if res.is_feasible != bool(mats):
             print(f"DISAGREEMENT at trial {trial}: solver={res.is_feasible} oracle={len(mats)}")
             return 1
+        if args.feasible_bias:
+            least = min(sum(chain(*mat.rows)) for mat in mats)
+            variant = dataclasses.replace(inst, beta=fin(least - 1))
+            t0 = time.perf_counter()
+            variant_res = solve(variant)
+            t_solve += time.perf_counter() - t0
+            if variant_res.is_feasible:
+                print(f"DISAGREEMENT at trial {trial}: feasible with the total capped at {least - 1}")
+                return 1
+            fault = certificate_fault(oracle._PairTables(variant), variant_res.certificate)
+            if fault:
+                print(f"BAD CERTIFICATE at trial {trial} with the total capped at {least - 1}: {fault}")
+                return 1
+            capped += 1
         if res.is_feasible:
             if res.matrix not in mats:
                 print(f"DISAGREEMENT at trial {trial}: solver matrix not in oracle list")
@@ -197,7 +216,7 @@ def main() -> int:
 
     print(
         f"{args.count} instances agree: {feasible} feasible, {infeasible} infeasible; "
-        f"{completed} with their pins completed\n"
+        f"{completed} with their pins completed; {capped} capped totals refuted\n"
         f"solver {t_solve:.2f}s total, cost optimum {t_cost:.2f}s total, "
         f"decompose {t_decompose:.2f}s total, oracle {t_oracle:.2f}s total"
     )

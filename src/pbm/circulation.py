@@ -24,21 +24,26 @@ flat bound tables, ints and tags, and clamps each bound to value + tag * K.
 A network with other bounds on the same arcs, as ``decompose`` solves, is
 that network with its ``lower`` and ``upper`` replaced.
 
-Every solve builds one residual graph and runs one primal-dual loop on it.
-The flow starts from a greedy guess that lies inside every arc bound, with
-each priced arc at the bound its cost favours.  The guess aims each prefix
-at its line's reach, the interval of values from which the rest of the
-row or column can still be completed, so a feasible single line starts as
-a circulation, unless its total window clamps the sum, and no round runs.
-Otherwise the guess leaves excess at some nodes, which the loop carries as
-a pseudoflow, and a super sink takes the deficits.  Each round moves
-excess to the sink by push-relabel over the edges of zero reduced cost; a
-round that falls short raises the potentials by one Dijkstra, unless the
-sink is cut off.  A feasibility question has no prices, so it is the case
-in which one round does all the work, over the whole residual graph; it
-stops at the first node that holds excess and can no longer reach the
-sink.  An infeasible network yields a node set whose entering capacity is
-below its leaving demand: the nodes that the excess cut off from the sink
+Every solve first computes each line's reach, the interval of values of
+a prefix from which the rest of its row or column can still be completed.
+A reach that comes out empty proves the network infeasible, and in nearly
+every such case a single line already contradicts its windows: the solve
+then reads the cut off that line's chain of bounds and returns it, with
+no flow at all.  Otherwise the solve builds one residual graph and runs
+one primal-dual loop on it.  The flow starts from a greedy guess that
+lies inside every arc bound, with each priced arc at the bound its cost
+favours.  The guess aims each prefix at its line's reach, so a feasible
+single line starts as a circulation, unless its total window clamps the
+sum, and no round runs.  Otherwise the guess leaves excess at some nodes,
+which the loop carries as a pseudoflow, and a super sink takes the
+deficits.  Each round moves excess to the sink by push-relabel over the
+edges of zero reduced cost; a round that falls short raises the
+potentials by one Dijkstra, unless the sink is cut off.  A feasibility
+question has no prices, so it is the case in which one round does all
+the work, over the whole residual graph; it stops at the first node that
+holds excess and can no longer reach the sink.  An infeasible network
+yields a node set whose entering capacity is below its leaving demand:
+the line's chain, or the nodes that the excess cut off from the sink
 cannot reach (this holds whatever start and potentials the flow grew
 from), and that node set translates into a violated inequality on a pair
 of cell subsets.
@@ -438,6 +443,28 @@ def _reach_along(
     return reach_lo, reach_hi
 
 
+def _line_tables(net: Network) -> tuple:
+    """Columns, rows, column windows, row windows, f and g, as the line passes read them.
+
+    Each line is a range of cell indices from its last cell to its first:
+    columns bottom-up, rows right to left.  A window holds the lines'
+    prefix windows, low and high, and the same two tables shifted to each
+    cell's predecessor in the line.
+    """
+    n, mn = net.n, net.m * net.n
+    lower, upper = net.lower, net.upper
+    row_lo, row_hi = lower[:mn], upper[:mn]
+    col_lo, col_hi = lower[mn : 2 * mn], upper[mn : 2 * mn]
+    return (
+        [range(mn - n + j, -1, -n) for j in range(n)],
+        [range(s + n - 1, s - 1, -1) for s in range(0, mn, n)],
+        (col_lo, col_hi, _above(col_lo, n), _above(col_hi, n)),
+        (row_lo, row_hi, _left(row_lo, n), _left(row_hi, n)),
+        lower[2 * mn : 3 * mn],
+        upper[2 * mn : 3 * mn],
+    )
+
+
 def _reach(net: Network) -> "tuple[list[int], list[int], list[int], list[int]] | None":
     """Row reach low and high, then column reach low and high, per cell; None when one is empty.
 
@@ -446,34 +473,106 @@ def _reach(net: Network) -> "tuple[list[int], list[int], list[int], list[int]] |
     to left, with each entry cut down to the differences of consecutive
     column reaches.
     """
-    n, mn = net.n, net.m * net.n
-    lower, upper = net.lower, net.upper
-    row_lo, row_hi = lower[:mn], upper[:mn]
-    col_lo, col_hi = lower[mn : 2 * mn], upper[mn : 2 * mn]
-    f, g = lower[2 * mn : 3 * mn], upper[2 * mn : 3 * mn]
-    row_window = (row_lo, row_hi, _left(row_lo, n), _left(row_hi, n))
-    col_window = (col_lo, col_hi, _above(col_lo, n), _above(col_hi, n))
-    col_reach = _reach_along([range(mn - n + j, -1, -n) for j in range(n)], col_window, row_window, f, g)
+    columns, rows, col_window, row_window, f, g = _line_tables(net)
+    col_reach = _reach_along(columns, col_window, row_window, f, g)
     if col_reach is None:
         return None
     c_lo, c_hi = col_reach
-    col_reached = (c_lo, c_hi, _above(c_lo, n), _above(c_hi, n))
-    row_reach = _reach_along(
-        [range(s + n - 1, s - 1, -1) for s in range(0, mn, n)], row_window, col_reached, f, g
-    )
+    col_reached = (c_lo, c_hi, _above(c_lo, net.n), _above(c_hi, net.n))
+    row_reach = _reach_along(rows, row_window, col_reached, f, g)
     return None if row_reach is None else (*row_reach, *col_reach)
 
 
-def _greedy_start(net: Network) -> list[int]:
+def _contradiction(
+    lines: "Sequence[range]",
+    window: tuple[list[int], list[int], list[int], list[int]],
+    crossing: tuple[list[int], list[int], list[int], list[int]],
+    f: Sequence[int],
+    g: Sequence[int],
+) -> "tuple[list[int], list[int], bool] | None":
+    """Why ``_reach_along`` on the same tables finds an empty reach: (chain, crossed, high).
+
+    None when every reach is nonempty.  Each end of a reach is a chain:
+    the window bound of the cell where it started, moved by the entry
+    bounds of every cell from there to the current one.  At the first
+    cell k whose step fails, either k's entry interval is empty, and the
+    answer is ([], [k], high), or one end of the next reach, clamped to
+    the predecessor's window, passes the other end, a chain that holds the
+    cells from its start to k.  ``crossed`` holds the chain cells whose
+    crossing bound, not f or g, bound the entry.  ``high`` is True when
+    lower bounds push a value above an upper bound: k's crossing low
+    above g, or the least value of the chain's last prefix above its
+    window; False when upper bounds hold a value below a lower bound.
+    """
+    win_lo, win_hi, prev_lo, prev_hi = window
+    cross_lo, cross_hi, cross_prev_lo, cross_prev_hi = crossing
+    for line in lines:
+        lo, hi = win_lo[line[0]], win_hi[line[0]]
+        lo_start = hi_start = 0
+        for pos, k in enumerate(line):
+            c_lo, c_hi = cross_lo[k] - cross_prev_hi[k], cross_hi[k] - cross_prev_lo[k]
+            if c_lo > g[k] or f[k] > c_hi:
+                return [], [k], c_lo > g[k]
+            lo -= c_hi if c_hi < g[k] else g[k]
+            hi -= c_lo if c_lo > f[k] else f[k]
+            if lo > prev_hi[k]:
+                cells = line[lo_start : pos + 1]
+                return [*cells], [c for c in cells if cross_hi[c] - cross_prev_lo[c] < g[c]], False
+            if hi < prev_lo[k]:
+                cells = line[hi_start : pos + 1]
+                return [*cells], [c for c in cells if cross_lo[c] - cross_prev_hi[c] > f[c]], True
+            if prev_lo[k] > lo:
+                lo, lo_start = prev_lo[k], pos + 1
+            if prev_hi[k] < hi:
+                hi, hi_start = prev_hi[k], pos + 1
+    return None
+
+
+def _line_cut(net: Network) -> "CutWitness | None":
+    """The cut that the first contradictory line shows, or None when no line is contradictory.
+
+    The column pass is ``_reach``'s.  The row pass takes each entry's
+    crossing bound from the plain column windows, not from the column
+    reaches, so a contradiction that needs both layers, or the total
+    window, shows in no line, and the solve finds its cut by flow.
+
+    Let S hold the line nodes of the failing chain's cells and the
+    crossing node of each cell in ``crossed``.  In the column pass the
+    prefix arcs run down the chain and every N arc runs into it, so the
+    arcs entering S carry the upper bounds of the prefix before the chain
+    and of the chain's entries, and the arcs leaving S the lower bound of
+    the chain's last prefix: S has negative deficit when upper bounds hold
+    a value below a lower bound, and the other nodes, V minus S, when
+    lower bounds push one above an upper bound.  A1 arcs run right to
+    left and N arcs out of the row, so the row pass takes the other side.
+    An empty entry interval makes S the one crossing node; the row pass
+    never meets one, since its crossing windows are the column windows,
+    and the column pass has already failed there on a one-cell chain.
+    """
+    columns, rows, col_window, row_window, f, g = _line_tables(net)
+    mn = net.m * net.n
+    passes = ((columns, col_window, row_window, mn, 0), (rows, row_window, col_window, 0, mn))
+    for lines, window, crossing, line_first, cross_first in passes:
+        found = _contradiction(lines, window, crossing, f, g)
+        if found is not None:
+            cells, crossed, high = found
+            side = {line_first + k for k in cells} | {cross_first + k for k in crossed}
+            if high == (line_first == mn):
+                side = set(range(net.node_count)) - side
+            return make_cut_witness(net, frozenset(side))
+    return None
+
+
+def _greedy_start(net: Network, reach: "tuple[list[int], ...] | None") -> list[int]:
     """Arc flows inside every (clamped) arc bound, conserving where it can.
 
     Each row and each column is a chain of prefix windows, so the values
     of one prefix from which the rest of its line can still be completed
-    form an interval, its reach, which ``_reach`` computes for every cell.
-    A feasible line of either orientation therefore starts as a
-    circulation, unless the total window clamps its sum.  An empty reach proves the network infeasible; the
-    lookahead then stops, and the plain windows take the place of the
-    reaches.
+    form an interval, its reach; ``reach`` is ``_reach(net)``.  A feasible
+    line of either orientation therefore starts as a circulation, unless
+    the total window clamps its sum.  When ``reach`` is None, an empty
+    reach proved the network infeasible, and the plain windows take the
+    place of the reaches.
 
     One row-major pass picks each entry nearest 0 among the values that
     keep both its row prefix and its column prefix inside their reaches,
@@ -488,7 +587,7 @@ def _greedy_start(net: Network) -> list[int]:
     m, n, mn = net.m, net.n, net.m * net.n
     lower, upper = net.lower, net.upper
     windows = (lower[:mn], upper[:mn], lower[mn : 2 * mn], upper[mn : 2 * mn])
-    cells = zip(*windows, lower[2 * mn : 3 * mn], upper[2 * mn : 3 * mn], *(_reach(net) or windows))
+    cells = zip(*windows, lower[2 * mn : 3 * mn], upper[2 * mn : 3 * mn], *(reach or windows))
     rows: list[int] = []
     cols: list[int] = []
     entries: list[int] = []
@@ -553,9 +652,18 @@ def min_cost_circulation(
     Without a nonzero cost every circulation is optimal, and the first one
     found is returned.
 
-    The solve builds one residual graph, in which arc a is edge 2a and
-    carries flow lower[a] plus the capacity of edge 2a + 1, and runs one
-    primal-dual loop on it (Ahuja, Magnanti & Orlin 1993, section 9.8).
+    The solve first computes every line's reach with ``_reach``.  An
+    empty one proves the network infeasible; when one row or column then
+    contradicts its windows on its own, ``_line_cut`` reads the witness
+    off that line, and the solve returns it before any start, residual
+    graph or flow, with the network's size and no pushes or relabels in
+    ``info``.  A contradiction that needs both layers or the total window
+    shows in no single line, and the solve goes on as below.
+
+    Otherwise the solve builds one residual graph, in which arc a is edge
+    2a and carries flow lower[a] plus the capacity of edge 2a + 1, and
+    runs one primal-dual loop on it (Ahuja, Magnanti & Orlin 1993,
+    section 9.8).
     The flow starts from ``_greedy_start`` with every negatively priced
     arc moved to its upper bound and every positively priced arc to its
     lower bound: it lies inside every arc bound, may break conservation,
@@ -600,9 +708,19 @@ def min_cost_circulation(
     the parts' sum against the input matrix.
     """
     nodes, arc_count = net.node_count, len(net.lower)
+    if info is not None:
+        info["nodes"] = nodes
+        info["arcs"] = arc_count
+        info.setdefault("pushes", 0)
+        info.setdefault("relabels", 0)
+    reach = _reach(net)
+    if reach is None:
+        witness = _line_cut(net)
+        if witness is not None:
+            return witness
     tail, head, lower, upper = net.tail, net.head, net.lower, net.upper
     costs = [0] * arc_count
-    flow = _greedy_start(net)
+    flow = _greedy_start(net, reach)
     for arc_id, c in (cost or {}).items():
         if c:
             costs[arc_id] = c
@@ -648,10 +766,8 @@ def min_cost_circulation(
         for v, d in enumerate(dist):
             pi[v] += horizon if d is None or d > horizon else d
     if info is not None:
-        info["nodes"] = nodes
-        info["arcs"] = arc_count
-        info["pushes"] = info.get("pushes", 0) + pushes
-        info["relabels"] = info.get("relabels", 0) + relabels
+        info["pushes"] += pushes
+        info["relabels"] += relabels
     if excess[t] < demand:
         return make_cut_witness(net, frozenset(compress(range(nodes), unreached)))
     if priced:

@@ -213,7 +213,7 @@ class TestResidualGraph:
         rng = random.Random(33)
         for _ in range(10):
             net = build_network(feasible_random(rng, rng.randint(1, 6), rng.randint(1, 6)))
-            flow = _greedy_start(net)
+            flow = _greedy_start(net, _reach(net))
             caps = [hi - z for z, hi in zip(flow, net.upper)]
             backs = [z - lo for lo, z in zip(net.lower, flow)]
             costs = [rng.randint(-3, 3) for _ in flow]
@@ -241,8 +241,9 @@ class TestFeasibility:
         assert again.deficit == witness.deficit
 
     def test_infeasible_solve_stops_at_first_stranded_excess(self, monkeypatch):
-        # the greedy start strands excess here, so the first global relabel shows the cut;
-        # running the whole max-flow first took 4 global relabels and 2,167 pushes
+        # every line of an ASM can be completed, so only the total window refutes beta = 54
+        # and the flow finds the cut; the greedy start strands excess here, so the first
+        # global relabel shows it
         searches = []
         distances = _FlowGraph.distances
 
@@ -255,7 +256,7 @@ class TestFeasibility:
 
         monkeypatch.setattr(_FlowGraph, "distances", spy)
         monkeypatch.setattr(circulation, "_reduced_distances", refuse)
-        net = build_network(random_instance(random.Random(1), 55, 55))
+        net = build_network(dataclasses.replace(asm_instance(55), beta=fin(54)))
         info: dict = {}
         witness = min_cost_circulation(net, info=info)
         assert isinstance(witness, CutWitness)
@@ -285,6 +286,90 @@ class TestFeasibility:
                 with pytest.raises(InternalError, match=f"nonnegative deficit {deficit}$"):
                     make_cut_witness(net, nodes)
         assert signs == {False, True}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a line cut ran a flow")
+
+
+class TestLineCut:
+    """An empty reach gives its cut straight off the first contradictory line."""
+
+    @staticmethod
+    def instance(cells: dict) -> PbmInstance:
+        """A 2x2 instance, unbounded but for ``cells``: name_i_j -> value."""
+        tables = {
+            name: [[NEG_INF if name in ("phi1", "phi2", "f") else POS_INF] * 2 for _ in range(2)]
+            for name in ("phi1", "gamma1", "phi2", "gamma2", "f", "g")
+        }
+        for key, v in cells.items():
+            name, i, j = key.split("_")
+            tables[name][int(i) - 1][int(j) - 1] = fin(v)
+        return PbmInstance.create(
+            2, 2, *(tables[name] for name in ("phi1", "gamma1", "phi2", "gamma2", "f", "g"))
+        )
+
+    # v1 nodes are 0-3 and v2 nodes 4-7, row-major; the hubs are 8 and 9.  The row
+    # pass never sees an empty entry interval: its crossing windows are the column
+    # windows, so the column pass has already failed there, on a one-cell chain that
+    # gives the same W.
+    @pytest.mark.parametrize(
+        "cells, nodes, case, violated",
+        [
+            # column 1 can sum to at most 1 + 2 < 5, the crossing row window bounding (1,1)
+            ({"phi2_2_1": 5, "g_2_1": 2, "gamma1_1_1": 1}, {0, 4, 6}, 2, "gen1b"),
+            ({"gamma2_2_1": -5, "f_2_1": -2, "phi1_1_1": -1}, {1, 2, 3, 5, 7, 8, 9}, 1, "gen1a"),
+            # the row windows force entry (1,2) to at least 3 > g
+            ({"phi1_1_2": 3, "gamma1_1_1": 0, "g_1_2": 1}, {0, 2, 3, 4, 5, 6, 7, 8, 9}, 1, "gen1a"),
+            ({"gamma1_1_2": -3, "phi1_1_1": 0, "f_1_2": -1}, {1}, 2, "gen1b"),
+            # row 1 can sum to at most 1 + 2 < 5, the crossing column window bounding (1,1)
+            ({"phi1_1_2": 5, "g_1_2": 2, "gamma2_1_1": 1}, {2, 3, 5, 6, 7, 8, 9}, 1, "gen1a"),
+            ({"gamma1_1_2": -5, "f_1_2": -2, "phi2_1_1": -1}, {0, 1, 4}, 2, "gen1b"),
+            # the column windows force entry (2,1) to at least 3 > g
+            ({"phi2_2_1": 3, "gamma2_1_1": 0, "g_2_1": 1}, {6}, 2, "gen1b"),
+            ({"gamma2_2_1": -3, "phi2_1_1": 0, "f_2_1": -1}, {0, 1, 2, 3, 4, 5, 7, 8, 9}, 1, "gen1a"),
+        ],
+        ids=[
+            "column-lower-chain",
+            "column-upper-chain",
+            "column-crossing-above-g",
+            "column-f-above-crossing",
+            "row-lower-chain",
+            "row-upper-chain",
+            "row-crossing-above-g",
+            "row-f-above-crossing",
+        ],
+    )
+    def test_shapes(self, monkeypatch, cells, nodes, case, violated):
+        witnesses = []
+
+        def counted(net, cut):
+            witnesses.append(cut)
+            return make_cut_witness(net, cut)
+
+        monkeypatch.setattr(circulation, "make_cut_witness", counted)
+        monkeypatch.setattr(circulation, "_greedy_start", _refuse)
+        monkeypatch.setattr(circulation, "_FlowGraph", _refuse)
+        inst = self.instance(cells)
+        net = build_network(inst)
+        witness = min_cost_circulation(net)
+        assert witnesses == [witness.nodes] and witness.nodes == nodes
+        x1, x2, got_case, record = cut_to_certificate(net, witness)
+        assert (got_case, record.name) == (case, violated)
+        bits = [sum(1 << ((i - 1) * 2 + j - 1) for i, j in x.cells) for x in (x1, x2)]
+        values = {name: (lhs, rhs) for name, lhs, rhs in oracle._PairTables(inst).pair_values(*bits)}
+        assert values[violated] == (record.lhs, record.rhs)
+        assert record.lhs > record.rhs
+
+    def test_55x55_needs_no_flow(self, monkeypatch):
+        monkeypatch.setattr(circulation, "_greedy_start", _refuse)
+        monkeypatch.setattr(circulation, "_FlowGraph", _refuse)
+        net = build_network(random_instance(random.Random(1), 55, 55))
+        info: dict = {}
+        witness = min_cost_circulation(net, info=info)
+        assert isinstance(witness, CutWitness)
+        assert info == {"nodes": 6052, "arcs": 9076, "pushes": 0, "relabels": 0}
+        assert not cut_to_certificate(net, witness)[3].holds
 
 
 class TestCertificate:
@@ -483,7 +568,7 @@ def test_layout_balances_match_per_arc_reference(m):
 
 def assert_start_in_bounds(inst: PbmInstance) -> None:
     net = build_network(inst)
-    start = _greedy_start(net)
+    start = _greedy_start(net, _reach(net))
     assert len(start) == len(net.lower)
     for a, (lo, hi) in enumerate(zip(net.lower, net.upper)):
         assert lo <= start[a] <= hi, net.arc_tag(a)
@@ -507,7 +592,7 @@ class TestGreedyStart:
     def test_max_flow_repairs_little_on_45x45(self, monkeypatch):
         inst = feasible_random(random.Random(45), 45, 45)
         pushes = []
-        for start in (_greedy_start, lambda net: list(net.lower)):
+        for start in (_greedy_start, lambda net, reach: list(net.lower)):
             monkeypatch.setattr(circulation, "_greedy_start", start)
             info: dict = {}
             assert solve(inst, info).is_feasible
@@ -521,7 +606,7 @@ class TestGreedyStart:
         # a line's reach is exact, so the start conserves and the solve repairs nothing
         inst = feasible_random(random.Random(3), *shape)
         net = build_network(inst)
-        assert not any(per_arc_balances(net, _greedy_start(net)))
+        assert not any(per_arc_balances(net, _greedy_start(net, _reach(net))))
         searches = []
         distances = _FlowGraph.distances
 
@@ -537,7 +622,7 @@ class TestGreedyStart:
     def test_start_leaves_little_excess_on_45x45(self):
         # a start that looks no further than the arcs before each entry leaves 145
         net = build_network(feasible_random(random.Random(45), 45, 45))
-        assert sum(b > 0 for b in per_arc_balances(net, _greedy_start(net))) <= 72
+        assert sum(b > 0 for b in per_arc_balances(net, _greedy_start(net, _reach(net)))) <= 72
 
     def test_empty_reach_means_no_matrix(self):
         rng = random.Random(41)

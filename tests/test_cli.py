@@ -74,6 +74,12 @@ class TestCheckSolve:
         assert cert["x1"] == [[1, 1]] and cert["x2"] == [[1, 1]]
         assert "gen1a" in err
 
+    def test_line_cut_diagnostics(self, capsys, bad1x1_file):
+        # the line cut builds no residual graph, yet reports the network it read
+        _, doc, _ = run(capsys, "check", bad1x1_file)
+        diag = doc["diagnostics"]
+        assert (diag["arcs"], diag["nodes"], diag["pushes"], diag["relabels"]) == (4, 4, 0, 0)
+
     def test_prescribe_inline(self, capsys, asm2_file):
         code, doc, _ = run(capsys, "solve", asm2_file, "--prescribe", "[[1,1,1]]")
         assert code == EXIT_OK
