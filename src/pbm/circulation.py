@@ -20,9 +20,10 @@ chosen so large that no optimal or violating structure can depend on it
 (K exceeds twice the sum of all finite bound magnitudes).
 
 ``build_network`` is the one network builder.  It reads the instance's
-flat bound tables, ints and tags, and clamps each bound to value + tag * K.
-A network with other bounds on the same arcs, as ``decompose`` solves, is
-that network with its ``lower`` and ``upper`` replaced.
+flat bound tables, ints and tags, and clamps each infinite bound to
+tag * K; tails and heads follow from (m, n) alone.  A network with other
+bounds on the same arcs, as ``decompose`` solves, is that network with
+its ``lower`` and ``upper`` replaced.
 
 Every solve first computes each line's reach, the interval of values of
 a prefix from which the rest of its row or column can still be completed.
@@ -45,8 +46,11 @@ holds excess and can no longer reach the sink.  An infeasible network
 yields a node set whose entering capacity is below its leaving demand:
 the line's chain, or the nodes that the excess cut off from the sink
 cannot reach (this holds whatever start and potentials the flow grew
-from), and that node set translates into a violated inequality on a pair
-of cell subsets.
+from).  ``make_cut_witness`` checks that set's deficit again, summed over
+the arcs that meet its smaller side, and ``cut_to_certificate`` hands the
+set's membership, as one flag per cell and layer, straight to the
+strong-pair sums of the violated inequality on a pair of cell subsets;
+only the two subsets it returns are built as ``SubsetMask``s.
 
 An optimum is unbounded exactly when the instance is feasible and some
 negative-cost cycle runs only along infinite bounds; the optimal
@@ -60,7 +64,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
-from operator import add, gt, le, neg, not_, sub
+from operator import add, floordiv, gt, le, mod, mul, neg, not_, sub
 from typing import Mapping, Sequence
 
 from .core import ExtInt, ExtMatrix, IntMatrix, PbmInstance, SubsetMask
@@ -182,33 +186,46 @@ def build_network(inst: PbmInstance) -> Network:
     K is 1 + 2 * sum of |finite bounds| + mn.  Every finite bound is
     smaller than K in magnitude, so a clamped bound, value + tag * K,
     equals +-K exactly when the true bound is infinite.  An infinite cell
-    has value 0, so it adds nothing to the finite mass.
+    has value 0, so it adds nothing to the finite mass, and only the
+    infinite bounds need clamping.  ``tail`` and ``head`` depend only on
+    (m, n), in the layout that ``_balances`` and ``make_cut_witness`` read.
     """
     m, n, mn = inst.m, inst.n, inst.m * inst.n
-    lows, highs = (inst.phi1, inst.phi2, inst.f), (inst.gamma1, inst.gamma2, inst.g)
-    low_values = [*chain(*(t.values for t in lows)), inst.alpha.value]
-    high_values = [*chain(*(t.values for t in highs)), inst.beta.value]
-    low_tags = [*chain(*(t.tags for t in lows)), inst.alpha.tag]
-    high_tags = [*chain(*(t.tags for t in highs)), inst.beta.tag]
-    big_k = 1 + 2 * sum(map(abs, chain(low_values, high_values))) + mn
+    lows = (inst.phi1, inst.phi2, inst.f)
+    highs = (inst.gamma1, inst.gamma2, inst.g)
+    finite_mass = sum([sum(map(abs, t.values)) for t in lows + highs])
+    big_k = 1 + 2 * (finite_mass + abs(inst.alpha.value) + abs(inst.beta.value)) + mn
+
+    def clamped(tables: tuple[ExtMatrix, ...], total: ExtInt) -> tuple[int, ...]:
+        values = [*chain(*(t.values for t in tables)), total.value]
+        tags = [*chain(*(t.tags for t in tables)), total.tag]
+        # an infinite bound has value 0, so only the infinite ones change
+        for a in compress(range(len(tags)), tags):
+            values[a] = tags[a] * big_k
+        return tuple(values)
+
+    # v1 and v2 nodes by cell, row-major; each int object serves every arc it ends
+    v1, v2 = [*range(mn)], [*range(mn, 2 * mn)]
     hub1, hub2 = 2 * mn, 2 * mn + 1
-    cells = range(mn)
-    a1_tails = [k + 1 if (k + 1) % n else hub1 for k in cells]
-    a2_heads = [mn + k + n if k + n < mn else hub2 for k in cells]
+    a1_tails = [*v1[1:], hub1]
+    a1_tails[n - 1 :: n] = [hub1] * m
     net = Network(
         m=m,
         n=n,
-        tail=(*a1_tails, *range(mn, 2 * mn), *cells, hub2),
-        head=(*cells, *a2_heads, *range(mn, 2 * mn), hub1),
-        lower=tuple([v + t * big_k if t else v for v, t in zip(low_values, low_tags)]),
-        upper=tuple([v + t * big_k if t else v for v, t in zip(high_values, high_tags)]),
+        tail=(*a1_tails, *v2, *v1, hub2),
+        head=(*v1, *v2[n:], *repeat(hub2, n), *v2, hub1),
+        lower=clamped(lows, inst.alpha),
+        upper=clamped(highs, inst.beta),
         big_k=big_k,
         instance=inst,
     )
     # clamping keeps the order of the bounds, so only an unvalidated instance fails here
     if not all(map(le, net.lower, net.upper)):
         a = next(a for a, (lo, hi) in enumerate(zip(net.lower, net.upper)) if lo > hi)
-        lo, hi = ExtInt(low_tags[a], low_values[a]), ExtInt(high_tags[a], high_values[a])
+        layer, k = divmod(a, mn)
+        lo, hi = (inst.alpha, inst.beta) if a == 3 * mn else (
+            ExtInt(t.tags[k], t.values[k]) for t in (lows[layer], highs[layer])
+        )
         raise InternalError(f"empty arc bound interval on arc {net.arc_tag(a)}: [{lo}, {hi}]")
     return net
 
@@ -228,13 +245,50 @@ def check_circulation(net: Network, circ: Circulation) -> None:
         raise InternalError(f"conservation fails at node {v}: imbalance {balance[v]}")
 
 
+def _smaller_side(net: Network, nodes: frozenset[int]) -> "tuple[frozenset[int] | set[int], bool]":
+    """The smaller of W = ``nodes`` and V minus W, and whether it is W."""
+    if 2 * len(nodes) <= net.node_count:
+        return nodes, True
+    return set(range(net.node_count)).difference(nodes), False
+
+
 def make_cut_witness(net: Network, nodes: frozenset[int]) -> CutWitness:
-    """Build a witness, recomputing the deficit; raises unless it is negative."""
-    inside = list(map(nodes.__contains__, range(net.node_count)))
-    tail_in = list(map(inside.__getitem__, net.tail))
-    head_in = list(map(inside.__getitem__, net.head))
-    rho_u = sum(compress(net.upper, map(gt, head_in, tail_in)))
-    delta_l = sum(compress(net.lower, map(gt, tail_in, head_in)))
+    """Build a witness, recomputing the deficit; raises unless it is negative.
+
+    W and V minus W have the same crossing arcs, so the deficit is summed
+    over the arcs incident to the smaller side alone, found by the fixed
+    (m, n) layout that ``_balances`` reads: v1(k) meets A1 arcs k and
+    k - 1 and N arc k, v2(k) meets N arc k and A2 arcs k and k - n, and
+    each hub meets the return arc and the last prefix arc of every row
+    (v1_hub) or column (v2_hub).  The list may name an arc twice over or
+    one that the side does not meet; only an arc with one end on each
+    side counts, once.  The sum reads the network's tails, heads and
+    bounds and nothing that found W.
+    """
+    mn = net.m * net.n
+    side, small_w = _smaller_side(net, nodes)
+    v1 = [*filter(range(mn).__contains__, side)]
+    v2 = [*filter(range(mn, 2 * mn).__contains__, side)]
+    arcs = {
+        *v1,
+        *map(sub, v1, repeat(1)),
+        *map(add, v1, repeat(2 * mn)),
+        *v2,
+        *map(sub, v2, repeat(net.n)),
+        *map(add, v2, repeat(mn)),
+    }
+    arcs.discard(-1)
+    if net.v1_hub in side:
+        arcs.update(range(net.n - 1, mn, net.n), (3 * mn,))
+    if net.v2_hub in side:
+        arcs.update(range(2 * mn - net.n, 2 * mn), (3 * mn,))
+    arcs = [*arcs]
+    tail_in = [*map(side.__contains__, map(net.tail.__getitem__, arcs))]
+    head_in = [*map(side.__contains__, map(net.head.__getitem__, arcs))]
+    # an arc enters W when it enters the small side W, or leaves the small side V minus W
+    into_w, out_of_w = (head_in, tail_in) if small_w else (tail_in, head_in)
+    rho_u = sum(compress(map(net.upper.__getitem__, arcs), map(gt, into_w, out_of_w)))
+    delta_l = sum(compress(map(net.lower.__getitem__, arcs), map(gt, out_of_w, into_w)))
     deficit = rho_u - delta_l
     if deficit >= 0:
         raise InternalError(f"cut witness has nonnegative deficit {deficit}")
@@ -556,10 +610,10 @@ def _line_cut(net: Network) -> "CutWitness | None":
         found = _contradiction(lines, window, crossing, f, g)
         if found is not None:
             cells, crossed, high = found
-            side = {line_first + k for k in cells} | {cross_first + k for k in crossed}
+            side = frozenset({line_first + k for k in cells} | {cross_first + k for k in crossed})
             if high == (line_first == mn):
-                side = set(range(net.node_count)) - side
-            return make_cut_witness(net, frozenset(side))
+                side = frozenset(range(net.node_count)).difference(side)
+            return make_cut_witness(net, side)
     return None
 
 
@@ -686,8 +740,10 @@ def min_cost_circulation(
     conservation over R, l(delta_in R) - u(delta_out R) equals the excess
     held in R plus the sink flow out of R, which is positive.  The nodes
     R misses form a set W with rho_u(W) - delta_l(W) < 0.  This holds for
-    any start inside the bounds and any potentials, and
-    ``make_cut_witness`` recomputes the deficit from the bounds alone.
+    any start inside the bounds and any potentials.  ``make_cut_witness``
+    recomputes the deficit from the network's bounds, over the arcs that
+    meet the smaller of W and its complement (the same arcs cross the cut
+    either way), and not from anything the solve computed.
 
     Without a cost every edge has zero reduced cost, so one round runs
     over the whole residual graph.  It either delivers every excess or
@@ -985,31 +1041,41 @@ def cut_to_certificate(
     The hubs' sides of the cut select one of four cases, each naming the
     inequality it breaks.  X1 (X2) holds the cells whose layer-1 (layer-2)
     node lies on the other side of the cut from v1_hub (v2_hub).  The
-    named inequality is evaluated from the instance's true bounds and must
-    be strictly violated; anything else is an internal bug.  Returns (X1,
-    X2, case, the evaluated record of the violated inequality).
+    named inequality is evaluated from the instance's true bounds, on X1
+    and X2 as row-major cell flags, and must be strictly violated;
+    anything else is an internal bug.  Returns (X1, X2, case, the
+    evaluated record of the violated inequality), X1 and X2 as masks.
     """
     w = witness.nodes
     m, n, mn = net.m, net.n, net.m * net.n
     hub1_in, hub2_in = net.v1_hub in w, net.v2_hub in w
     case, violated = _CUT_CASES[hub1_in, hub2_in]
+    side, small_w = _smaller_side(net, w)
 
-    member = list(map(w.__contains__, range(2 * mn)))
+    def layer_flags(first: int, hub_in: bool) -> list[bool]:
+        # a layer numbers its nodes row-major from the node of cell (1, 1); a
+        # node in ``side`` lies in W exactly when ``side`` is W
+        marked = small_w != hub_in
+        flags = [not marked] * mn
+        for v in filter(range(first, first + mn).__contains__, side):
+            flags[v - first] = marked
+        return flags
 
-    def layer_cells(first: int, hub_in: bool) -> SubsetMask:
-        # a layer numbers its nodes row-major from the node of cell (1, 1)
-        layer = member[first : first + mn]
-        picked = compress(range(mn), map(not_, layer) if hub_in else layer)
-        return SubsetMask(m, n, frozenset((k // n + 1, k % n + 1) for k in picked))
-
-    x1 = layer_cells(net.v1_node(1, 1), hub1_in)
-    x2 = layer_cells(net.v2_node(1, 1), hub2_in)
-    record = strongpair.inequality_record(net.instance, x1, x2, violated)
+    x1 = layer_flags(net.v1_node(1, 1), hub1_in)
+    x2 = layer_flags(net.v2_node(1, 1), hub2_in)
+    record = strongpair.flag_record(net.instance, x1, x2, violated)
     if record.holds:
         raise InternalError(
             f"cut does not violate {violated}: lhs {record.lhs} <= rhs {record.rhs}"
         )
-    return x1, x2, case, record
+
+    def mask(flags: list[bool]) -> SubsetMask:
+        picked = [*compress(range(n, mn + n), flags)]
+        rows = map(floordiv, picked, repeat(n))
+        cols = map(add, map(mod, picked, repeat(n)), repeat(1))
+        return SubsetMask(m, n, frozenset(zip(rows, cols)))
+
+    return mask(x1), mask(x2), case, record
 
 
 def _node_name(net: Network, v: int) -> str:

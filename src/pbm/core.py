@@ -22,7 +22,8 @@ All arithmetic is exact; there are no floats anywhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import attrgetter, eq, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -50,6 +51,12 @@ __all__ = [
     "mask_from_json",
     "mask_to_json",
 ]
+
+# every spelling of infinity that JSON input may use, with its tag
+_INFINITY_TAGS = {"-inf": -1, "-infinity": -1, "+inf": 1, "inf": 1, "+infinity": 1, "infinity": 1}
+# an infinite cell carries value 0
+_INFINITY_VALUES = dict.fromkeys(_INFINITY_TAGS, 0)
+_VALUE, _TAG = attrgetter("value"), attrgetter("tag")
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,11 +189,10 @@ class ExtInt:
             raise InstanceFormatError(f"expected integer or infinity string, got {raw!r}")
         if isinstance(raw, int):
             return ExtInt(0, raw)
-        if raw in ("-inf", "-infinity"):
-            return NEG_INF
-        if raw in ("+inf", "inf", "+infinity", "infinity"):
-            return POS_INF
-        raise InstanceFormatError(f"bad extended integer {raw!r}")
+        tag = _INFINITY_TAGS.get(raw)
+        if tag is None:
+            raise InstanceFormatError(f"bad extended integer {raw!r}")
+        return NEG_INF if tag < 0 else POS_INF
 
 
 NEG_INF = ExtInt(-1)
@@ -202,14 +208,17 @@ def as_ext(v: "ExtInt | int") -> ExtInt:
 
 
 def _check_rect(rows: Sequence[Sequence[object]], what: str) -> tuple[int, int]:
-    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+    if not isinstance(rows, (list, tuple)) or not all(
+        map(isinstance, rows, repeat((list, tuple)))
+    ):
         raise InstanceFormatError(f"{what} must be a list of rows, each a list")
     if not rows or not rows[0]:
         raise DimensionMismatch(f"{what} must have at least one row and one column")
-    n = len(rows[0])
-    for i, row in enumerate(rows, start=1):
-        if len(row) != n:
-            raise DimensionMismatch(f"{what} row {i} has {len(row)} entries, expected {n}")
+    widths = [*map(len, rows)]
+    n = widths[0]
+    if widths.count(n) != len(widths):
+        i = next(i for i, width in enumerate(widths, start=1) if width != n)
+        raise DimensionMismatch(f"{what} row {i} has {widths[i - 1]} entries, expected {n}")
     return len(rows), n
 
 
@@ -288,11 +297,32 @@ class ExtMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence["ExtInt | int | str"]]) -> "ExtMatrix":
-        """JSON cells or ``ExtInt``s; the first bad cell, row-major, raises as in ``from_json``."""
+        """JSON cells or ``ExtInt``s; the first bad cell, row-major, raises as in ``from_json``.
+
+        A table of JSON ints and infinity strings, or of ``ExtInt``s alone,
+        is read in whole-table passes, with no ``ExtInt`` made per cell.
+        Each JSON cell's tag and value come from the table of infinity
+        spellings, which gives an int tag 0 and passes it through as its
+        own value; a string that also gets tag 0 spells no infinity.  Such
+        a table, and a table that mixes other types (a bool, a float, ints
+        beside ``ExtInt``s), is read cell by cell, so the first bad cell in
+        row-major order raises its own message.
+        """
         m, n = _check_rect(rows, "bound matrix")
+        cells = [*chain.from_iterable(rows)]
+        types = [*map(type, cells)]
+        ints = types.count(int)
+        if ints == len(cells):
+            return ExtMatrix(m, n, tuple(cells), (0,) * ints)
+        if ints + types.count(str) == len(cells):
+            tags = tuple(map(_INFINITY_TAGS.get, cells, repeat(0)))
+            # an int has tag 0, and so has a string that spells no infinity
+            if tags.count(0) == ints:
+                return ExtMatrix(m, n, tuple(map(_INFINITY_VALUES.get, cells, cells)), tags)
+        elif types.count(ExtInt) == len(cells):
+            return ExtMatrix(m, n, tuple(map(_VALUE, cells)), tuple(map(_TAG, cells)))
         cells = [
-            e if type(e) is int or isinstance(e, ExtInt) else ExtInt.from_json(e)
-            for e in chain.from_iterable(rows)
+            e if type(e) is int or isinstance(e, ExtInt) else ExtInt.from_json(e) for e in cells
         ]
         values = tuple([e if type(e) is int else e.value for e in cells])
         return ExtMatrix(m, n, values, tuple([0 if type(e) is int else e.tag for e in cells]))
@@ -454,7 +484,12 @@ def validate_instance(inst: PbmInstance) -> PbmInstance:
     """Check shapes, bound order, and infinity legality; return the instance.
 
     Raises DimensionMismatch, BoundOrderViolation (naming the first offending
-    position in reading order), or IllegalInfinity.
+    position in reading order), or IllegalInfinity.  Each pair of tables,
+    (phi1, gamma1), then (phi2, gamma2), then (f, g), is checked in
+    whole-table passes: no lower bound is +inf, no upper bound is -inf,
+    and lower <= upper wherever both are finite (an infinite cell's value
+    0 says nothing about order).  Only a pair that fails is scanned cell
+    by cell, row-major, to name its first fault.
     """
     if inst.m < 1 or inst.n < 1:
         raise DimensionMismatch(f"need m, n >= 1, got {inst.m}x{inst.n}")
@@ -473,6 +508,14 @@ def validate_instance(inst: PbmInstance) -> PbmInstance:
             )
     for lo_name, hi_name in (("phi1", "gamma1"), ("phi2", "gamma2"), ("f", "g")):
         lo, hi = tables[lo_name], tables[hi_name]
+        if 1 not in lo.tags and -1 not in hi.tags:
+            lows, highs = lo.values, hi.values
+            if any(lo.tags) or any(hi.tags):
+                # no +inf below and no -inf above: equal tags mean both cells finite
+                finite = [*map(eq, lo.tags, hi.tags)]
+                lows, highs = compress(lows, finite), compress(highs, finite)
+            if all(map(le, lows, highs)):
+                continue
         for k, (a, s, b, t) in enumerate(zip(lo.values, lo.tags, hi.values, hi.tags)):
             # with a below +inf and b above -inf, a > b only when both are finite
             if s == 1 or t == -1 or (s == 0 == t and a > b):
@@ -496,19 +539,50 @@ def _json_bound_matrix(doc: Mapping[str, object], key: str, m: int, n: int,
     raw = doc.get(key)
     if raw is None:
         return ExtMatrix.constant(m, n, default)
-    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+    if not isinstance(raw, list) or not all(map(isinstance, raw, repeat(list))):
         raise InstanceFormatError(f"{key} must be a list of rows, each a list")
-    mat = ExtMatrix.from_rows(raw)
+    _check_rect(raw, key)
+    try:
+        mat = ExtMatrix.from_rows(raw)
+    except InstanceFormatError as exc:
+        # the first cell that does not parse on its own is the one that raised
+        i, j = next(
+            (i, j)
+            for i, row in enumerate(raw, start=1)
+            for j, cell in enumerate(row, start=1)
+            if not isinstance(cell, ExtInt) and _rejected(cell)
+        )
+        raise InstanceFormatError(f"{key} ({i},{j}): {exc}") from None
     if (mat.m, mat.n) != (m, n):
         raise DimensionMismatch(f"{key} is {mat.m}x{mat.n}, instance is {m}x{n}")
     return mat
+
+
+def _rejected(raw: object) -> bool:
+    """Whether ``ExtInt.from_json`` raises on a cell."""
+    try:
+        ExtInt.from_json(raw)
+    except InstanceFormatError:
+        return True
+    return False
+
+
+def _json_ext(doc: Mapping[str, object], key: str, default: ExtInt) -> ExtInt:
+    if key not in doc:
+        return default
+    try:
+        return ExtInt.from_json(doc[key])
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(f"{key}: {exc}") from None
 
 
 def instance_from_json(doc: Mapping[str, object]) -> PbmInstance:
     """Parse and validate an instance from a JSON-shaped dict.
 
     Required keys: m, n, phi1, gamma1, phi2, gamma2.  Optional: f, g
-    (default all -inf / +inf), alpha, beta (default -inf / +inf).
+    (default all -inf / +inf), alpha, beta (default -inf / +inf).  A
+    malformed table or cell raises with the key, and the cell as (i,j),
+    before the message, e.g. ``phi2 (2,2): bad extended integer 'x'``.
     """
     if not isinstance(doc, Mapping):
         raise InstanceFormatError("instance document must be a JSON object")
@@ -530,8 +604,8 @@ def instance_from_json(doc: Mapping[str, object]) -> PbmInstance:
         gamma2=_json_bound_matrix(doc, "gamma2", m, n, POS_INF),
         f=_json_bound_matrix(doc, "f", m, n, NEG_INF),
         g=_json_bound_matrix(doc, "g", m, n, POS_INF),
-        alpha=ExtInt.from_json(doc["alpha"]) if "alpha" in doc else NEG_INF,
-        beta=ExtInt.from_json(doc["beta"]) if "beta" in doc else POS_INF,
+        alpha=_json_ext(doc, "alpha", NEG_INF),
+        beta=_json_ext(doc, "beta", POS_INF),
     )
     return validate_instance(inst)
 

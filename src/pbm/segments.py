@@ -98,6 +98,14 @@ class SegmentStats:
     sigma1/sigma2 count all horizontal/vertical segments; the se/pr/su/fu
     fields count interior, prefix, suffix, and full segments.  In each
     orientation sigma = se + pr + su + fu.
+
+    These counts are the paper's strong pair in its alternating sign
+    matrix case.  Under the ASM windows (every prefix sum in [0, 1], every
+    line sum 1) an interior segment's elementary pair is (-1, 1), a
+    prefix's or a suffix's (0, 1) and a full line's (1, 1), so
+    p1(X) = fu1 - se1 and b1(X) = sigma1, and likewise p2 and b2 by
+    columns; ``tests/test_strongpair.py`` checks this against
+    ``eval_strong_pair``.
     """
 
     sigma1: int
@@ -113,7 +121,11 @@ class SegmentStats:
 
 
 def segment_stats(mask: SubsetMask) -> SegmentStats:
-    """Count the subset's maximal segments by orientation and position."""
+    """Count the subset's maximal segments by orientation and position.
+
+    The counts give the ASM case of the paper's strong pair, p = fu - se
+    and b = sigma per orientation (see ``SegmentStats``).
+    """
     counts = {}
     for orientation, line_length in ((HORIZONTAL, mask.n), (VERTICAL, mask.m)):
         tally = {"interior": 0, "prefix": 0, "suffix": 0, "full": 0}

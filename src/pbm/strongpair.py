@@ -26,8 +26,10 @@ evaluation is a few O(mn) passes and builds no segment.
 
 ``condition_values`` evaluates the four inequalities whose joint validity
 over all pairs of subsets characterizes feasibility of an instance, and
-``inequality_record`` evaluates one of them alone.  Their names gen1a,
-gen1b, gen1alfa, gen1beta are part of the certificate format.
+``inequality_record`` evaluates one of them alone; ``flag_record`` does
+the same on subsets already given as cell flags, as a cut's membership
+gives them.  Their names gen1a, gen1b, gen1alfa, gen1beta are part of
+the certificate format.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "eval_strong_pair",
     "mask_sum",
     "inequality_record",
+    "flag_record",
     "condition_values",
 ]
 
@@ -71,7 +74,12 @@ def elementary_pair(
     """Tightest (lower, upper) bounds on the sum over positions h..k.
 
     ``phi[l-1]``/``gamma[l-1]`` are the windows of position l; position 0
-    contributes 0 by convention.
+    contributes 0 by convention.  This is the paper's elementary pair of
+    one segment of a line: the prefix windows of a line form a laminar
+    (chain) family, the sums they allow form a g-polymatroid, and its
+    strong pair on any subset X of the line is the sum of the elementary
+    pairs of X's maximal segments.  ``eval_strong_pair`` computes that sum
+    from run ends; ``tests/test_strongpair.py`` checks that the two agree.
     """
     t = len(phi)
     if len(gamma) != t:
@@ -189,18 +197,18 @@ def inequality_record(
     Only the terms of the named inequality are computed; ``condition_values``
     lists the four.
     """
+    return flag_record(
+        inst, _flags(x1, inst.m, inst.n, "instance"), _flags(x2, inst.m, inst.n, "instance"), name
+    )
+
+
+def flag_record(
+    inst: PbmInstance, x1: list[bool], x2: list[bool], name: str
+) -> InequalityRecord:
+    """``inequality_record`` on X1 and X2 given as row-major cell flags, one per cell."""
     if name not in INEQUALITY_NAMES:
         raise KeyError(name)
-    return _record(inst, *_pair_runs(inst, x1, x2), name)
-
-
-def _pair_runs(
-    inst: PbmInstance, mask1: SubsetMask, mask2: SubsetMask
-) -> tuple[list[bool], list[bool], _Runs, _Runs]:
-    """The flags of X1 and X2, X1's row runs and X2's column runs: all the inequalities read."""
-    x1 = _flags(mask1, inst.m, inst.n, "instance")
-    x2 = _flags(mask2, inst.m, inst.n, "instance")
-    return x1, x2, _runs(x1, inst.n, True), _runs(x2, inst.n, False)
+    return _record(inst, x1, x2, _runs(x1, inst.n, True), _runs(x2, inst.n, False), name)
 
 
 def _record(
@@ -249,5 +257,6 @@ def condition_values(inst: PbmInstance, x1: SubsetMask, x2: SubsetMask) -> Condi
     An inequality with -inf on the left or +inf on the right holds
     vacuously; that is the natural reading of the extended order.
     """
-    terms = _pair_runs(inst, x1, x2)
-    return ConditionEval(*(_record(inst, *terms, name) for name in INEQUALITY_NAMES))
+    f1, f2 = _flags(x1, inst.m, inst.n, "instance"), _flags(x2, inst.m, inst.n, "instance")
+    rows, cols = _runs(f1, inst.n, True), _runs(f2, inst.n, False)
+    return ConditionEval(*(_record(inst, f1, f2, rows, cols, name) for name in INEQUALITY_NAMES))

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pbm.core import NEG_INF, POS_INF, ExtMatrix, IntMatrix, PbmInstance, fin
-from pbm import circulation, oracle
+from pbm import circulation, oracle, strongpair
 from pbm.asmkit import asm_instance
 from pbm.circulation import (
     Circulation,
@@ -270,22 +270,37 @@ class TestFeasibility:
             make_cut_witness(net, frozenset({0}))
 
     def test_witness_deficit_matches_per_arc_reference(self):
+        # grids to 8x8; on each, a node set of every size, the set with
+        # either hub and both added, and the complement of each: sets on
+        # both sides of half the nodes, so either side of the cut is summed
         rng = random.Random(17)
-        signs = set()
-        for _ in range(200):
-            net = build_network(random_instance(rng, rng.randint(1, 4), rng.randint(1, 4)))
-            nodes = frozenset(v for v in range(net.node_count) if rng.random() < 0.5)
+        signs, small_sides = set(), set()
+        shapes = [(1, 1), (1, 8), (8, 1), (8, 8)] + [
+            (rng.randint(1, 8), rng.randint(1, 8)) for _ in range(8)
+        ]
+        for m, n in shapes:
+            net = build_network(random_instance(rng, m, n))
+            count = net.node_count
             arcs = list(zip(net.tail, net.head, net.lower, net.upper))
-            entering = sum(hi for u, w, lo, hi in arcs if w in nodes and u not in nodes)
-            leaving = sum(lo for u, w, lo, hi in arcs if u in nodes and w not in nodes)
-            deficit = entering - leaving
-            signs.add(deficit < 0)
-            if deficit < 0:
-                assert make_cut_witness(net, nodes) == CutWitness(nodes, deficit)
-            else:
-                with pytest.raises(InternalError, match=f"nonnegative deficit {deficit}$"):
-                    make_cut_witness(net, nodes)
-        assert signs == {False, True}
+            for size in range(count + 1):
+                base = frozenset(rng.sample(range(count), size))
+                for hubs in ((), (net.v1_hub,), (net.v2_hub,), (net.v1_hub, net.v2_hub)):
+                    with_hubs = base | set(hubs)
+                    for nodes in (with_hubs, frozenset(range(count)) - with_hubs):
+                        deficit = sum(
+                            hi if w in nodes else -lo
+                            for u, w, lo, hi in arcs
+                            if (u in nodes) != (w in nodes)
+                        )
+                        signs.add(deficit < 0)
+                        small_sides.add(2 * len(nodes) <= count)
+                        if deficit < 0:
+                            assert make_cut_witness(net, nodes) == CutWitness(nodes, deficit)
+                        else:
+                            message = f"nonnegative deficit {deficit}$"
+                            with pytest.raises(InternalError, match=message):
+                                make_cut_witness(net, nodes)
+        assert signs == {False, True} and small_sides == {False, True}
 
 
 def _refuse(*args, **kwargs):
@@ -402,6 +417,32 @@ class TestCertificate:
             assert record.name in ("gen1a", "gen1b", "gen1alfa", "gen1beta")
             assert not record.holds
         assert seen_cases  # at least one infeasible instance appeared
+
+    def test_flag_fed_record_matches_mask_path(self):
+        # the cuts the solver finds, by line or by flow, and random node sets
+        # of negative deficit; the record cut_to_certificate reads off the
+        # cut's flags must equal the one evaluated again from its masks
+        rng = random.Random(29)
+        cases, sizes = set(), set()
+        for _ in range(400):
+            inst = random_instance(rng, rng.randint(1, 6), rng.randint(1, 6), rng.random() / 2)
+            net = build_network(inst)
+            cuts = [min_cost_circulation(net)]
+            share = rng.random()
+            nodes = frozenset(v for v in range(net.node_count) if rng.random() < share)
+            try:
+                cuts.append(make_cut_witness(net, nodes))
+            except InternalError:
+                pass
+            for cut in cuts:
+                if not isinstance(cut, CutWitness):
+                    continue
+                x1, x2, case, record = cut_to_certificate(net, cut)
+                assert record == strongpair.inequality_record(inst, x1, x2, record.name)
+                assert not record.holds
+                cases.add(case)
+                sizes.add(min(len(x1), len(x2)) > 1)
+        assert cases == {1, 2, 3, 4} and sizes == {False, True}
 
 
 class TestMinCost:

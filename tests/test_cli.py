@@ -504,6 +504,35 @@ class TestErrorPaths:
         assert code == EXIT_ERROR and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"phi2": [[0, 0], [0, "oops"]]}, "phi2 (2,2): bad extended integer 'oops'"),
+            ({"gamma1": [[1, 1.5], [1, 1]]},
+             "gamma1 (1,2): expected integer or infinity string, got 1.5"),
+            ({"f": [[-1, -1], [True, -1]]},
+             "f (2,1): expected integer or infinity string, got True"),
+            ({"phi2": [[0, 0], [0]]}, "phi2 row 2 has 1 entries, expected 2"),
+            ({"g": [[1], [1, 1]]}, "g row 2 has 2 entries, expected 1"),
+            ({"gamma2": [[]]}, "gamma2 must have at least one row and one column"),
+            ({"alpha": "minus infinity"}, "alpha: bad extended integer 'minus infinity'"),
+            ({"beta": 4.0}, "beta: expected integer or infinity string, got 4.0"),
+        ],
+        ids=["cell-string", "cell-float", "cell-bool", "ragged-row", "ragged-first-row",
+             "empty-table", "alpha-string", "beta-float"],
+    )
+    def test_parse_error_names_table_and_cell(self, capsys, tmp_path, changes, message):
+        doc = {
+            "m": 2, "n": 2,
+            "phi1": [[0, 0], [0, 0]], "gamma1": [[1, 1], [1, 1]],
+            "phi2": [[0, 0], [0, 0]], "gamma2": [[1, 1], [1, 1]],
+            "f": [[-1, -1], [-1, -1]], "g": [[1, 1], [1, 1]],
+        }
+        path = write_json(tmp_path / "doc.json", {**doc, **changes})
+        code, out, err = run(capsys, "solve", path)
+        assert code == EXIT_ERROR and out is None
+        assert err == f"error: {message}\n"
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

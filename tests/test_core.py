@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbm.core import (
@@ -366,11 +366,14 @@ class TestParseAndValidate:
         ],
     )
     def test_bad_cell_rejected(self, key, bad, message):
+        # the parse's own message, after the key and, in a table, the cell
         if key in TABLES:
             doc = _doc()
             doc[key][1][0] = bad
+            message = f"{key} (2,1): {message}"
         else:
             doc = _doc(**{key: bad})
+            message = f"{key}: {message}"
         with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
             instance_from_json(doc)
 
@@ -409,6 +412,85 @@ class TestParseAndValidate:
             instance_from_json(_doc(beta="-inf"))
         with pytest.raises(BoundOrderViolation, match="^alpha = 5 exceeds beta = 4$"):
             instance_from_json(_doc(alpha=5))
+
+
+def _validate_cell_by_cell(inst):
+    """``validate_instance``'s checks one cell at a time, in its order: the reference."""
+    tables = {name: getattr(inst, name) for name in TABLES}
+    for lo_name, hi_name in BOUND_PAIRS:
+        for i in range(1, inst.m + 1):
+            for j in range(1, inst.n + 1):
+                a, b = tables[lo_name].at(i, j), tables[hi_name].at(i, j)
+                lo, hi = f"{lo_name}({i},{j})", f"{hi_name}({i},{j})"
+                if a.is_pos_inf:
+                    raise IllegalInfinity(f"{lo} is +inf; lower bounds may not be +inf")
+                if b.is_neg_inf:
+                    raise IllegalInfinity(f"{hi} is -inf; upper bounds may not be -inf")
+                if a > b:
+                    raise BoundOrderViolation(f"{lo} = {a} exceeds {hi} = {b}")
+    if inst.alpha.is_pos_inf:
+        raise IllegalInfinity("alpha may not be +inf")
+    if inst.beta.is_neg_inf:
+        raise IllegalInfinity("beta may not be -inf")
+    if inst.alpha > inst.beta:
+        raise BoundOrderViolation(f"alpha = {inst.alpha} exceeds beta = {inst.beta}")
+
+
+@st.composite
+def unvalidated_instances(draw):
+    """Instances built without validation; each bound pair is ordered or drawn freely.
+
+    An ordered pair breaks no rule, but puts -inf beside upper bounds of
+    any sign, so a -inf's value 0 meets negative upper bounds (and +inf's
+    value 0 positive lower bounds).  A free pair draws each cell on its
+    own and now and then the wrong infinity, so faults land in every pair
+    and at any cell.
+    """
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    small = st.integers(-3, 3)
+    free_lower = st.one_of(st.just(NEG_INF), small.map(fin), small.map(fin), st.just(POS_INF))
+    free_upper = st.one_of(st.just(POS_INF), small.map(fin), small.map(fin), st.just(NEG_INF))
+    tables = {}
+    for lo_name, hi_name in BOUND_PAIRS:
+        ordered = draw(st.integers(0, 3)) > 0
+        lows, highs = [], []
+        for _ in range(m * n):
+            if ordered:
+                lo = draw(st.one_of(st.just(NEG_INF), small.map(fin)))
+                hi = draw(st.one_of(st.just(POS_INF), small.map(fin)))
+                if lo.is_finite and hi.is_finite and lo > hi:
+                    lo, hi = hi, lo
+            else:
+                lo, hi = draw(free_lower), draw(free_upper)
+            lows.append(lo)
+            highs.append(hi)
+        tables[lo_name], tables[hi_name] = (
+            ExtMatrix.from_rows([cells[k : k + n] for k in range(0, m * n, n)])
+            for cells in (lows, highs)
+        )
+    return PbmInstance(m, n, **tables, alpha=draw(free_lower), beta=draw(free_upper))
+
+
+class TestValidateAgainstCellLoop:
+    @given(unvalidated_instances())
+    @settings(max_examples=200)
+    def test_first_error_matches_cell_loop(self, inst):
+        try:
+            _validate_cell_by_cell(inst)
+        except (IllegalInfinity, BoundOrderViolation) as exc:
+            with pytest.raises(type(exc)) as got:
+                validate_instance(inst)
+            assert str(got.value) == str(exc)
+            return
+        assert validate_instance(inst) is inst
+
+    @pytest.mark.parametrize("lo, hi", BOUND_PAIRS)
+    def test_value_zero_of_an_infinity_bounds_nothing(self, lo, hi):
+        # -inf and +inf keep value 0, which must not be read as 0 > -5 or 5 > 0
+        minus = _with_cells({(1, 2): "-inf", (2, 2): "-inf"})
+        instance_from_json(_doc(**{lo: minus, hi: _with_cells({(1, 2): -5})}))
+        plus = _with_cells({(2, 1): "+inf"})
+        instance_from_json(_doc(**{lo: _with_cells({(2, 1): 5}), hi: plus}))
 
 
 class TestJson:

@@ -12,6 +12,7 @@ from pbm.core import NEG_INF, POS_INF, ExtMatrix, PbmInstance, SubsetMask, fin
 from pbm.errors import InfinityClash
 from pbm.asmkit import asm_instance, pasm_instance
 from pbm.oracle import _PairTables
+from pbm.segments import HORIZONTAL, VERTICAL, maximal_segments, segment_stats
 from pbm.strongpair import (
     INEQUALITY_NAMES,
     condition_values,
@@ -209,3 +210,40 @@ def test_condition_values_match_oracle_pair_tables(inf_rate):
                 tables.b2[b1],
             )
             assert mask_sum(inst.f, x1) == tables.fsum[b1]
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_strong_pair_sums_elementary_pairs_over_maximal_segments(m, n, data):
+    # the strong pair of a subset is additive over its maximal segments, each
+    # adding the elementary pair of its line's windows
+    inst = random_instance(random.Random(data.draw(st.integers(0, 10**6))), m, n, 0.3)
+    cells = data.draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n))))
+    mask = SubsetMask.from_cells(m, n, cells)
+    pairs = []
+    for orientation, lo, hi in ((HORIZONTAL, inst.phi1, inst.gamma1),
+                                (VERTICAL, inst.phi2, inst.gamma2)):
+        p = b = fin(0)
+        for seg in maximal_segments(mask, orientation):
+            if orientation == HORIZONTAL:
+                line = [(seg.line, c) for c in range(1, n + 1)]
+            else:
+                line = [(r, seg.line) for r in range(1, m + 1)]
+            sp, sb = elementary_pair(
+                [lo.at(*c) for c in line], [hi.at(*c) for c in line], seg.start, seg.end
+            )
+            p, b = p + sp, b + sb
+        pairs += [p, b]
+    ev = eval_strong_pair(inst, mask)
+    assert [ev.p1, ev.b1, ev.p2, ev.b2] == pairs
+
+
+@given(st.integers(1, 6), st.data())
+def test_asm_strong_pair_counts_segments(n, data):
+    # on the ASM windows (prefix sums in [0, 1], line sums 1) an interior
+    # segment adds (-1, 1), a prefix or suffix (0, 1) and a full line (1, 1)
+    cells = data.draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n))))
+    mask = SubsetMask.from_cells(n, n, cells)
+    stats = segment_stats(mask)
+    ev = eval_strong_pair(asm_instance(n), mask)
+    assert (ev.p1, ev.b1) == (stats.fu1 - stats.se1, stats.sigma1)
+    assert (ev.p2, ev.b2) == (stats.fu2 - stats.se2, stats.sigma2)
