@@ -11,9 +11,9 @@ in a certificate.  The rows are:
 * ``cli solve``: the 20 documents solved one after another through
   ``pbm.cli.main(["solve", path])`` in this process, stdout and stderr
   captured, as a user would type the command; the wall time of the whole
-  batch, median over ``--repeat`` batches;
+  batch, median over ``RUNS`` batches;
 * one row per layer, each the sum over the 20 documents of that
-  document's median ``timeit`` time over ``--repeat`` runs: JSON decode,
+  document's median ``timeit`` time over ``RUNS`` runs: JSON decode,
   ``instance_from_json`` (which validates too), ``validate_instance`` on
   its own, ``build_network``, ``min_cost_circulation`` and
   ``cut_to_certificate``.
@@ -56,6 +56,7 @@ from helpers import random_instance  # noqa: E402
 
 SEEDS = range(20)
 SIZE = (55, 55)
+RUNS = 15
 
 
 def documents() -> list[str]:
@@ -66,8 +67,8 @@ def documents() -> list[str]:
     ]
 
 
-def cli_row(texts: list[str], repeat: int) -> dict:
-    """Median wall time of solving every document through the CLI, one batch per repeat."""
+def cli_row(texts: list[str]) -> dict:
+    """Median wall time of solving every document through the CLI, one batch per run."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for seed, text in zip(SEEDS, texts):
@@ -76,7 +77,7 @@ def cli_row(texts: list[str], repeat: int) -> dict:
                 fh.write(text)
             paths.append(path)
         batches, codes = [], []
-        for _ in range(repeat):
+        for _ in range(RUNS):
             sink = io.StringIO()
             t0 = time.perf_counter()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -85,13 +86,13 @@ def cli_row(texts: list[str], repeat: int) -> dict:
     return {
         "case": f"random_instance {SIZE[0]}x{SIZE[1]}, seeds {SEEDS[0]}-{SEEDS[-1]}",
         "what": "pbm.cli.main(['solve', path]) for each document, in one process",
-        "runs": repeat,
+        "runs": RUNS,
         "median_s": statistics.median(batches),
         "exit_codes": sorted(set(codes)),
     }
 
 
-def layer_rows(texts: list[str], repeat: int) -> list[dict]:
+def layer_rows(texts: list[str]) -> list[dict]:
     """Per layer, the sum over the documents of each one's median time."""
     layers = {
         "json decode": "json.loads(text)",
@@ -112,14 +113,14 @@ def layer_rows(texts: list[str], repeat: int) -> list[dict]:
         for name, stmt in layers.items():
             if name == "cut_to_certificate" and not isinstance(witness, CutWitness):
                 continue
-            times = timeit.repeat(stmt, globals=scope, number=1, repeat=repeat)
+            times = timeit.repeat(stmt, globals=scope, number=1, repeat=RUNS)
             per_doc[name].append(statistics.median(times))
     return [
         {
             "case": f"random_instance {SIZE[0]}x{SIZE[1]}, seeds {SEEDS[0]}-{SEEDS[-1]}",
             "what": stmt,
             "layer": name,
-            "runs": repeat,
+            "runs": RUNS,
             "documents": len(per_doc[name]),
             "median_s": sum(per_doc[name]),
             "per_document_median_s": per_doc[name],
@@ -131,16 +132,13 @@ def layer_rows(texts: list[str], repeat: int) -> list[dict]:
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
-    parser.add_argument("--repeat", type=int, default=15, help="runs per timing (default 15)")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     texts = documents()
     out = {
         "label": args.label,
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "rows": [cli_row(texts, args.repeat), *layer_rows(texts, args.repeat)],
+        "rows": [cli_row(texts), *layer_rows(texts)],
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")

@@ -64,7 +64,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
-from operator import add, floordiv, gt, le, mod, mul, neg, not_, sub
+from operator import add, floordiv, gt, le, mod, neg, not_, sub
 from typing import Mapping, Sequence
 
 from .core import ExtInt, ExtMatrix, IntMatrix, PbmInstance, SubsetMask

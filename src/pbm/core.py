@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import attrgetter, eq, le
+from operator import eq, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -56,7 +56,6 @@ __all__ = [
 _INFINITY_TAGS = {"-inf": -1, "-infinity": -1, "+inf": 1, "inf": 1, "+infinity": 1, "infinity": 1}
 # an infinite cell carries value 0
 _INFINITY_VALUES = dict.fromkeys(_INFINITY_TAGS, 0)
-_VALUE, _TAG = attrgetter("value"), attrgetter("tag")
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,6 +206,11 @@ def as_ext(v: "ExtInt | int") -> ExtInt:
     return v if isinstance(v, ExtInt) else fin(v)
 
 
+def _read_cell(e: object) -> "ExtInt | int":
+    """One bound-table cell read on its own: an int or ``ExtInt`` as it is, else ``from_json``."""
+    return e if type(e) is int or isinstance(e, ExtInt) else ExtInt.from_json(e)
+
+
 def _check_rect(rows: Sequence[Sequence[object]], what: str) -> tuple[int, int]:
     if not isinstance(rows, (list, tuple)) or not all(
         map(isinstance, rows, repeat((list, tuple)))
@@ -296,34 +300,34 @@ class ExtMatrix:
     tags: tuple[int, ...]
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence["ExtInt | int | str"]]) -> "ExtMatrix":
+    def from_rows(
+        rows: Sequence[Sequence["ExtInt | int | str"]], what: str = "bound matrix"
+    ) -> "ExtMatrix":
         """JSON cells or ``ExtInt``s; the first bad cell, row-major, raises as in ``from_json``.
 
-        A table of JSON ints and infinity strings, or of ``ExtInt``s alone,
-        is read in whole-table passes, with no ``ExtInt`` made per cell.
-        Each JSON cell's tag and value come from the table of infinity
+        ``what`` names the table in a shape error.  A table of JSON ints and
+        infinity strings is read in whole-table passes, with no ``ExtInt``
+        made per cell.  A table of ints alone is its own values.  Otherwise
+        each cell's tag and value come from the table of infinity
         spellings, which gives an int tag 0 and passes it through as its
-        own value; a string that also gets tag 0 spells no infinity.  Such
-        a table, and a table that mixes other types (a bool, a float, ints
-        beside ``ExtInt``s), is read cell by cell, so the first bad cell in
+        own value; a string that also gets tag 0 spells no infinity.
+        Such a table, and any other table (``ExtInt``s, a bool, a float), is
+        read cell by cell through ``_read_cell``, so the first bad cell in
         row-major order raises its own message.
         """
-        m, n = _check_rect(rows, "bound matrix")
+        m, n = _check_rect(rows, what)
         cells = [*chain.from_iterable(rows)]
         types = [*map(type, cells)]
         ints = types.count(int)
         if ints == len(cells):
+            # no infinity: the cells are the values, at a quarter of the lookups' cost
             return ExtMatrix(m, n, tuple(cells), (0,) * ints)
         if ints + types.count(str) == len(cells):
             tags = tuple(map(_INFINITY_TAGS.get, cells, repeat(0)))
             # an int has tag 0, and so has a string that spells no infinity
             if tags.count(0) == ints:
                 return ExtMatrix(m, n, tuple(map(_INFINITY_VALUES.get, cells, cells)), tags)
-        elif types.count(ExtInt) == len(cells):
-            return ExtMatrix(m, n, tuple(map(_VALUE, cells)), tuple(map(_TAG, cells)))
-        cells = [
-            e if type(e) is int or isinstance(e, ExtInt) else ExtInt.from_json(e) for e in cells
-        ]
+        cells = [*map(_read_cell, cells)]
         values = tuple([e if type(e) is int else e.value for e in cells])
         return ExtMatrix(m, n, values, tuple([0 if type(e) is int else e.tag for e in cells]))
 
@@ -541,30 +545,20 @@ def _json_bound_matrix(doc: Mapping[str, object], key: str, m: int, n: int,
         return ExtMatrix.constant(m, n, default)
     if not isinstance(raw, list) or not all(map(isinstance, raw, repeat(list))):
         raise InstanceFormatError(f"{key} must be a list of rows, each a list")
-    _check_rect(raw, key)
     try:
-        mat = ExtMatrix.from_rows(raw)
-    except InstanceFormatError as exc:
-        # the first cell that does not parse on its own is the one that raised
-        i, j = next(
-            (i, j)
-            for i, row in enumerate(raw, start=1)
-            for j, cell in enumerate(row, start=1)
-            if not isinstance(cell, ExtInt) and _rejected(cell)
-        )
-        raise InstanceFormatError(f"{key} ({i},{j}): {exc}") from None
+        mat = ExtMatrix.from_rows(raw, key)
+    except InstanceFormatError:
+        # the table was read cell by cell, row-major: the first cell that does not read raised
+        for i, row in enumerate(raw, start=1):
+            for j, cell in enumerate(row, start=1):
+                try:
+                    _read_cell(cell)
+                except InstanceFormatError as exc:
+                    raise InstanceFormatError(f"{key} ({i},{j}): {exc}") from None
+        raise
     if (mat.m, mat.n) != (m, n):
         raise DimensionMismatch(f"{key} is {mat.m}x{mat.n}, instance is {m}x{n}")
     return mat
-
-
-def _rejected(raw: object) -> bool:
-    """Whether ``ExtInt.from_json`` raises on a cell."""
-    try:
-        ExtInt.from_json(raw)
-    except InstanceFormatError:
-        return True
-    return False
 
 
 def _json_ext(doc: Mapping[str, object], key: str, default: ExtInt) -> ExtInt:
