@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Time the infeasible answer end to end and layer by layer; write BENCH_<label>.json.
+"""Time the infeasible answer layer by layer, and feasible solves; write BENCH_<label>.json.
 
     python3 scripts/bench.py --label head
 
-The inputs are 20 fixed documents: ``random_instance(Random(seed), 55, 55)``
-from tests/helpers.py, seeds 0-19, written as JSON.  Independent random
-windows on a grid this size are almost never feasible, so each solve ends
-in a certificate.  The rows are:
+The infeasible inputs are 20 fixed documents: ``random_instance(Random(seed),
+55, 55)`` from tests/helpers.py, seeds 0-19, written as JSON.  Independent
+random windows on a grid this size are almost never feasible, so each
+solve ends in a certificate.  The rows are:
 
 * ``cli solve``: the 20 documents solved one after another through
   ``pbm.cli.main(["solve", path])`` in this process, stdout and stderr
@@ -16,7 +16,12 @@ in a certificate.  The rows are:
   document's median ``timeit`` time over ``RUNS`` runs: JSON decode,
   ``instance_from_json`` (which validates too), ``validate_instance`` on
   its own, ``build_network``, ``min_cost_circulation`` and
-  ``cut_to_certificate``.
+  ``cut_to_certificate``;
+* one row per feasible network, the median ``timeit`` time over ``RUNS``
+  runs of ``min_cost_circulation(net)``, which computes the line reaches
+  and runs the flow: ``feasible_random(Random(n), n, n)`` for n = 45 and
+  150, and the line ``feasible_random(Random(3), 1, 3000)``, whose greedy
+  start already conserves.
 
 The package is imported from the ``src/`` directory next to this script,
 so a checkout times its own code.  The file goes to the root of that
@@ -52,11 +57,13 @@ from pbm.circulation import (  # noqa: E402
     min_cost_circulation,
 )
 from pbm.core import instance_from_json, instance_to_json, validate_instance  # noqa: E402
-from helpers import random_instance  # noqa: E402
+from helpers import feasible_random, random_instance  # noqa: E402
 
 SEEDS = range(20)
 SIZE = (55, 55)
 RUNS = 15
+# (seed, m, n) of each feasible network
+FEASIBLE = ((45, 45, 45), (150, 150, 150), (3, 1, 3000))
 
 
 def documents() -> list[str]:
@@ -129,6 +136,25 @@ def layer_rows(texts: list[str]) -> list[dict]:
     ]
 
 
+def feasible_rows() -> list[dict]:
+    """Per feasible network, the median time of one solve."""
+    rows = []
+    for seed, m, n in FEASIBLE:
+        net = build_network(feasible_random(random.Random(seed), m, n))
+        if isinstance(min_cost_circulation(net), CutWitness):
+            raise SystemExit(f"feasible_random(Random({seed}), {m}, {n}) came out infeasible")
+        times = timeit.repeat("min_cost_circulation(net)", globals={**globals(), "net": net},
+                              number=1, repeat=RUNS)
+        rows.append({
+            "case": f"feasible_random(Random({seed}), {m}, {n})",
+            "what": "min_cost_circulation(net)",
+            "layer": f"feasible {m}x{n}",
+            "runs": RUNS,
+            "median_s": statistics.median(times),
+        })
+    return rows
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
@@ -138,7 +164,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "label": args.label,
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "rows": [cli_row(texts), *layer_rows(texts)],
+        "rows": [cli_row(texts), *layer_rows(texts), *feasible_rows()],
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")

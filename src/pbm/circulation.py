@@ -28,9 +28,10 @@ its ``lower`` and ``upper`` replaced.
 Every solve first computes each line's reach, the interval of values of
 a prefix from which the rest of its row or column can still be completed.
 A reach that comes out empty proves the network infeasible, and in nearly
-every such case a single line already contradicts its windows: the solve
-then reads the cut off that line's chain of bounds and returns it, with
-no flow at all.  Otherwise the solve builds one residual graph and runs
+every such case a single line already contradicts its windows: the pass
+that finds the empty reach also names the chain of bounds that emptied
+it, and the solve reads the cut off that chain and returns it, with no
+flow at all.  Otherwise the solve builds one residual graph and runs
 one primal-dual loop on it.  The flow starts from a greedy guess that
 lies inside every arc bound, with each priced arc at the bound its cost
 favours.  The guess aims each prefix at its line's reach, so a feasible
@@ -459,7 +460,7 @@ def _reach_along(
     crossing: tuple[list[int], list[int], list[int], list[int]],
     f: Sequence[int],
     g: Sequence[int],
-) -> "tuple[list[int], list[int]] | None":
+) -> "tuple[tuple[list[int], list[int]] | None, tuple[list[int], list[int], bool] | None]":
     """Per cell, the prefix values from which its line can still be completed.
 
     Each line is a range of cell indices from its last cell to its first.
@@ -470,13 +471,27 @@ def _reach_along(
     consecutive values there.  Working backward, the reach at the last
     cell is its window; one step back, it is the predecessor's window cut
     down to the values from which some allowed entry leads into the reach.
-    The step past a line's first cell must admit the prefix 0.  Every
-    reach is a necessary condition, so an empty one proves the network
-    infeasible, and the pass returns None at the first.
+    The step past a line's first cell must admit the prefix 0.
+
+    Returns (reach, None) with reach = (low, high) per cell when every
+    reach is nonempty.  Every reach is a necessary condition, so an empty
+    one proves the network infeasible, and the pass then stops and returns
+    (None, (chain, crossed, high)).  Each end of a reach is a chain: the
+    window bound of the cell where it started, moved by the entry bounds
+    of every cell from there to the current one.  At the first cell k
+    whose step fails, either k's entry interval is empty, and the chain is
+    ([], [k], high), or one end of the next reach, clamped to the
+    predecessor's window, passes the other end, a chain that holds the
+    cells from its start to k.  ``crossed`` holds the chain cells whose
+    crossing bound, not f or g, bound the entry.  ``high`` is True when
+    lower bounds push a value above an upper bound: k's crossing low
+    above g, or the least value of the chain's last prefix above its
+    window; False when upper bounds hold a value below a lower bound.
     """
     win_lo, win_hi, prev_lo, prev_hi = window
     cross_lo, cross_hi, cross_prev_lo, cross_prev_hi = crossing
     reach_lo, reach_hi = [0] * len(win_lo), [0] * len(win_hi)
+    lo_end = hi_end = -1  # the cell whose window last clamped each end
     for line in lines:
         lo, hi = win_lo[line[0]], win_hi[line[0]]
         for k in line:
@@ -489,12 +504,20 @@ def _reach_along(
             lo -= e_hi
             hi -= e_lo
             if prev_lo[k] > lo:
-                lo = prev_lo[k]
+                lo, lo_end = prev_lo[k], k
             if prev_hi[k] < hi:
-                hi = prev_hi[k]
+                hi, hi_end = prev_hi[k], k
             if lo > hi or e_lo > e_hi:
-                return None
-    return reach_lo, reach_hi
+                if e_lo > e_hi:
+                    return None, ([], [k], cross_lo[k] - cross_prev_hi[k] > g[k])
+                # the end that passed the other was not clamped at k
+                high = lo <= prev_hi[k]
+                end, step = hi_end if high else lo_end, line.step
+                cells = range(end + step if end in line else line[0], k + step, step)
+                if high:
+                    return None, ([*cells], [c for c in cells if cross_lo[c] - cross_prev_hi[c] > f[c]], True)
+                return None, ([*cells], [c for c in cells if cross_hi[c] - cross_prev_lo[c] < g[c]], False)
+    return (reach_lo, reach_hi), None
 
 
 def _line_tables(net: Network) -> tuple:
@@ -519,102 +542,57 @@ def _line_tables(net: Network) -> tuple:
     )
 
 
-def _reach(net: Network) -> "tuple[list[int], list[int], list[int], list[int]] | None":
-    """Row reach low and high, then column reach low and high, per cell; None when one is empty.
+def _reach(net: Network) -> "tuple[tuple[list[int], ...] | None, CutWitness | None]":
+    """(reach, witness): the line reaches, or the cut of the first contradictory line.
 
-    The column reach comes first, bottom-up, with each entry cut down to
-    the differences of consecutive row windows; then the row reach, right
-    to left, with each entry cut down to the differences of consecutive
-    column reaches.
+    The reach is row reach low and high, then column reach low and high,
+    per cell, and None when one is empty; the witness is None unless a
+    single line is contradictory.  The column pass comes first, bottom-up,
+    with each entry cut down to the differences of consecutive row
+    windows: a chain there is the line cut.  Then the row pass, right to
+    left, with each entry cut down to the differences of consecutive
+    column reaches.  A chain there may need the column reaches, which no
+    single line shows, so only then does the row pass run once more over
+    the plain column windows; a chain that this rerun finds is the line
+    cut, and when it finds none, the contradiction needs both layers or
+    the total window, and the solve finds its cut by flow.
     """
     columns, rows, col_window, row_window, f, g = _line_tables(net)
-    col_reach = _reach_along(columns, col_window, row_window, f, g)
-    if col_reach is None:
-        return None
+    col_reach, chain = _reach_along(columns, col_window, row_window, f, g)
+    if chain is not None:
+        return None, _line_cut(net, chain, True)
     c_lo, c_hi = col_reach
     col_reached = (c_lo, c_hi, _above(c_lo, net.n), _above(c_hi, net.n))
-    row_reach = _reach_along(rows, row_window, col_reached, f, g)
-    return None if row_reach is None else (*row_reach, *col_reach)
+    row_reach, chain = _reach_along(rows, row_window, col_reached, f, g)
+    if chain is None:
+        return (*row_reach, *col_reach), None
+    chain = _reach_along(rows, row_window, col_window, f, g)[1]
+    return None, None if chain is None else _line_cut(net, chain, False)
 
 
-def _contradiction(
-    lines: "Sequence[range]",
-    window: tuple[list[int], list[int], list[int], list[int]],
-    crossing: tuple[list[int], list[int], list[int], list[int]],
-    f: Sequence[int],
-    g: Sequence[int],
-) -> "tuple[list[int], list[int], bool] | None":
-    """Why ``_reach_along`` on the same tables finds an empty reach: (chain, crossed, high).
+def _line_cut(net: Network, chain: tuple[list[int], list[int], bool], column: bool) -> CutWitness:
+    """The cut that a contradictory line's chain shows, from ``_reach_along``.
 
-    None when every reach is nonempty.  Each end of a reach is a chain:
-    the window bound of the cell where it started, moved by the entry
-    bounds of every cell from there to the current one.  At the first
-    cell k whose step fails, either k's entry interval is empty, and the
-    answer is ([], [k], high), or one end of the next reach, clamped to
-    the predecessor's window, passes the other end, a chain that holds the
-    cells from its start to k.  ``crossed`` holds the chain cells whose
-    crossing bound, not f or g, bound the entry.  ``high`` is True when
-    lower bounds push a value above an upper bound: k's crossing low
-    above g, or the least value of the chain's last prefix above its
-    window; False when upper bounds hold a value below a lower bound.
+    Let S hold the line nodes of the chain's cells and the crossing node
+    of each cell in ``crossed``.  In the column pass the prefix arcs run
+    down the chain and every N arc runs into it, so the arcs entering S
+    carry the upper bounds of the prefix before the chain and of the
+    chain's entries, and the arcs leaving S the lower bound of the chain's
+    last prefix: S has negative deficit when upper bounds hold a value
+    below a lower bound, and the other nodes, V minus S, when lower bounds
+    push one above an upper bound.  A1 arcs run right to left and N arcs
+    out of the row, so the row pass takes the other side.  An empty entry
+    interval makes S the one crossing node; the row pass over the plain
+    column windows never meets one, since the column pass fails at that
+    cell or before it.
     """
-    win_lo, win_hi, prev_lo, prev_hi = window
-    cross_lo, cross_hi, cross_prev_lo, cross_prev_hi = crossing
-    for line in lines:
-        lo, hi = win_lo[line[0]], win_hi[line[0]]
-        lo_start = hi_start = 0
-        for pos, k in enumerate(line):
-            c_lo, c_hi = cross_lo[k] - cross_prev_hi[k], cross_hi[k] - cross_prev_lo[k]
-            if c_lo > g[k] or f[k] > c_hi:
-                return [], [k], c_lo > g[k]
-            lo -= c_hi if c_hi < g[k] else g[k]
-            hi -= c_lo if c_lo > f[k] else f[k]
-            if lo > prev_hi[k]:
-                cells = line[lo_start : pos + 1]
-                return [*cells], [c for c in cells if cross_hi[c] - cross_prev_lo[c] < g[c]], False
-            if hi < prev_lo[k]:
-                cells = line[hi_start : pos + 1]
-                return [*cells], [c for c in cells if cross_lo[c] - cross_prev_hi[c] > f[c]], True
-            if prev_lo[k] > lo:
-                lo, lo_start = prev_lo[k], pos + 1
-            if prev_hi[k] < hi:
-                hi, hi_start = prev_hi[k], pos + 1
-    return None
-
-
-def _line_cut(net: Network) -> "CutWitness | None":
-    """The cut that the first contradictory line shows, or None when no line is contradictory.
-
-    The column pass is ``_reach``'s.  The row pass takes each entry's
-    crossing bound from the plain column windows, not from the column
-    reaches, so a contradiction that needs both layers, or the total
-    window, shows in no line, and the solve finds its cut by flow.
-
-    Let S hold the line nodes of the failing chain's cells and the
-    crossing node of each cell in ``crossed``.  In the column pass the
-    prefix arcs run down the chain and every N arc runs into it, so the
-    arcs entering S carry the upper bounds of the prefix before the chain
-    and of the chain's entries, and the arcs leaving S the lower bound of
-    the chain's last prefix: S has negative deficit when upper bounds hold
-    a value below a lower bound, and the other nodes, V minus S, when
-    lower bounds push one above an upper bound.  A1 arcs run right to
-    left and N arcs out of the row, so the row pass takes the other side.
-    An empty entry interval makes S the one crossing node; the row pass
-    never meets one, since its crossing windows are the column windows,
-    and the column pass has already failed there on a one-cell chain.
-    """
-    columns, rows, col_window, row_window, f, g = _line_tables(net)
+    cells, crossed, high = chain
     mn = net.m * net.n
-    passes = ((columns, col_window, row_window, mn, 0), (rows, row_window, col_window, 0, mn))
-    for lines, window, crossing, line_first, cross_first in passes:
-        found = _contradiction(lines, window, crossing, f, g)
-        if found is not None:
-            cells, crossed, high = found
-            side = frozenset({line_first + k for k in cells} | {cross_first + k for k in crossed})
-            if high == (line_first == mn):
-                side = frozenset(range(net.node_count)).difference(side)
-            return make_cut_witness(net, side)
-    return None
+    line_first, cross_first = (mn, 0) if column else (0, mn)
+    side = frozenset({line_first + k for k in cells} | {cross_first + k for k in crossed})
+    if high == column:
+        side = frozenset(range(net.node_count)).difference(side)
+    return make_cut_witness(net, side)
 
 
 def _greedy_start(net: Network, reach: "tuple[list[int], ...] | None") -> list[int]:
@@ -622,11 +600,12 @@ def _greedy_start(net: Network, reach: "tuple[list[int], ...] | None") -> list[i
 
     Each row and each column is a chain of prefix windows, so the values
     of one prefix from which the rest of its line can still be completed
-    form an interval, its reach; ``reach`` is ``_reach(net)``.  A feasible
-    line of either orientation therefore starts as a circulation, unless
-    the total window clamps its sum.  When ``reach`` is None, an empty
-    reach proved the network infeasible, and the plain windows take the
-    place of the reaches.
+    form an interval, its reach; ``reach`` is ``_reach(net)[0]``.  A
+    feasible line of either orientation therefore starts as a circulation,
+    unless the total window clamps its sum.  ``reach`` is None only when
+    the row pass over the column reaches found an empty reach and no
+    single line is contradictory: the network is infeasible, and the
+    plain windows take the place of the reaches.
 
     One row-major pass picks each entry nearest 0 among the values that
     keep both its row prefix and its column prefix inside their reaches,
@@ -707,10 +686,11 @@ def min_cost_circulation(
     found is returned.
 
     The solve first computes every line's reach with ``_reach``.  An
-    empty one proves the network infeasible; when one row or column then
-    contradicts its windows on its own, ``_line_cut`` reads the witness
-    off that line, and the solve returns it before any start, residual
-    graph or flow, with the network's size and no pushes or relabels in
+    empty one proves the network infeasible; when one row or column
+    contradicts its windows on its own, the pass that found the empty
+    reach names the failing chain, ``_line_cut`` turns it into the
+    witness, and the solve returns it before any start, residual graph
+    or flow, with the network's size and no pushes or relabels in
     ``info``.  A contradiction that needs both layers or the total window
     shows in no single line, and the solve goes on as below.
 
@@ -769,11 +749,9 @@ def min_cost_circulation(
         info["arcs"] = arc_count
         info.setdefault("pushes", 0)
         info.setdefault("relabels", 0)
-    reach = _reach(net)
-    if reach is None:
-        witness = _line_cut(net)
-        if witness is not None:
-            return witness
+    reach, witness = _reach(net)
+    if witness is not None:
+        return witness
     tail, head, lower, upper = net.tail, net.head, net.lower, net.upper
     costs = [0] * arc_count
     flow = _greedy_start(net, reach)

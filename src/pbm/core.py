@@ -540,9 +540,9 @@ def validate_instance(inst: PbmInstance) -> PbmInstance:
 
 def _json_bound_matrix(doc: Mapping[str, object], key: str, m: int, n: int,
                        default: ExtInt) -> ExtMatrix:
-    raw = doc.get(key)
-    if raw is None:
+    if key not in doc:
         return ExtMatrix.constant(m, n, default)
+    raw = doc[key]
     if not isinstance(raw, list) or not all(map(isinstance, raw, repeat(list))):
         raise InstanceFormatError(f"{key} must be a list of rows, each a list")
     try:

@@ -213,7 +213,7 @@ class TestResidualGraph:
         rng = random.Random(33)
         for _ in range(10):
             net = build_network(feasible_random(rng, rng.randint(1, 6), rng.randint(1, 6)))
-            flow = _greedy_start(net, _reach(net))
+            flow = _greedy_start(net, _reach(net)[0])
             caps = [hi - z for z, hi in zip(flow, net.upper)]
             backs = [z - lo for lo, z in zip(net.lower, flow)]
             costs = [rng.randint(-3, 3) for _ in flow]
@@ -385,6 +385,143 @@ class TestLineCut:
         assert isinstance(witness, CutWitness)
         assert info == {"nodes": 6052, "arcs": 9076, "pushes": 0, "relabels": 0}
         assert not cut_to_certificate(net, witness)[3].holds
+
+
+def _reference_reach_along(lines, window, crossing, f, g):
+    """The line pass as it was before it named its chain: the reaches, or None at the first empty one."""
+    win_lo, win_hi, prev_lo, prev_hi = window
+    cross_lo, cross_hi, cross_prev_lo, cross_prev_hi = crossing
+    reach_lo, reach_hi = [0] * len(win_lo), [0] * len(win_hi)
+    for line in lines:
+        lo, hi = win_lo[line[0]], win_hi[line[0]]
+        for k in line:
+            reach_lo[k], reach_hi[k] = lo, hi
+            e_lo, e_hi = cross_lo[k] - cross_prev_hi[k], cross_hi[k] - cross_prev_lo[k]
+            e_lo, e_hi = max(e_lo, f[k]), min(e_hi, g[k])
+            lo, hi = max(lo - e_hi, prev_lo[k]), min(hi - e_lo, prev_hi[k])
+            if lo > hi or e_lo > e_hi:
+                return None
+    return reach_lo, reach_hi
+
+
+def _reference_contradiction(lines, window, crossing, f, g):
+    """The separate rescan that named the failing chain: (chain, crossed, high), or None."""
+    win_lo, win_hi, prev_lo, prev_hi = window
+    cross_lo, cross_hi, cross_prev_lo, cross_prev_hi = crossing
+    for line in lines:
+        lo, hi = win_lo[line[0]], win_hi[line[0]]
+        lo_start = hi_start = 0
+        for pos, k in enumerate(line):
+            c_lo, c_hi = cross_lo[k] - cross_prev_hi[k], cross_hi[k] - cross_prev_lo[k]
+            if c_lo > g[k] or f[k] > c_hi:
+                return [], [k], c_lo > g[k]
+            lo -= c_hi if c_hi < g[k] else g[k]
+            hi -= c_lo if c_lo > f[k] else f[k]
+            if lo > prev_hi[k]:
+                cells = line[lo_start : pos + 1]
+                return [*cells], [c for c in cells if cross_hi[c] - cross_prev_lo[c] < g[c]], False
+            if hi < prev_lo[k]:
+                cells = line[hi_start : pos + 1]
+                return [*cells], [c for c in cells if cross_lo[c] - cross_prev_hi[c] > f[c]], True
+            if prev_lo[k] > lo:
+                lo, lo_start = prev_lo[k], pos + 1
+            if prev_hi[k] < hi:
+                hi, hi_start = prev_hi[k], pos + 1
+    return None
+
+
+_TABLES = ("phi1", "gamma1", "phi2", "gamma2", "f", "g")
+
+
+def _times(inst: PbmInstance, k: int) -> PbmInstance:
+    """Every finite bound of ``inst`` times k."""
+    tables = {
+        name: dataclasses.replace(t, values=tuple(v * k for v in t.values))
+        for name, t in ((name, getattr(inst, name)) for name in _TABLES)
+    }
+    return dataclasses.replace(inst, **tables, alpha=inst.alpha.times(k), beta=inst.beta.times(k))
+
+
+def _shifted_windows(inst: PbmInstance, rng: random.Random, count: int) -> PbmInstance:
+    """``inst`` with ``count`` random prefix windows moved by up to 3, both finite sides alike."""
+    tables = {name: [*getattr(inst, name).values] for name in _TABLES[:4]}
+    for _ in range(count):
+        low, high = rng.choice((("phi1", "gamma1"), ("phi2", "gamma2")))
+        k, d = rng.randrange(inst.m * inst.n), rng.choice((-3, -2, -1, 1, 2, 3))
+        for name in (low, high):
+            if not getattr(inst, name).tags[k]:
+                tables[name][k] += d
+    return dataclasses.replace(
+        inst,
+        **{name: dataclasses.replace(getattr(inst, name), values=tuple(v)) for name, v in tables.items()},
+    )
+
+
+class TestMergedLinePass:
+    """The one line pass against the two it replaced, on every pass ``_reach`` runs."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(22)
+        for _ in range(150):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            yield random_instance(rng, m, n, rng.choice((0.1, 0.25, 0.6)))
+            yield feasible_random(rng, m, n)
+            yield _shifted_windows(feasible_random(rng, m, n), rng, rng.randint(1, 3))
+        for size in (20, 35, 55):
+            yield random_instance(rng, size, size)
+            yield feasible_random(rng, size, size)
+            yield _shifted_windows(feasible_random(rng, size, size), rng, 2)
+        for length in (50, 400, 3000):
+            for shape in ((1, length), (length, 1)):
+                yield random_instance(rng, *shape, inf_rate=0.6)
+                yield feasible_random(rng, *shape)
+                for count in (1, 3):
+                    yield _shifted_windows(feasible_random(rng, *shape), rng, count)
+
+    def test_same_chain_or_same_reaches(self):
+        seen = {}
+        ends = set()
+        cases = [*self.instances()]
+        cases += [_times(inst, 10**40) for inst in cases[::3]]
+        for inst in cases:
+            net = build_network(inst)
+            columns, rows, col_window, row_window, f, g = circulation._line_tables(net)
+            passes = [("column", columns, col_window, row_window)]
+            col_reach = _reference_reach_along(columns, col_window, row_window, f, g)
+            if col_reach is not None:
+                c_lo, c_hi = col_reach
+                reached = (c_lo, c_hi, circulation._above(c_lo, net.n), circulation._above(c_hi, net.n))
+                passes.append(("row over column reaches", rows, row_window, reached))
+            passes.append(("row over column windows", rows, row_window, col_window))
+            want = {}
+            for name, lines, window, crossing in passes:
+                chain = _reference_contradiction(lines, window, crossing, f, g)
+                reach = _reference_reach_along(lines, window, crossing, f, g)
+                assert (chain is None) == (reach is not None)
+                assert circulation._reach_along(lines, window, crossing, f, g) == (reach, chain)
+                want[name] = (reach, chain)
+                seen.setdefault(name, set()).add((chain is None, chain is not None and chain[0] == []))
+            # ``_reach`` itself: the column chain, else the reaches, else the rerun's chain
+            reach, witness = _reach(net)
+            col_chain = want["column"][1]
+            if col_chain is not None:
+                assert (reach, witness) == (None, circulation._line_cut(net, col_chain, True))
+                ends.add("column cut")
+            elif want["row over column reaches"][1] is None:
+                assert reach == (*want["row over column reaches"][0], *col_reach)
+                assert witness is None
+                ends.add("reach")
+            else:
+                row_chain = want["row over column windows"][1]
+                expected = None if row_chain is None else circulation._line_cut(net, row_chain, False)
+                assert (reach, witness) == (None, expected)
+                ends.add("no line cut" if row_chain is None else "row cut")
+        # each pass both finds reaches and names chains, an empty entry interval among them
+        assert seen["column"] == {(True, False), (False, False), (False, True)}
+        for name in ("row over column reaches", "row over column windows"):
+            assert {(True, False), (False, False)} <= seen[name]
+        assert ends == {"column cut", "reach", "row cut", "no line cut"}
 
 
 class TestCertificate:
@@ -609,7 +746,7 @@ def test_layout_balances_match_per_arc_reference(m):
 
 def assert_start_in_bounds(inst: PbmInstance) -> None:
     net = build_network(inst)
-    start = _greedy_start(net, _reach(net))
+    start = _greedy_start(net, _reach(net)[0])
     assert len(start) == len(net.lower)
     for a, (lo, hi) in enumerate(zip(net.lower, net.upper)):
         assert lo <= start[a] <= hi, net.arc_tag(a)
@@ -647,7 +784,7 @@ class TestGreedyStart:
         # a line's reach is exact, so the start conserves and the solve repairs nothing
         inst = feasible_random(random.Random(3), *shape)
         net = build_network(inst)
-        assert not any(per_arc_balances(net, _greedy_start(net, _reach(net))))
+        assert not any(per_arc_balances(net, _greedy_start(net, _reach(net)[0])))
         searches = []
         distances = _FlowGraph.distances
 
@@ -663,14 +800,14 @@ class TestGreedyStart:
     def test_start_leaves_little_excess_on_45x45(self):
         # a start that looks no further than the arcs before each entry leaves 145
         net = build_network(feasible_random(random.Random(45), 45, 45))
-        assert sum(b > 0 for b in per_arc_balances(net, _greedy_start(net, _reach(net)))) <= 72
+        assert sum(b > 0 for b in per_arc_balances(net, _greedy_start(net, _reach(net)[0]))) <= 72
 
     def test_empty_reach_means_no_matrix(self):
         rng = random.Random(41)
         empty = 0
         for k in range(500):
             inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3), (0.25, 0.6)[k % 2])
-            if _reach(build_network(inst)) is None:
+            if _reach(build_network(inst))[0] is None:
                 empty += 1
                 assert oracle.enumerate_pbms(inst) == []
         assert 0 < empty < 500

@@ -517,9 +517,15 @@ class TestErrorPaths:
             ({"gamma2": [[]]}, "gamma2 must have at least one row and one column"),
             ({"alpha": "minus infinity"}, "alpha: bad extended integer 'minus infinity'"),
             ({"beta": 4.0}, "beta: expected integer or infinity string, got 4.0"),
+            # a present null is no table; only an absent block defaults to unbounded
+            ({"phi1": None}, "phi1 must be a list of rows, each a list"),
+            ({"gamma1": None}, "gamma1 must be a list of rows, each a list"),
+            ({"f": None}, "f must be a list of rows, each a list"),
+            ({"g": None}, "g must be a list of rows, each a list"),
         ],
         ids=["cell-string", "cell-float", "cell-bool", "ragged-row", "ragged-first-row",
-             "empty-table", "alpha-string", "beta-float"],
+             "empty-table", "alpha-string", "beta-float", "phi1-null", "gamma1-null",
+             "f-null", "g-null"],
     )
     def test_parse_error_names_table_and_cell(self, capsys, tmp_path, changes, message):
         doc = {
