@@ -11,17 +11,22 @@ solve ends in a certificate.  The rows are:
 * ``cli solve``: the 20 documents solved one after another through
   ``pbm.cli.main(["solve", path])`` in this process, stdout and stderr
   captured, as a user would type the command; the wall time of the whole
-  batch, median over ``RUNS`` batches;
+  batch, over ``RUNS`` batches;
 * one row per layer, each the sum over the 20 documents of that
-  document's median ``timeit`` time over ``RUNS`` runs: JSON decode,
+  document's ``timeit`` times over ``RUNS`` runs: JSON decode,
   ``instance_from_json`` (which validates too), ``validate_instance`` on
   its own, ``build_network``, ``min_cost_circulation`` and
   ``cut_to_certificate``;
-* one row per feasible network, the median ``timeit`` time over ``RUNS``
-  runs of ``min_cost_circulation(net)``, which computes the line reaches
-  and runs the flow: ``feasible_random(Random(n), n, n)`` for n = 45 and
-  150, and the line ``feasible_random(Random(3), 1, 3000)``, whose greedy
+* one row per feasible network, the ``timeit`` times over ``RUNS`` runs
+  of ``min_cost_circulation(net)``, which computes the line reaches and
+  runs the flow: ``feasible_random(Random(n), n, n)`` for n = 45 and 150,
+  and the line ``feasible_random(Random(3), 1, 3000)``, whose greedy
   start already conserves.
+
+Every row holds the median of its samples as ``median_s`` and their first
+and third quartiles as ``q1_s`` and ``q3_s``, so a difference between
+two files can be weighed against the spread within each run; a per-layer
+row sums each of the three over the documents.
 
 The package is imported from the ``src/`` directory next to this script,
 so a checkout times its own code.  The file goes to the root of that
@@ -66,6 +71,12 @@ RUNS = 15
 FEASIBLE = ((45, 45, 45), (150, 150, 150), (3, 1, 3000))
 
 
+def spread(times: list[float]) -> dict:
+    """The median and the first and third quartiles of the samples, in seconds."""
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median_s": median, "q1_s": q1, "q3_s": q3}
+
+
 def documents() -> list[str]:
     """The JSON text of every seed's instance."""
     return [
@@ -75,7 +86,7 @@ def documents() -> list[str]:
 
 
 def cli_row(texts: list[str]) -> dict:
-    """Median wall time of solving every document through the CLI, one batch per run."""
+    """Wall time of solving every document through the CLI, one batch per run."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for seed, text in zip(SEEDS, texts):
@@ -94,13 +105,13 @@ def cli_row(texts: list[str]) -> dict:
         "case": f"random_instance {SIZE[0]}x{SIZE[1]}, seeds {SEEDS[0]}-{SEEDS[-1]}",
         "what": "pbm.cli.main(['solve', path]) for each document, in one process",
         "runs": RUNS,
-        "median_s": statistics.median(batches),
+        **spread(batches),
         "exit_codes": sorted(set(codes)),
     }
 
 
 def layer_rows(texts: list[str]) -> list[dict]:
-    """Per layer, the sum over the documents of each one's median time."""
+    """Per layer, the sums over the documents of each one's median and quartiles."""
     layers = {
         "json decode": "json.loads(text)",
         "instance_from_json": "instance_from_json(doc)",
@@ -109,7 +120,7 @@ def layer_rows(texts: list[str]) -> list[dict]:
         "min_cost_circulation": "min_cost_circulation(net)",
         "cut_to_certificate": "cut_to_certificate(net, witness)",
     }
-    per_doc: dict[str, list[float]] = {name: [] for name in layers}
+    per_doc: dict[str, list[dict]] = {name: [] for name in layers}
     for text in texts:
         doc = json.loads(text)
         inst = instance_from_json(doc)
@@ -121,7 +132,7 @@ def layer_rows(texts: list[str]) -> list[dict]:
             if name == "cut_to_certificate" and not isinstance(witness, CutWitness):
                 continue
             times = timeit.repeat(stmt, globals=scope, number=1, repeat=RUNS)
-            per_doc[name].append(statistics.median(times))
+            per_doc[name].append(spread(times))
     return [
         {
             "case": f"random_instance {SIZE[0]}x{SIZE[1]}, seeds {SEEDS[0]}-{SEEDS[-1]}",
@@ -129,15 +140,15 @@ def layer_rows(texts: list[str]) -> list[dict]:
             "layer": name,
             "runs": RUNS,
             "documents": len(per_doc[name]),
-            "median_s": sum(per_doc[name]),
-            "per_document_median_s": per_doc[name],
+            **{key: sum(d[key] for d in per_doc[name]) for key in ("median_s", "q1_s", "q3_s")},
+            "per_document_median_s": [d["median_s"] for d in per_doc[name]],
         }
         for name, stmt in layers.items()
     ]
 
 
 def feasible_rows() -> list[dict]:
-    """Per feasible network, the median time of one solve."""
+    """Per feasible network, the median and quartiles of one solve's time."""
     rows = []
     for seed, m, n in FEASIBLE:
         net = build_network(feasible_random(random.Random(seed), m, n))
@@ -150,7 +161,7 @@ def feasible_rows() -> list[dict]:
             "what": "min_cost_circulation(net)",
             "layer": f"feasible {m}x{n}",
             "runs": RUNS,
-            "median_s": statistics.median(times),
+            **spread(times),
         })
     return rows
 
@@ -169,7 +180,10 @@ def main(argv: "list[str] | None" = None) -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     for row in out["rows"]:
-        print(f"{row.get('layer', 'cli solve'):>22}  {row['median_s'] * 1e3:9.2f} ms")
+        print(
+            f"{row.get('layer', 'cli solve'):>22}  {row['median_s'] * 1e3:9.2f} ms"
+            f"  ({row['q1_s'] * 1e3:.2f}-{row['q3_s'] * 1e3:.2f})"
+        )
     print(f"wrote {path}")
     return 0
 

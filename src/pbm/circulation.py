@@ -47,11 +47,13 @@ holds excess and can no longer reach the sink.  An infeasible network
 yields a node set whose entering capacity is below its leaving demand:
 the line's chain, or the nodes that the excess cut off from the sink
 cannot reach (this holds whatever start and potentials the flow grew
-from).  ``make_cut_witness`` checks that set's deficit again, summed over
-the arcs that meet its smaller side, and ``cut_to_certificate`` hands the
-set's membership, as one flag per cell and layer, straight to the
-strong-pair sums of the violated inequality on a pair of cell subsets;
-only the two subsets it returns are built as ``SubsetMask``s.
+from).  The witness names the set its proof built, the chain or the nodes
+the excess reaches, and says which side of the cut that set is.
+``make_cut_witness`` checks the cut's deficit again, summed over the arcs
+that meet the named set, and ``cut_to_certificate`` hands the named set's
+membership, as one flag per cell and layer, straight to the strong-pair
+sums of the violated inequality on a pair of cell subsets; only the two
+subsets it returns are built as ``SubsetMask``s.
 
 An optimum is unbounded exactly when the instance is feasible and some
 negative-cost cycle runs only along infinite bounds; the optimal
@@ -159,11 +161,13 @@ class Circulation:
 class CutWitness:
     """A node set W with entering capacity strictly below leaving demand.
 
-    ``deficit`` is (sum of upper bounds entering W) minus (sum of lower
-    bounds leaving W) and is negative by construction.
+    W is ``nodes``, the named set, or V minus ``nodes`` when ``complement``
+    is true.  ``deficit`` is (sum of upper bounds entering W) minus (sum of
+    lower bounds leaving W) and is negative by construction.
     """
 
     nodes: frozenset[int]
+    complement: bool
     deficit: int
 
 
@@ -246,30 +250,23 @@ def check_circulation(net: Network, circ: Circulation) -> None:
         raise InternalError(f"conservation fails at node {v}: imbalance {balance[v]}")
 
 
-def _smaller_side(net: Network, nodes: frozenset[int]) -> "tuple[frozenset[int] | set[int], bool]":
-    """The smaller of W = ``nodes`` and V minus W, and whether it is W."""
-    if 2 * len(nodes) <= net.node_count:
-        return nodes, True
-    return set(range(net.node_count)).difference(nodes), False
-
-
-def make_cut_witness(net: Network, nodes: frozenset[int]) -> CutWitness:
+def make_cut_witness(net: Network, nodes: frozenset[int], complement: bool = False) -> CutWitness:
     """Build a witness, recomputing the deficit; raises unless it is negative.
 
-    W and V minus W have the same crossing arcs, so the deficit is summed
-    over the arcs incident to the smaller side alone, found by the fixed
-    (m, n) layout that ``_balances`` reads: v1(k) meets A1 arcs k and
-    k - 1 and N arc k, v2(k) meets N arc k and A2 arcs k and k - n, and
-    each hub meets the return arc and the last prefix arc of every row
-    (v1_hub) or column (v2_hub).  The list may name an arc twice over or
-    one that the side does not meet; only an arc with one end on each
-    side counts, once.  The sum reads the network's tails, heads and
-    bounds and nothing that found W.
+    W is ``nodes``, or V minus ``nodes`` when ``complement`` is true.  Both
+    have the same crossing arcs, so the deficit is summed over the arcs
+    incident to the named set alone, found by the fixed (m, n) layout
+    that ``_balances`` reads: v1(k) meets A1 arcs k and k - 1 and N arc k,
+    v2(k) meets N arc k and A2 arcs k and k - n, and each hub meets the
+    return arc and the last prefix arc of every row (v1_hub) or column
+    (v2_hub).  The list may name an arc twice over or one that the set
+    does not meet; only an arc with one end on each side counts, once.
+    The sum reads the network's tails, heads and bounds and nothing that
+    found the set.
     """
     mn = net.m * net.n
-    side, small_w = _smaller_side(net, nodes)
-    v1 = [*filter(range(mn).__contains__, side)]
-    v2 = [*filter(range(mn, 2 * mn).__contains__, side)]
+    v1 = [*filter(range(mn).__contains__, nodes)]
+    v2 = [*filter(range(mn, 2 * mn).__contains__, nodes)]
     arcs = {
         *v1,
         *map(sub, v1, repeat(1)),
@@ -279,21 +276,21 @@ def make_cut_witness(net: Network, nodes: frozenset[int]) -> CutWitness:
         *map(add, v2, repeat(mn)),
     }
     arcs.discard(-1)
-    if net.v1_hub in side:
+    if net.v1_hub in nodes:
         arcs.update(range(net.n - 1, mn, net.n), (3 * mn,))
-    if net.v2_hub in side:
+    if net.v2_hub in nodes:
         arcs.update(range(2 * mn - net.n, 2 * mn), (3 * mn,))
     arcs = [*arcs]
-    tail_in = [*map(side.__contains__, map(net.tail.__getitem__, arcs))]
-    head_in = [*map(side.__contains__, map(net.head.__getitem__, arcs))]
-    # an arc enters W when it enters the small side W, or leaves the small side V minus W
-    into_w, out_of_w = (head_in, tail_in) if small_w else (tail_in, head_in)
+    tail_in = [*map(nodes.__contains__, map(net.tail.__getitem__, arcs))]
+    head_in = [*map(nodes.__contains__, map(net.head.__getitem__, arcs))]
+    # an arc enters W when it enters the named set W, or leaves the named set V minus W
+    into_w, out_of_w = (tail_in, head_in) if complement else (head_in, tail_in)
     rho_u = sum(compress(map(net.upper.__getitem__, arcs), map(gt, into_w, out_of_w)))
     delta_l = sum(compress(map(net.lower.__getitem__, arcs), map(gt, out_of_w, into_w)))
     deficit = rho_u - delta_l
     if deficit >= 0:
         raise InternalError(f"cut witness has nonnegative deficit {deficit}")
-    return CutWitness(nodes=nodes, deficit=deficit)
+    return CutWitness(nodes=nodes, complement=complement, deficit=deficit)
 
 
 class _FlowGraph:
@@ -581,7 +578,8 @@ def _line_cut(net: Network, chain: tuple[list[int], list[int], bool], column: bo
     last prefix: S has negative deficit when upper bounds hold a value
     below a lower bound, and the other nodes, V minus S, when lower bounds
     push one above an upper bound.  A1 arcs run right to left and N arcs
-    out of the row, so the row pass takes the other side.  An empty entry
+    out of the row, so the row pass takes the other side.  Either way the
+    witness names S, and says when W is its complement.  An empty entry
     interval makes S the one crossing node; the row pass over the plain
     column windows never meets one, since the column pass fails at that
     cell or before it.
@@ -589,10 +587,8 @@ def _line_cut(net: Network, chain: tuple[list[int], list[int], bool], column: bo
     cells, crossed, high = chain
     mn = net.m * net.n
     line_first, cross_first = (mn, 0) if column else (0, mn)
-    side = frozenset({line_first + k for k in cells} | {cross_first + k for k in crossed})
-    if high == column:
-        side = frozenset(range(net.node_count)).difference(side)
-    return make_cut_witness(net, side)
+    named = frozenset({line_first + k for k in cells} | {cross_first + k for k in crossed})
+    return make_cut_witness(net, named, high == column)
 
 
 def _greedy_start(net: Network, reach: "tuple[list[int], ...] | None") -> list[int]:
@@ -720,10 +716,11 @@ def min_cost_circulation(
     conservation over R, l(delta_in R) - u(delta_out R) equals the excess
     held in R plus the sink flow out of R, which is positive.  The nodes
     R misses form a set W with rho_u(W) - delta_l(W) < 0.  This holds for
-    any start inside the bounds and any potentials.  ``make_cut_witness``
-    recomputes the deficit from the network's bounds, over the arcs that
-    meet the smaller of W and its complement (the same arcs cross the cut
-    either way), and not from anything the solve computed.
+    any start inside the bounds and any potentials.  The witness names R
+    and says that W is its complement; ``make_cut_witness`` recomputes the
+    deficit from the network's bounds, over the arcs that meet R (the same
+    arcs cross the cut either way), and not from anything the solve
+    computed.
 
     Without a cost every edge has zero reduced cost, so one round runs
     over the whole residual graph.  It either delivers every excess or
@@ -787,12 +784,12 @@ def min_cost_circulation(
             break
         if not priced:
             # the one round ran over the whole residual graph
-            unreached = [h > nodes for h in graph.distances(stranded, adj, 0)]
+            reached = [h <= nodes for h in graph.distances(stranded, adj, 0)]
             break
         dist = _reduced_distances(graph, pi, [v for v in range(nodes) if excess[v] > 0])
         horizon = dist[t]
         if horizon is None:
-            unreached = [d is None for d in dist]
+            reached = [d is not None for d in dist]
             break
         # capping the raise at the sink's distance keeps every residual
         # reduced cost nonnegative, makes the shortest paths to the sink
@@ -803,7 +800,7 @@ def min_cost_circulation(
         info["pushes"] += pushes
         info["relabels"] += relabels
     if excess[t] < demand:
-        return make_cut_witness(net, frozenset(compress(range(nodes), unreached)))
+        return make_cut_witness(net, frozenset(compress(range(nodes), reached)), True)
     if priced:
         for idx in range(len(to)):
             if cap[idx] > 0 and edge_cost[idx] + pi[to[idx ^ 1]] - pi[to[idx]] < 0:
@@ -1024,23 +1021,21 @@ def cut_to_certificate(
     anything else is an internal bug.  Returns (X1, X2, case, the
     evaluated record of the violated inequality), X1 and X2 as masks.
     """
-    w = witness.nodes
+    named, complement = witness.nodes, witness.complement
     m, n, mn = net.m, net.n, net.m * net.n
-    hub1_in, hub2_in = net.v1_hub in w, net.v2_hub in w
-    case, violated = _CUT_CASES[hub1_in, hub2_in]
-    side, small_w = _smaller_side(net, w)
+    hub1_named, hub2_named = net.v1_hub in named, net.v2_hub in named
+    case, violated = _CUT_CASES[hub1_named != complement, hub2_named != complement]
 
-    def layer_flags(first: int, hub_in: bool) -> list[bool]:
+    def layer_flags(first: int, hub_named: bool) -> list[bool]:
         # a layer numbers its nodes row-major from the node of cell (1, 1); a
-        # node in ``side`` lies in W exactly when ``side`` is W
-        marked = small_w != hub_in
-        flags = [not marked] * mn
-        for v in filter(range(first, first + mn).__contains__, side):
-            flags[v - first] = marked
+        # node lies across the cut from its hub when exactly one of them is named
+        flags = [hub_named] * mn
+        for v in filter(range(first, first + mn).__contains__, named):
+            flags[v - first] = not hub_named
         return flags
 
-    x1 = layer_flags(net.v1_node(1, 1), hub1_in)
-    x2 = layer_flags(net.v2_node(1, 1), hub2_in)
+    x1 = layer_flags(net.v1_node(1, 1), hub1_named)
+    x2 = layer_flags(net.v2_node(1, 1), hub2_named)
     record = strongpair.flag_record(net.instance, x1, x2, violated)
     if record.holds:
         raise InternalError(

@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path: str):
     if path == "-":
         return json.load(sys.stdin)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -503,7 +503,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (PbmError, json.JSONDecodeError, OSError) as exc:
+    except (PbmError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except KeyError as exc:

@@ -51,10 +51,6 @@ class Segment:
         if not (1 <= self.start <= self.end):
             raise ValueError(f"bad segment span [{self.start}, {self.end}]")
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
     def cells(self) -> list[tuple[int, int]]:
         if self.orientation == HORIZONTAL:
             return [(self.line, c) for c in range(self.start, self.end + 1)]

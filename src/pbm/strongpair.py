@@ -26,10 +26,9 @@ evaluation is a few O(mn) passes and builds no segment.
 
 ``condition_values`` evaluates the four inequalities whose joint validity
 over all pairs of subsets characterizes feasibility of an instance, and
-``inequality_record`` evaluates one of them alone; ``flag_record`` does
-the same on subsets already given as cell flags, as a cut's membership
-gives them.  Their names gen1a, gen1b, gen1alfa, gen1beta are part of
-the certificate format.
+``flag_record`` evaluates one of them alone, on subsets already given as
+cell flags, as a cut's membership gives them.  Their names gen1a, gen1b,
+gen1alfa, gen1beta are part of the certificate format.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "elementary_pair",
     "eval_strong_pair",
     "mask_sum",
-    "inequality_record",
     "flag_record",
     "condition_values",
 ]
@@ -189,23 +187,14 @@ class ConditionEval:
         return all(rec.holds for rec in self.records())
 
 
-def inequality_record(
-    inst: PbmInstance, x1: SubsetMask, x2: SubsetMask, name: str
-) -> InequalityRecord:
-    """Evaluate one of gen1a, gen1b, gen1alfa, gen1beta on the pair (x1, x2).
-
-    Only the terms of the named inequality are computed; ``condition_values``
-    lists the four.
-    """
-    return flag_record(
-        inst, _flags(x1, inst.m, inst.n, "instance"), _flags(x2, inst.m, inst.n, "instance"), name
-    )
-
-
 def flag_record(
     inst: PbmInstance, x1: list[bool], x2: list[bool], name: str
 ) -> InequalityRecord:
-    """``inequality_record`` on X1 and X2 given as row-major cell flags, one per cell."""
+    """Evaluate one of gen1a, gen1b, gen1alfa, gen1beta on the pair (X1, X2).
+
+    X1 and X2 are row-major cell flags, one per cell.  Only the terms of
+    the named inequality are computed; ``condition_values`` lists the four.
+    """
     if name not in INEQUALITY_NAMES:
         raise KeyError(name)
     return _record(inst, x1, x2, _runs(x1, inst.n, True), _runs(x2, inst.n, False), name)

@@ -237,7 +237,7 @@ class TestFeasibility:
         witness = min_cost_circulation(net)
         assert isinstance(witness, CutWitness)
         assert witness.deficit < 0
-        again = make_cut_witness(net, witness.nodes)
+        again = make_cut_witness(net, witness.nodes, witness.complement)
         assert again.deficit == witness.deficit
 
     def test_infeasible_solve_stops_at_first_stranded_excess(self, monkeypatch):
@@ -270,11 +270,10 @@ class TestFeasibility:
             make_cut_witness(net, frozenset({0}))
 
     def test_witness_deficit_matches_per_arc_reference(self):
-        # grids to 8x8; on each, a node set of every size, the set with
-        # either hub and both added, and the complement of each: sets on
-        # both sides of half the nodes, so either side of the cut is summed
+        # grids to 8x8; on each, a node set of every size, and the set with
+        # either hub and both added, each named as W and as V minus W
         rng = random.Random(17)
-        signs, small_sides = set(), set()
+        seen = set()
         shapes = [(1, 1), (1, 8), (8, 1), (8, 8)] + [
             (rng.randint(1, 8), rng.randint(1, 8)) for _ in range(8)
         ]
@@ -285,22 +284,23 @@ class TestFeasibility:
             for size in range(count + 1):
                 base = frozenset(rng.sample(range(count), size))
                 for hubs in ((), (net.v1_hub,), (net.v2_hub,), (net.v1_hub, net.v2_hub)):
-                    with_hubs = base | set(hubs)
-                    for nodes in (with_hubs, frozenset(range(count)) - with_hubs):
+                    nodes = base | set(hubs)
+                    for complement in (False, True):
+                        w = frozenset(range(count)) - nodes if complement else nodes
                         deficit = sum(
-                            hi if w in nodes else -lo
-                            for u, w, lo, hi in arcs
-                            if (u in nodes) != (w in nodes)
+                            hi if head in w else -lo
+                            for tail, head, lo, hi in arcs
+                            if (tail in w) != (head in w)
                         )
-                        signs.add(deficit < 0)
-                        small_sides.add(2 * len(nodes) <= count)
+                        seen.add((complement, deficit < 0))
                         if deficit < 0:
-                            assert make_cut_witness(net, nodes) == CutWitness(nodes, deficit)
+                            witness = CutWitness(nodes, complement, deficit)
+                            assert make_cut_witness(net, nodes, complement) == witness
                         else:
                             message = f"nonnegative deficit {deficit}$"
                             with pytest.raises(InternalError, match=message):
-                                make_cut_witness(net, nodes)
-        assert signs == {False, True} and small_sides == {False, True}
+                                make_cut_witness(net, nodes, complement)
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _refuse(*args, **kwargs):
@@ -324,25 +324,26 @@ class TestLineCut:
             2, 2, *(tables[name] for name in ("phi1", "gamma1", "phi2", "gamma2", "f", "g"))
         )
 
-    # v1 nodes are 0-3 and v2 nodes 4-7, row-major; the hubs are 8 and 9.  The row
-    # pass never sees an empty entry interval: its crossing windows are the column
-    # windows, so the column pass has already failed there, on a one-cell chain that
-    # gives the same W.
+    # v1 nodes are 0-3 and v2 nodes 4-7, row-major; the hubs are 8 and 9.  Each witness
+    # names the chain's set S, and W is V minus S exactly when the chain is pushed too
+    # high in the column pass or held too low in the row pass.  The row pass never sees
+    # an empty entry interval: its crossing windows are the column windows, so the
+    # column pass has already failed there, on a one-cell chain that gives the same W.
     @pytest.mark.parametrize(
-        "cells, nodes, case, violated",
+        "cells, nodes, complement, case, violated",
         [
             # column 1 can sum to at most 1 + 2 < 5, the crossing row window bounding (1,1)
-            ({"phi2_2_1": 5, "g_2_1": 2, "gamma1_1_1": 1}, {0, 4, 6}, 2, "gen1b"),
-            ({"gamma2_2_1": -5, "f_2_1": -2, "phi1_1_1": -1}, {1, 2, 3, 5, 7, 8, 9}, 1, "gen1a"),
+            ({"phi2_2_1": 5, "g_2_1": 2, "gamma1_1_1": 1}, {0, 4, 6}, False, 2, "gen1b"),
+            ({"gamma2_2_1": -5, "f_2_1": -2, "phi1_1_1": -1}, {0, 4, 6}, True, 1, "gen1a"),
             # the row windows force entry (1,2) to at least 3 > g
-            ({"phi1_1_2": 3, "gamma1_1_1": 0, "g_1_2": 1}, {0, 2, 3, 4, 5, 6, 7, 8, 9}, 1, "gen1a"),
-            ({"gamma1_1_2": -3, "phi1_1_1": 0, "f_1_2": -1}, {1}, 2, "gen1b"),
+            ({"phi1_1_2": 3, "gamma1_1_1": 0, "g_1_2": 1}, {1}, True, 1, "gen1a"),
+            ({"gamma1_1_2": -3, "phi1_1_1": 0, "f_1_2": -1}, {1}, False, 2, "gen1b"),
             # row 1 can sum to at most 1 + 2 < 5, the crossing column window bounding (1,1)
-            ({"phi1_1_2": 5, "g_1_2": 2, "gamma2_1_1": 1}, {2, 3, 5, 6, 7, 8, 9}, 1, "gen1a"),
-            ({"gamma1_1_2": -5, "f_1_2": -2, "phi2_1_1": -1}, {0, 1, 4}, 2, "gen1b"),
+            ({"phi1_1_2": 5, "g_1_2": 2, "gamma2_1_1": 1}, {0, 1, 4}, True, 1, "gen1a"),
+            ({"gamma1_1_2": -5, "f_1_2": -2, "phi2_1_1": -1}, {0, 1, 4}, False, 2, "gen1b"),
             # the column windows force entry (2,1) to at least 3 > g
-            ({"phi2_2_1": 3, "gamma2_1_1": 0, "g_2_1": 1}, {6}, 2, "gen1b"),
-            ({"gamma2_2_1": -3, "phi2_1_1": 0, "f_2_1": -1}, {0, 1, 2, 3, 4, 5, 7, 8, 9}, 1, "gen1a"),
+            ({"phi2_2_1": 3, "gamma2_1_1": 0, "g_2_1": 1}, {6}, False, 2, "gen1b"),
+            ({"gamma2_2_1": -3, "phi2_1_1": 0, "f_2_1": -1}, {6}, True, 1, "gen1a"),
         ],
         ids=[
             "column-lower-chain",
@@ -355,12 +356,12 @@ class TestLineCut:
             "row-f-above-crossing",
         ],
     )
-    def test_shapes(self, monkeypatch, cells, nodes, case, violated):
+    def test_shapes(self, monkeypatch, cells, nodes, complement, case, violated):
         witnesses = []
 
-        def counted(net, cut):
-            witnesses.append(cut)
-            return make_cut_witness(net, cut)
+        def counted(net, cut, flip):
+            witnesses.append((cut, flip))
+            return make_cut_witness(net, cut, flip)
 
         monkeypatch.setattr(circulation, "make_cut_witness", counted)
         monkeypatch.setattr(circulation, "_greedy_start", _refuse)
@@ -368,7 +369,8 @@ class TestLineCut:
         inst = self.instance(cells)
         net = build_network(inst)
         witness = min_cost_circulation(net)
-        assert witnesses == [witness.nodes] and witness.nodes == nodes
+        named = (witness.nodes, witness.complement)
+        assert witnesses == [named] and named == (nodes, complement)
         x1, x2, got_case, record = cut_to_certificate(net, witness)
         assert (got_case, record.name) == (case, violated)
         bits = [sum(1 << ((i - 1) * 2 + j - 1) for i, j in x.cells) for x in (x1, x2)]
@@ -575,11 +577,40 @@ class TestCertificate:
                 if not isinstance(cut, CutWitness):
                     continue
                 x1, x2, case, record = cut_to_certificate(net, cut)
-                assert record == strongpair.inequality_record(inst, x1, x2, record.name)
+                assert record == strongpair.condition_values(inst, x1, x2).by_name(record.name)
                 assert not record.holds
                 cases.add(case)
                 sizes.add(min(len(x1), len(x2)) > 1)
         assert cases == {1, 2, 3, 4} and sizes == {False, True}
+
+    def test_either_side_names_the_same_cut(self):
+        # every witness the solver returns, by line or by flow, priced or not:
+        # naming the other side with the opposite flag is the same cut
+        rng = random.Random(31)
+        nets = [build_network(dataclasses.replace(asm_instance(55), beta=fin(54)))]
+        for _ in range(60):
+            inst = random_instance(rng, rng.randint(1, 6), rng.randint(1, 6))
+            nets.append(build_network(inst))
+            # a total capped below its least value, as random_stress.py refutes it
+            inst = feasible_random(rng, rng.randint(1, 6), rng.randint(1, 6))
+            least = extremal_total_sum(inst, "min").value
+            if least is not None:
+                nets.append(build_network(dataclasses.replace(inst, beta=fin(least - 1))))
+        seen = set()
+        for net in nets:
+            by_line = _reach(net)[1] is not None
+            for cost in ({}, {a: rng.randint(-3, 3) for a in range(len(net.lower))}):
+                witness = min_cost_circulation(net, cost)
+                if not isinstance(witness, CutWitness):
+                    continue
+                seen.add((by_line, witness.complement, bool(cost)))
+                other = frozenset(range(net.node_count)) - witness.nodes
+                flipped = make_cut_witness(net, other, not witness.complement)
+                assert flipped.deficit == witness.deficit
+                assert cut_to_certificate(net, flipped) == cut_to_certificate(net, witness)
+        # line cuts name either side; a flow cut names what the excess reaches
+        assert {(True, False, False), (True, True, False), (False, True, False)} <= seen
+        assert (False, True, True) in seen
 
 
 class TestMinCost:

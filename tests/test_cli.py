@@ -455,6 +455,23 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "argv",
+        [["solve", "BINARY"], ["solve", "ASM2", "--prescribe", "@BINARY"]],
+        ids=["instance", "prescribe"],
+    )
+    def test_non_utf8_file_rejected(self, capsys, tmp_path, asm2_file, argv):
+        # JSON text is UTF-8; the start of an ELF binary is not
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\xb0")
+        args = [a.replace("BINARY", str(binary)).replace("ASM2", asm2_file) for a in argv]
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR and out == ""
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xb0 in position 8: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ["solve", "--prescribe", "[[1,1]]"],
             ["solve", "--prescribe", '{"a":1}'],
