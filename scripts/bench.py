@@ -20,8 +20,11 @@ solve ends in a certificate.  The rows are:
 * one row per feasible network, the ``timeit`` times over ``RUNS`` runs
   of ``min_cost_circulation(net)``, which computes the line reaches and
   runs the flow: ``feasible_random(Random(n), n, n)`` for n = 45 and 150,
-  and the line ``feasible_random(Random(3), 1, 3000)``, whose greedy
-  start already conserves.
+  the lines ``feasible_random(Random(3), 1, 3000)`` and
+  ``feasible_random(Random(3), 3000, 1)``, and ``asm_instance(30)``; the
+  last three start as circulations.  Each of these rows also stores the
+  ``pushes`` and ``relabels`` of one solve, counts that repeat exactly
+  and, unlike the times, do not drift with the speed of the host.
 
 Every row holds the median of its samples as ``median_s`` and their first
 and third quartiles as ``q1_s`` and ``q3_s``, so a difference between
@@ -61,14 +64,15 @@ from pbm.circulation import (  # noqa: E402
     cut_to_certificate,
     min_cost_circulation,
 )
+from pbm.asmkit import asm_instance  # noqa: E402
 from pbm.core import instance_from_json, instance_to_json, validate_instance  # noqa: E402
 from helpers import feasible_random, random_instance  # noqa: E402
 
 SEEDS = range(20)
 SIZE = (55, 55)
 RUNS = 15
-# (seed, m, n) of each feasible network
-FEASIBLE = ((45, 45, 45), (150, 150, 150), (3, 1, 3000))
+# (seed, m, n) of each feasible_random network
+FEASIBLE = ((45, 45, 45), (150, 150, 150), (3, 1, 3000), (3, 3000, 1))
 
 
 def spread(times: list[float]) -> dict:
@@ -148,20 +152,29 @@ def layer_rows(texts: list[str]) -> list[dict]:
 
 
 def feasible_rows() -> list[dict]:
-    """Per feasible network, the median and quartiles of one solve's time."""
+    """Per feasible network, the median and quartiles of one solve's time, and its counts."""
+    cases = [
+        (f"feasible_random(Random({seed}), {m}, {n})", f"feasible {m}x{n}",
+         feasible_random(random.Random(seed), m, n))
+        for seed, m, n in FEASIBLE
+    ]
+    cases.append(("asm_instance(30)", "feasible asm(30)", asm_instance(30)))
     rows = []
-    for seed, m, n in FEASIBLE:
-        net = build_network(feasible_random(random.Random(seed), m, n))
-        if isinstance(min_cost_circulation(net), CutWitness):
-            raise SystemExit(f"feasible_random(Random({seed}), {m}, {n}) came out infeasible")
+    for case, layer, inst in cases:
+        net = build_network(inst)
+        info: dict = {}
+        if isinstance(min_cost_circulation(net, None, info), CutWitness):
+            raise SystemExit(f"{case} came out infeasible")
         times = timeit.repeat("min_cost_circulation(net)", globals={**globals(), "net": net},
                               number=1, repeat=RUNS)
         rows.append({
-            "case": f"feasible_random(Random({seed}), {m}, {n})",
+            "case": case,
             "what": "min_cost_circulation(net)",
-            "layer": f"feasible {m}x{n}",
+            "layer": layer,
             "runs": RUNS,
             **spread(times),
+            "pushes": info["pushes"],
+            "relabels": info["relabels"],
         })
     return rows
 
@@ -180,9 +193,10 @@ def main(argv: "list[str] | None" = None) -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     for row in out["rows"]:
+        counts = f"  {row['pushes']} pushes, {row['relabels']} relabels" if "pushes" in row else ""
         print(
             f"{row.get('layer', 'cli solve'):>22}  {row['median_s'] * 1e3:9.2f} ms"
-            f"  ({row['q1_s'] * 1e3:.2f}-{row['q3_s'] * 1e3:.2f})"
+            f"  ({row['q1_s'] * 1e3:.2f}-{row['q3_s'] * 1e3:.2f}){counts}"
         )
     print(f"wrote {path}")
     return 0

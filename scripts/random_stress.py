@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import random
 import sys
 import time
@@ -108,6 +109,13 @@ def main() -> int:
         help="widen windows around a hidden matrix instead of drawing them independently",
     )
     args = parser.parse_args()
+    # a max-dim x max-dim instance must fit the oracle's enumeration budget
+    top = math.isqrt(oracle.DEFAULT_BUDGET.max_cells)
+    if not 1 <= args.max_dim <= top:
+        parser.error(
+            f"--max-dim must be in 1..{top}: the oracle enumerates at most "
+            f"oracle.DEFAULT_BUDGET.max_cells = {oracle.DEFAULT_BUDGET.max_cells} cells"
+        )
 
     rng = random.Random(args.seed)
     cost_rng = random.Random(f"costs:{args.seed}")

@@ -31,19 +31,22 @@ A reach that comes out empty proves the network infeasible, and in nearly
 every such case a single line already contradicts its windows: the pass
 that finds the empty reach also names the chain of bounds that emptied
 it, and the solve reads the cut off that chain and returns it, with no
-flow at all.  Otherwise the solve builds one residual graph and runs
-one primal-dual loop on it.  The flow starts from a greedy guess that
-lies inside every arc bound, with each priced arc at the bound its cost
-favours.  The guess aims each prefix at its line's reach, so a feasible
-single line starts as a circulation, unless its total window clamps the
-sum, and no round runs.  Otherwise the guess leaves excess at some nodes,
-which the loop carries as a pseudoflow, and a super sink takes the
-deficits.  Each round moves excess to the sink by push-relabel over the
-edges of zero reduced cost; a round that falls short raises the
-potentials by one Dijkstra, unless the sink is cut off.  A feasibility
-question has no prices, so it is the case in which one round does all
-the work, over the whole residual graph; it stops at the first node that
-holds excess and can no longer reach the sink.  An infeasible network
+flow at all.  Otherwise the solve starts from a greedy guess that lies
+inside every arc bound, with each priced arc at the bound its cost
+favours.  The guess solves the rows top to bottom, each as one exact
+line against the column prefixes already set above it, kept inside the
+column reaches where it can be.  So a feasible single line and every
+feasible ASM instance start as a circulation, unless the total window
+clamps the sum, and an unpriced guess that conserves is the answer,
+returned before any residual graph is built.  Otherwise the solve builds
+one residual graph and runs one primal-dual loop on it.  The guess
+leaves excess at some nodes, which the loop carries as a pseudoflow, and
+a super sink takes the deficits.  Each round moves excess to the sink
+by push-relabel over the edges of zero reduced cost; a round that falls
+short raises the potentials by one Dijkstra, unless the sink is cut off.
+A feasibility question has no prices, so it is the case in which one
+round does all the work, over the whole residual graph; it stops at the
+first node that holds excess and can no longer reach the sink.  An infeasible network
 yields a node set whose entering capacity is below its leaving demand:
 the line's chain, or the nodes that the excess cut off from the sink
 cannot reach (this holds whatever start and potentials the flow grew
@@ -544,15 +547,19 @@ def _reach(net: Network) -> "tuple[tuple[list[int], ...] | None, CutWitness | No
 
     The reach is row reach low and high, then column reach low and high,
     per cell, and None when one is empty; the witness is None unless a
-    single line is contradictory.  The column pass comes first, bottom-up,
-    with each entry cut down to the differences of consecutive row
-    windows: a chain there is the line cut.  Then the row pass, right to
-    left, with each entry cut down to the differences of consecutive
-    column reaches.  A chain there may need the column reaches, which no
-    single line shows, so only then does the row pass run once more over
-    the plain column windows; a chain that this rerun finds is the line
-    cut, and when it finds none, the contradiction needs both layers or
-    the total window, and the solve finds its cut by flow.
+    single line is contradictory.  The row reach serves only to find
+    contradictions: ``_greedy_start`` reads the column reach and solves
+    each row's own reach under the column prefixes it has set.
+
+    The column pass comes first, bottom-up, with each entry cut down to
+    the differences of consecutive row windows: a chain there is the line
+    cut.  Then the row pass, right to left, with each entry cut down to
+    the differences of consecutive column reaches.  A chain there may need
+    the column reaches, which no single line shows, so only then does the
+    row pass run once more over the plain column windows; a chain that
+    this rerun finds is the line cut, and when it finds none, the
+    contradiction needs both layers or the total window, and the solve
+    finds its cut by flow.
     """
     columns, rows, col_window, row_window, f, g = _line_tables(net)
     col_reach, chain = _reach_along(columns, col_window, row_window, f, g)
@@ -596,74 +603,94 @@ def _greedy_start(net: Network, reach: "tuple[list[int], ...] | None") -> list[i
 
     Each row and each column is a chain of prefix windows, so the values
     of one prefix from which the rest of its line can still be completed
-    form an interval, its reach; ``reach`` is ``_reach(net)[0]``.  A
-    feasible line of either orientation therefore starts as a circulation,
-    unless the total window clamps its sum.  ``reach`` is None only when
-    the row pass over the column reaches found an empty reach and no
-    single line is contradictory: the network is infeasible, and the
-    plain windows take the place of the reaches.
+    form an interval, its reach; ``reach`` is ``_reach(net)[0]``, and the
+    start reads its column reach only.  It is None only when the row pass
+    over the column reaches found an empty reach and no single line is
+    contradictory: the network is infeasible, and the column windows take
+    the place of the column reaches.
 
-    One row-major pass picks each entry nearest 0 among the values that
-    keep both its row prefix and its column prefix inside their reaches,
-    given the values already on the arcs before them; failing that,
-    inside the row reach alone, then the column reach alone, then anywhere
-    in the entry window.  Each prefix arc carries the previous prefix
-    arc's value plus the entry, clamped into the arc's bounds, and the
-    return arc the sum of the rows' last prefix arcs, clamped likewise.
-    Conservation breaks only at the nodes where a clamp bit, and max-flow
-    repairs just those imbalances.
+    The rows are solved top to bottom, each as one exact line against the
+    column prefixes already set above it.  A cell's entry bounds are its
+    entry window cut down to its column reach less the column prefix above
+    it; when that leaves nothing, the column left its reach in an earlier
+    row, and the entry is pinned to the end of its entry window nearest
+    the reach.  Under these bounds the row's own reach follows from the
+    recurrence of ``_reach_along``, right to left; where a step leaves no
+    value inside the predecessor's window, the reach collapses to the end
+    of that window nearest the values the step gave.  One pass left to
+    right then picks each entry, the one pick rule: the value nearest 0
+    within the bounds that keeps the row prefix inside its reach, given
+    the prefix before it, or the bound nearer the reach when none does.
+
+    Each prefix arc carries the previous prefix arc's value plus the
+    entry, clamped into the arc's bounds, and the return arc the sum of
+    the rows' last prefix arcs, clamped likewise.  Conservation breaks
+    only at the nodes where a clamp bit, and the flow repairs just those
+    imbalances.  A row whose reach never collapses and whose columns stay
+    inside their reaches needs no clamp, so a feasible single line, and
+    every feasible ASM and k-regular instance up to 60 x 60 (k <= 3),
+    starts as a circulation, unless the total window clamps the sum.
     """
-    m, n, mn = net.m, net.n, net.m * net.n
+    n, mn = net.n, net.m * net.n
     lower, upper = net.lower, net.upper
     windows = (lower[:mn], upper[:mn], lower[mn : 2 * mn], upper[mn : 2 * mn])
-    cells = zip(*windows, lower[2 * mn : 3 * mn], upper[2 * mn : 3 * mn], *(reach or windows))
+    h_lo, h_hi, v_lo, v_hi = windows
+    f, g = lower[2 * mn : 3 * mn], upper[2 * mn : 3 * mn]
+    c_lo, c_hi = (reach or windows)[2:]
+    # the window of the row prefix before each cell: [0, 0] before a row's first cell
+    p_lo, p_hi = _left(h_lo, n), _left(h_hi, n)
+    b_lo, b_hi, r_lo, r_hi = [0] * mn, [0] * mn, [0] * mn, [0] * mn
     rows: list[int] = []
-    cols: list[int] = []
     entries: list[int] = []
-    col = [0] * n
+    cols = [0] * n  # cols[k] is the column prefix above cell k; the start's column arcs follow
     total = 0
-    for _ in range(m):
+    for s in range(0, mn, n):
+        lo, hi = h_lo[s + n - 1], h_hi[s + n - 1]
+        for k in range(s + n - 1, s - 1, -1):
+            r_lo[k], r_hi[k] = lo, hi
+            v, e_lo, e_hi = cols[k], f[k], g[k]
+            x_lo, x_hi = c_lo[k] - v, c_hi[k] - v
+            if x_lo < e_lo:
+                x_lo = e_lo
+            if x_hi > e_hi:
+                x_hi = e_hi
+            if x_lo > x_hi:
+                x_lo = x_hi = e_hi if x_lo > e_hi else e_lo
+            b_lo[k], b_hi[k] = x_lo, x_hi
+            lo -= x_hi
+            hi -= x_lo
+            w_lo, w_hi = p_lo[k], p_hi[k]
+            if lo > w_hi:
+                lo = hi = w_hi
+            elif hi < w_lo:
+                lo = hi = w_lo
+            else:
+                if lo < w_lo:
+                    lo = w_lo
+                if hi > w_hi:
+                    hi = w_hi
         h = 0
-        for j in range(n):
-            h_lo, h_hi, v_lo, v_hi, e_lo, e_hi, r_lo, r_hi, c_lo, c_hi = next(cells)
-            v = col[j]
-            # the entry window cut down by the row reach and the column reach,
-            # else by the row reach alone, else the column reach, else uncut
-            r_lo -= h
-            r_hi -= h
-            if e_lo > r_lo:
-                r_lo = e_lo
-            if e_hi < r_hi:
-                r_hi = e_hi
-            c_lo -= v
-            c_hi -= v
-            lo, hi = r_lo, r_hi
-            if c_lo > lo:
-                lo = c_lo
-            if c_hi < hi:
-                hi = c_hi
+        for k in range(s, s + n):
+            x_lo, x_hi = b_lo[k], b_hi[k]
+            lo, hi = r_lo[k] - h, r_hi[k] - h
+            if lo < x_lo:
+                lo = x_lo
+            if hi > x_hi:
+                hi = x_hi
             if lo > hi:
-                lo, hi = r_lo, r_hi
-                if lo > hi:
-                    lo, hi = e_lo, e_hi
-                    if c_lo > lo:
-                        lo = c_lo
-                    if c_hi < hi:
-                        hi = c_hi
-                    if lo > hi:
-                        lo, hi = e_lo, e_hi
-            x = lo if lo > 0 else hi if hi < 0 else 0
+                x = x_hi if lo > x_hi else x_lo
+            else:
+                x = lo if lo > 0 else hi if hi < 0 else 0
             entries.append(x)
             h += x
-            h = h_lo if h < h_lo else h_hi if h > h_hi else h
+            h = h_lo[k] if h < h_lo[k] else h_hi[k] if h > h_hi[k] else h
             rows.append(h)
-            v += x
-            v = v_lo if v < v_lo else v_hi if v > v_hi else v
-            col[j] = v
-            cols.append(v)
+            v = cols[k] + x
+            cols.append(v_lo[k] if v < v_lo[k] else v_hi[k] if v > v_hi[k] else v)
         total += h
     a0_lo, a0_hi = lower[3 * mn], upper[3 * mn]
-    return [*rows, *cols, *entries, a0_lo if total < a0_lo else a0_hi if total > a0_hi else total]
+    total = a0_lo if total < a0_lo else a0_hi if total > a0_hi else total
+    return [*rows, *cols[n:], *entries, total]
 
 
 def min_cost_circulation(
@@ -690,23 +717,25 @@ def min_cost_circulation(
     ``info``.  A contradiction that needs both layers or the total window
     shows in no single line, and the solve goes on as below.
 
+    Otherwise the flow starts from ``_greedy_start`` with every negatively
+    priced arc moved to its upper bound and every positively priced arc to
+    its lower bound: it lies inside every arc bound, may break
+    conservation, and leaves every reduced cost nonnegative under zero
+    potentials.  Without a cost, a start that already conserves is the
+    answer: the solve returns it before any residual graph is built, with
+    the network's size and no pushes or relabels in ``info``.
+
     Otherwise the solve builds one residual graph, in which arc a is edge
     2a and carries flow lower[a] plus the capacity of edge 2a + 1, and
     runs one primal-dual loop on it (Ahuja, Magnanti & Orlin 1993,
-    section 9.8).
-    The flow starts from ``_greedy_start`` with every negatively priced
-    arc moved to its upper bound and every positively priced arc to its
-    lower bound: it lies inside every arc bound, may break conservation,
-    and leaves every reduced cost nonnegative under zero potentials.  A
-    node that receives more than it sends keeps the difference as excess,
-    and a node that sends more gets an edge to a super sink for its
-    deficit; the excess list is the pseudoflow that all rounds share.
-    Each round runs ``_FlowGraph.push_relabel`` over the edges of zero
-    reduced cost; ``info`` collects the pushes and relabels of all rounds.
-    Once no excess is left, the sink edges are saturated, the flow is a
-    circulation, and the potentials prove it optimal.  A start that
-    already conserves leaves no excess, so no round runs, and no global
-    relabel either.
+    section 9.8).  A node that receives more than it sends keeps the
+    difference as excess, and a node that sends more gets an edge to a
+    super sink for its deficit; the excess list is the pseudoflow that
+    all rounds share.  Each round runs ``_FlowGraph.push_relabel`` over
+    the edges of zero reduced cost; ``info`` collects the pushes and
+    relabels of all rounds.  Once no excess is left, the sink edges are
+    saturated, the flow is a circulation, and the potentials prove it
+    optimal.
 
     Infeasibility shows as excess cut off from the sink.  Let R be the set
     of nodes that residual paths reach from some of the nodes holding
@@ -756,8 +785,12 @@ def min_cost_circulation(
         if c:
             costs[arc_id] = c
             flow[arc_id] = upper[arc_id] if c < 0 else lower[arc_id]
+    priced = any(costs)
+    excess = _balances(net, flow)
+    if not (priced or any(excess)):
+        return Circulation(tuple(flow))
     t = nodes
-    excess = [*_balances(net, flow), 0]
+    excess.append(0)
     graph = _FlowGraph(nodes + 1)
     graph.add_arcs(tail, head, list(map(sub, upper, flow)), list(map(sub, flow, lower)), costs)
     short = [v for v in range(nodes) if excess[v] < 0]
@@ -767,7 +800,6 @@ def min_cost_circulation(
     for v in short:
         excess[v] = 0
     adj, to, cap, edge_cost = graph.adj, graph.to, graph.cap, graph.cost
-    priced = any(costs)
     pi = [0] * (nodes + 1)
     admissible = adj
     pushes = relabels = 0

@@ -7,7 +7,7 @@ import pytest
 
 from pbm.core import NEG_INF, POS_INF, ExtMatrix, IntMatrix, PbmInstance, fin
 from pbm import circulation, oracle, strongpair
-from pbm.asmkit import asm_instance
+from pbm.asmkit import asm_instance, k_regular_instance
 from pbm.circulation import (
     Circulation,
     _FlowGraph,
@@ -775,28 +775,102 @@ def test_layout_balances_match_per_arc_reference(m):
                 check_circulation(net, Circulation(flows))
 
 
-def assert_start_in_bounds(inst: PbmInstance) -> None:
+def assert_start_follows_its_rule(inst: PbmInstance) -> tuple[int, int]:
+    """Check the start against its bounds and its rule; (pinned entries, collapsed reaches).
+
+    Every flow must lie inside its arc bound.  Each row is then rebuilt
+    from the start's own column flows above it, as ``_greedy_start``
+    describes it: an entry is pinned when its entry window and column
+    reach, less the column prefix above it, do not meet; a reach
+    collapses at a step of the row recurrence that leaves no value inside
+    the predecessor's window, [0, 0] before a row's first cell; and each
+    entry and row prefix must be the ones the pick rule gives.  A row that
+    meets neither a pin nor a collapse must conserve at every node of both
+    layers.
+    """
     net = build_network(inst)
-    start = _greedy_start(net, _reach(net)[0])
+    reach = _reach(net)[0]
+    start = _greedy_start(net, reach)
     assert len(start) == len(net.lower)
     for a, (lo, hi) in enumerate(zip(net.lower, net.upper)):
         assert lo <= start[a] <= hi, net.arc_tag(a)
+    m, n, mn = net.m, net.n, net.m * net.n
+    lower, upper = net.lower, net.upper
+    c_lo, c_hi = (reach or (lower[:mn], upper[:mn], lower[mn : 2 * mn], upper[mn : 2 * mn]))[2:]
+    balance = _balances(net, start)
+    pinned = collapsed = 0
+    for i in range(m):
+        cells = range(i * n, (i + 1) * n)
+        row_pinned, row_collapsed = pinned, collapsed
+        bounds, row_reach = {}, {}
+        for k in cells:
+            above = start[mn + k - n] if i else 0
+            f, g = lower[2 * mn + k], upper[2 * mn + k]
+            lo, hi = max(f, c_lo[k] - above), min(g, c_hi[k] - above)
+            if lo > hi:
+                pinned += 1
+                lo = hi = g if c_lo[k] - above > g else f
+            bounds[k] = (lo, hi)
+        lo, hi = lower[cells[-1]], upper[cells[-1]]
+        for k in reversed(cells):
+            row_reach[k] = (lo, hi)
+            b_lo, b_hi = bounds[k]
+            lo, hi = lo - b_hi, hi - b_lo
+            # the prefix before a row's first cell is 0
+            w_lo, w_hi = (lower[k - 1], upper[k - 1]) if k > cells[0] else (0, 0)
+            if lo > w_hi or hi < w_lo:
+                collapsed += 1
+                lo = hi = w_hi if lo > w_hi else w_lo
+            lo, hi = max(lo, w_lo), min(hi, w_hi)
+        h = 0
+        for k in cells:
+            (r_lo, r_hi), (b_lo, b_hi) = row_reach[k], bounds[k]
+            lo, hi = max(r_lo - h, b_lo), min(r_hi - h, b_hi)
+            # nearest 0 inside, else the bound nearer the reach
+            x = min(max(0, lo), hi) if lo <= hi else b_hi if lo > b_hi else b_lo
+            h = min(max(h + x, lower[k]), upper[k])
+            assert (start[2 * mn + k], start[k]) == (x, h), net.arc_tag(k)
+        if (pinned, collapsed) == (row_pinned, row_collapsed):
+            assert not any(balance[k] or balance[mn + k] for k in cells)
+    return pinned, collapsed
+
+
+@pytest.fixture
+def graph_builds(monkeypatch) -> list[int]:
+    """The node count of every residual graph built while the test runs."""
+    built: list[int] = []
+    init = _FlowGraph.__init__
+
+    def spy(self, node_count):
+        built.append(node_count)
+        init(self, node_count)
+
+    monkeypatch.setattr(_FlowGraph, "__init__", spy)
+    return built
 
 
 class TestGreedyStart:
     def test_random_instances_with_infinite_sides(self):
         rng = random.Random(31)
+        pinned = collapsed = 0
         for _ in range(60):
             m, n = rng.randint(1, 8), rng.randint(1, 8)
-            assert_start_in_bounds(random_instance(rng, m, n, inf_rate=0.5))
-            assert_start_in_bounds(feasible_random(rng, m, n, inf_rate=0.5, entry_inf_rate=0.3))
+            for inst in (
+                random_instance(rng, m, n, inf_rate=0.5),
+                feasible_random(rng, m, n, inf_rate=0.5, entry_inf_rate=0.3),
+            ):
+                more_pinned, more_collapsed = assert_start_follows_its_rule(inst)
+                pinned += more_pinned
+                collapsed += more_collapsed
+        # both ways out of an empty interval occur
+        assert pinned > 0 and collapsed > 0
 
     def test_huge_bounds(self):
-        assert_start_in_bounds(huge_bounds_2x2()[0])
+        assert_start_follows_its_rule(huge_bounds_2x2()[0])
 
     @pytest.mark.parametrize("n", [1200, 5000])
     def test_long_rows(self, n):
-        assert_start_in_bounds(one_row_path(n))
+        assert_start_follows_its_rule(one_row_path(n))
 
     def test_max_flow_repairs_little_on_45x45(self, monkeypatch):
         inst = feasible_random(random.Random(45), 45, 45)
@@ -811,7 +885,7 @@ class TestGreedyStart:
         assert 0 < greedy <= all_lower // 3
 
     @pytest.mark.parametrize("shape", [(1, 3000), (3000, 1)], ids=["1x3000", "3000x1"])
-    def test_feasible_lines_start_as_circulations(self, monkeypatch, shape):
+    def test_feasible_lines_start_as_circulations(self, monkeypatch, graph_builds, shape):
         # a line's reach is exact, so the start conserves and the solve repairs nothing
         inst = feasible_random(random.Random(3), *shape)
         net = build_network(inst)
@@ -826,12 +900,31 @@ class TestGreedyStart:
         monkeypatch.setattr(_FlowGraph, "distances", spy)
         info: dict = {}
         assert solve(inst, info).is_feasible
-        assert (info["pushes"], info["relabels"], searches) == (0, 0, [])
+        # a conserving start is the answer: no residual graph is built
+        assert (info["pushes"], info["relabels"], searches, graph_builds) == (0, 0, [], [])
+
+    def test_asm_and_k_regular_start_as_circulations(self, graph_builds):
+        # each row solved as one exact line under the columns above it
+        feasible = 0
+        for n in range(1, 41):
+            for k in (1, 2, 3):
+                inst = asm_instance(n) if k == 1 else k_regular_instance(n, k)
+                info: dict = {}
+                if not solve(inst, info).is_feasible:
+                    assert k > n
+                    continue
+                feasible += 1
+                net = build_network(inst)
+                assert not any(_balances(net, _greedy_start(net, _reach(net)[0]))), (n, k)
+                assert (info["pushes"], info["relabels"]) == (0, 0), (n, k)
+        assert feasible == 40 + 39 + 38
+        assert graph_builds == []
 
     def test_start_leaves_little_excess_on_45x45(self):
         # a start that looks no further than the arcs before each entry leaves 145
+        # nodes with excess, one that aims each prefix at its line's reach 50
         net = build_network(feasible_random(random.Random(45), 45, 45))
-        assert sum(b > 0 for b in per_arc_balances(net, _greedy_start(net, _reach(net)[0]))) <= 72
+        assert sum(b > 0 for b in per_arc_balances(net, _greedy_start(net, _reach(net)[0]))) <= 25
 
     def test_empty_reach_means_no_matrix(self):
         rng = random.Random(41)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -13,6 +14,8 @@ from pbm.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, EXIT_UNBOUNDED, main
 from pbm.core import IntMatrix, instance_to_json
 from pbm.asmkit import asm_instance, pasm_instance
 from pbm import oracle
+
+from helpers import feasible_random
 
 
 def write_json(path, doc):
@@ -55,7 +58,9 @@ class TestCheckSolve:
         assert "feasible" in err
 
     def test_diagnostics_count_phases(self, capsys, tmp_path):
-        path = write_json(tmp_path / "asm4.json", instance_to_json(asm_instance(4)))
+        # an ASM instance starts as a circulation; this grid still needs the flow
+        inst = feasible_random(random.Random(45), 45, 45)
+        path = write_json(tmp_path / "random45.json", instance_to_json(inst))
         _, doc, _ = run(capsys, "check", path)
         diag = doc["diagnostics"]
         assert diag["pushes"] > 0

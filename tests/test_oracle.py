@@ -1,6 +1,10 @@
 """The brute-force enumeration oracle and the class-membership predicates."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,19 @@ class TestEnumerate:
         inst = PbmInstance.create(1, 1, [[fin(0)]], [[POS_INF]], [[fin(0)]], [[POS_INF]])
         with pytest.raises(BudgetExceeded):
             enumerate_pbms(inst)
+
+    @pytest.mark.parametrize("max_dim", ["0", "4"])
+    def test_stress_script_rejects_grids_past_the_budget(self, max_dim):
+        # rows and columns up to max-dim must fit the budget's cells, and at least one
+        script = Path(__file__).resolve().parent.parent / "scripts" / "random_stress.py"
+        env = {**os.environ, "PYTHONPATH": str(script.parent.parent / "src")}
+        run = subprocess.run(
+            [sys.executable, str(script), "--max-dim", max_dim, "--count", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 2 and run.stdout == ""
+        assert "--max-dim must be in 1..3" in run.stderr
+        assert f"max_cells = {oracle.DEFAULT_BUDGET.max_cells} cells" in run.stderr
 
 
 class TestMatrixSatisfies:
