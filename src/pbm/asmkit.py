@@ -390,10 +390,9 @@ def max_plus_ones_subordinate(x: IntMatrix) -> Result:
     optimum can lean on the large-K stand-ins for the unbounded entry sides.
     """
     part = _sign_partition(x)
-    inst = _partition_instance(part)
-    net = build_network(inst)
+    net = build_network(_partition_instance(part))
     cost = {net.n_arc_id(i, j): 1 for (i, j) in part.cells("+").cells}
-    res = _answer(inst, net, cost, "max")
+    res = _answer(net, cost, "max")
     if res.status == "unbounded":
         raise InternalError("subordinate optimum reported unbounded under capped windows")
     return _with_family(part, res)

@@ -26,24 +26,25 @@ bounds on the same arcs, as ``decompose`` solves, is that network with
 its ``lower`` and ``upper`` replaced.
 
 Every solve first computes each line's reach, the interval of values of
-a prefix from which the rest of its row or column can still be completed.
-A reach that comes out empty proves the network infeasible, and in nearly
-every such case a single line already contradicts its windows: the pass
-that finds the empty reach also names the chain of bounds that emptied
-it, and the solve reads the cut off that chain and returns it, with no
-flow at all.  Otherwise the solve starts from a greedy guess that lies
-inside every arc bound, with each priced arc at the bound its cost
-favours.  The guess solves the rows top to bottom, each as one exact
-line against the column prefixes already set above it, kept inside the
-column reaches where it can be.  So a feasible single line and every
-feasible ASM instance start as a circulation, unless the total window
-clamps the sum, and an unpriced guess that conserves is the answer,
-returned before any residual graph is built.  Otherwise the solve builds
-one residual graph and runs one primal-dual loop on it.  The guess
-leaves excess at some nodes, which the loop carries as a pseudoflow, and
-a super sink takes the deficits.  Each round moves excess to the sink
-by push-relabel over the edges of zero reduced cost; a round that falls
-short raises the potentials by one Dijkstra, unless the sink is cut off.
+a prefix from which the rest of its row or column can still be completed,
+in one pass per direction: the columns over the row windows, the rows
+over the column windows.  A reach that comes out empty shows a single
+line that contradicts its windows: the pass that finds it also names the
+chain of bounds that emptied it, and the solve reads the cut off that
+chain and returns it, with no flow at all.  Otherwise the solve starts
+from a greedy guess that lies inside every arc bound, with each priced
+arc at the bound its cost favours.  The guess solves the rows top to
+bottom, each as one exact line against the column prefixes already set
+above it, kept inside the column reaches.  So a feasible single line and
+every feasible ASM instance start as a circulation, unless the total
+window clamps the sum, and an unpriced guess that conserves is the
+answer, returned before any residual graph is built.  Otherwise the
+solve builds one residual graph and runs one primal-dual loop on it.
+The guess leaves excess at some nodes, which the loop carries as a
+pseudoflow, and a super sink takes the deficits.  Each round moves
+excess to the sink by push-relabel over the edges of zero reduced cost;
+a round that falls short raises the potentials by one Dijkstra, unless
+the sink is cut off.
 A feasibility question has no prices, so it is the case in which one
 round does all the work, over the whole residual graph; it stops at the
 first node that holds excess and can no longer reach the sink.  An infeasible network
@@ -542,36 +543,28 @@ def _line_tables(net: Network) -> tuple:
     )
 
 
-def _reach(net: Network) -> "tuple[tuple[list[int], ...] | None, CutWitness | None]":
-    """(reach, witness): the line reaches, or the cut of the first contradictory line.
+def _reach(net: Network) -> "tuple[tuple[list[int], list[int]] | None, CutWitness | None]":
+    """(reach, witness): the column reach, or the cut of the first contradictory line.
 
-    The reach is row reach low and high, then column reach low and high,
-    per cell, and None when one is empty; the witness is None unless a
-    single line is contradictory.  The row reach serves only to find
-    contradictions: ``_greedy_start`` reads the column reach and solves
-    each row's own reach under the column prefixes it has set.
+    The reach is column reach low and high per cell, the one reach
+    ``_greedy_start`` reads, and None exactly when the witness is not.
 
+    One pass per direction, each over the other layer's plain windows.
     The column pass comes first, bottom-up, with each entry cut down to
-    the differences of consecutive row windows: a chain there is the line
-    cut.  Then the row pass, right to left, with each entry cut down to
-    the differences of consecutive column reaches.  A chain there may need
-    the column reaches, which no single line shows, so only then does the
-    row pass run once more over the plain column windows; a chain that
-    this rerun finds is the line cut, and when it finds none, the
-    contradiction needs both layers or the total window, and the solve
-    finds its cut by flow.
+    the differences of consecutive row windows; then the row pass, right
+    to left, with each entry cut down to the differences of consecutive
+    column windows.  A chain from either pass is the line cut.  When
+    neither finds one, any contradiction needs both layers or the total
+    window, and the solve finds its cut by flow.
     """
     columns, rows, col_window, row_window, f, g = _line_tables(net)
     col_reach, chain = _reach_along(columns, col_window, row_window, f, g)
     if chain is not None:
         return None, _line_cut(net, chain, True)
-    c_lo, c_hi = col_reach
-    col_reached = (c_lo, c_hi, _above(c_lo, net.n), _above(c_hi, net.n))
-    row_reach, chain = _reach_along(rows, row_window, col_reached, f, g)
-    if chain is None:
-        return (*row_reach, *col_reach), None
     chain = _reach_along(rows, row_window, col_window, f, g)[1]
-    return None, None if chain is None else _line_cut(net, chain, False)
+    if chain is not None:
+        return None, _line_cut(net, chain, False)
+    return col_reach, None
 
 
 def _line_cut(net: Network, chain: tuple[list[int], list[int], bool], column: bool) -> CutWitness:
@@ -587,9 +580,8 @@ def _line_cut(net: Network, chain: tuple[list[int], list[int], bool], column: bo
     push one above an upper bound.  A1 arcs run right to left and N arcs
     out of the row, so the row pass takes the other side.  Either way the
     witness names S, and says when W is its complement.  An empty entry
-    interval makes S the one crossing node; the row pass over the plain
-    column windows never meets one, since the column pass fails at that
-    cell or before it.
+    interval makes S the one crossing node; the row pass never meets one,
+    since the column pass fails at that cell or before it.
     """
     cells, crossed, high = chain
     mn = net.m * net.n
@@ -598,45 +590,44 @@ def _line_cut(net: Network, chain: tuple[list[int], list[int], bool], column: bo
     return make_cut_witness(net, named, high == column)
 
 
-def _greedy_start(net: Network, reach: "tuple[list[int], ...] | None") -> list[int]:
+def _greedy_start(net: Network, reach: tuple[list[int], list[int]]) -> list[int]:
     """Arc flows inside every (clamped) arc bound, conserving where it can.
 
     Each row and each column is a chain of prefix windows, so the values
     of one prefix from which the rest of its line can still be completed
-    form an interval, its reach; ``reach`` is ``_reach(net)[0]``, and the
-    start reads its column reach only.  It is None only when the row pass
-    over the column reaches found an empty reach and no single line is
-    contradictory: the network is infeasible, and the column windows take
-    the place of the column reaches.
+    form an interval, its reach; ``reach`` is the column reach,
+    ``_reach(net)[0]``.
 
     The rows are solved top to bottom, each as one exact line against the
     column prefixes already set above it.  A cell's entry bounds are its
     entry window cut down to its column reach less the column prefix above
-    it; when that leaves nothing, the column left its reach in an earlier
-    row, and the entry is pinned to the end of its entry window nearest
-    the reach.  Under these bounds the row's own reach follows from the
-    recurrence of ``_reach_along``, right to left; where a step leaves no
-    value inside the predecessor's window, the reach collapses to the end
-    of that window nearest the values the step gave.  One pass left to
-    right then picks each entry, the one pick rule: the value nearest 0
-    within the bounds that keeps the row prefix inside its reach, given
-    the prefix before it, or the bound nearer the reach when none does.
+    it.  That never leaves nothing: the prefix above lies in its own reach
+    (0 above the first row), from which the column pass found an entry
+    that leads into this reach, and the entry picked below stays inside
+    these bounds, so every column prefix stays inside its reach.  Under
+    these bounds the row's own reach follows from the recurrence of
+    ``_reach_along``, right to left; where a step leaves no value inside
+    the predecessor's window, the reach collapses to the end of that
+    window nearest the values the step gave.  One pass left to right then
+    picks each entry, the one pick rule: the value nearest 0 within the
+    bounds that keeps the row prefix inside its reach, given the prefix
+    before it, or the bound nearer the reach when none does.
 
-    Each prefix arc carries the previous prefix arc's value plus the
-    entry, clamped into the arc's bounds, and the return arc the sum of
-    the rows' last prefix arcs, clamped likewise.  Conservation breaks
-    only at the nodes where a clamp bit, and the flow repairs just those
-    imbalances.  A row whose reach never collapses and whose columns stay
-    inside their reaches needs no clamp, so a feasible single line, and
-    every feasible ASM and k-regular instance up to 60 x 60 (k <= 3),
-    starts as a circulation, unless the total window clamps the sum.
+    Each column prefix arc carries the one above it plus the entry.  Each
+    row prefix arc carries the previous one's value plus the entry,
+    clamped into the arc's bounds, and the return arc the sum of the rows'
+    last prefix arcs, clamped likewise.  Conservation breaks only at the
+    nodes where a clamp bit, and the flow repairs just those imbalances.
+    A row whose reach never collapses needs no clamp, so a feasible single
+    line, and every feasible ASM and k-regular instance up to 60 x 60
+    (k <= 3), starts as a circulation, unless the total window clamps the
+    sum.
     """
     n, mn = net.n, net.m * net.n
     lower, upper = net.lower, net.upper
-    windows = (lower[:mn], upper[:mn], lower[mn : 2 * mn], upper[mn : 2 * mn])
-    h_lo, h_hi, v_lo, v_hi = windows
+    h_lo, h_hi = lower[:mn], upper[:mn]
     f, g = lower[2 * mn : 3 * mn], upper[2 * mn : 3 * mn]
-    c_lo, c_hi = (reach or windows)[2:]
+    c_lo, c_hi = reach
     # the window of the row prefix before each cell: [0, 0] before a row's first cell
     p_lo, p_hi = _left(h_lo, n), _left(h_hi, n)
     b_lo, b_hi, r_lo, r_hi = [0] * mn, [0] * mn, [0] * mn, [0] * mn
@@ -654,8 +645,6 @@ def _greedy_start(net: Network, reach: "tuple[list[int], ...] | None") -> list[i
                 x_lo = e_lo
             if x_hi > e_hi:
                 x_hi = e_hi
-            if x_lo > x_hi:
-                x_lo = x_hi = e_hi if x_lo > e_hi else e_lo
             b_lo[k], b_hi[k] = x_lo, x_hi
             lo -= x_hi
             hi -= x_lo
@@ -685,8 +674,7 @@ def _greedy_start(net: Network, reach: "tuple[list[int], ...] | None") -> list[i
             h += x
             h = h_lo[k] if h < h_lo[k] else h_hi[k] if h > h_hi[k] else h
             rows.append(h)
-            v = cols[k] + x
-            cols.append(v_lo[k] if v < v_lo[k] else v_hi[k] if v > v_hi[k] else v)
+            cols.append(cols[k] + x)
         total += h
     a0_lo, a0_hi = lower[3 * mn], upper[3 * mn]
     total = a0_lo if total < a0_lo else a0_hi if total > a0_hi else total
@@ -708,22 +696,23 @@ def min_cost_circulation(
     Without a nonzero cost every circulation is optimal, and the first one
     found is returned.
 
-    The solve first computes every line's reach with ``_reach``.  An
-    empty one proves the network infeasible; when one row or column
-    contradicts its windows on its own, the pass that found the empty
-    reach names the failing chain, ``_line_cut`` turns it into the
-    witness, and the solve returns it before any start, residual graph
-    or flow, with the network's size and no pushes or relabels in
-    ``info``.  A contradiction that needs both layers or the total window
-    shows in no single line, and the solve goes on as below.
+    The solve first runs ``_reach``, one line pass over the columns and
+    at most one over the rows.  An empty reach shows a row or column that
+    contradicts its windows on its own: the pass that found it names the
+    failing chain, ``_line_cut`` turns it into the witness, and the solve
+    returns it before any start, residual graph or flow, with the
+    network's size and no pushes or relabels in ``info``.  A
+    contradiction that needs both layers or the total window empties no
+    reach, and the solve goes on as below.
 
-    Otherwise the flow starts from ``_greedy_start`` with every negatively
-    priced arc moved to its upper bound and every positively priced arc to
-    its lower bound: it lies inside every arc bound, may break
-    conservation, and leaves every reduced cost nonnegative under zero
-    potentials.  Without a cost, a start that already conserves is the
-    answer: the solve returns it before any residual graph is built, with
-    the network's size and no pushes or relabels in ``info``.
+    Otherwise the flow starts from ``_greedy_start`` over the column reach,
+    with every negatively priced arc moved to its upper bound and every
+    positively priced arc to its lower bound: it lies inside every arc
+    bound, may break conservation, and leaves every reduced cost
+    nonnegative under zero potentials.  Without a cost, a start that
+    already conserves is the answer: the solve returns it before any
+    residual graph is built, with the network's size and no pushes or
+    relabels in ``info``.
 
     Otherwise the solve builds one residual graph, in which arc a is edge
     2a and carries flow lower[a] plus the capacity of edge 2a + 1, and
@@ -732,10 +721,10 @@ def min_cost_circulation(
     difference as excess, and a node that sends more gets an edge to a
     super sink for its deficit; the excess list is the pseudoflow that
     all rounds share.  Each round runs ``_FlowGraph.push_relabel`` over
-    the edges of zero reduced cost; ``info`` collects the pushes and
-    relabels of all rounds.  Once no excess is left, the sink edges are
-    saturated, the flow is a circulation, and the potentials prove it
-    optimal.
+    the edges of zero reduced cost; ``info`` receives the network's size
+    and the pushes and relabels of all rounds of this one solve.  Once no
+    excess is left, the sink edges are saturated, the flow is a
+    circulation, and the potentials prove it optimal.
 
     Infeasibility shows as excess cut off from the sink.  Let R be the set
     of nodes that residual paths reach from some of the nodes holding
@@ -771,10 +760,7 @@ def min_cost_circulation(
     """
     nodes, arc_count = net.node_count, len(net.lower)
     if info is not None:
-        info["nodes"] = nodes
-        info["arcs"] = arc_count
-        info.setdefault("pushes", 0)
-        info.setdefault("relabels", 0)
+        info.update(nodes=nodes, arcs=arc_count, pushes=0, relabels=0)
     reach, witness = _reach(net)
     if witness is not None:
         return witness
@@ -829,8 +815,7 @@ def min_cost_circulation(
         for v, d in enumerate(dist):
             pi[v] += horizon if d is None or d > horizon else d
     if info is not None:
-        info["pushes"] += pushes
-        info["relabels"] += relabels
+        info.update(pushes=pushes, relabels=relabels)
     if excess[t] < demand:
         return make_cut_witness(net, frozenset(compress(range(nodes), reached)), True)
     if priced:

@@ -117,10 +117,10 @@ def _family_json(family: asmkit.SegmentFamilyCertificate) -> dict:
 
 def _diagnostics(info: dict, wall_s: float) -> dict:
     return {
-        "arcs": info.get("arcs"),
-        "nodes": info.get("nodes"),
-        "pushes": info.get("pushes", 0),
-        "relabels": info.get("relabels", 0),
+        "arcs": info["arcs"],
+        "nodes": info["nodes"],
+        "pushes": info["pushes"],
+        "relabels": info["relabels"],
         "wall_ms": round(wall_s * 1000.0, 3),
     }
 

@@ -102,17 +102,17 @@ class Result:
 
 
 def _answer(
-    inst: PbmInstance,
     net,
     cost: "Mapping[int, int] | None" = None,
     direction: "str | None" = None,
     info: "dict | None" = None,
 ) -> Result:
-    """Solve ``net``, built from ``inst``, and read the outcome as a ``Result``.
+    """Solve ``net`` and read the outcome as a ``Result``.
 
     Without ``cost`` this decides feasibility; with it, it optimizes
     sum(cost[a] * flow[a]) over the arcs ``cost`` names, in ``direction``,
-    which must be "max" or "min".
+    which must be "max" or "min".  A matrix is re-checked against the true
+    bounds of ``net.instance``, the instance the network was built from.
     """
     if cost is not None and direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
@@ -127,7 +127,7 @@ def _answer(
         return Result("unbounded", direction=direction)
     mat = matrix_from_circulation(net, res)
     try:
-        checked = circulation_from_matrix(inst, mat)
+        checked = circulation_from_matrix(net.instance, mat)
     except BoundViolation as exc:
         raise InternalError(f"solver produced an invalid matrix: {exc}") from exc
     if cost is None:
@@ -138,7 +138,7 @@ def _answer(
 
 def solve(inst: PbmInstance, info: "dict | None" = None) -> Result:
     """Find a matrix meeting every bound, or a certificate that none exists."""
-    return _answer(inst, build_network(inst), info=info)
+    return _answer(build_network(inst), info=info)
 
 
 check_condition = condition_values
@@ -154,7 +154,7 @@ def extremal_total_sum(
     """
     relaxed = dataclasses.replace(inst, alpha=NEG_INF, beta=POS_INF)
     net = build_network(relaxed)
-    return _answer(relaxed, net, {net.a0_id: 1}, direction, info)
+    return _answer(net, {net.a0_id: 1}, direction, info)
 
 
 def optimize_cost(
@@ -170,7 +170,7 @@ def optimize_cost(
         )
     net = build_network(inst)
     cost = {net.n_arc_id(i, j): c for i, j, c in costs.cells()}
-    return _answer(inst, net, cost, direction, info)
+    return _answer(net, cost, direction, info)
 
 
 def pin_entries(inst: PbmInstance, pins: Iterable[tuple[int, int, int]]) -> PbmInstance:

@@ -378,6 +378,36 @@ class TestLineCut:
         assert values[violated] == (record.lhs, record.rhs)
         assert record.lhs > record.rhs
 
+    def test_one_line_pass_per_direction(self, monkeypatch, graph_builds):
+        # each pass runs over the other layer's plain windows, so a row cut
+        # takes two passes and no solve takes more
+        reach_along = circulation._reach_along
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return reach_along(*args)
+
+        monkeypatch.setattr(circulation, "_reach_along", spy)
+        cases = {
+            "column cut": self.instance({"phi2_2_1": 5, "g_2_1": 2, "gamma1_1_1": 1}),
+            "row cut": self.instance({"phi1_1_2": 5, "g_1_2": 2, "gamma2_1_1": 1}),
+            "flow cut": dataclasses.replace(asm_instance(3), beta=fin(2)),
+            "feasible": asm_instance(3),
+        }
+        got = {}
+        for name, inst in cases.items():
+            calls.clear()
+            builds = len(graph_builds)
+            result = min_cost_circulation(build_network(inst))
+            got[name] = (type(result).__name__, len(calls), len(graph_builds) - builds)
+        assert got == {
+            "column cut": ("CutWitness", 1, 0),
+            "row cut": ("CutWitness", 2, 0),
+            "flow cut": ("CutWitness", 2, 1),
+            "feasible": ("Circulation", 2, 0),
+        }
+
     def test_55x55_needs_no_flow(self, monkeypatch):
         monkeypatch.setattr(circulation, "_greedy_start", _refuse)
         monkeypatch.setattr(circulation, "_FlowGraph", _refuse)
@@ -460,7 +490,7 @@ def _shifted_windows(inst: PbmInstance, rng: random.Random, count: int) -> PbmIn
 
 
 class TestMergedLinePass:
-    """The one line pass against the two it replaced, on every pass ``_reach`` runs."""
+    """The one line pass against the two it replaced, on both passes ``_reach`` runs."""
 
     @staticmethod
     def instances():
@@ -489,40 +519,43 @@ class TestMergedLinePass:
         for inst in cases:
             net = build_network(inst)
             columns, rows, col_window, row_window, f, g = circulation._line_tables(net)
-            passes = [("column", columns, col_window, row_window)]
-            col_reach = _reference_reach_along(columns, col_window, row_window, f, g)
-            if col_reach is not None:
-                c_lo, c_hi = col_reach
-                reached = (c_lo, c_hi, circulation._above(c_lo, net.n), circulation._above(c_hi, net.n))
-                passes.append(("row over column reaches", rows, row_window, reached))
-            passes.append(("row over column windows", rows, row_window, col_window))
             want = {}
-            for name, lines, window, crossing in passes:
+            for name, lines, window, crossing in (
+                ("column", columns, col_window, row_window),
+                ("row", rows, row_window, col_window),
+            ):
                 chain = _reference_contradiction(lines, window, crossing, f, g)
                 reach = _reference_reach_along(lines, window, crossing, f, g)
                 assert (chain is None) == (reach is not None)
                 assert circulation._reach_along(lines, window, crossing, f, g) == (reach, chain)
                 want[name] = (reach, chain)
                 seen.setdefault(name, set()).add((chain is None, chain is not None and chain[0] == []))
-            # ``_reach`` itself: the column chain, else the reaches, else the rerun's chain
+            # ``_reach`` itself: the column chain, else the row chain, else the column reach
             reach, witness = _reach(net)
-            col_chain = want["column"][1]
+            col_reach, col_chain = want["column"]
+            row_chain = want["row"][1]
             if col_chain is not None:
                 assert (reach, witness) == (None, circulation._line_cut(net, col_chain, True))
                 ends.add("column cut")
-            elif want["row over column reaches"][1] is None:
-                assert reach == (*want["row over column reaches"][0], *col_reach)
-                assert witness is None
-                ends.add("reach")
+            elif row_chain is not None:
+                assert (reach, witness) == (None, circulation._line_cut(net, row_chain, False))
+                ends.add("row cut")
             else:
-                row_chain = want["row over column windows"][1]
-                expected = None if row_chain is None else circulation._line_cut(net, row_chain, False)
-                assert (reach, witness) == (None, expected)
-                ends.add("no line cut" if row_chain is None else "row cut")
+                assert (reach, witness) == (col_reach, None)
+                # the row pass over the column reaches, which ``_reach`` no longer
+                # runs, tells the contradictions that need both layers
+                c_lo, c_hi = col_reach
+                reached = (c_lo, c_hi, circulation._above(c_lo, net.n), circulation._above(c_hi, net.n))
+                if _reference_reach_along(rows, row_window, reached, f, g) is not None:
+                    ends.add("reach")
+                    continue
+                cut = min_cost_circulation(net)
+                assert isinstance(cut, CutWitness)
+                assert not cut_to_certificate(net, cut)[3].holds
+                ends.add("no line cut")
         # each pass both finds reaches and names chains, an empty entry interval among them
         assert seen["column"] == {(True, False), (False, False), (False, True)}
-        for name in ("row over column reaches", "row over column windows"):
-            assert {(True, False), (False, False)} <= seen[name]
+        assert {(True, False), (False, False)} <= seen["row"]
         assert ends == {"column cut", "reach", "row cut", "no line cut"}
 
 
@@ -775,42 +808,45 @@ def test_layout_balances_match_per_arc_reference(m):
                 check_circulation(net, Circulation(flows))
 
 
-def assert_start_follows_its_rule(inst: PbmInstance) -> tuple[int, int]:
-    """Check the start against its bounds and its rule; (pinned entries, collapsed reaches).
+def assert_start_follows_its_rule(inst: PbmInstance) -> int:
+    """Check the start against its bounds and its rule; the number of collapsed reaches.
 
     Every flow must lie inside its arc bound.  Each row is then rebuilt
     from the start's own column flows above it, as ``_greedy_start``
-    describes it: an entry is pinned when its entry window and column
-    reach, less the column prefix above it, do not meet; a reach
-    collapses at a step of the row recurrence that leaves no value inside
-    the predecessor's window, [0, 0] before a row's first cell; and each
-    entry and row prefix must be the ones the pick rule gives.  A row that
-    meets neither a pin nor a collapse must conserve at every node of both
-    layers.
+    describes it: an entry window and the column reach, less the column
+    prefix above, always meet; a reach collapses at a step of the row
+    recurrence that leaves no value inside the predecessor's window,
+    [0, 0] before a row's first cell; and each entry and row prefix must
+    be the ones the pick rule gives.  Every column prefix stays inside
+    its reach, so the vertical layer conserves at every cell node, and a
+    row that meets no collapse conserves at every node of both layers.
+    An instance that a single line contradicts gets no start, since the
+    solve returns that line's cut, and counts 0.
     """
     net = build_network(inst)
-    reach = _reach(net)[0]
+    reach, witness = _reach(net)
+    if witness is not None:
+        return 0
     start = _greedy_start(net, reach)
     assert len(start) == len(net.lower)
     for a, (lo, hi) in enumerate(zip(net.lower, net.upper)):
         assert lo <= start[a] <= hi, net.arc_tag(a)
     m, n, mn = net.m, net.n, net.m * net.n
     lower, upper = net.lower, net.upper
-    c_lo, c_hi = (reach or (lower[:mn], upper[:mn], lower[mn : 2 * mn], upper[mn : 2 * mn]))[2:]
+    c_lo, c_hi = reach
     balance = _balances(net, start)
-    pinned = collapsed = 0
+    assert not any(balance[mn : 2 * mn])
+    collapsed = 0
     for i in range(m):
         cells = range(i * n, (i + 1) * n)
-        row_pinned, row_collapsed = pinned, collapsed
+        row_collapsed = collapsed
         bounds, row_reach = {}, {}
         for k in cells:
             above = start[mn + k - n] if i else 0
+            assert c_lo[k] <= above + start[2 * mn + k] <= c_hi[k], net.arc_tag(k)
             f, g = lower[2 * mn + k], upper[2 * mn + k]
-            lo, hi = max(f, c_lo[k] - above), min(g, c_hi[k] - above)
-            if lo > hi:
-                pinned += 1
-                lo = hi = g if c_lo[k] - above > g else f
-            bounds[k] = (lo, hi)
+            bounds[k] = (max(f, c_lo[k] - above), min(g, c_hi[k] - above))
+            assert bounds[k][0] <= bounds[k][1], net.arc_tag(k)
         lo, hi = lower[cells[-1]], upper[cells[-1]]
         for k in reversed(cells):
             row_reach[k] = (lo, hi)
@@ -830,9 +866,9 @@ def assert_start_follows_its_rule(inst: PbmInstance) -> tuple[int, int]:
             x = min(max(0, lo), hi) if lo <= hi else b_hi if lo > b_hi else b_lo
             h = min(max(h + x, lower[k]), upper[k])
             assert (start[2 * mn + k], start[k]) == (x, h), net.arc_tag(k)
-        if (pinned, collapsed) == (row_pinned, row_collapsed):
-            assert not any(balance[k] or balance[mn + k] for k in cells)
-    return pinned, collapsed
+        if collapsed == row_collapsed:
+            assert not any(balance[k] for k in cells)
+    return collapsed
 
 
 @pytest.fixture
@@ -852,18 +888,16 @@ def graph_builds(monkeypatch) -> list[int]:
 class TestGreedyStart:
     def test_random_instances_with_infinite_sides(self):
         rng = random.Random(31)
-        pinned = collapsed = 0
+        collapsed = 0
         for _ in range(60):
             m, n = rng.randint(1, 8), rng.randint(1, 8)
             for inst in (
                 random_instance(rng, m, n, inf_rate=0.5),
                 feasible_random(rng, m, n, inf_rate=0.5, entry_inf_rate=0.3),
             ):
-                more_pinned, more_collapsed = assert_start_follows_its_rule(inst)
-                pinned += more_pinned
-                collapsed += more_collapsed
-        # both ways out of an empty interval occur
-        assert pinned > 0 and collapsed > 0
+                collapsed += assert_start_follows_its_rule(inst)
+        # the way out of an empty row step occurs
+        assert collapsed > 0
 
     def test_huge_bounds(self):
         assert_start_follows_its_rule(huge_bounds_2x2()[0])

@@ -401,6 +401,33 @@ class TestWasm:
         assert err == "error: --oracle supports at most 12 cells here\n"
 
 
+class TestDocumentKeys:
+    """The top-level keys of each feasible document, as docs/schema.md shows them."""
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["check", "{asm2}"], ["status", "diagnostics"]),
+            (["solve", "{asm2}"], ["status", "matrix", "diagnostics"]),
+            (["asm", "2"], ["status", "n", "matrix"]),
+            (["subordinate", "{x}"], ["status", "matrix"]),
+            (["subordinate", "{x}", "--maximize"], ["status", "matrix", "plus_ones_kept"]),
+            (["wasm", "{pats}"], ["status", "matrix"]),
+        ],
+        ids=["check", "solve", "asm", "subordinate", "subordinate-maximize", "wasm"],
+    )
+    def test_keys(self, capsys, tmp_path, asm2_file, argv, keys):
+        files = {
+            "asm2": asm2_file,
+            "x": write_json(tmp_path / "x.json", [[1, 0], [0, 1]]),
+            "pats": write_json(tmp_path / "pats.json", {"rows": ["++"], "cols": ["++"]}),
+        }
+        code, doc, _ = run(capsys, *(arg.format(**files) for arg in argv))
+        assert code == EXIT_OK and list(doc) == keys
+        if "diagnostics" in doc:
+            assert list(doc["diagnostics"]) == ["arcs", "nodes", "pushes", "relabels", "wall_ms"]
+
+
 class TestEval:
     def test_single_subset(self, capsys, tmp_path):
         f = write_json(tmp_path / "asm3.json", instance_to_json(asm_instance(3)))
