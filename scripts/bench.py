@@ -12,6 +12,14 @@ solve ends in a certificate.  The rows are:
   ``pbm.cli.main(["solve", path])`` in this process, stdout and stderr
   captured, as a user would type the command; the wall time of the whole
   batch, over ``RUNS`` batches;
+* ``cli cold start``: ``RUNS`` fresh interpreters, each of which imports
+  ``pbm.cli`` and runs ``pbm.cli.main(["solve", path])`` on the
+  ``asm_instance(3)`` document; the wall time of each child process.  The
+  row stores the sorted ``pbm.*`` modules the child loaded and their
+  count, which repeat exactly, and ``bytecode_cached``, whether
+  ``src/pbm/__pycache__`` held bytecode when the children started: a
+  cached start skips compiling the modules.  The script exits nonzero
+  unless every child exits 0;
 * one row per layer, each the sum over the 20 documents of that
   document's ``timeit`` times over ``RUNS`` runs: JSON decode,
   ``instance_from_json`` (which validates too), ``validate_instance`` on
@@ -48,6 +56,7 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -111,6 +120,51 @@ def cli_row(texts: list[str]) -> dict:
         "runs": RUNS,
         **spread(batches),
         "exit_codes": sorted(set(codes)),
+    }
+
+
+# A fresh interpreter solves the document at argv[2] and prints the pbm modules it
+# loaded; its exit code is the command's.
+COLD_START = r"""
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import pbm.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    rc = pbm.cli.main(["solve", sys.argv[2]])
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("pbm."))))
+sys.exit(rc)
+"""
+
+
+def cold_start_row() -> dict:
+    """Wall time of one fresh ``pbm solve`` process on asm(3), over ``RUNS`` processes."""
+    cached = any((ROOT / "src" / "pbm" / "__pycache__").glob("*.pyc"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "asm3.json")
+        with open(path, "w") as fh:
+            json.dump(instance_to_json(asm_instance(3)), fh)
+        times = []
+        for _ in range(RUNS):
+            t0 = time.perf_counter()
+            child = subprocess.run(
+                [sys.executable, "-c", COLD_START, str(ROOT / "src"), path],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            times.append(time.perf_counter() - t0)
+            if child.returncode != 0:
+                raise SystemExit(f"cold start exited {child.returncode}: {child.stderr.strip()}")
+    modules = json.loads(child.stdout)
+    return {
+        "case": "asm_instance(3)",
+        "what": "pbm.cli.main(['solve', path]) in a fresh interpreter per run",
+        "layer": "cli cold start",
+        "runs": RUNS,
+        **spread(times),
+        "bytecode_cached": cached,
+        "modules": modules,
+        "module_count": len(modules),
     }
 
 
@@ -188,12 +242,14 @@ def main(argv: "list[str] | None" = None) -> int:
         "label": args.label,
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "rows": [cli_row(texts), *layer_rows(texts), *feasible_rows()],
+        "rows": [cli_row(texts), cold_start_row(), *layer_rows(texts), *feasible_rows()],
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     for row in out["rows"]:
         counts = f"  {row['pushes']} pushes, {row['relabels']} relabels" if "pushes" in row else ""
+        if "module_count" in row:
+            counts = f"  {row['module_count']} pbm modules, bytecode cached: {row['bytecode_cached']}"
         print(
             f"{row.get('layer', 'cli solve'):>22}  {row['median_s'] * 1e3:9.2f} ms"
             f"  ({row['q1_s'] * 1e3:.2f}-{row['q3_s'] * 1e3:.2f}){counts}"

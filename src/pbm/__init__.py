@@ -8,6 +8,8 @@ decomposition into k bounded parts, and toolkit constructors for the
 classical alternating-sign-matrix families.
 """
 
+from importlib import import_module as _import_module
+
 from .core import (
     NEG_INF,
     POS_INF,
@@ -37,7 +39,6 @@ from .errors import (
     PbmError,
     PrescriptionOutOfEntryBounds,
 )
-from .segments import HORIZONTAL, VERTICAL, Segment, SegmentStats, maximal_segments, segment_stats
 from .strongpair import (
     ConditionEval,
     InequalityRecord,
@@ -71,21 +72,39 @@ from .feasibility import (
     solve,
 )
 from .decompose import Decomposition, decompose, decompose_k_regular_asm, shrink_instance
-from .asmkit import (
-    SPartition,
-    SegmentFamilyCertificate,
-    asm_instance,
-    aval_sign_instance,
-    brualdi_dahl_instance,
-    compatible_asm,
-    higher_spin_instance,
-    k_regular_instance,
-    max_plus_ones_subordinate,
-    pasm_instance,
-    subordinate_asm,
-    sum_majorized_instance,
-    wasm_instance,
-)
-from .oracle import EnumerationBudget, enumerate_pbms, matrix_satisfies
+
+# The ASM toolkit, the segment families and the enumeration oracle load on
+# first use: a command that only solves never compiles them.  ``decompose``
+# stays eager: the submodule ``pbm.decompose`` shares its name, and importing
+# it would replace a lazily bound function.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("segments", ("HORIZONTAL", "VERTICAL", "Segment", "SegmentStats", "maximal_segments",
+                      "segment_stats")),
+        ("asmkit", ("SPartition", "SegmentFamilyCertificate", "asm_instance",
+                    "aval_sign_instance", "brualdi_dahl_instance", "compatible_asm",
+                    "higher_spin_instance", "k_regular_instance", "max_plus_ones_subordinate",
+                    "pasm_instance", "subordinate_asm", "sum_majorized_instance",
+                    "wasm_instance")),
+        ("oracle", ("EnumerationBudget", "enumerate_pbms", "matrix_satisfies")),
+    )
+    for name in (module, *names)
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+# every public name, the lazy ones included, so ``from pbm import *`` binds them all
+__all__ = [*(name for name in globals() if not name.startswith("_")), *_LAZY]
 
 __version__ = "0.1.0"

@@ -16,9 +16,8 @@ import json
 import sys
 import time
 from itertools import chain, product, starmap
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import asmkit, oracle
 from .core import IntMatrix, instance_from_json, mask_from_json, mask_to_json, matrix_from_json
 from .decompose import decompose
 from .errors import InstanceFormatError, PbmError
@@ -32,6 +31,10 @@ from .feasibility import (
 )
 from .circulation import build_network, circulation_from_matrix, network_to_dot
 from .strongpair import condition_values, eval_strong_pair
+
+# asmkit and oracle load inside the commands that use them, so solving never compiles them
+if TYPE_CHECKING:
+    from .asmkit import SegmentFamilyCertificate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -97,7 +100,7 @@ def _certificate_json(cert: Certificate) -> dict:
     }
 
 
-def _family_json(family: asmkit.SegmentFamilyCertificate) -> dict:
+def _family_json(family: "SegmentFamilyCertificate") -> dict:
     return {
         "segments": [
             {
@@ -232,6 +235,8 @@ def _cmd_solve(args) -> int:
     doc["diagnostics"] = _diagnostics(info, wall)
     record = None
     if args.oracle:
+        from . import oracle
+
         matrices = oracle.enumerate_pbms(inst)
         record = {"count": len(matrices), "agrees": _agrees(matrices, result)}
     cert = result.certificate
@@ -251,6 +256,8 @@ def _cmd_sum(args) -> int:
     doc["diagnostics"] = _diagnostics(info, wall)
     record = None
     if args.oracle:
+        from . import oracle
+
         lo, hi = oracle.oracle_extremal_sums(inst)
         want = hi if direction == "max" else lo
         agrees = {
@@ -274,6 +281,8 @@ def _cmd_cost(args) -> int:
     doc["diagnostics"] = _diagnostics(info, wall)
     record = None
     if args.oracle:
+        from . import oracle
+
         matrices = oracle.enumerate_pbms(inst)
         if not matrices:
             record = {"count": 0, "agrees": result.status == "infeasible"}
@@ -299,6 +308,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_asm(args) -> int:
+    from . import asmkit
+
     part = None
     if args.compatible:
         part = asmkit.SPartition.from_labels(_load_arg(args.compatible))
@@ -314,12 +325,16 @@ def _cmd_asm(args) -> int:
     result = solve(asmkit.asm_instance(n)) if part is None else asmkit.compatible_asm(part)
     record = None
     if args.oracle:
+        from . import oracle
+
         census = [mtx for mtx in oracle.enumerate_asms(n) if part is None or part.allows(mtx)]
         record = {"count": len(census), "agrees": _agrees(census, result)}
     return _finish(_outcome(result, n=n), _summary(result), record)
 
 
 def _cmd_subordinate(args) -> int:
+    from . import asmkit
+
     x = matrix_from_json(_load_json(args.matrix))
     if args.maximize:
         result = asmkit.max_plus_ones_subordinate(x)
@@ -335,6 +350,8 @@ def _cmd_subordinate(args) -> int:
         summary = f"feasible: kept {result.value} of the +1 entries"
     record = None
     if args.oracle:
+        from . import oracle
+
         subs = oracle.enumerate_subordinates(x)
         agrees = _agrees(subs, result)
         if counted:
@@ -346,6 +363,8 @@ def _cmd_subordinate(args) -> int:
 
 
 def _cmd_wasm(args) -> int:
+    from . import asmkit
+
     patterns = _load_json(args.patterns)
     if not isinstance(patterns, dict):
         raise InstanceFormatError('wing patterns must be a JSON object with "rows" and "cols"')
@@ -358,6 +377,8 @@ def _cmd_wasm(args) -> int:
     result = solve(inst)
     record = None
     if args.oracle:
+        from . import oracle
+
         grids = (
             IntMatrix(m, n, tuple(combo[r * n : (r + 1) * n] for r in range(m)))
             for combo in product((-1, 0, 1), repeat=m * n)
@@ -387,6 +408,8 @@ def _cmd_eval(args) -> int:
         doc["all_hold"] = cond.all_hold
     record = None
     if args.oracle:
+        from . import oracle
+
         h = oracle.line_polytope_minmax(inst, mask, "horizontal")
         v = oracle.line_polytope_minmax(inst, mask, "vertical")
         agrees = (
@@ -402,6 +425,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     inst = instance_from_json(_load_json(args.instance))
     budget = oracle.EnumerationBudget(
         max_cells=args.max_cells, max_range_width=args.max_width, max_nodes=args.max_nodes

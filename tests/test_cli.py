@@ -3,7 +3,9 @@
 import io
 import json
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -672,3 +674,50 @@ class TestRepeatedCalls:
         assert cli._build_parser() is cli._build_parser()
         assert [code for code, _, _ in fresh] == [EXIT_ERROR, 0, 0, 0, 0, EXIT_ERROR, 0]
         assert fresh[3][1]["direction"] == "max" and fresh[4][1]["direction"] == "min"
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# A fresh interpreter runs one command and prints its exit code, its stdout
+# and the pbm modules it loaded.
+COLD_START = r"""
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import pbm.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    rc = pbm.cli.main(sys.argv[2:])
+print(json.dumps({"rc": rc, "out": out.getvalue(), "modules": sorted(sys.modules)}))
+"""
+
+
+class TestColdStart:
+    LAZY = {"pbm.asmkit", "pbm.oracle", "pbm.segments"}
+
+    def cold(self, *argv):
+        child = subprocess.run(
+            [sys.executable, "-c", COLD_START, SRC, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout)
+        return report["rc"], json.loads(report["out"]), self.LAZY & set(report["modules"])
+
+    def test_solve_loads_no_toolkit(self, tmp_path):
+        path = write_json(tmp_path / "asm3.json", instance_to_json(asm_instance(3)))
+        code, doc, loaded = self.cold("solve", path)
+        assert code == EXIT_OK
+        assert doc["matrix"] == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+        assert loaded == set()
+
+    def test_asm_loads_the_toolkit_only(self):
+        code, doc, loaded = self.cold("asm", "3")
+        assert code == EXIT_OK and doc["n"] == 3
+        assert loaded == {"pbm.asmkit", "pbm.segments"}
+
+    def test_oracle_flag_loads_the_oracle(self):
+        code, doc, loaded = self.cold("asm", "3", "--oracle")
+        assert code == EXIT_OK and doc["oracle"] == {"count": 7, "agrees": True}
+        assert "pbm.oracle" in loaded
