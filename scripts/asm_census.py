@@ -6,15 +6,22 @@ pasm, higher-spin, aval-sign, Brualdi-Dahl, sum-majorized, wasm) for small
 orders, with wall times, and checks each matrix against the class's direct
 definition.  The ASM column should read 1, 2, 7, 42, ...  Exits 1 when a
 matrix fails its definition or an ASM count is wrong.
+
+The package is imported from the ``src/`` directory next to this script,
+so a checkout counts with its own code without an install.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from math import factorial
+from pathlib import Path
 
-from pbm.asmkit import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from pbm.asmkit import (  # noqa: E402
     asm_instance,
     aval_sign_instance,
     brualdi_dahl_instance,
@@ -24,8 +31,8 @@ from pbm.asmkit import (
     sum_majorized_instance,
     wasm_instance,
 )
-from pbm import oracle
-from pbm.core import IntMatrix
+from pbm import oracle  # noqa: E402
+from pbm.core import IntMatrix  # noqa: E402
 
 
 def asm_count(n: int) -> int:

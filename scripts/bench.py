@@ -32,7 +32,15 @@ solve ends in a certificate.  The rows are:
   ``feasible_random(Random(3), 3000, 1)``, and ``asm_instance(30)``; the
   last three start as circulations.  Each of these rows also stores the
   ``pushes`` and ``relabels`` of one solve, counts that repeat exactly
-  and, unlike the times, do not drift with the speed of the host.
+  and, unlike the times, do not drift with the speed of the host;
+* ``unbounded sum 30x30``: the ``timeit`` times over ``RUNS`` runs of
+  ``extremal_total_sum(inst, "max")`` on ``feasible_random(rng, 30, 30)``
+  with the last entry of one row, its row prefix and the column below it
+  opened upward by ``open_last_entry(rng, ..., "max")``, ``rng =
+  Random(30)``; the sum is unbounded by construction, so each run pays
+  the main solve and the recession solve of its ray.  The row stores the
+  main solve's ``pushes`` and ``relabels``.  The script exits nonzero
+  unless the answer is ``"unbounded"``.
 
 Every row holds the median of its samples as ``median_s`` and their first
 and third quartiles as ``q1_s`` and ``q3_s``, so a difference between
@@ -75,7 +83,8 @@ from pbm.circulation import (  # noqa: E402
 )
 from pbm.asmkit import asm_instance  # noqa: E402
 from pbm.core import instance_from_json, instance_to_json, validate_instance  # noqa: E402
-from helpers import feasible_random, random_instance  # noqa: E402
+from pbm.feasibility import extremal_total_sum  # noqa: E402
+from helpers import feasible_random, open_last_entry, random_instance  # noqa: E402
 
 SEEDS = range(20)
 SIZE = (55, 55)
@@ -233,6 +242,27 @@ def feasible_rows() -> list[dict]:
     return rows
 
 
+def unbounded_row() -> dict:
+    """The median and quartiles of one unbounded ``sum --max``, with its counts."""
+    rng = random.Random(30)
+    inst = open_last_entry(rng, feasible_random(rng, 30, 30), "max")
+    info: dict = {}
+    status = extremal_total_sum(inst, "max", info).status
+    if status != "unbounded":
+        raise SystemExit(f"the opened 30x30 sum came out {status}")
+    times = timeit.repeat('extremal_total_sum(inst, "max")', globals={**globals(), "inst": inst},
+                          number=1, repeat=RUNS)
+    return {
+        "case": 'open_last_entry(rng, feasible_random(rng, 30, 30), "max"), rng = Random(30)',
+        "what": 'extremal_total_sum(inst, "max")',
+        "layer": "unbounded sum 30x30",
+        "runs": RUNS,
+        **spread(times),
+        "pushes": info["pushes"],
+        "relabels": info["relabels"],
+    }
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
@@ -242,7 +272,8 @@ def main(argv: "list[str] | None" = None) -> int:
         "label": args.label,
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "rows": [cli_row(texts), cold_start_row(), *layer_rows(texts), *feasible_rows()],
+        "rows": [cli_row(texts), cold_start_row(), *layer_rows(texts), *feasible_rows(),
+                 unbounded_row()],
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")

@@ -25,6 +25,9 @@ above 10^6, each k from a generator of its own; every distinct part must
 meet the shrunk instance and lie within A/k rounded down and up, and the
 parts, weighted by multiplicity, must add up to A.  Prints a running
 tally and per-verdict timing.
+
+The package is imported from the ``src/`` directory next to this script,
+so a checkout tests its own code without an install.
 """
 
 from __future__ import annotations
@@ -38,13 +41,14 @@ import time
 from itertools import chain
 from pathlib import Path
 
-from pbm.core import IntMatrix, fin
-from pbm.decompose import decompose, shrink_instance
-from pbm.feasibility import optimize_cost, pin_entries, solve
-from pbm.strongpair import eval_strong_pair
-from pbm import oracle
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from pbm.core import IntMatrix, fin  # noqa: E402
+from pbm.decompose import decompose, shrink_instance  # noqa: E402
+from pbm.feasibility import optimize_cost, pin_entries, solve  # noqa: E402
+from pbm.strongpair import eval_strong_pair  # noqa: E402
+from pbm import oracle  # noqa: E402
 from helpers import feasible_random, line_values, random_instance  # noqa: E402
 
 

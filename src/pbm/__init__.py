@@ -51,8 +51,8 @@ from .strongpair import (
 from .circulation import (
     Circulation,
     CutWitness,
-    NegativeCycle,
     Network,
+    Ray,
     build_network,
     circulation_from_matrix,
     cut_to_certificate,

@@ -59,17 +59,17 @@ membership, as one flag per cell and layer, straight to the strong-pair
 sums of the violated inequality on a pair of cell subsets; only the two
 subsets it returns are built as ``SubsetMask``s.
 
-An optimum is unbounded exactly when the instance is feasible and some
-negative-cost cycle runs only along infinite bounds; the optimal
-potentials guide the search for one.  All arithmetic is exact integer
-arithmetic.
+An optimum is unbounded exactly when some open side, a bound clamped to
++-K, has negative reduced cost under the optimal potentials; a ``Ray``
+solved on the recession instance proves it.  All arithmetic is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain, compress, repeat
 from operator import add, floordiv, gt, le, mod, neg, not_, sub
 from typing import Mapping, Sequence
@@ -82,7 +82,7 @@ __all__ = [
     "Network",
     "Circulation",
     "CutWitness",
-    "NegativeCycle",
+    "Ray",
     "build_network",
     "check_circulation",
     "make_cut_witness",
@@ -102,8 +102,8 @@ class Network:
     bounds are integers, infinities already clamped to +-``big_k``.
     ``instance`` is the instance ``build_network`` read, and it describes
     the bounds only of the network as built: ``cut_to_certificate`` and the
-    unbounded-cycle check read its tables, so a network whose bounds were
-    replaced, as ``decompose`` does, must not reach them.
+    recession solve of an unbounded optimum read its tables, so a network
+    whose bounds were replaced, as ``decompose`` does, must not reach them.
     """
 
     m: int
@@ -176,16 +176,16 @@ class CutWitness:
 
 
 @dataclass(frozen=True, slots=True)
-class NegativeCycle:
-    """A cycle of (arc id, direction) steps that proves an optimum unbounded.
+class Ray:
+    """An integer direction D that proves an optimum unbounded.
 
-    Direction +1 follows the arc, -1 runs against it.  Every step goes
-    where the arc's true bound is infinite (upper for +1, lower for -1),
-    and the steps' costs add up to ``cost`` < 0, so the flow around the
-    cycle can grow without limit while the cost falls.
+    Each entry, prefix sum and the total of D moves by at most 1, and only
+    toward a side the instance leaves open, so adding t * D, t >= 0, to a
+    feasible matrix keeps every bound and adds t * ``cost`` < 0 to the
+    cost.
     """
 
-    steps: tuple[tuple[int, int], ...]
+    direction: IntMatrix
     cost: int
 
 
@@ -685,16 +685,16 @@ def min_cost_circulation(
     net: Network,
     cost: "Mapping[int, int] | None" = None,
     info: "dict | None" = None,
-) -> "Circulation | CutWitness | NegativeCycle":
+) -> "Circulation | CutWitness | Ray":
     """A minimum-cost integer circulation, or a proof that none exists.
 
-    Returns a ``CutWitness`` when the network is infeasible, and a
-    ``NegativeCycle`` when the objective is unbounded below over the true
-    bounds of the instance the network was built from.  Otherwise the
-    circulation is optimal for the true bounds, not only for the clamped
-    ones: a bounded problem has an optimum whose flows stay below K.
-    Without a nonzero cost every circulation is optimal, and the first one
-    found is returned.
+    Returns a ``CutWitness`` when the network is infeasible, and a ``Ray``
+    when the objective is unbounded below over the true bounds of the
+    instance the network was built from.  Otherwise the circulation is
+    optimal for the true bounds, not only for the clamped ones: a bounded
+    problem has an optimum whose flows stay below K.  Without a nonzero
+    cost every circulation is optimal, and the first one found is
+    returned.
 
     The solve first runs ``_reach``, one line pass over the columns and
     at most one over the rows.  An empty reach shows a row or column that
@@ -750,6 +750,18 @@ def min_cost_circulation(
     that still holds excess.  If it reaches the super sink, its distances
     raise the potentials and the next round starts; if not, R is what it
     reached.  All arithmetic is exact.
+
+    A priced solve then checks that no residual edge has negative reduced
+    cost c' = c + pi[tail] - pi[head], and one scan of the arcs decides
+    boundedness: the optimum is unbounded exactly when c' < 0 on an arc
+    whose upper bound is +K or c' > 0 on one whose lower bound is -K.  If
+    the true optimum is bounded, some clamped optimum keeps every flow
+    strictly inside +-K, and complementary slackness between it and pi
+    rules both out.  If it is unbounded, some cycle of open sides has
+    negative cost, which equals the sum of its steps' c'.  The scan reads
+    prices, not flows: a degenerate bounded optimum may carry +-K on an
+    open side.  When it fires, ``_ray`` solves the recession instance,
+    which has no infinite bound, so that solve's scan never fires.
 
     A priced solve runs ``check_circulation`` on the flows it returns,
     which ties the reduced-cost proof to them.  An unpriced one does not:
@@ -822,10 +834,12 @@ def min_cost_circulation(
         for idx in range(len(to)):
             if cap[idx] > 0 and edge_cost[idx] + pi[to[idx ^ 1]] - pi[to[idx]] < 0:
                 raise InternalError("negative reduced cost left after optimization")
-        # the search checks for a cycle every len(pi) label changes: network nodes only
-        cycle = _negative_infinite_cycle(net, costs, pi[:nodes])
-        if cycle is not None:
-            return _checked_negative_cycle(net, costs, cycle)
+        big_k = net.big_k
+        if any(
+            (hi == big_k and c + pi[u] < pi[w]) or (lo == -big_k and c + pi[u] > pi[w])
+            for u, w, lo, hi, c in zip(tail, head, lower, upper, costs)
+        ):
+            return _ray(net, cost)
     circ = Circulation(tuple(map(add, lower, cap[1 : 2 * arc_count : 2])))
     if priced:
         check_circulation(net, circ)
@@ -856,107 +870,35 @@ def _reduced_distances(
     return dist
 
 
-def _negative_infinite_cycle(
-    net: Network, costs: list[int], pi: list[int]
-) -> "list[tuple[int, int]] | None":
-    """A negative-cost cycle of steps along infinite bounds, or None.
+def _ray(net: Network, cost: Mapping[int, int]) -> Ray:
+    """The optimum of the recession instance, re-checked as a matrix.
 
-    A step is (arc id, +1) when the arc's upper bound is infinite and
-    (arc id, -1) when its lower bound is; only clamped bounds equal +-K.
-    The search is Bellman-Ford from the labels ``pi``: a step with
-    nonnegative reduced cost already satisfies them, so when every step
-    does, no negative cycle exists and the search ends after one scan.
-    Every len(pi) label changes, the parent graph is checked for a cycle;
-    one appears eventually exactly when a negative cycle exists.
+    Each bound of ``net.instance`` becomes its tag: -inf -1, +inf 1 and
+    finite 0.  A direction that keeps every bound at every scale moves no
+    value past a finite side, so scaled down it fits these windows: if one
+    has negative cost, so has the integer optimum D.  The solve's flows must be the circulation of D, checked against
+    the recession bounds by ``circulation_from_matrix``.
     """
-    big_k = net.big_k
-    nodes = len(pi)
-    out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nodes)]
-    for arc_id, (u, w, lo, hi, c) in enumerate(
-        zip(net.tail, net.head, net.lower, net.upper, costs)
-    ):
-        if hi == big_k:
-            out[u].append((w, c, arc_id, 1))
-        if lo == -big_k:
-            out[w].append((u, -c, arc_id, -1))
-    label = list(pi)
-    queued = [any(label[u] + c < label[w] for w, c, _, _ in out[u]) for u in range(nodes)]
-    queue = deque(u for u in range(nodes) if queued[u])
-    parent: "list[tuple[int, int, int] | None]" = [None] * nodes
-    changes = 0
-    while queue:
-        u = queue.popleft()
-        queued[u] = False
-        for w, c, arc_id, sign in out[u]:
-            if label[u] + c < label[w]:
-                label[w] = label[u] + c
-                parent[w] = (u, arc_id, sign)
-                if not queued[w]:
-                    queued[w] = True
-                    queue.append(w)
-                changes += 1
-                if changes >= nodes:
-                    changes = 0
-                    cycle = _parent_cycle(parent)
-                    if cycle is not None:
-                        return cycle
-    return None
-
-
-def _parent_cycle(
-    parent: "list[tuple[int, int, int] | None]",
-) -> "list[tuple[int, int]] | None":
-    """The steps of one cycle of the parent graph, in walking order, or None."""
-    state = [0] * len(parent)  # 0 unseen, 1 on the current walk, 2 done
-    for start in range(len(parent)):
-        walk = []
-        v = start
-        while v is not None and state[v] == 0:
-            state[v] = 1
-            walk.append(v)
-            p = parent[v]
-            v = p[0] if p is not None else None
-        if v is not None and state[v] == 1:
-            steps = []
-            w = v
-            while True:
-                u, arc_id, sign = parent[w]
-                steps.append((arc_id, sign))
-                w = u
-                if w == v:
-                    break
-            steps.reverse()
-            return steps
-        for w in walk:
-            state[w] = 2
-    return None
-
-
-def _checked_negative_cycle(
-    net: Network, costs: list[int], steps: list[tuple[int, int]]
-) -> NegativeCycle:
-    """Re-check a cycle against the instance's true bounds before returning it."""
     inst = net.instance
-    lower_tags = [*inst.phi1.tags, *inst.phi2.tags, *inst.f.tags, inst.alpha.tag]
-    upper_tags = [*inst.gamma1.tags, *inst.gamma2.tags, *inst.g.tags, inst.beta.tag]
-    arc_id, sign = steps[0]
-    start = node = net.tail[arc_id] if sign > 0 else net.head[arc_id]
-    total = 0
-    for arc_id, sign in steps:
-        tail, head = net.tail[arc_id], net.head[arc_id]
-        if sign < 0:
-            tail, head = head, tail
-        if tail != node:
-            raise InternalError("negative cycle steps do not join up")
-        node = head
-        if (upper_tags[arc_id] if sign > 0 else lower_tags[arc_id]) == 0:
-            raise InternalError(f"negative cycle uses a finite bound of arc {net.arc_tag(arc_id)}")
-        total += sign * costs[arc_id]
-    if node != start:
-        raise InternalError("negative cycle does not close")
-    if total >= 0:
-        raise InternalError(f"cycle of infinite bounds has cost {total}, not negative")
-    return NegativeCycle(steps=tuple(steps), cost=total)
+    zeros = (0,) * (inst.m * inst.n)
+    tables = {
+        key: ExtMatrix(inst.m, inst.n, getattr(inst, key).tags, zeros)
+        for key in ("phi1", "gamma1", "phi2", "gamma2", "f", "g")
+    }
+    recession = replace(
+        inst, **tables, alpha=ExtInt(0, inst.alpha.tag), beta=ExtInt(0, inst.beta.tag)
+    )
+    rec_net = build_network(recession)
+    circ = min_cost_circulation(rec_net, cost)
+    direction = matrix_from_circulation(rec_net, circ)
+    try:
+        checked = circulation_from_matrix(recession, direction)
+    except BoundViolation as exc:
+        raise InternalError(f"recession solve produced an invalid direction: {exc}") from exc
+    ray_cost = sum(c * checked.flows[a] for a, c in cost.items())
+    if checked != circ or ray_cost >= 0:
+        raise InternalError(f"recession flows spell no direction of negative cost: {ray_cost}")
+    return Ray(direction, ray_cost)
 
 
 def matrix_from_circulation(net: Network, circ: Circulation) -> IntMatrix:

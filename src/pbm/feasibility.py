@@ -4,17 +4,17 @@ Every question here is one ``min_cost_circulation`` on one network, and
 ``_answer`` is the one reading of its outcome as a ``Result``: a cut
 becomes a certificate, a pair of cell subsets on which one of the four
 feasibility inequalities (gen1a, gen1b, gen1alfa, gen1beta) strictly
-fails; a negative cycle becomes ``"unbounded"``; a circulation becomes a
+fails; a ``Ray`` becomes ``"unbounded"``; a circulation becomes a
 matrix, which ``_answer`` re-checks once against the instance's true
 bounds, and every optimum value is read off the circulation that check
 rebuilds from the matrix.  Every solver, here and in ``asmkit``, returns
 through it.
 
 Both optimizers make one min-cost solve.  Infinite bounds are modelled by
-a large finite K, which no bounded optimum reaches, so the solve's optimum
+a large finite K, which no bounded optimum needs, so the solve's optimum
 is the true one unless the objective is unbounded.  The solve decides that
-directly: the objective is unbounded exactly when the instance is feasible
-and some cycle of negative cost runs only along infinite bounds.
+from its optimal potentials, and only then solves the recession instance
+for the ``Ray`` that proves it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .circulation import (
     CutWitness,
-    NegativeCycle,
+    Ray,
     build_network,
     circulation_from_matrix,
     cut_to_certificate,
@@ -123,7 +123,7 @@ def _answer(
         x1, x2, case, record = cut_to_certificate(net, res)
         cert = Certificate(x1, x2, case, record.name, record.lhs, record.rhs)
         return Result("infeasible", certificate=cert, direction=direction)
-    if isinstance(res, NegativeCycle):
+    if isinstance(res, Ray):
         return Result("unbounded", direction=direction)
     mat = matrix_from_circulation(net, res)
     try:

@@ -9,12 +9,16 @@ Three flavors:
 * finite_random: like random_instance but every bound finite, so the
   per-orientation enumeration oracles apply.
 
+``open_last_entry`` opens a path through an instance so that its total
+sum is unbounded in one direction.
+
 ``line_values`` reads a matrix's arc values off the definitions, without
 the library's circulation code.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import accumulate
 from operator import add
@@ -80,6 +84,27 @@ def finite_random(rng: random.Random, m: int, n: int) -> PbmInstance:
             a = rng.randint(-2, 1)
             f[i][j], g[i][j] = fin(a), fin(rng.randint(a, 2))
     return PbmInstance.create(m, n, phi1, gamma1, phi2, gamma2, f, g)
+
+
+def open_last_entry(rng: random.Random, inst: PbmInstance, direction: str) -> PbmInstance:
+    """Open entry (i, n), its row prefix and the column below it in ``direction``.
+
+    The total sum then grows (or falls) without limit along that path.
+    """
+    m, n = inst.m, inst.n
+    i = rng.randint(1, m)
+    if direction == "max":
+        row_key, col_key, entry_key, bound = "gamma1", "gamma2", "g", POS_INF
+    else:
+        row_key, col_key, entry_key, bound = "phi1", "phi2", "f", NEG_INF
+    rows = {key: [list(r) for r in getattr(inst, key).rows] for key in (row_key, col_key, entry_key)}
+    rows[row_key][i - 1][n - 1] = bound
+    rows[entry_key][i - 1][n - 1] = bound
+    for r in range(i, m + 1):
+        rows[col_key][r - 1][n - 1] = bound
+    return dataclasses.replace(
+        inst, **{key: getattr(inst, key).from_rows(v) for key, v in rows.items()}
+    )
 
 
 def line_values(mat: IntMatrix) -> list[int]:

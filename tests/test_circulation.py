@@ -11,7 +11,7 @@ from pbm.asmkit import asm_instance, k_regular_instance
 from pbm.circulation import (
     Circulation,
     _FlowGraph,
-    NegativeCycle,
+    Ray,
     _balances,
     _greedy_start,
     _reach,
@@ -678,7 +678,7 @@ class TestMinCost:
             raise AssertionError("a cost-free solve ran the min-cost machinery")
 
         monkeypatch.setattr("pbm.circulation._reduced_distances", refuse)
-        monkeypatch.setattr("pbm.circulation._negative_infinite_cycle", refuse)
+        monkeypatch.setattr("pbm.circulation._ray", refuse)
         net = build_network(inst)
         circ = min_cost_circulation(net)
         assert isinstance(circ, Circulation)
@@ -702,17 +702,21 @@ class TestMinCost:
         assert (best.status, best.value) == ("optimal", 1)
         assert raises
 
-    def test_unbounded_returns_negative_cycle(self):
+    def test_unbounded_returns_ray(self):
         # the entry and both prefix windows are open above, so rewarding the
-        # entry has no limit; the proof is the cycle through the entry arc
+        # entry has no limit; the proof is a direction that raises the entry
         inst = PbmInstance.create(
             1, 1, [[fin(0)]], [[POS_INF]], [[fin(0)]], [[POS_INF]], [[fin(0)]], [[POS_INF]]
         )
         net = build_network(inst)
         got = min_cost_circulation(net, cost={net.n_arc_id(1, 1): -1})
-        assert isinstance(got, NegativeCycle)
+        assert isinstance(got, Ray)
+        assert got.direction.to_lists() == [[1]]
         assert got.cost < 0
-        assert (net.n_arc_id(1, 1), 1) in got.steps
+        recession = PbmInstance.create(
+            1, 1, [[fin(0)]], [[fin(1)]], [[fin(0)]], [[fin(1)]], [[fin(0)]], [[fin(1)]], -1, 1
+        )
+        assert circulation_from_matrix(recession, got.direction).flows == (1, 1, 1, 1)
 
 
 def one_row_path(n: int) -> PbmInstance:

@@ -7,7 +7,9 @@ on single rows and columns of 200 to 1500 cells; every matrix and
 certificate ``solve`` returns is also re-checked from the definitions.  Optima come from networkx's capacity scaling, which reports
 unbounded objectives on its own (networkx 3.6's network simplex can loop
 forever on unbounded instances with many open windows), on grids from
-10 x 10 to 20 x 20.
+10 x 10 to 20 x 20 and on a hundred grids of 1 x 1 to 5 x 5 per
+direction whose entry windows are open half the time, where bounded and
+unbounded optima mix.
 """
 
 import dataclasses
@@ -15,12 +17,13 @@ import random
 
 import pytest
 
+from pbm.circulation import build_network, min_cost_circulation
 from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
 from pbm.feasibility import extremal_total_sum, optimize_cost, solve
 from pbm.oracle import matrix_satisfies
 from pbm.strongpair import condition_values
 
-from helpers import feasible_random, random_instance
+from helpers import feasible_random, open_last_entry, random_instance
 
 nx = pytest.importorskip("networkx")
 
@@ -101,29 +104,13 @@ def reference_feasible(inst: PbmInstance) -> bool:
     return nx.maximum_flow_value(graph, "source", "sink") == need
 
 
-def open_last_entry(rng: random.Random, inst: PbmInstance, direction: str) -> PbmInstance:
-    """Open entry (i, n), its row prefix and the column below it in ``direction``.
-
-    The total sum then grows (or falls) without limit along that path.
-    """
-    m, n = inst.m, inst.n
-    i = rng.randint(1, m)
-    if direction == "max":
-        row_key, col_key, entry_key, bound = "gamma1", "gamma2", "g", POS_INF
-    else:
-        row_key, col_key, entry_key, bound = "phi1", "phi2", "f", NEG_INF
-    rows = {key: [list(r) for r in getattr(inst, key).rows] for key in (row_key, col_key, entry_key)}
-    rows[row_key][i - 1][n - 1] = bound
-    rows[entry_key][i - 1][n - 1] = bound
-    for r in range(i, m + 1):
-        rows[col_key][r - 1][n - 1] = bound
-    return dataclasses.replace(
-        inst, **{key: getattr(inst, key).from_rows(v) for key, v in rows.items()}
-    )
-
-
 def sizes(rng: random.Random):
     return rng.randint(10, 20), rng.randint(10, 20)
+
+
+def small_open(rng: random.Random) -> PbmInstance:
+    """A 1-5 x 1-5 grid around a hidden matrix, each entry side open with chance 1/2."""
+    return feasible_random(rng, rng.randint(1, 5), rng.randint(1, 5), entry_inf_rate=0.5)
 
 
 def check_sum(inst: PbmInstance, direction: str) -> str:
@@ -147,6 +134,19 @@ def test_total_sum_hidden_window(direction):
         inst = feasible_random(rng, *sizes(rng), entry_inf_rate=0.05)
         statuses.add(check_sum(inst, direction))
     assert "optimal" in statuses
+    statuses = {check_sum(small_open(rng), direction) for _ in range(100)}
+    assert statuses == {"optimal", "unbounded"}
+
+
+def test_clamped_flow_at_k_is_not_unbounded():
+    # a degenerate optimum: the clamped circulation carries -K on an open
+    # side, yet the least sum is finite; unboundedness is read off prices
+    inst = feasible_random(random.Random(100), 2, 2, inf_rate=0.6, entry_inf_rate=0.5)
+    net = build_network(dataclasses.replace(inst, alpha=NEG_INF, beta=POS_INF))
+    circ = min_cost_circulation(net, {net.a0_id: 1})
+    assert net.big_k in map(abs, circ.flows)
+    assert check_sum(inst, "min") == "optimal"
+    assert extremal_total_sum(inst, "min").value == -2
 
 
 @pytest.mark.parametrize("direction", ["max", "min"])
@@ -157,6 +157,21 @@ def test_total_sum_unbounded_by_construction(direction):
         assert check_sum(inst, direction) == "unbounded"
 
 
+def check_cost(rng: random.Random, inst: PbmInstance, direction: str) -> str:
+    m, n = inst.m, inst.n
+    costs = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
+    got = optimize_cost(inst, costs, direction)
+    sign = -1 if direction == "max" else 1
+    weight = {(i, j): sign * costs.at(i, j) for i in range(1, m + 1) for j in range(1, n + 1)}
+    want = reference_minimum(inst, weight)
+    if want is None:
+        assert got.status == "unbounded"
+    else:
+        assert (got.status, got.value) == ("optimal", sign * want)
+        assert got.value == sum(costs.at(i, j) * v for i, j, v in got.matrix.cells())
+    return got.status
+
+
 @pytest.mark.parametrize("direction", ["max", "min"])
 def test_linear_cost(direction):
     rng = random.Random(f"cost:{direction}")
@@ -165,18 +180,10 @@ def test_linear_cost(direction):
         m, n = sizes(rng)
         open_rate = 0.4 if len(statuses) % 2 else 0.0
         inst = feasible_random(rng, m, n, inf_rate=0.3 + open_rate, entry_inf_rate=open_rate)
-        costs = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
-        got = optimize_cost(inst, costs, direction)
-        sign = -1 if direction == "max" else 1
-        weight = {(i, j): sign * costs.at(i, j) for i in range(1, m + 1) for j in range(1, n + 1)}
-        want = reference_minimum(inst, weight)
-        if want is None:
-            assert got.status == "unbounded"
-        else:
-            assert (got.status, got.value) == ("optimal", sign * want)
-            assert got.value == sum(costs.at(i, j) * v for i, j, v in got.matrix.cells())
-        statuses.append(got.status)
+        statuses.append(check_cost(rng, inst, direction))
     assert "optimal" in statuses and "unbounded" in statuses
+    statuses = {check_cost(rng, small_open(rng), direction) for _ in range(100)}
+    assert statuses == {"optimal", "unbounded"}
 
 
 def pin_entry(rng: random.Random, inst: PbmInstance) -> PbmInstance:

@@ -79,6 +79,19 @@ class TestEnumerate:
         assert "--max-dim must be in 1..3" in run.stderr
         assert f"max_cells = {oracle.DEFAULT_BUDGET.max_cells} cells" in run.stderr
 
+    @pytest.mark.parametrize(
+        "args", [["asm_census.py", "--max-n", "2"], ["random_stress.py", "--count", "5", "--seed", "1"]]
+    )
+    def test_scripts_run_from_a_plain_checkout(self, args, tmp_path):
+        # -S skips site-packages, so an installed pbm cannot stand in for src/
+        script = Path(__file__).resolve().parent.parent / "scripts" / args[0]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        run = subprocess.run(
+            [sys.executable, "-S", str(script), *args[1:]],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+
 
 class TestMatrixSatisfies:
     def test_accepts_and_rejects(self):

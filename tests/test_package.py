@@ -14,9 +14,9 @@ STAR_NAMES = {
     "Certificate", "Circulation", "ConditionEval", "CutWitness", "Decomposition",
     "DimensionMismatch", "EnumerationBudget", "ExtInt", "ExtMatrix", "HORIZONTAL",
     "IllegalInfinity", "InequalityRecord", "InfeasibleInput", "InfinityClash",
-    "InstanceFormatError", "IntMatrix", "InternalError", "NEG_INF", "NegativeCycle", "Network",
+    "InstanceFormatError", "IntMatrix", "InternalError", "NEG_INF", "Network",
     "NotKRegular", "POS_INF", "PbmError", "PbmInstance", "PrescriptionOutOfEntryBounds",
-    "Result", "SPartition", "Segment", "SegmentFamilyCertificate", "SegmentStats",
+    "Ray", "Result", "SPartition", "Segment", "SegmentFamilyCertificate", "SegmentStats",
     "StrictCheck", "StrongPairEval", "SubsetMask", "VERTICAL", "asm_instance", "asmkit",
     "aval_sign_instance", "brualdi_dahl_instance", "build_network", "check_condition",
     "check_strict", "circulation", "circulation_from_matrix", "compatible_asm",
