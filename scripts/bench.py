@@ -40,7 +40,13 @@ solve ends in a certificate.  The rows are:
   Random(30)``; the sum is unbounded by construction, so each run pays
   the main solve and the recession solve of its ray.  The row stores the
   main solve's ``pushes`` and ``relabels``.  The script exits nonzero
-  unless the answer is ``"unbounded"``.
+  unless the answer is ``"unbounded"``;
+* ``priced 40x40``, one row for C = 5 and one for C = 100: the
+  ``timeit`` times over ``RUNS`` runs of ``optimize_cost(inst, costs)``
+  on ``feasible_random(Random(7), 40, 40)``, with the costs drawn
+  row-major by ``Random(3).randint(-C, C)``.  Each row stores the
+  ``pushes`` and ``relabels`` of one solve, summed over its priced
+  rounds.  The script exits nonzero unless the answer is ``"optimal"``.
 
 Every row holds the median of its samples as ``median_s`` and their first
 and third quartiles as ``q1_s`` and ``q3_s``, so a difference between
@@ -82,8 +88,8 @@ from pbm.circulation import (  # noqa: E402
     min_cost_circulation,
 )
 from pbm.asmkit import asm_instance  # noqa: E402
-from pbm.core import instance_from_json, instance_to_json, validate_instance  # noqa: E402
-from pbm.feasibility import extremal_total_sum  # noqa: E402
+from pbm.core import IntMatrix, instance_from_json, instance_to_json, validate_instance  # noqa: E402
+from pbm.feasibility import extremal_total_sum, optimize_cost  # noqa: E402
 from helpers import feasible_random, open_last_entry, random_instance  # noqa: E402
 
 SEEDS = range(20)
@@ -91,6 +97,8 @@ SIZE = (55, 55)
 RUNS = 15
 # (seed, m, n) of each feasible_random network
 FEASIBLE = ((45, 45, 45), (150, 150, 150), (3, 1, 3000), (3, 3000, 1))
+# the cost spread C of each priced row
+PRICED = (5, 100)
 
 
 def spread(times: list[float]) -> dict:
@@ -263,6 +271,35 @@ def unbounded_row() -> dict:
     }
 
 
+def priced_rows() -> list[dict]:
+    """Per cost spread C, the median and quartiles of one priced 40x40 solve, and its counts."""
+    inst = feasible_random(random.Random(7), 40, 40)
+    rows = []
+    for c_max in PRICED:
+        rng = random.Random(3)
+        costs = IntMatrix.from_rows(
+            [[rng.randint(-c_max, c_max) for _ in range(40)] for _ in range(40)]
+        )
+        info: dict = {}
+        status = optimize_cost(inst, costs, "min", info).status
+        if status != "optimal":
+            raise SystemExit(f"the priced 40x40 solve with C = {c_max} came out {status}")
+        times = timeit.repeat("optimize_cost(inst, costs)",
+                              globals={**globals(), "inst": inst, "costs": costs},
+                              number=1, repeat=RUNS)
+        rows.append({
+            "case": f"feasible_random(Random(7), 40, 40), costs Random(3).randint(-{c_max}, "
+                    f"{c_max}) row-major",
+            "what": "optimize_cost(inst, costs)",
+            "layer": f"priced 40x40 C={c_max}",
+            "runs": RUNS,
+            **spread(times),
+            "pushes": info["pushes"],
+            "relabels": info["relabels"],
+        })
+    return rows
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
@@ -273,7 +310,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "rows": [cli_row(texts), cold_start_row(), *layer_rows(texts), *feasible_rows(),
-                 unbounded_row()],
+                 unbounded_row(), *priced_rows()],
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")

@@ -37,7 +37,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .circulation import build_network
 from .core import (
     NEG_INF,
     POS_INF,
@@ -50,7 +49,7 @@ from .core import (
     validate_instance,
 )
 from .errors import BadEntries, BadParams, DimensionMismatch, InternalError
-from .feasibility import Certificate, Result, _answer, solve
+from .feasibility import Certificate, Result, optimize_cost, solve
 from .segments import HORIZONTAL, VERTICAL, Segment, maximal_segments
 
 __all__ = [
@@ -390,9 +389,8 @@ def max_plus_ones_subordinate(x: IntMatrix) -> Result:
     optimum can lean on the large-K stand-ins for the unbounded entry sides.
     """
     part = _sign_partition(x)
-    net = build_network(_partition_instance(part))
-    cost = {net.n_arc_id(i, j): 1 for (i, j) in part.cells("+").cells}
-    res = _answer(net, cost, "max")
+    plus = IntMatrix.from_rows([[int(v == 1) for v in row] for row in x.rows])
+    res = optimize_cost(_partition_instance(part), plus, "max")
     if res.status == "unbounded":
         raise InternalError("subordinate optimum reported unbounded under capped windows")
     return _with_family(part, res)

@@ -39,20 +39,19 @@ above it, kept inside the column reaches.  So a feasible single line and
 every feasible ASM instance start as a circulation, unless the total
 window clamps the sum, and an unpriced guess that conserves is the
 answer, returned before any residual graph is built.  Otherwise the
-solve builds one residual graph and runs one primal-dual loop on it.
-The guess leaves excess at some nodes, which the loop carries as a
-pseudoflow, and a super sink takes the deficits.  Each round moves
-excess to the sink by push-relabel over the edges of zero reduced cost;
-a round that falls short raises the potentials by one Dijkstra, unless
-the sink is cut off.
+solve runs one primal-dual loop on one residual graph, two edges per
+arc.  The guess leaves a pseudoflow: excess at some nodes, and deficits
+at others, which are the sinks.  Each round moves excess to them by
+push-relabel over the edges of zero reduced cost; a round that falls
+short raises the potentials by one Dijkstra, unless no sink is in reach.
 A feasibility question has no prices, so it is the case in which one
 round does all the work, over the whole residual graph; it stops at the
-first node that holds excess and can no longer reach the sink.  An infeasible network
-yields a node set whose entering capacity is below its leaving demand:
-the line's chain, or the nodes that the excess cut off from the sink
-cannot reach (this holds whatever start and potentials the flow grew
-from).  The witness names the set its proof built, the chain or the nodes
-the excess reaches, and says which side of the cut that set is.
+first node that holds excess and can no longer reach a sink.  An
+infeasible network yields a node set whose entering capacity is below
+its leaving demand: the line's chain, or the nodes that the stranded
+excess cannot reach (this holds whatever start and potentials the flow
+grew from).  The witness names the set its proof built, the chain or
+the nodes the excess reaches, and says which side of the cut that set is.
 ``make_cut_witness`` checks the cut's deficit again, summed over the arcs
 that meet the named set, and ``cut_to_certificate`` hands the named set's
 membership, as one flag per cell and layer, straight to the strong-pair
@@ -298,36 +297,27 @@ def make_cut_witness(net: Network, nodes: frozenset[int], complement: bool = Fal
 
 
 class _FlowGraph:
-    """Residual graph with paired edges; push-relabel and breadth-first search."""
+    """Residual graph with paired edges; push-relabel and breadth-first search.
+
+    Arc a, u -> w, is edge 2a, u -> w, with capacity caps[a] and cost
+    costs[a], and edge 2a + 1, w -> u, with capacity backs[a] and the
+    negated cost; no other edge exists.
+    """
 
     __slots__ = ("adj", "to", "cap", "cost")
 
-    def __init__(self, node_count: int) -> None:
-        self.adj: list[list[int]] = [[] for _ in range(node_count)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-
-    def add_arcs(
-        self,
-        tails: Sequence[int],
-        heads: Sequence[int],
-        caps: Sequence[int],
-        backs: Sequence[int],
-        costs: Sequence[int],
-    ) -> None:
-        """Per arc u -> w in turn, edge u -> w with capacity cap and its reverse with back."""
-        first, count = len(self.to), len(tails)
-        pairs = [0] * (2 * count)
-        pairs[0::2], pairs[1::2] = heads, tails
-        self.to += pairs
-        pairs[0::2], pairs[1::2] = caps, backs
-        self.cap += pairs
-        # all-zero costs are their own negation
-        pairs[0::2], pairs[1::2] = costs, map(neg, costs) if any(costs) else costs
-        self.cost += pairs
-        adj = self.adj
-        for idx, u, w in zip(range(first, first + 2 * count, 2), tails, heads):
+    def __init__(self, node_count: int, tails: Sequence[int], heads: Sequence[int],
+                 caps: Sequence[int], backs: Sequence[int], costs: Sequence[int]) -> None:
+        size = 2 * len(tails)
+        self.to = to = [0] * size
+        to[0::2], to[1::2] = heads, tails
+        self.cap = cap = [0] * size
+        cap[0::2], cap[1::2] = caps, backs
+        self.cost = cost = [0] * size
+        if any(costs):
+            cost[0::2], cost[1::2] = costs, map(neg, costs)
+        self.adj = adj = [[] for _ in range(node_count)]
+        for idx, u, w in zip(range(0, size, 2), tails, heads):
             adj[u].append(idx)
             adj[w].append(idx + 1)
 
@@ -353,28 +343,29 @@ class _FlowGraph:
                     queue.append(w)
         return dist
 
-    def push_relabel(
-        self, t: int, adj: list[list[int]], excess: list[int]
-    ) -> tuple[int, int, list[int]]:
-        """Move node excess into t as ``adj`` allows; (pushes, relabels, stranded).
+    def push_relabel(self, adj: list[list[int]], excess: list[int]) -> tuple[int, int, list[int]]:
+        """Move excess into the sinks as ``adj`` allows; (pushes, relabels, stranded).
 
         FIFO push-relabel (Goldberg & Tarjan 1988) over the edges in
         ``adj``, which must hold each listed edge's reverse too; ``excess``
-        is updated in place, t's entry included.  Heights stay a valid
-        labelling: no edge of ``adj`` with residual capacity drops more
-        than one level.  So a node at height len(adj) or more cannot reach
-        t; it keeps its excess, and nothing goes back where it came from.
-        Once per V + E units of relabelling work, a backward search from t
-        resets the heights to exact distances (Cherkassky & Goldberg 1997).
-        A relabel costs its degree plus 90 units; of 12 to 300, 60 to 150
-        solved 30x30 to 120x120 grids fastest.
+        is updated in place.  The nodes with negative excess, which lack
+        flow, are the sinks, at height 0.  A push never drives excess below
+        0, so sinks never push, and it queues its target when that node's
+        excess turns positive.  Heights stay a valid labelling: no edge of
+        ``adj`` with residual capacity drops more than one level.  So a node
+        at height len(adj) or more reaches no sink; it keeps its excess, and
+        nothing goes back where it came from.  Once per V + E units of
+        relabelling work, a backward search from the sinks resets the
+        heights to exact distances (Cherkassky & Goldberg 1997).  A relabel
+        costs its degree plus 90 units; of 12 to 300, 60 to 150 solved 30x30
+        to 120x120 grids fastest.
 
         Over the full residual graph (``adj is self.adj``) the run stops at
         the first stranded node, one that holds excess at height len(adj)
         or more, and returns the stranded nodes it found then: no residual
-        path leads from them to t, which is all a cut needs.  Over a subset
-        of the edges it runs on until the excess either reaches t or is
-        stranded, and returns no stranded nodes.
+        path leads from them to a sink, which is all a cut needs.  Over a
+        subset of the edges it runs on until the excess either reaches the
+        sinks or is stranded, and returns no stranded nodes.
         """
         to, cap = self.to, self.cap
         size = len(adj)
@@ -384,9 +375,10 @@ class _FlowGraph:
         while True:
             if work >= budget:
                 work = 0
-                height = self.distances([t], adj, 1)
+                unbalanced = [*compress(range(size), excess)]
+                height = self.distances([v for v in unbalanced if excess[v] < 0], adj, 1)
                 current = [0] * size
-                live = [v for v in range(size) if excess[v] > 0 and v != t]
+                live = [v for v in unbalanced if excess[v] > 0]
                 if stop:
                     stranded = [v for v in live if height[v] == size]
                     if stranded:
@@ -411,9 +403,10 @@ class _FlowGraph:
                     d = e if e < c else c
                     cap[idx] = c - d
                     cap[idx ^ 1] += d
-                    if excess[w] == 0 and w != t:
+                    x = excess[w] + d
+                    excess[w] = x
+                    if 0 < x <= d:
                         queue.append(w)
-                    excess[w] += d
                     pushes += 1
                     e -= d
                     if e == 0:
@@ -717,37 +710,38 @@ def min_cost_circulation(
     Otherwise the solve builds one residual graph, in which arc a is edge
     2a and carries flow lower[a] plus the capacity of edge 2a + 1, and
     runs one primal-dual loop on it (Ahuja, Magnanti & Orlin 1993,
-    section 9.8).  A node that receives more than it sends keeps the
-    difference as excess, and a node that sends more gets an edge to a
-    super sink for its deficit; the excess list is the pseudoflow that
-    all rounds share.  Each round runs ``_FlowGraph.push_relabel`` over
-    the edges of zero reduced cost; ``info`` receives the network's size
-    and the pushes and relabels of all rounds of this one solve.  Once no
-    excess is left, the sink edges are saturated, the flow is a
-    circulation, and the potentials prove it optimal.
+    section 9.8).  The graph has the network's nodes and no other: a node
+    that receives more than it sends holds the difference as excess, a
+    node that sends more lacks flow and is a sink, and the excess list is
+    the pseudoflow that all rounds share.  Each round runs
+    ``_FlowGraph.push_relabel`` over the edges of zero reduced cost;
+    ``info`` receives the network's size and the pushes and relabels of
+    all rounds of this one solve.  Once no node holds excess, none lacks
+    flow either, the flow is a circulation, and the potentials prove it
+    optimal.
 
-    Infeasibility shows as excess cut off from the sink.  Let R be the set
-    of nodes that residual paths reach from some of the nodes holding
-    excess, and suppose R misses the super sink.  No residual edge leaves
-    R, so every arc entering R is at its lower bound, every arc leaving R
-    at its upper bound, and every sink edge in R is saturated.  Summing
-    conservation over R, l(delta_in R) - u(delta_out R) equals the excess
-    held in R plus the sink flow out of R, which is positive.  The nodes
-    R misses form a set W with rho_u(W) - delta_l(W) < 0.  This holds for
-    any start inside the bounds and any potentials.  The witness names R
-    and says that W is its complement; ``make_cut_witness`` recomputes the
-    deficit from the network's bounds, over the arcs that meet R (the same
-    arcs cross the cut either way), and not from anything the solve
-    computed.
+    Infeasibility shows as excess that reaches no node that lacks flow.
+    Let R be the set of nodes that residual paths reach from some of the
+    nodes holding excess, and suppose R holds no node that lacks flow.  No
+    residual edge leaves R, so every arc entering R is at its lower bound
+    and every arc leaving R at its upper bound.  Summing conservation over
+    R, l(delta_in R) - u(delta_out R) equals the excess held in R, which
+    is positive.  The nodes R misses form a set W with rho_u(W) -
+    delta_l(W) < 0.  This holds for any start inside the bounds and any
+    potentials.  The witness names R and says that W is its complement;
+    ``make_cut_witness`` recomputes the deficit from the network's bounds,
+    over the arcs that meet R (the same arcs cross the cut either way),
+    and not from anything the solve computed.
 
     Without a cost every edge has zero reduced cost, so one round runs
     over the whole residual graph.  It either delivers every excess or
     stops at the first stranded nodes, whose height shows that no
-    residual path joins them to the sink; R is what they reach.  The
-    solve leaves the loop after that round.  With a cost, a round runs
-    over a subset of the edges, and excess it cannot move proves nothing.
-    One Dijkstra over the whole residual graph then starts from every node
-    that still holds excess.  If it reaches the super sink, its distances
+    residual path joins them to a node that lacks flow; R is what they
+    reach.  The solve leaves the loop after that round.  With a cost, a
+    round runs over a subset of the edges, and excess it cannot move
+    proves nothing.  One Dijkstra over the whole residual graph then
+    starts from every node that still holds excess.  If it reaches a node
+    that lacks flow, its distances, capped at the nearest such node's,
     raise the potentials and the next round starts; if not, R is what it
     reached.  All arithmetic is exact.
 
@@ -787,48 +781,43 @@ def min_cost_circulation(
     excess = _balances(net, flow)
     if not (priced or any(excess)):
         return Circulation(tuple(flow))
-    t = nodes
-    excess.append(0)
-    graph = _FlowGraph(nodes + 1)
-    graph.add_arcs(tail, head, list(map(sub, upper, flow)), list(map(sub, flow, lower)), costs)
-    short = [v for v in range(nodes) if excess[v] < 0]
-    deficits = [-excess[v] for v in short]
-    graph.add_arcs(short, [t] * len(short), deficits, [0] * len(short), [0] * len(short))
-    demand = sum(deficits)
-    for v in short:
-        excess[v] = 0
+    graph = _FlowGraph(nodes, tail, head, [*map(sub, upper, flow)], [*map(sub, flow, lower)], costs)
     adj, to, cap, edge_cost = graph.adj, graph.to, graph.cap, graph.cost
-    pi = [0] * (nodes + 1)
+    pi = [0] * nodes
     admissible = adj
     pushes = relabels = 0
-    while excess[t] < demand:
+    reached = None
+    while True:
         if priced:
             admissible = [
                 [idx for idx in edges if edge_cost[idx] + pi[v] == pi[to[idx]]]
                 for v, edges in enumerate(adj)
             ]
-        more_pushes, more_relabels, stranded = graph.push_relabel(t, admissible, excess)
+        more_pushes, more_relabels, stranded = graph.push_relabel(admissible, excess)
         pushes += more_pushes
         relabels += more_relabels
-        if excess[t] == demand:
-            break
         if not priced:
             # the one round ran over the whole residual graph
-            reached = [h <= nodes for h in graph.distances(stranded, adj, 0)]
+            if stranded:
+                reached = [h < nodes for h in graph.distances(stranded, adj, 0)]
             break
-        dist = _reduced_distances(graph, pi, [v for v in range(nodes) if excess[v] > 0])
-        horizon = dist[t]
+        unbalanced = [*compress(range(nodes), excess)]
+        if not unbalanced:
+            break
+        dist = _reduced_distances(graph, pi, [v for v in unbalanced if excess[v] > 0])
+        horizon = min(
+            (dist[v] for v in unbalanced if excess[v] < 0 and dist[v] is not None), default=None
+        )
         if horizon is None:
             reached = [d is not None for d in dist]
             break
-        # capping the raise at the sink's distance keeps every residual
-        # reduced cost nonnegative, makes the shortest paths to the sink
-        # tight, and keeps the unsaturated sink edges tight
+        # capping the raise at the nearest sink's distance keeps every residual
+        # reduced cost nonnegative and makes the shortest paths to it tight
         for v, d in enumerate(dist):
             pi[v] += horizon if d is None or d > horizon else d
     if info is not None:
         info.update(pushes=pushes, relabels=relabels)
-    if excess[t] < demand:
+    if reached is not None:
         return make_cut_witness(net, frozenset(compress(range(nodes), reached)), True)
     if priced:
         for idx in range(len(to)):
@@ -840,7 +829,7 @@ def min_cost_circulation(
             for u, w, lo, hi, c in zip(tail, head, lower, upper, costs)
         ):
             return _ray(net, cost)
-    circ = Circulation(tuple(map(add, lower, cap[1 : 2 * arc_count : 2])))
+    circ = Circulation(tuple(map(add, lower, cap[1::2])))
     if priced:
         check_circulation(net, circ)
     return circ
@@ -876,8 +865,9 @@ def _ray(net: Network, cost: Mapping[int, int]) -> Ray:
     Each bound of ``net.instance`` becomes its tag: -inf -1, +inf 1 and
     finite 0.  A direction that keeps every bound at every scale moves no
     value past a finite side, so scaled down it fits these windows: if one
-    has negative cost, so has the integer optimum D.  The solve's flows must be the circulation of D, checked against
-    the recession bounds by ``circulation_from_matrix``.
+    has negative cost, so has the integer optimum D.  The solve's flows
+    must be the circulation of D, checked against the recession bounds by
+    ``circulation_from_matrix``.
     """
     inst = net.instance
     zeros = (0,) * (inst.m * inst.n)

@@ -447,19 +447,16 @@ def _build_parser() -> _Parser:
             "--oracle", action="store_true", help="cross-check against the brute-force oracle"
         )
 
-    p = sub.add_parser("check", help="decide feasibility of an instance")
-    p.add_argument("instance", help="instance JSON file, or - for stdin")
-    p.add_argument("--prescribe", help="JSON [[i,j,value],...] of pinned entries (or @file)")
-    p.add_argument("--dump-dot", metavar="PATH", help="write the network in DOT form")
-    add_oracle(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("solve", help="find a matrix meeting all bounds")
-    p.add_argument("instance", help="instance JSON file, or - for stdin")
-    p.add_argument("--prescribe", help="JSON [[i,j,value],...] of pinned entries (or @file)")
-    p.add_argument("--dump-dot", metavar="PATH", help="write the network in DOT form")
-    add_oracle(p)
-    p.set_defaults(func=_cmd_solve)
+    for name, help_text in (
+        ("check", "decide feasibility of an instance"),
+        ("solve", "find a matrix meeting all bounds"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("instance", help="instance JSON file, or - for stdin")
+        p.add_argument("--prescribe", help="JSON [[i,j,value],...] of pinned entries (or @file)")
+        p.add_argument("--dump-dot", metavar="PATH", help="write the network in DOT form")
+        add_oracle(p)
+        p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sum", help="extremal total sum over the instance")
     p.add_argument("instance")

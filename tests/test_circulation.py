@@ -25,10 +25,11 @@ from pbm.circulation import (
     network_to_dot,
     CutWitness,
 )
+from pbm.decompose import decompose
 from pbm.errors import BoundViolation, InternalError
-from pbm.feasibility import extremal_total_sum, solve
+from pbm.feasibility import extremal_total_sum, optimize_cost, solve
 
-from helpers import feasible_random, random_instance
+from helpers import feasible_random, open_last_entry, random_instance
 
 
 def _reference_bounds(inst: PbmInstance) -> list:
@@ -175,15 +176,16 @@ class TestNetworkShape:
         assert [net.arc_tag(a) for a in range(len(net.lower))] == [tag for tag, _, _ in bounds]
 
 
-def _edge_by_edge(graph, tails, heads, caps, backs, costs):
-    """The reference for ``_FlowGraph.add_arcs``: one edge pair per arc, in turn."""
-    for u, w, cap, back, cost in zip(tails, heads, caps, backs, costs):
-        idx = len(graph.to)
-        graph.to += [w, u]
-        graph.cap += [cap, back]
-        graph.cost += [cost, -cost]
-        graph.adj[u].append(idx)
-        graph.adj[w].append(idx + 1)
+def _edge_by_edge(nodes, tails, heads, caps, backs, costs):
+    """The reference for the ``_FlowGraph`` constructor: one edge pair per arc, in turn."""
+    to, cap, cost, adj = [], [], [], [[] for _ in range(nodes)]
+    for u, w, c, back, price in zip(tails, heads, caps, backs, costs):
+        adj[u].append(len(to))
+        adj[w].append(len(to) + 1)
+        to += [w, u]
+        cap += [c, back]
+        cost += [price, -price]
+    return to, cap, cost, adj
 
 
 class TestResidualGraph:
@@ -198,15 +200,9 @@ class TestResidualGraph:
             caps = [rng.randint(0, 10**30) for _ in range(count)]
             backs = [rng.randint(0, 9) for _ in range(count)]
             costs = [rng.randint(-5, 5) if priced else 0 for _ in range(count)]
-            one, bulk = _FlowGraph(nodes + 1), _FlowGraph(nodes + 1)
-            _edge_by_edge(one, tails, heads, caps, backs, costs)
-            bulk.add_arcs(tails, heads, caps, backs, costs)
-            # sink edges follow the arcs, as in a solve
-            short = [rng.randrange(nodes), 0]
-            sink_edges = (short, [nodes] * 2, [3, 1], [0, 0], [0, 0])
-            _edge_by_edge(one, *sink_edges)
-            bulk.add_arcs(*sink_edges)
-            assert (bulk.to, bulk.cap, bulk.cost, bulk.adj) == (one.to, one.cap, one.cost, one.adj)
+            args = (nodes, tails, heads, caps, backs, costs)
+            bulk = _FlowGraph(*args)
+            assert (bulk.to, bulk.cap, bulk.cost, bulk.adj) == _edge_by_edge(*args)
             assert bulk.cost[1::2] == [-c for c in bulk.cost[0::2]]
 
     def test_bulk_arcs_on_instance_networks(self):
@@ -217,10 +213,32 @@ class TestResidualGraph:
             caps = [hi - z for z, hi in zip(flow, net.upper)]
             backs = [z - lo for lo, z in zip(net.lower, flow)]
             costs = [rng.randint(-3, 3) for _ in flow]
-            one, bulk = _FlowGraph(net.node_count + 1), _FlowGraph(net.node_count + 1)
-            _edge_by_edge(one, net.tail, net.head, caps, backs, costs)
-            bulk.add_arcs(net.tail, net.head, caps, backs, costs)
-            assert (bulk.to, bulk.cap, bulk.cost, bulk.adj) == (one.to, one.cap, one.cost, one.adj)
+            args = (net.node_count, net.tail, net.head, caps, backs, costs)
+            bulk = _FlowGraph(*args)
+            assert (bulk.to, bulk.cap, bulk.cost, bulk.adj) == _edge_by_edge(*args)
+
+    def test_every_residual_graph_is_the_network(self, graph_builds):
+        # the nodes that lack flow are the sinks: no node or edge outside the network
+        priced = feasible_random(random.Random(0), 6, 7)
+        rng = random.Random(1)
+        costs = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(7)] for _ in range(6)])
+        opened = open_last_entry(random.Random(0), priced, "max")
+        repaired = feasible_random(random.Random(19), 4, 4)
+        peeled = feasible_random(random.Random(0), 3, 3)
+        matrix = solve(peeled).matrix
+        cases = {
+            "unpriced repair": (repaired, lambda: solve(repaired).status, "feasible", 1),
+            "priced sum": (priced, lambda: extremal_total_sum(priced, "max").status, "optimal", 1),
+            "priced cost": (priced, lambda: optimize_cost(priced, costs).status, "optimal", 1),
+            # the main solve and the recession solve of its ray
+            "ray": (opened, lambda: extremal_total_sum(opened, "max").status, "unbounded", 2),
+            "decompose peel": (peeled, lambda: decompose(peeled, matrix, 5).k, 5, 1),
+        }
+        for name, (inst, call, answer, solves) in cases.items():
+            net = build_network(inst)
+            graph_builds.clear()
+            assert call() == answer, name
+            assert graph_builds == [(net.node_count, 2 * len(net.lower))] * solves, name
 
 
 class TestFeasibility:
@@ -876,14 +894,14 @@ def assert_start_follows_its_rule(inst: PbmInstance) -> int:
 
 
 @pytest.fixture
-def graph_builds(monkeypatch) -> list[int]:
-    """The node count of every residual graph built while the test runs."""
-    built: list[int] = []
+def graph_builds(monkeypatch) -> list[tuple[int, int]]:
+    """The node and edge counts of every residual graph built while the test runs."""
+    built: list[tuple[int, int]] = []
     init = _FlowGraph.__init__
 
-    def spy(self, node_count):
-        built.append(node_count)
-        init(self, node_count)
+    def spy(self, node_count, *arcs):
+        init(self, node_count, *arcs)
+        built.append((len(self.adj), len(self.to)))
 
     monkeypatch.setattr(_FlowGraph, "__init__", spy)
     return built

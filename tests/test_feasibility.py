@@ -334,9 +334,9 @@ class TestOneLoop:
         class CountedGraph(graph):
             __slots__ = ()
 
-            def __init__(self, node_count):
+            def __init__(self, node_count, *arcs):
                 counts["graphs"] += 1
-                super().__init__(node_count)
+                super().__init__(node_count, *arcs)
 
         monkeypatch.setattr(feasibility, "min_cost_circulation", counted_solve)
         monkeypatch.setattr(circulation, "_FlowGraph", CountedGraph)
