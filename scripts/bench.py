@@ -46,7 +46,16 @@ solve ends in a certificate.  The rows are:
   on ``feasible_random(Random(7), 40, 40)``, with the costs drawn
   row-major by ``Random(3).randint(-C, C)``.  Each row stores the
   ``pushes`` and ``relabels`` of one solve, summed over its priced
-  rounds.  The script exits nonzero unless the answer is ``"optimal"``.
+  rounds.  The script exits nonzero unless the answer is ``"optimal"``;
+* one row per ``decompose`` case, the ``timeit`` times over ``RUNS`` runs
+  of ``decompose(inst, a, k)``: the 10x10 instance with every bound open
+  and A's entries drawn row-major by ``Random(10).randint(-10**6, 10**6)``
+  at k = 4097, and ``feasible_random(Random(26), 26, 26)`` with A its
+  solved matrix at k = 6.  Each row stores the number of distinct parts,
+  of flow solves and of halvings of one call, counts that repeat exactly.
+  The script exits nonzero unless the parts add up to A;
+* ``_halve``: the ``timeit`` times over ``RUNS`` runs of every halving
+  that one call of each decompose case makes, one after another.
 
 Every row holds the median of its samples as ``median_s`` and their first
 and third quartiles as ``q1_s`` and ``q3_s``, so a difference between
@@ -64,6 +73,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -88,8 +98,17 @@ from pbm.circulation import (  # noqa: E402
     min_cost_circulation,
 )
 from pbm.asmkit import asm_instance  # noqa: E402
-from pbm.core import IntMatrix, instance_from_json, instance_to_json, validate_instance  # noqa: E402
-from pbm.feasibility import extremal_total_sum, optimize_cost  # noqa: E402
+from pbm.core import (  # noqa: E402
+    NEG_INF,
+    POS_INF,
+    IntMatrix,
+    PbmInstance,
+    instance_from_json,
+    instance_to_json,
+    validate_instance,
+)
+from pbm.decompose import decompose  # noqa: E402
+from pbm.feasibility import extremal_total_sum, optimize_cost, solve  # noqa: E402
 from helpers import feasible_random, open_last_entry, random_instance  # noqa: E402
 
 SEEDS = range(20)
@@ -300,6 +319,64 @@ def priced_rows() -> list[dict]:
     return rows
 
 
+def decompose_cases() -> list[tuple[str, str, PbmInstance, IntMatrix, int]]:
+    """(case, layer, instance, A, k) of each decompose row."""
+    rng = random.Random(10)
+    lows, highs = [[NEG_INF] * 10] * 10, [[POS_INF] * 10] * 10
+    open_10 = PbmInstance.create(10, 10, lows, highs, lows, highs, lows, highs)
+    spread_10 = IntMatrix.from_rows([[rng.randint(-10**6, 10**6) for _ in range(10)] for _ in range(10)])
+    solved_26 = feasible_random(random.Random(26), 26, 26)
+    return [
+        ("open 10x10, A row-major Random(10).randint(-10**6, 10**6)", "decompose open 10x10 k=4097",
+         open_10, spread_10, 4097),
+        ("feasible_random(Random(26), 26, 26), A = solve(inst).matrix", "decompose 26x26 k=6",
+         solved_26, solve(solved_26).matrix, 6),
+    ]
+
+
+def decompose_rows() -> list[dict]:
+    """Per decompose case, one call's median, quartiles and counts; then the halvings' row."""
+    mod = importlib.import_module("pbm.decompose")
+    real_solve, real_halve = mod.min_cost_circulation, mod._halve
+    rows, halvings = [], []
+    for case, layer, inst, a, k in decompose_cases():
+        solves: list = []
+        calls = len(halvings)
+        mod.min_cost_circulation = lambda net: solves.append(net) or real_solve(net)
+        mod._halve = lambda net, z: halvings.append((net, z)) or real_halve(net, z)
+        try:
+            dec = decompose(inst, a, k)
+        finally:
+            mod.min_cost_circulation, mod._halve = real_solve, real_halve
+        if dec.total() != a:
+            raise SystemExit(f"the parts of {layer} do not add up to A")
+        times = timeit.repeat("decompose(inst, a, k)",
+                              globals={**globals(), "inst": inst, "a": a, "k": k},
+                              number=1, repeat=RUNS)
+        rows.append({
+            "case": f"{case}, k = {k}",
+            "what": "decompose(inst, a, k)",
+            "layer": layer,
+            "runs": RUNS,
+            **spread(times),
+            "distinct_parts": len(dec.parts),
+            "solves": len(solves),
+            "halvings": len(halvings) - calls,
+        })
+    times = timeit.repeat("for net, z in halvings: halve(net, z)",
+                          globals={"halvings": halvings, "halve": real_halve},
+                          number=1, repeat=RUNS)
+    rows.append({
+        "case": "every halving of one call of each decompose row",
+        "what": "_halve(net, z) for each recorded (net, z)",
+        "layer": "_halve",
+        "runs": RUNS,
+        **spread(times),
+        "halvings": len(halvings),
+    })
+    return rows
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
@@ -310,12 +387,17 @@ def main(argv: "list[str] | None" = None) -> int:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "rows": [cli_row(texts), cold_start_row(), *layer_rows(texts), *feasible_rows(),
-                 unbounded_row(), *priced_rows()],
+                 unbounded_row(), *priced_rows(), *decompose_rows()],
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     for row in out["rows"]:
         counts = f"  {row['pushes']} pushes, {row['relabels']} relabels" if "pushes" in row else ""
+        if "distinct_parts" in row:
+            counts = (f"  {row['distinct_parts']} distinct parts, {row['solves']} solves,"
+                      f" {row['halvings']} halvings")
+        elif "halvings" in row:
+            counts = f"  {row['halvings']} halvings"
         if "module_count" in row:
             counts = f"  {row['module_count']} pbm modules, bytecode cached: {row['bytecode_cached']}"
         print(

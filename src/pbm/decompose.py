@@ -16,9 +16,11 @@ number of parts, and equal pieces owing as many are kept once, with a
 multiplicity.  z* starts as one piece owing k.  Each pass splits every
 piece owing the most, r, into one owing s and one owing r - s:
 
-* when r is a power of two, s = r / 2, and an Euler partition of the
-  piece's odd arcs (Gabow 1976) halves it in one linear pass, with no
-  solve;
+* when r is a power of two, s = r / 2, and one linear pass over the
+  piece's entries halves it, with no solve: the odd entries pair up along
+  their rows and their columns, and each pair takes one +1 over the
+  halves rounded down.  This is an Euler partition of the odd arcs (Gabow
+  1976) that skips the runs of prefix arcs between two odd entries;
 * otherwise s is r's lowest 1-bit, and one min-cost solve on the box
 
       floor(z / q)  <=  z_1  <=  ceil(z / q),    q = r / s odd,
@@ -39,8 +41,8 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
-from operator import sub
+from itertools import accumulate, chain, compress, filterfalse, repeat
+from operator import add, and_, floordiv, mul, rshift, sub
 
 from .circulation import (
     Circulation,
@@ -84,9 +86,13 @@ class Decomposition:
     def total(self) -> IntMatrix:
         """The sum of all k parts: each distinct part times its multiplicity."""
         m, n = self.parts[0][0].m, self.parts[0][0].n
-        acc = [0] * (m * n)
-        for mat, mult in self.parts:
-            acc = [a + mult * v for a, v in zip(acc, chain(*mat.rows))]
+        # cell by cell, the sum over the parts, each one's entries times its multiplicity
+        scaled = (
+            chain.from_iterable(mat.rows) if mult == 1
+            else map(mul, chain.from_iterable(mat.rows), repeat(mult))
+            for mat, mult in self.parts
+        )
+        acc = [*map(sum, zip(*scaled))]
         return IntMatrix(m, n, tuple(tuple(acc[k : k + n]) for k in range(0, m * n, n)))
 
 
@@ -114,43 +120,89 @@ def shrink_instance(inst: PbmInstance, k: int) -> PbmInstance:
 def _halve(net: Network, z: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split an integer circulation into two within floor(z / 2)..ceil(z / 2).
 
-    The first half takes floor(z / 2) on every arc and 1 more on each odd
-    arc that a closed trail over the odd arcs runs forwards.  Every node
-    meets an even number of odd arcs, so a walk that leaves a node by an
-    unwalked odd arc can leave every other node it enters and stops only
-    where it started.  Where a trail passes a node, the arcs by which it
-    enters and leaves add as much to the half's inflow as to its outflow,
-    so the half conserves, and with it the second half, z minus the first.
-    Iterative and linear in the arcs.
+    Only A's entries are read and chosen; no network arc is walked.  The
+    first half takes floor(a / 2) on every entry a and 1 more on some odd
+    ones.  Its prefix through an entry of a row is floor(H / 2) or
+    ceil(H / 2), H being A's prefix there, exactly when the +1s among the
+    row's odd entries so far are half of them, rounded: when the row's 1st
+    and 2nd odd entries take one +1 between them, its 3rd and 4th one, and
+    so on.  So an odd entry whose row prefix is even closes a row pair with
+    the odd entry before it; columns pair up alike by their prefixes.  Each
+    odd entry has at most one row mate and one column mate, so the pairs
+    chain into paths and cycles that alternate row and column pairs, and
+    walking each one with the +1 on every other entry gives every pair one
+    +1.  Cycles are even.  A path ends where an entry has no row mate (a
+    row end, the last odd entry of its row) or no column mate (a column
+    end).  With r row ends, the half's total is (T - r) / 2 plus the +1s on
+    the row ends, T being A's total, and likewise by columns.  A path with
+    two row ends or two column ends puts one +1 on its two ends; one with a
+    row end and a column end, as a lone odd entry is, puts the same on
+    both, so those paths take the +1 in turn, and the total stays within
+    floor(T / 2)..ceil(T / 2).  The half's prefix sums and total are summed
+    from its entries, so it conserves, and so does the rest, z minus it.
+    Linear in the cells, with one Python step per odd entry.
     """
-    tail, head = net.tail, net.head
-    first = [v >> 1 for v in z]
-    odd_arcs: list[list[int]] = [[] for _ in range(net.node_count)]
-    for a, v in enumerate(z):
-        if v & 1:
-            odd_arcs[tail[a]].append(a)
-            odd_arcs[head[a]].append(a)
-    walked = bytearray(len(z))
-    for start in range(net.node_count):
-        v, untried = start, odd_arcs[start]
-        while untried:
-            a = untried.pop()
-            if walked[a]:
-                continue
-            walked[a] = 1
-            if tail[a] == v:
-                first[a] += 1
-                v = head[a]
+    m, n = net.m, net.n
+    mn = m * n
+    entries = z[2 * mn : 3 * mn]
+    odd = [*compress(range(mn), map(and_, entries, repeat(1)))]
+    mates = []
+    # row by row, then column by column (a stable sort keeps each column's cells in order),
+    # an odd entry whose prefix is even closes a pair with the odd entry before it
+    for cells, prefixes in ((odd, z), (sorted(odd, key=n.__rmod__), z[mn : 2 * mn])):
+        mate = {}
+        for k in cells:
+            if prefixes[k] & 1:
+                opener = k
             else:
-                v = tail[a]
-            untried = odd_arcs[v]
-    return tuple(first), tuple(v - h for v, h in zip(z, first))
+                mate[k] = opener
+                mate[opener] = k
+        mates.append(mate)
+    row_mate, column_mate = mates
+
+    first = [*map(rshift, entries, repeat(1))]
+    seen = bytearray(mn)
+    mixed = 1  # the +1 of the next path with one row end and one column end
+    row_ends = filterfalse(row_mate.__contains__, odd)
+    column_ends = filterfalse(column_mate.__contains__, odd)
+    for v in chain(row_ends, column_ends, odd):
+        if seen[v]:
+            continue
+        # a column end leaves by its row mate; a row end, a lone entry and a
+        # cycle leave by the column mate
+        from_row_end = v not in row_mate
+        if v in column_mate or from_row_end:
+            there, back = column_mate, row_mate
+        else:
+            there, back = row_mate, column_mate
+        c = mixed if from_row_end else 1
+        while not seen[v]:
+            seen[v] = 1
+            first[v] += c
+            w = there.get(v)
+            if w is None:
+                mixed ^= from_row_end
+                break
+            seen[w] = 1
+            first[w] += 1 - c
+            v = back.get(w)
+            if v is None:
+                break
+
+    # the half's prefix sums, row by row and column by column, then its total
+    rows = map(accumulate, map(first.__getitem__, map(slice, range(0, mn, n), range(n, mn + 1, n))))
+    columns = map(accumulate, map(first.__getitem__, map(slice, range(n), repeat(mn), repeat(n))))
+    half = (*chain.from_iterable(rows), *chain.from_iterable(zip(*columns)), *first, sum(first))
+    return half, tuple(map(sub, z, half))
 
 
 def _box(net: Network, z: tuple[int, ...], q: int) -> Network:
     """The network with bounds floor(z / q)..ceil(z / q) on every arc."""
     return dataclasses.replace(
-        net, lower=tuple(v // q for v in z), upper=tuple(-(-v // q) for v in z)
+        net,
+        lower=tuple(map(floordiv, z, repeat(q))),
+        # (v + q - 1) // q is ceil(v / q) for every integer v
+        upper=tuple(map(floordiv, map(add, z, repeat(q - 1)), repeat(q))),
     )
 
 
@@ -172,10 +224,9 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
     so the box [floor(z / q), ceil(z / q)] lies there too, and a network
     matrix makes the box hold an integer circulation.  A peel's solve finds
     one; an empty box would surface as a cut, an InternalError.  Halving
-    needs no solve: the flows in and out of a node add up to the same
-    number, so every node meets an even number of odd arcs, the odd arcs
-    fall into closed trails, and running along them gives one half
-    ceil(z / 2) on some arcs and floor(z / 2) elsewhere, conserving.  The
+    needs no solve: pairing the odd entries along rows and columns gives
+    a half that takes ceil(z / 2) on some arcs and floor(z / 2) elsewhere,
+    and it conserves, being a matrix's circulation (see ``_halve``).  The
     rest, z minus the share, lies within [z - ceil(z / q), z - floor(z / q)];
     both ends grow with z, and at z's ends they are (r - s) floor(z* / k)
     and (r - s) ceil(z* / k), so the rest keeps the bound.  A piece owing 1

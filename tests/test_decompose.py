@@ -142,6 +142,25 @@ def random_matrix(rng: random.Random, m: int, n: int) -> IntMatrix:
     return IntMatrix.from_rows([[rng.randint(-span, span) for _ in range(n)] for _ in range(m)])
 
 
+def halves_in_box(a: IntMatrix, net=None) -> tuple:
+    """Halve A's circulation on an open instance; check both halves and return the first.
+
+    Both halves must conserve, lie within floor(z / 2)..ceil(z / 2) on every
+    arc and add up to z.
+    """
+    inst = open_instance(a.m, a.n)
+    net = net or build_network(inst)
+    z = circulation_from_matrix(inst, a).flows
+    box = dataclasses.replace(
+        net, lower=tuple(v // 2 for v in z), upper=tuple(-(-v // 2) for v in z)
+    )
+    first, second = _halve(net, z)
+    for half in (first, second):
+        check_circulation(box, Circulation(half))
+    assert [x + y for x, y in zip(first, second)] == list(z)
+    return first
+
+
 def count_solves(monkeypatch) -> list:
     """Record every network that ``decompose`` hands to the flow solver."""
     mod = importlib.import_module("pbm.decompose")
@@ -171,6 +190,40 @@ class TestHalve:
             for half in (first, second):
                 check_circulation(box, Circulation(half))  # conserves, within the box
             assert [x + y for x, y in zip(first, second)] == list(z)
+
+    def test_all_cycle_input(self):
+        # row pairs (1,1)-(1,2), (2,1)-(2,2) and column pairs (1,1)-(2,1), (1,2)-(2,2)
+        # close one cycle, so each half takes one entry of every row and column
+        first = halves_in_box(IntMatrix.from_rows([[1, 1], [1, 1]]))
+        assert sorted(first[8:12]) == [0, 0, 1, 1]
+        assert first[8] == first[11] != first[9] == first[10]
+
+    def test_identity_lone_entries_alternate(self):
+        # no odd entry has a mate: the total alone decides, and it must round
+        for n in range(1, 16):
+            first = halves_in_box(IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)]))
+            assert first[-1] in (n // 2, -(-n // 2))
+
+    def test_lines(self):
+        rng = random.Random(31)
+        for m, n in ((1, 500), (500, 1)):
+            for span in (1, 3, 10**30):
+                halves_in_box(IntMatrix.from_rows(
+                    [[rng.randint(-span, span) for _ in range(n)] for _ in range(m)]))
+
+    def test_grids_up_to_30x30(self):
+        rng = random.Random(37)
+        for size in (*range(1, 13), 20, 30):
+            for _ in range(3):
+                halves_in_box(random_matrix(rng, rng.randint(1, size), size))
+                halves_in_box(random_matrix(rng, size, rng.randint(1, size)))
+
+    def test_reads_no_arc_ends(self):
+        rng = random.Random(41)
+        inst = open_instance(5, 7)
+        net = dataclasses.replace(build_network(inst), tail=(), head=())
+        for _ in range(20):
+            halves_in_box(random_matrix(rng, 5, 7), net)
 
     def test_one_solve_per_1_bit_beyond_the_first(self, monkeypatch):
         solves = count_solves(monkeypatch)
