@@ -33,6 +33,9 @@ solve ends in a certificate.  The rows are:
   last three start as circulations.  Each of these rows also stores the
   ``pushes`` and ``relabels`` of one solve, counts that repeat exactly
   and, unlike the times, do not drift with the speed of the host;
+* ``checked_matrix``: the ``timeit`` times over ``RUNS`` runs of
+  ``checked_matrix(inst, circ)`` on the feasible 150x150 solve, the
+  final re-verification that every answer goes through;
 * ``unbounded sum 30x30``: the ``timeit`` times over ``RUNS`` runs of
   ``extremal_total_sum(inst, "max")`` on ``feasible_random(rng, 30, 30)``
   with the last entry of one row, its row prefix and the column below it
@@ -52,8 +55,9 @@ solve ends in a certificate.  The rows are:
   and A's entries drawn row-major by ``Random(10).randint(-10**6, 10**6)``
   at k = 4097, and ``feasible_random(Random(26), 26, 26)`` with A its
   solved matrix at k = 6.  Each row stores the number of distinct parts,
-  of flow solves and of halvings of one call, counts that repeat exactly.
-  The script exits nonzero unless the parts add up to A;
+  of networks built, of flow solves and of halvings of one call, counts
+  that repeat exactly.  The script exits nonzero unless the parts add up
+  to A;
 * ``_halve``: the ``timeit`` times over ``RUNS`` runs of every halving
   that one call of each decompose case makes, one after another.
 
@@ -94,6 +98,7 @@ from pbm import cli  # noqa: E402
 from pbm.circulation import (  # noqa: E402
     CutWitness,
     build_network,
+    checked_matrix,
     cut_to_certificate,
     min_cost_circulation,
 )
@@ -242,7 +247,10 @@ def layer_rows(texts: list[str]) -> list[dict]:
 
 
 def feasible_rows() -> list[dict]:
-    """Per feasible network, the median and quartiles of one solve's time, and its counts."""
+    """Per feasible network, the median and quartiles of one solve's time, and its counts.
+
+    The 150x150 solve's circulation is then timed through ``checked_matrix``.
+    """
     cases = [
         (f"feasible_random(Random({seed}), {m}, {n})", f"feasible {m}x{n}",
          feasible_random(random.Random(seed), m, n))
@@ -253,8 +261,11 @@ def feasible_rows() -> list[dict]:
     for case, layer, inst in cases:
         net = build_network(inst)
         info: dict = {}
-        if isinstance(min_cost_circulation(net, None, info), CutWitness):
+        circ = min_cost_circulation(net, None, info)
+        if isinstance(circ, CutWitness):
             raise SystemExit(f"{case} came out infeasible")
+        if layer == "feasible 150x150":
+            checked = case, inst, circ
         times = timeit.repeat("min_cost_circulation(net)", globals={**globals(), "net": net},
                               number=1, repeat=RUNS)
         rows.append({
@@ -266,6 +277,16 @@ def feasible_rows() -> list[dict]:
             "pushes": info["pushes"],
             "relabels": info["relabels"],
         })
+    case, inst, circ = checked
+    times = timeit.repeat("checked_matrix(inst, circ)",
+                          globals={**globals(), "inst": inst, "circ": circ}, number=1, repeat=RUNS)
+    rows.append({
+        "case": f"{case}, circ = its min_cost_circulation",
+        "what": "checked_matrix(inst, circ)",
+        "layer": "checked_matrix",
+        "runs": RUNS,
+        **spread(times),
+    })
     return rows
 
 
@@ -337,17 +358,20 @@ def decompose_cases() -> list[tuple[str, str, PbmInstance, IntMatrix, int]]:
 def decompose_rows() -> list[dict]:
     """Per decompose case, one call's median, quartiles and counts; then the halvings' row."""
     mod = importlib.import_module("pbm.decompose")
-    real_solve, real_halve = mod.min_cost_circulation, mod._halve
+    real_build, real_solve, real_halve = mod.build_network, mod.min_cost_circulation, mod._halve
     rows, halvings = [], []
     for case, layer, inst, a, k in decompose_cases():
+        builds: list = []
         solves: list = []
         calls = len(halvings)
+        mod.build_network = lambda box: builds.append(box) or real_build(box)
         mod.min_cost_circulation = lambda net: solves.append(net) or real_solve(net)
-        mod._halve = lambda net, z: halvings.append((net, z)) or real_halve(net, z)
+        mod._halve = lambda m, n, z: halvings.append((m, n, z)) or real_halve(m, n, z)
         try:
             dec = decompose(inst, a, k)
         finally:
-            mod.min_cost_circulation, mod._halve = real_solve, real_halve
+            mod.build_network, mod.min_cost_circulation = real_build, real_solve
+            mod._halve = real_halve
         if dec.total() != a:
             raise SystemExit(f"the parts of {layer} do not add up to A")
         times = timeit.repeat("decompose(inst, a, k)",
@@ -360,15 +384,16 @@ def decompose_rows() -> list[dict]:
             "runs": RUNS,
             **spread(times),
             "distinct_parts": len(dec.parts),
+            "networks": len(builds),
             "solves": len(solves),
             "halvings": len(halvings) - calls,
         })
-    times = timeit.repeat("for net, z in halvings: halve(net, z)",
+    times = timeit.repeat("for m, n, z in halvings: halve(m, n, z)",
                           globals={"halvings": halvings, "halve": real_halve},
                           number=1, repeat=RUNS)
     rows.append({
         "case": "every halving of one call of each decompose row",
-        "what": "_halve(net, z) for each recorded (net, z)",
+        "what": "_halve(m, n, z) for each recorded (m, n, z)",
         "layer": "_halve",
         "runs": RUNS,
         **spread(times),
@@ -394,8 +419,8 @@ def main(argv: "list[str] | None" = None) -> int:
     for row in out["rows"]:
         counts = f"  {row['pushes']} pushes, {row['relabels']} relabels" if "pushes" in row else ""
         if "distinct_parts" in row:
-            counts = (f"  {row['distinct_parts']} distinct parts, {row['solves']} solves,"
-                      f" {row['halvings']} halvings")
+            counts = (f"  {row['distinct_parts']} distinct parts, {row['networks']} networks,"
+                      f" {row['solves']} solves, {row['halvings']} halvings")
         elif "halvings" in row:
             counts = f"  {row['halvings']} halvings"
         if "module_count" in row:

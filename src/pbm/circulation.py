@@ -19,11 +19,10 @@ admits an integer circulation.  Infinite bounds are replaced by +-K for a K
 chosen so large that no optimal or violating structure can depend on it
 (K exceeds twice the sum of all finite bound magnitudes).
 
-``build_network`` is the one network builder.  It reads the instance's
-flat bound tables, ints and tags, and clamps each infinite bound to
-tag * K; tails and heads follow from (m, n) alone.  A network with other
-bounds on the same arcs, as ``decompose`` solves, is that network with
-its ``lower`` and ``upper`` replaced.
+``build_network`` is the one network builder, and every network is the
+network of the instance it carries.  It reads the instance's flat bound
+tables, ints and tags, and clamps each infinite bound to tag * K; tails
+and heads follow from (m, n) alone.
 
 Every solve first computes each line's reach, the interval of values of
 a prefix from which the rest of its row or column can still be completed,
@@ -62,6 +61,10 @@ An optimum is unbounded exactly when some open side, a bound clamped to
 +-K, has negative reduced cost under the optimal potentials; a ``Ray``
 solved on the recession instance proves it.  All arithmetic is exact
 integer arithmetic.
+
+``checked_matrix`` is the one check of a solver's flows: they must be the
+circulation that ``circulation_from_matrix`` rebuilds from their matrix
+against the instance's true bounds.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ __all__ = [
     "CutWitness",
     "Ray",
     "build_network",
-    "check_circulation",
+    "checked_matrix",
     "make_cut_witness",
     "min_cost_circulation",
     "matrix_from_circulation",
@@ -99,10 +102,8 @@ class Network:
 
     ``tail``, ``head``, ``lower`` and ``upper`` are indexed by arc id; the
     bounds are integers, infinities already clamped to +-``big_k``.
-    ``instance`` is the instance ``build_network`` read, and it describes
-    the bounds only of the network as built: ``cut_to_certificate`` and the
-    recession solve of an unbounded optimum read its tables, so a network
-    whose bounds were replaced, as ``decompose`` does, must not reach them.
+    ``instance`` is the instance ``build_network`` read; ``cut_to_certificate``
+    and the recession solve of an unbounded optimum read its tables.
     """
 
     m: int
@@ -236,21 +237,6 @@ def build_network(inst: PbmInstance) -> Network:
         )
         raise InternalError(f"empty arc bound interval on arc {net.arc_tag(a)}: [{lo}, {hi}]")
     return net
-
-
-def check_circulation(net: Network, circ: Circulation) -> None:
-    """Raise InternalError unless the flows conserve and respect all bounds."""
-    flows = circ.flows
-    if len(flows) != len(net.lower):
-        raise InternalError("flow vector length mismatch")
-    if not (all(map(le, net.lower, flows)) and all(map(le, flows, net.upper))):
-        for a, (lo, z, hi) in enumerate(zip(net.lower, flows, net.upper)):
-            if not (lo <= z <= hi):
-                raise InternalError(f"flow {z} outside [{lo}, {hi}] on arc {net.arc_tag(a)}")
-    balance = _balances(net, flows)
-    if any(balance):
-        v = next(v for v, bal in enumerate(balance) if bal)
-        raise InternalError(f"conservation fails at node {v}: imbalance {balance[v]}")
 
 
 def make_cut_witness(net: Network, nodes: frozenset[int], complement: bool = False) -> CutWitness:
@@ -757,12 +743,10 @@ def min_cost_circulation(
     open side.  When it fires, ``_ray`` solves the recession instance,
     which has no infinite bound, so that solve's scan never fires.
 
-    A priced solve runs ``check_circulation`` on the flows it returns,
-    which ties the reduced-cost proof to them.  An unpriced one does not:
-    each of its callers checks the answer on its own, ``feasibility``'s
-    ``_answer`` through ``circulation_from_matrix`` against the true
-    bounds, and ``decompose`` by checking every part against its box and
-    the parts' sum against the input matrix.
+    No solve checks the flows it returns: each caller reads its answer
+    through ``checked_matrix``, ``feasibility``'s ``_answer`` and ``_ray``
+    against the instance the network was built from, and ``decompose``
+    every part against its box instance.
     """
     nodes, arc_count = net.node_count, len(net.lower)
     if info is not None:
@@ -829,10 +813,7 @@ def min_cost_circulation(
             for u, w, lo, hi, c in zip(tail, head, lower, upper, costs)
         ):
             return _ray(net, cost)
-    circ = Circulation(tuple(map(add, lower, cap[1::2])))
-    if priced:
-        check_circulation(net, circ)
-    return circ
+    return Circulation(tuple(map(add, lower, cap[1::2])))
 
 
 def _reduced_distances(
@@ -860,14 +841,12 @@ def _reduced_distances(
 
 
 def _ray(net: Network, cost: Mapping[int, int]) -> Ray:
-    """The optimum of the recession instance, re-checked as a matrix.
+    """The optimum of the recession instance, read by ``checked_matrix``.
 
     Each bound of ``net.instance`` becomes its tag: -inf -1, +inf 1 and
     finite 0.  A direction that keeps every bound at every scale moves no
     value past a finite side, so scaled down it fits these windows: if one
-    has negative cost, so has the integer optimum D.  The solve's flows
-    must be the circulation of D, checked against the recession bounds by
-    ``circulation_from_matrix``.
+    has negative cost, so has the integer optimum D.
     """
     inst = net.instance
     zeros = (0,) * (inst.m * inst.n)
@@ -880,22 +859,35 @@ def _ray(net: Network, cost: Mapping[int, int]) -> Ray:
     )
     rec_net = build_network(recession)
     circ = min_cost_circulation(rec_net, cost)
-    direction = matrix_from_circulation(rec_net, circ)
-    try:
-        checked = circulation_from_matrix(recession, direction)
-    except BoundViolation as exc:
-        raise InternalError(f"recession solve produced an invalid direction: {exc}") from exc
-    ray_cost = sum(c * checked.flows[a] for a, c in cost.items())
-    if checked != circ or ray_cost >= 0:
+    direction = checked_matrix(recession, circ)
+    ray_cost = sum(c * circ.flows[a] for a, c in cost.items())
+    if ray_cost >= 0:
         raise InternalError(f"recession flows spell no direction of negative cost: {ray_cost}")
     return Ray(direction, ray_cost)
 
 
-def matrix_from_circulation(net: Network, circ: Circulation) -> IntMatrix:
-    """Read the matrix entries off the N arcs."""
+def matrix_from_circulation(net: "Network | PbmInstance", circ: Circulation) -> IntMatrix:
+    """Read the matrix entries off the N arcs of an m x n network or instance."""
     m, n = net.m, net.n
     flows = circ.flows[2 * m * n : 3 * m * n]
     return IntMatrix(m, n, tuple(flows[k : k + n] for k in range(0, m * n, n)))
+
+
+def checked_matrix(inst: PbmInstance, circ: Circulation) -> IntMatrix:
+    """The matrix read off the N arcs, checked: the one check of a solver's flows.
+
+    The matrix's circulation is rebuilt against the instance's true bounds.
+    A bound it breaks is an InternalError that names it, and so is any
+    difference from ``circ``: the flows then do not conserve.
+    """
+    mat = matrix_from_circulation(inst, circ)
+    try:
+        rebuilt = circulation_from_matrix(inst, mat)
+    except BoundViolation as exc:
+        raise InternalError(f"solver flows break a bound: {exc}") from exc
+    if rebuilt != circ:
+        raise InternalError("conservation fails: the flows are not their matrix's circulation")
+    return mat
 
 
 def _check_table(
@@ -907,16 +899,21 @@ def _check_table(
     by row, or column by column when ``by_column``; the message names the
     cell as (row, column).
     """
-    low_finite, high_finite = list(map(not_, low.tags)), list(map(not_, high.tags))
-    if all(map(le, compress(low.values, low_finite), compress(values, low_finite))) and all(
-        map(le, compress(values, high_finite), compress(high.values, high_finite))
-    ):
+    lows, highs = low.values, high.values
+    if not (any(low.tags) or any(high.tags)):
+        # no infinite cell: every value is compared with both of its bounds as they stand
+        in_bounds = all(map(le, lows, values)) and all(map(le, values, highs))
+    else:
+        low_finite, high_finite = [*map(not_, low.tags)], [*map(not_, high.tags)]
+        in_bounds = all(map(le, compress(lows, low_finite), compress(values, low_finite))) and all(
+            map(le, compress(values, high_finite), compress(highs, high_finite)))
+    if in_bounds:
         return
     n, size = low.n, len(values)
     order = (k for j in range(n) for k in range(j, size, n)) if by_column else range(size)
     for k in order:
         v = values[k]
-        if (low_finite[k] and v < low.values[k]) or (high_finite[k] and v > high.values[k]):
+        if (not low.tags[k] and v < lows[k]) or (not high.tags[k] and v > highs[k]):
             i, j = k // n + 1, k % n + 1
             lo, hi = low.at(i, j), high.at(i, j)
             raise BoundViolation(f"{what} ({i},{j}) = {v} outside [{lo}, {hi}]")

@@ -9,12 +9,13 @@ part never has an entry of opposite sign to A's, and it meets the instance
 shrunk by k (lower bounds divided by k and floored, upper bounds divided by
 k and ceiled).
 
-A is checked once, and one network is built from the instance; each solve
-and each check replaces its bounds by a box around the flows at hand.
-The work splits pieces: a piece is a circulation that still owes some
-number of parts, and equal pieces owing as many are kept once, with a
-multiplicity.  z* starts as one piece owing k.  Each pass splits every
-piece owing the most, r, into one owing s and one owing r - s:
+A is checked once against the instance, and no network of the instance
+is built: each solve and the final check work on a box instance, all
+finite, around the flows at hand.  The work splits pieces: a piece is a
+circulation that still owes some number of parts, and equal pieces owing
+as many are kept once, with a multiplicity.  z* starts as one piece
+owing k.  Each pass splits every piece owing the most, r, into one owing
+s and one owing r - s:
 
 * when r is a power of two, s = r / 2, and one linear pass over the
   piece's entries halves it, with no solve: the odd entries pair up along
@@ -30,6 +31,7 @@ piece owing the most, r, into one owing s and one owing r - s:
 Only z* and the rest of a peel owe a number that is no power of two, and
 each peel drops one 1-bit, so a decomposition takes popcount(k) - 1
 solves, and the work grows with log k and the distinct parts, not with k.
+When k is a power of two, no network is built at all.
 
 ``decompose_k_regular_asm`` specializes this to nonnegative-prefix matrices
 with all line sums k, whose parts are then alternating sign matrices with
@@ -47,14 +49,12 @@ from operator import add, and_, floordiv, mul, rshift, sub
 from .circulation import (
     Circulation,
     CutWitness,
-    Network,
     build_network,
-    check_circulation,
+    checked_matrix,
     circulation_from_matrix,
-    matrix_from_circulation,
     min_cost_circulation,
 )
-from .core import IntMatrix, PbmInstance
+from .core import ExtInt, ExtMatrix, IntMatrix, PbmInstance
 from .errors import BadParams, BoundViolation, InfeasibleInput, InternalError, NotKRegular
 
 __all__ = [
@@ -117,10 +117,10 @@ def shrink_instance(inst: PbmInstance, k: int) -> PbmInstance:
     )
 
 
-def _halve(net: Network, z: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _halve(m: int, n: int, z: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split an integer circulation into two within floor(z / 2)..ceil(z / 2).
 
-    Only A's entries are read and chosen; no network arc is walked.  The
+    Only A's entries, the m x n matrix z spells, are read and chosen.  The
     first half takes floor(a / 2) on every entry a and 1 more on some odd
     ones.  Its prefix through an entry of a row is floor(H / 2) or
     ceil(H / 2), H being A's prefix there, exactly when the +1s among the
@@ -142,7 +142,6 @@ def _halve(net: Network, z: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int
     from its entries, so it conserves, and so does the rest, z minus it.
     Linear in the cells, with one Python step per odd entry.
     """
-    m, n = net.m, net.n
     mn = m * n
     entries = z[2 * mn : 3 * mn]
     odd = [*compress(range(mn), map(and_, entries, repeat(1)))]
@@ -196,14 +195,19 @@ def _halve(net: Network, z: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int
     return half, tuple(map(sub, z, half))
 
 
-def _box(net: Network, z: tuple[int, ...], q: int) -> Network:
-    """The network with bounds floor(z / q)..ceil(z / q) on every arc."""
-    return dataclasses.replace(
-        net,
-        lower=tuple(map(floordiv, z, repeat(q))),
-        # (v + q - 1) // q is ceil(v / q) for every integer v
-        upper=tuple(map(floordiv, map(add, z, repeat(q - 1)), repeat(q))),
+def _box(m: int, n: int, z: tuple[int, ...], q: int) -> PbmInstance:
+    """The m x n instance with bounds floor(z / q)..ceil(z / q) on every arc, all finite."""
+    mn = m * n
+    low = tuple(map(floordiv, z, repeat(q)))
+    # (v + q - 1) // q is ceil(v / q) for every integer v
+    high = tuple(map(floordiv, map(add, z, repeat(q - 1)), repeat(q)))
+    finite = (0,) * mn
+    (phi1, phi2, f), (gamma1, gamma2, g) = (
+        [ExtMatrix(m, n, bounds[s : s + mn], finite) for s in range(0, 3 * mn, mn)]
+        for bounds in (low, high)
     )
+    alpha, beta = ExtInt(0, low[-1]), ExtInt(0, high[-1])
+    return PbmInstance(m, n, phi1, gamma1, phi2, gamma2, f, g, alpha, beta)
 
 
 def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
@@ -238,7 +242,7 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
         z_star = circulation_from_matrix(inst, a).flows
     except BoundViolation as exc:
         raise InfeasibleInput(str(exc)) from exc
-    net = build_network(inst)
+    m, n = inst.m, inst.n
     pieces: defaultdict[int, Counter] = defaultdict(Counter, {k: Counter({z_star: 1})})
     while (owed := max(pieces)) > 1:
         # half of a power of two, else the lowest 1-bit: q is 2, or odd and at least 3
@@ -246,25 +250,21 @@ def decompose(inst: PbmInstance, a: IntMatrix, k: int) -> Decomposition:
         q = owed // share
         for z, mult in pieces.pop(owed).items():
             if q == 2:
-                first, rest = _halve(net, z)
+                first, rest = _halve(m, n, z)
             else:
-                res = min_cost_circulation(_box(net, z, q))
+                res = min_cost_circulation(build_network(_box(m, n, z, q)))
                 if isinstance(res, CutWitness):
                     raise InternalError("peeling step found no part; the box should never be empty")
                 first, rest = res.flows, tuple(map(sub, z, res.flows))
             pieces[share][first] += mult
             pieces[owed - share][rest] += mult
 
-    # No solver checks a part: an unpriced solve returns its flows unchecked,
-    # and halves and rests come from no solve.  One check of each distinct
-    # part as a circulation in the box floor(z* / k)..ceil(z* / k) proves it
-    # all: a conserving flow vector is its matrix's circulation, so distinct
-    # parts are distinct matrices, and the box lies within the shrunk bounds.
-    box = _box(net, z_star, k)
-    parts = {}
-    for z, mult in pieces[1].items():
-        check_circulation(box, Circulation(z))
-        parts[matrix_from_circulation(net, Circulation(z))] = mult
+    # No solver checks a part, and halves and rests come from no solve.  One
+    # ``checked_matrix`` of each distinct part against the box instance
+    # floor(z* / k)..ceil(z* / k) proves it all: distinct parts are distinct
+    # matrices, and the box lies within the shrunk bounds.
+    box = _box(m, n, z_star, k)
+    parts = {checked_matrix(box, Circulation(z)): mult for z, mult in pieces[1].items()}
     dec = Decomposition(tuple(sorted(parts.items(), key=lambda part: part[0].rows)), k)
     if dec.total().rows != a.rows:
         raise InternalError("parts do not add back up to the input matrix")

@@ -4,11 +4,10 @@ Every question here is one ``min_cost_circulation`` on one network, and
 ``_answer`` is the one reading of its outcome as a ``Result``: a cut
 becomes a certificate, a pair of cell subsets on which one of the four
 feasibility inequalities (gen1a, gen1b, gen1alfa, gen1beta) strictly
-fails; a ``Ray`` becomes ``"unbounded"``; a circulation becomes a
-matrix, which ``_answer`` re-checks once against the instance's true
-bounds, and every optimum value is read off the circulation that check
-rebuilds from the matrix.  Every solver, here and in ``asmkit``, returns
-through it.
+fails; a ``Ray`` becomes ``"unbounded"``; a circulation becomes the
+matrix that ``checked_matrix`` reads off it and checks against the
+instance's true bounds, and every optimum value is read off that checked
+circulation.  Every solver, here and in ``asmkit``, returns through it.
 
 Both optimizers make one min-cost solve.  Infinite bounds are modelled by
 a large finite K, which no bounded optimum needs, so the solve's optimum
@@ -27,18 +26,12 @@ from .circulation import (
     CutWitness,
     Ray,
     build_network,
-    circulation_from_matrix,
+    checked_matrix,
     cut_to_certificate,
-    matrix_from_circulation,
     min_cost_circulation,
 )
 from .core import NEG_INF, POS_INF, ExtInt, IntMatrix, PbmInstance, SubsetMask
-from .errors import (
-    BoundViolation,
-    DimensionMismatch,
-    InternalError,
-    PrescriptionOutOfEntryBounds,
-)
+from .errors import DimensionMismatch, InternalError, PrescriptionOutOfEntryBounds
 from .strongpair import condition_values
 
 if TYPE_CHECKING:
@@ -111,8 +104,9 @@ def _answer(
 
     Without ``cost`` this decides feasibility; with it, it optimizes
     sum(cost[a] * flow[a]) over the arcs ``cost`` names, in ``direction``,
-    which must be "max" or "min".  A matrix is re-checked against the true
-    bounds of ``net.instance``, the instance the network was built from.
+    which must be "max" or "min".  A circulation is read by
+    ``checked_matrix`` against ``net.instance``, the instance the network
+    was built from.
     """
     if cost is not None and direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
@@ -125,14 +119,10 @@ def _answer(
         return Result("infeasible", certificate=cert, direction=direction)
     if isinstance(res, Ray):
         return Result("unbounded", direction=direction)
-    mat = matrix_from_circulation(net, res)
-    try:
-        checked = circulation_from_matrix(net.instance, mat)
-    except BoundViolation as exc:
-        raise InternalError(f"solver produced an invalid matrix: {exc}") from exc
+    mat = checked_matrix(net.instance, res)
     if cost is None:
         return Result("feasible", mat)
-    value = sum(c * checked.flows[a] for a, c in cost.items())
+    value = sum(c * res.flows[a] for a, c in cost.items())
     return Result("optimal", mat, direction=direction, value=value)
 
 

@@ -10,7 +10,8 @@ Three flavors:
   per-orientation enumeration oracles apply.
 
 ``open_last_entry`` opens a path through an instance so that its total
-sum is unbounded in one direction.
+sum is unbounded in one direction, and ``open_instance`` leaves every
+bound infinite.
 
 ``line_values`` reads a matrix's arc values off the definitions, without
 the library's circulation code.
@@ -105,6 +106,12 @@ def open_last_entry(rng: random.Random, inst: PbmInstance, direction: str) -> Pb
     return dataclasses.replace(
         inst, **{key: getattr(inst, key).from_rows(v) for key, v in rows.items()}
     )
+
+
+def open_instance(m: int, n: int) -> PbmInstance:
+    """Every bound infinite: any integer matrix meets it."""
+    lows, highs = [[NEG_INF] * n for _ in range(m)], [[POS_INF] * n for _ in range(m)]
+    return PbmInstance.create(m, n, lows, highs, lows, highs, lows, highs)
 
 
 def line_values(mat: IntMatrix) -> list[int]:

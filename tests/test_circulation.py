@@ -1,6 +1,7 @@
 """Network construction, Hoffman feasibility, min-cost solving, certificates."""
 
 import dataclasses
+import importlib
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from pbm.circulation import (
     _greedy_start,
     _reach,
     build_network,
-    check_circulation,
+    checked_matrix,
     circulation_from_matrix,
     cut_to_certificate,
     make_cut_witness,
@@ -29,7 +30,7 @@ from pbm.decompose import decompose
 from pbm.errors import BoundViolation, InternalError
 from pbm.feasibility import extremal_total_sum, optimize_cost, solve
 
-from helpers import feasible_random, open_last_entry, random_instance
+from helpers import feasible_random, open_instance, open_last_entry, random_instance
 
 
 def _reference_bounds(inst: PbmInstance) -> list:
@@ -240,13 +241,38 @@ class TestResidualGraph:
             assert call() == answer, name
             assert graph_builds == [(net.node_count, 2 * len(net.lower))] * solves, name
 
+    def test_every_solved_network_is_built_from_its_own_instance(self, monkeypatch):
+        # a decompose peel solves the network of its box instance, and the ray's
+        # recession solve that of the recession instance: no bounds are swapped in
+        solved = []
+        real = circulation.min_cost_circulation
+
+        def spy(net, *args):
+            solved.append(net)
+            return real(net, *args)
+
+        for module in ("pbm.circulation", "pbm.decompose", "pbm.feasibility"):
+            # the package re-exports ``decompose`` over its module's name
+            monkeypatch.setattr(importlib.import_module(module), "min_cost_circulation", spy)
+        opened = open_last_entry(random.Random(0), feasible_random(random.Random(0), 6, 7), "max")
+        peeled = feasible_random(random.Random(0), 3, 3)
+        matrix = solve(peeled).matrix
+        solved.clear()
+        assert extremal_total_sum(opened, "max").status == "unbounded"
+        assert decompose(peeled, matrix, 5).k == 5
+        # the main solve, the recession solve of its ray, and one peel
+        assert len(solved) == 3
+        for net in solved:
+            assert net == build_network(net.instance)
+        assert solved[2].instance != peeled
+
 
 class TestFeasibility:
     def test_asm2_circulation(self):
         net = build_network(asm_instance(2))
         circ = min_cost_circulation(net)
         assert not isinstance(circ, CutWitness)
-        check_circulation(net, circ)
+        checked_matrix(net.instance, circ)
         mat = matrix_from_circulation(net, circ)
         assert sorted(mat.to_lists()) in ([[0, 1], [1, 0]], [[1, 0], [0, 1]])
 
@@ -672,14 +698,14 @@ class TestMinCost:
         cost = {net.n_arc_id(i, i): -1 for i in range(1, 4)}
         circ = min_cost_circulation(net, cost=cost)
         assert not isinstance(circ, CutWitness)
-        check_circulation(net, circ)
+        checked_matrix(net.instance, circ)
         mat = matrix_from_circulation(net, circ)
         assert mat.to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_zero_cost_still_feasible(self):
         net = build_network(asm_instance(2))
         circ = min_cost_circulation(net)
-        check_circulation(net, circ)
+        checked_matrix(net.instance, circ)
 
     def test_infeasible_returns_cut(self):
         net = build_network(contradictory_1x1())
@@ -700,7 +726,7 @@ class TestMinCost:
         net = build_network(inst)
         circ = min_cost_circulation(net)
         assert isinstance(circ, Circulation)
-        check_circulation(net, circ)
+        checked_matrix(net.instance, circ)
 
     def test_excess_stranded_by_a_priced_round_is_no_cut(self, monkeypatch):
         # maximising the sum moves a0 to +K; the first round runs over the edges of
@@ -823,11 +849,45 @@ def test_layout_balances_match_per_arc_reference(m):
         flows = tuple(rng.randint(lo, hi) for lo, hi in zip(net.lower, net.upper))
         want = per_arc_balances(net, flows)
         assert _balances(net, flows) == _balances(net, list(flows)) == want
-        if any(want):
-            v = next(v for v, b in enumerate(want) if b)
-            message = f"^conservation fails at node {v}: imbalance {want[v]}$"
-            with pytest.raises(InternalError, match=message):
-                check_circulation(net, Circulation(flows))
+
+
+class TestCheckedMatrix:
+    def test_accepts_solver_circulations(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            inst = feasible_random(rng, rng.randint(1, 5), rng.randint(1, 5), inf_rate=0.4)
+            net = build_network(inst)
+            circ = min_cost_circulation(net)
+            assert checked_matrix(inst, circ) == matrix_from_circulation(net, circ)
+
+    def test_entry_past_its_bound_is_outside(self):
+        # an ASM's entries lie in [-1, 1]
+        inst = asm_instance(3)
+        net = build_network(inst)
+        flows = min_cost_circulation(net).flows
+        for arc, value in ((net.n_arc_id(2, 2), 2), (net.n_arc_id(3, 1), -2)):
+            bad = list(flows)
+            bad[arc] = value
+            with pytest.raises(InternalError, match="outside"):
+                checked_matrix(inst, Circulation(tuple(bad)))
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_flows_that_are_not_their_matrix_circulation(self, m):
+        # on an open instance no bound can break: moving any one arc's flow off
+        # the matrix's circulation unbalances both of its ends
+        rng = random.Random(m)
+        for n in range(1, 6):
+            inst = open_instance(m, n)
+            net = build_network(inst)
+            mat = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+            circ = circulation_from_matrix(inst, mat)
+            assert checked_matrix(inst, circ) == mat
+            for arc in range(len(circ.flows)):
+                flows = list(circ.flows)
+                flows[arc] += rng.choice((-1, 1))
+                assert any(per_arc_balances(net, flows))
+                with pytest.raises(InternalError, match="^conservation fails"):
+                    checked_matrix(inst, Circulation(tuple(flows)))
 
 
 def assert_start_follows_its_rule(inst: PbmInstance) -> int:
@@ -1003,7 +1063,7 @@ class TestMatrixRoundTrip:
             assert not isinstance(circ, CutWitness)
             mat = matrix_from_circulation(net, circ)
             back = circulation_from_matrix(inst, mat)
-            check_circulation(net, back)
+            checked_matrix(net.instance, back)
             assert matrix_from_circulation(net, back) == mat
 
     def test_violating_matrix_names_constraint(self):

@@ -1,20 +1,19 @@
 """Equitable integer decomposition and the k-regular ASM splitter."""
 
-import dataclasses
 import importlib
 import random
 
 import pytest
 
-from pbm.core import NEG_INF, POS_INF, ExtMatrix, IntMatrix, PbmInstance, fin, validate_instance
+from pbm.core import ExtMatrix, IntMatrix, PbmInstance, fin, validate_instance
 from pbm.asmkit import asm_instance, k_regular_instance
-from pbm.circulation import Circulation, build_network, check_circulation, circulation_from_matrix
-from pbm.decompose import Decomposition, _halve, decompose, decompose_k_regular_asm, shrink_instance
+from pbm.circulation import Circulation, checked_matrix, circulation_from_matrix
+from pbm.decompose import Decomposition, _box, _halve, decompose, decompose_k_regular_asm, shrink_instance
 from pbm.errors import BadParams, InfeasibleInput, InternalError, NotKRegular
 from pbm import oracle
 from pbm.feasibility import solve
 
-from helpers import feasible_random, line_values, random_instance
+from helpers import feasible_random, line_values, open_instance, random_instance
 
 
 def scaled_instance(inst: PbmInstance, k: int) -> PbmInstance:
@@ -99,20 +98,27 @@ class TestDecompose:
         with pytest.raises(BadParams):
             decompose(asm_instance(2), solve(asm_instance(2)).matrix, 0)
 
-    def test_one_network_per_call(self, monkeypatch):
+    def test_one_network_per_peel(self, monkeypatch):
+        # halvings and the final check build no network, and no peel builds one
+        # of the input instance
         mod = importlib.import_module("pbm.decompose")  # the package re-exports the function
         builds = []
         real = mod.build_network
 
-        def counting(*args, **kwargs):
-            builds.append(args)
-            return real(*args, **kwargs)
+        def counting(inst):
+            builds.append(inst)
+            return real(inst)
 
         monkeypatch.setattr(mod, "build_network", counting)
-        a = IntMatrix.from_rows([[1] * 4] * 4)
-        dec = decompose(k_regular_instance(4, 4), a, 4)
-        assert dec.total() == a
-        assert len(builds) == 1
+        ones = IntMatrix.from_rows([[1] * 4] * 4)
+        assert decompose(k_regular_instance(4, 4), ones, 4).total() == ones
+        assert builds == []
+        inst = open_instance(4, 5)
+        a = random_matrix(random.Random(9), 4, 5)
+        for k in (1, 2, 3, 6, 7, 8, 12):
+            builds.clear()
+            assert decompose(inst, a, k).total() == a
+            assert len(builds) == bin(k).count("1") - 1 and inst not in builds, k
 
     def test_huge_entry_under_infinite_bounds(self):
         # no window is finite: the peeling boxes come from A alone, whatever its size
@@ -131,32 +137,23 @@ class TestDecompose:
             Decomposition(parts=((IntMatrix.zeros(1, 1), 2),), k=3)
 
 
-def open_instance(m: int, n: int) -> PbmInstance:
-    """Every bound infinite: any integer matrix meets it."""
-    lows, highs = [[NEG_INF] * n for _ in range(m)], [[POS_INF] * n for _ in range(m)]
-    return PbmInstance.create(m, n, lows, highs, lows, highs, lows, highs)
-
-
 def random_matrix(rng: random.Random, m: int, n: int) -> IntMatrix:
     span = rng.choice([1, 3, 10**30])
     return IntMatrix.from_rows([[rng.randint(-span, span) for _ in range(n)] for _ in range(m)])
 
 
-def halves_in_box(a: IntMatrix, net=None) -> tuple:
+def halves_in_box(a: IntMatrix) -> tuple:
     """Halve A's circulation on an open instance; check both halves and return the first.
 
-    Both halves must conserve, lie within floor(z / 2)..ceil(z / 2) on every
-    arc and add up to z.
+    Both halves must be their matrices' circulations within
+    floor(z / 2)..ceil(z / 2) on every arc, and add up to z.
     """
     inst = open_instance(a.m, a.n)
-    net = net or build_network(inst)
     z = circulation_from_matrix(inst, a).flows
-    box = dataclasses.replace(
-        net, lower=tuple(v // 2 for v in z), upper=tuple(-(-v // 2) for v in z)
-    )
-    first, second = _halve(net, z)
+    box = _box(a.m, a.n, z, 2)
+    first, second = _halve(a.m, a.n, z)
     for half in (first, second):
-        check_circulation(box, Circulation(half))
+        checked_matrix(box, Circulation(half))
     assert [x + y for x, y in zip(first, second)] == list(z)
     return first
 
@@ -181,14 +178,11 @@ class TestHalve:
         for _ in range(300):
             m, n = rng.randint(1, 6), rng.randint(1, 6)
             inst = open_instance(m, n)
-            net = build_network(inst)
             z = circulation_from_matrix(inst, random_matrix(rng, m, n)).flows
-            box = dataclasses.replace(
-                net, lower=tuple(v // 2 for v in z), upper=tuple(-(-v // 2) for v in z)
-            )
-            first, second = _halve(net, z)
+            box = _box(m, n, z, 2)
+            first, second = _halve(m, n, z)
             for half in (first, second):
-                check_circulation(box, Circulation(half))  # conserves, within the box
+                checked_matrix(box, Circulation(half))  # conserves, within the box
             assert [x + y for x, y in zip(first, second)] == list(z)
 
     def test_all_cycle_input(self):
@@ -217,13 +211,6 @@ class TestHalve:
             for _ in range(3):
                 halves_in_box(random_matrix(rng, rng.randint(1, size), size))
                 halves_in_box(random_matrix(rng, size, rng.randint(1, size)))
-
-    def test_reads_no_arc_ends(self):
-        rng = random.Random(41)
-        inst = open_instance(5, 7)
-        net = dataclasses.replace(build_network(inst), tail=(), head=())
-        for _ in range(20):
-            halves_in_box(random_matrix(rng, 5, 7), net)
 
     def test_one_solve_per_1_bit_beyond_the_first(self, monkeypatch):
         solves = count_solves(monkeypatch)
@@ -255,10 +242,10 @@ class TestHalve:
         mod = importlib.import_module("pbm.decompose")
         real = mod._halve
 
-        def unbalanced(net, z):
+        def unbalanced(m, n, z):
             # swap the rounding on one odd arc: both halves stay within the box
             # and still add up to z, but neither conserves any more
-            first, second = map(list, real(net, z))
+            first, second = map(list, real(m, n, z))
             a = next(a for a, v in enumerate(z) if v % 2 and first[a] == v // 2)
             first[a] += 1
             second[a] -= 1

@@ -7,6 +7,7 @@ import pytest
 
 from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
 from pbm.asmkit import asm_instance, max_plus_ones_subordinate, pasm_instance
+from pbm.decompose import decompose_k_regular_asm
 from pbm import circulation, feasibility, oracle
 from pbm.feasibility import (
     Result,
@@ -23,9 +24,10 @@ from helpers import feasible_random, random_instance
 
 
 class TestCheckedMatrix:
-    """Every solver reads its matrix through one check against the instance."""
+    """Every matrix, ray and part is read through one check against its instance."""
 
     ALL_ONES = IntMatrix.from_rows([[1, 1, 1]] * 3)
+    OPEN_1X2 = PbmInstance.create(1, 2, *([[NEG_INF, NEG_INF]], [[POS_INF, POS_INF]]) * 3)
 
     @pytest.mark.parametrize(
         "call",
@@ -34,11 +36,15 @@ class TestCheckedMatrix:
             lambda: extremal_total_sum(asm_instance(3), "max"),
             lambda: optimize_cost(asm_instance(3), IntMatrix.from_rows([[1, 0, 0]] * 3)),
             lambda: max_plus_ones_subordinate(TestCheckedMatrix.ALL_ONES),
+            # the direction of the ray that proves the sum unbounded
+            lambda: extremal_total_sum(TestCheckedMatrix.OPEN_1X2, "max"),
+            lambda: decompose_k_regular_asm(TestCheckedMatrix.ALL_ONES, 3),
         ],
-        ids=["solve", "extremal_total_sum", "optimize_cost", "max_plus_ones_subordinate"],
+        ids=["solve", "extremal_total_sum", "optimize_cost", "max_plus_ones_subordinate",
+             "unbounded_sum_max", "decompose"],
     )
     def test_corrupted_matrix_is_an_internal_error(self, monkeypatch, call):
-        read = feasibility.matrix_from_circulation
+        read = circulation.matrix_from_circulation
 
         def drop_one_plus(net, circ):
             rows = [list(row) for row in read(net, circ).rows]
@@ -46,7 +52,7 @@ class TestCheckedMatrix:
             rows[i][j] = 0
             return IntMatrix.from_rows(rows)
 
-        monkeypatch.setattr(feasibility, "matrix_from_circulation", drop_one_plus)
+        monkeypatch.setattr(circulation, "matrix_from_circulation", drop_one_plus)
         with pytest.raises(InternalError):
             call()
 
