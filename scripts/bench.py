@@ -25,6 +25,12 @@ solve ends in a certificate.  The rows are:
   ``instance_from_json`` (which validates too), ``validate_instance`` on
   its own, ``build_network``, ``min_cost_circulation`` and
   ``cut_to_certificate``;
+* ``cut_to_certificate hub cut``: the ``timeit`` times over ``RUNS`` runs,
+  each the mean of ``CALLS`` calls, of ``cut_to_certificate(net,
+  witness)`` on ``asm_instance(55)`` with beta = 54, whose flow cut names
+  v2_hub alone, so that X2 is every cell of the grid.  The row stores
+  the sizes of the named set, X1 and X2.  The script exits nonzero unless
+  the cut names a hub;
 * one row per feasible network, the ``timeit`` times over ``RUNS`` runs
   of ``min_cost_circulation(net)``, which computes the line reaches and
   runs the flow: ``feasible_random(Random(n), n, n)`` for n = 45 and 150,
@@ -77,6 +83,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -108,6 +115,7 @@ from pbm.core import (  # noqa: E402
     POS_INF,
     IntMatrix,
     PbmInstance,
+    fin,
     instance_from_json,
     instance_to_json,
     validate_instance,
@@ -119,6 +127,7 @@ from helpers import feasible_random, open_last_entry, random_instance  # noqa: E
 SEEDS = range(20)
 SIZE = (55, 55)
 RUNS = 15
+CALLS = 20  # calls per sample of the hub cut row
 # (seed, m, n) of each feasible_random network
 FEASIBLE = ((45, 45, 45), (150, 150, 150), (3, 1, 3000), (3, 3000, 1))
 # the cost spread C of each priced row
@@ -244,6 +253,31 @@ def layer_rows(texts: list[str]) -> list[dict]:
         }
         for name, stmt in layers.items()
     ]
+
+
+def hub_cut_row() -> dict:
+    """The median and quartiles of one certificate read off a flow cut that names a hub."""
+    net = build_network(dataclasses.replace(asm_instance(55), beta=fin(54)))
+    witness = min_cost_circulation(net)
+    if not isinstance(witness, CutWitness) or not {net.v1_hub, net.v2_hub} & witness.nodes:
+        raise SystemExit("asm(55) with beta = 54 gave no cut that names a hub")
+    x1, x2, _, _ = cut_to_certificate(net, witness)
+    # a call takes about a millisecond, so each sample is the mean of CALLS calls
+    times = timeit.repeat("cut_to_certificate(net, witness)",
+                          globals={**globals(), "net": net, "witness": witness},
+                          number=CALLS, repeat=RUNS)
+    times = [t / CALLS for t in times]
+    return {
+        "case": "asm_instance(55) with beta = 54, witness = its min_cost_circulation",
+        "what": "cut_to_certificate(net, witness)",
+        "layer": "cut_to_certificate hub cut",
+        "runs": RUNS,
+        "calls_per_run": CALLS,
+        **spread(times),
+        "named": len(witness.nodes),
+        "x1": len(x1),
+        "x2": len(x2),
+    }
 
 
 def feasible_rows() -> list[dict]:
@@ -411,7 +445,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "label": args.label,
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "rows": [cli_row(texts), cold_start_row(), *layer_rows(texts), *feasible_rows(),
+        "rows": [cli_row(texts), cold_start_row(), *layer_rows(texts), hub_cut_row(), *feasible_rows(),
                  unbounded_row(), *priced_rows(), *decompose_rows()],
     }
     path = ROOT / f"BENCH_{args.label}.json"

@@ -2,7 +2,7 @@
 
 The network for an m x n instance has 2mn + 2 nodes: one node per cell in a
 horizontal layer and in a vertical layer, plus one hub per layer.  It has
-3mn + 1 arcs, kept as flat tuples indexed by arc id:
+3mn + 1 arcs, whose bounds are kept as flat tuples indexed by arc id:
 
 * A1 arcs carry the horizontal prefix sums of each row, bounded by
   [phi1, gamma1]; the arc for (i, n) runs from the horizontal hub;
@@ -21,8 +21,8 @@ chosen so large that no optimal or violating structure can depend on it
 
 ``build_network`` is the one network builder, and every network is the
 network of the instance it carries.  It reads the instance's flat bound
-tables, ints and tags, and clamps each infinite bound to tag * K; tails
-and heads follow from (m, n) alone.
+tables, ints and tags, and clamps each infinite bound to tag * K; arc
+ends follow from (m, n) alone, and only a flow's residual graph lists them.
 
 Every solve first computes each line's reach, the interval of values of
 a prefix from which the rest of its row or column can still be completed,
@@ -53,9 +53,9 @@ grew from).  The witness names the set its proof built, the chain or
 the nodes the excess reaches, and says which side of the cut that set is.
 ``make_cut_witness`` checks the cut's deficit again, summed over the arcs
 that meet the named set, and ``cut_to_certificate`` hands the named set's
-membership, as one flag per cell and layer, straight to the strong-pair
-sums of the violated inequality on a pair of cell subsets; only the two
-subsets it returns are built as ``SubsetMask``s.
+cells, as one set of cell indices per layer, straight to the strong-pair
+sums of the violated inequality on a pair of cell subsets.  So a cut that
+names a node or two costs what those nodes cost, whatever the grid.
 
 An optimum is unbounded exactly when some open side, a bound clamped to
 +-K, has negative reduced cost under the optimal potentials; a ``Ray``
@@ -73,7 +73,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, compress, repeat
-from operator import add, floordiv, gt, le, mod, neg, not_, sub
+from operator import add, floordiv, le, mod, neg, not_, sub
 from typing import Mapping, Sequence
 
 from .core import ExtInt, ExtMatrix, IntMatrix, PbmInstance, SubsetMask
@@ -100,16 +100,16 @@ __all__ = [
 class Network:
     """The circulation network of an m x n instance.
 
-    ``tail``, ``head``, ``lower`` and ``upper`` are indexed by arc id; the
-    bounds are integers, infinities already clamped to +-``big_k``.
-    ``instance`` is the instance ``build_network`` read; ``cut_to_certificate``
-    and the recession solve of an unbounded optimum read its tables.
+    ``lower`` and ``upper`` are indexed by arc id; the bounds are integers,
+    infinities already clamped to +-``big_k``.  Arc ends follow from
+    (m, n): ``tail`` and ``head`` compute them on each read, and no solve
+    reads them.  ``instance`` is the instance ``build_network`` read;
+    ``cut_to_certificate`` and the recession solve of an unbounded optimum
+    read its tables.
     """
 
     m: int
     n: int
-    tail: tuple[int, ...]
-    head: tuple[int, ...]
     lower: tuple[int, ...]
     upper: tuple[int, ...]
     big_k: int
@@ -118,6 +118,14 @@ class Network:
     @property
     def node_count(self) -> int:
         return 2 * self.m * self.n + 2
+
+    @property
+    def tail(self) -> tuple[int, ...]:
+        return tuple(_ends(self.m, self.n)[0])
+
+    @property
+    def head(self) -> tuple[int, ...]:
+        return tuple(_ends(self.m, self.n)[1])
 
     @property
     def v1_hub(self) -> int:
@@ -189,6 +197,16 @@ class Ray:
     cost: int
 
 
+def _ends(m: int, n: int) -> tuple[list[int], list[int]]:
+    """The tails and the heads of the m x n network's arcs, by arc id; one int object per node."""
+    mn = m * n
+    v1, v2 = [*range(mn)], [*range(mn, 2 * mn)]
+    hub1, hub2 = 2 * mn, 2 * mn + 1
+    a1_tails = [*v1[1:], hub1]
+    a1_tails[n - 1 :: n] = [hub1] * m
+    return [*a1_tails, *v2, *v1, hub2], [*v1, *v2[n:], *repeat(hub2, n), *v2, hub1]
+
+
 def build_network(inst: PbmInstance) -> Network:
     """The circulation network of an instance: the one network builder.
 
@@ -196,8 +214,8 @@ def build_network(inst: PbmInstance) -> Network:
     smaller than K in magnitude, so a clamped bound, value + tag * K,
     equals +-K exactly when the true bound is infinite.  An infinite cell
     has value 0, so it adds nothing to the finite mass, and only the
-    infinite bounds need clamping.  ``tail`` and ``head`` depend only on
-    (m, n), in the layout that ``_balances`` and ``make_cut_witness`` read.
+    infinite bounds need clamping.  Arc ends depend only on (m, n), in
+    the layout that ``_ends``, ``_balances`` and ``make_cut_witness`` read.
     """
     m, n, mn = inst.m, inst.n, inst.m * inst.n
     lows = (inst.phi1, inst.phi2, inst.f)
@@ -213,16 +231,9 @@ def build_network(inst: PbmInstance) -> Network:
             values[a] = tags[a] * big_k
         return tuple(values)
 
-    # v1 and v2 nodes by cell, row-major; each int object serves every arc it ends
-    v1, v2 = [*range(mn)], [*range(mn, 2 * mn)]
-    hub1, hub2 = 2 * mn, 2 * mn + 1
-    a1_tails = [*v1[1:], hub1]
-    a1_tails[n - 1 :: n] = [hub1] * m
     net = Network(
         m=m,
         n=n,
-        tail=(*a1_tails, *v2, *v1, hub2),
-        head=(*v1, *v2[n:], *repeat(hub2, n), *v2, hub1),
         lower=clamped(lows, inst.alpha),
         upper=clamped(highs, inst.beta),
         big_k=big_k,
@@ -248,35 +259,33 @@ def make_cut_witness(net: Network, nodes: frozenset[int], complement: bool = Fal
     that ``_balances`` reads: v1(k) meets A1 arcs k and k - 1 and N arc k,
     v2(k) meets N arc k and A2 arcs k and k - n, and each hub meets the
     return arc and the last prefix arc of every row (v1_hub) or column
-    (v2_hub).  The list may name an arc twice over or one that the set
-    does not meet; only an arc with one end on each side counts, once.
-    The sum reads the network's tails, heads and bounds and nothing that
-    found the set.
+    (v2_hub).  The set of those arcs may hold one that the named set does
+    not meet; only an arc with one end on each side counts.  Each arc's
+    ends are computed from its id, as ``_ends`` lays them out, so the sum
+    reads the network's bounds and nothing that found the set.
     """
-    mn = net.m * net.n
-    v1 = [*filter(range(mn).__contains__, nodes)]
-    v2 = [*filter(range(mn, 2 * mn).__contains__, nodes)]
-    arcs = {
-        *v1,
-        *map(sub, v1, repeat(1)),
-        *map(add, v1, repeat(2 * mn)),
-        *v2,
-        *map(sub, v2, repeat(net.n)),
-        *map(add, v2, repeat(mn)),
-    }
+    n, mn = net.n, net.m * net.n
+    hub1, hub2 = 2 * mn, 2 * mn + 1
+    arcs = set()
+    for v in nodes:
+        arcs.update((v, v - 1, v + 2 * mn) if v < mn else (v + mn, v, v - n) if v < 2 * mn else ())
     arcs.discard(-1)
-    if net.v1_hub in nodes:
-        arcs.update(range(net.n - 1, mn, net.n), (3 * mn,))
-    if net.v2_hub in nodes:
-        arcs.update(range(2 * mn - net.n, 2 * mn), (3 * mn,))
-    arcs = [*arcs]
-    tail_in = [*map(nodes.__contains__, map(net.tail.__getitem__, arcs))]
-    head_in = [*map(nodes.__contains__, map(net.head.__getitem__, arcs))]
-    # an arc enters W when it enters the named set W, or leaves the named set V minus W
-    into_w, out_of_w = (tail_in, head_in) if complement else (head_in, tail_in)
-    rho_u = sum(compress(map(net.upper.__getitem__, arcs), map(gt, into_w, out_of_w)))
-    delta_l = sum(compress(map(net.lower.__getitem__, arcs), map(gt, out_of_w, into_w)))
-    deficit = rho_u - delta_l
+    if hub1 in nodes:
+        arcs.update(range(n - 1, mn, n), (3 * mn,))
+    if hub2 in nodes:
+        arcs.update(range(2 * mn - n, 2 * mn), (3 * mn,))
+    deficit = 0
+    for a in arcs:
+        if a < mn:
+            tail, head = a + 1 if (a + 1) % n else hub1, a
+        elif a < 2 * mn:
+            tail, head = a, a + n if a < 2 * mn - n else hub2
+        else:
+            tail, head = (a - 2 * mn, a - mn) if a < 3 * mn else (hub2, hub1)
+        head_in = head in nodes
+        if (tail in nodes) != head_in:
+            # an arc enters W when it enters the named set W, or leaves the named set V minus W
+            deficit += net.upper[a] if head_in != complement else -net.lower[a]
     if deficit >= 0:
         raise InternalError(f"cut witness has nonnegative deficit {deficit}")
     return CutWitness(nodes=nodes, complement=complement, deficit=deficit)
@@ -754,7 +763,7 @@ def min_cost_circulation(
     reach, witness = _reach(net)
     if witness is not None:
         return witness
-    tail, head, lower, upper = net.tail, net.head, net.lower, net.upper
+    lower, upper = net.lower, net.upper
     costs = [0] * arc_count
     flow = _greedy_start(net, reach)
     for arc_id, c in (cost or {}).items():
@@ -765,7 +774,7 @@ def min_cost_circulation(
     excess = _balances(net, flow)
     if not (priced or any(excess)):
         return Circulation(tuple(flow))
-    graph = _FlowGraph(nodes, tail, head, [*map(sub, upper, flow)], [*map(sub, flow, lower)], costs)
+    graph = _FlowGraph(nodes, *_ends(net.m, net.n), [*map(sub, upper, flow)], [*map(sub, flow, lower)], costs)
     adj, to, cap, edge_cost = graph.adj, graph.to, graph.cap, graph.cost
     pi = [0] * nodes
     admissible = adj
@@ -810,7 +819,8 @@ def min_cost_circulation(
         big_k = net.big_k
         if any(
             (hi == big_k and c + pi[u] < pi[w]) or (lo == -big_k and c + pi[u] > pi[w])
-            for u, w, lo, hi, c in zip(tail, head, lower, upper, costs)
+            # edge 2a runs from arc a's tail, to[2a + 1], to its head, to[2a]
+            for u, w, lo, hi, c in zip(to[1::2], to[0::2], lower, upper, costs)
         ):
             return _ray(net, cost)
     return Circulation(tuple(map(add, lower, cap[1::2])))
@@ -963,33 +973,31 @@ def cut_to_certificate(
     inequality it breaks.  X1 (X2) holds the cells whose layer-1 (layer-2)
     node lies on the other side of the cut from v1_hub (v2_hub).  The
     named inequality is evaluated from the instance's true bounds, on X1
-    and X2 as row-major cell flags, and must be strictly violated;
-    anything else is an internal bug.  Returns (X1, X2, case, the
-    evaluated record of the violated inequality), X1 and X2 as masks.
+    and X2 as sets of row-major cell indices, and must be strictly
+    violated; anything else is an internal bug.  Returns (X1, X2, case,
+    the evaluated record of the violated inequality), X1 and X2 as masks.
     """
     named, complement = witness.nodes, witness.complement
     m, n, mn = net.m, net.n, net.m * net.n
     hub1_named, hub2_named = net.v1_hub in named, net.v2_hub in named
     case, violated = _CUT_CASES[hub1_named != complement, hub2_named != complement]
 
-    def layer_flags(first: int, hub_named: bool) -> list[bool]:
+    def layer_cells(first: int, hub_named: bool) -> set[int]:
         # a layer numbers its nodes row-major from the node of cell (1, 1); a
         # node lies across the cut from its hub when exactly one of them is named
-        flags = [hub_named] * mn
-        for v in filter(range(first, first + mn).__contains__, named):
-            flags[v - first] = not hub_named
-        return flags
+        cells = {v - first for v in named if first <= v < first + mn}
+        return set(range(mn)).difference(cells) if hub_named else cells
 
-    x1 = layer_flags(net.v1_node(1, 1), hub1_named)
-    x2 = layer_flags(net.v2_node(1, 1), hub2_named)
-    record = strongpair.flag_record(net.instance, x1, x2, violated)
+    x1 = layer_cells(net.v1_node(1, 1), hub1_named)
+    x2 = layer_cells(net.v2_node(1, 1), hub2_named)
+    record = strongpair.pair_record(net.instance, x1, x2, violated)
     if record.holds:
         raise InternalError(
             f"cut does not violate {violated}: lhs {record.lhs} <= rhs {record.rhs}"
         )
 
-    def mask(flags: list[bool]) -> SubsetMask:
-        picked = [*compress(range(n, mn + n), flags)]
+    def mask(cells: set[int]) -> SubsetMask:
+        picked = [*map(n.__add__, cells)]
         rows = map(floordiv, picked, repeat(n))
         cols = map(add, map(mod, picked, repeat(n)), repeat(1))
         return SubsetMask(m, n, frozenset(zip(rows, cols)))

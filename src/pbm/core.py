@@ -54,8 +54,6 @@ __all__ = [
 
 # every spelling of infinity that JSON input may use, with its tag
 _INFINITY_TAGS = {"-inf": -1, "-infinity": -1, "+inf": 1, "inf": 1, "+infinity": 1, "infinity": 1}
-# an infinite cell carries value 0
-_INFINITY_VALUES = dict.fromkeys(_INFINITY_TAGS, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,31 +303,30 @@ class ExtMatrix:
     ) -> "ExtMatrix":
         """JSON cells or ``ExtInt``s; the first bad cell, row-major, raises as in ``from_json``.
 
-        ``what`` names the table in a shape error.  A table of JSON ints and
-        infinity strings is read in whole-table passes, with no ``ExtInt``
-        made per cell.  A table of ints alone is its own values.  Otherwise
-        each cell's tag and value come from the table of infinity
-        spellings, which gives an int tag 0 and passes it through as its
-        own value; a string that also gets tag 0 spells no infinity.
-        Such a table, and any other table (``ExtInt``s, a bool, a float), is
-        read cell by cell through ``_read_cell``, so the first bad cell in
-        row-major order raises its own message.
+        ``what`` names the table in a shape error.  In a table of JSON ints
+        and strings, a scan of the cell types finds each string, and only
+        the strings are looked up as infinity spellings.  A string that
+        spells none, or a cell of any other type (``ExtInt``s, a bool, a
+        float), sends the table cell by cell through ``_read_cell``, so the
+        first bad cell in row-major order raises its own message.
         """
         m, n = _check_rect(rows, what)
         cells = [*chain.from_iterable(rows)]
         types = [*map(type, cells)]
         ints = types.count(int)
         if ints == len(cells):
-            # no infinity: the cells are the values, at a quarter of the lookups' cost
             return ExtMatrix(m, n, tuple(cells), (0,) * ints)
-        if ints + types.count(str) == len(cells):
-            tags = tuple(map(_INFINITY_TAGS.get, cells, repeat(0)))
-            # an int has tag 0, and so has a string that spells no infinity
-            if tags.count(0) == ints:
-                return ExtMatrix(m, n, tuple(map(_INFINITY_VALUES.get, cells, cells)), tags)
-        cells = [*map(_read_cell, cells)]
-        values = tuple([e if type(e) is int else e.value for e in cells])
-        return ExtMatrix(m, n, values, tuple([0 if type(e) is int else e.tag for e in cells]))
+        values, tags, k = cells.copy(), [0] * len(cells), -1
+        try:
+            for _ in range(len(cells) - ints):
+                k = types.index(str, k + 1)
+                values[k], tags[k] = 0, _INFINITY_TAGS[cells[k]]
+        except (ValueError, KeyError):
+            # fewer strings than non-ints, or a string that spells no infinity
+            cells = [*map(_read_cell, cells)]
+            values = [e if type(e) is int else e.value for e in cells]
+            tags = [0 if type(e) is int else e.tag for e in cells]
+        return ExtMatrix(m, n, tuple(values), tuple(tags))
 
     @staticmethod
     def constant(m: int, n: int, v: "ExtInt | int") -> "ExtMatrix":

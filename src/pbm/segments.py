@@ -14,7 +14,7 @@ full.  The counts sigma = se + pr + su + fu always partition the segments.
 
 ``maximal_segments`` serves ``segment_stats`` and the segment-family
 witness that ``asmkit.compatible_asm`` returns; ``strongpair`` reads the
-same runs off cell flags without building them.
+same runs off sets of cell indices without building them.
 """
 
 from __future__ import annotations

@@ -18,27 +18,28 @@ starts its line has none).  So
     p(X) = phi(ends) - gamma(befores)
     b(X) = gamma(ends) - phi(befores)
 
-where each term sums a bound table over flagged cells.  "Next" is the next
-cell in the row for the horizontal windows, which give p1(X)/b1(X), and
-the cell below for the vertical ones, which give p2(X)/b2(X).  Every
-function here reads a subset as one row-major list of cell flags, so an
-evaluation is a few O(mn) passes and builds no segment.
+where each term sums a bound table over a set of cells.  "Next" is the
+next cell in the row for the horizontal windows, which give p1(X)/b1(X),
+and the cell below for the vertical ones, which give p2(X)/b2(X).  Every
+function here reads a subset as a set of row-major cell indices, and a
+cell's part in a run follows from its neighbours in its line.  So an
+evaluation costs time in the size of the subsets and builds no segment;
+only a sum over the cells in neither subset reads a whole table: its
+total less the subsets' part, or the rest of the grid when that is less.
 
 ``condition_values`` evaluates the four inequalities whose joint validity
 over all pairs of subsets characterizes feasibility of an instance, and
-``flag_record`` evaluates one of them alone, on subsets already given as
-cell flags, as a cut's membership gives them.  Their names gen1a, gen1b,
-gen1alfa, gen1beta are part of the certificate format.
+``pair_record`` evaluates one of them alone, on subsets already given as
+sets of cell indices, as a cut's named nodes give them.  Their names
+gen1a, gen1b, gen1alfa, gen1beta are part of the certificate format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import and_, gt, lt, not_, or_
 from typing import Sequence
 
-from .core import ExtInt, ExtMatrix, PbmInstance, SubsetMask, fin
+from .core import NEG_INF, POS_INF, ExtInt, ExtMatrix, PbmInstance, SubsetMask, fin
 from .errors import DimensionMismatch, InfinityClash
 
 __all__ = [
@@ -49,7 +50,7 @@ __all__ = [
     "elementary_pair",
     "eval_strong_pair",
     "mask_sum",
-    "flag_record",
+    "pair_record",
     "condition_values",
 ]
 
@@ -89,37 +90,44 @@ def elementary_pair(
     return phi[k - 1] - gamma_prev, gamma[k - 1] - phi_prev
 
 
-def _flags(mask: SubsetMask, m: int, n: int, grid_of: str) -> list[bool]:
-    """The subset as row-major cell flags; raises unless it lives on the m x n grid."""
+def _cells(mask: SubsetMask, m: int, n: int, grid_of: str) -> set[int]:
+    """The subset as row-major cell indices; raises unless it lives on the m x n grid."""
     if (mask.m, mask.n) != (m, n):
         raise DimensionMismatch(f"mask grid does not match {grid_of}")
-    flags = [False] * (m * n)
-    for i, j in mask.cells:
-        flags[(i - 1) * n + j - 1] = True
-    return flags
+    return {(i - 1) * n + j - 1 for i, j in mask.cells}
 
 
-def _flag_sum(mat: ExtMatrix, flags: Sequence[bool]) -> ExtInt:
-    """The sum of the flagged cells (0 when none); opposite infinities raise InfinityClash."""
-    infinities = set(compress(mat.tags, flags)) - {0}
-    if len(infinities) == 2:
+def _sum(mat: ExtMatrix, cells: set[int], outside: bool = False) -> ExtInt:
+    """The table summed over the cells, or over all others when ``outside``; 0 when none.
+
+    The sum outside is the table's total and infinity counts less the
+    cells' own part, or the sum over the other cells when they are fewer.
+    Opposite infinities raise InfinityClash.
+    """
+    if outside and 2 * len(cells) > len(mat.values):
+        cells, outside = set(range(len(mat.values))).difference(cells), False
+    tags = [*map(mat.tags.__getitem__, cells)]
+    lows, highs, total = tags.count(-1), tags.count(1), sum(map(mat.values.__getitem__, cells))
+    if outside:
+        lows, highs = mat.tags.count(-1) - lows, mat.tags.count(1) - highs
+        total = sum(mat.values) - total
+    if lows and highs:
         raise InfinityClash("cannot add -inf and +inf")
-    return ExtInt(infinities.pop()) if infinities else fin(sum(compress(mat.values, flags)))
+    return NEG_INF if lows else POS_INF if highs else fin(total)
 
 
-_Runs = tuple[list[bool], list[bool]]
+_Runs = tuple[set[int], set[int]]
 
 
-def _runs(flags: list[bool], n: int, horizontal: bool) -> _Runs:
-    """Flags of the run ends and of the run predecessors, along rows or along columns."""
-    if horizontal:
-        after = flags[1:] + [False]
-        # a row's last cell has no next cell, also on an m x 1 grid, where
-        # the next row starts one step on just as the next column cell does
-        after[n - 1 :: n] = [False] * (len(flags) // n)
-    else:
-        after = flags[n:] + [False] * n
-    return [*map(gt, flags, after)], [*map(lt, flags, after)]
+def _runs(x: set[int], n: int, horizontal: bool) -> _Runs:
+    """The run ends and the run predecessors of X, along rows or along columns.
+
+    ``before`` holds the cell before each cell of X in its line.  A cell of
+    X is a run end unless it comes before another, and a cell before one
+    of X but outside X is a run predecessor.
+    """
+    before = {k - 1 for k in x if k % n} if horizontal else {k - n for k in x if k >= n}
+    return x - before, before - x
 
 
 def _bound(at_end: ExtMatrix, before: ExtMatrix, runs: _Runs) -> ExtInt:
@@ -129,7 +137,7 @@ def _bound(at_end: ExtMatrix, before: ExtMatrix, runs: _Runs) -> ExtInt:
     gives b, the greatest.
     """
     ends, befores = runs
-    return _flag_sum(at_end, ends) - _flag_sum(before, befores)
+    return _sum(at_end, ends) - _sum(before, befores)
 
 
 def eval_strong_pair(inst: PbmInstance, mask: SubsetMask) -> StrongPairEval:
@@ -137,7 +145,7 @@ def eval_strong_pair(inst: PbmInstance, mask: SubsetMask) -> StrongPairEval:
 
     The empty subset evaluates to zero in all four components.
     """
-    x = _flags(mask, inst.m, inst.n, "instance")
+    x = _cells(mask, inst.m, inst.n, "instance")
     rows, cols = _runs(x, inst.n, True), _runs(x, inst.n, False)
     return StrongPairEval(
         p1=_bound(inst.phi1, inst.gamma1, rows),
@@ -149,7 +157,7 @@ def eval_strong_pair(inst: PbmInstance, mask: SubsetMask) -> StrongPairEval:
 
 def mask_sum(mat: ExtMatrix, mask: SubsetMask) -> ExtInt:
     """Sum of the bound table's cells over the subset (0 when empty)."""
-    return _flag_sum(mat, _flags(mask, mat.m, mat.n, "matrix"))
+    return _sum(mat, _cells(mask, mat.m, mat.n, "matrix"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,47 +195,32 @@ class ConditionEval:
         return all(rec.holds for rec in self.records())
 
 
-def flag_record(
-    inst: PbmInstance, x1: list[bool], x2: list[bool], name: str
-) -> InequalityRecord:
+def pair_record(inst: PbmInstance, x1: set[int], x2: set[int], name: str) -> InequalityRecord:
     """Evaluate one of gen1a, gen1b, gen1alfa, gen1beta on the pair (X1, X2).
 
-    X1 and X2 are row-major cell flags, one per cell.  Only the terms of
-    the named inequality are computed; ``condition_values`` lists the four.
+    X1 and X2 are sets of row-major cell indices, k = (i - 1) * n + j - 1.
+    Only the terms of the named inequality are computed, each a sum over
+    run ends, run predecessors or the sets themselves; ``condition_values``
+    lists the four.
     """
     if name not in INEQUALITY_NAMES:
         raise KeyError(name)
-    return _record(inst, x1, x2, _runs(x1, inst.n, True), _runs(x2, inst.n, False), name)
-
-
-def _record(
-    inst: PbmInstance, x1: list[bool], x2: list[bool], rows: _Runs, cols: _Runs, name: str
-) -> InequalityRecord:
-    """The named inequality, given X1's row runs and X2's column runs."""
+    rows, cols = _runs(x1, inst.n, True), _runs(x2, inst.n, False)
     if name == "gen1a":
-        lhs = _bound(inst.phi1, inst.gamma1, rows) + _flag_sum(inst.f, [*map(gt, x2, x1)])
-        rhs = _bound(inst.gamma2, inst.phi2, cols) + _flag_sum(inst.g, [*map(gt, x1, x2)])
+        lhs = _bound(inst.phi1, inst.gamma1, rows) + _sum(inst.f, x2 - x1)
+        rhs = _bound(inst.gamma2, inst.phi2, cols) + _sum(inst.g, x1 - x2)
     elif name == "gen1b":
-        lhs = _bound(inst.phi2, inst.gamma2, cols) + _flag_sum(inst.f, [*map(gt, x1, x2)])
-        rhs = _bound(inst.gamma1, inst.phi1, rows) + _flag_sum(inst.g, [*map(gt, x2, x1)])
+        lhs = _bound(inst.phi2, inst.gamma2, cols) + _sum(inst.f, x1 - x2)
+        rhs = _bound(inst.gamma1, inst.phi1, rows) + _sum(inst.g, x2 - x1)
     else:
-        both = [*map(and_, x1, x2)]
-        neither = [*map(not_, map(or_, x1, x2))]
+        both, either = x1 & x2, x1 | x2
         if name == "gen1alfa":
             lhs = inst.alpha
-            rhs = (
-                _bound(inst.gamma1, inst.phi1, rows)
-                + _bound(inst.gamma2, inst.phi2, cols)
-                + _flag_sum(inst.g, neither)
-                - _flag_sum(inst.f, both)
-            )
+            rhs = (_bound(inst.gamma1, inst.phi1, rows) + _bound(inst.gamma2, inst.phi2, cols)
+                   + _sum(inst.g, either, outside=True) - _sum(inst.f, both))
         else:
-            lhs = (
-                _bound(inst.phi1, inst.gamma1, rows)
-                + _bound(inst.phi2, inst.gamma2, cols)
-                + _flag_sum(inst.f, neither)
-                - _flag_sum(inst.g, both)
-            )
+            lhs = (_bound(inst.phi1, inst.gamma1, rows) + _bound(inst.phi2, inst.gamma2, cols)
+                   + _sum(inst.f, either, outside=True) - _sum(inst.g, both))
             rhs = inst.beta
     return InequalityRecord(name, lhs, rhs)
 
@@ -246,6 +239,5 @@ def condition_values(inst: PbmInstance, x1: SubsetMask, x2: SubsetMask) -> Condi
     An inequality with -inf on the left or +inf on the right holds
     vacuously; that is the natural reading of the extended order.
     """
-    f1, f2 = _flags(x1, inst.m, inst.n, "instance"), _flags(x2, inst.m, inst.n, "instance")
-    rows, cols = _runs(f1, inst.n, True), _runs(f2, inst.n, False)
-    return ConditionEval(*(_record(inst, f1, f2, rows, cols, name) for name in INEQUALITY_NAMES))
+    c1, c2 = _cells(x1, inst.m, inst.n, "instance"), _cells(x2, inst.m, inst.n, "instance")
+    return ConditionEval(*(pair_record(inst, c1, c2, name) for name in INEQUALITY_NAMES))

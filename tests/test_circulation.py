@@ -634,15 +634,19 @@ class TestCertificate:
             assert not record.holds
         assert seen_cases  # at least one infeasible instance appeared
 
-    def test_flag_fed_record_matches_mask_path(self):
+    def test_cell_set_record_matches_mask_path(self):
         # the cuts the solver finds, by line or by flow, and random node sets
         # of negative deficit; the record cut_to_certificate reads off the
-        # cut's flags must equal the one evaluated again from its masks
+        # cut's cell sets must equal the one evaluated again from its masks
         rng = random.Random(29)
-        cases, sizes = set(), set()
+        nets = [build_network(random_instance(rng, 55, 55)) for _ in range(3)]
         for _ in range(400):
             inst = random_instance(rng, rng.randint(1, 6), rng.randint(1, 6), rng.random() / 2)
-            net = build_network(inst)
+            nets.append(build_network(inst))
+        # a flow cut that names v2_hub alone, so X2 is every cell
+        nets.append(build_network(dataclasses.replace(asm_instance(55), beta=fin(54))))
+        cases, sizes, kinds = set(), set(), set()
+        for net in nets:
             cuts = [min_cost_circulation(net)]
             share = rng.random()
             nodes = frozenset(v for v in range(net.node_count) if rng.random() < share)
@@ -654,11 +658,16 @@ class TestCertificate:
                 if not isinstance(cut, CutWitness):
                     continue
                 x1, x2, case, record = cut_to_certificate(net, cut)
+                inst = net.instance
                 assert record == strongpair.condition_values(inst, x1, x2).by_name(record.name)
                 assert not record.holds
                 cases.add(case)
                 sizes.add(min(len(x1), len(x2)) > 1)
+                hubs = {net.v1_hub, net.v2_hub} & cut.nodes
+                kinds.add((net.m * net.n >= 3025, _reach(net)[1] is not None, bool(hubs)))
         assert cases == {1, 2, 3, 4} and sizes == {False, True}
+        # line cuts on 55 x 55 grids, and a flow cut on one whose named set holds a hub
+        assert {(True, True, False), (True, False, True)} <= kinds
 
     def test_either_side_names_the_same_cut(self):
         # every witness the solver returns, by line or by flow, priced or not:

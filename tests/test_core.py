@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbm.core import (
+    _INFINITY_TAGS,
     NEG_INF,
     POS_INF,
     ExtInt,
@@ -14,6 +15,7 @@ from pbm.core import (
     IntMatrix,
     PbmInstance,
     SubsetMask,
+    _read_cell,
     as_ext,
     fin,
     instance_from_json,
@@ -209,6 +211,33 @@ mixed_tables = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 )
 
 
+# JSON ints of any size with every spelling of infinity, and cells that no parse accepts
+string_tables = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda mn: st.lists(
+        st.lists(
+            st.one_of(st.integers(-(2**70), 2**70), st.sampled_from(sorted(_INFINITY_TAGS))),
+            min_size=mn[1],
+            max_size=mn[1],
+        ),
+        min_size=mn[0],
+        max_size=mn[0],
+    )
+)
+non_cells = st.one_of(
+    st.sampled_from(["", "zzz", "Inf", "+-inf", "1", " inf", "nan"]),
+    st.booleans(),
+    st.floats(allow_nan=False),
+)
+
+
+def _reads(cell) -> bool:
+    try:
+        _read_cell(cell)
+    except InstanceFormatError:
+        return False
+    return True
+
+
 class TestFlatParse:
     @given(json_tables)
     def test_matches_per_cell_parse(self, rows):
@@ -262,6 +291,33 @@ class TestFlatParse:
     def test_extint_cells_still_accepted(self):
         mat = ExtMatrix.from_rows([[fin(1), 1, "+inf"], [NEG_INF, 1, 2]])
         assert mat.rows == ((fin(1), fin(1), POS_INF), (NEG_INF, fin(1), fin(2)))
+
+    @given(string_tables)
+    def test_strings_read_as_each_cell_alone(self, rows):
+        cells = [_read_cell(c) for row in rows for c in row]
+        mat = ExtMatrix.from_rows(rows)
+        assert mat.values == tuple(c if type(c) is int else c.value for c in cells)
+        assert mat.tags == tuple(0 if type(c) is int else c.tag for c in cells)
+
+    @given(string_tables, st.lists(st.tuples(st.integers(0, 35), non_cells), min_size=1, max_size=3))
+    def test_bad_cell_anywhere_raises_the_first_ones_message(self, rows, bad):
+        m, n = len(rows), len(rows[0])
+        cells = [c for row in rows for c in row]
+        for k, cell in bad:
+            cells[k % len(cells)] = cell
+        rows = [cells[k : k + n] for k in range(0, m * n, n)]
+        first = next(k for k, c in enumerate(cells) if not _reads(c))
+        with pytest.raises(InstanceFormatError) as want:
+            _read_cell(cells[first])
+        with pytest.raises(InstanceFormatError) as got:
+            ExtMatrix.from_rows(rows)
+        assert str(got.value) == str(want.value)
+        # a document names the table and the cell before the message
+        doc = {"m": m, "n": n, "phi1": [["-inf"] * n] * m, "gamma1": rows,
+               "phi2": [["-inf"] * n] * m, "gamma2": [["+inf"] * n] * m}
+        message = f"gamma1 ({first // n + 1},{first % n + 1}): {want.value}"
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+            instance_from_json(doc)
 
 
 class TestSubsetMask:

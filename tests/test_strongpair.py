@@ -19,6 +19,7 @@ from pbm.strongpair import (
     elementary_pair,
     eval_strong_pair,
     mask_sum,
+    pair_record,
 )
 
 from helpers import finite_random, random_instance
@@ -247,3 +248,139 @@ def test_asm_strong_pair_counts_segments(n, data):
     ev = eval_strong_pair(asm_instance(n), mask)
     assert (ev.p1, ev.b1) == (stats.fu1 - stats.se1, stats.sigma1)
     assert (ev.p2, ev.b2) == (stats.fu2 - stats.se2, stats.sigma2)
+
+
+def _maximal_runs(cells, m, n, horizontal):
+    """(line, start, end) of every maximal run of the subset, scanned line by line."""
+    runs = []
+    lines, length = (m, n) if horizontal else (n, m)
+    for line in range(1, lines + 1):
+        members = [((line, pos) if horizontal else (pos, line)) in cells for pos in range(1, length + 1)]
+        pos = 0
+        while pos < length:
+            if members[pos]:
+                start = pos
+                while pos + 1 < length and members[pos + 1]:
+                    pos += 1
+                runs.append((line, start + 1, pos + 1))
+            pos += 1
+    return runs
+
+
+def _reference_bound(inst, cells, horizontal, least):
+    """p (``least``) or b of the subset along rows or columns: one elementary pair per maximal run."""
+    low, high = (inst.phi1, inst.gamma1) if horizontal else (inst.phi2, inst.gamma2)
+    at_end, before = (low, high) if least else (high, low)
+    total = fin(0)
+    for line, h, k in _maximal_runs(cells, inst.m, inst.n, horizontal):
+        cell = (lambda pos: (line, pos)) if horizontal else (lambda pos: (pos, line))
+        total = total + at_end.at(*cell(k)) - (before.at(*cell(h - 1)) if h > 1 else fin(0))
+    return total
+
+
+def _reference_sum(table, cells):
+    return functools.reduce(operator.add, (table.at(*c) for c in sorted(cells)), fin(0))
+
+
+def _reference_record(inst, x1, x2, name):
+    """(lhs, rhs) of the named inequality, cell by cell, computing only its own terms."""
+
+    def bound(horizontal, least):
+        # p1 and b1 come from X1's rows, p2 and b2 from X2's columns
+        return _reference_bound(inst, x1 if horizontal else x2, horizontal, least)
+
+    grid = {(i, j) for i in range(1, inst.m + 1) for j in range(1, inst.n + 1)}
+    neither, both = grid - x1 - x2, x1 & x2
+    if name == "gen1a":
+        return (bound(True, True) + _reference_sum(inst.f, x2 - x1),
+                bound(False, False) + _reference_sum(inst.g, x1 - x2))
+    if name == "gen1b":
+        return (bound(False, True) + _reference_sum(inst.f, x1 - x2),
+                bound(True, False) + _reference_sum(inst.g, x2 - x1))
+    if name == "gen1alfa":
+        return inst.alpha, (bound(True, False) + bound(False, False) + _reference_sum(inst.g, neither)
+                            - _reference_sum(inst.f, both))
+    return (bound(True, True) + bound(False, True) + _reference_sum(inst.f, neither)
+            - _reference_sum(inst.g, both)), inst.beta
+
+
+def _outcome(call):
+    """What a call returns, or "clash" when it raises InfinityClash."""
+    try:
+        return call()
+    except InfinityClash:
+        return "clash"
+
+
+def _unvalidated_instance(rng, m, n, inf_rate):
+    """Tables of ints and both infinities in any cell, so sums of opposite infinities occur."""
+
+    def table():
+        cells = [rng.choice([NEG_INF, POS_INF]) if rng.random() < inf_rate else fin(rng.randint(-9, 9))
+                 for _ in range(m * n)]
+        return ExtMatrix.from_rows([cells[k : k + n] for k in range(0, m * n, n)])
+
+    def total():
+        return rng.choice([NEG_INF, POS_INF, fin(rng.randint(-20, 20))])
+
+    return PbmInstance(m, n, *(table() for _ in range(6)), total(), total())
+
+
+def _subsets(rng, m, n):
+    """Empty, full, sparse, dense, complement-shaped and single-line subsets of the grid."""
+    grid = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    sparse = {c for c in grid if rng.random() < 0.1}
+    row, col = rng.randint(1, m), rng.randint(1, n)
+    return [
+        set(),
+        set(grid),
+        sparse,
+        {c for c in grid if rng.random() < 0.5},
+        set(grid) - sparse,
+        set(grid) - {rng.choice(grid)},
+        {c for c in grid if c[0] == row},
+        {c for c in grid if c[1] == col},
+    ]
+
+
+class TestAgainstPerCellReference:
+    """The cell-set evaluator against sums read cell by cell off maximal runs.
+
+    Unlike the oracle's pair tables, which stop at 12 cells, the grids run
+    to 12 x 12, and the tables hold both infinities anywhere, so that an
+    evaluation may raise InfinityClash; it must raise exactly when the
+    reference does.
+    """
+
+    @pytest.mark.parametrize("inf_rate", [0.0, 0.1, 0.4])
+    def test_records_match(self, inf_rate):
+        rng = random.Random(f"per-cell:{inf_rate}")
+        outcomes = set()
+        for _ in range(40):
+            m, n = rng.randint(1, 12), rng.randint(1, 12)
+            inst = _unvalidated_instance(rng, m, n, inf_rate)
+            subsets = _subsets(rng, m, n)
+            for _ in range(12):
+                x1, x2 = rng.choice(subsets), rng.choice(subsets)
+                c1 = {(i - 1) * n + j - 1 for i, j in x1}
+                c2 = {(i - 1) * n + j - 1 for i, j in x2}
+                records = []
+                for name in INEQUALITY_NAMES:
+                    want = _outcome(lambda: _reference_record(inst, x1, x2, name))
+                    got = _outcome(lambda: pair_record(inst, c1, c2, name))
+                    assert got == want if want == "clash" else (got.name, got.lhs, got.rhs) == (name, *want)
+                    outcomes.add(want == "clash")
+                    records.append(got)
+                # condition_values evaluates all four, so it raises when any one does
+                masks = [SubsetMask.from_cells(m, n, x) for x in (x1, x2)]
+                got = _outcome(lambda: condition_values(inst, *masks))
+                assert got == "clash" if "clash" in records else got.records() == tuple(records)
+                # p1, b1, p2, b2 of X1, evaluated together
+                want = [_outcome(lambda: _reference_bound(inst, x1, horizontal, least))
+                        for horizontal in (True, False) for least in (True, False)]
+                got = _outcome(lambda: eval_strong_pair(inst, masks[0]))
+                assert got == "clash" if "clash" in want else [got.p1, got.b1, got.p2, got.b2] == want
+                assert _outcome(lambda: mask_sum(inst.g, masks[0])) == _outcome(
+                    lambda: _reference_sum(inst.g, x1))
+        # with infinities in the tables, some evaluations clash and some do not
+        assert outcomes == ({False} if inf_rate == 0 else {False, True})
