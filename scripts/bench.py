@@ -50,12 +50,14 @@ solve ends in a certificate.  The rows are:
   the main solve and the recession solve of its ray.  The row stores the
   main solve's ``pushes`` and ``relabels``.  The script exits nonzero
   unless the answer is ``"unbounded"``;
-* ``priced 40x40``, one row for C = 5 and one for C = 100: the
-  ``timeit`` times over ``RUNS`` runs of ``optimize_cost(inst, costs)``
-  on ``feasible_random(Random(7), 40, 40)``, with the costs drawn
-  row-major by ``Random(3).randint(-C, C)``.  Each row stores the
-  ``pushes`` and ``relabels`` of one solve, summed over its priced
-  rounds.  The script exits nonzero unless the answer is ``"optimal"``;
+* ``priced 40x40``, one row each for C = 5, 100 and 10^4: the ``timeit``
+  times of ``optimize_cost(inst, costs)`` on ``feasible_random(Random(7),
+  40, 40)``, with the costs drawn row-major by ``Random(3).randint(-C,
+  C)``, over ``RUNS`` runs at C = 5 and 100 and over ``WIDE_RUNS`` at
+  C = 10^4, where one solve takes one to four seconds and the script
+  also runs in CI.  Each row stores the ``pushes`` and ``relabels`` of
+  one solve, summed over its priced rounds.  The script exits nonzero
+  unless the answer is ``"optimal"``;
 * one row per ``decompose`` case, the ``timeit`` times over ``RUNS`` runs
   of ``decompose(inst, a, k)``: the 10x10 instance with every bound open
   and A's entries drawn row-major by ``Random(10).randint(-10**6, 10**6)``
@@ -130,8 +132,9 @@ RUNS = 15
 CALLS = 20  # calls per sample of the hub cut row
 # (seed, m, n) of each feasible_random network
 FEASIBLE = ((45, 45, 45), (150, 150, 150), (3, 1, 3000), (3, 3000, 1))
-# the cost spread C of each priced row
-PRICED = (5, 100)
+# the cost spread C of each priced row, and its number of runs
+WIDE_RUNS = 5
+PRICED = ((5, RUNS), (100, RUNS), (10**4, WIDE_RUNS))
 
 
 def spread(times: list[float]) -> dict:
@@ -349,7 +352,7 @@ def priced_rows() -> list[dict]:
     """Per cost spread C, the median and quartiles of one priced 40x40 solve, and its counts."""
     inst = feasible_random(random.Random(7), 40, 40)
     rows = []
-    for c_max in PRICED:
+    for c_max, runs in PRICED:
         rng = random.Random(3)
         costs = IntMatrix.from_rows(
             [[rng.randint(-c_max, c_max) for _ in range(40)] for _ in range(40)]
@@ -360,13 +363,13 @@ def priced_rows() -> list[dict]:
             raise SystemExit(f"the priced 40x40 solve with C = {c_max} came out {status}")
         times = timeit.repeat("optimize_cost(inst, costs)",
                               globals={**globals(), "inst": inst, "costs": costs},
-                              number=1, repeat=RUNS)
+                              number=1, repeat=runs)
         rows.append({
             "case": f"feasible_random(Random(7), 40, 40), costs Random(3).randint(-{c_max}, "
                     f"{c_max}) row-major",
             "what": "optimize_cost(inst, costs)",
             "layer": f"priced 40x40 C={c_max}",
-            "runs": RUNS,
+            "runs": runs,
             **spread(times),
             "pushes": info["pushes"],
             "relabels": info["relabels"],

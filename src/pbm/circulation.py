@@ -41,16 +41,20 @@ answer, returned before any residual graph is built.  Otherwise the
 solve runs one primal-dual loop on one residual graph, two edges per
 arc.  The guess leaves a pseudoflow: excess at some nodes, and deficits
 at others, which are the sinks.  Each round moves excess to them by
-push-relabel over the edges of zero reduced cost; a round that falls
-short raises the potentials by one Dijkstra, unless no sink is in reach.
-A feasibility question has no prices, so it is the case in which one
-round does all the work, over the whole residual graph; it stops at the
-first node that holds excess and can no longer reach a sink.  An
-infeasible network yields a node set whose entering capacity is below
-its leaving demand: the line's chain, or the nodes that the stranded
-excess cannot reach (this holds whatever start and potentials the flow
-grew from).  The witness names the set its proof built, the chain or
-the nodes the excess reaches, and says which side of the cut that set is.
+push-relabel over the edges of zero reduced cost.  A round that falls
+short runs one Dijkstra from the excess, stopped at the nearest sink,
+and moves only the potentials of the nodes it settled before that sink,
+unless no sink is in reach.  The other nodes keep theirs, which changes
+no reduced cost, so the next round refilters only the edges that meet
+the moved nodes.  A feasibility question has no prices, so it is the
+case in which one round does all the work, over the whole residual
+graph; it stops at the first node that holds excess and can no longer
+reach a sink.  An infeasible network yields a node set whose entering
+capacity is below its leaving demand: the line's chain, or the nodes
+that the stranded excess cannot reach (this holds whatever start and
+potentials the flow grew from).  The witness names the set its proof
+built, the chain or the nodes the excess reaches, and says which side
+of the cut that set is.
 ``make_cut_witness`` checks the cut's deficit again, summed over the arcs
 that meet the named set, and ``cut_to_certificate`` hands the named set's
 cells, as one set of cell indices per layer, straight to the strong-pair
@@ -734,23 +738,37 @@ def min_cost_circulation(
     residual path joins them to a node that lacks flow; R is what they
     reach.  The solve leaves the loop after that round.  With a cost, a
     round runs over a subset of the edges, and excess it cannot move
-    proves nothing.  One Dijkstra over the whole residual graph then
-    starts from every node that still holds excess.  If it reaches a node
-    that lacks flow, its distances, capped at the nearest such node's,
-    raise the potentials and the next round starts; if not, R is what it
-    reached.  All arithmetic is exact.
+    proves nothing.  One Dijkstra, ``_reduced_distances``, then starts
+    from every node that still holds excess and stops when it settles the
+    first node that lacks flow, at a distance called the horizon.  Each
+    node settled below the horizon moves its potential by its distance
+    less the horizon, and every other node keeps its own.  That is the
+    raise by the distances capped at the horizon, less the horizon at
+    every node, and a uniform shift changes no reduced cost c' = c +
+    pi[tail] - pi[head]: every residual c' stays nonnegative, the shortest
+    paths to the nearest sink become tight, and only the edges that meet
+    a moved node change their c'.  So the next round refilters the
+    admissible lists of the moved nodes and their neighbours alone.  The
+    first round, under zero potentials, filters only the lists at the
+    ends of priced arcs; every other node's admissible list is its
+    residual list.  If the Dijkstra reaches no node that lacks flow, it
+    runs until its heap is empty, and R is what it reached.  A horizon of
+    0 is an InternalError: push-relabel strands excess only where no path
+    of zero reduced cost leads to a sink, and a raise by 0 would repeat
+    the round forever.  All arithmetic is exact.
 
     A priced solve then checks that no residual edge has negative reduced
-    cost c' = c + pi[tail] - pi[head], and one scan of the arcs decides
-    boundedness: the optimum is unbounded exactly when c' < 0 on an arc
-    whose upper bound is +K or c' > 0 on one whose lower bound is -K.  If
-    the true optimum is bounded, some clamped optimum keeps every flow
-    strictly inside +-K, and complementary slackness between it and pi
-    rules both out.  If it is unbounded, some cycle of open sides has
-    negative cost, which equals the sum of its steps' c'.  The scan reads
-    prices, not flows: a degenerate bounded optimum may carry +-K on an
-    open side.  When it fires, ``_ray`` solves the recession instance,
-    which has no infinite bound, so that solve's scan never fires.
+    cost c', and one scan of the arcs decides boundedness, both as passes
+    over whole lists of arc costs, bounds and potentials: the optimum is
+    unbounded exactly when c' < 0 on an arc whose upper bound is +K or
+    c' > 0 on one whose lower bound is -K.  If the true optimum is
+    bounded, some clamped optimum keeps every flow strictly inside +-K,
+    and complementary slackness between it and pi rules both out.  If it
+    is unbounded, some cycle of open sides has negative cost, which
+    equals the sum of its steps' c'.  The scan reads prices, not flows: a
+    degenerate bounded optimum may carry +-K on an open side.  When it
+    fires, ``_ray`` solves the recession instance, which has no infinite
+    bound, so that solve's scan never fires.
 
     No solve checks the flows it returns: each caller reads its answer
     through ``checked_matrix``, ``feasibility``'s ``_answer`` and ``_ray``
@@ -778,14 +796,19 @@ def min_cost_circulation(
     adj, to, cap, edge_cost = graph.adj, graph.to, graph.cap, graph.cost
     pi = [0] * nodes
     admissible = adj
+    stale: "set[int]" = set()
+    if priced:
+        # under zero potentials an edge is admissible exactly when it costs nothing:
+        # only the ends of priced arcs filter their lists, and every other node shares
+        # its residual list, which push-relabel never changes
+        admissible = adj[:]
+        stale.update(compress(to[0::2], costs), compress(to[1::2], costs))
     pushes = relabels = 0
     reached = None
     while True:
-        if priced:
-            admissible = [
-                [idx for idx in edges if edge_cost[idx] + pi[v] == pi[to[idx]]]
-                for v, edges in enumerate(adj)
-            ]
+        for v in stale:
+            p = pi[v]
+            admissible[v] = [idx for idx in adj[v] if edge_cost[idx] + p == pi[to[idx]]]
         more_pushes, more_relabels, stranded = graph.push_relabel(admissible, excess)
         pushes += more_pushes
         relabels += more_relabels
@@ -797,48 +820,68 @@ def min_cost_circulation(
         unbalanced = [*compress(range(nodes), excess)]
         if not unbalanced:
             break
-        dist = _reduced_distances(graph, pi, [v for v in unbalanced if excess[v] > 0])
-        horizon = min(
-            (dist[v] for v in unbalanced if excess[v] < 0 and dist[v] is not None), default=None
+        dist, horizon, ball = _reduced_distances(
+            graph, pi, [v for v in unbalanced if excess[v] > 0], excess
         )
         if horizon is None:
             reached = [d is not None for d in dist]
             break
-        # capping the raise at the nearest sink's distance keeps every residual
-        # reduced cost nonnegative and makes the shortest paths to it tight
-        for v, d in enumerate(dist):
-            pi[v] += horizon if d is None or d > horizon else d
+        if horizon == 0:
+            raise InternalError("a priced round left excess on a path of zero reduced cost")
+        # the raise capped at the horizon, less the horizon at every node: only the
+        # edges that meet the ball change their reduced costs
+        for v in ball:
+            pi[v] += dist[v] - horizon
+        neighbours = map(to.__getitem__, chain.from_iterable(map(adj.__getitem__, ball)))
+        stale = set(ball).union(neighbours)
     if info is not None:
         info.update(pushes=pushes, relabels=relabels)
     if reached is not None:
         return make_cut_witness(net, frozenset(compress(range(nodes), reached)), True)
     if priced:
-        for idx in range(len(to)):
-            if cap[idx] > 0 and edge_cost[idx] + pi[to[idx ^ 1]] - pi[to[idx]] < 0:
-                raise InternalError("negative reduced cost left after optimization")
+        # c' = c + pi[tail] - pi[head] per arc; edge 2a runs from to[2a + 1] to to[2a],
+        # and edge 2a + 1 back at reduced cost -c'
+        tail_pi, head_pi = map(pi.__getitem__, to[1::2]), map(pi.__getitem__, to[0::2])
+        reduced = [*map(sub, map(add, costs, tail_pi), head_pi)]
+        if (min(compress(reduced, cap[0::2]), default=0) < 0
+                or max(compress(reduced, cap[1::2]), default=0) > 0):
+            raise InternalError("negative reduced cost left after optimization")
         big_k = net.big_k
-        if any(
-            (hi == big_k and c + pi[u] < pi[w]) or (lo == -big_k and c + pi[u] > pi[w])
-            # edge 2a runs from arc a's tail, to[2a + 1], to its head, to[2a]
-            for u, w, lo, hi, c in zip(to[1::2], to[0::2], lower, upper, costs)
-        ):
+        if (min(compress(reduced, map(big_k.__eq__, upper)), default=0) < 0
+                or max(compress(reduced, map((-big_k).__eq__, lower)), default=0) > 0):
             return _ray(net, cost)
     return Circulation(tuple(map(add, lower, cap[1::2])))
 
 
 def _reduced_distances(
-    graph: _FlowGraph, pi: list[int], sources: list[int]
-) -> "list[int | None]":
-    """Dijkstra on reduced costs over residual edges; None where unreached."""
+    graph: _FlowGraph, pi: list[int], sources: list[int], excess: list[int]
+) -> "tuple[list[int | None], int | None, list[int]]":
+    """Dijkstra on reduced costs over residual edges, stopped at the nearest sink.
+
+    Returns (dist, horizon, ball).  The search stops when it pops the
+    first node that lacks flow, negative in ``excess``; that node's
+    distance is the horizon, and the ball lists the nodes settled below
+    it, each with its exact distance in ``dist``.  Elsewhere ``dist`` holds
+    None or a value no less than the horizon.  When no such node can be
+    reached, the horizon is None, the heap runs empty, and ``dist`` is
+    exact, None at every unreached node.
+    """
     dist: "list[int | None]" = [None] * len(graph.adj)
     heap = [(0, v) for v in sources]
     for v in sources:
         dist[v] = 0
     adj, to, cap, cost = graph.adj, graph.to, graph.cap, graph.cost
+    ball = []
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
+        if excess[v] < 0:
+            # nodes pop in order of distance, so those at the horizon end the list
+            while ball and dist[ball[-1]] == d:
+                ball.pop()
+            return dist, d, ball
+        ball.append(v)
         base = d + pi[v]
         for idx in adj[v]:
             if cap[idx] > 0:
@@ -847,7 +890,7 @@ def _reduced_distances(
                 if dist[w] is None or nd < dist[w]:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
-    return dist
+    return dist, None, ball
 
 
 def _ray(net: Network, cost: Mapping[int, int]) -> Ray:

@@ -699,7 +699,79 @@ class TestCertificate:
         assert (False, True, True) in seen
 
 
+def _full_distances(graph: _FlowGraph, pi: list[int], sources: list[int]) -> list:
+    """Each node's least reduced-cost distance from the sources, None if unreached.
+
+    A plain Dijkstra that settles the nearest open node until none is left.
+    """
+    dist: list = [None] * len(graph.adj)
+    for v in sources:
+        dist[v] = 0
+    settled: set = set()
+    while True:
+        open_nodes = [v for v, d in enumerate(dist) if d is not None and v not in settled]
+        if not open_nodes:
+            return dist
+        v = min(open_nodes, key=dist.__getitem__)
+        settled.add(v)
+        for idx in graph.adj[v]:
+            w = graph.to[idx]
+            if graph.cap[idx] > 0:
+                d = dist[v] + graph.cost[idx] + pi[v] - pi[w]
+                if dist[w] is None or d < dist[w]:
+                    dist[w] = d
+
+
 class TestMinCost:
+    def test_stopped_dijkstra_matches_a_full_one(self):
+        # random residual graphs under random potentials, every residual reduced
+        # cost in 0..3 so that many nodes tie; an arc of positive reduced cost has
+        # no residual reverse edge
+        rng = random.Random(41)
+        seen = {"ties at the horizon": 0, "no sink reached": 0, "sink reached": 0}
+        for _ in range(400):
+            nodes = rng.randint(1, 12)
+            count = rng.randint(0, 3 * nodes)
+            tails = [rng.randrange(nodes) for _ in range(count)]
+            heads = [rng.randrange(nodes) for _ in range(count)]
+            pi = [rng.randint(-6, 6) for _ in range(nodes)]
+            reduced = [rng.choice((0, 0, 1, 2, 3)) for _ in range(count)]
+            costs = [r - pi[u] + pi[w] for r, u, w in zip(reduced, tails, heads)]
+            caps = [rng.randint(0, 2) for _ in range(count)]
+            backs = [rng.randint(0, 2) if r == 0 else 0 for r in reduced]
+            graph = _FlowGraph(nodes, tails, heads, caps, backs, costs)
+            excess = [rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(nodes)]
+            sources = [v for v in range(nodes) if excess[v] > 0]
+            full = _full_distances(graph, pi, sources)
+            dist, horizon, ball = circulation._reduced_distances(graph, pi, sources, excess)
+            sinks = [full[v] for v in range(nodes) if excess[v] < 0 and full[v] is not None]
+            assert horizon == min(sinks, default=None)
+            if horizon is None:
+                seen["no sink reached"] += 1
+                assert [d is not None for d in dist] == [d is not None for d in full]
+                continue
+            seen["sink reached"] += 1
+            seen["ties at the horizon"] += full.count(horizon) > 1
+            below = [v for v in range(nodes) if full[v] is not None and full[v] < horizon]
+            assert sorted(ball) == below
+            assert [dist[v] for v in below] == [full[v] for v in below]
+            # the ball's move differs by the horizon at every node from the raise
+            # capped at the nearest sink, so every reduced cost comes out the same
+            moved = pi[:]
+            for v in ball:
+                moved[v] += dist[v] - horizon
+            capped = [p + (horizon if d is None or d > horizon else d) for p, d in zip(pi, full)]
+            assert {c - p for c, p in zip(capped, moved)} == {horizon}
+        assert min(seen.values()) >= 20, seen
+
+    def test_a_round_that_strands_reachable_excess_is_an_error(self, monkeypatch):
+        # a round that moves nothing leaves a sink at distance 0, and a raise by 0
+        # would repeat it forever
+        monkeypatch.setattr(_FlowGraph, "push_relabel", lambda self, adj, excess: (0, 0, []))
+        net = build_network(asm_instance(3))
+        with pytest.raises(InternalError, match="zero reduced cost"):
+            min_cost_circulation(net, {net.a0_id: -1})
+
     def test_asm3_cost_minimum(self):
         inst = asm_instance(3)
         net = build_network(inst)

@@ -157,9 +157,9 @@ def test_total_sum_unbounded_by_construction(direction):
         assert check_sum(inst, direction) == "unbounded"
 
 
-def check_cost(rng: random.Random, inst: PbmInstance, direction: str) -> str:
+def check_cost(rng: random.Random, inst: PbmInstance, direction: str, spread: int = 5) -> str:
     m, n = inst.m, inst.n
-    costs = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
+    costs = IntMatrix.from_rows([[rng.randint(-spread, spread) for _ in range(n)] for _ in range(m)])
     got = optimize_cost(inst, costs, direction)
     sign = -1 if direction == "max" else 1
     weight = {(i, j): sign * costs.at(i, j) for i in range(1, m + 1) for j in range(1, n + 1)}
@@ -184,6 +184,20 @@ def test_linear_cost(direction):
     assert "optimal" in statuses and "unbounded" in statuses
     statuses = {check_cost(rng, small_open(rng), direction) for _ in range(100)}
     assert statuses == {"optimal", "unbounded"}
+
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_linear_cost_wide_spread(direction):
+    # costs in [-10^4, 10^4] take 23 to 153 priced rounds per answer here, each of
+    # which stops its search at the nearest sink and moves the potentials inside it
+    rng = random.Random(f"wide cost:{direction}")
+    statuses = []
+    for _ in range(4):
+        m, n = rng.randint(10, 14), rng.randint(10, 14)
+        open_rate = 0.4 if len(statuses) % 2 else 0.0
+        inst = feasible_random(rng, m, n, inf_rate=0.3 + open_rate, entry_inf_rate=open_rate)
+        statuses.append(check_cost(rng, inst, direction, 10**4))
+    assert "optimal" in statuses and "unbounded" in statuses
 
 
 def pin_entry(rng: random.Random, inst: PbmInstance) -> PbmInstance:
