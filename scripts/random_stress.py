@@ -45,11 +45,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from pbm.core import IntMatrix, fin  # noqa: E402
-from pbm.decompose import decompose, shrink_instance  # noqa: E402
+from pbm.decompose import decompose  # noqa: E402
 from pbm.feasibility import optimize_cost, pin_entries, solve  # noqa: E402
 from pbm.strongpair import eval_strong_pair  # noqa: E402
 from pbm import oracle  # noqa: E402
-from helpers import feasible_random, line_values, random_instance  # noqa: E402
+from helpers import feasible_random, line_values, random_instance, shrink_instance  # noqa: E402
 
 
 def decomposition_fault(inst, a: IntMatrix, k: int) -> "str | None":

@@ -71,7 +71,7 @@ from .feasibility import (
     pin_entries,
     solve,
 )
-from .decompose import Decomposition, decompose, decompose_k_regular_asm, shrink_instance
+from .decompose import Decomposition, decompose, decompose_k_regular_asm
 
 # The ASM toolkit, the segment families and the enumeration oracle load on
 # first use: a command that only solves never compiles them.  ``decompose``
@@ -80,8 +80,7 @@ from .decompose import Decomposition, decompose, decompose_k_regular_asm, shrink
 _LAZY = {
     name: module
     for module, names in (
-        ("segments", ("HORIZONTAL", "VERTICAL", "Segment", "SegmentStats", "maximal_segments",
-                      "segment_stats")),
+        ("segments", ("HORIZONTAL", "VERTICAL", "Segment", "maximal_segments")),
         ("asmkit", ("SPartition", "SegmentFamilyCertificate", "asm_instance",
                     "aval_sign_instance", "brualdi_dahl_instance", "compatible_asm",
                     "higher_spin_instance", "k_regular_instance", "max_plus_ones_subordinate",

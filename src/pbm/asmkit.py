@@ -253,15 +253,9 @@ class SPartition:
             ),
         )
 
-    def to_labels(self) -> list[list[str]]:
-        return [list(row) for row in self.labels]
-
     def allows(self, mat: IntMatrix) -> bool:
         """Whether every entry of ``mat`` takes a value its cell's label allows."""
         return all(v in _ALLOWED[self.labels[i - 1][j - 1]] for i, j, v in mat.cells())
-
-    def label_at(self, i: int, j: int) -> str:
-        return self.labels[i - 1][j - 1]
 
 
 # The entry bounds each partition label puts on its cell: its least and

@@ -145,12 +145,6 @@ class Network:
     def v2_node(self, i: int, j: int) -> int:
         return self.m * self.n + (i - 1) * self.n + (j - 1)
 
-    def a1_id(self, i: int, j: int) -> int:
-        return (i - 1) * self.n + (j - 1)
-
-    def a2_id(self, i: int, j: int) -> int:
-        return self.m * self.n + (i - 1) * self.n + (j - 1)
-
     def n_arc_id(self, i: int, j: int) -> int:
         return 2 * self.m * self.n + (i - 1) * self.n + (j - 1)
 

@@ -47,7 +47,6 @@ __all__ = [
     "instance_from_json",
     "instance_to_json",
     "matrix_from_json",
-    "matrix_to_json",
     "mask_from_json",
     "mask_to_json",
 ]
@@ -112,30 +111,6 @@ class ExtInt:
 
     def __rsub__(self, other: "ExtInt | int") -> "ExtInt":
         return as_ext(other) + (-self)
-
-    def times(self, k: int) -> "ExtInt":
-        """Scalar multiple; 0 * inf is defined as 0."""
-        if self.tag == 0:
-            return fin(self.value * k)
-        if k == 0:
-            return ExtInt(0, 0)
-        return ExtInt(self.tag if k > 0 else -self.tag)
-
-    def floor_div(self, k: int) -> "ExtInt":
-        """Floor division by a positive integer; infinities pass through."""
-        if k <= 0:
-            raise ValueError("divisor must be positive")
-        if self.tag != 0:
-            return self
-        return fin(self.value // k)
-
-    def ceil_div(self, k: int) -> "ExtInt":
-        """Ceiling division by a positive integer; infinities pass through."""
-        if k <= 0:
-            raise ValueError("divisor must be positive")
-        if self.tag != 0:
-            return self
-        return fin(-((-self.value) // k))
 
     # one call per comparison; functools.total_ordering would make two or three
     def __lt__(self, other: "ExtInt | int") -> bool:
@@ -289,7 +264,7 @@ class ExtMatrix:
     cell has value 0, so the values of a table add up to its finite mass
     and ``value + tag * K`` clamps any cell to +-K.  ``rows``, ``at``,
     ``cells`` and ``to_lists`` build ``ExtInt``s only when called;
-    ``floor_div``, ``ceil_div`` and ``pinned`` work on the flat ints.
+    ``pinned`` works on the flat ints.
     """
 
     m: int
@@ -347,14 +322,6 @@ class ExtMatrix:
 
     def at(self, i: int, j: int) -> ExtInt:
         return self._cell(self._index(i, j))
-
-    def floor_div(self, k: int) -> "ExtMatrix":
-        """Every cell floor-divided by k >= 1; an infinite cell keeps its value 0."""
-        return ExtMatrix(self.m, self.n, tuple([v // k for v in self.values]), self.tags)
-
-    def ceil_div(self, k: int) -> "ExtMatrix":
-        """Every cell ceiling-divided by k >= 1; an infinite cell keeps its value 0."""
-        return ExtMatrix(self.m, self.n, tuple([-(-v // k) for v in self.values]), self.tags)
 
     def pinned(self, pins: Iterable[tuple[int, int, int]]) -> "ExtMatrix":
         """A copy holding the finite value v at each cell (i, j) of the triples (i, j, v)."""
@@ -424,14 +391,6 @@ class SubsetMask:
 
     def complement(self) -> "SubsetMask":
         return SubsetMask(self.m, self.n, SubsetMask.full(self.m, self.n).cells - self.cells)
-
-    def row_cols(self, i: int) -> list[int]:
-        """Sorted column indices of the subset's cells in row i."""
-        return sorted(j for (r, j) in self.cells if r == i)
-
-    def col_rows(self, j: int) -> list[int]:
-        """Sorted row indices of the subset's cells in column j."""
-        return sorted(i for (i, c) in self.cells if c == j)
 
     def sorted_cells(self) -> list[tuple[int, int]]:
         return sorted(self.cells)
@@ -624,10 +583,6 @@ def matrix_from_json(raw: object) -> IntMatrix:
     if not isinstance(raw, list):
         raise InstanceFormatError("matrix must be a list of rows")
     return IntMatrix.from_rows(raw)
-
-
-def matrix_to_json(mat: IntMatrix) -> list[list[int]]:
-    return mat.to_lists()
 
 
 def mask_from_json(m: int, n: int, raw: object) -> SubsetMask:

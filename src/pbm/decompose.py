@@ -40,7 +40,6 @@ pairwise disjoint supports.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, filterfalse, repeat
@@ -59,7 +58,6 @@ from .errors import BadParams, BoundViolation, InfeasibleInput, InternalError, N
 
 __all__ = [
     "Decomposition",
-    "shrink_instance",
     "decompose",
     "decompose_k_regular_asm",
 ]
@@ -94,27 +92,6 @@ class Decomposition:
         )
         acc = [*map(sum, zip(*scaled))]
         return IntMatrix(m, n, tuple(tuple(acc[k : k + n]) for k in range(0, m * n, n)))
-
-
-def shrink_instance(inst: PbmInstance, k: int) -> PbmInstance:
-    """Divide a valid instance's bounds by k: lower bounds floored, upper ceiled.
-
-    The result needs no re-validation: lo <= hi gives floor(lo / k) <=
-    ceil(hi / k), and infinities pass through on the side they came from.
-    """
-    if k < 1:
-        raise BadParams(f"k must be a positive integer, got {k}")
-    return dataclasses.replace(
-        inst,
-        phi1=inst.phi1.floor_div(k),
-        gamma1=inst.gamma1.ceil_div(k),
-        phi2=inst.phi2.floor_div(k),
-        gamma2=inst.gamma2.ceil_div(k),
-        f=inst.f.floor_div(k),
-        g=inst.g.ceil_div(k),
-        alpha=inst.alpha.floor_div(k),
-        beta=inst.beta.ceil_div(k),
-    )
 
 
 def _halve(m: int, n: int, z: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

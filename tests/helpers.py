@@ -14,7 +14,9 @@ sum is unbounded in one direction, and ``open_instance`` leaves every
 bound infinite.
 
 ``line_values`` reads a matrix's arc values off the definitions, without
-the library's circulation code.
+the library's circulation code.  ``scaled_instance`` multiplies an
+instance's bounds by k, and ``shrink_instance`` divides them by k as the
+decomposition theorem states them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import random
 from itertools import accumulate
 from operator import add
 
-from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin
+from pbm.core import NEG_INF, POS_INF, ExtInt, IntMatrix, PbmInstance, fin
 
 
 def random_instance(rng: random.Random, m: int, n: int, inf_rate: float = 0.25) -> PbmInstance:
@@ -123,3 +125,33 @@ def line_values(mat: IntMatrix) -> list[int]:
         sum(rows[r][j] for r in range(i)) for i in range(1, mat.m + 1) for j in range(mat.n)
     ]
     return entries + row_prefixes + col_prefixes + [sum(entries)]
+
+
+def _map_bounds(inst: PbmInstance, low, high) -> PbmInstance:
+    """``inst`` with ``low`` applied to the value of every lower bound and ``high`` to every upper one.
+
+    Tags pass through, and both maps send 0 to 0, so an infinite cell keeps
+    its value 0 and stays infinite on its own side.
+    """
+    def mapped(name: str, op):
+        bound = getattr(inst, name)
+        if isinstance(bound, ExtInt):
+            return dataclasses.replace(bound, value=op(bound.value))
+        return dataclasses.replace(bound, values=tuple(map(op, bound.values)))
+
+    lows = {name: mapped(name, low) for name in ("phi1", "phi2", "f", "alpha")}
+    highs = {name: mapped(name, high) for name in ("gamma1", "gamma2", "g", "beta")}
+    return dataclasses.replace(inst, **lows, **highs)
+
+
+def scaled_instance(inst: PbmInstance, k: int) -> PbmInstance:
+    """Every finite bound of ``inst`` times k >= 1."""
+    return _map_bounds(inst, lambda v: v * k, lambda v: v * k)
+
+
+def shrink_instance(inst: PbmInstance, k: int) -> PbmInstance:
+    """The instance shrunk by k >= 1: lower bounds divided by k and floored, upper ones ceiled.
+
+    Every part of a decomposition into k parts meets it.
+    """
+    return _map_bounds(inst, lambda v: v // k, lambda v: -(-v // k))

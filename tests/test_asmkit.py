@@ -184,8 +184,7 @@ class TestSPartition:
     def test_label_round_trip(self):
         labels = [["+1", "0"], ["-", "F"]]
         part = SPartition.from_labels(labels)
-        assert part.to_labels() == labels
-        assert part.label_at(2, 1) == "-"
+        assert part.labels == (("+1", "0"), ("-", "F"))
 
     def test_bad_label(self):
         with pytest.raises(BadParams):
@@ -212,10 +211,10 @@ class TestSPartition:
             assert union == SubsetMask.full(n, n)
             assert sum(map(len, masks.values())) == n * n  # so the classes are disjoint
             for lab, mask in masks.items():
-                assert all(part.label_at(i, j) == lab for i, j in mask.cells)
+                assert all(part.labels[i - 1][j - 1] == lab for i, j in mask.cells)
             assert part.cells("0", "-1", "-") == masks["0"] | masks["-1"] | masks["-"]
-            assert part.to_labels() == grid
-            assert SPartition.from_labels(part.to_labels()) == part
+            assert part.labels == tuple(map(tuple, grid))
+            assert SPartition.from_labels(part.labels) == part
 
 
 

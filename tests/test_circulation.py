@@ -30,7 +30,7 @@ from pbm.decompose import decompose
 from pbm.errors import BoundViolation, InternalError
 from pbm.feasibility import extremal_total_sum, optimize_cost, solve
 
-from helpers import feasible_random, open_instance, open_last_entry, random_instance
+from helpers import feasible_random, open_instance, open_last_entry, random_instance, scaled_instance
 
 
 def _reference_bounds(inst: PbmInstance) -> list:
@@ -70,7 +70,8 @@ class TestNetworkShape:
         net = build_network(asm_instance(1))
         assert net.node_count == 4
         assert len(net.lower) == 4
-        a1 = net.a1_id(1, 1)
+        # the A1 and A2 arcs of a cell have the ids of its nodes v1 and v2
+        a1 = net.v1_node(1, 1)
         assert (net.lower[a1], net.upper[a1]) == (1, 1)
         n_arc = net.n_arc_id(1, 1)
         assert (net.lower[n_arc], net.upper[n_arc]) == (-1, 1)
@@ -85,12 +86,12 @@ class TestNetworkShape:
     def test_arc_endpoints_concatenate_prefixes(self):
         net = build_network(asm_instance(2))
         # horizontal arc at (i, j) carries the j-th prefix sum of row i
-        arc = net.a1_id(1, 1)
+        arc = net.v1_node(1, 1)
         assert net.tail[arc] == net.v1_node(1, 2) and net.head[arc] == net.v1_node(1, 1)
-        last = net.a1_id(1, 2)
+        last = net.v1_node(1, 2)
         assert net.tail[last] == net.v1_hub
         # vertical arcs run downward into the hub
-        vlast = net.a2_id(2, 1)
+        vlast = net.v2_node(2, 1)
         assert net.head[vlast] == net.v2_hub
 
     def test_big_k_dominates_finite_bounds(self):
@@ -108,7 +109,7 @@ class TestNetworkShape:
         net = build_network(feasible_random(random.Random(34), m, n))
         for i in range(1, m + 1):
             for j in range(1, n + 1):
-                a1, a2, e = net.a1_id(i, j), net.a2_id(i, j), net.n_arc_id(i, j)
+                a1, a2, e = net.v1_node(i, j), net.v2_node(i, j), net.n_arc_id(i, j)
                 a1_tail = net.v1_node(i, j + 1) if j < n else net.v1_hub
                 a2_head = net.v2_node(i + 1, j) if i < m else net.v2_hub
                 assert (net.tail[a1], net.head[a1]) == (a1_tail, net.v1_node(i, j))
@@ -509,15 +510,6 @@ def _reference_contradiction(lines, window, crossing, f, g):
 _TABLES = ("phi1", "gamma1", "phi2", "gamma2", "f", "g")
 
 
-def _times(inst: PbmInstance, k: int) -> PbmInstance:
-    """Every finite bound of ``inst`` times k."""
-    tables = {
-        name: dataclasses.replace(t, values=tuple(v * k for v in t.values))
-        for name, t in ((name, getattr(inst, name)) for name in _TABLES)
-    }
-    return dataclasses.replace(inst, **tables, alpha=inst.alpha.times(k), beta=inst.beta.times(k))
-
-
 def _shifted_windows(inst: PbmInstance, rng: random.Random, count: int) -> PbmInstance:
     """``inst`` with ``count`` random prefix windows moved by up to 3, both finite sides alike."""
     tables = {name: [*getattr(inst, name).values] for name in _TABLES[:4]}
@@ -559,7 +551,7 @@ class TestMergedLinePass:
         seen = {}
         ends = set()
         cases = [*self.instances()]
-        cases += [_times(inst, 10**40) for inst in cases[::3]]
+        cases += [scaled_instance(inst, 10**40) for inst in cases[::3]]
         for inst in cases:
             net = build_network(inst)
             columns, rows, col_window, row_window, f, g = circulation._line_tables(net)
@@ -771,6 +763,28 @@ class TestMinCost:
         net = build_network(asm_instance(3))
         with pytest.raises(InternalError, match="zero reduced cost"):
             min_cost_circulation(net, {net.a0_id: -1})
+
+    def test_a_flow_that_is_not_optimal_is_an_error(self, monkeypatch):
+        # the 1x1 network is one cycle; once the rounds have delivered every excess,
+        # one unit moves back around it, and the entry's edge of negative reduced
+        # cost regains residual capacity
+        push_relabel = _FlowGraph.push_relabel
+
+        def spy(self, adj, excess):
+            got = push_relabel(self, adj, excess)
+            if not any(excess):
+                for a in range(len(self.cap) // 2):
+                    self.cap[2 * a] += 1
+                    self.cap[2 * a + 1] -= 1
+            return got
+
+        monkeypatch.setattr(_FlowGraph, "push_relabel", spy)
+        two = [[fin(2)]]
+        zero = [[fin(0)]]
+        inst = PbmInstance.create(1, 1, zero, two, zero, two, zero, two, fin(0), fin(2))
+        net = build_network(inst)
+        with pytest.raises(InternalError, match="negative reduced cost left after optimization"):
+            min_cost_circulation(net, {net.n_arc_id(1, 1): -1})
 
     def test_asm3_cost_minimum(self):
         inst = asm_instance(3)

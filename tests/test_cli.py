@@ -294,6 +294,16 @@ class TestAsm:
         assert code == EXIT_INFEASIBLE
         assert doc["family"]["size"] == 2 and doc["family"]["required"] == 3
 
+    def test_compatible_all_zero_names_a_segment_family(self, capsys):
+        # no 2x2 ASM has four zeros; the answer's family comes from maximal_segments
+        labels = json.dumps([["0", "0"], ["0", "0"]])
+        code, doc, _ = run(capsys, "asm", "--compatible", labels)
+        assert code == EXIT_INFEASIBLE
+        assert doc["family"]["size"] == 1 and doc["family"]["required"] == 2
+        assert doc["family"]["segments"] == [
+            {"orientation": "vertical", "line": 2, "start": 1, "end": 2}
+        ]
+
     def test_compatible_oracle(self, capsys, tmp_path):
         lfile = write_json(tmp_path / "labels.json", [["F", "F"], ["F", "F"]])
         code, doc, _ = run(capsys, "asm", "--compatible", f"@{lfile}", "--oracle")

@@ -5,29 +5,22 @@ import random
 
 import pytest
 
-from pbm.core import ExtMatrix, IntMatrix, PbmInstance, fin, validate_instance
+from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin, validate_instance
 from pbm.asmkit import asm_instance, k_regular_instance
 from pbm.circulation import Circulation, checked_matrix, circulation_from_matrix
-from pbm.decompose import Decomposition, _box, _halve, decompose, decompose_k_regular_asm, shrink_instance
+from pbm.decompose import Decomposition, _box, _halve, decompose, decompose_k_regular_asm
 from pbm.errors import BadParams, InfeasibleInput, InternalError, NotKRegular
 from pbm import oracle
 from pbm.feasibility import solve
 
-from helpers import feasible_random, line_values, open_instance, random_instance
-
-
-def scaled_instance(inst: PbmInstance, k: int) -> PbmInstance:
-    def scale(mat: ExtMatrix) -> list:
-        return [[v.times(k) for v in row] for row in
-                [[mat.at(i, j) for j in range(1, inst.n + 1)] for i in range(1, inst.m + 1)]]
-
-    return PbmInstance.create(
-        inst.m, inst.n,
-        scale(inst.phi1), scale(inst.gamma1),
-        scale(inst.phi2), scale(inst.gamma2),
-        scale(inst.f), scale(inst.g),
-        inst.alpha.times(k), inst.beta.times(k),
-    )
+from helpers import (
+    feasible_random,
+    line_values,
+    open_instance,
+    random_instance,
+    scaled_instance,
+    shrink_instance,
+)
 
 
 def signs_agree(part: IntMatrix, whole: IntMatrix) -> bool:
@@ -307,6 +300,19 @@ class TestShrink:
                 for k in range(1, 9):
                     # shrink_instance does not validate; this raises on a broken order
                     validate_instance(shrink_instance(inst, k))
+
+    def test_shrink_undoes_scaling(self):
+        rng = random.Random(62)
+        for _ in range(40):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            inst = random_instance(rng, m, n, inf_rate=0.4)
+            for k in (1, 2, 7):
+                assert shrink_instance(scaled_instance(inst, k), k) == inst
+
+    def test_scaling_keeps_infinite_bounds(self):
+        big = scaled_instance(asm_instance(2), 3)
+        assert big.phi1.at(1, 2) == fin(3) and big.gamma1.at(1, 2) == fin(3)
+        assert big.alpha == NEG_INF and big.beta == POS_INF
 
 
 class TestKRegular:

@@ -7,8 +7,8 @@ from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-# Every name ``from pbm import *`` bound while the package imported all of its
-# modules up front.
+# Every public name of the package; ``from pbm import *`` binds them all, the
+# lazily loaded ones included.
 STAR_NAMES = {
     "BadEntries", "BadParams", "BoundOrderViolation", "BoundViolation", "BudgetExceeded",
     "Certificate", "Circulation", "ConditionEval", "CutWitness", "Decomposition",
@@ -16,7 +16,7 @@ STAR_NAMES = {
     "IllegalInfinity", "InequalityRecord", "InfeasibleInput", "InfinityClash",
     "InstanceFormatError", "IntMatrix", "InternalError", "NEG_INF", "Network",
     "NotKRegular", "POS_INF", "PbmError", "PbmInstance", "PrescriptionOutOfEntryBounds",
-    "Ray", "Result", "SPartition", "Segment", "SegmentFamilyCertificate", "SegmentStats",
+    "Ray", "Result", "SPartition", "Segment", "SegmentFamilyCertificate",
     "StrictCheck", "StrongPairEval", "SubsetMask", "VERTICAL", "asm_instance", "asmkit",
     "aval_sign_instance", "brualdi_dahl_instance", "build_network", "check_condition",
     "check_strict", "circulation", "circulation_from_matrix", "compatible_asm",
@@ -25,8 +25,8 @@ STAR_NAMES = {
     "feasibility", "fin", "higher_spin_instance", "instance_from_json", "instance_to_json",
     "k_regular_instance", "mask_sum", "matrix_from_circulation", "matrix_satisfies",
     "max_plus_ones_subordinate", "maximal_segments", "min_cost_circulation", "network_to_dot",
-    "optimize_cost", "oracle", "pasm_instance", "pin_entries", "segment_stats", "segments",
-    "shrink_instance", "solve", "strongpair", "subordinate_asm", "sum_majorized_instance",
+    "optimize_cost", "oracle", "pasm_instance", "pin_entries", "segments", "solve",
+    "strongpair", "subordinate_asm", "sum_majorized_instance",
     "validate_instance", "wasm_instance",
 }
 

@@ -1,4 +1,4 @@
-"""Maximal segments and their positional statistics."""
+"""Maximal segments of a cell subset."""
 
 import pytest
 from hypothesis import given
@@ -10,7 +10,6 @@ from pbm.segments import (
     VERTICAL,
     Segment,
     maximal_segments,
-    segment_stats,
 )
 
 
@@ -18,27 +17,12 @@ def test_row_splits_into_separated_runs():
     mask = SubsetMask.from_cells(1, 4, [(1, 1), (1, 2), (1, 4)])
     segs = maximal_segments(mask, HORIZONTAL)
     assert [(s.start, s.end) for s in segs] == [(1, 2), (4, 4)]
-    assert [s.classify(4) for s in segs] == ["prefix", "suffix"]
 
 
 def test_vertical_segments_ordered_by_column():
     mask = SubsetMask.from_cells(3, 2, [(1, 1), (2, 1), (3, 2), (1, 2)])
     segs = maximal_segments(mask, VERTICAL)
     assert [(s.line, s.start, s.end) for s in segs] == [(1, 1, 2), (2, 1, 1), (2, 3, 3)]
-
-
-def test_classification_cases():
-    assert Segment(HORIZONTAL, 1, 1, 4).classify(4) == "full"
-    assert Segment(HORIZONTAL, 1, 1, 2).classify(4) == "prefix"
-    assert Segment(HORIZONTAL, 1, 3, 4).classify(4) == "suffix"
-    assert Segment(HORIZONTAL, 1, 2, 3).classify(4) == "interior"
-    # a single cell in a length-1 line covers the whole line
-    assert Segment(VERTICAL, 1, 1, 1).classify(1) == "full"
-
-
-def test_segment_cells():
-    assert Segment(HORIZONTAL, 2, 1, 3).cells() == [(2, 1), (2, 2), (2, 3)]
-    assert Segment(VERTICAL, 3, 2, 3).cells() == [(2, 3), (3, 3)]
 
 
 def test_bad_segment_rejected():
@@ -50,14 +34,19 @@ def test_bad_segment_rejected():
         maximal_segments(SubsetMask.empty(1, 1), "diagonal")
 
 
-def test_stats_on_explicit_subset():
-    mask = SubsetMask.from_cells(2, 3, [(1, 1), (1, 2), (2, 2), (2, 3)])
-    stats = segment_stats(mask)
-    assert stats.sigma1 == 2 and stats.pr1 == 1 and stats.su1 == 1
-    assert stats.se1 == 0 and stats.fu1 == 0
-    # columns: col1 [1,1] prefix, col2 [1,2] full, col3 [2,2] suffix
-    assert stats.sigma2 == 3
-    assert (stats.pr2, stats.fu2, stats.su2, stats.se2) == (1, 1, 1, 0)
+def test_full_mask_has_one_segment_per_line():
+    mask = SubsetMask.full(3, 2)
+    assert [(s.line, s.start, s.end) for s in maximal_segments(mask, HORIZONTAL)] == [
+        (1, 1, 2), (2, 1, 2), (3, 1, 2),
+    ]
+    assert [(s.line, s.start, s.end) for s in maximal_segments(mask, VERTICAL)] == [
+        (1, 1, 3), (2, 1, 3),
+    ]
+
+
+def test_empty_mask_has_no_segments():
+    for orientation in (HORIZONTAL, VERTICAL):
+        assert maximal_segments(SubsetMask.empty(3, 2), orientation) == []
 
 
 cells_strategy = st.sets(
@@ -66,18 +55,14 @@ cells_strategy = st.sets(
 
 
 @given(cells_strategy)
-def test_counts_partition(cells):
-    mask = SubsetMask.from_cells(4, 4, cells)
-    stats = segment_stats(mask)
-    assert stats.sigma1 == stats.se1 + stats.pr1 + stats.su1 + stats.fu1
-    assert stats.sigma2 == stats.se2 + stats.pr2 + stats.su2 + stats.fu2
-
-
-@given(cells_strategy)
 def test_segments_cover_mask_exactly(cells):
     mask = SubsetMask.from_cells(4, 4, cells)
     for orientation in (HORIZONTAL, VERTICAL):
-        covered = [c for s in maximal_segments(mask, orientation) for c in s.cells()]
+        covered = [
+            (s.line, pos) if orientation == HORIZONTAL else (pos, s.line)
+            for s in maximal_segments(mask, orientation)
+            for pos in range(s.start, s.end + 1)
+        ]
         assert sorted(covered) == mask.sorted_cells()
         assert len(covered) == len(set(covered))
 

@@ -12,7 +12,7 @@ from pbm.core import NEG_INF, POS_INF, ExtMatrix, PbmInstance, SubsetMask, fin
 from pbm.errors import InfinityClash
 from pbm.asmkit import asm_instance, pasm_instance
 from pbm.oracle import _PairTables
-from pbm.segments import HORIZONTAL, VERTICAL, maximal_segments, segment_stats
+from pbm.segments import HORIZONTAL, VERTICAL, maximal_segments
 from pbm.strongpair import (
     INEQUALITY_NAMES,
     condition_values,
@@ -240,14 +240,35 @@ def test_strong_pair_sums_elementary_pairs_over_maximal_segments(m, n, data):
 
 @given(st.integers(1, 6), st.data())
 def test_asm_strong_pair_counts_segments(n, data):
-    # on the ASM windows (prefix sums in [0, 1], line sums 1) an interior
-    # segment adds (-1, 1), a prefix or suffix (0, 1) and a full line (1, 1)
+    # the paper's strong pair in its alternating sign matrix case: on the ASM
+    # windows (every prefix sum in [0, 1], every line sum 1) an interior
+    # segment's elementary pair is (-1, 1), a prefix's or a suffix's (0, 1)
+    # and a full line's (1, 1), so p = full - interior segments and b counts
+    # the segments, by rows and by columns alike
     cells = data.draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n))))
     mask = SubsetMask.from_cells(n, n, cells)
-    stats = segment_stats(mask)
     ev = eval_strong_pair(asm_instance(n), mask)
-    assert (ev.p1, ev.b1) == (stats.fu1 - stats.se1, stats.sigma1)
-    assert (ev.p2, ev.b2) == (stats.fu2 - stats.se2, stats.sigma2)
+    for orientation, pair in ((HORIZONTAL, (ev.p1, ev.b1)), (VERTICAL, (ev.p2, ev.b2))):
+        segs = maximal_segments(mask, orientation)
+        full = sum(s.start == 1 and s.end == n for s in segs)
+        interior = sum(1 < s.start and s.end < n for s in segs)
+        assert pair == (full - interior, len(segs))
+
+
+@pytest.mark.parametrize(
+    "cells, pairs",
+    [
+        # rows: a prefix, a suffix and a full row; columns: a prefix and a suffix
+        # in column 1, a full column 2 and a suffix in column 3
+        ([(1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)], (1, 3, 1, 4)),
+        # the centre cell alone is interior to its row and to its column
+        ([(2, 2)], (-1, 1, -1, 1)),
+    ],
+    ids=["ends", "interior"],
+)
+def test_asm_strong_pair_on_explicit_subsets(cells, pairs):
+    ev = eval_strong_pair(asm_instance(3), SubsetMask.from_cells(3, 3, cells))
+    assert (ev.p1, ev.b1, ev.p2, ev.b2) == pairs
 
 
 def _maximal_runs(cells, m, n, horizontal):
