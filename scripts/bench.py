@@ -264,7 +264,7 @@ def hub_cut_row() -> dict:
     witness = min_cost_circulation(net)
     if not isinstance(witness, CutWitness) or not {net.v1_hub, net.v2_hub} & witness.nodes:
         raise SystemExit("asm(55) with beta = 54 gave no cut that names a hub")
-    x1, x2, _, _ = cut_to_certificate(net, witness)
+    cert = cut_to_certificate(net, witness)
     # a call takes about a millisecond, so each sample is the mean of CALLS calls
     times = timeit.repeat("cut_to_certificate(net, witness)",
                           globals={**globals(), "net": net, "witness": witness},
@@ -278,8 +278,8 @@ def hub_cut_row() -> dict:
         "calls_per_run": CALLS,
         **spread(times),
         "named": len(witness.nodes),
-        "x1": len(x1),
-        "x2": len(x2),
+        "x1": len(cert.x1),
+        "x2": len(cert.x2),
     }
 
 

@@ -288,7 +288,8 @@ class SegmentFamilyCertificate:
     The family has ``size`` segments (a multiset: a one-cell segment may
     appear once horizontally and once vertically), yet any compatible ASM
     would need at least ``required`` = n + uncovered_minus_ones +
-    twice_covered_plus_ones of them.
+    twice_covered_plus_ones of them.  The CLI prints the fields, and each
+    ``Segment``'s, in this order as the keys of ``family`` (docs/schema.md).
     """
 
     segments: tuple[Segment, ...]

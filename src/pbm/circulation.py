@@ -58,8 +58,9 @@ of the cut that set is.
 ``make_cut_witness`` checks the cut's deficit again, summed over the arcs
 that meet the named set, and ``cut_to_certificate`` hands the named set's
 cells, as one set of cell indices per layer, straight to the strong-pair
-sums of the violated inequality on a pair of cell subsets.  So a cut that
-names a node or two costs what those nodes cost, whatever the grid.
+sums of the violated inequality, and returns the pair of cell subsets
+with those sums as a ``Certificate``.  So a cut that names a node or two
+costs what those nodes cost, whatever the grid.
 
 An optimum is unbounded exactly when some open side, a bound clamped to
 +-K, has negative reduced cost under the optimal potentials; a ``Ray``
@@ -86,6 +87,7 @@ from . import strongpair
 
 __all__ = [
     "Network",
+    "Certificate",
     "Circulation",
     "CutWitness",
     "Ray",
@@ -1001,18 +1003,31 @@ _CUT_CASES = {
 }
 
 
-def cut_to_certificate(
-    net: Network, witness: CutWitness
-) -> tuple[SubsetMask, SubsetMask, int, strongpair.InequalityRecord]:
-    """Translate a violated node set into a violated inequality.
+@dataclass(frozen=True, slots=True)
+class Certificate:
+    """A subset pair on which the inequality ``violated`` strictly fails: lhs > rhs.
+
+    ``case`` (1-4) says on which sides of the cut the two hubs lie.  The CLI
+    prints the fields in this order as the keys of ``certificate`` (docs/schema.md).
+    """
+
+    x1: SubsetMask
+    x2: SubsetMask
+    case: int
+    violated: str
+    lhs: ExtInt
+    rhs: ExtInt
+
+
+def cut_to_certificate(net: Network, witness: CutWitness) -> Certificate:
+    """Translate a violated node set into the ``Certificate`` of a violated inequality.
 
     The hubs' sides of the cut select one of four cases, each naming the
     inequality it breaks.  X1 (X2) holds the cells whose layer-1 (layer-2)
     node lies on the other side of the cut from v1_hub (v2_hub).  The
     named inequality is evaluated from the instance's true bounds, on X1
     and X2 as sets of row-major cell indices, and must be strictly
-    violated; anything else is an internal bug.  Returns (X1, X2, case,
-    the evaluated record of the violated inequality), X1 and X2 as masks.
+    violated; anything else is an internal bug.
     """
     named, complement = witness.nodes, witness.complement
     m, n, mn = net.m, net.n, net.m * net.n
@@ -1039,7 +1054,7 @@ def cut_to_certificate(
         cols = map(add, map(mod, picked, repeat(n)), repeat(1))
         return SubsetMask(m, n, frozenset(zip(rows, cols)))
 
-    return mask(x1), mask(x2), case, record
+    return Certificate(mask(x1), mask(x2), case, violated, record.lhs, record.rhs)
 
 
 def _node_name(net: Network, v: int) -> str:

@@ -15,14 +15,22 @@ import functools
 import json
 import sys
 import time
+from dataclasses import fields
 from itertools import chain, product, starmap
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .core import IntMatrix, instance_from_json, mask_from_json, mask_to_json, matrix_from_json
+from .core import (
+    ExtInt,
+    IntMatrix,
+    SubsetMask,
+    instance_from_json,
+    mask_from_json,
+    mask_to_json,
+    matrix_from_json,
+)
 from .decompose import decompose
 from .errors import InstanceFormatError, PbmError
 from .feasibility import (
-    Certificate,
     check_strict,
     extremal_total_sum,
     optimize_cost,
@@ -33,8 +41,6 @@ from .circulation import build_network, circulation_from_matrix, network_to_dot
 from .strongpair import condition_values, eval_strong_pair
 
 # asmkit and oracle load inside the commands that use them, so solving never compiles them
-if TYPE_CHECKING:
-    from .asmkit import SegmentFamilyCertificate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -89,43 +95,29 @@ def _pins_from_json(raw) -> list[tuple[int, int, int]]:
     return [tuple(item) for item in raw]
 
 
-def _certificate_json(cert: Certificate) -> dict:
-    return {
-        "x1": mask_to_json(cert.x1),
-        "x2": mask_to_json(cert.x2),
-        "case": cert.case,
-        "violated": cert.violated,
-        "lhs": cert.lhs.to_json(),
-        "rhs": cert.rhs.to_json(),
-    }
+def _record_json(record) -> dict:
+    """A record's fields, in order, as its document's keys; a tuple holds records."""
+    doc: dict = {}
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, ExtInt):
+            value = value.to_json()
+        elif isinstance(value, SubsetMask):
+            value = mask_to_json(value)
+        elif isinstance(value, tuple):
+            value = [*map(_record_json, value)]
+        doc[field.name] = value
+    return doc
 
 
-def _family_json(family: "SegmentFamilyCertificate") -> dict:
-    return {
-        "segments": [
-            {
-                "orientation": seg.orientation,
-                "line": seg.line,
-                "start": seg.start,
-                "end": seg.end,
-            }
-            for seg in family.segments
-        ],
-        "size": family.size,
-        "uncovered_minus_ones": family.uncovered_minus_ones,
-        "twice_covered_plus_ones": family.twice_covered_plus_ones,
-        "required": family.required,
-    }
-
-
-def _diagnostics(info: dict, wall_s: float) -> dict:
-    return {
-        "arcs": info["arcs"],
-        "nodes": info["nodes"],
-        "pushes": info["pushes"],
-        "relabels": info["relabels"],
-        "wall_ms": round(wall_s * 1000.0, 3),
-    }
+def _timed(solver, *args) -> tuple:
+    """``solver(*args, info)``, and the ``diagnostics`` block that docs/schema.md lays out."""
+    info: dict = {}
+    t0 = time.perf_counter()
+    result = solver(*args, info)
+    wall_s = time.perf_counter() - t0
+    diagnostics = {k: info[k] for k in ("arcs", "nodes", "pushes", "relabels")}
+    return result, {**diagnostics, "wall_ms": round(wall_s * 1000.0, 3)}
 
 
 def _outcome(result, **head) -> dict:
@@ -136,9 +128,9 @@ def _outcome(result, **head) -> dict:
     if result.matrix is not None:
         doc["matrix"] = result.matrix.to_lists()
     if result.certificate is not None:
-        doc["certificate"] = _certificate_json(result.certificate)
+        doc["certificate"] = _record_json(result.certificate)
     if result.family is not None:
-        doc["family"] = _family_json(result.family)
+        doc["family"] = _record_json(result.family)
     return doc
 
 
@@ -221,10 +213,7 @@ def _cmd_solve(args) -> int:
     inst = instance_from_json(_load_json(args.instance))
     if args.prescribe:
         inst = pin_entries(inst, _pins_from_json(_load_arg(args.prescribe)))
-    info: dict = {}
-    t0 = time.perf_counter()
-    result = solve(inst, info)
-    wall = time.perf_counter() - t0
+    result, diagnostics = _timed(solve, inst)
     if args.dump_dot:
         circ = None if result.matrix is None else circulation_from_matrix(inst, result.matrix)
         with open(args.dump_dot, "w") as fh:
@@ -232,7 +221,7 @@ def _cmd_solve(args) -> int:
     doc = _outcome(result)
     if args.command == "check":
         doc.pop("matrix", None)
-    doc["diagnostics"] = _diagnostics(info, wall)
+    doc["diagnostics"] = diagnostics
     record = None
     if args.oracle:
         from . import oracle
@@ -248,12 +237,9 @@ def _cmd_solve(args) -> int:
 def _cmd_sum(args) -> int:
     inst = instance_from_json(_load_json(args.instance))
     direction = "max" if args.max else "min"
-    info: dict = {}
-    t0 = time.perf_counter()
-    result = extremal_total_sum(inst, direction, info)
-    wall = time.perf_counter() - t0
+    result, diagnostics = _timed(extremal_total_sum, inst, direction)
     doc = _outcome(result, direction=direction)
-    doc["diagnostics"] = _diagnostics(info, wall)
+    doc["diagnostics"] = diagnostics
     record = None
     if args.oracle:
         from . import oracle
@@ -273,12 +259,9 @@ def _cmd_cost(args) -> int:
     inst = instance_from_json(_load_json(args.instance))
     costs = matrix_from_json(_load_json(args.costs))
     direction = "max" if args.max else "min"
-    info: dict = {}
-    t0 = time.perf_counter()
-    result = optimize_cost(inst, costs, direction, info)
-    wall = time.perf_counter() - t0
+    result, diagnostics = _timed(optimize_cost, inst, costs, direction)
     doc = _outcome(result, direction=direction)
-    doc["diagnostics"] = _diagnostics(info, wall)
+    doc["diagnostics"] = diagnostics
     record = None
     if args.oracle:
         from . import oracle
@@ -392,12 +375,8 @@ def _cmd_eval(args) -> int:
     inst = instance_from_json(_load_json(args.instance))
     mask = mask_from_json(inst.m, inst.n, _load_arg(args.subset))
     ev = eval_strong_pair(inst, mask)
-    doc: dict = {
-        "p1": ev.p1.to_json(),
-        "b1": ev.b1.to_json(),
-        "p2": ev.p2.to_json(),
-        "b2": ev.b2.to_json(),
-    }
+    doc = _record_json(ev)
+    summary = " ".join(f"{key}={value}" for key, value in doc.items())
     if args.subset2:
         mask2 = mask_from_json(inst.m, inst.n, _load_arg(args.subset2))
         cond = condition_values(inst, mask, mask2)
@@ -421,7 +400,7 @@ def _cmd_eval(args) -> int:
     doc["strict"] = strict.is_strict
     if strict.is_strict:
         doc["common_sum"] = strict.common_sum
-    return _finish(doc, f"p1={ev.p1} b1={ev.b1} p2={ev.p2} b2={ev.b2}", record)
+    return _finish(doc, summary, record)
 
 
 def _cmd_oracle(args) -> int:

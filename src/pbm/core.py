@@ -542,6 +542,8 @@ def instance_from_json(doc: Mapping[str, object]) -> PbmInstance:
         raise InstanceFormatError(f"missing key {exc.args[0]!r}") from None
     if not isinstance(m, int) or not isinstance(n, int) or isinstance(m, bool) or isinstance(n, bool):
         raise InstanceFormatError("m and n must be integers")
+    if m < 1 or n < 1:
+        raise DimensionMismatch(f"need m, n >= 1, got {m}x{n}")
     for key in ("phi1", "gamma1", "phi2", "gamma2"):
         if key not in doc:
             raise InstanceFormatError(f"missing key {key!r}")

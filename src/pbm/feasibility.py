@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .circulation import (
+    Certificate,
     CutWitness,
     Ray,
     build_network,
@@ -30,7 +31,7 @@ from .circulation import (
     cut_to_certificate,
     min_cost_circulation,
 )
-from .core import NEG_INF, POS_INF, ExtInt, IntMatrix, PbmInstance, SubsetMask
+from .core import NEG_INF, POS_INF, IntMatrix, PbmInstance, SubsetMask
 from .errors import DimensionMismatch, InternalError, PrescriptionOutOfEntryBounds
 from .strongpair import condition_values
 
@@ -48,18 +49,6 @@ __all__ = [
     "pin_entries",
     "check_strict",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Certificate:
-    """A subset pair on which the named inequality strictly fails."""
-
-    x1: SubsetMask
-    x2: SubsetMask
-    case: int
-    violated: str
-    lhs: ExtInt
-    rhs: ExtInt
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,9 +93,10 @@ def _answer(
 
     Without ``cost`` this decides feasibility; with it, it optimizes
     sum(cost[a] * flow[a]) over the arcs ``cost`` names, in ``direction``,
-    which must be "max" or "min".  A circulation is read by
-    ``checked_matrix`` against ``net.instance``, the instance the network
-    was built from.
+    which must be "max" or "min".  A cut comes back as the ``Certificate``
+    that ``cut_to_certificate`` reads off it, and a circulation as the
+    matrix that ``checked_matrix`` reads off it against ``net.instance``,
+    the instance the network was built from.
     """
     if cost is not None and direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
@@ -114,9 +104,7 @@ def _answer(
     signed = None if cost is None else {a: sign * c for a, c in cost.items()}
     res = min_cost_circulation(net, signed, info)
     if isinstance(res, CutWitness):
-        x1, x2, case, record = cut_to_certificate(net, res)
-        cert = Certificate(x1, x2, case, record.name, record.lhs, record.rhs)
-        return Result("infeasible", certificate=cert, direction=direction)
+        return Result("infeasible", certificate=cut_to_certificate(net, res), direction=direction)
     if isinstance(res, Ray):
         return Result("unbounded", direction=direction)
     mat = checked_matrix(net.instance, res)

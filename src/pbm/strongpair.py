@@ -59,7 +59,10 @@ INEQUALITY_NAMES = ("gen1a", "gen1b", "gen1alfa", "gen1beta")
 
 @dataclass(frozen=True, slots=True)
 class StrongPairEval:
-    """Values of the strong pair on one subset, in both orientations."""
+    """Values of the strong pair on one subset, in both orientations.
+
+    ``pbm eval`` prints the fields, in this order, as its first keys (docs/schema.md).
+    """
 
     p1: ExtInt
     b1: ExtInt

@@ -10,6 +10,7 @@ from pbm.core import IntMatrix, SubsetMask, fin
 from pbm.asmkit import (
     SPartition,
     WING_PATTERNS,
+    _family_from_certificate,
     asm_instance,
     aval_sign_instance,
     brualdi_dahl_instance,
@@ -22,9 +23,9 @@ from pbm.asmkit import (
     sum_majorized_instance,
     wasm_instance,
 )
-from pbm.errors import BadEntries, BadParams, DimensionMismatch
+from pbm.errors import BadEntries, BadParams, DimensionMismatch, InternalError
 from pbm import oracle
-from pbm.feasibility import solve
+from pbm.feasibility import Certificate, solve
 
 
 LABELS = ["0", "+1", "-1", "+", "-", "F"]
@@ -240,6 +241,14 @@ class TestCompatibleAsm:
         assert fam.uncovered_minus_ones == 1 and fam.twice_covered_plus_ones == 0
         assert fam.size < fam.required
         assert res.certificate.violated in ("gen1a", "gen1b")
+
+    def test_family_of_a_total_window_inequality_is_caught(self):
+        # the partition instances leave the total sum open, so only gen1a and gen1b can fail
+        part = SPartition.from_labels([["0", "0"], ["0", "0"]])
+        empty = SubsetMask.empty(2, 2)
+        cert = Certificate(empty, empty, 3, "gen1alfa", fin(1), fin(0))
+        with pytest.raises(InternalError, match="^unexpected violated inequality gen1alfa$"):
+            _family_from_certificate(part, cert)
 
     def test_family_matches_exhaustive_search(self):
         # solver verdict == existence of a compatible matrix in the ASM census

@@ -307,7 +307,8 @@ class TestFeasibility:
         assert isinstance(witness, CutWitness)
         assert searches.count(1) == 1
         assert info["pushes"] == 0
-        assert not cut_to_certificate(net, witness)[3].holds
+        cert = cut_to_certificate(net, witness)
+        assert cert.lhs > cert.rhs
 
     def test_make_cut_witness_rejects_nonviolating_set(self):
         net = build_network(asm_instance(1))
@@ -416,12 +417,12 @@ class TestLineCut:
         witness = min_cost_circulation(net)
         named = (witness.nodes, witness.complement)
         assert witnesses == [named] and named == (nodes, complement)
-        x1, x2, got_case, record = cut_to_certificate(net, witness)
-        assert (got_case, record.name) == (case, violated)
-        bits = [sum(1 << ((i - 1) * 2 + j - 1) for i, j in x.cells) for x in (x1, x2)]
+        cert = cut_to_certificate(net, witness)
+        assert (cert.case, cert.violated) == (case, violated)
+        bits = [sum(1 << ((i - 1) * 2 + j - 1) for i, j in x.cells) for x in (cert.x1, cert.x2)]
         values = {name: (lhs, rhs) for name, lhs, rhs in oracle._PairTables(inst).pair_values(*bits)}
-        assert values[violated] == (record.lhs, record.rhs)
-        assert record.lhs > record.rhs
+        assert values[violated] == (cert.lhs, cert.rhs)
+        assert cert.lhs > cert.rhs
 
     def test_one_line_pass_per_direction(self, monkeypatch, graph_builds):
         # each pass runs over the other layer's plain windows, so a row cut
@@ -461,7 +462,8 @@ class TestLineCut:
         witness = min_cost_circulation(net, info=info)
         assert isinstance(witness, CutWitness)
         assert info == {"nodes": 6052, "arcs": 9076, "pushes": 0, "relabels": 0}
-        assert not cut_to_certificate(net, witness)[3].holds
+        cert = cut_to_certificate(net, witness)
+        assert cert.lhs > cert.rhs
 
 
 def _reference_reach_along(lines, window, crossing, f, g):
@@ -587,7 +589,8 @@ class TestMergedLinePass:
                     continue
                 cut = min_cost_circulation(net)
                 assert isinstance(cut, CutWitness)
-                assert not cut_to_certificate(net, cut)[3].holds
+                cert = cut_to_certificate(net, cut)
+                assert cert.lhs > cert.rhs
                 ends.add("no line cut")
         # each pass both finds reaches and names chains, an empty entry interval among them
         assert seen["column"] == {(True, False), (False, False), (False, True)}
@@ -599,11 +602,17 @@ class TestCertificate:
     def test_contradictory_1x1_case1(self):
         net = build_network(contradictory_1x1())
         witness = min_cost_circulation(net)
-        x1, x2, case, record = cut_to_certificate(net, witness)
-        assert case == 1 and record.name == "gen1a"
-        assert not record.holds
-        assert x1.sorted_cells() == [(1, 1)]
-        assert x2.sorted_cells() == [(1, 1)]
+        cert = cut_to_certificate(net, witness)
+        assert cert.case == 1 and cert.violated == "gen1a"
+        assert cert.lhs > cert.rhs
+        assert cert.x1.sorted_cells() == [(1, 1)]
+        assert cert.x2.sorted_cells() == [(1, 1)]
+
+    def test_cut_that_violates_nothing_is_caught(self):
+        # no node named and neither hub across the cut: gen1b on two empty sets reads 0 <= 0
+        net = build_network(asm_instance(2))
+        with pytest.raises(InternalError, match="^cut does not violate gen1b: lhs 0 <= rhs 0$"):
+            cut_to_certificate(net, CutWitness(frozenset(), False, -1))
 
     def test_no_certificate_for_reachable_cut(self):
         net = build_network(contradictory_1x1())
@@ -620,10 +629,10 @@ class TestCertificate:
             got = min_cost_circulation(net)
             if not isinstance(got, CutWitness):
                 continue
-            x1, x2, case, record = cut_to_certificate(net, got)
-            seen_cases.add(case)
-            assert record.name in ("gen1a", "gen1b", "gen1alfa", "gen1beta")
-            assert not record.holds
+            cert = cut_to_certificate(net, got)
+            seen_cases.add(cert.case)
+            assert cert.violated in ("gen1a", "gen1b", "gen1alfa", "gen1beta")
+            assert cert.lhs > cert.rhs
         assert seen_cases  # at least one infeasible instance appeared
 
     def test_cell_set_record_matches_mask_path(self):
@@ -649,11 +658,12 @@ class TestCertificate:
             for cut in cuts:
                 if not isinstance(cut, CutWitness):
                     continue
-                x1, x2, case, record = cut_to_certificate(net, cut)
-                inst = net.instance
-                assert record == strongpair.condition_values(inst, x1, x2).by_name(record.name)
-                assert not record.holds
-                cases.add(case)
+                cert = cut_to_certificate(net, cut)
+                record = strongpair.InequalityRecord(cert.violated, cert.lhs, cert.rhs)
+                inst, x1, x2 = net.instance, cert.x1, cert.x2
+                assert record == strongpair.condition_values(inst, x1, x2).by_name(cert.violated)
+                assert cert.lhs > cert.rhs
+                cases.add(cert.case)
                 sizes.add(min(len(x1), len(x2)) > 1)
                 hubs = {net.v1_hub, net.v2_hub} & cut.nodes
                 kinds.add((net.m * net.n >= 3025, _reach(net)[1] is not None, bool(hubs)))
@@ -840,6 +850,16 @@ class TestMinCost:
         best = extremal_total_sum(inst, "max")
         assert (best.status, best.value) == ("optimal", 1)
         assert raises
+
+    def test_ray_of_no_negative_cost_is_caught(self, monkeypatch):
+        # the main solve finds the open sum unbounded; the recession solve inside
+        # _ray then answers the zero circulation, a direction that costs nothing
+        def zero(net, cost=None, info=None):
+            return Circulation((0,) * len(net.lower))
+
+        monkeypatch.setattr(circulation, "min_cost_circulation", zero)
+        with pytest.raises(InternalError, match="spell no direction of negative cost: 0$"):
+            extremal_total_sum(open_instance(1, 2), "max")
 
     def test_unbounded_returns_ray(self):
         # the entry and both prefix windows are open above, so rewarding the

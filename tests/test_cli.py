@@ -76,6 +76,8 @@ class TestCheckSolve:
         code, doc, err = run(capsys, "check", bad1x1_file)
         assert code == EXIT_INFEASIBLE
         cert = doc["certificate"]
+        # the printed keys are Certificate's fields, in the order docs/schema.md gives
+        assert list(cert) == ["x1", "x2", "case", "violated", "lhs", "rhs"]
         assert cert["violated"] == "gen1a" and cert["case"] == 1
         assert cert["lhs"] == 1 and cert["rhs"] == 0
         assert cert["x1"] == [[1, 1]] and cert["x2"] == [[1, 1]]
@@ -303,6 +305,11 @@ class TestAsm:
         assert doc["family"]["segments"] == [
             {"orientation": "vertical", "line": 2, "start": 1, "end": 2}
         ]
+        # the printed keys are the records' fields, in the order docs/schema.md gives
+        assert list(doc["family"]) == [
+            "segments", "size", "uncovered_minus_ones", "twice_covered_plus_ones", "required"
+        ]
+        assert list(doc["family"]["segments"][0]) == ["orientation", "line", "start", "end"]
 
     def test_compatible_oracle(self, capsys, tmp_path):
         lfile = write_json(tmp_path / "labels.json", [["F", "F"], ["F", "F"]])
@@ -445,6 +452,7 @@ class TestEval:
         f = write_json(tmp_path / "asm3.json", instance_to_json(asm_instance(3)))
         code, doc, _ = run(capsys, "eval", f, "--subset", "[[1,1],[1,2],[1,3]]", "--oracle")
         assert code == EXIT_OK
+        assert list(doc) == ["p1", "b1", "p2", "b2", "oracle", "strict", "common_sum"]
         assert doc["p1"] == 1 and doc["b1"] == 1
         assert doc["strict"] and doc["common_sum"] == 3
         assert doc["oracle"]["agrees"]
@@ -583,10 +591,15 @@ class TestErrorPaths:
             ({"gamma1": None}, "gamma1 must be a list of rows, each a list"),
             ({"f": None}, "f must be a list of rows, each a list"),
             ({"g": None}, "g must be a list of rows, each a list"),
+            ({"m": 1.0}, "m and n must be integers"),
+            ({"m": True}, "m and n must be integers"),
+            # the size is checked before the shapes of the tables
+            ({"m": 0}, "need m, n >= 1, got 0x2"),
+            ({"m": 3}, "phi1 is 2x2, instance is 3x2"),
         ],
         ids=["cell-string", "cell-float", "cell-bool", "ragged-row", "ragged-first-row",
              "empty-table", "alpha-string", "beta-float", "phi1-null", "gamma1-null",
-             "f-null", "g-null"],
+             "f-null", "g-null", "m-float", "m-bool", "m-zero", "table-shape"],
     )
     def test_parse_error_names_table_and_cell(self, capsys, tmp_path, changes, message):
         doc = {
@@ -599,6 +612,20 @@ class TestErrorPaths:
         code, out, err = run(capsys, "solve", path)
         assert code == EXIT_ERROR and out is None
         assert err == f"error: {message}\n"
+
+    def test_size_checked_against_a_table_before_defaults(self, capsys, tmp_path):
+        # the default f and g take the instance's size only once a table read from the file has it
+        doc = {"m": 10**20, "n": 1, "phi1": [[0]], "gamma1": [[1]], "phi2": [[0]], "gamma2": [[1]]}
+        code, out, err = run(capsys, "solve", write_json(tmp_path / "huge.json", doc))
+        assert code == EXIT_ERROR and out is None
+        assert err == f"error: phi1 is 1x1, instance is {10**20}x1\n"
+
+    def test_missing_pattern_key_named(self, capsys, tmp_path):
+        # the one KeyError that reaches main
+        path = write_json(tmp_path / "wings.json", {"cols": ["++"]})
+        code, out, err = run(capsys, "wasm", path)
+        assert code == EXIT_ERROR and out is None
+        assert err == "error: missing key 'rows'\n"
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -568,6 +568,22 @@ class TestJson:
         with pytest.raises(InstanceFormatError):
             instance_from_json({"m": 1, "n": 1})
 
+    @pytest.mark.parametrize(
+        "parse, raw, message",
+        [
+            (instance_from_json, [[0]], "instance document must be a JSON object"),
+            (instance_from_json, {"n": 1}, "missing key 'm'"),
+            (matrix_from_json, 5, "matrix must be a list of rows"),
+            (lambda raw: mask_from_json(2, 2, raw), 5, "subset must be a list of [i, j] pairs"),
+            (lambda raw: mask_from_json(2, 2, raw), [[1]], "bad cell [1]; expected [i, j]"),
+        ],
+        ids=["instance-not-object", "instance-no-m", "matrix-not-list", "mask-not-list",
+             "mask-short-cell"],
+    )
+    def test_bad_document_rejected(self, parse, raw, message):
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+            parse(raw)
+
     def test_matrix_round_trip(self):
         mat = IntMatrix.from_rows([[1, 2], [3, 4]])
         assert matrix_from_json(mat.to_lists()) == mat
@@ -577,3 +593,4 @@ class TestJson:
         mask = SubsetMask.from_cells(2, 2, [(1, 2), (2, 1)])
         assert mask_from_json(2, 2, mask_to_json(mask)) == mask
         assert mask_from_json(2, 2, [[1, 2], [2, 1]]) == mask
+        assert mask_from_json(2, 2, {"cells": [[1, 1]]}) == SubsetMask.from_cells(2, 2, [(1, 1)])

@@ -7,7 +7,7 @@ import pytest
 
 from pbm.core import NEG_INF, POS_INF, IntMatrix, PbmInstance, fin, validate_instance
 from pbm.asmkit import asm_instance, k_regular_instance
-from pbm.circulation import Circulation, checked_matrix, circulation_from_matrix
+from pbm.circulation import Circulation, CutWitness, checked_matrix, circulation_from_matrix
 from pbm.decompose import Decomposition, _box, _halve, decompose, decompose_k_regular_asm
 from pbm.errors import BadParams, InfeasibleInput, InternalError, NotKRegular
 from pbm import oracle
@@ -269,6 +269,14 @@ class TestHalve:
         assert len(solves) == 2
 
 
+    def test_peel_that_finds_no_part_is_caught(self, monkeypatch):
+        # k = 3 peels one part off a box instance, which always has one
+        mod = importlib.import_module("pbm.decompose")
+        monkeypatch.setattr(mod, "min_cost_circulation", lambda net: CutWitness(frozenset(), False, -1))
+        with pytest.raises(InternalError, match="^peeling step found no part"):
+            decompose(open_instance(2, 2), IntMatrix.from_rows([[1, 0], [0, 1]]), 3)
+
+
 class TestShrink:
     def test_floor_and_ceil(self):
         inst = PbmInstance.create(
@@ -349,6 +357,10 @@ class TestKRegular:
         assert len(mats) == 2
         assert all(oracle.is_asm(mt) for mt in mats)
         assert mats[0].add(mats[1]) == a
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(BadParams, match="^k must be a positive integer, got 0$"):
+            decompose_k_regular_asm(IntMatrix.from_rows([[1]]), 0)
 
     def test_not_square_rejected(self):
         with pytest.raises(NotKRegular):

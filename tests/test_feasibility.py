@@ -259,6 +259,18 @@ class TestExtremal:
 
 
 class TestOptimizeCost:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (circulation.circulation_from_matrix, "matrix is 1x2, instance is 2x2"),
+            (optimize_cost, "cost matrix is 1x2, instance is 2x2"),
+        ],
+        ids=["circulation", "costs"],
+    )
+    def test_matrix_of_wrong_shape_rejected(self, call, message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            call(asm_instance(2), IntMatrix.from_rows([[1, 0]]))
+
     def test_asm2_diagonal_reward(self):
         costs = IntMatrix.from_rows([[-1, 0], [0, -1]])
         res = optimize_cost(asm_instance(2), costs, "min")
