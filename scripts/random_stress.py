@@ -78,7 +78,7 @@ def decomposition_fault(inst, a: IntMatrix, k: int) -> "str | None":
 def certificate_fault(tables: oracle._PairTables, cert) -> "str | None":
     """What is wrong with a certificate, judged by the instance's ``oracle._PairTables``, or None."""
     inst = tables.inst
-    x1, x2 = (sum(1 << ((i - 1) * inst.n + j - 1) for i, j in x.cells) for x in (cert.x1, cert.x2))
+    x1, x2 = (sum(1 << k for k in x.cells) for x in (cert.x1, cert.x2))
     values = {name: (lhs, rhs) for name, lhs, rhs in tables.pair_values(x1, x2)}
     lhs, rhs = values[cert.violated]
     if (lhs, rhs) != (cert.lhs, cert.rhs):

@@ -63,7 +63,6 @@ from .circulation import (
 from .feasibility import (
     Certificate,
     Result,
-    StrictCheck,
     check_condition,
     check_strict,
     extremal_total_sum,

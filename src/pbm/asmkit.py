@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .core import (
@@ -242,16 +243,8 @@ class SPartition:
 
     def cells(self, *labels: str) -> SubsetMask:
         """The cells whose label is one of ``labels``."""
-        return SubsetMask(
-            self.n,
-            self.n,
-            frozenset(
-                (i, j)
-                for i, row in enumerate(self.labels, start=1)
-                for j, lab in enumerate(row, start=1)
-                if lab in labels
-            ),
-        )
+        flat = chain.from_iterable(self.labels)
+        return SubsetMask(self.n, self.n, frozenset(k for k, lab in enumerate(flat) if lab in labels))
 
     def allows(self, mat: IntMatrix) -> bool:
         """Whether every entry of ``mat`` takes a value its cell's label allows."""

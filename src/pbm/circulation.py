@@ -78,7 +78,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, compress, repeat
-from operator import add, floordiv, le, mod, neg, not_, sub
+from operator import add, le, neg, not_, sub
 from typing import Mapping, Sequence
 
 from .core import ExtInt, ExtMatrix, IntMatrix, PbmInstance, SubsetMask
@@ -1034,11 +1034,11 @@ def cut_to_certificate(net: Network, witness: CutWitness) -> Certificate:
     hub1_named, hub2_named = net.v1_hub in named, net.v2_hub in named
     case, violated = _CUT_CASES[hub1_named != complement, hub2_named != complement]
 
-    def layer_cells(first: int, hub_named: bool) -> set[int]:
+    def layer_cells(first: int, hub_named: bool) -> frozenset[int]:
         # a layer numbers its nodes row-major from the node of cell (1, 1); a
         # node lies across the cut from its hub when exactly one of them is named
-        cells = {v - first for v in named if first <= v < first + mn}
-        return set(range(mn)).difference(cells) if hub_named else cells
+        cells = frozenset(v - first for v in named if first <= v < first + mn)
+        return frozenset(range(mn)).difference(cells) if hub_named else cells
 
     x1 = layer_cells(net.v1_node(1, 1), hub1_named)
     x2 = layer_cells(net.v2_node(1, 1), hub2_named)
@@ -1047,14 +1047,9 @@ def cut_to_certificate(net: Network, witness: CutWitness) -> Certificate:
         raise InternalError(
             f"cut does not violate {violated}: lhs {record.lhs} <= rhs {record.rhs}"
         )
-
-    def mask(cells: set[int]) -> SubsetMask:
-        picked = [*map(n.__add__, cells)]
-        rows = map(floordiv, picked, repeat(n))
-        cols = map(add, map(mod, picked, repeat(n)), repeat(1))
-        return SubsetMask(m, n, frozenset(zip(rows, cols)))
-
-    return Certificate(mask(x1), mask(x2), case, violated, record.lhs, record.rhs)
+    return Certificate(
+        SubsetMask(m, n, x1), SubsetMask(m, n, x2), case, violated, record.lhs, record.rhs
+    )
 
 
 def _node_name(net: Network, v: int) -> str:

@@ -396,10 +396,10 @@ def _cmd_eval(args) -> int:
         )
         record = {"horizontal": list(h), "vertical": list(v), "agrees": agrees}
         doc["oracle"] = record  # placed here so that the strict fields follow it
-    strict = check_strict(inst)
-    doc["strict"] = strict.is_strict
-    if strict.is_strict:
-        doc["common_sum"] = strict.common_sum
+    common_sum = check_strict(inst)
+    doc["strict"] = common_sum is not None
+    if common_sum is not None:
+        doc["common_sum"] = common_sum
     return _finish(doc, summary, record)
 
 

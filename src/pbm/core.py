@@ -4,6 +4,8 @@ Conventions used across the package:
 
 * all indices are 1-based: rows run 1..m, columns 1..n;
 * integer matrices are stored row-major as tuples of tuples;
+* a cell subset (``SubsetMask``) holds row-major cell indices,
+  k = (i - 1) * n + j - 1, the indices of the flat bound tables;
 * bound tables (``ExtMatrix``) are stored row-major as two flat tuples,
   int ``values`` and ``tags`` of -1, 0 or +1 for -inf, finite and +inf;
   an infinite cell has value 0, as an infinite ``ExtInt`` does, so the
@@ -339,11 +341,17 @@ class ExtMatrix:
 
 @dataclass(frozen=True, slots=True)
 class SubsetMask:
-    """A subset of the cells of an m x n grid."""
+    """A subset of the cells of an m x n grid, as row-major cell indices.
+
+    ``cells`` holds k = (i - 1) * n + j - 1 for each chosen cell (i, j),
+    so sorting it gives the cells in row-major order.  Cells as (i, j)
+    pairs appear only at the boundary: ``from_cells`` reads them,
+    ``sorted_cells`` returns them, and ``in`` tests one.
+    """
 
     m: int
     n: int
-    cells: frozenset[tuple[int, int]]
+    cells: frozenset[int]
 
     @staticmethod
     def from_cells(m: int, n: int, cells: Iterable[tuple[int, int]]) -> "SubsetMask":
@@ -355,7 +363,7 @@ class SubsetMask:
                 raise InstanceFormatError(f"cell ({i!r}, {j!r}) needs integer coordinates")
             if not (1 <= i <= m and 1 <= j <= n):
                 raise DimensionMismatch(f"cell ({i},{j}) outside {m}x{n} grid")
-        return SubsetMask(m, n, cs)
+        return SubsetMask(m, n, frozenset((i - 1) * n + j - 1 for i, j in cs))
 
     @staticmethod
     def empty(m: int, n: int) -> "SubsetMask":
@@ -363,16 +371,15 @@ class SubsetMask:
 
     @staticmethod
     def full(m: int, n: int) -> "SubsetMask":
-        return SubsetMask(
-            m, n, frozenset((i, j) for i in range(1, m + 1) for j in range(1, n + 1))
-        )
+        return SubsetMask(m, n, frozenset(range(m * n)))
 
     def _same_grid(self, other: "SubsetMask") -> None:
         if (self.m, self.n) != (other.m, other.n):
             raise DimensionMismatch("masks live on different grids")
 
     def __contains__(self, cell: tuple[int, int]) -> bool:
-        return cell in self.cells
+        i, j = cell
+        return 1 <= i <= self.m and 1 <= j <= self.n and (i - 1) * self.n + j - 1 in self.cells
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -390,10 +397,11 @@ class SubsetMask:
         return SubsetMask(self.m, self.n, self.cells - other.cells)
 
     def complement(self) -> "SubsetMask":
-        return SubsetMask(self.m, self.n, SubsetMask.full(self.m, self.n).cells - self.cells)
+        return SubsetMask(self.m, self.n, frozenset(range(self.m * self.n)) - self.cells)
 
     def sorted_cells(self) -> list[tuple[int, int]]:
-        return sorted(self.cells)
+        """The cells as (i, j) pairs, in row-major order."""
+        return [(k // self.n + 1, k % self.n + 1) for k in sorted(self.cells)]
 
 
 @dataclass(frozen=True, slots=True)

@@ -260,8 +260,6 @@ def decompose_k_regular_asm(a: IntMatrix, k: int) -> list[IntMatrix]:
     """
     from .asmkit import k_regular_instance
 
-    if k < 1:
-        raise BadParams(f"k must be a positive integer, got {k}")
     if a.m != a.n:
         raise NotKRegular(f"matrix must be square, got {a.m}x{a.n}")
     try:

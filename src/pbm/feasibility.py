@@ -41,7 +41,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Certificate",
     "Result",
-    "StrictCheck",
     "solve",
     "check_condition",
     "extremal_total_sum",
@@ -168,46 +167,18 @@ def pin_entries(inst: PbmInstance, pins: Iterable[tuple[int, int, int]]) -> PbmI
     return dataclasses.replace(inst, f=inst.f.pinned(pins), g=inst.g.pinned(pins))
 
 
-@dataclass(frozen=True, slots=True)
-class StrictCheck:
-    """Whether all full-line prefix windows pin the line sums to one total."""
-
-    is_strict: bool
-    common_sum: "int | None" = None
-    mismatch: "str | None" = None
-
-
-def check_strict(inst: PbmInstance) -> StrictCheck:
-    """Detect pinned line sums: every row and column sum forced, equal total.
+def check_strict(inst: PbmInstance) -> "int | None":
+    """The total H that pinned line sums force on every matrix, or None if none.
 
     Strict means phi1(i, n) == gamma1(i, n) for every row, phi2(m, j) ==
     gamma2(m, j) for every column, and the forced row sums and column sums
     add up to the same total H.
     """
     n, m = inst.n, inst.m
-    row_sums = []
-    for i in range(1, m + 1):
-        lo, hi = inst.phi1.at(i, n), inst.gamma1.at(i, n)
-        if lo != hi:
-            return StrictCheck(
-                is_strict=False,
-                mismatch=f"row {i} sum not pinned: phi1({i},{n}) = {lo}, gamma1({i},{n}) = {hi}",
-            )
-        row_sums.append(lo.finite())
-    col_sums = []
-    for j in range(1, n + 1):
-        lo, hi = inst.phi2.at(m, j), inst.gamma2.at(m, j)
-        if lo != hi:
-            return StrictCheck(
-                is_strict=False,
-                mismatch=f"column {j} sum not pinned: phi2({m},{j}) = {lo}, gamma2({m},{j}) = {hi}",
-            )
-        col_sums.append(lo.finite())
-    if sum(row_sums) != sum(col_sums):
-        return StrictCheck(
-            is_strict=False,
-            mismatch=(
-                f"row sums add to {sum(row_sums)} but column sums add to {sum(col_sums)}"
-            ),
-        )
-    return StrictCheck(is_strict=True, common_sum=sum(row_sums))
+    rows = [(inst.phi1.at(i, n), inst.gamma1.at(i, n)) for i in range(1, m + 1)]
+    cols = [(inst.phi2.at(m, j), inst.gamma2.at(m, j)) for j in range(1, n + 1)]
+    if any(lo != hi for lo, hi in rows + cols):
+        return None
+    # a lower bound is never +inf and an upper bound never -inf, so equal ends are finite
+    total = sum(lo.value for lo, _ in rows)
+    return total if total == sum(lo.value for lo, _ in cols) else None

@@ -319,13 +319,9 @@ class _PairTables:
             self.p2[mask], self.b2[mask] = p2, b2
 
     def mask_to_subset(self, mask: int) -> SubsetMask:
-        cells = [
-            (i, j)
-            for i in range(1, self.m + 1)
-            for j in range(1, self.n + 1)
-            if mask >> ((i - 1) * self.n + (j - 1)) & 1
-        ]
-        return SubsetMask.from_cells(self.m, self.n, cells)
+        """The subset whose row-major cell index k is set as bit k of ``mask``."""
+        cells = frozenset(k for k in range(self.m * self.n) if mask >> k & 1)
+        return SubsetMask(self.m, self.n, cells)
 
     def pair_values(self, x1: int, x2: int) -> list[tuple[str, ExtInt, ExtInt]]:
         """(name, lhs, rhs) of the four inequalities on a bitmask pair."""
@@ -477,14 +473,15 @@ def line_polytope_minmax(
     length = inst.n if horizontal else inst.m
     total_min = 0
     total_max = 0
+    cells = mask.sorted_cells()
     for line in range(1, lines + 1):
         if horizontal:
-            chosen = {j for (i, j) in mask.cells if i == line}
+            chosen = {j for (i, j) in cells if i == line}
             windows = [
                 (inst.phi1.at(line, j), inst.gamma1.at(line, j)) for j in range(1, length + 1)
             ]
         else:
-            chosen = {i for (i, j) in mask.cells if j == line}
+            chosen = {i for (i, j) in cells if j == line}
             windows = [
                 (inst.phi2.at(i, line), inst.gamma2.at(i, line)) for i in range(1, length + 1)
             ]

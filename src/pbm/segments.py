@@ -49,11 +49,16 @@ def maximal_segments(mask: SubsetMask, orientation: str) -> list[Segment]:
     """
     if orientation not in (HORIZONTAL, VERTICAL):
         raise ValueError(f"bad orientation {orientation!r}")
-    cells = mask.cells if orientation == HORIZONTAL else ((j, i) for i, j in mask.cells)
+    # each cell as (line, position along it), both 0-based
+    n = mask.n
+    if orientation == HORIZONTAL:
+        cells = [divmod(k, n) for k in mask.cells]
+    else:
+        cells = [(k % n, k // n) for k in mask.cells]
     runs: list[list[int]] = []
     for line, pos in sorted(cells):
         if runs and runs[-1][0] == line and runs[-1][2] + 1 == pos:
             runs[-1][2] = pos
         else:
             runs.append([line, pos, pos])
-    return [Segment(orientation, line, start, end) for line, start, end in runs]
+    return [Segment(orientation, line + 1, start + 1, end + 1) for line, start, end in runs]

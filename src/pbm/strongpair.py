@@ -21,11 +21,12 @@ starts its line has none).  So
 where each term sums a bound table over a set of cells.  "Next" is the
 next cell in the row for the horizontal windows, which give p1(X)/b1(X),
 and the cell below for the vertical ones, which give p2(X)/b2(X).  Every
-function here reads a subset as a set of row-major cell indices, and a
-cell's part in a run follows from its neighbours in its line.  So an
-evaluation costs time in the size of the subsets and builds no segment;
-only a sum over the cells in neither subset reads a whole table: its
-total less the subsets' part, or the rest of the grid when that is less.
+function here reads a subset as the set of row-major cell indices,
+k = (i - 1) * n + j - 1, that a ``SubsetMask`` holds, and a cell's part
+in a run follows from its neighbours in its line.  So an evaluation
+costs time in the size of the subsets and builds no segment; only a sum
+over the cells in neither subset reads a whole table: its total less
+the subsets' part.
 
 ``condition_values`` evaluates the four inequalities whose joint validity
 over all pairs of subsets characterizes feasibility of an instance, and
@@ -37,7 +38,7 @@ gen1a, gen1b, gen1alfa, gen1beta are part of the certificate format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .core import NEG_INF, POS_INF, ExtInt, ExtMatrix, PbmInstance, SubsetMask, fin
 from .errors import DimensionMismatch, InfinityClash
@@ -93,22 +94,19 @@ def elementary_pair(
     return phi[k - 1] - gamma_prev, gamma[k - 1] - phi_prev
 
 
-def _cells(mask: SubsetMask, m: int, n: int, grid_of: str) -> set[int]:
-    """The subset as row-major cell indices; raises unless it lives on the m x n grid."""
+def _cells(mask: SubsetMask, m: int, n: int, grid_of: str) -> frozenset[int]:
+    """The subset's row-major cell indices; raises unless it lives on the m x n grid."""
     if (mask.m, mask.n) != (m, n):
         raise DimensionMismatch(f"mask grid does not match {grid_of}")
-    return {(i - 1) * n + j - 1 for i, j in mask.cells}
+    return mask.cells
 
 
-def _sum(mat: ExtMatrix, cells: set[int], outside: bool = False) -> ExtInt:
+def _sum(mat: ExtMatrix, cells: AbstractSet[int], outside: bool = False) -> ExtInt:
     """The table summed over the cells, or over all others when ``outside``; 0 when none.
 
     The sum outside is the table's total and infinity counts less the
-    cells' own part, or the sum over the other cells when they are fewer.
-    Opposite infinities raise InfinityClash.
+    cells' own part.  Opposite infinities raise InfinityClash.
     """
-    if outside and 2 * len(cells) > len(mat.values):
-        cells, outside = set(range(len(mat.values))).difference(cells), False
     tags = [*map(mat.tags.__getitem__, cells)]
     lows, highs, total = tags.count(-1), tags.count(1), sum(map(mat.values.__getitem__, cells))
     if outside:
@@ -119,10 +117,10 @@ def _sum(mat: ExtMatrix, cells: set[int], outside: bool = False) -> ExtInt:
     return NEG_INF if lows else POS_INF if highs else fin(total)
 
 
-_Runs = tuple[set[int], set[int]]
+_Runs = tuple[AbstractSet[int], AbstractSet[int]]
 
 
-def _runs(x: set[int], n: int, horizontal: bool) -> _Runs:
+def _runs(x: AbstractSet[int], n: int, horizontal: bool) -> _Runs:
     """The run ends and the run predecessors of X, along rows or along columns.
 
     ``before`` holds the cell before each cell of X in its line.  A cell of
@@ -198,7 +196,9 @@ class ConditionEval:
         return all(rec.holds for rec in self.records())
 
 
-def pair_record(inst: PbmInstance, x1: set[int], x2: set[int], name: str) -> InequalityRecord:
+def pair_record(
+    inst: PbmInstance, x1: AbstractSet[int], x2: AbstractSet[int], name: str
+) -> InequalityRecord:
     """Evaluate one of gen1a, gen1b, gen1alfa, gen1beta on the pair (X1, X2).
 
     X1 and X2 are sets of row-major cell indices, k = (i - 1) * n + j - 1.

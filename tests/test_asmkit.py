@@ -212,7 +212,7 @@ class TestSPartition:
             assert union == SubsetMask.full(n, n)
             assert sum(map(len, masks.values())) == n * n  # so the classes are disjoint
             for lab, mask in masks.items():
-                assert all(part.labels[i - 1][j - 1] == lab for i, j in mask.cells)
+                assert all(part.labels[i - 1][j - 1] == lab for i, j in mask.sorted_cells())
             assert part.cells("0", "-1", "-") == masks["0"] | masks["-1"] | masks["-"]
             assert part.labels == tuple(map(tuple, grid))
             assert SPartition.from_labels(part.labels) == part

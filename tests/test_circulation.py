@@ -419,7 +419,7 @@ class TestLineCut:
         assert witnesses == [named] and named == (nodes, complement)
         cert = cut_to_certificate(net, witness)
         assert (cert.case, cert.violated) == (case, violated)
-        bits = [sum(1 << ((i - 1) * 2 + j - 1) for i, j in x.cells) for x in (cert.x1, cert.x2)]
+        bits = [sum(1 << k for k in x.cells) for x in (cert.x1, cert.x2)]
         values = {name: (lhs, rhs) for name, lhs, rhs in oracle._PairTables(inst).pair_values(*bits)}
         assert values[violated] == (cert.lhs, cert.rhs)
         assert cert.lhs > cert.rhs
@@ -635,10 +635,19 @@ class TestCertificate:
             assert cert.lhs > cert.rhs
         assert seen_cases  # at least one infeasible instance appeared
 
-    def test_cell_set_record_matches_mask_path(self):
+    def test_cell_set_record_matches_mask_path(self, monkeypatch):
         # the cuts the solver finds, by line or by flow, and random node sets
         # of negative deficit; the record cut_to_certificate reads off the
-        # cut's cell sets must equal the one evaluated again from its masks
+        # cut's cell sets must equal the one evaluated again from its masks,
+        # and the masks must hold those very sets of row-major cell indices
+        evaluated = []
+
+        def recorded(inst, x1, x2, name):
+            evaluated.append((x1, x2))
+            return pair_record(inst, x1, x2, name)
+
+        pair_record = strongpair.pair_record
+        monkeypatch.setattr(strongpair, "pair_record", recorded)
         rng = random.Random(29)
         nets = [build_network(random_instance(rng, 55, 55)) for _ in range(3)]
         for _ in range(400):
@@ -658,7 +667,15 @@ class TestCertificate:
             for cut in cuts:
                 if not isinstance(cut, CutWitness):
                     continue
+                evaluated.clear()
                 cert = cut_to_certificate(net, cut)
+                assert evaluated == [(cert.x1.cells, cert.x2.cells)]
+                # a layer's node lies across the cut from its hub when exactly one is named
+                for x, node, hub in ((cert.x1, net.v1_node, net.v1_hub),
+                                     (cert.x2, net.v2_node, net.v2_hub)):
+                    across = [(node(i, j) in cut.nodes) != (hub in cut.nodes)
+                              for i in range(1, net.m + 1) for j in range(1, net.n + 1)]
+                    assert x.cells == {k for k, flag in enumerate(across) if flag}
                 record = strongpair.InequalityRecord(cert.violated, cert.lhs, cert.rhs)
                 inst, x1, x2 = net.instance, cert.x1, cert.x2
                 assert record == strongpair.condition_values(inst, x1, x2).by_name(cert.violated)

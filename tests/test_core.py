@@ -320,6 +320,24 @@ class TestSubsetMask:
         mask = SubsetMask.from_cells(2, 3, [(1, 1), (1, 3), (2, 3)])
         assert (1, 1) in mask and (2, 1) not in mask
 
+    def test_cells_are_row_major_indices(self):
+        mask = SubsetMask.from_cells(2, 3, [(2, 3), (1, 1), (1, 3)])
+        assert mask.cells == {0, 2, 5}
+        assert SubsetMask.full(2, 3).cells == set(range(6))
+        assert mask.complement().cells == {1, 3, 4}
+
+    def test_cells_come_out_row_major(self):
+        mask = SubsetMask.from_cells(3, 2, [(3, 1), (1, 2), (2, 1), (2, 2)])
+        assert mask.sorted_cells() == [(1, 2), (2, 1), (2, 2), (3, 1)]
+        assert mask_to_json(mask) == [[1, 2], [2, 1], [2, 2], [3, 1]]
+
+    def test_off_grid_cell_is_not_a_member(self):
+        # each off-grid pair has the row-major index of a cell the mask holds:
+        # (1, 4) that of (2, 1), (2, 0) that of (1, 3), (0, 4) that of (1, 1)
+        mask = SubsetMask.from_cells(2, 3, [(1, 1), (1, 3), (2, 1)])
+        for cell in [(1, 4), (2, 0), (0, 4), (0, 1), (3, 1)]:
+            assert cell not in mask
+
     def test_out_of_range_cell_rejected(self):
         with pytest.raises(DimensionMismatch):
             SubsetMask.from_cells(2, 2, [(3, 1)])

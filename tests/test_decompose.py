@@ -366,6 +366,10 @@ class TestKRegular:
         with pytest.raises(NotKRegular):
             decompose_k_regular_asm(IntMatrix.from_rows([[1, 1]]), 1)
 
+    def test_shape_is_checked_before_k(self):
+        with pytest.raises(NotKRegular, match="^matrix must be square, got 1x2$"):
+            decompose_k_regular_asm(IntMatrix.from_rows([[1, 1]]), 0)
+
     def test_bad_entry_rejected(self):
         with pytest.raises(NotKRegular) as exc:
             decompose_k_regular_asm(IntMatrix.from_rows([[2, 0], [0, 2]]), 2)

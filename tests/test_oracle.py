@@ -23,8 +23,9 @@ from pbm.oracle import (
     matrix_satisfies,
     oracle_extremal_sums,
 )
+from pbm.strongpair import eval_strong_pair
 
-from helpers import feasible_random, random_instance
+from helpers import feasible_random, finite_random, random_instance
 
 
 class TestEnumerate:
@@ -127,6 +128,15 @@ class TestBruteForceCondition:
             brute_force_condition(inst)
 
 
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
+def test_mask_to_subset_reads_bit_k_as_cell_index_k(m, n):
+    tables = oracle._PairTables(random_instance(random.Random(5), m, n))
+    cells = [(1, 2), (2, 1), (m, n)]
+    bits = sum(1 << ((i - 1) * n + j - 1) for i, j in cells)
+    assert tables.mask_to_subset(bits) == SubsetMask.from_cells(m, n, cells)
+    assert tables.mask_to_subset(bits).sorted_cells() == sorted(cells)
+
+
 class TestExtremalSums:
     def test_asm2(self):
         assert oracle_extremal_sums(asm_instance(2)) == (fin(2), fin(2))
@@ -144,6 +154,16 @@ class TestLinePolytope:
         assert line_polytope_minmax(inst, full, "horizontal") == (0, 2)
         first = SubsetMask.from_cells(1, 2, [(1, 1)])
         assert line_polytope_minmax(inst, first, "horizontal") == (0, 1)
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
+    def test_non_full_mask_agrees_with_strong_pair(self, m, n):
+        # the strong pair is the tightest bound pair, so the enumerated extremes equal it
+        rng = random.Random(f"line-polytope:{m}x{n}")
+        inst = finite_random(rng, m, n)
+        mask = SubsetMask.from_cells(m, n, [(1, 1), (1, n), (2, 2), (m, 1)])
+        ev = eval_strong_pair(inst, mask)
+        assert line_polytope_minmax(inst, mask, "horizontal") == (ev.p1.value, ev.b1.value)
+        assert line_polytope_minmax(inst, mask, "vertical") == (ev.p2.value, ev.b2.value)
 
     def test_infinite_window_rejected(self):
         from pbm.core import NEG_INF, POS_INF

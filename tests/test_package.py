@@ -17,7 +17,7 @@ STAR_NAMES = {
     "InstanceFormatError", "IntMatrix", "InternalError", "NEG_INF", "Network",
     "NotKRegular", "POS_INF", "PbmError", "PbmInstance", "PrescriptionOutOfEntryBounds",
     "Ray", "Result", "SPartition", "Segment", "SegmentFamilyCertificate",
-    "StrictCheck", "StrongPairEval", "SubsetMask", "VERTICAL", "asm_instance", "asmkit",
+    "StrongPairEval", "SubsetMask", "VERTICAL", "asm_instance", "asmkit",
     "aval_sign_instance", "brualdi_dahl_instance", "build_network", "check_condition",
     "check_strict", "circulation", "circulation_from_matrix", "compatible_asm",
     "condition_values", "core", "cut_to_certificate", "decompose", "decompose_k_regular_asm",

@@ -44,6 +44,23 @@ def test_full_mask_has_one_segment_per_line():
     ]
 
 
+@pytest.mark.parametrize(
+    "m, n, cells, horizontal, vertical",
+    [
+        (2, 3, [(1, 1), (1, 2), (2, 2), (2, 3)],
+         [(1, 1, 2), (2, 2, 3)], [(1, 1, 1), (2, 1, 2), (3, 2, 2)]),
+        (3, 2, [(1, 2), (2, 1), (2, 2), (3, 1)],
+         [(1, 2, 2), (2, 1, 2), (3, 1, 1)], [(1, 2, 3), (2, 1, 2)]),
+    ],
+)
+def test_segments_of_a_non_square_grid(m, n, cells, horizontal, vertical):
+    # rows and columns of differing lengths: a cell's row and column read
+    # off its index the wrong way round would give other segments
+    mask = SubsetMask.from_cells(m, n, cells)
+    for orientation, want in ((HORIZONTAL, horizontal), (VERTICAL, vertical)):
+        assert [(s.line, s.start, s.end) for s in maximal_segments(mask, orientation)] == want
+
+
 def test_empty_mask_has_no_segments():
     for orientation in (HORIZONTAL, VERTICAL):
         assert maximal_segments(SubsetMask.empty(3, 2), orientation) == []
