@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Time the infeasible answer layer by layer, and feasible solves; write BENCH_<label>.json.
+"""Time the CLI, each layer, and feasible, unbounded, priced and decompose solves; write BENCH_<label>.json.
 
     python3 scripts/bench.py --label head
 
 The infeasible inputs are 20 fixed documents: ``random_instance(Random(seed),
 55, 55)`` from tests/helpers.py, seeds 0-19, written as JSON.  Independent
 random windows on a grid this size are almost never feasible, so each
-solve ends in a certificate.  The rows are:
+solve ends in a certificate; the script exits nonzero when one does not.
+The rows are:
 
 * ``cli solve``: the 20 documents solved one after another through
   ``pbm.cli.main(["solve", path])`` in this process, stdout and stderr
@@ -72,7 +73,12 @@ solve ends in a certificate.  The rows are:
 Every row holds the median of its samples as ``median_s`` and their first
 and third quartiles as ``q1_s`` and ``q3_s``, so a difference between
 two files can be weighed against the spread within each run; a per-layer
-row sums each of the three over the documents.
+row sums each of the three over the documents.  The ``cli solve`` and
+``cli cold start`` rows time with the garbage collector on, as a user's
+process runs; the others with it off, as ``timeit`` does.  A new row is
+one ``row(layer, case, what, run, ...)`` call, which times ``run`` and
+returns the row with the counts passed to it; ``counted`` gives a solve's
+pushes and relabels.
 
 The package is imported from the ``src/`` directory next to this script,
 so a checkout times its own code.  The file goes to the root of that
@@ -86,6 +92,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import importlib
 import io
 import json
@@ -96,9 +103,9 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 import timeit
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -113,10 +120,7 @@ from pbm.circulation import (  # noqa: E402
 )
 from pbm.asmkit import asm_instance  # noqa: E402
 from pbm.core import (  # noqa: E402
-    NEG_INF,
-    POS_INF,
     IntMatrix,
-    PbmInstance,
     fin,
     instance_from_json,
     instance_to_json,
@@ -124,7 +128,7 @@ from pbm.core import (  # noqa: E402
 )
 from pbm.decompose import decompose  # noqa: E402
 from pbm.feasibility import extremal_total_sum, optimize_cost, solve  # noqa: E402
-from helpers import feasible_random, open_last_entry, random_instance  # noqa: E402
+from helpers import feasible_random, open_instance, open_last_entry, random_instance  # noqa: E402
 
 SEEDS = range(20)
 SIZE = (55, 55)
@@ -143,6 +147,38 @@ def spread(times: list[float]) -> dict:
     return {"median_s": median, "q1_s": q1, "q3_s": q3}
 
 
+def row(layer: str, case: str, what: str, run, runs: int = RUNS, calls: int = 1, **fields) -> dict:
+    """A row of ``runs`` ``timeit`` samples of ``run``, each the mean of ``calls`` calls.
+
+    ``run`` is a callable, or a list of per-document scopes, in each of which
+    the statement ``what`` is timed; such a row sums the medians and quartiles
+    over the documents and keeps each document's median.  ``fields``, the
+    row's counts, come last.
+    """
+    per_doc = isinstance(run, list)
+    samples = [
+        spread([t / calls for t in timeit.repeat(what if per_doc else run, globals=scope,
+                                                 number=calls, repeat=runs)])
+        for scope in (run if per_doc else [None])
+    ]
+    out = {"case": case, "what": what, "layer": layer, "runs": runs}
+    if calls > 1:
+        out["calls_per_run"] = calls
+    if per_doc:
+        out["documents"] = len(run)
+    out.update({key: sum(s[key] for s in samples) for key in ("median_s", "q1_s", "q3_s")})
+    if per_doc:
+        out["per_document_median_s"] = [s["median_s"] for s in samples]
+    return {**out, **fields}
+
+
+def counted(solver, *args) -> tuple:
+    """One solve's result, and its ``pushes`` and ``relabels``."""
+    info: dict = {}
+    result = solver(*args, info=info)
+    return result, {"pushes": info["pushes"], "relabels": info["relabels"]}
+
+
 def documents() -> list[str]:
     """The JSON text of every seed's instance."""
     return [
@@ -153,27 +189,20 @@ def documents() -> list[str]:
 
 def cli_row(texts: list[str]) -> dict:
     """Wall time of solving every document through the CLI, one batch per run."""
+    codes: list[int] = []
     with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for seed, text in zip(SEEDS, texts):
-            path = os.path.join(tmp, f"random_{seed}.json")
-            with open(path, "w") as fh:
-                fh.write(text)
-            paths.append(path)
-        batches, codes = [], []
-        for _ in range(RUNS):
-            sink = io.StringIO()
-            t0 = time.perf_counter()
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                codes = [cli.main(["solve", path]) for path in paths]
-            batches.append(time.perf_counter() - t0)
-    return {
-        "case": f"random_instance {SIZE[0]}x{SIZE[1]}, seeds {SEEDS[0]}-{SEEDS[-1]}",
-        "what": "pbm.cli.main(['solve', path]) for each document, in one process",
-        "runs": RUNS,
-        **spread(batches),
-        "exit_codes": sorted(set(codes)),
-    }
+        paths = [os.path.join(tmp, f"random_{seed}.json") for seed in SEEDS]
+        for path, text in zip(paths, texts):
+            Path(path).write_text(text)
+
+        def batch():
+            gc.enable()  # timeit turns the collector off; a user's process runs with it
+            with contextlib.redirect_stdout(io.StringIO()) as sink, contextlib.redirect_stderr(sink):
+                codes[:] = [cli.main(["solve", path]) for path in paths]
+
+        out = row("cli solve", f"random_instance {SIZE[0]}x{SIZE[1]}, seeds {SEEDS[0]}-{SEEDS[-1]}",
+                  "pbm.cli.main(['solve', path]) for each document, in one process", batch)
+    return {**out, "exit_codes": sorted(set(codes))}
 
 
 # A fresh interpreter solves the document at argv[2] and prints the pbm modules it
@@ -192,33 +221,25 @@ sys.exit(rc)
 def cold_start_row() -> dict:
     """Wall time of one fresh ``pbm solve`` process on asm(3), over ``RUNS`` processes."""
     cached = any((ROOT / "src" / "pbm" / "__pycache__").glob("*.pyc"))
+    children: list[subprocess.CompletedProcess] = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "asm3.json")
-        with open(path, "w") as fh:
-            json.dump(instance_to_json(asm_instance(3)), fh)
-        times = []
-        for _ in range(RUNS):
-            t0 = time.perf_counter()
-            child = subprocess.run(
+        Path(path).write_text(json.dumps(instance_to_json(asm_instance(3))))
+
+        def start():
+            gc.enable()  # as in cli_row
+            children.append(subprocess.run(
                 [sys.executable, "-c", COLD_START, str(ROOT / "src"), path],
-                capture_output=True,
-                text=True,
-                timeout=60,
-            )
-            times.append(time.perf_counter() - t0)
-            if child.returncode != 0:
-                raise SystemExit(f"cold start exited {child.returncode}: {child.stderr.strip()}")
-    modules = json.loads(child.stdout)
-    return {
-        "case": "asm_instance(3)",
-        "what": "pbm.cli.main(['solve', path]) in a fresh interpreter per run",
-        "layer": "cli cold start",
-        "runs": RUNS,
-        **spread(times),
-        "bytecode_cached": cached,
-        "modules": modules,
-        "module_count": len(modules),
-    }
+                capture_output=True, text=True, timeout=60,
+            ))
+
+        out = row("cli cold start", "asm_instance(3)",
+                  "pbm.cli.main(['solve', path]) in a fresh interpreter per run", start)
+    for child in children:
+        if child.returncode != 0:
+            raise SystemExit(f"cold start exited {child.returncode}: {child.stderr.strip()}")
+    modules = json.loads(children[-1].stdout)
+    return {**out, "bytecode_cached": cached, "modules": modules, "module_count": len(modules)}
 
 
 def layer_rows(texts: list[str]) -> list[dict]:
@@ -231,31 +252,18 @@ def layer_rows(texts: list[str]) -> list[dict]:
         "min_cost_circulation": "min_cost_circulation(net)",
         "cut_to_certificate": "cut_to_certificate(net, witness)",
     }
-    per_doc: dict[str, list[dict]] = {name: [] for name in layers}
-    for text in texts:
+    scopes = []
+    for seed, text in zip(SEEDS, texts):
         doc = json.loads(text)
         inst = instance_from_json(doc)
         net = build_network(inst)
         witness = min_cost_circulation(net)
-        scope = {**globals(), "text": text, "doc": doc, "inst": inst, "net": net}
-        scope["witness"] = witness
-        for name, stmt in layers.items():
-            if name == "cut_to_certificate" and not isinstance(witness, CutWitness):
-                continue
-            times = timeit.repeat(stmt, globals=scope, number=1, repeat=RUNS)
-            per_doc[name].append(spread(times))
-    return [
-        {
-            "case": f"random_instance {SIZE[0]}x{SIZE[1]}, seeds {SEEDS[0]}-{SEEDS[-1]}",
-            "what": stmt,
-            "layer": name,
-            "runs": RUNS,
-            "documents": len(per_doc[name]),
-            **{key: sum(d[key] for d in per_doc[name]) for key in ("median_s", "q1_s", "q3_s")},
-            "per_document_median_s": [d["median_s"] for d in per_doc[name]],
-        }
-        for name, stmt in layers.items()
-    ]
+        if not isinstance(witness, CutWitness):
+            raise SystemExit(f"random_instance seed {seed} came out feasible")
+        scopes.append({**globals(), "text": text, "doc": doc, "inst": inst, "net": net,
+                       "witness": witness})
+    case = f"random_instance {SIZE[0]}x{SIZE[1]}, seeds {SEEDS[0]}-{SEEDS[-1]}"
+    return [row(name, case, stmt, scopes) for name, stmt in layers.items()]
 
 
 def hub_cut_row() -> dict:
@@ -266,21 +274,10 @@ def hub_cut_row() -> dict:
         raise SystemExit("asm(55) with beta = 54 gave no cut that names a hub")
     cert = cut_to_certificate(net, witness)
     # a call takes about a millisecond, so each sample is the mean of CALLS calls
-    times = timeit.repeat("cut_to_certificate(net, witness)",
-                          globals={**globals(), "net": net, "witness": witness},
-                          number=CALLS, repeat=RUNS)
-    times = [t / CALLS for t in times]
-    return {
-        "case": "asm_instance(55) with beta = 54, witness = its min_cost_circulation",
-        "what": "cut_to_certificate(net, witness)",
-        "layer": "cut_to_certificate hub cut",
-        "runs": RUNS,
-        "calls_per_run": CALLS,
-        **spread(times),
-        "named": len(witness.nodes),
-        "x1": len(cert.x1),
-        "x2": len(cert.x2),
-    }
+    return row("cut_to_certificate hub cut",
+               "asm_instance(55) with beta = 54, witness = its min_cost_circulation",
+               "cut_to_certificate(net, witness)", lambda: cut_to_certificate(net, witness),
+               calls=CALLS, named=len(witness.nodes), x1=len(cert.x1), x2=len(cert.x2))
 
 
 def feasible_rows() -> list[dict]:
@@ -297,33 +294,16 @@ def feasible_rows() -> list[dict]:
     rows = []
     for case, layer, inst in cases:
         net = build_network(inst)
-        info: dict = {}
-        circ = min_cost_circulation(net, None, info)
+        circ, counts = counted(min_cost_circulation, net)
         if isinstance(circ, CutWitness):
             raise SystemExit(f"{case} came out infeasible")
         if layer == "feasible 150x150":
             checked = case, inst, circ
-        times = timeit.repeat("min_cost_circulation(net)", globals={**globals(), "net": net},
-                              number=1, repeat=RUNS)
-        rows.append({
-            "case": case,
-            "what": "min_cost_circulation(net)",
-            "layer": layer,
-            "runs": RUNS,
-            **spread(times),
-            "pushes": info["pushes"],
-            "relabels": info["relabels"],
-        })
+        rows.append(row(layer, case, "min_cost_circulation(net)",
+                        lambda: min_cost_circulation(net), **counts))
     case, inst, circ = checked
-    times = timeit.repeat("checked_matrix(inst, circ)",
-                          globals={**globals(), "inst": inst, "circ": circ}, number=1, repeat=RUNS)
-    rows.append({
-        "case": f"{case}, circ = its min_cost_circulation",
-        "what": "checked_matrix(inst, circ)",
-        "layer": "checked_matrix",
-        "runs": RUNS,
-        **spread(times),
-    })
+    rows.append(row("checked_matrix", f"{case}, circ = its min_cost_circulation",
+                    "checked_matrix(inst, circ)", lambda: checked_matrix(inst, circ)))
     return rows
 
 
@@ -331,21 +311,12 @@ def unbounded_row() -> dict:
     """The median and quartiles of one unbounded ``sum --max``, with its counts."""
     rng = random.Random(30)
     inst = open_last_entry(rng, feasible_random(rng, 30, 30), "max")
-    info: dict = {}
-    status = extremal_total_sum(inst, "max", info).status
-    if status != "unbounded":
-        raise SystemExit(f"the opened 30x30 sum came out {status}")
-    times = timeit.repeat('extremal_total_sum(inst, "max")', globals={**globals(), "inst": inst},
-                          number=1, repeat=RUNS)
-    return {
-        "case": 'open_last_entry(rng, feasible_random(rng, 30, 30), "max"), rng = Random(30)',
-        "what": 'extremal_total_sum(inst, "max")',
-        "layer": "unbounded sum 30x30",
-        "runs": RUNS,
-        **spread(times),
-        "pushes": info["pushes"],
-        "relabels": info["relabels"],
-    }
+    result, counts = counted(extremal_total_sum, inst, "max")
+    if result.status != "unbounded":
+        raise SystemExit(f"the opened 30x30 sum came out {result.status}")
+    return row("unbounded sum 30x30",
+               'open_last_entry(rng, feasible_random(rng, 30, 30), "max"), rng = Random(30)',
+               'extremal_total_sum(inst, "max")', lambda: extremal_total_sum(inst, "max"), **counts)
 
 
 def priced_rows() -> list[dict]:
@@ -357,85 +328,52 @@ def priced_rows() -> list[dict]:
         costs = IntMatrix.from_rows(
             [[rng.randint(-c_max, c_max) for _ in range(40)] for _ in range(40)]
         )
-        info: dict = {}
-        status = optimize_cost(inst, costs, "min", info).status
-        if status != "optimal":
-            raise SystemExit(f"the priced 40x40 solve with C = {c_max} came out {status}")
-        times = timeit.repeat("optimize_cost(inst, costs)",
-                              globals={**globals(), "inst": inst, "costs": costs},
-                              number=1, repeat=runs)
-        rows.append({
-            "case": f"feasible_random(Random(7), 40, 40), costs Random(3).randint(-{c_max}, "
-                    f"{c_max}) row-major",
-            "what": "optimize_cost(inst, costs)",
-            "layer": f"priced 40x40 C={c_max}",
-            "runs": runs,
-            **spread(times),
-            "pushes": info["pushes"],
-            "relabels": info["relabels"],
-        })
+        result, counts = counted(optimize_cost, inst, costs, "min")
+        if result.status != "optimal":
+            raise SystemExit(f"the priced 40x40 solve with C = {c_max} came out {result.status}")
+        rows.append(row(f"priced 40x40 C={c_max}",
+                        f"feasible_random(Random(7), 40, 40), costs Random(3).randint(-{c_max}, "
+                        f"{c_max}) row-major",
+                        "optimize_cost(inst, costs)", lambda: optimize_cost(inst, costs), runs,
+                        **counts))
     return rows
-
-
-def decompose_cases() -> list[tuple[str, str, PbmInstance, IntMatrix, int]]:
-    """(case, layer, instance, A, k) of each decompose row."""
-    rng = random.Random(10)
-    lows, highs = [[NEG_INF] * 10] * 10, [[POS_INF] * 10] * 10
-    open_10 = PbmInstance.create(10, 10, lows, highs, lows, highs, lows, highs)
-    spread_10 = IntMatrix.from_rows([[rng.randint(-10**6, 10**6) for _ in range(10)] for _ in range(10)])
-    solved_26 = feasible_random(random.Random(26), 26, 26)
-    return [
-        ("open 10x10, A row-major Random(10).randint(-10**6, 10**6)", "decompose open 10x10 k=4097",
-         open_10, spread_10, 4097),
-        ("feasible_random(Random(26), 26, 26), A = solve(inst).matrix", "decompose 26x26 k=6",
-         solved_26, solve(solved_26).matrix, 6),
-    ]
 
 
 def decompose_rows() -> list[dict]:
     """Per decompose case, one call's median, quartiles and counts; then the halvings' row."""
+    rng = random.Random(10)
+    spread_10 = IntMatrix.from_rows([[rng.randint(-10**6, 10**6) for _ in range(10)] for _ in range(10)])
+    solved_26 = feasible_random(random.Random(26), 26, 26)
+    cases = [
+        ("open 10x10, A row-major Random(10).randint(-10**6, 10**6)", "decompose open 10x10 k=4097",
+         open_instance(10, 10), spread_10, 4097),
+        ("feasible_random(Random(26), 26, 26), A = solve(inst).matrix", "decompose 26x26 k=6",
+         solved_26, solve(solved_26).matrix, 6),
+    ]
     mod = importlib.import_module("pbm.decompose")
-    real_build, real_solve, real_halve = mod.build_network, mod.min_cost_circulation, mod._halve
+    halve = mod._halve
     rows, halvings = [], []
-    for case, layer, inst, a, k in decompose_cases():
-        builds: list = []
-        solves: list = []
-        calls = len(halvings)
-        mod.build_network = lambda box: builds.append(box) or real_build(box)
-        mod.min_cost_circulation = lambda net: solves.append(net) or real_solve(net)
-        mod._halve = lambda m, n, z: halvings.append((m, n, z)) or real_halve(m, n, z)
-        try:
+    for case, layer, inst, a, k in cases:
+        with contextlib.ExitStack() as stack:
+            spies = {name: stack.enter_context(mock.patch.object(mod, name, wraps=getattr(mod, name)))
+                     for name in ("build_network", "min_cost_circulation", "_halve")}
             dec = decompose(inst, a, k)
-        finally:
-            mod.build_network, mod.min_cost_circulation = real_build, real_solve
-            mod._halve = real_halve
         if dec.total() != a:
             raise SystemExit(f"the parts of {layer} do not add up to A")
-        times = timeit.repeat("decompose(inst, a, k)",
-                              globals={**globals(), "inst": inst, "a": a, "k": k},
-                              number=1, repeat=RUNS)
-        rows.append({
-            "case": f"{case}, k = {k}",
-            "what": "decompose(inst, a, k)",
-            "layer": layer,
-            "runs": RUNS,
-            **spread(times),
-            "distinct_parts": len(dec.parts),
-            "networks": len(builds),
-            "solves": len(solves),
-            "halvings": len(halvings) - calls,
-        })
-    times = timeit.repeat("for m, n, z in halvings: halve(m, n, z)",
-                          globals={"halvings": halvings, "halve": real_halve},
-                          number=1, repeat=RUNS)
-    rows.append({
-        "case": "every halving of one call of each decompose row",
-        "what": "_halve(m, n, z) for each recorded (m, n, z)",
-        "layer": "_halve",
-        "runs": RUNS,
-        **spread(times),
-        "halvings": len(halvings),
-    })
+        mine = [c.args for c in spies["_halve"].call_args_list]
+        halvings += mine
+        rows.append(row(layer, f"{case}, k = {k}", "decompose(inst, a, k)",
+                        lambda: decompose(inst, a, k), distinct_parts=len(dec.parts),
+                        networks=spies["build_network"].call_count,
+                        solves=spies["min_cost_circulation"].call_count, halvings=len(mine)))
+
+    def halve_all():
+        for m, n, z in halvings:
+            halve(m, n, z)
+
+    rows.append(row("_halve", "every halving of one call of each decompose row",
+                    "_halve(m, n, z) for each recorded (m, n, z)", halve_all,
+                    halvings=len(halvings)))
     return rows
 
 
@@ -453,19 +391,10 @@ def main(argv: "list[str] | None" = None) -> int:
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
-    for row in out["rows"]:
-        counts = f"  {row['pushes']} pushes, {row['relabels']} relabels" if "pushes" in row else ""
-        if "distinct_parts" in row:
-            counts = (f"  {row['distinct_parts']} distinct parts, {row['networks']} networks,"
-                      f" {row['solves']} solves, {row['halvings']} halvings")
-        elif "halvings" in row:
-            counts = f"  {row['halvings']} halvings"
-        if "module_count" in row:
-            counts = f"  {row['module_count']} pbm modules, bytecode cached: {row['bytecode_cached']}"
-        print(
-            f"{row.get('layer', 'cli solve'):>22}  {row['median_s'] * 1e3:9.2f} ms"
-            f"  ({row['q1_s'] * 1e3:.2f}-{row['q3_s'] * 1e3:.2f}){counts}"
-        )
+    for r in out["rows"]:
+        counts = "".join(f"  {key} {value}" for key, value in r.items() if isinstance(value, int))
+        print(f"{r['layer']:>27}  {r['median_s'] * 1e3:9.2f} ms"
+              f"  ({r['q1_s'] * 1e3:.2f}-{r['q3_s'] * 1e3:.2f}){counts}")
     print(f"wrote {path}")
     return 0
 

@@ -257,6 +257,28 @@ class TestCost:
         assert exc.value.code == EXIT_ERROR
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, record",
+        [
+            (["sum", "--max"], None),
+            (["cost", "--costs", "COSTS"], None),
+            (["cost", "--costs", "COSTS", "--oracle", "--max"], {"count": 0, "agrees": True}),
+        ],
+        ids=["sum-max", "cost", "cost-oracle-max"],
+    )
+    def test_infeasible_optimum(self, capsys, tmp_path, bad1x1_file, argv, record):
+        # the row pins the entry to 1 and the column to 0, so no matrix has an optimum
+        costs = write_json(tmp_path / "costs.json", [[1]])
+        command, *flags = argv
+        code, doc, err = run(
+            capsys, command, bad1x1_file, *(costs if flag == "COSTS" else flag for flag in flags)
+        )
+        assert code == EXIT_INFEASIBLE
+        assert doc["status"] == "infeasible"
+        assert doc["certificate"]["violated"] == "gen1a"
+        assert doc.get("oracle") == record
+        assert err == "infeasible\n"
+
 
 class TestDecompose:
     def test_splits_k_regular(self, capsys, tmp_path):

@@ -106,6 +106,28 @@ class TestMatrixSatisfies:
         inst = dataclasses.replace(asm_instance(2), beta=fin(1))
         assert not matrix_satisfies(inst, IntMatrix.from_rows([[1, 0], [0, 1]]))
 
+    # entries in [0, 2], row sums and column sums at most 3, total in [1, 5]
+    BOUNDED = PbmInstance.create(
+        2, 2, [[0, 0]] * 2, [[2, 3]] * 2, [[0, 0]] * 2, [[2, 2], [3, 3]],
+        f=[[0, 0]] * 2, g=[[2, 2]] * 2, alpha=1, beta=5,
+    )
+
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            ([[1, 1], [1, 1]], True),
+            ([[1, 1, 0], [1, 1, 0]], False),
+            ([[-1, 1], [1, 1]], False),
+            ([[3, 0], [0, 0]], False),
+            ([[2, 2], [0, 0]], False),
+            ([[2, 0], [2, 0]], False),
+            ([[2, 1], [1, 2]], False),
+        ],
+        ids=["valid", "shape", "entry-low", "entry-high", "row-prefix", "column-prefix", "total"],
+    )
+    def test_each_bound(self, rows, want):
+        assert matrix_satisfies(self.BOUNDED, IntMatrix.from_rows(rows)) is want
+
 
 class TestBruteForceCondition:
     def test_full_scan_on_small_instance(self):
@@ -214,6 +236,31 @@ class TestPredicates:
         # all-zero line is fine for a mixed pattern but not for ++
         assert oracle.is_wasm(IntMatrix.from_rows([[0]]), ["+-"], ["+-"])
         assert not oracle.is_wasm(IntMatrix.from_rows([[0]]), ["++"], ["+-"])
+
+    @pytest.mark.parametrize(
+        "predicate, rows",
+        [
+            (oracle.is_asm, [[1, 0, 0], [0, 1, 0]]),
+            (oracle.is_asm, [[2]]),
+            (lambda mat: oracle.is_k_regular_asm(mat, 2), [[1, 1, 0], [1, 1, 0]]),
+            (lambda mat: oracle.is_k_regular_asm(mat, 2), [[2]]),
+            (oracle.is_pasm, [[2]]),
+            (lambda mat: oracle.is_higher_spin(mat, 1), [[1, 0, 0], [0, 1, 0]]),
+            (oracle.is_aval_sign, [[2]]),
+            (lambda mat: oracle.is_brualdi_dahl(mat, [1], [1, 0]), [[1, 0], [0, 1]]),
+            (lambda mat: oracle.is_brualdi_dahl(mat, [2], [2]), [[2]]),
+            (lambda mat: oracle.is_sum_majorized(mat, IntMatrix.from_rows([[1, 1]])), [[1], [0]]),
+            (lambda mat: oracle.is_wasm(mat, ["++", "++"], ["++"]), [[1]]),
+            (lambda mat: oracle.is_wasm(mat, ["++"], ["++"]), [[2]]),
+        ],
+        ids=[
+            "asm-shape", "asm-entry", "k-regular-shape", "k-regular-entry", "pasm-entry",
+            "higher-spin-shape", "aval-sign-entry", "brualdi-dahl-shape", "brualdi-dahl-entry",
+            "sum-majorized-shape", "wasm-shape", "wasm-entry",
+        ],
+    )
+    def test_wrong_shape_or_entry_rejected(self, predicate, rows):
+        assert predicate(IntMatrix.from_rows(rows)) is False
 
 
 class TestSubordinateEnumeration:
